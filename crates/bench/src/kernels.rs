@@ -323,7 +323,7 @@ impl BarrierRig {
         for &obj in &self.updates {
             recorded += u64::from(!self.mem.dirty_test_and_set(obj));
         }
-        self.mem.bulk_clear_dirty(self.range);
+        self.mem.bulk_clear_dirty(self.range, self.range.end);
         recorded
     }
 
@@ -379,7 +379,7 @@ impl BulkClearRig {
 
     /// One bulk sweep over the whole range; returns heap words covered.
     pub fn clear_pass(&mut self) -> u64 {
-        self.mem.bulk_clear_dirty(self.range)
+        self.mem.bulk_clear_dirty(self.range, self.range.end)
     }
 }
 

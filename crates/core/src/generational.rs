@@ -134,7 +134,11 @@ impl GenerationalPlan {
         let budget_words = config.heap_budget_words();
         let nursery_words = config.nursery_words().min(budget_words / 4).max(64);
         let tenured_phys = budget_words; // physical reservation; logical limits enforce budget
-        let los_phys = budget_words;
+        let los_phys = if config.large_object_bytes > 0 {
+            budget_words
+        } else {
+            0
+        };
         let capacity = 2 * nursery_words + 2 * tenured_phys + los_phys + 32;
         let mut mem = Memory::with_capacity_words(capacity);
         let n0 = Space::new(
@@ -153,7 +157,7 @@ impl GenerationalPlan {
             mem.reserve_owned(tenured_phys, "tenured")
                 .expect("tenured reservation"),
         );
-        let los = (config.large_object_bytes > 0).then(|| {
+        let los = (los_phys > 0).then(|| {
             LargeObjectSpace::new(
                 mem.reserve_owned(los_phys, "los")
                     .expect("large-object reservation"),
@@ -590,7 +594,7 @@ impl GenerationalPlan {
         // Vacating the nursery invalidates every side dirty bit in it in
         // one word sweep — fresh allocations at reused addresses must
         // start clean or the object-marking barrier would skip them.
-        self.mem.bulk_clear_dirty(nursery_range);
+        self.mem.bulk_clear_dirty(nursery_range, nursery_frontier);
         self.nursery.active_mut().reset();
         if self.tenure_threshold > 0 {
             // Flip: allocation continues in the space now holding the
@@ -682,6 +686,14 @@ impl GenerationalPlan {
             l.begin_marking(&mut self.mem);
             l.pending_scan.clear();
         }
+        // The full trace subsumes the write barrier: drop its contents.
+        // A dirty object in a vacated space loses its bit to that space's
+        // bulk clear; a large object stays put, so its bit goes here.
+        m.barrier.drain(|entry| {
+            if let BarrierEntry::Object(obj) = entry {
+                self.mem.clear_dirty(obj);
+            }
+        });
         let t_to = self.tenured.inactive_mut();
         t_to.set_limit_words(t_to.max_capacity_words());
         // Parallel lane needs headroom for abandoned chunk tails; tight
@@ -720,8 +732,6 @@ impl GenerationalPlan {
 
         // --- copying ---
         let copy_t0 = Instant::now();
-        // The full trace subsumes the write barrier; drop its contents.
-        m.barrier.drain(|_| {});
         // Pending pretenured/oversized objects are ordinary tenured
         // objects for a major collection: traced if reachable.
         if let Some(p) = self.pretenured.as_mut() {
@@ -768,13 +778,14 @@ impl GenerationalPlan {
         }
 
         poison_range(&mut self.mem, nursery_range, nursery_frontier);
-        self.mem.bulk_clear_dirty(nursery_range);
+        self.mem.bulk_clear_dirty(nursery_range, nursery_frontier);
         self.nursery.active_mut().reset();
         let tenured_full = self.tenured.active().range();
         poison_range(&mut self.mem, tenured_from, tenured_from.end);
         // The vacated tenured semispace sheds its barrier dirty bits in
-        // one sweep; the next major's copies land on clean metadata.
-        self.mem.bulk_clear_dirty(tenured_full);
+        // one sweep of what it used, not of its (budget-sized)
+        // reservation; the next major's copies land on clean metadata.
+        self.mem.bulk_clear_dirty(tenured_full, tenured_from.end);
         self.tenured.active_mut().reset();
         self.tenured.flip();
 

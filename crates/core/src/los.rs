@@ -12,7 +12,7 @@
 //! Mark state lives in the heap's side mark bitmap
 //! ([`Memory::mark_test_and_set`]), not in per-object bookkeeping:
 //! [`begin_marking`](LargeObjectSpace::begin_marking) is one bulk clear
-//! over the space's reservation, and parallel tracing workers mark
+//! over the space's used extent, and parallel tracing workers mark
 //! through the atomic [`SideMetaView`](tilgc_mem::SideMetaView) without
 //! taking a lock.
 //!
@@ -117,9 +117,11 @@ impl LargeObjectSpace {
     }
 
     /// Clears all mark bits (start of a major collection): one bulk
-    /// sweep over the side bitmap words covering the reservation.
+    /// sweep over the side bitmap words below the bump frontier. Only
+    /// live objects are ever marked and all of them sit below it, so
+    /// the never-used tail of the reservation is clear already.
     pub fn begin_marking(&self, mem: &mut Memory) {
-        mem.bulk_clear_marks(self.range);
+        mem.bulk_clear_marks(self.range, self.frontier);
     }
 
     /// Marks the object at `addr` as reachable via the side mark bitmap.

@@ -255,7 +255,7 @@ impl SemispacePlan {
         poison_range(&mut self.mem, from_range, from_frontier);
         // The vacated half drops any barrier dirty bits an embedder set
         // in one word sweep (the plan itself records none).
-        self.mem.bulk_clear_dirty(from_range);
+        self.mem.bulk_clear_dirty(from_range, from_frontier);
         self.heap.active_mut().reset();
         self.heap.flip();
         let live_words = self.heap.active().used_words();

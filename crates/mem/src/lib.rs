@@ -11,8 +11,9 @@
 //!   chunks owned by spaces) while the backing store stays contiguous;
 //! * a [`side`]-metadata layer hosting the per-word dirty bits, mark
 //!   bits and allocation-site tags that used to live in object headers,
-//!   with `memset`-style bulk clears and atomic views for parallel
-//!   marking;
+//!   stored as plain zero-initialised arrays the OS commits on first
+//!   write, with `memset`-style bulk clears bounded by a space's used
+//!   extent and atomic views for parallel marking;
 //! * *nearly tag-free* heap objects in the TIL style: [`records`] whose
 //!   single header word carries a pointer mask, pointer arrays, and raw
 //!   (non-pointer) byte arrays ([`ObjectKind`]), each tagged in the side
@@ -23,11 +24,13 @@
 //!
 //! Addresses are indices, not machine pointers, so the simulation is
 //! safe Rust and fully deterministic — with one audited exception: the
-//! [`SharedMemView`] module reinterprets the word array as atomics so
-//! parallel collection workers can claim and forward objects with CAS.
-//! That cast is the only `unsafe` in the workspace and is confined to a
-//! single function with compile-time layout guards; the side-metadata
-//! layer needs no `unsafe` at all, because it stores atomics directly.
+//! [`SharedMemView`] module reinterprets exclusively borrowed plain
+//! arrays as atomics, so parallel collection workers can claim and
+//! forward objects with CAS ([`SharedMemView`], over the `u64` heap
+//! words) and mark and tag them ([`SideMetaView`], over the `u64` mark
+//! bitmap and the `u16` site table). That cast is the only `unsafe` in
+//! the workspace and is confined to a single generic function with
+//! compile-time size and alignment guards for both element types.
 //!
 //! [`records`]: ObjectKind::Record
 //!

@@ -207,11 +207,13 @@ impl Memory {
         was
     }
 
-    /// Bulk-clears the dirty bits over `range` — the `memset`-style
-    /// sweep collectors run when a space is vacated, replacing the old
-    /// per-object header-rewrite walk. Returns the heap words covered.
-    pub fn bulk_clear_dirty(&mut self, range: SpaceRange) -> u64 {
-        let covered = self.side.dirty.bulk_clear(range);
+    /// Bulk-clears the dirty bits of a space reserved over `range` and
+    /// used up to `frontier` — the `memset`-style sweep collectors run
+    /// when a space is vacated, replacing the old per-object
+    /// header-rewrite walk. Sweeps the used extent only (see
+    /// [`SideBitmap::bulk_clear`]) and returns the heap words covered.
+    pub fn bulk_clear_dirty(&mut self, range: SpaceRange, frontier: Addr) -> u64 {
+        let covered = self.side.dirty.bulk_clear(range, frontier);
         self.side.cleared_words += covered;
         covered
     }
@@ -230,10 +232,11 @@ impl Memory {
         !self.side.mark.set_returning_old(addr)
     }
 
-    /// Bulk-clears the mark bits over `range` (start of a marking
-    /// cycle). Returns the heap words covered.
-    pub fn bulk_clear_marks(&mut self, range: SpaceRange) -> u64 {
-        let covered = self.side.mark.bulk_clear(range);
+    /// Bulk-clears the mark bits of a space reserved over `range` and
+    /// used up to `frontier` (start of a marking cycle). Returns the
+    /// heap words covered.
+    pub fn bulk_clear_marks(&mut self, range: SpaceRange, frontier: Addr) -> u64 {
+        let covered = self.side.mark.bulk_clear(range, frontier);
         self.side.cleared_words += covered;
         covered
     }
@@ -385,7 +388,9 @@ impl Memory {
 
     /// Opens the word view and the side-metadata view together, so
     /// parallel workers can forward objects (word view) and mark / tag
-    /// sites (side view) through one pair of shared handles.
+    /// sites (side view) through one pair of shared handles. Both borrow
+    /// plain arrays as atomics; the `&mut` receiver guarantees no
+    /// non-atomic access can alias them for their lifetime.
     #[inline]
     pub fn shared_views(&mut self) -> (crate::SharedMemView<'_>, SideMetaView<'_>) {
         (crate::SharedMemView::new(&mut self.words), self.side.view())
@@ -543,7 +548,7 @@ mod tests {
             start: Addr::new(1),
             end: Addr::new(256),
         };
-        assert_eq!(fast.bulk_clear_dirty(range), 255);
+        assert_eq!(fast.bulk_clear_dirty(range, range.end), 255);
         assert!(!fast.is_dirty(Addr::new(3)));
         assert_eq!(fast.side_cleared_words(), 255);
     }
@@ -558,9 +563,33 @@ mod tests {
             start: Addr::new(32),
             end: Addr::new(64),
         };
-        mem.bulk_clear_marks(range);
+        mem.bulk_clear_marks(range, range.end);
         assert!(!mem.is_marked(Addr::new(40)));
         assert!(mem.mark_test_and_set(Addr::new(40)));
+    }
+
+    #[test]
+    fn bulk_clears_sweep_only_the_used_extent() {
+        let mut mem = Memory::with_capacity_words(1024);
+        let range = mem.reserve(1000).unwrap();
+        let frontier = range.start + 100;
+        mem.set_dirty(range.start + 99);
+        mem.mark_test_and_set(range.start + 99);
+        assert_eq!(mem.bulk_clear_dirty(range, frontier), 100);
+        assert_eq!(mem.bulk_clear_marks(range, frontier), 100);
+        assert!(!mem.is_dirty(range.start + 99) && !mem.is_marked(range.start + 99));
+        assert_eq!(mem.side_cleared_words(), 200, "the tail is not counted");
+        assert_eq!(mem.bulk_clear_dirty(range, range.start), 0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "stale side bit")]
+    fn bulk_clear_checks_the_tail_beyond_the_frontier() {
+        let mut mem = Memory::with_capacity_words(1024);
+        let range = mem.reserve(1000).unwrap();
+        mem.set_dirty(range.start + 500);
+        mem.bulk_clear_dirty(range, range.start + 100);
     }
 
     #[test]
@@ -568,9 +597,16 @@ mod tests {
         let mut mem = Memory::with_capacity_words(64);
         mem.set_site(Addr::new(5), crate::SiteId::new(9));
         mem.set_dirty(Addr::new(5));
-        let copy = mem.clone();
+        mem.mark_test_and_set(Addr::new(6));
+        let mut copy = mem.clone();
         assert_eq!(copy.site_of(Addr::new(5)), crate::SiteId::new(9));
         assert!(copy.is_dirty(Addr::new(5)));
+        assert!(copy.is_marked(Addr::new(6)));
+        // The derived clone is deep: the copy's side tables are its own.
+        copy.set_site(Addr::new(5), crate::SiteId::new(1));
+        copy.clear_dirty(Addr::new(5));
+        assert_eq!(mem.site_of(Addr::new(5)), crate::SiteId::new(9));
+        assert!(mem.is_dirty(Addr::new(5)));
     }
 
     #[test]

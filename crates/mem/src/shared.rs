@@ -1,4 +1,4 @@
-//! A shared, atomic view of the simulated address space for parallel
+//! Shared, atomic views of the simulated address space for parallel
 //! collection.
 //!
 //! Parallel tracing workers race to *claim* from-space objects: the
@@ -8,20 +8,60 @@
 //! protocol needs atomic access to the word array, which the safe
 //! [`Memory`](crate::Memory) accessors cannot provide — so this module
 //! reinterprets the exclusively borrowed `&mut [u64]` as `&[AtomicU64]`.
+//! The side metadata takes the same road: it is stored as plain,
+//! lazily committed `u64` / `u16` arrays (see [`crate::side`]) and its
+//! [`SideMetaView`](crate::SideMetaView) borrows them through the same
+//! cast, [`as_atomics`].
 //!
-//! This is the only `unsafe` code in the workspace. It is sound because:
+//! That one function is the only `unsafe` code in the workspace. It is
+//! sound because:
 //!
-//! * `AtomicU64` is `repr(transparent)` over `u64` with identical size
-//!   and alignment (checked at compile time below), and
+//! * `AtomicU64` / `AtomicU16` have the same in-memory representation
+//!   as `u64` / `u16` — identical size and alignment are checked at
+//!   compile time beside each [`AtomicTwin`] impl, and every bit
+//!   pattern is valid for both sides of the cast, and
 //! * the view is constructed from a `&mut` borrow, so for its lifetime
-//!   no non-atomic access to the same words can exist.
+//!   no non-atomic access to the same elements can exist.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::mem::{align_of, size_of};
+use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
 use crate::{Addr, Header};
 
-const _: () = assert!(std::mem::size_of::<u64>() == std::mem::size_of::<AtomicU64>());
-const _: () = assert!(std::mem::align_of::<u64>() == std::mem::align_of::<AtomicU64>());
+/// A plain integer whose atomic twin has the identical layout — what
+/// [`as_atomics`] may cast between. Implemented only through
+/// `atomic_twin!`, which pins the layout beside every impl.
+pub(crate) trait AtomicTwin: Sized {
+    /// The atomic type of identical size, alignment and validity.
+    type Atomic;
+}
+
+macro_rules! atomic_twin {
+    ($plain:ty => $atomic:ty) => {
+        const _: () = assert!(size_of::<$plain>() == size_of::<$atomic>());
+        const _: () = assert!(align_of::<$plain>() == align_of::<$atomic>());
+        impl AtomicTwin for $plain {
+            type Atomic = $atomic;
+        }
+    };
+}
+atomic_twin!(u64 => AtomicU64);
+atomic_twin!(u16 => AtomicU16);
+
+/// Hands out an exclusively borrowed plain array as shared atomics.
+#[allow(unsafe_code)]
+pub(crate) fn as_atomics<T: AtomicTwin>(plain: &mut [T]) -> &[T::Atomic] {
+    let len = plain.len();
+    let ptr = plain.as_mut_ptr().cast::<T::Atomic>();
+    // SAFETY: `T::Atomic` has the same size and alignment as `T`
+    // (compile-time asserts beside every `AtomicTwin` impl) and both
+    // are integers valid for any bit pattern, so the pointer is valid
+    // and aligned for `len` elements; `plain` is a unique `&mut`
+    // borrow that the returned slice keeps alive, so handing the range
+    // out as shared atomics cannot race with any non-atomic access for
+    // the view's lifetime.
+    unsafe { std::slice::from_raw_parts(ptr, len) }
+}
 
 /// An atomic window over the whole simulated address space.
 ///
@@ -51,16 +91,10 @@ impl<'m> SharedMemView<'m> {
     pub const BUSY: u64 = Header::forward(Addr::NULL).raw();
 
     /// Builds the view over an exclusively borrowed word array.
-    #[allow(unsafe_code)]
     pub(crate) fn new(words: &'m mut [u64]) -> SharedMemView<'m> {
-        let len = words.len();
-        let ptr = words.as_mut_ptr().cast::<AtomicU64>();
-        // SAFETY: AtomicU64 has the same size and alignment as u64
-        // (compile-time asserts above), and `words` is a unique `&mut`
-        // borrow, so handing the range out as shared atomics cannot
-        // race with any non-atomic access for the view's lifetime.
-        let atoms = unsafe { std::slice::from_raw_parts(ptr, len) };
-        SharedMemView { words: atoms }
+        SharedMemView {
+            words: as_atomics(words),
+        }
     }
 
     /// Number of words in the view.
@@ -145,6 +179,16 @@ mod tests {
         let h = Header::from_raw(SharedMemView::BUSY);
         assert!(h.is_forward());
         assert!(h.forward_addr().unwrap().is_null());
+    }
+
+    #[test]
+    fn as_atomics_borrows_the_plain_array_in_place() {
+        let mut tags = vec![0u16, 7, 0];
+        let atoms = as_atomics(&mut tags[..]);
+        assert_eq!(atoms[1].load(Ordering::Relaxed), 7);
+        atoms[2].store(0xbeef, Ordering::Relaxed);
+        assert_eq!(tags, [0, 7, 0xbeef], "writes land in the backing array");
+        assert!(as_atomics::<u64>(&mut []).is_empty());
     }
 
     #[test]

@@ -23,13 +23,21 @@
 //! chunked-heap + side-metadata idiom of production collectors
 //! (mmtk-core's `util/heap` and `util/metadata/side_metadata`).
 //!
-//! Storage is `Vec<AtomicU64>` / `Vec<AtomicU16>` throughout: exclusive
-//! (`&mut`) fast paths go through `get_mut` and compile to plain loads
-//! and stores, while the shared parallel paths use atomic operations —
-//! no new `unsafe` anywhere.
+//! Storage is plain `vec![0; n]` arrays of `u64` / `u16`: a zeroed
+//! allocation commits no page until its first write, so building a heap
+//! costs what the program touches, not what the collector reserves
+//! (2.375 bytes of side metadata per reserved heap word). The serial
+//! paths are ordinary loads and stores; the parallel paths borrow the
+//! same arrays as atomics for the length of a collection through
+//! [`Memory::shared_views`](crate::Memory::shared_views) and the audited
+//! cast in `shared.rs` — no `unsafe` here. Bulk clears keep the property:
+//! collectors sweep a space's *used extent*, never its whole
+//! reservation, and debug builds check that the tail beyond it is
+//! already clear.
 
 use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
+use crate::shared::as_atomics;
 use crate::{Addr, SiteId, SpaceRange};
 
 /// Words per chunk (2¹⁵ words = 256 KiB of simulated heap).
@@ -48,6 +56,9 @@ pub const CHUNK_BYTES: usize = CHUNK_WORDS * crate::WORD_BYTES;
 #[derive(Debug, Clone)]
 pub struct ChunkMap {
     owners: Vec<Option<&'static str>>,
+    /// Chunks owned per label, kept by [`assign`](ChunkMap::assign) so a
+    /// heap census reads counts instead of rescanning every chunk.
+    counts: Vec<(&'static str, usize)>,
 }
 
 impl ChunkMap {
@@ -56,6 +67,7 @@ impl ChunkMap {
     pub(crate) fn new(capacity_words: usize) -> ChunkMap {
         ChunkMap {
             owners: vec![None; capacity_words.div_ceil(CHUNK_WORDS)],
+            counts: Vec::new(),
         }
     }
 
@@ -85,12 +97,13 @@ impl ChunkMap {
 
     /// Number of chunks currently owned by some space.
     pub fn owned_chunks(&self) -> usize {
-        self.owners.iter().filter(|o| o.is_some()).count()
+        self.counts.iter().map(|&(_, n)| n).sum()
     }
 
     /// Number of chunks owned by the space labelled `owner`.
     pub fn owned_chunks_by(&self, owner: &str) -> usize {
-        self.owners.iter().filter(|o| **o == Some(owner)).count()
+        let entry = self.counts.iter().find(|(o, _)| *o == owner);
+        entry.map_or(0, |&(_, n)| n)
     }
 
     /// Tags every chunk overlapping `range` with `owner`. Chunks that
@@ -101,8 +114,14 @@ impl ChunkMap {
         }
         let first = range.start.index() / CHUNK_WORDS;
         let last = (range.end.index() - 1) / CHUNK_WORDS;
-        for slot in &mut self.owners[first..=last] {
-            slot.get_or_insert(owner);
+        let mut claimed = 0;
+        for slot in self.owners[first..=last].iter_mut().filter(|o| o.is_none()) {
+            *slot = Some(owner);
+            claimed += 1;
+        }
+        match self.counts.iter_mut().find(|(o, _)| *o == owner) {
+            Some((_, n)) => *n += claimed,
+            None => self.counts.push((owner, claimed)),
         }
     }
 }
@@ -113,30 +132,16 @@ impl ChunkMap {
 /// reservations can share edge bitmap words;
 /// [`bulk_clear`](SideBitmap::bulk_clear) mask-edits those partial edge
 /// words and only `memset`s the fully covered interior.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SideBitmap {
-    words: Vec<AtomicU64>,
-}
-
-impl Clone for SideBitmap {
-    fn clone(&self) -> SideBitmap {
-        SideBitmap {
-            words: self
-                .words
-                .iter()
-                .map(|w| AtomicU64::new(w.load(Ordering::Relaxed)))
-                .collect(),
-        }
-    }
+    words: Vec<u64>,
 }
 
 impl SideBitmap {
     /// Builds an all-clear bitmap covering `capacity_words` heap words.
     pub(crate) fn new(capacity_words: usize) -> SideBitmap {
         SideBitmap {
-            words: (0..capacity_words.div_ceil(64))
-                .map(|_| AtomicU64::new(0))
-                .collect(),
+            words: vec![0; capacity_words.div_ceil(64)],
         }
     }
 
@@ -158,21 +163,21 @@ impl SideBitmap {
     #[inline]
     pub fn get(&self, addr: Addr) -> bool {
         let (w, m) = Self::locate(addr);
-        self.words[w].load(Ordering::Relaxed) & m != 0
+        self.words[w] & m != 0
     }
 
     /// Sets the bit for `addr`.
     #[inline]
     pub fn set(&mut self, addr: Addr) {
         let (w, m) = Self::locate(addr);
-        *self.words[w].get_mut() |= m;
+        self.words[w] |= m;
     }
 
     /// Clears the bit for `addr`.
     #[inline]
     pub fn clear(&mut self, addr: Addr) {
         let (w, m) = Self::locate(addr);
-        *self.words[w].get_mut() &= !m;
+        self.words[w] &= !m;
     }
 
     /// Sets the bit for `addr` and reports whether it was already set.
@@ -182,37 +187,66 @@ impl SideBitmap {
     #[inline]
     pub fn set_returning_old(&mut self, addr: Addr) -> bool {
         let (w, m) = Self::locate(addr);
-        let word = self.words[w].get_mut();
+        let word = &mut self.words[w];
         let old = *word;
         *word = old | m;
         old & m != 0
     }
 
-    /// Clears every bit for addresses in `range` and returns the number
-    /// of heap words covered.
+    /// Clears the bits of a space reserved over `range` and used up to
+    /// `frontier`, and returns the number of heap words covered.
     ///
-    /// Fully covered bitmap words are zeroed wholesale (the
-    /// `memset`-style sweep); the partial first and last words are
-    /// mask-edited so bits belonging to neighbouring reservations
-    /// survive.
-    pub fn bulk_clear(&mut self, range: SpaceRange) -> u64 {
-        if range.end <= range.start {
+    /// Only the used extent `[range.start, frontier)` is swept, so a
+    /// roomy reservation costs (and commits) nothing: bits are only ever
+    /// set on allocated objects, which leaves the tail beyond the
+    /// frontier clear already — debug builds check that it is. Fully
+    /// covered bitmap words are zeroed wholesale (the `memset`-style
+    /// sweep); the partial first and last words are mask-edited so bits
+    /// belonging to neighbouring reservations survive.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `frontier` lies outside `range`.
+    pub fn bulk_clear(&mut self, range: SpaceRange, frontier: Addr) -> u64 {
+        let (used, unused) = range.split_at(frontier - range.start);
+        debug_assert!(!self.any_set(unused), "stale side bit beyond {frontier}");
+        let Some((sw, ew, head, tail)) = Self::span(used) else {
             return 0;
-        }
-        let (s, e) = (range.start.index(), range.end.index());
-        let (sw, ew) = (s / 64, (e - 1) / 64);
-        let head = !0u64 << (s % 64);
-        let tail = !0u64 >> (63 - (e - 1) % 64);
+        };
         if sw == ew {
-            *self.words[sw].get_mut() &= !(head & tail);
+            self.words[sw] &= !(head & tail);
         } else {
-            *self.words[sw].get_mut() &= !head;
-            for word in &mut self.words[sw + 1..ew] {
-                *word.get_mut() = 0;
-            }
-            *self.words[ew].get_mut() &= !tail;
+            self.words[sw] &= !head;
+            self.words[sw + 1..ew].fill(0);
+            self.words[ew] &= !tail;
         }
-        (e - s) as u64
+        used.words() as u64
+    }
+
+    /// Whether any bit is set for an address in `range` — a read-only
+    /// scan, so it commits no untouched page.
+    pub fn any_set(&self, range: SpaceRange) -> bool {
+        let Some((sw, ew, head, tail)) = Self::span(range) else {
+            return false;
+        };
+        if sw == ew {
+            return self.words[sw] & head & tail != 0;
+        }
+        self.words[sw] & head != 0
+            || self.words[ew] & tail != 0
+            || self.words[sw + 1..ew].iter().any(|&w| w != 0)
+    }
+
+    /// The first and last bitmap words covering `range` with the masks
+    /// of its bits in each, or `None` for an empty range.
+    fn span(range: SpaceRange) -> Option<(usize, usize, u64, u64)> {
+        if range.end <= range.start {
+            return None;
+        }
+        let (s, last) = (range.start.index(), range.end.index() - 1);
+        let head = !0u64 << (s % 64);
+        let tail = !0u64 >> (63 - last % 64);
+        Some((s / 64, last / 64, head, tail))
     }
 
     /// Drains the set bits in `[lo, hi]` into `out` in ascending
@@ -225,19 +259,13 @@ impl SideBitmap {
     pub fn drain_sorted(&mut self, lo: Addr, hi: Addr, out: &mut Vec<Addr>) {
         debug_assert!(lo <= hi);
         for w in lo.index() / 64..=hi.index() / 64 {
-            let mut bits = std::mem::take(self.words[w].get_mut());
+            let mut bits = std::mem::take(&mut self.words[w]);
             while bits != 0 {
                 let bit = bits.trailing_zeros() as usize;
                 out.push(Addr::new((w * 64 + bit) as u32));
                 bits &= bits - 1;
             }
         }
-    }
-
-    /// An atomic borrow of the backing words for shared views.
-    #[inline]
-    pub(crate) fn atoms(&self) -> &[AtomicU64] {
-        &self.words
     }
 }
 
@@ -247,45 +275,28 @@ impl SideBitmap {
 /// tag is written at allocation, copied alongside the object when it is
 /// forwarded, and never cleared — so death profiling can still read the
 /// site of a from-space corpse after the collection that killed it.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct SiteTable {
-    tags: Vec<AtomicU16>,
-}
-
-impl Clone for SiteTable {
-    fn clone(&self) -> SiteTable {
-        SiteTable {
-            tags: self
-                .tags
-                .iter()
-                .map(|t| AtomicU16::new(t.load(Ordering::Relaxed)))
-                .collect(),
-        }
-    }
+    tags: Vec<u16>,
 }
 
 impl SiteTable {
     pub(crate) fn new(capacity_words: usize) -> SiteTable {
         SiteTable {
-            tags: (0..capacity_words).map(|_| AtomicU16::new(0)).collect(),
+            tags: vec![0; capacity_words],
         }
     }
 
     /// The site tag for the object whose header is at `addr`.
     #[inline]
     pub fn get(&self, addr: Addr) -> SiteId {
-        SiteId::new(self.tags[addr.index()].load(Ordering::Relaxed))
+        SiteId::new(self.tags[addr.index()])
     }
 
     /// Writes the site tag for the object whose header is at `addr`.
     #[inline]
     pub fn set(&mut self, addr: Addr, site: SiteId) {
-        *self.tags[addr.index()].get_mut() = site.get();
-    }
-
-    #[inline]
-    pub(crate) fn atoms(&self) -> &[AtomicU16] {
-        &self.tags
+        self.tags[addr.index()] = site.get();
     }
 }
 
@@ -316,10 +327,12 @@ impl SideMetadata {
         }
     }
 
-    pub(crate) fn view(&self) -> SideMetaView<'_> {
+    /// The atomic view parallel workers share for one collection. The
+    /// `&mut` receiver is what makes the plain-to-atomic cast sound.
+    pub(crate) fn view(&mut self) -> SideMetaView<'_> {
         SideMetaView {
-            marks: self.mark.atoms(),
-            sites: self.sites.atoms(),
+            marks: as_atomics(&mut self.mark.words),
+            sites: as_atomics(&mut self.sites.tags),
         }
     }
 }
@@ -436,7 +449,7 @@ mod tests {
         for i in 60..200u32 {
             bm.set(Addr::new(i));
         }
-        let cleared = bm.bulk_clear(range(70, 190));
+        let cleared = bm.bulk_clear(range(70, 190), Addr::new(190));
         assert_eq!(cleared, 120);
         for i in 60..70u32 {
             assert!(bm.get(Addr::new(i)), "bit {i} below the range survives");
@@ -455,10 +468,27 @@ mod tests {
         for i in 64..80u32 {
             bm.set(Addr::new(i));
         }
-        assert_eq!(bm.bulk_clear(range(68, 72)), 4);
+        assert_eq!(bm.bulk_clear(range(68, 72), Addr::new(72)), 4);
         assert!(bm.get(Addr::new(67)) && bm.get(Addr::new(72)));
         assert!(!bm.get(Addr::new(68)) && !bm.get(Addr::new(71)));
-        assert_eq!(bm.bulk_clear(range(5, 5)), 0, "empty range is a no-op");
+        assert_eq!(
+            bm.bulk_clear(range(5, 5), Addr::new(5)),
+            0,
+            "empty range is a no-op"
+        );
+    }
+
+    #[test]
+    fn any_set_sees_exactly_the_bits_in_range() {
+        let mut bm = SideBitmap::new(512);
+        bm.set(Addr::new(69));
+        bm.set(Addr::new(300));
+        assert!(!bm.any_set(range(70, 300)), "edge bits are outside");
+        assert!(bm.any_set(range(69, 70)) && bm.any_set(range(70, 301)));
+        assert!(bm.any_set(range(0, 512)) && !bm.any_set(range(301, 512)));
+        assert!(!bm.any_set(range(69, 69)), "empty range holds no bit");
+        bm.set(Addr::new(200));
+        assert!(bm.any_set(range(70, 300)), "interior words are scanned");
     }
 
     #[test]

@@ -199,7 +199,7 @@ proptest! {
             outside.push(a);
             mem.set_dirty(pick(mid, &mut state));
         }
-        let covered = mem.bulk_clear_dirty(mid);
+        let covered = mem.bulk_clear_dirty(mid, mid.end);
         prop_assert_eq!(covered, (mid.end - mid.start) as u64);
         for a in (mid.start.index()..mid.end.index()).map(|i| Addr::new(i as u32)) {
             prop_assert!(!mem.is_dirty(a), "bit inside the cleared range at {a}");
@@ -211,29 +211,47 @@ proptest! {
 
     /// An atomic mark-bit claim is idempotent: across any xorshift-driven
     /// sequence of duplicated addresses, each distinct address is claimed
-    /// exactly once, no matter how claims interleave with re-claims.
+    /// exactly once, no matter how claims interleave with re-claims —
+    /// and the atomic view is the plain storage: bits the serial path set
+    /// before the view was taken are already claimed in it, and what the
+    /// view claims and tags, the serial path reads back.
     #[test]
-    fn atomic_mark_claim_is_idempotent(seed in any::<u64>(), n in 1usize..400) {
+    fn atomic_mark_claim_is_idempotent(
+        seed in any::<u64>(),
+        n in 1usize..400,
+        serial in 0usize..400,
+    ) {
         let mut mem = Memory::with_capacity_words(4096);
         let mut state = seed | 1;
         let addrs: Vec<Addr> = (0..n)
             .map(|_| Addr::new(1 + (xorshift(&mut state) % 4095) as u32))
             .collect();
         let distinct: std::collections::HashSet<Addr> = addrs.iter().copied().collect();
+        let (pre, rest) = addrs.split_at(serial.min(n));
+        let mut claims = pre.iter().filter(|&&a| mem.mark_test_and_set(a)).count();
+        for &a in pre {
+            mem.set_site(a, SiteId::new(a.raw() as u16));
+        }
         let (_, side) = mem.shared_views();
-        let claims = addrs
-            .iter()
-            .filter(|&&a| side.mark_test_and_set(a))
-            .count();
+        for &a in pre {
+            prop_assert!(!side.mark_test_and_set(a), "serially set bit is claimed");
+            prop_assert_eq!(side.site_of(a), SiteId::new(a.raw() as u16));
+        }
+        claims += rest.iter().filter(|&&a| side.mark_test_and_set(a)).count();
         prop_assert_eq!(claims, distinct.len(), "each address claimed exactly once");
         for &a in &distinct {
             prop_assert!(side.is_marked(a));
             prop_assert!(!side.mark_test_and_set(a), "re-claim must lose");
         }
-        let _ = side;
-        // The serial path observes exactly the same bits.
+        if let Some(&from) = pre.first() {
+            side.copy_site(from, Addr::new(4095));
+        }
+        // The serial path observes exactly the same bits and tags.
         for &a in &distinct {
             prop_assert!(mem.is_marked(a));
+        }
+        if let Some(&from) = pre.first() {
+            prop_assert_eq!(mem.site_of(Addr::new(4095)), mem.site_of(from));
         }
     }
 }
