@@ -1,0 +1,511 @@
+//! One collection, from first to last instruction.
+//!
+//! The paper's two techniques are add-ons to one copying collector, and
+//! every plan's collection follows the same protocol; this module owns
+//! that protocol once, as four stages a plan calls in order with its own
+//! work between them: [`Cycle::begin`] (prologue), [`Cycle::scan_roots`],
+//! [`Cycle::trace`] … [`Trace::drain`] (evacuator wiring and the copy),
+//! and [`Cycle::finish`] (epilogue, after the plan's release step).
+//! DESIGN.md's *Architecture* section tabulates what each stage owns and
+//! what the plan supplies. [`PlanBase`] holds the state every plan
+//! carries for those stages.
+
+use std::time::Instant;
+
+use tilgc_mem::{Addr, Memory, Space, SpaceRange};
+use tilgc_obs::{
+    CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
+    SiteDemote, SitePromote, SiteWindow, SpaceCensus, TelemetryAcc,
+};
+use tilgc_runtime::{AllocShape, CollectionInspection, GcStats, HeapProfile, MutatorState};
+
+use crate::adaptive::AdaptivePretenure;
+use crate::config::{GcConfig, MarkerPolicy, ParallelConfig};
+use crate::evac::{Evacuator, LaneOutcome};
+use crate::los::LargeObjectSpace;
+use crate::roots::{append_cached_roots, scan_stack, RootLoc, ScanCache};
+use crate::scheduler::slack_budget_words;
+use crate::space::{CopySpace, PretenuredRegion, SpacePolicy};
+use crate::util::{build_collection_end, build_inspection};
+use crate::verify::check_worker_accounting;
+
+/// The state every plan carries for the collection cycle.
+pub(crate) struct PlanBase {
+    pub stats: GcStats,
+    pub inspection: Option<CollectionInspection>,
+    /// Telemetry accumulator, allocated lazily the first time a
+    /// collection or allocation runs with an enabled recorder installed.
+    pub telem: Option<TelemetryAcc>,
+    /// Keep the accumulator running without a recorder: the adaptive
+    /// estimator is then its only consumer.
+    pub keep_windows: bool,
+    pub profile: Option<HeapProfile>,
+    pub cache: Option<ScanCache>,
+    pub marker_policy: MarkerPolicy,
+    pub parallel: ParallelConfig,
+    /// Whether the injected worker fault has fired: it stays armed until
+    /// its one shot (the spec is per-run, not per-collection).
+    pub fault_fired: bool,
+    pub track_ttsp: bool,
+}
+
+impl PlanBase {
+    pub fn new(config: &GcConfig) -> PlanBase {
+        PlanBase {
+            stats: GcStats::default(),
+            inspection: None,
+            telem: None,
+            keep_windows: false,
+            profile: config.profiling.then(HeapProfile::new),
+            cache: config.marker_policy.is_enabled().then(ScanCache::default),
+            marker_policy: config.marker_policy,
+            parallel: config.parallel,
+            fault_fired: false,
+            track_ttsp: config.track_ttsp,
+        }
+    }
+
+    /// Counts an allocation into the per-site time-series. Called before
+    /// routing (and before any demotion re-route) so every allocation
+    /// path feeds the same windows; the adaptive estimator consumes the
+    /// windows the recorder samples, so it keeps them flowing recorder
+    /// or no.
+    pub fn note_alloc(&mut self, m: &MutatorState, shape: AllocShape) {
+        if m.recorder.is_enabled() || self.keep_windows {
+            self.telem
+                .get_or_insert_with(TelemetryAcc::default)
+                .note_alloc(shape.site().get(), shape.size_bytes() as u64);
+        }
+    }
+}
+
+/// Whether a collection takes the parallel lanes. They need to-space
+/// headroom for abandoned chunk tails, and support neither profiling nor
+/// the copy-back survivor path (§7.2 threshold), which splits copies
+/// between two spaces — everything else falls back to the serial oracle.
+fn parallel_lane_engages(
+    workers: usize,
+    profiling: bool,
+    survivor: bool,
+    to_free_words: usize,
+    from_used_words: usize,
+) -> bool {
+    workers > 1
+        && !profiling
+        && !survivor
+        && to_free_words >= from_used_words + slack_budget_words(workers)
+}
+
+/// The spaces one collection traces over — a plan's per-space copy
+/// semantics for this collection.
+pub(crate) struct TraceSpaces<'a> {
+    /// The ranges being vacated.
+    pub from: &'a [SpaceRange],
+    /// Allocated words in `from`: the bound on what can be copied.
+    pub from_used_words: usize,
+    pub to: &'a mut Space,
+    /// Which of `from` is the allocation area (first promotions).
+    pub nursery: Option<SpaceRange>,
+    /// Marked and scanned instead of copied, when given.
+    pub los: Option<&'a mut LargeObjectSpace>,
+    /// §7.2 aging destination and its tenure age.
+    pub survivor: Option<(&'a mut Space, u8)>,
+}
+
+/// What the plan's release step leaves for [`Cycle::finish`].
+pub(crate) struct Release<'a> {
+    pub live_words: usize,
+    /// Whether `live_words` accounts for every live byte (copied-back
+    /// §7.2 survivors are not counted; verifiers then skip the check).
+    pub live_accounting_complete: bool,
+    pub adaptive: Option<&'a mut AdaptivePretenure>,
+    pub pretenured: Option<&'a mut PretenuredRegion>,
+    /// The spaces the heap census reports, one row each.
+    pub copy_spaces: &'a [&'a CopySpace],
+    pub los: Option<&'a LargeObjectSpace>,
+}
+
+/// One collection in flight.
+pub(crate) struct Cycle {
+    wall_start: Instant,
+    stats_before: GcStats,
+    side_cleared_before: u64,
+    depth_at_gc: usize,
+    major: bool,
+    /// `None` (and nothing at all is recorded) under the default
+    /// disabled recorder.
+    timer: Option<PhaseTimer>,
+    scan_claim: (usize, usize),
+    stack_t0: Instant,
+    stack_ns: u64,
+    copy_ns: u64,
+}
+
+impl Cycle {
+    /// Prologue. `major` is what the begin event and the inspection
+    /// record say; counting `major_collections` is the plan's business.
+    pub fn begin(
+        base: &mut PlanBase,
+        mem: &Memory,
+        m: &mut MutatorState,
+        plan: &'static str,
+        reason: &'static str,
+        major: bool,
+    ) -> Cycle {
+        let wall_start = Instant::now();
+        let mut cycle = Cycle {
+            wall_start,
+            stats_before: base.stats,
+            side_cleared_before: mem.side_cleared_words(),
+            depth_at_gc: m.stack.depth(),
+            major,
+            timer: None,
+            scan_claim: (0, 0),
+            stack_t0: wall_start,
+            stack_ns: 0,
+            copy_ns: 0,
+        };
+        let depth = cycle.depth_at_gc as u64;
+        // TTSP is read before any GC work so the distance reflects the
+        // mutator's position when the collection took over.
+        let ttsp_cycles = if base.track_ttsp {
+            m.cycles_since_safepoint()
+        } else {
+            0
+        };
+        if m.recorder.is_enabled() {
+            base.telem
+                .get_or_insert_with(TelemetryAcc::default)
+                .note_depth(depth);
+            m.recorder.record(Event::CollectionBegin(CollectionBegin {
+                collection: base.stats.collections + 1,
+                plan,
+                reason,
+                major,
+                depth,
+                start_cycles: m.stats.client_cycles + base.stats.gc_cycles(),
+                ttsp_cycles,
+            }));
+            cycle.timer = Some(PhaseTimer::start(base.stats.gc_cycles()));
+        }
+        base.stats.collections += 1;
+        base.stats.depth_at_gc_sum += depth;
+        base.stats.other_cycles += m.cost.gc_base;
+        cycle.mark(GcPhase::Setup, &base.stats);
+        cycle
+    }
+
+    /// Ends the current phase section at the GC cycles `stats` shows.
+    pub fn mark(&mut self, phase: GcPhase, stats: &GcStats) {
+        if let Some(t) = self.timer.as_mut() {
+            t.mark(phase, stats.gc_cycles());
+        }
+    }
+
+    /// Root processing (GC-stack), first half: decodes the stack. The
+    /// scan cache saves decode cost only, so a collection that moves
+    /// objects cached frames may reference asks for their roots too
+    /// (`expand_cached`).
+    pub fn scan_roots(
+        &mut self,
+        base: &mut PlanBase,
+        m: &mut MutatorState,
+        expand_cached: bool,
+    ) -> Vec<RootLoc> {
+        self.stack_t0 = Instant::now();
+        let outcome = scan_stack(m, base.cache.as_mut(), base.marker_policy, &mut base.stats);
+        self.mark(GcPhase::StackDecode, &base.stats);
+        self.scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
+        let mut roots = outcome.new_roots;
+        if expand_cached {
+            append_cached_roots(base.cache.as_ref(), outcome.reused_frames, &mut roots);
+        }
+        roots
+    }
+
+    /// Root processing, second half, and the start of copying (GC-copy):
+    /// wires the evacuator and forwards `roots`. The returned [`Trace`]
+    /// is the plan's to feed (barrier entries, in-place scans) until
+    /// [`Trace::drain`].
+    pub fn trace<'a>(
+        &'a mut self,
+        base: &'a mut PlanBase,
+        mem: &'a mut Memory,
+        m: &mut MutatorState,
+        spaces: TraceSpaces<'a>,
+        roots: &[RootLoc],
+    ) -> Trace<'a> {
+        let parallel = parallel_lane_engages(
+            base.parallel.workers,
+            base.profile.is_some(),
+            spaces.survivor.is_some(),
+            spaces.to.free_words(),
+            spaces.from_used_words,
+        );
+        let lend_telemetry = self.timer.is_some() || base.keep_windows;
+        let mut trace = Trace {
+            evac: Evacuator::new(
+                mem,
+                spaces.from,
+                spaces.to,
+                spaces.nursery,
+                spaces.los,
+                base.profile.as_mut(),
+                &mut base.stats,
+                m.cost,
+            ),
+            // Stamped for real once the roots are forwarded.
+            copy_t0: self.stack_t0,
+            cycle: self,
+        };
+        if let Some((survivor, tenure_age)) = spaces.survivor {
+            trace.evac.set_survivor(survivor, tenure_age);
+        }
+        if lend_telemetry {
+            trace
+                .evac
+                .set_telemetry(base.telem.get_or_insert_with(TelemetryAcc::default));
+        }
+        if parallel {
+            let mut lane = base.parallel;
+            if base.fault_fired {
+                lane.worker_fault = None;
+            }
+            trace.evac.set_parallel(lane);
+        }
+        trace.evac.forward_roots(m, roots);
+        trace.mark(GcPhase::RootScan);
+        trace.cycle.stack_ns = trace.cycle.stack_t0.elapsed().as_nanos() as u64;
+        trace.copy_t0 = Instant::now();
+        trace
+    }
+
+    /// Epilogue, after the plan released its spaces: the last call on a
+    /// cycle. (By `&mut`, like [`Trace::drain`]: these run once per
+    /// collection and a by-value receiver costs a copy of the whole
+    /// struct.)
+    pub fn finish(
+        &mut self,
+        base: &mut PlanBase,
+        mem: &Memory,
+        m: &mut MutatorState,
+        lanes: LaneOutcome,
+        release: Release<'_>,
+    ) {
+        if lanes.fault_fired {
+            base.fault_fired = true;
+        }
+        base.stats.workers_lost += lanes.workers_lost;
+        base.stats.degraded_collections += u64::from(lanes.degraded);
+        base.stats
+            .note_live_bytes(tilgc_mem::words_to_bytes(release.live_words) as u64);
+        base.stats.stack_wall_ns += self.stack_ns;
+        base.stats.copy_wall_ns += self.copy_ns;
+        let total_ns = self.wall_start.elapsed().as_nanos() as u64;
+        base.stats.total_wall_ns += total_ns;
+        check_worker_accounting(
+            lanes.workers,
+            &lanes.worker_copied,
+            base.stats.copied_bytes - self.stats_before.copied_bytes,
+        );
+        base.inspection = Some(build_inspection(
+            &self.stats_before,
+            &base.stats,
+            self.major,
+            self.depth_at_gc,
+            release.live_accounting_complete,
+            self.scan_claim,
+        ));
+        let mut pretenured = release.pretenured;
+        // Before the end event: draining the samples resets the windows
+        // the estimator reads.
+        if let Some(adaptive) = release.adaptive {
+            adapt(base, m, self.major, adaptive, pretenured.as_deref_mut());
+        }
+        let Some(timer) = self.timer.take() else {
+            return;
+        };
+        let collection = base.stats.collections;
+        for e in timer.into_events(collection) {
+            m.recorder.record(e);
+        }
+        let telem = base.telem.as_mut().expect("allocated by Cycle::begin");
+        let insp = base.inspection.as_ref().expect("just built");
+        let end_cycles = m.stats.client_cycles + base.stats.gc_cycles();
+        m.recorder
+            .record(Event::CollectionEnd(Box::new(build_collection_end(
+                &self.stats_before,
+                &base.stats,
+                insp,
+                telem,
+                end_cycles,
+                total_ns,
+                lanes.workers,
+                lanes.worker_copied,
+                mem.owned_chunks() as u64,
+                mem.side_cleared_words() - self.side_cleared_before,
+            ))));
+        // A degradation episode brackets right behind the end event,
+        // like a census: the affected collection has already closed
+        // with the exact serial answer.
+        if lanes.degraded {
+            m.recorder.record(Event::DegradationBegin(DegradationBegin {
+                collection,
+                trigger: lanes.trigger.unwrap_or("orphan"),
+                workers: lanes.workers,
+                workers_lost: lanes.workers_lost,
+            }));
+            m.recorder.record(Event::DegradationEnd(DegradationEnd {
+                collection,
+                leftover_packets: lanes.leftover_packets,
+                outcome: "drained",
+            }));
+        }
+        // The heap census rides right behind the end event: per-space
+        // occupancy plus the route table's current size, all host-side
+        // reads — no simulated cycles, no GcStats.
+        let row = |space, used_words: usize, reserved_words: usize| SpaceCensus {
+            space,
+            used_words: used_words as u64,
+            reserved_words: reserved_words as u64,
+            chunks: mem.owned_chunks_by(space) as u64,
+        };
+        let copy_rows = release.copy_spaces.iter().map(|s| {
+            let active = s.active();
+            row(s.label(), active.used_words(), active.capacity_words())
+        });
+        let los_row = release
+            .los
+            .map(|l| row("los", l.used_words(), l.capacity_words()));
+        m.recorder.record(Event::HeapCensus(HeapCensus {
+            collection,
+            pretenured_sites: pretenured.map_or(0, |r| r.routed_sites() as u64),
+            spaces: copy_rows.chain(los_row).collect(),
+        }));
+        for e in telem.drain_samples(collection) {
+            m.recorder.record(e);
+        }
+    }
+}
+
+/// The tracing stage in flight: the wired evacuator plus the cycle's
+/// phase timer.
+pub(crate) struct Trace<'a> {
+    pub evac: Evacuator<'a>,
+    cycle: &'a mut Cycle,
+    copy_t0: Instant,
+}
+
+/// What [`Trace::drain`] hands back once the evacuator's borrows end.
+pub(crate) struct Drained {
+    pub lanes: LaneOutcome,
+    /// §7.2 remembered set for the next minor collection: old objects /
+    /// field locations left referencing survivor-space objects.
+    pub young_owner_refs: Vec<Addr>,
+    pub young_field_locs: Vec<Addr>,
+}
+
+impl Trace<'_> {
+    /// Ends the current phase section at the evacuator's cycle count.
+    pub fn mark(&mut self, phase: GcPhase) {
+        if let Some(t) = self.cycle.timer.as_mut() {
+            t.mark(phase, self.evac.current_gc_cycles());
+        }
+    }
+
+    /// Runs the closure to completion and closes the copy stage.
+    pub fn drain(&mut self) -> Drained {
+        self.evac.drain();
+        self.mark(GcPhase::CheneyCopy);
+        let drained = Drained {
+            lanes: self.evac.outcome(),
+            young_owner_refs: self.evac.take_young_owner_refs(),
+            young_field_locs: self.evac.take_young_field_locs(),
+        };
+        self.cycle.copy_ns = self.copy_t0.elapsed().as_nanos() as u64;
+        drained
+    }
+}
+
+/// The closed loop's decision step, run at the end of every collection
+/// while adaptation is on: feed the per-site windows into the estimator
+/// and apply the placement flips it returns.
+fn adapt(
+    base: &mut PlanBase,
+    m: &mut MutatorState,
+    major: bool,
+    adaptive: &mut AdaptivePretenure,
+    pretenured: Option<&mut PretenuredRegion>,
+) {
+    let Some(telem) = base.telem.as_mut() else {
+        return;
+    };
+    let windows: Vec<SiteWindow> = telem.windows().collect();
+    let collection = base.stats.collections;
+    let out = adaptive.observe(collection, major, &windows);
+    if !m.recorder.is_enabled() {
+        // No recorder to drain the windows at collection end: reset
+        // them here so each observation stays one collection wide.
+        telem.clear_windows();
+    }
+    if out.is_empty() {
+        return;
+    }
+    let region = pretenured.expect("adaptive plans always compose a pretenured region");
+    for &(site, permille) in &out.promotions {
+        region.promote_site(site);
+        base.stats.sites_promoted += 1;
+        if m.recorder.is_enabled() {
+            m.recorder.record(Event::SitePromote(SitePromote {
+                collection,
+                site: site.get(),
+                survival_permille: permille,
+            }));
+        }
+    }
+    for &(site, permille) in &out.demotions {
+        region.demote_site(site);
+        base.stats.sites_demoted += 1;
+        if m.recorder.is_enabled() {
+            m.recorder.record(Event::SiteDemote(SiteDemote {
+                collection,
+                site: site.get(),
+                survival_permille: permille,
+                reason: "adaptive",
+            }));
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn headroom_gate_engages_exactly_at_the_slack_budget() {
+        let from_used = 10_000;
+        for workers in [2, 4, 7] {
+            let enough = from_used + slack_budget_words(workers);
+            // (workers, profiling, survivor, to_free, expect)
+            let table = [
+                (workers, false, false, enough, true),
+                (workers, false, false, enough + 1, true),
+                (workers, false, false, enough - 1, false),
+                (workers, false, false, 0, false),
+                (workers, true, false, enough, false),
+                (workers, false, true, enough, false),
+                (workers, true, true, usize::MAX / 2, false),
+                (1, false, false, enough, false),
+                (1, false, false, usize::MAX / 2, false),
+            ];
+            for (w, profiling, survivor, to_free, expect) in table {
+                assert_eq!(
+                    parallel_lane_engages(w, profiling, survivor, to_free, from_used),
+                    expect,
+                    "workers {w}, profiling {profiling}, survivor {survivor}, \
+                     {to_free} free words against {from_used} used"
+                );
+            }
+        }
+    }
+}

@@ -1,5 +1,5 @@
 //! The shared tracing driver: a work-queue transitive closure over the
-//! object graph, used by every [`Plan`](crate::Plan).
+//! object graph, used by every plan.
 //!
 //! An [`Evacuator`] is one collection's driver state. The plan configures
 //! it with the *from* ranges being vacated, the *to* space receiving
@@ -21,7 +21,7 @@
 //! location a stack scan produced and charges the paper's per-root costs,
 //! identically for every plan.
 //!
-//! With [`set_workers`](Evacuator::set_workers) the driver switches the
+//! With [`set_parallel`](Evacuator::set_parallel) the driver switches the
 //! three tracing steps — root forwarding, store-buffer filtering, and
 //! the closure drain — onto the parallel work-packet lanes of the
 //! [`scheduler`](crate::scheduler) module: workers race to claim
@@ -38,11 +38,12 @@ use tilgc_mem::{
 use tilgc_obs::TelemetryAcc;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState};
 
+use crate::config::ParallelConfig;
 use crate::los::LargeObjectSpace;
 use crate::roots::{read_root, write_root, RootLoc};
 use crate::scheduler::{
     packetize, reorder_packets, CycleBudget, PacketQueue, PendingClaim, SectionFaults,
-    SharedCursor, WorkerCopyAlloc, WorkerDelta, WorkerFaultKind, WorkerFaultSpec,
+    SharedCursor, WorkerCopyAlloc, WorkerDelta, WorkerFaultKind,
 };
 
 /// Watchdog deadline used when a stall fault is armed but no explicit
@@ -80,20 +81,32 @@ impl ObjectQueue {
 /// stale pointer dereference fails loudly instead of reading garbage.
 pub const POISON: u64 = 0xdead_dead_dead_dead;
 
-/// Snapshot of a collection's fault-tolerance outcome (see
-/// [`Evacuator::fault_outcome`]). All zeros / `false` on fault-free
-/// runs — the plans' updates from it are then no-ops.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct FaultOutcome {
-    /// Whether the armed injected fault fired this collection.
-    pub fired: bool,
-    /// Workers lost across the collection's parallel sections.
+/// What one collection's tracing lanes report back once the closure is
+/// drained (see [`Evacuator::outcome`]): the lanes used, their
+/// per-worker copy totals, and the fault-tolerance outcome. On the
+/// serial lane `workers` is 1, `worker_copied` is empty and the rest is
+/// zero / `false` — folding it into the run counters is then a no-op.
+#[derive(Clone, Debug, Default)]
+pub struct LaneOutcome {
+    /// Tracing lanes used: the worker count, or 1 on the serial lane.
+    pub workers: u64,
+    /// Per-worker copied-byte totals (empty on the serial lane). Index 0
+    /// also absorbs copies made by serial code between parallel
+    /// sections, so the vector always sums to the `copied_bytes` this
+    /// collection added to `GcStats`.
+    pub worker_copied: Vec<u64>,
+    /// Whether the armed injected fault fired in some section.
+    pub fault_fired: bool,
+    /// Workers lost (panicked, stalled past the deadline, or over
+    /// budget) across the collection's parallel sections.
     pub workers_lost: u64,
-    /// Whether any section degraded to the serial drain.
+    /// Whether any section degraded: lost a worker or left packets for
+    /// the coordinator's serial drain.
     pub degraded: bool,
-    /// First degradation trigger, if degraded.
+    /// First degradation trigger: `"panic"`, `"watchdog"`, `"budget"`,
+    /// or `"orphan"` (leftover packets with no recorded loss).
     pub trigger: Option<&'static str>,
-    /// Packets drained serially after their section closed.
+    /// Packets the coordinator drained serially after sections closed.
     pub leftover_packets: u64,
 }
 
@@ -134,43 +147,16 @@ pub struct Evacuator<'a> {
     /// Old-generation *field locations* (from store-buffer entries) whose
     /// relocated target stayed in the survivor space.
     young_field_locs: Vec<Addr>,
-    /// Tracing worker count. `1` (the default) is the serial oracle
-    /// lane; anything higher routes the tracing steps through the
-    /// work-packet scheduler.
-    workers: usize,
-    /// Torture-harness fault injection: deterministically permute packet
-    /// order and give odd workers a LIFO queue pop.
-    packet_reorder: bool,
-    /// Per-worker copied-byte totals for this collection (empty on the
-    /// serial lane). Index 0 also absorbs copies made by serial code
-    /// between parallel sections, so the vector always sums to the
-    /// collection's `copied_bytes` delta.
-    worker_copied: Vec<u64>,
-    /// Armed worker fault for this collection (fault injection); fires
-    /// at most once across all parallel sections.
-    fault: Option<WorkerFaultSpec>,
-    /// Whether the armed fault fired in some section already.
-    fault_fired: bool,
-    /// Wall-clock deadline after which the watchdog marks a worker
-    /// holding an in-flight packet lost. `None` disables the watchdog
-    /// (it is still forced on, with a default deadline, while a stall
+    /// The parallel-lane knobs in force. The default (`workers == 1`)
+    /// is the serial oracle lane; a higher worker count routes the
+    /// tracing steps through the work-packet scheduler. The armed fault,
+    /// if any, fires at most once across all parallel sections; the
+    /// watchdog deadline is forced on (with a default) while a stall
     /// fault is armed — a stalled worker would otherwise deadlock the
-    /// section).
-    watchdog: Option<std::time::Duration>,
-    /// Per-worker, per-section simulated-cycle ceiling (the watchdog's
-    /// deterministic half); `u64::MAX` disables the check.
-    cycle_budget: u64,
-    /// Workers lost (panicked, stalled past the deadline, or over
-    /// budget) during this collection.
-    workers_lost: u64,
-    /// Whether any section degraded: lost a worker or left packets for
-    /// the coordinator's serial drain.
-    degraded: bool,
-    /// First degradation trigger: `"panic"`, `"watchdog"`, `"budget"`,
-    /// or `"orphan"` (leftover packets with no recorded loss).
-    degrade_trigger: Option<&'static str>,
-    /// Packets the coordinator drained serially after sections closed.
-    leftover_packets: u64,
+    /// section.
+    lane: ParallelConfig,
+    /// What the lanes have done so far this collection.
+    outcome: LaneOutcome,
 }
 
 impl<'a> Evacuator<'a> {
@@ -225,115 +211,55 @@ impl<'a> Evacuator<'a> {
             queue: ObjectQueue::default(),
             young_owner_refs: Vec::new(),
             young_field_locs: Vec::new(),
-            workers: 1,
-            packet_reorder: false,
-            worker_copied: Vec::new(),
-            fault: None,
-            fault_fired: false,
-            watchdog: None,
-            cycle_budget: u64::MAX,
-            workers_lost: 0,
-            degraded: false,
-            degrade_trigger: None,
-            leftover_packets: 0,
+            lane: ParallelConfig::default(),
+            outcome: LaneOutcome {
+                workers: 1,
+                ..LaneOutcome::default()
+            },
         }
     }
 
     /// Switches this collection onto the parallel work-packet lanes with
-    /// `workers` tracing threads. A no-op for `workers == 1`.
+    /// `lane.workers` tracing threads, the lane's packet-reorder knob,
+    /// armed fault (its worker index is taken modulo the worker count),
+    /// watchdog deadline and per-worker cycle budget. A no-op for
+    /// `lane.workers == 1`.
     ///
     /// The parallel lanes support the plain copying configurations only:
-    /// the plans' headroom gate calls this exclusively when no survivor
-    /// space and no heap profile are attached (profiled runs and the
-    /// §7.2 tenure-threshold variant always take the serial lane).
+    /// the collection cycle's headroom gate calls this exclusively when
+    /// no survivor space and no heap profile are attached (profiled runs
+    /// and the §7.2 tenure-threshold variant always take the serial
+    /// lane).
     ///
     /// # Panics
     ///
     /// Panics if a survivor space or profile is attached.
-    pub fn set_workers(&mut self, workers: usize, packet_reorder: bool) {
-        assert!(workers >= 1, "worker count must be positive");
-        if workers == 1 {
+    pub fn set_parallel(&mut self, lane: ParallelConfig) {
+        assert!(lane.workers >= 1, "worker count must be positive");
+        if lane.workers == 1 {
             return;
         }
         assert!(
             self.survivor.is_none() && self.profile.is_none(),
             "parallel collection excludes survivor aging and profiling"
         );
-        self.workers = workers;
-        self.packet_reorder = packet_reorder;
-        self.worker_copied = vec![0; workers];
+        self.outcome.workers = lane.workers as u64;
+        self.outcome.worker_copied = vec![0; lane.workers];
+        self.lane = lane;
     }
 
     /// Whether this collection runs on the parallel lanes.
     #[inline]
     pub fn parallel(&self) -> bool {
-        self.workers > 1
+        self.lane.workers > 1
     }
 
-    /// Per-worker copied-byte totals (empty on the serial lane). Sums to
-    /// the `copied_bytes` this collection added to `GcStats`.
-    pub fn worker_copied(&self) -> &[u64] {
-        &self.worker_copied
-    }
-
-    /// Arms a deterministic worker fault for this collection (fault
-    /// injection). The spec's worker index is taken modulo the worker
-    /// count when the parallel lane engages; the fault fires at most
-    /// once.
-    pub fn set_worker_fault(&mut self, fault: Option<WorkerFaultSpec>) {
-        self.fault = fault;
-    }
-
-    /// Sets the watchdog's wall-clock deadline for unresponsive workers
-    /// (`None` disables it, except while a stall fault is armed).
-    pub fn set_watchdog_ms(&mut self, ms: Option<u64>) {
-        self.watchdog = ms.map(std::time::Duration::from_millis);
-    }
-
-    /// Sets the per-worker, per-section simulated-cycle budget (`None`
-    /// = unlimited).
-    pub fn set_cycle_budget(&mut self, budget: Option<u64>) {
-        self.cycle_budget = budget.unwrap_or(u64::MAX);
-    }
-
-    /// Whether the armed fault fired during this collection.
-    pub fn fault_fired(&self) -> bool {
-        self.fault_fired
-    }
-
-    /// Workers lost during this collection.
-    pub fn workers_lost(&self) -> u64 {
-        self.workers_lost
-    }
-
-    /// Whether any parallel section degraded to the serial drain.
-    pub fn degraded(&self) -> bool {
-        self.degraded
-    }
-
-    /// The first degradation trigger (`"panic"`, `"watchdog"`,
-    /// `"budget"`, or `"orphan"`), if the collection degraded.
-    pub fn degrade_trigger(&self) -> Option<&'static str> {
-        self.degrade_trigger
-    }
-
-    /// Packets the coordinator drained on the serial path after their
-    /// section closed.
-    pub fn leftover_packets(&self) -> u64 {
-        self.leftover_packets
-    }
-
-    /// One-call snapshot of the collection's fault-tolerance outcome,
-    /// read by plans after the drain (the evacuator's `GcStats` borrow
-    /// ends there) to update run counters and emit degradation events.
-    pub(crate) fn fault_outcome(&self) -> FaultOutcome {
-        FaultOutcome {
-            fired: self.fault_fired,
-            workers_lost: self.workers_lost,
-            degraded: self.degraded,
-            trigger: self.degrade_trigger,
-            leftover_packets: self.leftover_packets,
-        }
+    /// One-call snapshot of what the lanes did, read after the drain
+    /// (the evacuator's `GcStats` borrow ends there) to update run
+    /// counters, check the per-worker accounting and emit degradation
+    /// events.
+    pub fn outcome(&self) -> LaneOutcome {
+        self.outcome.clone()
     }
 
     /// Routes from-space objects whose post-copy age is below
@@ -452,13 +378,13 @@ impl<'a> Evacuator<'a> {
             let bytes = h.size_bytes();
             self.stats.copied_bytes += bytes as u64;
             self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
-            if self.workers > 1 {
+            if self.lane.workers > 1 {
                 // Serial-section copy during a parallel collection: the
                 // Cheney cursor is disabled (to-space has chunk-slack
                 // holes), so the copy must join the explicit gray queue
                 // the parallel drain feeds on. Attributed to worker 0
                 // so the per-worker totals still sum to `copied_bytes`.
-                self.worker_copied[0] += bytes as u64;
+                self.outcome.worker_copied[0] += bytes as u64;
                 self.queue.push(new);
             }
             if self.profile.is_some() || self.telem.is_some() {
@@ -522,10 +448,10 @@ impl<'a> Evacuator<'a> {
             .enumerate()
             .collect();
         let mut packets = packetize(words);
-        if self.packet_reorder {
+        if self.lane.packet_reorder {
             reorder_packets(&mut packets);
         }
-        let queue: PacketQueue<Vec<(usize, u64)>> = PacketQueue::new(self.workers);
+        let queue: PacketQueue<Vec<(usize, u64)>> = PacketQueue::new(self.lane.workers);
         queue.seed(packets);
         let (mut moves, leftovers) = self.par_section(&queue, |_, shared, alloc, delta, packet| {
             for (i, word) in packet {
@@ -606,10 +532,10 @@ impl<'a> Evacuator<'a> {
         }
         if !gray.is_empty() {
             let mut packets = packetize(gray);
-            if self.packet_reorder {
+            if self.lane.packet_reorder {
                 reorder_packets(&mut packets);
             }
-            let queue: PacketQueue<Vec<Addr>> = PacketQueue::new(self.workers);
+            let queue: PacketQueue<Vec<Addr>> = PacketQueue::new(self.lane.workers);
             queue.seed(packets);
             let (_, leftovers) = self.par_section(&queue, |_, shared, alloc, delta, packet| {
                 for obj in packet {
@@ -732,10 +658,10 @@ impl<'a> Evacuator<'a> {
     /// location has exactly one writer).
     fn par_forward_field_locs(&mut self, locs: &[Addr]) {
         let mut packets = packetize(locs.to_vec());
-        if self.packet_reorder {
+        if self.lane.packet_reorder {
             reorder_packets(&mut packets);
         }
-        let queue: PacketQueue<Vec<Addr>> = PacketQueue::new(self.workers);
+        let queue: PacketQueue<Vec<Addr>> = PacketQueue::new(self.lane.workers);
         queue.seed(packets);
         let (_, leftovers) = self.par_section(&queue, |_, shared, alloc, delta, packet| {
             for loc in packet {
@@ -961,7 +887,7 @@ impl<'a> Evacuator<'a> {
         T: Clone + PartialEq + Send,
         F: Fn(usize, &ParShared<'_>, &mut WorkerCopyAlloc<'_>, &mut WorkerDelta, T) + Sync,
     {
-        let workers = self.workers;
+        let workers = self.lane.workers;
         let frontier = self.to.frontier();
         let limit = frontier + self.to.free_words();
         let telem_on = self.telem.is_some();
@@ -979,21 +905,21 @@ impl<'a> Evacuator<'a> {
             view,
             side,
         };
-        let faults = SectionFaults::new(if self.fault_fired {
+        let faults = SectionFaults::new(if self.outcome.fault_fired {
             None
         } else {
-            self.fault.map(|mut f| {
+            self.lane.worker_fault.map(|mut f| {
                 f.worker %= workers;
                 f
             })
         });
-        let budget = CycleBudget::new(self.cycle_budget);
-        let watchdog = if faults.stall_armed() {
-            Some(self.watchdog.unwrap_or(DEFAULT_STALL_DEADLINE))
-        } else {
-            self.watchdog
-        };
-        let reorder = self.packet_reorder;
+        let budget = CycleBudget::new(self.lane.worker_cycle_budget.unwrap_or(u64::MAX));
+        let watchdog = self
+            .lane
+            .watchdog_ms
+            .map(std::time::Duration::from_millis)
+            .or(faults.stall_armed().then_some(DEFAULT_STALL_DEADLINE));
+        let reorder = self.lane.packet_reorder;
         let outcomes: Vec<(WorkerDelta, usize)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
@@ -1096,7 +1022,7 @@ impl<'a> Evacuator<'a> {
         self.to.advance_frontier(new_frontier);
         let mut root_moves = Vec::new();
         for (w, (delta, chunk_tail)) in outcomes.into_iter().enumerate() {
-            self.worker_copied[w] += delta.copied_bytes;
+            self.outcome.worker_copied[w] += delta.copied_bytes;
             self.stats.copied_bytes += delta.copied_bytes;
             self.stats.copy_cycles += delta.copy_cycles + delta.scan_cycles;
             self.stats.scanned_words += delta.scanned_words;
@@ -1112,16 +1038,16 @@ impl<'a> Evacuator<'a> {
             root_moves.extend(delta.root_moves);
         }
         if faults.fired() {
-            self.fault_fired = true;
+            self.outcome.fault_fired = true;
         }
-        self.workers_lost += faults.lost();
+        self.outcome.workers_lost += faults.lost();
         let leftovers = queue.take_leftovers();
         if faults.lost() > 0 || !leftovers.is_empty() {
-            self.degraded = true;
-            if self.degrade_trigger.is_none() {
-                self.degrade_trigger = Some(faults.trigger().unwrap_or("orphan"));
+            self.outcome.degraded = true;
+            if self.outcome.trigger.is_none() {
+                self.outcome.trigger = Some(faults.trigger().unwrap_or("orphan"));
             }
-            self.leftover_packets += leftovers.len() as u64;
+            self.outcome.leftover_packets += leftovers.len() as u64;
         }
         (root_moves, leftovers)
     }
@@ -1496,6 +1422,14 @@ mod tests {
         from: Space,
         to: Space,
         stats: GcStats,
+    }
+
+    fn lane(workers: usize, packet_reorder: bool) -> ParallelConfig {
+        ParallelConfig {
+            workers,
+            packet_reorder,
+            ..ParallelConfig::default()
+        }
     }
 
     fn rig(words: usize) -> Rig {
@@ -1907,10 +1841,10 @@ mod tests {
             &mut pr.stats,
             CostModel::default(),
         );
-        ev.set_workers(4, false);
+        ev.set_parallel(lane(4, false));
         let p_new: Vec<Addr> = p_heads.iter().map(|&a| ev.forward(a)).collect();
         ev.drain();
-        let per_worker: Vec<u64> = ev.worker_copied().to_vec();
+        let per_worker: Vec<u64> = ev.outcome().worker_copied;
         drop(ev);
 
         // Same counters (parallel charges are interleaving-independent).
@@ -1959,7 +1893,7 @@ mod tests {
             &mut base.stats,
             CostModel::default(),
         );
-        ev.set_workers(3, true);
+        ev.set_parallel(lane(3, true));
         let heads: Vec<Addr> = b_heads.iter().map(|&a| ev.forward(a)).collect();
         ev.drain();
         drop(ev);
@@ -2000,7 +1934,7 @@ mod tests {
             &mut r.stats,
             CostModel::default(),
         );
-        ev.set_workers(2, false);
+        ev.set_parallel(lane(2, false));
         // Duplicates on purpose: dedup must leave one writer per location.
         let mut locs = vec![
             object::field_addr(owner, 0),
@@ -2046,7 +1980,7 @@ mod tests {
             &mut stats,
             CostModel::default(),
         );
-        ev.set_workers(4, false);
+        ev.set_parallel(lane(4, false));
         assert_eq!(ev.forward(big), big, "large objects never move");
         ev.drain();
         drop(ev);

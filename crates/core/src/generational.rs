@@ -10,44 +10,38 @@
 //! mark-sweep [`LargeObjectSpace`]. Intergenerational stores are caught
 //! by the mutator's write barrier and filtered here at each collection.
 //!
-//! With a [`MarkerPolicy`] enabled, stack scans reuse cached decodes for
+//! With a [`MarkerPolicy`](crate::MarkerPolicy) enabled, stack scans reuse cached decodes for
 //! the unchanged stack prefix; because survivors are promoted immediately,
 //! *cached frames contribute no roots at all to a minor collection* —
 //! everything they reference is already tenured. This is the mechanism
 //! behind the paper's 67–74 % GC-time reductions on deep-stack programs.
 //!
-//! With a [`PretenuredRegion`] composed in (see
-//! [`PretenuringPlan`](crate::PretenuringPlan)), allocations from
-//! designated sites go straight into the tenured generation; the freshly
-//! pretenured objects are *scanned in place* at the next collection
+//! With a [`PretenuredRegion`] composed in (a [`PretenurePolicy`] in the
+//! configuration — the §6 setup), allocations from designated sites go
+//! straight into the tenured generation; the freshly pretenured objects
+//! are *scanned in place* at the next collection
 //! ("this is a win over copying since copying objects is slower than
 //! only scanning them"), unless the §7.2 analysis marked their site
 //! no-scan.
 
-use std::time::Instant;
-
 use tilgc_mem::{Addr, BudgetSnapshot, GcError, Memory, Space, SpaceRange};
-use tilgc_obs::{
-    CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
-    SiteDemote, SitePromote, SiteWindow, SpaceCensus, TelemetryAcc,
-};
+use tilgc_obs::{Event, GcPhase, SiteDemote};
 use tilgc_runtime::{
-    AllocShape, BarrierEntry, CollectReason, CollectionInspection, GcStats, HeapProfile,
+    AllocShape, BarrierEntry, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile,
     MutatorState,
 };
 
 use crate::adaptive::AdaptivePretenure;
-use crate::config::{GcConfig, MarkerPolicy, PretenurePolicy};
-use crate::evac::{poison_range, sweep_profile_deaths, Evacuator, FaultOutcome};
+use crate::config::{GcConfig, PretenurePolicy};
+use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
+use crate::evac::{poison_range, sweep_profile_deaths, LaneOutcome};
 use crate::governor::{PressureRung, PressureSession};
-use crate::plan::Plan;
-use crate::roots::{append_cached_roots, scan_stack, ScanCache};
-use crate::scheduler::WorkerFaultSpec;
 use crate::space::{CopySemantics, CopySpace, PretenuredRegion};
-use crate::util::{
-    alloc_in_space, build_collection_end, build_inspection, materialize, reason_str,
-};
+use crate::util::{alloc_in_space, materialize, reason_str};
 use crate::LargeObjectSpace;
+
+/// Tenured-generation resizing target liveness ratio (0.3 in §2.1).
+const TENURED_TARGET_LIVENESS: f64 = 0.30;
 
 /// The two-generation plan of §2.1.
 pub struct GenerationalPlan {
@@ -61,14 +55,11 @@ pub struct GenerationalPlan {
     budget_words: usize,
     nursery_words: usize,
     large_object_words: usize,
-    tenured_target_liveness: f64,
     /// Tenured occupancy (words) beyond which the next collection goes
     /// major — live-size/0.3 after the last major, per §2.1.
     major_threshold_words: usize,
     /// §7.2 tenure threshold (0 = immediate promotion).
     tenure_threshold: u8,
-    marker_policy: MarkerPolicy,
-    cache: Option<ScanCache>,
     pretenured: Option<PretenuredRegion>,
     /// Online adaptive pretenuring (the closed telemetry→policy loop):
     /// promotes and demotes sites mid-run from observed survival. When
@@ -94,30 +85,13 @@ pub struct GenerationalPlan {
     /// Reclaim ratio of the most recent major collection (1.0 = all
     /// tenured data died).
     last_major_reclaim: f64,
-    /// Sliding window: majors among the last 16 collections (low 16 bits,
-    /// one bit per collection).
-    recent_major_bits: u32,
     /// Collections spent in semispace mode since entering; the mode is
     /// re-evaluated ("probation") every 32.
     mode_age: u32,
     /// Whether the governor's one-shot budget rebalance (ladder rung 3)
     /// has already been spent for this plan's lifetime.
     rebalanced: bool,
-    profile: Option<HeapProfile>,
-    stats: GcStats,
-    inspection: Option<CollectionInspection>,
-    /// Telemetry accumulator, allocated lazily the first time a
-    /// collection or allocation runs with an enabled recorder installed.
-    telem: Option<TelemetryAcc>,
-    workers: usize,
-    packet_reorder: bool,
-    /// Injected worker fault, armed until its one shot fires (the spec
-    /// is per-run, not per-collection).
-    worker_fault: Option<WorkerFaultSpec>,
-    fault_fired: bool,
-    watchdog_ms: Option<u64>,
-    worker_cycle_budget: Option<u64>,
-    track_ttsp: bool,
+    base: PlanBase,
 }
 
 impl GenerationalPlan {
@@ -171,11 +145,8 @@ impl GenerationalPlan {
             budget_words,
             nursery_words,
             large_object_words: config.large_object_bytes / tilgc_mem::WORD_BYTES,
-            tenured_target_liveness: config.tenured_target_liveness,
             major_threshold_words: 0,
             tenure_threshold: config.tenure_threshold,
-            marker_policy: config.marker_policy,
-            cache: config.marker_policy.is_enabled().then(ScanCache::default),
             // The adaptive loop needs a region to route promoted sites
             // into even when no static (profile-derived) policy seeds it.
             pretenured: config
@@ -192,21 +163,11 @@ impl GenerationalPlan {
             adaptive_major: config.adaptive_major,
             semispace_mode: false,
             last_major_reclaim: 0.0,
-            recent_major_bits: 0,
             mode_age: 0,
             rebalanced: false,
-            profile: config.profiling.then(HeapProfile::new),
-            stats: GcStats::default(),
-            inspection: None,
-            telem: None,
-            workers: config.workers,
-            packet_reorder: config.packet_reorder,
-            worker_fault: config.worker_fault,
-            fault_fired: false,
-            watchdog_ms: config.watchdog_ms,
-            worker_cycle_budget: config.worker_cycle_budget,
-            track_ttsp: config.track_ttsp,
+            base: PlanBase::new(config),
         };
+        c.base.keep_windows = c.adaptive.is_some();
         c.apply_limits(0);
         c
     }
@@ -228,7 +189,7 @@ impl GenerationalPlan {
     fn apply_limits(&mut self, live_words: usize) {
         let max = self.tenured_max_words();
         self.tenured.set_limit_words(max);
-        let target = (live_words as f64 / self.tenured_target_liveness) as usize;
+        let target = (live_words as f64 / TENURED_TARGET_LIVENESS) as usize;
         self.major_threshold_words = target.clamp((2 * self.nursery_words).min(max), max);
     }
 
@@ -251,260 +212,32 @@ impl GenerationalPlan {
         }
     }
 
-    /// Starts a collection's telemetry, if a recorder is installed:
-    /// emits the begin event and returns the phase timer. Returns `None`
-    /// (and does nothing at all) under the default disabled recorder.
-    fn begin_telemetry(
-        &mut self,
-        m: &mut MutatorState,
-        reason: &'static str,
-        major: bool,
-        depth_at_gc: usize,
-    ) -> Option<PhaseTimer> {
-        if !m.recorder.is_enabled() {
-            return None;
-        }
-        self.telem
-            .get_or_insert_with(TelemetryAcc::default)
-            .note_depth(depth_at_gc as u64);
-        // TTSP is read before any GC work so the distance reflects the
-        // mutator's position when the collection took over.
-        let ttsp_cycles = if self.track_ttsp {
-            m.cycles_since_safepoint()
-        } else {
-            0
-        };
-        m.recorder.record(Event::CollectionBegin(CollectionBegin {
-            collection: self.stats.collections + 1,
-            plan: "generational",
-            reason,
-            major,
-            depth: depth_at_gc as u64,
-            start_cycles: m.stats.client_cycles + self.stats.gc_cycles(),
-            ttsp_cycles,
-        }));
-        Some(PhaseTimer::start(self.stats.gc_cycles()))
-    }
-
-    /// Finishes a collection's telemetry: phase spans, the end event,
-    /// and the per-site samples accumulated since the last collection.
-    #[allow(clippy::too_many_arguments)]
-    fn end_telemetry(
-        &mut self,
-        m: &mut MutatorState,
-        timer: Option<PhaseTimer>,
-        stats_before: &GcStats,
-        wall_ns: u64,
-        workers: u64,
-        worker_copied: Vec<u64>,
-        side_cleared_words: u64,
-        fault: FaultOutcome,
-    ) {
-        let Some(timer) = timer else { return };
-        let collection = self.stats.collections;
-        for e in timer.into_events(collection) {
-            m.recorder.record(e);
-        }
-        let telem = self.telem.as_mut().expect("allocated by begin_telemetry");
-        let insp = self.inspection.as_ref().expect("built by the collection");
-        let end_cycles = m.stats.client_cycles + self.stats.gc_cycles();
-        m.recorder
-            .record(Event::CollectionEnd(Box::new(build_collection_end(
-                stats_before,
-                &self.stats,
-                insp,
-                telem,
-                end_cycles,
-                wall_ns,
-                workers,
-                worker_copied,
-                self.mem.owned_chunks() as u64,
-                side_cleared_words,
-            ))));
-        // A degradation episode brackets right behind the end event,
-        // like a census: the affected collection has already closed
-        // with the exact serial answer.
-        if fault.degraded {
-            m.recorder.record(Event::DegradationBegin(DegradationBegin {
-                collection,
-                trigger: fault.trigger.unwrap_or("orphan"),
-                workers,
-                workers_lost: fault.workers_lost,
-            }));
-            m.recorder.record(Event::DegradationEnd(DegradationEnd {
-                collection,
-                leftover_packets: fault.leftover_packets,
-                outcome: "drained",
-            }));
-        }
-        // The heap census rides right behind the end event: per-space
-        // occupancy plus the route table's current size, all host-side
-        // reads — no simulated cycles, no GcStats.
-        let mut spaces = vec![
-            SpaceCensus {
-                space: "nursery",
-                used_words: self.nursery.active().used_words() as u64,
-                reserved_words: self.nursery.active().capacity_words() as u64,
-                chunks: self.mem.owned_chunks_by("nursery") as u64,
-            },
-            SpaceCensus {
-                space: "tenured",
-                used_words: self.tenured.active().used_words() as u64,
-                reserved_words: self.tenured.active().capacity_words() as u64,
-                chunks: self.mem.owned_chunks_by("tenured") as u64,
-            },
-        ];
-        if let Some(los) = &self.los {
-            spaces.push(SpaceCensus {
-                space: "los",
-                used_words: los.used_words() as u64,
-                reserved_words: los.capacity_words() as u64,
-                chunks: self.mem.owned_chunks_by("los") as u64,
-            });
-        }
-        m.recorder.record(Event::HeapCensus(HeapCensus {
-            collection,
-            pretenured_sites: self
-                .pretenured
-                .as_ref()
-                .map_or(0, |r| r.routed_sites() as u64),
-            spaces,
-        }));
-        for e in telem.drain_samples(collection) {
-            m.recorder.record(e);
-        }
-    }
-
-    /// The closed loop's decision step, run at the end of every
-    /// collection while adaptation is on: feed the per-site windows into
-    /// the estimator and apply the placement flips it returns. Must run
-    /// *before* [`end_telemetry`](Self::end_telemetry) — draining the
-    /// samples resets the windows the estimator reads.
-    fn adapt(&mut self, m: &mut MutatorState, major: bool) {
-        let Some(adaptive) = self.adaptive.as_mut() else {
-            return;
-        };
-        let Some(telem) = self.telem.as_mut() else {
-            return;
-        };
-        let windows: Vec<SiteWindow> = telem.windows().collect();
-        let collection = self.stats.collections;
-        let out = adaptive.observe(collection, major, &windows);
-        if !m.recorder.is_enabled() {
-            // No recorder to drain the windows at collection end: reset
-            // them here so each observation stays one collection wide.
-            telem.clear_windows();
-        }
-        if out.is_empty() {
-            return;
-        }
-        let region = self
-            .pretenured
-            .as_mut()
-            .expect("adaptive plans always compose a pretenured region");
-        for &(site, permille) in &out.promotions {
-            region.promote_site(site);
-            self.stats.sites_promoted += 1;
-            if m.recorder.is_enabled() {
-                m.recorder.record(Event::SitePromote(SitePromote {
-                    collection,
-                    site: site.get(),
-                    survival_permille: permille,
-                }));
-            }
-        }
-        for &(site, permille) in &out.demotions {
-            region.demote_site(site);
-            self.stats.sites_demoted += 1;
-            if m.recorder.is_enabled() {
-                m.recorder.record(Event::SiteDemote(SiteDemote {
-                    collection,
-                    site: site.get(),
-                    survival_permille: permille,
-                    reason: "adaptive",
-                }));
-            }
-        }
-    }
-
     fn minor(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let wall_start = Instant::now();
-        let stats_before = self.stats;
-        let side_cleared_before = self.mem.side_cleared_words();
-        let depth_at_gc = m.stack.depth();
-        let mut timer = self.begin_telemetry(m, reason, false, depth_at_gc);
+        let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "generational", reason, false);
         let mut los_pending = self.take_los_pending();
         los_pending.append(&mut self.oversized_pending);
-        self.stats.collections += 1;
-        self.stats.depth_at_gc_sum += depth_at_gc as u64;
-        self.stats.other_cycles += m.cost.gc_base;
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::Setup, self.stats.gc_cycles());
-        }
-
-        // --- root processing (GC-stack) ---
-        let stack_t0 = Instant::now();
-        let outcome = scan_stack(m, self.cache.as_mut(), self.marker_policy, &mut self.stats);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::StackDecode, self.stats.gc_cycles());
-        }
-        let scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
         // Immediate promotion means frames scanned at an earlier
         // collection cannot reference the (newer) nursery: only newly
         // scanned frames, registers and the alloc buffer yield roots.
         // With a §7.2 tenure threshold, copied-back survivors are young
         // and movable, so cached frames' roots must be processed too
         // (their decode cost is still saved).
-        let mut roots = outcome.new_roots;
-        if self.tenure_threshold > 0 {
-            append_cached_roots(self.cache.as_ref(), outcome.reused_frames, &mut roots);
-        }
+        let tenure_threshold = self.tenure_threshold;
+        let roots = cycle.scan_roots(&mut self.base, m, tenure_threshold > 0);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
-        let from_used = nursery_frontier - nursery_range.start;
-        let from_ranges = [nursery_range];
-        // Parallel lane needs headroom for abandoned chunk tails, and the
-        // copy-back survivor path (§7.2 threshold) splits copies between
-        // two spaces — both fall back to the serial oracle.
-        let parallel = self.workers > 1
-            && self.profile.is_none()
-            && self.tenure_threshold == 0
-            && self.tenured.active().free_words()
-                >= from_used + crate::scheduler::slack_budget_words(self.workers);
-        let survivor_space = self.nursery.inactive_mut();
-        let mut evac = Evacuator::new(
-            &mut self.mem,
-            &from_ranges,
-            self.tenured.active_mut(),
-            Some(nursery_range),
-            None, // the LOS is old-generation: untouched by minor collections
-            self.profile.as_mut(),
-            &mut self.stats,
-            m.cost,
-        );
-        if self.tenure_threshold > 0 {
-            evac.set_survivor(survivor_space, self.tenure_threshold);
-        }
-        if timer.is_some() || self.adaptive.is_some() {
-            evac.set_telemetry(self.telem.get_or_insert_with(TelemetryAcc::default));
-        }
-        if parallel {
-            evac.set_workers(self.workers, self.packet_reorder);
-            if !self.fault_fired {
-                evac.set_worker_fault(self.worker_fault);
-            }
-            evac.set_watchdog_ms(self.watchdog_ms);
-            evac.set_cycle_budget(self.worker_cycle_budget);
-        }
-        evac.forward_roots(m, &roots);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::RootScan, evac.current_gc_cycles());
-        }
-        let stack_ns = stack_t0.elapsed().as_nanos() as u64;
+        let spaces = TraceSpaces {
+            from: &[nursery_range],
+            from_used_words: nursery_frontier - nursery_range.start,
+            to: self.tenured.active_mut(),
+            nursery: Some(nursery_range),
+            los: None, // the LOS is old-generation: untouched by minor collections
+            survivor: (tenure_threshold > 0)
+                .then(|| (self.nursery.inactive_mut(), tenure_threshold)),
+        };
+        let mut tr = cycle.trace(&mut self.base, &mut self.mem, m, spaces, &roots);
 
-        // --- copying (GC-copy) ---
-        let copy_t0 = Instant::now();
         // Write barrier: old→young references created by pointer updates.
         // Field entries (the sequential store buffer) are batched —
         // sorted and deduplicated before filtering, since a hot field
@@ -525,68 +258,49 @@ impl GenerationalPlan {
                     // update): its copy, if live, is scanned by Cheney anyway,
                     // and scanning it here in place is harmless. Clear the
                     // dirty bit either way.
-                    evac.clear_dirty_and_scan(obj);
+                    tr.evac.clear_dirty_and_scan(obj);
                 }
             }
         });
         m.barrier = barrier;
-        evac.forward_field_locs(&mut field_locs);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
-        }
+        tr.evac.forward_field_locs(&mut field_locs);
+        tr.mark(GcPhase::BarrierFilter);
         // Freshly pretenured regions: scan in place instead of copying.
         let pending = self.pretenured.as_mut().map(|p| p.take_pending());
         let grouped = self.pretenured.as_ref().is_some_and(|p| p.grouped());
         if let Some(pending) = pending {
             for addr in pending {
-                evac.scan_in_place(addr, grouped);
+                tr.evac.scan_in_place(addr, grouped);
             }
         }
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::PretenuredInPlaceScan, evac.current_gc_cycles());
-        }
+        tr.mark(GcPhase::PretenuredInPlaceScan);
         // Young large pointer arrays may hold nursery references from
         // their initializing stores.
         for addr in los_pending {
-            evac.scan_in_place(addr, false);
+            tr.evac.scan_in_place(addr, false);
         }
         // §7.2 remembered set: old objects still referencing survivors
         // from the previous collection.
         for addr in std::mem::take(&mut self.young_refs) {
-            evac.scan_in_place(addr, false);
+            tr.evac.scan_in_place(addr, false);
         }
         for loc in std::mem::take(&mut self.young_locs) {
-            evac.forward_word_at(loc);
+            tr.evac.forward_word_at(loc);
         }
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
-        }
-        evac.drain();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::CheneyCopy, evac.current_gc_cycles());
-        }
-        self.young_refs = evac.take_young_owner_refs();
-        self.young_locs = evac.take_young_field_locs();
-        let workers_used = if evac.parallel() {
-            self.workers as u64
-        } else {
-            1
-        };
-        let worker_copied = evac.worker_copied().to_vec();
-        let fault = evac.fault_outcome();
-        let copy_ns = copy_t0.elapsed().as_nanos() as u64;
+        tr.mark(GcPhase::BarrierFilter);
+        let drained = tr.drain();
+        self.young_refs = drained.young_owner_refs;
+        self.young_locs = drained.young_field_locs;
 
-        self.stats.barrier_entries += barrier_entries;
-        self.stats.other_cycles += m.cost.barrier_entry * barrier_entries;
-        if let Some(t) = timer.as_mut() {
-            // The per-entry examination charge lands after the drain;
-            // fold it into the barrier-filter phase.
-            t.mark(GcPhase::BarrierFilter, self.stats.gc_cycles());
-        }
+        self.base.stats.barrier_entries += barrier_entries;
+        self.base.stats.other_cycles += m.cost.barrier_entry * barrier_entries;
+        // The per-entry examination charge lands after the drain; fold
+        // it into the barrier-filter phase.
+        cycle.mark(GcPhase::BarrierFilter, &self.base.stats);
 
         sweep_profile_deaths(
             &self.mem,
-            self.profile.as_mut(),
+            self.base.profile.as_mut(),
             nursery_range.start,
             nursery_frontier,
         );
@@ -596,7 +310,7 @@ impl GenerationalPlan {
         // start clean or the object-marking barrier would skip them.
         self.mem.bulk_clear_dirty(nursery_range, nursery_frontier);
         self.nursery.active_mut().reset();
-        if self.tenure_threshold > 0 {
+        if tenure_threshold > 0 {
             // Flip: allocation continues in the space now holding the
             // copied-back survivors.
             self.nursery.flip();
@@ -604,74 +318,26 @@ impl GenerationalPlan {
 
         let live_words =
             self.tenured.active().used_words() + self.los.as_ref().map_or(0, |l| l.used_words());
-        if fault.fired {
-            self.fault_fired = true;
-        }
-        self.stats.workers_lost += fault.workers_lost;
-        self.stats.degraded_collections += u64::from(fault.degraded);
-        self.stats
-            .note_live_bytes(tilgc_mem::words_to_bytes(live_words) as u64);
-        self.stats.stack_wall_ns += stack_ns;
-        self.stats.copy_wall_ns += copy_ns;
-        let total_ns = wall_start.elapsed().as_nanos() as u64;
-        self.stats.total_wall_ns += total_ns;
-        crate::verify::check_worker_accounting(
-            workers_used,
-            &worker_copied,
-            self.stats.copied_bytes - stats_before.copied_bytes,
-        );
         // With a §7.2 tenure threshold, copied-back survivors live in the
         // nursery system but are not counted in `live_words`: the record
         // marks the byte accounting incomplete so verifiers skip it.
-        self.inspection = Some(build_inspection(
-            &stats_before,
-            &self.stats,
-            false,
-            depth_at_gc,
-            self.tenure_threshold == 0,
-            scan_claim,
-        ));
-        self.adapt(m, false);
-        let side_cleared = self.mem.side_cleared_words() - side_cleared_before;
-        self.end_telemetry(
+        self.finish_cycle(
             m,
-            timer,
-            &stats_before,
-            total_ns,
-            workers_used,
-            worker_copied,
-            side_cleared,
-            fault,
+            &mut cycle,
+            drained.lanes,
+            live_words,
+            tenure_threshold == 0,
         );
     }
 
     fn major(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let wall_start = Instant::now();
-        let stats_before = self.stats;
-        let side_cleared_before = self.mem.side_cleared_words();
-        let depth_at_gc = m.stack.depth();
-        let mut timer = self.begin_telemetry(m, reason, true, depth_at_gc);
-        self.stats.collections += 1;
-        self.stats.major_collections += 1;
-        self.stats.depth_at_gc_sum += depth_at_gc as u64;
-        self.stats.other_cycles += m.cost.gc_base;
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::Setup, self.stats.gc_cycles());
-        }
-
-        // --- root processing ---
-        let stack_t0 = Instant::now();
-        let outcome = scan_stack(m, self.cache.as_mut(), self.marker_policy, &mut self.stats);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::StackDecode, self.stats.gc_cycles());
-        }
-        let scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
+        let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "generational", reason, true);
+        self.base.stats.major_collections += 1;
         // A major collection moves tenured objects, so cached frames'
         // roots must be relocated too — but their decode cost is still
         // saved (§5: "it is still advantageous to have amortized the cost
         // of decoding the stack frames").
-        let mut roots = outcome.new_roots;
-        append_cached_roots(self.cache.as_ref(), outcome.reused_frames, &mut roots);
+        let roots = cycle.scan_roots(&mut self.base, m, true);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
@@ -681,7 +347,6 @@ impl GenerationalPlan {
             "the inactive nursery semispace is empty between collections"
         );
         let tenured_from = self.tenured_live_range();
-        let from_ranges = [nursery_range, tenured_from];
         if let Some(l) = self.los.as_mut() {
             l.begin_marking(&mut self.mem);
             l.pending_scan.clear();
@@ -696,42 +361,16 @@ impl GenerationalPlan {
         });
         let t_to = self.tenured.inactive_mut();
         t_to.set_limit_words(t_to.max_capacity_words());
-        // Parallel lane needs headroom for abandoned chunk tails; tight
-        // heaps and profiling runs fall back to the serial oracle.
-        let from_used =
-            (nursery_frontier - nursery_range.start) + (tenured_from.end - tenured_from.start);
-        let parallel = self.workers > 1
-            && self.profile.is_none()
-            && t_to.free_words() >= from_used + crate::scheduler::slack_budget_words(self.workers);
-        let mut evac = Evacuator::new(
-            &mut self.mem,
-            &from_ranges,
-            t_to,
-            Some(nursery_range),
-            self.los.as_mut(),
-            self.profile.as_mut(),
-            &mut self.stats,
-            m.cost,
-        );
-        if timer.is_some() || self.adaptive.is_some() {
-            evac.set_telemetry(self.telem.get_or_insert_with(TelemetryAcc::default));
-        }
-        if parallel {
-            evac.set_workers(self.workers, self.packet_reorder);
-            if !self.fault_fired {
-                evac.set_worker_fault(self.worker_fault);
-            }
-            evac.set_watchdog_ms(self.watchdog_ms);
-            evac.set_cycle_budget(self.worker_cycle_budget);
-        }
-        evac.forward_roots(m, &roots);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::RootScan, evac.current_gc_cycles());
-        }
-        let stack_ns = stack_t0.elapsed().as_nanos() as u64;
-
-        // --- copying ---
-        let copy_t0 = Instant::now();
+        let spaces = TraceSpaces {
+            from: &[nursery_range, tenured_from],
+            from_used_words: (nursery_frontier - nursery_range.start)
+                + (tenured_from.end - tenured_from.start),
+            to: t_to,
+            nursery: Some(nursery_range),
+            los: self.los.as_mut(),
+            survivor: None,
+        };
+        let mut tr = cycle.trace(&mut self.base, &mut self.mem, m, spaces, &roots);
         // Pending pretenured/oversized objects are ordinary tenured
         // objects for a major collection: traced if reachable.
         if let Some(p) = self.pretenured.as_mut() {
@@ -740,37 +379,24 @@ impl GenerationalPlan {
         self.oversized_pending.clear();
         self.young_refs.clear();
         self.young_locs.clear();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::BarrierFilter, evac.current_gc_cycles());
-        }
-        evac.drain();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::CheneyCopy, evac.current_gc_cycles());
-        }
-        let workers_used = if evac.parallel() {
-            self.workers as u64
-        } else {
-            1
-        };
-        let worker_copied = evac.worker_copied().to_vec();
-        let fault = evac.fault_outcome();
-        let copy_ns = copy_t0.elapsed().as_nanos() as u64;
+        tr.mark(GcPhase::BarrierFilter);
+        let lanes = tr.drain().lanes;
 
         sweep_profile_deaths(
             &self.mem,
-            self.profile.as_mut(),
+            self.base.profile.as_mut(),
             nursery_range.start,
             nursery_frontier,
         );
         sweep_profile_deaths(
             &self.mem,
-            self.profile.as_mut(),
+            self.base.profile.as_mut(),
             tenured_from.start,
             tenured_from.end,
         );
         if let Some(l) = self.los.as_mut() {
             let swept = l.sweep(&self.mem);
-            if let Some(p) = self.profile.as_mut() {
+            if let Some(p) = self.base.profile.as_mut() {
                 for addr in swept {
                     p.on_death(addr);
                 }
@@ -798,25 +424,17 @@ impl GenerationalPlan {
         };
         if self.adaptive_major && !self.semispace_mode {
             // Enter semispace mode when tenured data keeps dying fast —
-            // either a single major reclaimed most of the generation, or
-            // majors dominate the recent collection mix (promotion through
-            // the nursery is pure double-copying then).
+            // a single major reclaimed most of the generation.
             // (A majors-dominate-the-mix trigger was also evaluated; it
             // enters the mode exactly when the tenured arena is too tight
             // for semispace-style operation to help, so only the reclaim
             // signal is used. EXPERIMENTS.md records the comparison.)
-            let _recent_majors = self.recent_major_bits.count_ones();
             if self.last_major_reclaim > 0.6 {
                 self.semispace_mode = true;
                 self.mode_age = 0;
             }
         }
         let live_words = tenured_after + self.los.as_ref().map_or(0, |l| l.used_words());
-        if fault.fired {
-            self.fault_fired = true;
-        }
-        self.stats.workers_lost += fault.workers_lost;
-        self.stats.degraded_collections += u64::from(fault.degraded);
         self.apply_limits(live_words);
         // Live tenured data past its budget share is not a panic here:
         // `set_limit_words` clamps the limit up to the used words, so
@@ -825,39 +443,30 @@ impl GenerationalPlan {
         // The overrun is counted so calibration harnesses can tell this
         // run was not pressure-free even if every allocation succeeds.
         if self.tenured.active().used_words() > self.tenured_max_words() {
-            self.stats.budget_overruns += 1;
+            self.base.stats.budget_overruns += 1;
         }
-        self.stats
-            .note_live_bytes(tilgc_mem::words_to_bytes(live_words) as u64);
-        self.stats.stack_wall_ns += stack_ns;
-        self.stats.copy_wall_ns += copy_ns;
-        let total_ns = wall_start.elapsed().as_nanos() as u64;
-        self.stats.total_wall_ns += total_ns;
-        crate::verify::check_worker_accounting(
-            workers_used,
-            &worker_copied,
-            self.stats.copied_bytes - stats_before.copied_bytes,
-        );
-        self.inspection = Some(build_inspection(
-            &stats_before,
-            &self.stats,
-            true,
-            depth_at_gc,
-            true,
-            scan_claim,
-        ));
-        self.adapt(m, true);
-        let side_cleared = self.mem.side_cleared_words() - side_cleared_before;
-        self.end_telemetry(
-            m,
-            timer,
-            &stats_before,
-            total_ns,
-            workers_used,
-            worker_copied,
-            side_cleared,
-            fault,
-        );
+        self.finish_cycle(m, &mut cycle, lanes, live_words, true);
+    }
+
+    /// The epilogue both collections share: the adaptive estimator and
+    /// pretenured region for the decision step, and the spaces to census.
+    fn finish_cycle(
+        &mut self,
+        m: &mut MutatorState,
+        cycle: &mut Cycle,
+        lanes: LaneOutcome,
+        live_words: usize,
+        live_accounting_complete: bool,
+    ) {
+        let release = Release {
+            live_words,
+            live_accounting_complete,
+            adaptive: self.adaptive.as_mut(),
+            pretenured: self.pretenured.as_mut(),
+            copy_spaces: &[&self.nursery, &self.tenured],
+            los: self.los.as_ref(),
+        };
+        cycle.finish(&mut self.base, &self.mem, m, lanes, release);
     }
 
     /// Scans young large pointer arrays (initializing stores may reference
@@ -935,7 +544,7 @@ impl GenerationalPlan {
         session: &mut PressureSession,
         words: usize,
     ) -> bool {
-        let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+        let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
         self.major(m, "alloc-failure");
         if self.tenured_attempt_fits(m, words) {
             session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
@@ -943,7 +552,7 @@ impl GenerationalPlan {
         }
         session.emit_rung(m, PressureRung::RetryMajor, "escalated", charged);
         if !self.rebalanced {
-            let charged = session.charge(m, &mut self.stats, PressureRung::Rebalance);
+            let charged = session.charge(m, &mut self.base.stats, PressureRung::Rebalance);
             self.rebalance();
             if self.tenured_attempt_fits(m, words) {
                 session.emit_rung(m, PressureRung::Rebalance, "recovered", charged);
@@ -979,12 +588,12 @@ impl GenerationalPlan {
             None => {
                 let mut session = PressureSession::begin(
                     m,
-                    &mut self.stats,
+                    &mut self.base.stats,
                     shape.site().get(),
                     words as u64,
                     "los",
                 );
-                let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+                let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
                 self.major(m, "alloc-failure");
                 match self.los_attempt_alloc(m, words) {
                     Some(a) => {
@@ -1015,7 +624,7 @@ impl GenerationalPlan {
                 .pending_scan
                 .push(addr);
         }
-        if let Some(prof) = self.profile.as_mut() {
+        if let Some(prof) = self.base.profile.as_mut() {
             prof.on_alloc(addr, shape.site(), shape.size_bytes());
         }
         Ok(addr)
@@ -1035,22 +644,27 @@ impl GenerationalPlan {
         if !self.tenured_attempt_fits(m, words) {
             self.major(m, "alloc-failure");
             if !self.tenured_attempt_fits(m, words) {
-                let mut session =
-                    PressureSession::begin(m, &mut self.stats, site.get(), words as u64, "tenured");
+                let mut session = PressureSession::begin(
+                    m,
+                    &mut self.base.stats,
+                    site.get(),
+                    words as u64,
+                    "tenured",
+                );
                 if !self.climb_tenured_ladder(m, &mut session, words) {
                     while self
                         .pretenured
                         .as_ref()
                         .is_some_and(|p| p.should_pretenure(site))
                     {
-                        let charged = session.charge(m, &mut self.stats, PressureRung::Demote);
+                        let charged = session.charge(m, &mut self.base.stats, PressureRung::Demote);
                         let demoted = self
                             .pretenured
                             .as_mut()
                             .expect("pretenure routing checked")
                             .demote_hottest()
                             .expect("`site` is still pretenured");
-                        if let Some(p) = self.profile.as_mut() {
+                        if let Some(p) = self.base.profile.as_mut() {
                             p.note_demotion(demoted);
                         }
                         // A governor demotion while adaptation is on is
@@ -1059,9 +673,9 @@ impl GenerationalPlan {
                         // cooldown), count it, and emit the event with
                         // its distinct reason.
                         if let Some(a) = self.adaptive.as_mut() {
-                            let collection = self.stats.collections;
+                            let collection = self.base.stats.collections;
                             a.note_forced_demotion(demoted, collection);
-                            self.stats.sites_demoted += 1;
+                            self.base.stats.sites_demoted += 1;
                             if m.recorder.is_enabled() {
                                 m.recorder.record(Event::SiteDemote(SiteDemote {
                                     collection,
@@ -1082,7 +696,7 @@ impl GenerationalPlan {
             }
         }
         let addr = self.finish_tenured_alloc(m, shape);
-        self.stats.pretenured_bytes += shape.size_bytes() as u64;
+        self.base.stats.pretenured_bytes += shape.size_bytes() as u64;
         // §7.2: "some areas may require no scanning because they
         // contain no pointers" — pointer-free objects never make
         // it onto the pending-scan list, and neither do objects
@@ -1096,7 +710,7 @@ impl GenerationalPlan {
             .as_mut()
             .expect("pretenure routing checked")
             .note_alloc(addr, site, words, pointer_free);
-        if let Some(prof) = self.profile.as_mut() {
+        if let Some(prof) = self.base.profile.as_mut() {
             prof.on_alloc(addr, site, shape.size_bytes());
         }
         Ok(addr)
@@ -1140,7 +754,7 @@ impl GenerationalPlan {
             }
             if self.semispace_mode && self.tenured_attempt_fits(m, words) {
                 let addr = self.finish_tenured_alloc(m, shape);
-                if let Some(prof) = self.profile.as_mut() {
+                if let Some(prof) = self.base.profile.as_mut() {
                     prof.on_alloc(addr, site, shape.size_bytes());
                 }
                 return Ok(addr);
@@ -1158,7 +772,7 @@ impl GenerationalPlan {
                 if !self.tenured_attempt_fits(m, words) {
                     let mut session = PressureSession::begin(
                         m,
-                        &mut self.stats,
+                        &mut self.base.stats,
                         site.get(),
                         words as u64,
                         "tenured",
@@ -1188,7 +802,7 @@ impl GenerationalPlan {
                     }
                 }
             }
-            if let Some(prof) = self.profile.as_mut() {
+            if let Some(prof) = self.base.profile.as_mut() {
                 prof.on_alloc(addr, site, shape.size_bytes());
             }
             return Ok(addr);
@@ -1204,19 +818,20 @@ impl GenerationalPlan {
                 if !self.nursery_attempt_fits(m, words) {
                     let mut session = PressureSession::begin(
                         m,
-                        &mut self.stats,
+                        &mut self.base.stats,
                         site.get(),
                         words as u64,
                         "nursery",
                     );
-                    let charged = session.charge(m, &mut self.stats, PressureRung::RetryMinor);
+                    let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMinor);
                     self.minor(m, "alloc-failure");
                     if self.nursery_attempt_fits(m, words) {
                         session.emit_rung(m, PressureRung::RetryMinor, "recovered", charged);
                         session.finish(m, "recovered");
                     } else {
                         session.emit_rung(m, PressureRung::RetryMinor, "escalated", charged);
-                        let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+                        let charged =
+                            session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
                         self.major(m, "alloc-failure");
                         if self.nursery_attempt_fits(m, words) {
                             session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
@@ -1238,14 +853,14 @@ impl GenerationalPlan {
         let addr = alloc_in_space(&mut self.mem, self.nursery.active_mut(), shape, &buf)
             .expect("nursery was checked to fit");
         m.alloc_buf = buf;
-        if let Some(prof) = self.profile.as_mut() {
+        if let Some(prof) = self.base.profile.as_mut() {
             prof.on_alloc(addr, site, shape.size_bytes());
         }
         Ok(addr)
     }
 }
 
-impl Plan for GenerationalPlan {
+impl Collector for GenerationalPlan {
     fn name(&self) -> &'static str {
         "generational"
     }
@@ -1259,16 +874,7 @@ impl Plan for GenerationalPlan {
     }
 
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
-        if m.recorder.is_enabled() || self.adaptive.is_some() {
-            // Counted before routing (and before any demotion re-route)
-            // so every allocation path (LOS, pretenure, semispace mode,
-            // oversized, nursery) feeds the same per-site time-series.
-            // The adaptive estimator consumes the same windows the
-            // recorder samples, so it keeps them flowing recorder or no.
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_alloc(shape.site().get(), shape.size_bytes() as u64);
-        }
+        self.base.note_alloc(m, shape);
         self.alloc_inner(m, shape)
     }
 
@@ -1283,14 +889,10 @@ impl Plan for GenerationalPlan {
                         // Probation: drop back to generational operation
                         // and let the window re-decide.
                         self.semispace_mode = false;
-                        self.recent_major_bits = 0;
                     }
                     self.major(m, why);
                 } else {
-                    let is_major = self.needs_major();
-                    self.recent_major_bits =
-                        (self.recent_major_bits << 1 | u32::from(is_major)) & 0xffff;
-                    if is_major {
+                    if self.needs_major() {
                         self.major(m, why);
                     } else {
                         self.minor(m, why);
@@ -1301,20 +903,20 @@ impl Plan for GenerationalPlan {
     }
 
     fn gc_stats(&self) -> &GcStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn finish(&mut self, _m: &mut MutatorState) {
-        if let Some(p) = self.profile.as_mut() {
+        if let Some(p) = self.base.profile.as_mut() {
             p.finish();
         }
     }
 
     fn take_profile(&mut self) -> Option<HeapProfile> {
-        self.profile.take()
+        self.base.profile.take()
     }
 
     fn last_inspection(&self) -> Option<&CollectionInspection> {
-        self.inspection.as_ref()
+        self.base.inspection.as_ref()
     }
 }

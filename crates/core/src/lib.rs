@@ -9,13 +9,15 @@
 //!   [`CopySpace`] semispace pairs, the mark-sweep [`LargeObjectSpace`],
 //!   and the scanned-in-place [`PretenuredRegion`] (§6), each carrying
 //!   its [`CopySemantics`];
-//! * **plans** ([`Plan`]) — the compositions the paper compares:
-//!   [`SemispacePlan`] (the Fenichel–Yochelson/Cheney baseline with
-//!   target-liveness resizing, r = 0.10), [`GenerationalPlan`]
-//!   (nursery + tenured generation with immediate promotion and
-//!   sequential-store-buffer filtering, §2.1), and [`PretenuringPlan`]
-//!   (§6 site-directed tenured allocation). Plans reach the runtime
-//!   through the [`PlanCollector`] adapter;
+//! * **plans** — the compositions the paper compares, each a
+//!   [`Collector`]: [`SemispacePlan`] (the Fenichel–Yochelson/Cheney
+//!   baseline with target-liveness resizing, r = 0.10) and
+//!   [`GenerationalPlan`] (nursery + tenured generation with immediate
+//!   promotion and sequential-store-buffer filtering, §2.1; with a
+//!   [`PretenurePolicy`] configured, §6 site-directed tenured
+//!   allocation). A plan supplies spaces, copy semantics and its release
+//!   step; the collection protocol itself — prologue, roots, evacuator
+//!   wiring, epilogue — is the one staged cycle of the `cycle` module;
 //! * **the tracing driver** ([`Evacuator`]) — one work-queue transitive
 //!   closure (Cheney scan cursors + an [`ObjectQueue`] for objects traced
 //!   in place) that every plan configures and reuses.
@@ -44,11 +46,11 @@
 
 pub mod adaptive;
 mod config;
+mod cycle;
 mod evac;
 mod generational;
 mod governor;
 mod los;
-mod plan;
 pub mod roots;
 pub mod scheduler;
 mod semispace;
@@ -57,11 +59,10 @@ mod util;
 pub mod verify;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptivePretenure};
-pub use config::{GcConfig, MarkerPolicy, PretenurePolicy};
-pub use evac::{Evacuator, ObjectQueue, POISON};
+pub use config::{GcConfig, MarkerPolicy, ParallelConfig, PretenurePolicy};
+pub use evac::{Evacuator, LaneOutcome, ObjectQueue, POISON};
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
-pub use plan::{Plan, PlanCollector, PretenuringPlan};
 pub use roots::{FrameScanInfo, RootLoc, ScanCache, ScanOutcome};
 pub use scheduler::{WorkerFaultKind, WorkerFaultSpec};
 pub use semispace::SemispacePlan;
@@ -110,21 +111,20 @@ impl CollectorKind {
 
 /// Builds a collector of the given kind, adjusting `config` to the kind's
 /// needs (marker policy on for the stack-collection variants; pretenuring
-/// dropped for the kinds that do not use it) and wrapping the plan in the
-/// [`PlanCollector`] adapter.
+/// dropped for the kinds that do not use it).
 pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> Box<dyn Collector> {
     let mut config = config.clone();
     match kind {
         CollectorKind::Semispace => {
             config.pretenure = None;
             config.adaptive = None;
-            SemispacePlan::new(&config).into_collector()
+            Box::new(SemispacePlan::new(&config))
         }
         CollectorKind::Generational => {
             config.marker_policy = MarkerPolicy::Disabled;
             config.pretenure = None;
             config.adaptive = None;
-            GenerationalPlan::new(&config).into_collector()
+            Box::new(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStack => {
             if !config.marker_policy.is_enabled() {
@@ -132,13 +132,13 @@ pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> Box<dyn Collec
             }
             config.pretenure = None;
             config.adaptive = None;
-            GenerationalPlan::new(&config).into_collector()
+            Box::new(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStackPretenure => {
             if !config.marker_policy.is_enabled() {
                 config.marker_policy = MarkerPolicy::PAPER;
             }
-            PretenuringPlan::new(&config).into_collector()
+            Box::new(GenerationalPlan::new(&config))
         }
     }
 }
@@ -200,14 +200,5 @@ mod tests {
         }
         assert!(vm.gc_stats().collections > 0);
         assert_eq!(vm.gc_stats().markers_placed, 0);
-    }
-
-    #[test]
-    fn plan_adapter_exposes_the_plan() {
-        let config = GcConfig::new().heap_budget_bytes(1 << 20);
-        let adapter = PlanCollector::new(SemispacePlan::new(&config));
-        assert_eq!(Plan::name(adapter.plan()), "semispace");
-        let plan = adapter.into_plan();
-        assert!(plan.semispace_words() > 0);
     }
 }

@@ -12,49 +12,27 @@
 //! ablation benches compare semispace collection with and without scan
 //! caching.
 
-use std::time::Instant;
-
 use tilgc_mem::{Addr, BudgetSnapshot, GcError, Memory, Space};
-use tilgc_obs::{
-    CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
-    SpaceCensus, TelemetryAcc,
-};
 use tilgc_runtime::{
-    AllocShape, CollectReason, CollectionInspection, GcStats, HeapProfile, MutatorState,
+    AllocShape, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile, MutatorState,
 };
 
-use crate::config::{GcConfig, MarkerPolicy};
-use crate::evac::{poison_range, sweep_profile_deaths, Evacuator};
+use crate::config::GcConfig;
+use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
+use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{PressureRung, PressureSession};
-use crate::plan::Plan;
-use crate::roots::{append_cached_roots, scan_stack, ScanCache};
-use crate::scheduler::WorkerFaultSpec;
 use crate::space::{CopySemantics, CopySpace};
-use crate::util::{alloc_in_space, build_collection_end, build_inspection, reason_str};
+use crate::util::{alloc_in_space, reason_str};
+
+/// Resizing target liveness ratio (`r` = 0.10 in §2.1).
+const TARGET_LIVENESS: f64 = 0.10;
 
 /// The semispace (Fenichel–Yochelson/Cheney) plan.
 pub struct SemispacePlan {
     mem: Memory,
     heap: CopySpace,
     budget_words: usize,
-    target_liveness: f64,
-    marker_policy: MarkerPolicy,
-    cache: Option<ScanCache>,
-    profile: Option<HeapProfile>,
-    stats: GcStats,
-    inspection: Option<CollectionInspection>,
-    /// Telemetry accumulator, allocated lazily the first time a
-    /// collection or allocation runs with an enabled recorder installed.
-    telem: Option<TelemetryAcc>,
-    workers: usize,
-    packet_reorder: bool,
-    /// Injected worker fault, armed until its one shot fires (the spec
-    /// is per-run, not per-collection).
-    worker_fault: Option<WorkerFaultSpec>,
-    fault_fired: bool,
-    watchdog_ms: Option<u64>,
-    worker_cycle_budget: Option<u64>,
-    track_ttsp: bool,
+    base: PlanBase,
 }
 
 impl SemispacePlan {
@@ -86,20 +64,7 @@ impl SemispacePlan {
             mem,
             heap: CopySpace::new("semispace", CopySemantics::Evacuate, a, b),
             budget_words,
-            target_liveness: config.semispace_target_liveness,
-            marker_policy: config.marker_policy,
-            cache: config.marker_policy.is_enabled().then(ScanCache::default),
-            profile: config.profiling.then(HeapProfile::new),
-            stats: GcStats::default(),
-            inspection: None,
-            telem: None,
-            workers: config.workers,
-            packet_reorder: config.packet_reorder,
-            worker_fault: config.worker_fault,
-            fault_fired: false,
-            watchdog_ms: config.watchdog_ms,
-            worker_cycle_budget: config.worker_cycle_budget,
-            track_ttsp: config.track_ttsp,
+            base: PlanBase::new(config),
         }
     }
 
@@ -130,117 +95,35 @@ impl SemispacePlan {
         let addr = alloc_in_space(&mut self.mem, self.heap.active_mut(), shape, &buf)
             .expect("space was checked to fit");
         m.alloc_buf = buf;
-        if let Some(p) = self.profile.as_mut() {
+        if let Some(p) = self.base.profile.as_mut() {
             p.on_alloc(addr, shape.site(), shape.size_bytes());
         }
         addr
     }
 
     fn do_collect(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let wall_start = Instant::now();
-        let stats_before = self.stats;
-        let side_cleared_before = self.mem.side_cleared_words();
-        let depth_at_gc = m.stack.depth();
-        // TTSP is read before any GC work so the distance reflects the
-        // mutator's position when the collection took over.
-        let ttsp_cycles = if self.track_ttsp {
-            m.cycles_since_safepoint()
-        } else {
-            0
-        };
-        let mut timer = None;
-        if m.recorder.is_enabled() {
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_depth(depth_at_gc as u64);
-            m.recorder.record(Event::CollectionBegin(CollectionBegin {
-                collection: self.stats.collections + 1,
-                plan: "semispace",
-                reason,
-                // Every semispace collection traces the whole heap.
-                major: true,
-                depth: depth_at_gc as u64,
-                start_cycles: m.stats.client_cycles + self.stats.gc_cycles(),
-                ttsp_cycles,
-            }));
-            timer = Some(PhaseTimer::start(self.stats.gc_cycles()));
-        }
-        self.stats.collections += 1;
-        self.stats.depth_at_gc_sum += depth_at_gc as u64;
-        self.stats.other_cycles += m.cost.gc_base;
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::Setup, self.stats.gc_cycles());
-        }
-
-        // --- root processing (GC-stack) ---
-        let stack_t0 = Instant::now();
-        let outcome = scan_stack(m, self.cache.as_mut(), self.marker_policy, &mut self.stats);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::StackDecode, self.stats.gc_cycles());
-        }
-        let scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
+        // Every semispace collection traces the whole heap.
+        let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "semispace", reason, true);
         // Every collection moves everything, so cached frames' roots must
         // be processed too — the cache saves only the decode cost.
-        let mut roots = outcome.new_roots;
-        append_cached_roots(self.cache.as_ref(), outcome.reused_frames, &mut roots);
+        let roots = cycle.scan_roots(&mut self.base, m, true);
 
         let from_range = self.heap.active().range();
         let from_frontier = self.heap.active().frontier();
-        let from_used = from_frontier - from_range.start;
-        let from_ranges = [from_range];
         let to_space = self.heap.inactive_mut();
         to_space.set_limit_words(to_space.max_capacity_words());
-        // Parallel lane needs headroom for abandoned chunk tails; tight
-        // heaps and profiling runs fall back to the serial oracle.
-        let parallel = self.workers > 1
-            && self.profile.is_none()
-            && to_space.free_words()
-                >= from_used + crate::scheduler::slack_budget_words(self.workers);
-        let mut evac = Evacuator::new(
-            &mut self.mem,
-            &from_ranges,
-            to_space,
-            None,
-            None,
-            self.profile.as_mut(),
-            &mut self.stats,
-            m.cost,
-        );
-        if let Some(t) = self.telem.as_mut().filter(|_| timer.is_some()) {
-            evac.set_telemetry(t);
-        }
-        if parallel {
-            evac.set_workers(self.workers, self.packet_reorder);
-            if !self.fault_fired {
-                evac.set_worker_fault(self.worker_fault);
-            }
-            evac.set_watchdog_ms(self.watchdog_ms);
-            evac.set_cycle_budget(self.worker_cycle_budget);
-        }
-        evac.forward_roots(m, &roots);
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::RootScan, evac.current_gc_cycles());
-        }
-        let stack_ns = stack_t0.elapsed().as_nanos() as u64;
-
-        // --- copying (GC-copy) ---
-        let copy_t0 = Instant::now();
-        evac.drain();
-        if let Some(t) = timer.as_mut() {
-            t.mark(GcPhase::CheneyCopy, evac.current_gc_cycles());
-        }
-        let copy_ns = copy_t0.elapsed().as_nanos() as u64;
-        let workers_used = if evac.parallel() {
-            self.workers as u64
-        } else {
-            1
+        let spaces = TraceSpaces {
+            from: &[from_range],
+            from_used_words: from_frontier - from_range.start,
+            to: to_space,
+            nursery: None,
+            los: None,
+            survivor: None,
         };
-        let worker_copied = evac.worker_copied().to_vec();
-        let fault_fired = evac.fault_fired();
-        let workers_lost = evac.workers_lost();
-        let degraded = evac.degraded();
-        let degrade_trigger = evac.degrade_trigger();
-        let leftover_packets = evac.leftover_packets();
+        let lanes = cycle
+            .trace(&mut self.base, &mut self.mem, m, spaces, &roots)
+            .drain()
+            .lanes;
 
         // A semispace plan needs no write barrier; discard anything an
         // embedder recorded anyway.
@@ -248,7 +131,7 @@ impl SemispacePlan {
 
         sweep_profile_deaths(
             &self.mem,
-            self.profile.as_mut(),
+            self.base.profile.as_mut(),
             from_range.start,
             from_frontier,
         );
@@ -261,93 +144,24 @@ impl SemispacePlan {
         let live_words = self.heap.active().used_words();
 
         // Resize toward the target liveness ratio, within the budget.
-        let desired = (live_words as f64 / self.target_liveness) as usize;
+        let desired = (live_words as f64 / TARGET_LIVENESS) as usize;
         let cap = self.budget_words / 2;
         let new_size = desired.clamp((live_words + 512).min(cap), cap);
         self.heap.set_limit_words(new_size);
 
-        if fault_fired {
-            self.fault_fired = true;
-        }
-        self.stats.workers_lost += workers_lost;
-        self.stats.degraded_collections += u64::from(degraded);
-        self.stats
-            .note_live_bytes(tilgc_mem::words_to_bytes(live_words) as u64);
-        self.stats.stack_wall_ns += stack_ns;
-        self.stats.copy_wall_ns += copy_ns;
-        let total_ns = wall_start.elapsed().as_nanos() as u64;
-        self.stats.total_wall_ns += total_ns;
-        crate::verify::check_worker_accounting(
-            workers_used,
-            &worker_copied,
-            self.stats.copied_bytes - stats_before.copied_bytes,
-        );
-        // A semispace collection traces the whole heap.
-        self.inspection = Some(build_inspection(
-            &stats_before,
-            &self.stats,
-            true,
-            depth_at_gc,
-            true,
-            scan_claim,
-        ));
-        if let Some(timer) = timer {
-            let collection = self.stats.collections;
-            for e in timer.into_events(collection) {
-                m.recorder.record(e);
-            }
-            let telem = self.telem.as_mut().expect("allocated when recording");
-            let insp = self.inspection.as_ref().expect("just built");
-            let end_cycles = m.stats.client_cycles + self.stats.gc_cycles();
-            m.recorder
-                .record(Event::CollectionEnd(Box::new(build_collection_end(
-                    &stats_before,
-                    &self.stats,
-                    insp,
-                    telem,
-                    end_cycles,
-                    total_ns,
-                    workers_used,
-                    worker_copied,
-                    self.mem.owned_chunks() as u64,
-                    self.mem.side_cleared_words() - side_cleared_before,
-                ))));
-            // A degradation episode brackets right behind the end event,
-            // like a census: the affected collection has already closed
-            // with the exact serial answer.
-            if degraded {
-                m.recorder.record(Event::DegradationBegin(DegradationBegin {
-                    collection,
-                    trigger: degrade_trigger.unwrap_or("orphan"),
-                    workers: workers_used,
-                    workers_lost,
-                }));
-                m.recorder.record(Event::DegradationEnd(DegradationEnd {
-                    collection,
-                    leftover_packets,
-                    outcome: "drained",
-                }));
-            }
-            // Census behind the end event: one row for the single copy
-            // space. Host-side reads only — no simulated cycles.
-            m.recorder.record(Event::HeapCensus(HeapCensus {
-                collection,
-                pretenured_sites: 0,
-                spaces: vec![SpaceCensus {
-                    space: "semispace",
-                    used_words: self.heap.active().used_words() as u64,
-                    reserved_words: self.heap.active().capacity_words() as u64,
-                    chunks: self.mem.owned_chunks_by("semispace") as u64,
-                }],
-            }));
-            for e in telem.drain_samples(collection) {
-                m.recorder.record(e);
-            }
-        }
+        let release = Release {
+            live_words,
+            live_accounting_complete: true,
+            adaptive: None,
+            pretenured: None,
+            copy_spaces: &[&self.heap],
+            los: None,
+        };
+        cycle.finish(&mut self.base, &self.mem, m, lanes, release);
     }
 }
 
-impl Plan for SemispacePlan {
+impl Collector for SemispacePlan {
     fn name(&self) -> &'static str {
         "semispace"
     }
@@ -362,11 +176,7 @@ impl Plan for SemispacePlan {
 
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
         let words = shape.size_words();
-        if m.recorder.is_enabled() {
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_alloc(shape.site().get(), shape.size_bytes() as u64);
-        }
+        self.base.note_alloc(m, shape);
         if self.attempt_fits(m, words) {
             return Ok(self.finish_alloc(m, shape));
         }
@@ -379,12 +189,12 @@ impl Plan for SemispacePlan {
         // ladder. A single-space plan has only the retry-major rung.
         let mut session = PressureSession::begin(
             m,
-            &mut self.stats,
+            &mut self.base.stats,
             shape.site().get(),
             words as u64,
             "tenured",
         );
-        let charged = session.charge(m, &mut self.stats, PressureRung::RetryMajor);
+        let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
         self.do_collect(m, "alloc-failure");
         if self.attempt_fits(m, words) {
             session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
@@ -406,21 +216,21 @@ impl Plan for SemispacePlan {
     }
 
     fn gc_stats(&self) -> &GcStats {
-        &self.stats
+        &self.base.stats
     }
 
     fn finish(&mut self, _m: &mut MutatorState) {
-        if let Some(p) = self.profile.as_mut() {
+        if let Some(p) = self.base.profile.as_mut() {
             p.finish();
         }
     }
 
     fn take_profile(&mut self) -> Option<HeapProfile> {
-        self.profile.take()
+        self.base.profile.take()
     }
 
     fn last_inspection(&self) -> Option<&CollectionInspection> {
-        self.inspection.as_ref()
+        self.base.inspection.as_ref()
     }
 }
 
@@ -433,7 +243,7 @@ mod tests {
         let config = GcConfig::new().heap_budget_bytes(budget);
         let mut m = MutatorState::new();
         m.barrier = tilgc_runtime::WriteBarrier::None;
-        Vm::with_mutator(m, SemispacePlan::new(&config).into_collector())
+        Vm::with_mutator(m, Box::new(SemispacePlan::new(&config)))
     }
 
     #[test]
@@ -552,7 +362,7 @@ mod tests {
         let config = GcConfig::new().heap_budget_bytes(16 << 10).profiling(true);
         let mut m = MutatorState::new();
         m.barrier = tilgc_runtime::WriteBarrier::None;
-        let mut vm = Vm::with_mutator(m, SemispacePlan::new(&config).into_collector());
+        let mut vm = Vm::with_mutator(m, Box::new(SemispacePlan::new(&config)));
         let site = vm.site("t::p");
         for _ in 0..2000 {
             let _ = vm.alloc_record(site, &[Value::Int(1)]);

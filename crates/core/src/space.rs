@@ -2,7 +2,7 @@
 //! component with its own allocation discipline, membership test, and
 //! per-object treatment during a trace.
 //!
-//! A [`Plan`](crate::Plan) composes these policies and assigns each a
+//! A plan composes these policies and assigns each a
 //! [`CopySemantics`]; the shared tracing driver
 //! ([`Evacuator`](crate::Evacuator)) then applies the assigned treatment
 //! when the transitive closure reaches an object:
@@ -28,7 +28,7 @@ use crate::config::PretenurePolicy;
 use crate::los::LargeObjectSpace;
 
 /// What the tracing driver does with a live object found in a space —
-/// the per-space treatment a [`Plan`](crate::Plan) assigns when it
+/// the per-space treatment a plan assigns when it
 /// configures a collection.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CopySemantics {

@@ -9,7 +9,7 @@
 //!
 //! The verifier is plan-agnostic: it sees the heap only through the
 //! [`Collector`](tilgc_runtime::Collector) seam (memory + shadow tags),
-//! so the same walk validates every [`Plan`](crate::Plan) — semispace,
+//! so the same walk validates every plan — semispace,
 //! generational, or pretenuring — and any space layout a plan composes.
 
 use std::collections::{HashSet, VecDeque};

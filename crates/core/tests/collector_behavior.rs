@@ -3,7 +3,7 @@
 //! all through the public `Vm` API.
 
 use tilgc_core::{
-    build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig, MarkerPolicy, Plan, PretenurePolicy,
+    build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy,
 };
 use tilgc_mem::Addr;
 use tilgc_runtime::{FrameDesc, MutatorState, RaiseOutcome, Trace, Value, Vm, WriteBarrier};
@@ -615,7 +615,7 @@ fn semispace_with_markers_reuses_decodes_but_processes_all_roots() {
     let config = small_config().marker_policy(MarkerPolicy::PAPER);
     let mut m = MutatorState::new();
     m.barrier = WriteBarrier::None;
-    let mut vm = Vm::with_mutator(m, tilgc_core::SemispacePlan::new(&config).into_collector());
+    let mut vm = Vm::with_mutator(m, Box::new(tilgc_core::SemispacePlan::new(&config)));
     let site = vm.site("t::deep");
     let d = frame_with_ptrs(&mut vm, 1);
     // A deep, persistent stack with one root per frame.

@@ -3,9 +3,12 @@
 //! every plan, and an installed-but-disabled recorder must leave the
 //! deterministic counters byte-identical to a run with no recorder.
 
-use tilgc_core::{build_vm, build_vm_with_recorder, CollectorKind, GcConfig, PretenurePolicy};
+use tilgc_core::{
+    build_vm, build_vm_with_recorder, CollectorKind, GcConfig, PretenurePolicy, WorkerFaultKind,
+    WorkerFaultSpec,
+};
 use tilgc_mem::SiteId;
-use tilgc_obs::{jsonl, schema, Event, NullRecorder, RingRecorder};
+use tilgc_obs::{jsonl, schema, Event, GcPhase, NullRecorder, RingRecorder};
 use tilgc_runtime::{DescId, FrameDesc, GcStats, Trace, Value, Vm};
 
 /// The site the pretenuring configuration tenures at birth. Site ids are
@@ -270,6 +273,132 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
 /// histogram's count/sum reproduce `GcStats` (modulo governor rung
 /// cycles, which are charged outside collection brackets by design), its
 /// percentiles are ordered, and the MMU curve is monotone in the window.
+/// The collection cycle is one pipeline, so one grammar holds for every
+/// plan and every collection: `collection-begin, phase…, collection-end,
+/// [degradation-begin, degradation-end], heap-census, site-sample…`,
+/// all naming the same collection, phases in canonical [`GcPhase`] order.
+/// Returns the `(minor, major)` collection counts and each begin's
+/// `ttsp_cycles`.
+fn assert_cycle_grammar(label: &str, events: &[Event]) -> ((u64, u64), Vec<u64>) {
+    let mut it = events
+        .iter()
+        .filter(|e| {
+            // Pressure episodes bracket collections from the allocation
+            // slow path; they are not part of a collection's own record.
+            !matches!(
+                e,
+                Event::PressureBegin(_) | Event::PressureRung(_) | Event::PressureEnd(_)
+            )
+        })
+        .peekable();
+    let (mut minors, mut majors, mut ttsp) = (0, 0, Vec::new());
+    while let Some(e) = it.next() {
+        let Event::CollectionBegin(begin) = e else {
+            panic!("{label}: expected collection-begin, got {e:?}");
+        };
+        let id = begin.collection;
+        ttsp.push(begin.ttsp_cycles);
+        let mut last_phase = None;
+        while let Some(Event::Phase(span)) = it.peek() {
+            assert_eq!(
+                span.collection, id,
+                "{label}: phase names another collection"
+            );
+            let rank = GcPhase::ALL.iter().position(|p| *p == span.phase);
+            assert!(
+                last_phase < rank,
+                "{label}: collection {id} phase {:?} out of canonical order",
+                span.phase
+            );
+            last_phase = rank;
+            it.next();
+        }
+        assert!(
+            last_phase.is_some(),
+            "{label}: collection {id} has no phases"
+        );
+        let Some(Event::CollectionEnd(end)) = it.next() else {
+            panic!("{label}: collection {id} phases not followed by collection-end");
+        };
+        assert_eq!((end.collection, end.major), (id, begin.major), "{label}");
+        if begin.major {
+            majors += 1;
+        } else {
+            minors += 1;
+        }
+        if let Some(Event::DegradationBegin(d)) = it.peek() {
+            assert_eq!(
+                d.collection, id,
+                "{label}: degradation names another collection"
+            );
+            it.next();
+            let Some(Event::DegradationEnd(d)) = it.next() else {
+                panic!("{label}: collection {id} degradation-begin without its end");
+            };
+            assert_eq!(d.collection, id, "{label}");
+        }
+        let Some(Event::HeapCensus(census)) = it.next() else {
+            panic!("{label}: collection {id} end not followed by heap-census");
+        };
+        assert_eq!(census.collection, id, "{label}");
+        while let Some(Event::SiteSample(sample)) = it.peek() {
+            assert_eq!(
+                sample.collection, id,
+                "{label}: sample names another collection"
+            );
+            it.next();
+        }
+    }
+    ((minors, majors), ttsp)
+}
+
+#[test]
+fn every_plan_emits_one_collection_grammar() {
+    let faulted = |c: GcConfig| {
+        c.workers(4).worker_fault(WorkerFaultSpec {
+            kind: WorkerFaultKind::Panic,
+            worker: 0,
+            packet: 0,
+        })
+    };
+    for kind in CollectorKind::ALL {
+        for (variant, track_ttsp, config) in [
+            ("serial", false, config_for(kind)),
+            ("ttsp", true, config_for(kind).track_ttsp(true)),
+            ("faulted", false, faulted(config_for(kind))),
+        ] {
+            let label = format!("{} / {variant}", kind.label());
+            let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
+            let mut vm = build_vm_with_recorder(kind, &config, recorder);
+            workload(&mut vm);
+            vm.finish();
+            let events = RingRecorder::drain_events_from(vm.recorder_mut())
+                .expect("a RingRecorder was installed");
+            let ((minors, majors), ttsp) = assert_cycle_grammar(&label, &events);
+            assert_eq!(minors + majors, vm.gc_stats().collections, "{label}");
+            if kind == CollectorKind::Semispace {
+                assert!(
+                    majors >= 1 && minors == 0,
+                    "{label}: every collection is full"
+                );
+            } else {
+                assert!(
+                    minors >= 1 && majors >= 1,
+                    "{label}: need both collection kinds"
+                );
+            }
+            if track_ttsp {
+                assert!(ttsp.iter().any(|&t| t > 0), "{label}: no TTSP observed");
+            } else {
+                assert!(
+                    ttsp.iter().all(|&t| t == 0),
+                    "{label}: TTSP reported untracked"
+                );
+            }
+        }
+    }
+}
+
 #[test]
 fn pause_metrics_reconcile_against_gc_stats_on_every_plan() {
     use tilgc_obs::metrics::PauseMetrics;

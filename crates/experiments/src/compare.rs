@@ -16,11 +16,14 @@
 //! medians and stable enough to gate on, and the drift ratio and
 //! pause/MMU lanes are deterministic simulated cycles outright.
 //!
-//! No JSON dependency exists in the workspace, so a tiny `"key": number`
-//! scanner (sufficient for `bench-json`'s flat output) does the reading.
+//! Files are read with the workspace's JSON reader
+//! ([`tilgc_obs::json`]); a file that does not parse is an error, not a
+//! shorter metric list.
 
 use std::collections::HashMap;
 use std::process::ExitCode;
+
+use tilgc_obs::json::{self, Value};
 
 /// The gated metrics: higher is better for all of them.
 const GATED: [&str; 5] = [
@@ -76,29 +79,31 @@ fn latency_metrics(baseline: &HashMap<String, f64>) -> Vec<(String, bool)> {
     names
 }
 
-/// Extracts every `"key": <number>` pair from `text`. Nested objects
-/// simply contribute their pairs — `bench-json`'s output has unique keys
-/// throughout, which is all this needs.
-fn parse_metrics(text: &str) -> HashMap<String, f64> {
-    let mut map = HashMap::new();
-    let mut rest = text;
-    while let Some(q) = rest.find('"') {
-        rest = &rest[q + 1..];
-        let Some(endq) = rest.find('"') else { break };
-        let key = &rest[..endq];
-        rest = &rest[endq + 1..];
-        let after = rest.trim_start();
-        if let Some(value) = after.strip_prefix(':') {
-            let value = value.trim_start();
-            let end = value
-                .find(|c: char| !(c.is_ascii_digit() || matches!(c, '.' | '-' | '+' | 'e' | 'E')))
-                .unwrap_or(value.len());
-            if let Ok(num) = value[..end].parse::<f64>() {
-                map.insert(key.to_string(), num);
+/// Collects every `"key": <number>` member under `value`. Nested
+/// objects simply contribute their pairs — `bench-json`'s output has
+/// unique keys throughout, which is all this needs.
+fn flatten(value: &Value, out: &mut HashMap<String, f64>) {
+    match value {
+        Value::Object(members) => {
+            for (key, member) in members {
+                match member {
+                    Value::Number(n) => {
+                        out.insert(key.clone(), *n);
+                    }
+                    nested => flatten(nested, out),
+                }
             }
         }
+        Value::Array(items) => items.iter().for_each(|item| flatten(item, out)),
+        _ => {}
     }
-    map
+}
+
+/// Parses `text` as JSON and returns its numeric members by key.
+fn read_metrics(text: &str) -> Result<HashMap<String, f64>, String> {
+    let mut map = HashMap::new();
+    flatten(&json::parse(text)?, &mut map);
+    Ok(map)
 }
 
 /// Any `*_speedup_vs_reference` metric below 1.0 means a batched kernel
@@ -121,7 +126,7 @@ fn speedup_drift(metrics: &HashMap<String, f64>) -> Vec<(String, f64)> {
 
 fn load(path: &str) -> Result<HashMap<String, f64>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    let map = parse_metrics(&text);
+    let map = read_metrics(&text).map_err(|e| format!("{path} is not valid JSON: {e}"))?;
     if map.is_empty() {
         return Err(format!("{path} contains no numeric metrics"));
     }
@@ -224,6 +229,27 @@ pub fn run(baseline_path: &str, candidate_path: &str, max_regress_pct: f64) -> E
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn parse_metrics(text: &str) -> HashMap<String, f64> {
+        read_metrics(text).unwrap_or_default()
+    }
+
+    #[test]
+    fn truncated_file_is_rejected() {
+        let whole = r#"{"suite": "x", "metrics": {"a_per_sec": 1500, "b": 2.5}}"#;
+        assert_eq!(read_metrics(whole).unwrap().len(), 2);
+        for cut in [
+            whole.len() - 1,
+            whole.len() - 2,
+            whole.find("\"b\"").unwrap(),
+        ] {
+            assert!(
+                read_metrics(&whole[..cut]).is_err(),
+                "accepted {:?}",
+                &whole[..cut]
+            );
+        }
+    }
 
     #[test]
     fn scanner_reads_nested_numeric_pairs() {

@@ -505,7 +505,11 @@ mod tests {
     fn summary_of(doc: &str) -> StreamSummary {
         let dir = std::env::temp_dir().join("tilgc-slo-test");
         std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join(format!("sample-{:x}.jsonl", doc.len()));
+        // One file per call: tests run on parallel threads, and two of
+        // them replaying the same document must not share a path.
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let path = dir.join(format!("sample-{}-{n}.jsonl", std::process::id()));
         std::fs::write(&path, doc).unwrap();
         summarize_jsonl_file(path.to_str().unwrap(), false).unwrap()
     }

@@ -117,7 +117,7 @@ pub struct BudgetSnapshot {
 
 /// A typed out-of-memory verdict from a collector plan.
 ///
-/// Returned by `Plan::alloc` / `Collector::alloc` after the heap-pressure
+/// Returned by `Collector::alloc` after the heap-pressure
 /// governor has exhausted its escalation ladder (retry after minor, retry
 /// after major, budget rebalance, pretenuring demotion). It names the
 /// space that could not be grown any further; the runtime converts it into

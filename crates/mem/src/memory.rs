@@ -149,12 +149,6 @@ impl Memory {
         self.chunks.owned_chunks_by(owner)
     }
 
-    /// Total number of chunks in the address space.
-    #[inline]
-    pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
-    }
-
     /// The allocation-site tag for the object whose header is at `addr`.
     #[inline]
     pub fn site_of(&self, addr: Addr) -> SiteId {
@@ -330,21 +324,6 @@ impl Memory {
         &mut self.words[i..i + len]
     }
 
-    /// Opens a mutable window over `range` with a single up-front bounds
-    /// check; every access through the window is then a plain offset.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` is out of bounds.
-    #[inline]
-    pub fn window_mut(&mut self, range: SpaceRange) -> WordWindow<'_> {
-        let len = range.end - range.start;
-        WordWindow {
-            words: self.words_at_mut(range.start, len),
-            base: range.start,
-        }
-    }
-
     /// Copies `len` words from `src` to `dst` (the Cheney copy step).
     ///
     /// The ranges may not overlap — collectors only ever copy between
@@ -378,14 +357,6 @@ impl Memory {
         self.words[i..i + len].fill(value);
     }
 
-    /// Opens a shared, atomic view over the whole address space for
-    /// parallel collection workers. The `&mut` receiver guarantees no
-    /// non-atomic access can alias the view for its lifetime.
-    #[inline]
-    pub fn shared_view(&mut self) -> crate::SharedMemView<'_> {
-        crate::SharedMemView::new(&mut self.words)
-    }
-
     /// Opens the word view and the side-metadata view together, so
     /// parallel workers can forward objects (word view) and mark / tag
     /// sites (side view) through one pair of shared handles. Both borrow
@@ -394,74 +365,6 @@ impl Memory {
     #[inline]
     pub fn shared_views(&mut self) -> (crate::SharedMemView<'_>, SideMetaView<'_>) {
         (crate::SharedMemView::new(&mut self.words), self.side.view())
-    }
-}
-
-/// A mutable view of a contiguous word range, bounds-checked once at
-/// [`Memory::window_mut`] time.
-///
-/// Accessors take absolute [`Addr`]s (so call sites read the same as the
-/// `Memory` equivalents) but resolve them with a plain subtraction; in
-/// debug builds an address outside the window still panics.
-#[derive(Debug)]
-pub struct WordWindow<'m> {
-    words: &'m mut [u64],
-    base: Addr,
-}
-
-impl WordWindow<'_> {
-    /// The absolute address of the first word in the window.
-    #[inline]
-    pub fn base(&self) -> Addr {
-        self.base
-    }
-
-    /// Number of words in the window.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.words.len()
-    }
-
-    /// Whether the window is empty.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.words.is_empty()
-    }
-
-    #[inline]
-    fn offset(&self, addr: Addr) -> usize {
-        debug_assert!(
-            addr >= self.base && addr.index() - self.base.index() < self.words.len(),
-            "address {addr} outside window [{}, {})",
-            self.base,
-            self.base + self.words.len(),
-        );
-        addr.index() - self.base.index()
-    }
-
-    /// Reads the word at absolute address `addr`.
-    #[inline]
-    pub fn word(&self, addr: Addr) -> u64 {
-        self.words[self.offset(addr)]
-    }
-
-    /// Writes the word at absolute address `addr`.
-    #[inline]
-    pub fn set_word(&mut self, addr: Addr, value: u64) {
-        let i = self.offset(addr);
-        self.words[i] = value;
-    }
-
-    /// The whole window as a slice.
-    #[inline]
-    pub fn as_slice(&self) -> &[u64] {
-        self.words
-    }
-
-    /// The whole window as a mutable slice.
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [u64] {
-        self.words
     }
 }
 
@@ -520,7 +423,6 @@ mod tests {
             Some("nursery"),
             "first owner wins"
         );
-        assert_eq!(mem.chunk_count(), 3);
         assert_eq!(mem.owned_chunks(), 3);
         assert_eq!(mem.chunk_owner(anon.start), Some("nursery"));
     }
@@ -679,31 +581,5 @@ mod tests {
     fn words_at_out_of_bounds_panics() {
         let mem = Memory::with_capacity_words(8);
         let _ = mem.words_at(Addr::new(6), 4);
-    }
-
-    #[test]
-    fn window_round_trips_absolute_addresses() {
-        let mut mem = Memory::with_capacity_words(32);
-        let range = mem.reserve(8).unwrap();
-        let mut w = mem.window_mut(range);
-        assert_eq!(w.base(), range.start);
-        assert_eq!(w.len(), 8);
-        assert!(!w.is_empty());
-        w.set_word(range.start + 3, 99);
-        assert_eq!(w.word(range.start + 3), 99);
-        w.as_mut_slice().fill(5);
-        assert_eq!(w.as_slice(), &[5; 8]);
-        assert_eq!(mem.word(range.start + 3), 5);
-    }
-
-    #[test]
-    #[cfg(debug_assertions)]
-    #[should_panic(expected = "outside window")]
-    fn window_rejects_foreign_address() {
-        let mut mem = Memory::with_capacity_words(32);
-        let range = mem.reserve(8).unwrap();
-        let other = mem.reserve(8).unwrap();
-        let w = mem.window_mut(range);
-        let _ = w.word(other.start);
     }
 }

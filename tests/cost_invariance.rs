@@ -18,11 +18,10 @@
 use std::fmt::Write as _;
 
 use tilgc_core::{
-    build_vm, CollectorKind, GcConfig, GenerationalPlan, MarkerPolicy, Plan, PretenuringPlan,
-    SemispacePlan,
+    build_vm, CollectorKind, GcConfig, GenerationalPlan, MarkerPolicy, SemispacePlan,
 };
 use tilgc_programs::Benchmark;
-use tilgc_runtime::{GcStats, MutatorState, Vm, WriteBarrier};
+use tilgc_runtime::{Collector, GcStats, MutatorState, Vm, WriteBarrier};
 
 /// The paper's largest memory-budget multiple (k = 4 of the k sweep).
 const K: f64 = 4.0;
@@ -150,28 +149,28 @@ fn stats_line(bench: Benchmark, kind: CollectorKind, checksum: u64, g: &GcStats)
 /// otherwise).
 fn build_vm_via_plans(kind: CollectorKind, config: &GcConfig) -> Vm {
     let mut config = config.clone();
-    let collector = match kind {
+    let collector: Box<dyn Collector> = match kind {
         CollectorKind::Semispace => {
             config.pretenure = None;
-            SemispacePlan::new(&config).into_collector()
+            Box::new(SemispacePlan::new(&config))
         }
         CollectorKind::Generational => {
             config.marker_policy = MarkerPolicy::Disabled;
             config.pretenure = None;
-            GenerationalPlan::new(&config).into_collector()
+            Box::new(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStack => {
             if !config.marker_policy.is_enabled() {
                 config.marker_policy = MarkerPolicy::PAPER;
             }
             config.pretenure = None;
-            GenerationalPlan::new(&config).into_collector()
+            Box::new(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStackPretenure => {
             if !config.marker_policy.is_enabled() {
                 config.marker_policy = MarkerPolicy::PAPER;
             }
-            PretenuringPlan::new(&config).into_collector()
+            Box::new(GenerationalPlan::new(&config))
         }
     };
     let mut m = MutatorState::new();

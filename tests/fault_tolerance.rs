@@ -14,7 +14,7 @@ use tilgc::core::{
     WorkerFaultKind, WorkerFaultSpec,
 };
 use tilgc::programs::Benchmark;
-use tilgc::runtime::{Event, GcStats, RingRecorder};
+use tilgc::runtime::{Event, FrameDesc, GcStats, RingRecorder, Trace, Value};
 
 fn big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
@@ -303,4 +303,55 @@ fn serial_runs_ignore_armed_faults() {
         assert_eq!(armed.1.workers_lost, 0);
         assert_eq!(armed.1.degraded_collections, 0);
     });
+}
+
+/// The fallback branch of the headroom gate: while the to-space cannot
+/// spare the workers' chunk slack, a `workers(4)` collection runs the
+/// serial lane — nothing is lost, nothing degrades, and the injected
+/// fault stays armed (not spent) until the first collection that does
+/// engage the lanes.
+#[test]
+fn tight_heaps_fall_back_to_serial_and_keep_the_fault_armed() {
+    // 32 KiB semispaces against 16 KiB of slack for four workers: the
+    // gate needs the collected half at most half full.
+    let config = GcConfig::new()
+        .heap_budget_bytes(64 << 10)
+        .workers(4)
+        .worker_fault(spec(WorkerFaultKind::Panic));
+    let mut vm = build_vm(CollectorKind::Semispace, &config);
+    let site = vm.site("tight::cell");
+    let d = vm.register_frame(FrameDesc::new("tight").slot(Trace::Pointer));
+    vm.push_frame(d);
+    let churn = |vm: &mut tilgc::runtime::Vm, keep: usize, collections: u64| {
+        vm.set_slot(0, Value::NULL);
+        for i in 0..keep {
+            let tail = vm.slot_ptr(0);
+            let cell = vm
+                .alloc_record(site, &[Value::Int(i as i64), Value::Ptr(tail)])
+                .unwrap();
+            vm.set_slot(0, Value::Ptr(cell));
+        }
+        let until = vm.gc_stats().collections + collections;
+        while vm.gc_stats().collections < until {
+            let _ = vm.alloc_record(site, &[Value::Int(0), Value::NULL]);
+        }
+    };
+
+    // 400 live cells (1200 words) keep the resize target at the cap, so
+    // every collection finds the active half full: too tight.
+    churn(&mut vm, 400, 8);
+    verify_vm(&vm);
+    let tight = *vm.gc_stats();
+    assert_eq!(tight.workers_lost, 0, "the lanes engaged on a tight heap");
+    assert_eq!(tight.degraded_collections, 0);
+
+    // With 30 live cells the heap resizes far below the cap and the gate
+    // engages; the fault must still be there to fire.
+    churn(&mut vm, 30, 200);
+    verify_vm(&vm);
+    let roomy = *vm.gc_stats();
+    assert!(
+        roomy.workers_lost >= 1 && roomy.degraded_collections >= 1,
+        "the fault armed through the serial fallbacks never fired: {roomy:?}"
+    );
 }
