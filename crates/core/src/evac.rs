@@ -110,17 +110,71 @@ pub struct LaneOutcome {
     pub leftover_packets: u64,
 }
 
+/// The ranges one collection vacates, with the membership test every
+/// forwarded word goes through — shared by value between the serial
+/// driver and the parallel workers.
+#[derive(Clone, Copy)]
+struct FromSet<'a> {
+    ranges: &'a [SpaceRange],
+    /// Bounding hull of all `ranges`: one range check rejects (or, when
+    /// the hull is gap-free, accepts) most addresses without the
+    /// per-range linear scan.
+    hull: SpaceRange,
+    /// Whether the `ranges` tile `hull` without gaps, making the hull
+    /// check exact on its own.
+    exact: bool,
+}
+
+impl<'a> FromSet<'a> {
+    fn new(ranges: &'a [SpaceRange]) -> FromSet<'a> {
+        let hull = match ranges.first() {
+            Some(&first) => ranges.iter().fold(first, |hull, r| SpaceRange {
+                start: hull.start.min(r.start),
+                end: hull.end.max(r.end),
+            }),
+            None => SpaceRange {
+                start: Addr::NULL,
+                end: Addr::NULL,
+            },
+        };
+        // Reservations never overlap, so covering the hull word-for-word
+        // means the ranges tile it contiguously.
+        let covered: usize = ranges.iter().map(|r| r.end - r.start).sum();
+        FromSet {
+            ranges,
+            hull,
+            exact: covered == hull.end - hull.start,
+        }
+    }
+
+    /// Whether `addr` lies in a range being vacated.
+    ///
+    /// The common cases — one from-range (minor collections), or several
+    /// contiguous ones — are decided by a single hull comparison; only a
+    /// gappy multi-range hull falls back to the per-range scan. Debug
+    /// builds re-check every answer against the per-range truth, so a
+    /// space layout that breaks the hull's tiling assumption fails loudly
+    /// instead of silently over-approximating membership.
+    #[inline]
+    fn contains(&self, addr: Addr) -> bool {
+        let fast = self.hull.contains(addr)
+            && (self.exact || self.ranges.iter().any(|r| r.contains(addr)));
+        debug_assert_eq!(
+            fast,
+            self.ranges.iter().any(|r| r.contains(addr)),
+            "bounding-hull membership diverged from per-range truth for {addr:?} \
+             (hull {:?}, exact {})",
+            self.hull,
+            self.exact,
+        );
+        fast
+    }
+}
+
 /// One collection's copying state.
 pub struct Evacuator<'a> {
     mem: &'a mut Memory,
-    from: &'a [SpaceRange],
-    /// Bounding hull of all `from` ranges: one range check rejects (or,
-    /// when the hull is gap-free, accepts) most addresses without the
-    /// per-range linear scan.
-    from_hull: SpaceRange,
-    /// Whether the `from` ranges tile `from_hull` without gaps, making the
-    /// hull check exact on its own.
-    from_exact: bool,
+    from: FromSet<'a>,
     to: &'a mut Space,
     nursery: Option<SpaceRange>,
     los: Option<&'a mut LargeObjectSpace>,
@@ -178,25 +232,9 @@ impl<'a> Evacuator<'a> {
         cost: CostModel,
     ) -> Evacuator<'a> {
         let scan = to.frontier();
-        let from_hull = match from.first() {
-            Some(&first) => from.iter().fold(first, |hull, r| SpaceRange {
-                start: hull.start.min(r.start),
-                end: hull.end.max(r.end),
-            }),
-            None => SpaceRange {
-                start: Addr::NULL,
-                end: Addr::NULL,
-            },
-        };
-        // Reservations never overlap, so covering the hull word-for-word
-        // means the ranges tile it contiguously.
-        let covered: usize = from.iter().map(|r| r.end - r.start).sum();
-        let from_exact = covered == from_hull.end - from_hull.start;
         Evacuator {
             mem,
-            from,
-            from_hull,
-            from_exact,
+            from: FromSet::new(from),
             to,
             nursery,
             los,
@@ -286,38 +324,6 @@ impl<'a> Evacuator<'a> {
         self.stats.gc_cycles()
     }
 
-    /// Whether `addr` lies in a range being vacated.
-    ///
-    /// The common cases — one from-range (minor collections), or several
-    /// contiguous ones — are decided by a single hull comparison; only a
-    /// gappy multi-range hull falls back to the per-range scan. Debug
-    /// builds re-check every answer against the per-range truth, so a
-    /// space layout that breaks the hull's tiling assumption fails loudly
-    /// instead of silently over-approximating membership.
-    #[inline]
-    pub fn in_from_space(&self, addr: Addr) -> bool {
-        let fast = self.from_hull.contains(addr)
-            && (self.from_exact || self.from.iter().any(|r| r.contains(addr)));
-        debug_assert_eq!(
-            fast,
-            self.from.iter().any(|r| r.contains(addr)),
-            "bounding-hull membership diverged from per-range truth for {addr:?} \
-             (hull {:?}, exact {})",
-            self.from_hull,
-            self.from_exact,
-        );
-        fast
-    }
-
-    /// The pre-batching membership test: a linear scan over every
-    /// from-range per queried word. Kept for A/B comparison against the
-    /// hull fast path.
-    #[cfg(any(test, feature = "kernel-ref"))]
-    #[inline]
-    pub fn in_from_space_reference(&self, addr: Addr) -> bool {
-        self.from.iter().any(|r| r.contains(addr))
-    }
-
     /// Whether `addr` lies in the survivor (aging) space.
     #[inline]
     fn in_survivor(&self, addr: Addr) -> bool {
@@ -352,7 +358,7 @@ impl<'a> Evacuator<'a> {
         if addr.is_null() {
             return addr;
         }
-        if self.in_from_space(addr) {
+        if self.from.contains(addr) {
             let h = object::header(self.mem, addr);
             if let Some(to) = h.forward_addr() {
                 return to;
@@ -493,9 +499,7 @@ impl<'a> Evacuator<'a> {
                 let h = object::header(self.mem, addr);
                 debug_assert!(!h.is_forward(), "forwarding header in to-space");
                 self.scan = addr + h.size_words();
-                self.stats.scanned_words += h.size_words() as u64;
-                self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
-                self.scan_fields(addr, h);
+                self.scan_gray(addr, h);
             } else if self
                 .survivor
                 .as_deref()
@@ -505,18 +509,23 @@ impl<'a> Evacuator<'a> {
                 let h = object::header(self.mem, addr);
                 debug_assert!(!h.is_forward(), "forwarding header in survivor space");
                 self.survivor_scan = addr + h.size_words();
-                self.stats.scanned_words += h.size_words() as u64;
-                self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
-                self.scan_fields(addr, h);
+                self.scan_gray(addr, h);
             } else if let Some(obj) = self.queue.pop() {
                 let h = object::header(self.mem, obj);
-                self.stats.scanned_words += h.size_words() as u64;
-                self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
-                self.scan_fields(obj, h);
+                self.scan_gray(obj, h);
             } else {
                 break;
             }
         }
+    }
+
+    /// Scans one gray object of the closure: charges its words to
+    /// `scanned_words` at `scan_per_word`, then forwards its fields.
+    #[inline]
+    fn scan_gray(&mut self, addr: Addr, h: Header) {
+        self.stats.scanned_words += h.size_words() as u64;
+        self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
+        self.scan_fields(addr, h);
     }
 
     /// The parallel closure drain. The gray set is queue-driven only —
@@ -571,9 +580,7 @@ impl<'a> Evacuator<'a> {
     fn serial_close_drain(&mut self) {
         while let Some(obj) = self.queue.pop() {
             let h = object::header(self.mem, obj);
-            self.stats.scanned_words += h.size_words() as u64;
-            self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
-            self.scan_fields(obj, h);
+            self.scan_gray(obj, h);
         }
     }
 
@@ -587,7 +594,7 @@ impl<'a> Evacuator<'a> {
         if fwd != word {
             self.mem.set_word(loc, fwd);
         }
-        if !self.in_from_space(loc)
+        if !self.from.contains(loc)
             && !self.in_survivor(loc)
             && self.in_survivor(Addr::new(fwd as u32))
         {
@@ -680,31 +687,6 @@ impl<'a> Evacuator<'a> {
         }
     }
 
-    /// The pre-batching store-buffer filter: one forward per recorded
-    /// entry, duplicates and all. Kept for A/B comparison.
-    #[cfg(any(test, feature = "kernel-ref"))]
-    pub fn forward_field_locs_reference(&mut self, locs: &[Addr]) {
-        for &loc in locs {
-            self.forward_word_at(loc);
-        }
-    }
-
-    /// Scans an object *in place* through the pre-batching field loop.
-    /// Kept for A/B comparison against [`scan_in_place`](Self::scan_in_place).
-    #[cfg(any(test, feature = "kernel-ref"))]
-    pub fn scan_in_place_reference(&mut self, addr: Addr, specialized: bool) {
-        let h = object::header(self.mem, addr);
-        debug_assert!(!h.is_forward(), "in-place scan of forwarded object");
-        let per_word = if specialized {
-            self.cost.region_scan_per_word
-        } else {
-            self.cost.scan_per_word
-        };
-        self.stats.copy_cycles += per_word * h.size_words() as u64;
-        self.stats.pretenured_scanned_words += h.size_words() as u64;
-        self.scan_fields_reference(addr, h);
-    }
-
     /// Forwards every pointer field of the object at `addr`, dispatching
     /// to a batched kernel per object kind. All three paths visit the same
     /// fields in the same ascending order as the reference loop and feed
@@ -741,7 +723,7 @@ impl<'a> Evacuator<'a> {
         let buf = &mut buf[..len];
         buf.copy_from_slice(self.mem.words_at(base, len));
 
-        let owner_is_old = !self.in_from_space(addr) && !self.in_survivor(addr);
+        let owner_is_old = !self.from.contains(addr) && !self.in_survivor(addr);
         let mut holds_young = false;
         let mut changed = false;
         while mask != 0 {
@@ -776,7 +758,7 @@ impl<'a> Evacuator<'a> {
     fn scan_ptr_array(&mut self, addr: Addr, h: Header) {
         const CHUNK: usize = 64;
         let len = h.len();
-        let owner_is_old = !self.in_from_space(addr) && !self.in_survivor(addr);
+        let owner_is_old = !self.from.contains(addr) && !self.in_survivor(addr);
         let mut holds_young = false;
         let mut buf = [0u64; CHUNK];
         let mut start = 0;
@@ -806,38 +788,6 @@ impl<'a> Evacuator<'a> {
                 self.mem.words_at_mut(base, n).copy_from_slice(buf);
             }
             start += n;
-        }
-        if owner_is_old && holds_young {
-            self.young_owner_refs.push(addr);
-        }
-    }
-
-    /// The pre-batching scan loop: header-decoded pointer test and one
-    /// bounds-checked read/write per field. Kept for A/B comparison.
-    #[cfg(any(test, feature = "kernel-ref"))]
-    fn scan_fields_reference(&mut self, addr: Addr, h: Header) {
-        if h.kind() == ObjectKind::RawArray {
-            return;
-        }
-        let owner_is_old = !self.in_from_space(addr) && !self.in_survivor(addr);
-        let mut holds_young = false;
-        for i in 0..h.len() {
-            if !h.field_is_pointer(i) {
-                continue;
-            }
-            let child = object::ptr_field(self.mem, addr, i);
-            if child.is_null() {
-                continue;
-            }
-            let new_child = self.forward(child);
-            if new_child != child {
-                object::set_field(self.mem, addr, i, u64::from(new_child.raw()));
-            }
-            holds_young |= self.in_survivor(new_child);
-            if let Some(p) = self.profile.as_deref_mut() {
-                let child_site = self.mem.site_of(new_child);
-                p.on_edge(self.mem.site_of(addr), child_site);
-            }
         }
         if owner_is_old && holds_young {
             self.young_owner_refs.push(addr);
@@ -895,8 +845,6 @@ impl<'a> Evacuator<'a> {
         let shared = ParShared {
             cursor: SharedCursor::new(frontier, limit),
             from: self.from,
-            from_hull: self.from_hull,
-            from_exact: self.from_exact,
             nursery: self.nursery,
             cost: self.cost,
             workers,
@@ -1063,9 +1011,7 @@ struct ParShared<'s> {
     view: SharedMemView<'s>,
     side: SideMetaView<'s>,
     cursor: SharedCursor,
-    from: &'s [SpaceRange],
-    from_hull: SpaceRange,
-    from_exact: bool,
+    from: FromSet<'s>,
     nursery: Option<SpaceRange>,
     cost: CostModel,
     workers: usize,
@@ -1074,15 +1020,6 @@ struct ParShared<'s> {
 }
 
 impl ParShared<'_> {
-    /// The hull-accelerated from-space membership test (same logic as
-    /// [`Evacuator::in_from_space`], minus the debug cross-check that
-    /// needs `&Evacuator`).
-    #[inline]
-    fn in_from(&self, addr: Addr) -> bool {
-        self.from_hull.contains(addr)
-            && (self.from_exact || self.from.iter().any(|r| r.contains(addr)))
-    }
-
     /// [`Evacuator::forward_word`] on the parallel lane.
     #[inline]
     fn forward_word(
@@ -1110,7 +1047,7 @@ impl ParShared<'_> {
         if addr.is_null() {
             return addr;
         }
-        if !self.in_from(addr) {
+        if !self.from.contains(addr) {
             if let Some(los) = self.los {
                 // Lock-free large-object marking: the mark bit lives in
                 // the atomic side bitmap, so workers race on a fetch_or
@@ -2013,5 +1950,228 @@ mod tests {
         let row = profile.site(SiteId::new(4)).unwrap();
         assert_eq!(row.survived_first, 1);
         assert_eq!(row.copied_bytes, 16);
+    }
+
+    /// The scalar kernels the batched ones replaced, kept as the oracles
+    /// of the differential tests below.
+    impl Evacuator<'_> {
+        /// The pre-batching scan loop: header-decoded pointer test and
+        /// one bounds-checked read/write per field.
+        fn scan_fields_reference(&mut self, addr: Addr, h: Header) {
+            if h.kind() == ObjectKind::RawArray {
+                return;
+            }
+            let owner_is_old = !self.from.contains(addr) && !self.in_survivor(addr);
+            let mut holds_young = false;
+            for i in 0..h.len() {
+                if !h.field_is_pointer(i) {
+                    continue;
+                }
+                let child = object::ptr_field(self.mem, addr, i);
+                if child.is_null() {
+                    continue;
+                }
+                let new_child = self.forward(child);
+                if new_child != child {
+                    object::set_field(self.mem, addr, i, u64::from(new_child.raw()));
+                }
+                holds_young |= self.in_survivor(new_child);
+            }
+            if owner_is_old && holds_young {
+                self.young_owner_refs.push(addr);
+            }
+        }
+
+        /// [`scan_in_place`](Evacuator::scan_in_place) through the scalar
+        /// field loop, with the same charges.
+        fn scan_in_place_reference(&mut self, addr: Addr, specialized: bool) {
+            let h = object::header(self.mem, addr);
+            let per_word = if specialized {
+                self.cost.region_scan_per_word
+            } else {
+                self.cost.scan_per_word
+            };
+            self.stats.copy_cycles += per_word * h.size_words() as u64;
+            self.stats.pretenured_scanned_words += h.size_words() as u64;
+            self.scan_fields_reference(addr, h);
+        }
+
+        /// The pre-batching store-buffer filter: one forward per
+        /// recorded entry, duplicates and all.
+        fn forward_field_locs_reference(&mut self, locs: &[Addr]) {
+            for &loc in locs {
+                self.forward_word_at(loc);
+            }
+        }
+    }
+
+    /// Everything a trace leaves behind that a kernel could get wrong.
+    #[derive(Debug, PartialEq)]
+    struct Traced {
+        words: Vec<u64>,
+        stats: GcStats,
+        young_owner_refs: Vec<Addr>,
+        young_field_locs: Vec<Addr>,
+        frontiers: (Addr, Addr),
+    }
+
+    /// Builds the differential heap — old-generation owners of every
+    /// shape (records with mask 0, all-ones, sparse-with-top-bit and
+    /// pseudo-random masks, a pointer array longer than one 64-element
+    /// chunk, a raw array) whose pointer fields cycle through null,
+    /// `fanout` young and `fanout` aged from-space records, a to-space
+    /// record, a large object and a foreign record, and whose non-pointer
+    /// fields hold a from-space address a sloppy kernel would forward —
+    /// then runs `feed(evacuator, owners)` and the drain over it. Aged
+    /// records tenure, young ones stay in the survivor space.
+    fn trace_heap(fanout: usize, feed: impl FnOnce(&mut Evacuator<'_>, &[Addr])) -> Traced {
+        const CAPACITY: usize = 16 << 10;
+        let mut mem = Memory::with_capacity_words(CAPACITY);
+        let mut from = Space::new(mem.reserve(1024).unwrap());
+        let mut to = Space::new(mem.reserve(2048).unwrap());
+        let mut survivor = Space::new(mem.reserve(1024).unwrap());
+        let mut old = Space::new(mem.reserve(4096).unwrap());
+        let mut los = LargeObjectSpace::new(mem.reserve(1024).unwrap());
+        let site = SiteId::new(1);
+        let word = |a: Addr| u64::from(a.raw());
+
+        let mut targets = vec![Addr::NULL];
+        let mut prev = Addr::NULL;
+        for i in 0..fanout {
+            let young =
+                object::alloc_record(&mut mem, &mut from, site, &[word(prev), i as u64], 0b01)
+                    .unwrap();
+            let aged =
+                object::alloc_record(&mut mem, &mut from, site, &[7, word(young)], 0b10).unwrap();
+            let h = object::header(&mem, aged).with_age(1);
+            object::set_header(&mut mem, aged, h);
+            targets.extend([young, aged]);
+            prev = young;
+        }
+        let decoy = word(prev);
+        targets.push(object::alloc_record(&mut mem, &mut to, site, &[3], 0).unwrap());
+        let big = los.alloc(71).unwrap();
+        object::set_header(&mut mem, big, Header::ptr_array(70).unwrap());
+        mem.set_site(big, site);
+        for i in 0..70 {
+            object::set_field(&mut mem, big, i, word(targets[i % targets.len()]));
+        }
+        targets.push(big);
+        targets.push(object::alloc_record(&mut mem, &mut old, site, &[5], 0).unwrap());
+
+        let mut next = 0usize;
+        let mut pick = || {
+            next += 1;
+            word(targets[(next * 7) % targets.len()])
+        };
+        let full = (1u32 << MAX_RECORD_FIELDS) - 1;
+        let mut masks = vec![
+            (6, 0),
+            (MAX_RECORD_FIELDS, full),
+            (
+                MAX_RECORD_FIELDS,
+                1 | 1 << 11 | 1 << (MAX_RECORD_FIELDS - 1),
+            ),
+            (1, 1),
+        ];
+        masks.extend((0..32u32).map(|n| {
+            let len = 1 + n as usize % MAX_RECORD_FIELDS;
+            (len, (n.wrapping_mul(2_654_435_761) >> 7) & ((1 << len) - 1))
+        }));
+        let mut owners = Vec::new();
+        for (len, mask) in masks {
+            let fields: Vec<u64> = (0..len)
+                .map(|i| if mask >> i & 1 == 1 { pick() } else { decoy })
+                .collect();
+            owners.push(object::alloc_record(&mut mem, &mut old, site, &fields, mask).unwrap());
+        }
+        let array = object::alloc_ptr_array(&mut mem, &mut old, site, 150, Addr::NULL).unwrap();
+        for i in 0..150 {
+            object::set_field(&mut mem, array, i, pick());
+        }
+        owners.push(array);
+        let raw = object::alloc_raw_array(&mut mem, &mut old, site, 64).unwrap();
+        object::set_field(&mut mem, raw, 3, decoy);
+        owners.push(raw);
+
+        los.begin_marking(&mut mem);
+        let mut stats = GcStats::default();
+        let from_ranges = [from.range()];
+        let mut ev = Evacuator::new(
+            &mut mem,
+            &from_ranges,
+            &mut to,
+            None,
+            Some(&mut los),
+            None,
+            &mut stats,
+            CostModel::default(),
+        );
+        ev.set_survivor(&mut survivor, 2);
+        feed(&mut ev, &owners);
+        ev.drain();
+        let young_owner_refs = ev.take_young_owner_refs();
+        let young_field_locs = ev.take_young_field_locs();
+        Traced {
+            words: mem.words_at(Addr::new(1), CAPACITY - 1).to_vec(),
+            stats,
+            young_owner_refs,
+            young_field_locs,
+            frontiers: (to.frontier(), survivor.frontier()),
+        }
+    }
+
+    #[test]
+    fn batched_scan_matches_the_scalar_field_loop() {
+        let batched = trace_heap(8, |ev, owners| {
+            for (n, &o) in owners.iter().enumerate() {
+                ev.scan_in_place(o, n % 2 == 0);
+            }
+        });
+        let scalar = trace_heap(8, |ev, owners| {
+            for (n, &o) in owners.iter().enumerate() {
+                ev.scan_in_place_reference(o, n % 2 == 0);
+            }
+        });
+        assert!(batched.stats.copied_bytes > 0 && !batched.young_owner_refs.is_empty());
+        assert_eq!(batched, scalar);
+    }
+
+    /// The store-buffer batch: every pointer field of every owner,
+    /// recorded three times over in a scrambled order.
+    fn recorded_locs(mem: &Memory, owners: &[Addr]) -> Vec<Addr> {
+        let mut distinct = Vec::new();
+        for &o in owners {
+            let h = object::header(mem, o);
+            distinct.extend(
+                (0..h.len())
+                    .filter(|&i| h.kind() != ObjectKind::RawArray && h.field_is_pointer(i))
+                    .map(|i| object::field_addr(o, i)),
+            );
+        }
+        (0..3 * distinct.len())
+            .map(|i| distinct[i.wrapping_mul(2_654_435_761) % distinct.len()])
+            .collect()
+    }
+
+    #[test]
+    fn sorted_deduped_ssb_pass_matches_one_forward_per_entry() {
+        // One young and one aged from-space record: they copy into
+        // different spaces, so the heap does not depend on which entry
+        // reaches them first and the two orders must agree word for word.
+        let batched = trace_heap(1, |ev, owners| {
+            let mut locs = recorded_locs(ev.mem, owners);
+            ev.forward_field_locs(&mut locs);
+        });
+        let mut per_entry = trace_heap(1, |ev, owners| {
+            let locs = recorded_locs(ev.mem, owners);
+            ev.forward_field_locs_reference(&locs);
+        });
+        assert!(batched.stats.copied_bytes > 0 && !batched.young_field_locs.is_empty());
+        // The scalar pass records a young location once per entry, in
+        // recording order; the batch is its ascending set.
+        per_entry.young_field_locs.sort_unstable();
+        per_entry.young_field_locs.dedup();
+        assert_eq!(batched, per_entry);
     }
 }

@@ -191,10 +191,11 @@ pub fn scan_stack(
 }
 
 /// [`scan_stack`] with the bitmap fast path disabled: every frame takes
-/// the per-slot `Trace` decode, as before precompilation. Kept for A/B
-/// comparison; results and charged costs are identical by construction.
-#[cfg(any(test, feature = "kernel-ref"))]
-pub fn scan_stack_reference(
+/// the per-slot `Trace` decode, as before precompilation. The oracle of
+/// `bitmap_path_matches_reference_scan`; results and charged costs are
+/// identical by construction.
+#[cfg(test)]
+fn scan_stack_reference(
     m: &mut MutatorState,
     cache: Option<&mut ScanCache>,
     policy: MarkerPolicy,

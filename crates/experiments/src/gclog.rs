@@ -9,18 +9,13 @@
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use tilgc_core::{build_vm_with_recorder, AdaptiveConfig, CollectorKind};
+use tilgc_core::CollectorKind;
 use tilgc_obs::metrics::PauseMetrics;
-use tilgc_obs::{chrome, jsonl, schema, Event, GcPhase, RingRecorder};
+use tilgc_obs::{chrome, jsonl, schema, Event, GcPhase};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::CostModel;
 
-use crate::harness::{config_with_budget, derive_pretenure_policy, Calibration};
-
-/// Event capacity of the recording ring; enough for every collection the
-/// scaled benchmarks perform with plenty of headroom. Overflow drops the
-/// oldest events (and the tool reports it), never the run.
-const RING_CAPACITY: usize = 1 << 20;
+use crate::harness::run_recorded;
 
 /// Width of the ASCII phase bar, in character cells.
 const BAR_WIDTH: usize = 40;
@@ -60,59 +55,28 @@ pub fn run(
         return ExitCode::FAILURE;
     };
 
-    let scale = 1;
-    let mut cal = Calibration::new(scale);
-    let budget = cal.budget_for_k(bench, 4.0);
-    let mut config = config_with_budget(budget);
-    if kind == CollectorKind::GenerationalStackPretenure {
-        let (policy, _) = derive_pretenure_policy(bench, scale);
-        config = config.pretenure(policy);
-    }
-    if adaptive {
-        config = config.adaptive(AdaptiveConfig::default());
-    }
-
-    let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
-    let mut vm = build_vm_with_recorder(kind, &config, recorder);
-    vm.mutator_mut().check_shadows = false;
-    let checksum = bench.run(&mut vm, scale);
-    vm.finish();
-
-    let events = RingRecorder::drain_events_from(vm.recorder_mut())
-        .expect("gc-log installed a RingRecorder");
-    let dropped = match vm
-        .recorder_mut()
-        .as_any_mut()
-        .downcast_mut::<RingRecorder>()
-    {
-        Some(r) => r.dropped(),
-        None => 0,
-    };
-    let sites: Vec<(u16, String)> = vm
-        .mutator()
-        .sites
-        .iter()
-        .map(|(id, name)| (id.get(), name.to_string()))
-        .collect();
+    let run = run_recorded(bench, kind, adaptive, false);
+    let (events, sites, dropped) = (&run.events, &run.sites, run.dropped);
     let clock_hz = CostModel::default().clock_hz;
 
     println!(
-        "gc-log: {} on {} (budget {} bytes, checksum {checksum:#x})",
+        "gc-log: {} on {} (budget {} bytes, checksum {:#x})",
         bench.name(),
         kind.label(),
-        budget
+        run.budget,
+        run.checksum
     );
     if dropped > 0 {
         println!("warning: ring overflow dropped {dropped} oldest events");
     }
-    print_timeline(&events);
-    print_pressure(&events);
-    print_adaptive_flips(&events, &sites);
-    print_site_table(&events, &sites);
-    print_pause_summary(&events, events.len(), dropped, clock_hz);
+    print_timeline(events);
+    print_pressure(events);
+    print_adaptive_flips(events, sites);
+    print_site_table(events, sites);
+    print_pause_summary(events, events.len(), dropped, clock_hz);
 
-    let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, &sites, &events);
-    let chrome_doc = chrome::render(kind.label(), bench.name(), clock_hz, &events);
+    let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, sites, events);
+    let chrome_doc = chrome::render(kind.label(), bench.name(), clock_hz, events);
     let stem = format!("gclog-{}-{}", bench.name(), kind.label());
     let jsonl_path = format!("{out_dir}/{stem}.jsonl");
     let chrome_path = format!("{out_dir}/{stem}.trace.json");

@@ -12,9 +12,12 @@
 //! layer's internals.
 
 use std::collections::HashMap;
-use std::time::Instant;
 
-use tilgc_core::{build_vm, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy};
+use tilgc_core::{
+    build_vm, build_vm_with_recorder, AdaptiveConfig, CollectorKind, GcConfig, MarkerPolicy,
+    PretenurePolicy,
+};
+use tilgc_obs::{Event, RingRecorder};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorStats, StackStats};
 
@@ -49,10 +52,6 @@ pub struct RunResult {
     pub profile: Option<HeapProfile>,
     /// Names of the run's allocation sites (for reports).
     pub sites: tilgc_runtime::SiteRegistry,
-    /// Host wall-clock for the whole run (reported by the bench harness;
-    /// the tables use simulated cycles).
-    #[allow(dead_code)]
-    pub host_wall_secs: f64,
 }
 
 impl RunResult {
@@ -88,10 +87,8 @@ pub fn run_once(bench: Benchmark, kind: CollectorKind, config: &GcConfig, scale:
     // Experiments run at full speed: the shadow cross-checks are covered
     // by the test suite.
     vm.mutator_mut().check_shadows = false;
-    let t0 = Instant::now();
     let checksum = bench.run(&mut vm, scale);
     vm.finish();
-    let host_wall_secs = t0.elapsed().as_secs_f64();
     let profile = vm.take_profile();
     RunResult {
         checksum,
@@ -100,7 +97,6 @@ pub fn run_once(bench: Benchmark, kind: CollectorKind, config: &GcConfig, scale:
         stack: *vm.mutator().stack.stats(),
         profile,
         sites: vm.mutator().sites.clone(),
-        host_wall_secs,
     }
 }
 
@@ -137,26 +133,17 @@ impl Calibration {
             return m;
         }
         let mut budget: usize = 512 << 10;
-        let prev_hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {})); // silence expected OOM panics
         let max_live = loop {
             let config = GcConfig::new()
                 .heap_budget_bytes(budget)
                 .nursery_bytes(nursery_for_budget(budget));
             let scale = self.scale;
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                run_once(bench, CollectorKind::Semispace, &config, scale)
-            }));
-            match attempt {
+            match catch_silenced(|| run_once(bench, CollectorKind::Semispace, &config, scale)) {
                 Ok(result) => break result.gc.max_live_bytes.max(8 << 10),
                 Err(_) if budget < (1 << 30) => budget *= 2,
-                Err(e) => {
-                    std::panic::set_hook(prev_hook);
-                    std::panic::resume_unwind(e)
-                }
+                Err(e) => std::panic::resume_unwind(e),
             }
         };
-        std::panic::set_hook(prev_hook);
         let min = 2 * max_live;
         self.min_bytes.insert(bench, min);
         min
@@ -168,6 +155,17 @@ impl Calibration {
         let min = self.min_bytes(bench) as f64;
         ((k * min) as usize).max(48 << 10)
     }
+}
+
+/// Runs `f`, catching a panic with the panic hook silenced for the
+/// duration — heap exhaustion under a too-tight budget is an expected
+/// outcome here, not something to print a backtrace for.
+fn catch_silenced<T>(f: impl FnOnce() -> T) -> std::thread::Result<T> {
+    let prev_hook = std::panic::take_hook();
+    std::panic::set_hook(Box::new(|_| {}));
+    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+    std::panic::set_hook(prev_hook);
+    out
 }
 
 /// Like [`run_once`] but returns `None` when the budget is genuinely too
@@ -182,15 +180,9 @@ pub fn run_or_oom(
     config: &GcConfig,
     scale: u32,
 ) -> Option<RunResult> {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let config = config.clone();
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run_once(bench, kind, &config, scale)
-    }))
-    .ok();
-    std::panic::set_hook(prev_hook);
-    out.filter(|r| r.gc.pressure_episodes == 0 && r.gc.budget_overruns == 0)
+    catch_silenced(|| run_once(bench, kind, config, scale))
+        .ok()
+        .filter(|r| r.gc.pressure_episodes == 0 && r.gc.budget_overruns == 0)
 }
 
 /// Runs with the given budget, growing it by 25 % steps if the collector
@@ -208,6 +200,106 @@ pub fn run_resilient(
             return r;
         }
         budget += budget / 4;
+    }
+}
+
+/// Event capacity of [`run_recorded`]'s ring; enough for every collection
+/// the scaled benchmarks perform with plenty of headroom. Overflow drops
+/// the oldest events (and the run reports it), never the run.
+const RING_CAPACITY: usize = 1 << 20;
+
+/// Everything one [`run_recorded`] run produces.
+pub struct RecordedRun {
+    /// The heap budget the run fitted in: `budget_for_k(bench, 4.0)`,
+    /// or that grown in 25 % steps.
+    pub budget: usize,
+    /// The program's result checksum.
+    pub checksum: u64,
+    /// Collector statistics.
+    pub gc: GcStats,
+    /// Simulated mutator cycles of the whole run.
+    pub client_cycles: u64,
+    /// The recorded event stream, oldest first.
+    pub events: Vec<Event>,
+    /// Events the ring dropped on overflow.
+    pub dropped: u64,
+    /// `(id, name)` of the run's allocation sites.
+    pub sites: Vec<(u16, String)>,
+}
+
+/// Runs `bench` at scale 1 under `kind` with the telemetry recorder
+/// attached, at the calibrated k = 4.0 budget and (for the pretenure
+/// plan) the profile-derived policy — the rig behind `gc-log` and live
+/// `slo-report`. `adaptive` turns the online pretenuring estimator on,
+/// `ttsp` the observational time-to-safepoint tracking.
+///
+/// Like [`run_resilient`] the budget grows by 25 % steps when the run
+/// exhausts the heap (calibration samples live size only at semispace
+/// collection points, so even k = 4.0 can undershoot a peak). Unlike it,
+/// a run that merely survived under pressure is kept: governor episodes
+/// are what the event stream is there to show.
+pub fn run_recorded(
+    bench: Benchmark,
+    kind: CollectorKind,
+    adaptive: bool,
+    ttsp: bool,
+) -> RecordedRun {
+    let scale = 1;
+    let mut budget = Calibration::new(scale).budget_for_k(bench, 4.0);
+    let policy = (kind == CollectorKind::GenerationalStackPretenure)
+        .then(|| derive_pretenure_policy(bench, scale).0);
+    loop {
+        let mut config = config_with_budget(budget).track_ttsp(ttsp);
+        if let Some(policy) = &policy {
+            config = config.pretenure(policy.clone());
+        }
+        if adaptive {
+            config = config.adaptive(AdaptiveConfig::default());
+        }
+        let attempt = catch_silenced(|| {
+            let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
+            let mut vm = build_vm_with_recorder(kind, &config, recorder);
+            vm.mutator_mut().check_shadows = false;
+            let checksum = bench.run(&mut vm, scale);
+            vm.finish();
+            (checksum, vm)
+        });
+        let (checksum, mut vm) = match attempt {
+            Ok(done) => done,
+            Err(panic) => {
+                let msg = panic
+                    .downcast_ref::<String>()
+                    .map(String::as_str)
+                    .or_else(|| panic.downcast_ref::<&str>().copied())
+                    .unwrap_or("");
+                if !msg.contains("heap budget exhausted") {
+                    eprintln!("{msg}");
+                    std::panic::resume_unwind(panic);
+                }
+                budget += budget / 4;
+                continue;
+            }
+        };
+        let ring = vm
+            .recorder_mut()
+            .as_any_mut()
+            .downcast_mut::<RingRecorder>()
+            .expect("run_recorded installed a RingRecorder");
+        let (events, dropped) = (ring.drain(), ring.dropped());
+        return RecordedRun {
+            budget,
+            checksum,
+            gc: *vm.gc_stats(),
+            client_cycles: vm.mutator_stats().client_cycles,
+            events,
+            dropped,
+            sites: vm
+                .mutator()
+                .sites
+                .iter()
+                .map(|(id, name)| (id.get(), name.to_string()))
+                .collect(),
+        };
     }
 }
 
@@ -257,4 +349,22 @@ pub fn fmt_secs(s: f64) -> String {
 pub fn with_markers(mut config: GcConfig) -> GcConfig {
     config.marker_policy = MarkerPolicy::PAPER;
     config
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn run_recorded_grows_the_budget_only_on_heap_exhaustion() {
+        let calibrated = |bench| Calibration::new(1).budget_for_k(bench, 4.0);
+        // Neither fits its calibrated k = 4.0 budget under semispace.
+        for bench in [Benchmark::Fft, Benchmark::Simple] {
+            let run = run_recorded(bench, CollectorKind::Semispace, false, false);
+            assert!(run.budget > calibrated(bench), "{}", bench.name());
+            assert!(!run.events.is_empty());
+        }
+        let fits = run_recorded(Benchmark::Life, CollectorKind::Semispace, false, false);
+        assert_eq!(fits.budget, calibrated(Benchmark::Life));
+    }
 }

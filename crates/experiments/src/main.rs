@@ -3,9 +3,6 @@
 //!
 //! ```text
 //! experiments <table1..table7|figure2|extensions|all> [--scale N] [--csv DIR]
-//! experiments bench-json [--out FILE] [--workers N]
-//! experiments bench-compare [--baseline FILE] [--candidate FILE]
-//!                           [--max-regress-pct N]
 //! experiments gc-log [--bench NAME] [--plan LABEL] [--out-dir DIR]
 //!                    [--validate] [--adaptive]
 //! experiments slo-report [--input FILE.jsonl | --bench NAME --plan LABEL
@@ -15,19 +12,8 @@
 //! experiments drift
 //! ```
 //!
-//! `bench-json` runs the fixed wall-clock GC-throughput suite and
-//! writes a machine-readable baseline (default `BENCH_pr10.json`); it is
-//! not part of `all`, whose outputs are deterministic simulated cycles.
-//! `--workers N` sizes the parallel lane of the Table 5 workload (and is
-//! recorded in the baseline alongside the host's core count).
-//! `bench-compare` gates a candidate baseline (default
-//! `BENCH_nightly.json`) against a reference (default `BENCH_pr10.json`),
-//! failing if any kernel throughput regressed more than the allowed
-//! percentage (default 25), any batched kernel drifted below its scalar
-//! reference path, the adaptive pretenurer drifted below the static
-//! policy on the drifting workload, any pause percentile grew past the
-//! allowance, any MMU floor fell below it, or any time-to-safepoint
-//! percentile grew past it.
+//! Every table and figure is deterministic simulated cycles; host time
+//! is measured by `benchmark/run.sh` (see `benchmark/README.md`).
 //! `gc-log` runs one benchmark (default `Checksum`) under one collector
 //! (default `gen+markers`) with the telemetry recorder attached, prints
 //! an ASCII per-collection phase timeline and per-site survival table,
@@ -55,8 +41,6 @@
 //! Build with `--release`: the simulator is deterministic either way, but
 //! debug builds are an order of magnitude slower.
 
-mod bench_json;
-mod compare;
 mod csv;
 mod drift;
 mod extensions;
@@ -71,11 +55,6 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
     let mut scale: u32 = 1;
-    let mut out = "BENCH_pr10.json".to_string();
-    let mut baseline = "BENCH_pr10.json".to_string();
-    let mut candidate = "BENCH_nightly.json".to_string();
-    let mut max_regress_pct = 25.0f64;
-    let mut workers: usize = 4;
     let mut csv_sink = csv::CsvSink::disabled();
     let mut bench = "Checksum".to_string();
     let mut plan = "gen+markers".to_string();
@@ -92,40 +71,6 @@ fn main() -> ExitCode {
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--baseline" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--baseline needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                baseline = path.clone();
-            }
-            "--candidate" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--candidate needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                candidate = path.clone();
-            }
-            "--max-regress-pct" => {
-                i += 1;
-                max_regress_pct = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(p) if p >= 0.0 => p,
-                    _ => {
-                        eprintln!("--max-regress-pct needs a non-negative number");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
-            "--out" => {
-                i += 1;
-                let Some(path) = args.get(i) else {
-                    eprintln!("--out needs a file path");
-                    return ExitCode::FAILURE;
-                };
-                out = path.clone();
-            }
             "--csv" => {
                 i += 1;
                 let Some(dir) = args.get(i) else {
@@ -217,16 +162,6 @@ fn main() -> ExitCode {
                     }
                 }
             }
-            "--workers" => {
-                i += 1;
-                workers = match args.get(i).and_then(|s| s.parse().ok()) {
-                    Some(w) if w >= 1 => w,
-                    _ => {
-                        eprintln!("--workers needs a positive integer");
-                        return ExitCode::FAILURE;
-                    }
-                };
-            }
             "--scale" => {
                 i += 1;
                 scale = match args.get(i).and_then(|s| s.parse().ok()) {
@@ -246,9 +181,6 @@ fn main() -> ExitCode {
         i += 1;
     }
     let which = which.unwrap_or_else(|| "all".to_string());
-    if which == "bench-compare" {
-        return compare::run(&baseline, &candidate, max_regress_pct);
-    }
     if which == "gc-log" {
         return gclog::run(&bench, &plan, &out_dir, validate, adaptive);
     }
@@ -278,11 +210,10 @@ fn main() -> ExitCode {
         "table7" => tables::table7(scale, &csv_sink),
         "figure2" => tables::figure2(scale),
         "extensions" => extensions::all(scale),
-        "bench-json" => bench_json::run(&out, workers),
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected table1..table7, figure2, extensions, \
-                 bench-json, bench-compare, gc-log, slo-report, drift, or all"
+                 gc-log, slo-report, drift, or all"
             );
             std::process::exit(2);
         }

@@ -27,17 +27,14 @@
 use std::fmt::Write as _;
 use std::process::ExitCode;
 
-use tilgc_core::{build_vm_with_recorder, AdaptiveConfig, CollectorKind};
+use tilgc_core::CollectorKind;
 use tilgc_obs::json;
 use tilgc_obs::metrics::{fmt_permille, PauseMetrics, SloSpec, TtspMetrics};
-use tilgc_obs::{jsonl, schema, Event, RingRecorder};
+use tilgc_obs::{jsonl, schema, Event};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::CostModel;
 
-use crate::harness::{config_with_budget, derive_pretenure_policy, Calibration};
-
-/// Ring capacity for live runs; matches `gc-log`.
-const RING_CAPACITY: usize = 1 << 20;
+use crate::harness::run_recorded;
 
 /// Width of the MMU bar, in character cells (one cell per 40‰).
 const MMU_BAR_WIDTH: usize = 25;
@@ -259,56 +256,19 @@ fn summarize_live_run(req: &SloRequest) -> Result<StreamSummary, String> {
             )
         })?;
 
-    let scale = 1;
-    let mut cal = Calibration::new(scale);
-    let budget = cal.budget_for_k(bench, 4.0);
-    let mut config = config_with_budget(budget);
-    if kind == CollectorKind::GenerationalStackPretenure {
-        let (policy, _) = derive_pretenure_policy(bench, scale);
-        config = config.pretenure(policy);
-    }
-    if req.adaptive {
-        config = config.adaptive(AdaptiveConfig::default());
-    }
-    if req.ttsp {
-        config = config.track_ttsp(true);
-    }
-
-    let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
-    let mut vm = build_vm_with_recorder(kind, &config, recorder);
-    vm.mutator_mut().check_shadows = false;
-    bench.run(&mut vm, scale);
-    vm.finish();
-
-    let stats = *vm.gc_stats();
-    let client_cycles = vm.mutator_stats().client_cycles;
-    let events = RingRecorder::drain_events_from(vm.recorder_mut())
-        .expect("slo-report installed a RingRecorder");
-    let dropped = match vm
-        .recorder_mut()
-        .as_any_mut()
-        .downcast_mut::<RingRecorder>()
-    {
-        Some(r) => r.dropped(),
-        None => 0,
-    };
+    let run = run_recorded(bench, kind, req.adaptive, req.ttsp);
+    let events = &run.events;
     let clock_hz = CostModel::default().clock_hz;
 
     if req.validate {
-        let sites: Vec<(u16, String)> = vm
-            .mutator()
-            .sites
-            .iter()
-            .map(|(id, name)| (id.get(), name.to_string()))
-            .collect();
-        let doc = jsonl::render(kind.label(), bench.name(), clock_hz, &sites, &events);
+        let doc = jsonl::render(kind.label(), bench.name(), clock_hz, &run.sites, events);
         let n = schema::validate_jsonl(&doc).map_err(|e| format!("schema: {e}"))?;
         println!("validate: {n} JSONL lines conform to the schema");
     }
 
-    let mut metrics = PauseMetrics::from_events(&events);
-    metrics.set_horizon(client_cycles + stats.gc_cycles());
-    let ttsp = TtspMetrics::from_events(&events);
+    let mut metrics = PauseMetrics::from_events(events);
+    metrics.set_horizon(run.client_cycles + run.gc.gc_cycles());
+    let ttsp = TtspMetrics::from_events(events);
     let census = events.iter().rev().find_map(|e| match e {
         Event::HeapCensus(c) => Some(LastCensus {
             collection: c.collection,
@@ -327,7 +287,12 @@ fn summarize_live_run(req: &SloRequest) -> Result<StreamSummary, String> {
         _ => None,
     });
     Ok(StreamSummary {
-        source: format!("{} on {} (live)", bench.name(), kind.label()),
+        source: format!(
+            "{} on {} (live, budget {} bytes)",
+            bench.name(),
+            kind.label(),
+            run.budget
+        ),
         plan: kind.label().to_string(),
         bench: bench.name().to_string(),
         clock_hz,
@@ -335,7 +300,7 @@ fn summarize_live_run(req: &SloRequest) -> Result<StreamSummary, String> {
         ttsp,
         census,
         event_count: events.len(),
-        dropped,
+        dropped: run.dropped,
     })
 }
 
@@ -488,6 +453,53 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilgc_obs::metrics::PauseHistogram;
+
+    /// The deterministic latency lanes: per plan, over Color,
+    /// Knuth-Bendix, Nqueen and PIA at k = 4.0 with TTSP tracking on —
+    /// merged pause p50 / p99 / p99.9 (gc cycles), the worst
+    /// per-benchmark MMU at a 10 ms window (permille), and merged
+    /// time-to-safepoint p50 / p99 (client cycles). Simulated cycles
+    /// only, so any movement is a collector, cost-model or read-point
+    /// change and must come with a re-cut table.
+    #[test]
+    fn latency_lanes_are_pinned_exactly() {
+        const PINNED: [[u64; 6]; 4] = [
+            [45055, 720378, 720378, 424, 71, 1190],
+            [21503, 155647, 491519, 270, 47, 895],
+            [18431, 139263, 491519, 274, 47, 895],
+            [14335, 131071, 475135, 552, 63, 895],
+        ];
+        let window = CostModel::default().cycles_per_ms(10);
+        for (kind, pinned) in CollectorKind::ALL.into_iter().zip(PINNED) {
+            let mut pauses = PauseHistogram::new();
+            let mut ttsp = TtspMetrics::new();
+            let mut mmu = 1000;
+            for bench in [
+                Benchmark::Color,
+                Benchmark::KnuthBendix,
+                Benchmark::Nqueen,
+                Benchmark::Pia,
+            ] {
+                let run = run_recorded(bench, kind, false, true);
+                assert_eq!(run.dropped, 0);
+                let mut metrics = PauseMetrics::from_events(&run.events);
+                metrics.set_horizon(run.client_cycles + run.gc.gc_cycles());
+                pauses.merge(metrics.histogram());
+                ttsp.merge(TtspMetrics::from_events(&run.events).histogram());
+                mmu = mmu.min(metrics.mmu(window));
+            }
+            let lanes = [
+                pauses.percentile(500),
+                pauses.percentile(990),
+                pauses.percentile(999),
+                mmu,
+                ttsp.histogram().percentile(500),
+                ttsp.histogram().percentile(990),
+            ];
+            assert_eq!(lanes, pinned, "{}", kind.label());
+        }
+    }
 
     /// A minimal schema-shaped stream: the fields the summarizer reads
     /// are the documented ones, so these literals track the real schema.

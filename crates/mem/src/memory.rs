@@ -190,10 +190,10 @@ impl Memory {
     /// Scalar reference implementation of
     /// [`dirty_test_and_set`](Memory::dirty_test_and_set): explicit
     /// test, branch and conditional set, modelling the old per-object
-    /// header check. Kept under `kernel-ref` as the A/B oracle for the
-    /// barrier-filter benchmark.
-    #[cfg(any(test, feature = "kernel-ref"))]
-    pub fn dirty_test_and_set_reference(&mut self, addr: Addr) -> bool {
+    /// header check. The oracle of
+    /// `dirty_filter_matches_scalar_reference`.
+    #[cfg(test)]
+    fn dirty_test_and_set_reference(&mut self, addr: Addr) -> bool {
         let was = self.is_dirty(addr);
         if !was {
             self.set_dirty(addr);
