@@ -174,7 +174,7 @@ impl FromIterator<SiteId> for PretenurePolicy {
 }
 
 /// The parallel-lane knobs, grouped so a plan stores them and hands them
-/// to the [`Evacuator`](crate::Evacuator) as one value. The default is
+/// to the tracing driver (the `evac` module) as one value. The default is
 /// the serial lane with nothing injected.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct ParallelConfig {
@@ -206,9 +206,10 @@ pub struct ParallelConfig {
     /// (forwarding is idempotent) but can double-charge simulated
     /// cycles.
     pub watchdog_ms: Option<u64>,
-    /// Per-worker, per-section simulated-cycle ceiling (the watchdog's
-    /// deterministic half): a worker that exceeds it retires as lost
-    /// and the rest of the section degrades to the serial path. `None`
+    /// Per-worker simulated-cycle ceiling on one collection's parallel
+    /// drain (the watchdog's deterministic half): a worker that exceeds
+    /// it retires as lost and the rest of the drain degrades to the
+    /// serial path. `None`
     /// (the default) is unlimited.
     pub worker_cycle_budget: Option<u64>,
 }
@@ -422,7 +423,7 @@ impl GcConfig {
         self
     }
 
-    /// Sets the per-worker, per-section simulated-cycle budget.
+    /// Sets the per-worker simulated-cycle budget of a parallel drain.
     #[must_use]
     pub fn worker_cycle_budget(mut self, cycles: u64) -> GcConfig {
         self.parallel.worker_cycle_budget = Some(cycles);

@@ -25,7 +25,7 @@ use crate::evac::{Evacuator, LaneOutcome};
 use crate::los::LargeObjectSpace;
 use crate::roots::{append_cached_roots, scan_stack, RootLoc, ScanCache};
 use crate::scheduler::slack_budget_words;
-use crate::space::{CopySpace, PretenuredRegion, SpacePolicy};
+use crate::space::{CopySpace, PretenuredRegion};
 use crate::util::{build_collection_end, build_inspection};
 use crate::verify::check_worker_accounting;
 
@@ -96,8 +96,8 @@ fn parallel_lane_engages(
         && to_free_words >= from_used_words + slack_budget_words(workers)
 }
 
-/// The spaces one collection traces over — a plan's per-space copy
-/// semantics for this collection.
+/// The spaces one collection traces over. Which field a plan passes a
+/// space in is what decides its objects' treatment this collection.
 pub(crate) struct TraceSpaces<'a> {
     /// The ranges being vacated.
     pub from: &'a [SpaceRange],

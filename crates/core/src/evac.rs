@@ -4,9 +4,9 @@
 //! An [`Evacuator`] is one collection's driver state. The plan configures
 //! it with the *from* ranges being vacated, the *to* space receiving
 //! survivors, and (optionally) an aging survivor space and the mark-sweep
-//! large-object space — i.e. the plan's per-space
-//! [`CopySemantics`](crate::CopySemantics) assignment. The driver's gray
-//! set has two representations, matching the two families of semantics:
+//! large-object space — which role a space is passed in decides how its
+//! objects are treated. The driver's gray set has two representations,
+//! one for objects that move and one for objects that do not:
 //!
 //! * **Cheney scan cursors** for the moving spaces (`to` and the survivor
 //!   space): a freshly copied object *is* its own queue entry, scanned
@@ -21,13 +21,15 @@
 //! location a stack scan produced and charges the paper's per-root costs,
 //! identically for every plan.
 //!
-//! With [`set_parallel`](Evacuator::set_parallel) the driver switches the
-//! three tracing steps — root forwarding, store-buffer filtering, and
-//! the closure drain — onto the parallel work-packet lanes of the
-//! [`scheduler`](crate::scheduler) module: workers race to claim
-//! from-space objects through the atomic
+//! With [`set_parallel`](Evacuator::set_parallel) the driver runs the
+//! closure drain — and only the drain — on the parallel work-packet
+//! lane of the [`scheduler`](crate::scheduler) module: workers race to
+//! claim from-space objects through the atomic
 //! [`SharedMemView`](tilgc_mem::SharedMemView) and copy them into
-//! per-worker bump chunks. The serial lane (`workers == 1`, the
+//! per-worker bump chunks. Root forwarding and store-buffer filtering
+//! stay on the serial path on every lane (measured: a thread round
+//! around either costs more than the work it splits), queueing their
+//! copies as the drain's seed. The serial lane (`workers == 1`, the
 //! default) never touches any of that machinery and remains the
 //! byte-identical oracle.
 
@@ -48,7 +50,7 @@ use crate::scheduler::{
 
 /// Watchdog deadline used when a stall fault is armed but no explicit
 /// deadline was configured (a stalled worker would otherwise deadlock
-/// its section), and the interval at which the watchdog rescans.
+/// the drain), and the interval at which the watchdog rescans.
 const DEFAULT_STALL_DEADLINE: std::time::Duration = std::time::Duration::from_millis(10);
 const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_micros(500);
 
@@ -70,11 +72,6 @@ impl ObjectQueue {
     pub fn pop(&mut self) -> Option<Addr> {
         self.pending.pop()
     }
-
-    /// Whether any gray objects remain queued.
-    pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
-    }
 }
 
 /// In debug builds, vacated spaces are filled with this pattern so that a
@@ -91,22 +88,23 @@ pub struct LaneOutcome {
     /// Tracing lanes used: the worker count, or 1 on the serial lane.
     pub workers: u64,
     /// Per-worker copied-byte totals (empty on the serial lane). Index 0
-    /// also absorbs copies made by serial code between parallel
-    /// sections, so the vector always sums to the `copied_bytes` this
+    /// also absorbs copies made by serial code around the parallel
+    /// drain (roots, store buffer, in-place scans, the degradation
+    /// drain), so the vector always sums to the `copied_bytes` this
     /// collection added to `GcStats`.
     pub worker_copied: Vec<u64>,
-    /// Whether the armed injected fault fired in some section.
+    /// Whether the armed injected fault fired in the parallel drain.
     pub fault_fired: bool,
     /// Workers lost (panicked, stalled past the deadline, or over
-    /// budget) across the collection's parallel sections.
+    /// budget) in the collection's parallel drain.
     pub workers_lost: u64,
-    /// Whether any section degraded: lost a worker or left packets for
+    /// Whether the drain degraded: lost a worker or left packets for
     /// the coordinator's serial drain.
     pub degraded: bool,
     /// First degradation trigger: `"panic"`, `"watchdog"`, `"budget"`,
     /// or `"orphan"` (leftover packets with no recorded loss).
     pub trigger: Option<&'static str>,
-    /// Packets the coordinator drained serially after sections closed.
+    /// Packets the coordinator drained serially after the queue closed.
     pub leftover_packets: u64,
 }
 
@@ -203,11 +201,11 @@ pub struct Evacuator<'a> {
     young_field_locs: Vec<Addr>,
     /// The parallel-lane knobs in force. The default (`workers == 1`)
     /// is the serial oracle lane; a higher worker count routes the
-    /// tracing steps through the work-packet scheduler. The armed fault,
-    /// if any, fires at most once across all parallel sections; the
-    /// watchdog deadline is forced on (with a default) while a stall
-    /// fault is armed — a stalled worker would otherwise deadlock the
-    /// section.
+    /// closure drain through the work-packet scheduler. The armed fault,
+    /// if any, fires at most once per run (the cycle disarms it for
+    /// later collections); the watchdog deadline is forced on (with a
+    /// default) while a stall fault is armed — a stalled worker would
+    /// otherwise deadlock the drain.
     lane: ParallelConfig,
     /// What the lanes have done so far this collection.
     outcome: LaneOutcome,
@@ -257,13 +255,13 @@ impl<'a> Evacuator<'a> {
         }
     }
 
-    /// Switches this collection onto the parallel work-packet lanes with
-    /// `lane.workers` tracing threads, the lane's packet-reorder knob,
-    /// armed fault (its worker index is taken modulo the worker count),
-    /// watchdog deadline and per-worker cycle budget. A no-op for
-    /// `lane.workers == 1`.
+    /// Switches this collection's drain onto the parallel work-packet
+    /// lane with `lane.workers` tracing threads, the lane's
+    /// packet-reorder knob, armed fault (its worker index is taken
+    /// modulo the worker count), watchdog deadline and per-worker cycle
+    /// budget. A no-op for `lane.workers == 1`.
     ///
-    /// The parallel lanes support the plain copying configurations only:
+    /// The parallel lane supports the plain copying configurations only:
     /// the collection cycle's headroom gate calls this exclusively when
     /// no survivor space and no heap profile are attached (profiled runs
     /// and the §7.2 tenure-threshold variant always take the serial
@@ -286,7 +284,7 @@ impl<'a> Evacuator<'a> {
         self.lane = lane;
     }
 
-    /// Whether this collection runs on the parallel lanes.
+    /// Whether this collection drains on the parallel lane.
     #[inline]
     pub fn parallel(&self) -> bool {
         self.lane.workers > 1
@@ -385,7 +383,8 @@ impl<'a> Evacuator<'a> {
             self.stats.copied_bytes += bytes as u64;
             self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
             if self.lane.workers > 1 {
-                // Serial-section copy during a parallel collection: the
+                // Serial copy during a parallel collection (roots, store
+                // buffer, in-place scans, the degradation drain): the
                 // Cheney cursor is disabled (to-space has chunk-slack
                 // holes), so the copy must join the explicit gray queue
                 // the parallel drain feeds on. Attributed to worker 0
@@ -423,64 +422,22 @@ impl<'a> Evacuator<'a> {
     /// from [`scan_stack`](crate::roots::scan_stack) (plus the cached
     /// frames the plan chose to expand), and whether forwarding moves a
     /// root depends only on the from-ranges this driver was configured
-    /// with.
+    /// with. Serial on every lane: §5 exists to keep this set tiny, and
+    /// on a parallel collection [`forward`](Self::forward) queues each
+    /// copy for the parallel drain.
     pub fn forward_roots(&mut self, m: &mut MutatorState, roots: &[RootLoc]) -> u64 {
         let mut relocated: u64 = 0;
-        if self.parallel() && !roots.is_empty() {
-            relocated = self.par_forward_roots(m, roots);
-        } else {
-            for &loc in roots {
-                let word = read_root(m, loc);
-                let fwd = self.forward_word(word);
-                if fwd != word {
-                    write_root(m, loc, fwd);
-                    relocated += 1;
-                }
+        for &loc in roots {
+            let word = read_root(m, loc);
+            let fwd = self.forward_word(word);
+            if fwd != word {
+                write_root(m, loc, fwd);
+                relocated += 1;
             }
         }
         self.stats.roots_found += roots.len() as u64;
         self.stats.stack_cycles +=
             self.cost.root_check * roots.len() as u64 + self.cost.root_process * relocated;
-        relocated
-    }
-
-    /// The parallel roots section: root words are read serially from the
-    /// mutator, forwarded by packet workers, and written back serially —
-    /// the mutator state itself is never shared.
-    fn par_forward_roots(&mut self, m: &mut MutatorState, roots: &[RootLoc]) -> u64 {
-        let words: Vec<(usize, u64)> = roots
-            .iter()
-            .map(|&loc| read_root(m, loc))
-            .enumerate()
-            .collect();
-        let mut packets = packetize(words);
-        if self.lane.packet_reorder {
-            reorder_packets(&mut packets);
-        }
-        let queue: PacketQueue<Vec<(usize, u64)>> = PacketQueue::new(self.lane.workers);
-        queue.seed(packets);
-        let (mut moves, leftovers) = self.par_section(&queue, |_, shared, alloc, delta, packet| {
-            for (i, word) in packet {
-                let fwd = shared.forward_word(alloc, delta, word);
-                if fwd != word {
-                    delta.root_moves.push((i, fwd));
-                }
-            }
-        });
-        // Degradation path: root packets the section left behind take
-        // the exact serial lane (already-forwarded targets are no-ops,
-        // so nothing is charged twice).
-        for (i, word) in leftovers.into_iter().flatten() {
-            let fwd = self.forward_word(word);
-            if fwd != word {
-                moves.push((i, fwd));
-            }
-        }
-        let mut relocated = 0u64;
-        for (i, fwd) in moves {
-            write_root(m, roots[i], fwd);
-            relocated += 1;
-        }
         relocated
     }
 
@@ -531,9 +488,9 @@ impl<'a> Evacuator<'a> {
     /// The parallel closure drain. The gray set is queue-driven only —
     /// the Cheney cursors are disabled because chunked copy allocation
     /// leaves slack holes in to-space — so every pending gray object
-    /// (copies made by serial sections included) is packetized into a
-    /// terminating [`PacketQueue`], and workers push the packets their
-    /// scans generate back onto it.
+    /// (the copies the serial root, store-buffer and in-place steps
+    /// made) is packetized into a terminating [`PacketQueue`], and
+    /// workers push the packets their scans generate back onto it.
     fn par_drain(&mut self) {
         let mut gray = Vec::new();
         while let Some(obj) = self.queue.pop() {
@@ -544,31 +501,20 @@ impl<'a> Evacuator<'a> {
             if self.lane.packet_reorder {
                 reorder_packets(&mut packets);
             }
-            let queue: PacketQueue<Vec<Addr>> = PacketQueue::new(self.lane.workers);
+            let queue = PacketQueue::new(self.lane.workers);
             queue.seed(packets);
-            let (_, leftovers) = self.par_section(&queue, |_, shared, alloc, delta, packet| {
-                for obj in packet {
-                    shared.scan_obj(alloc, delta, obj);
-                }
-                // Generative: push the gray this packet discovered back
-                // onto the shared queue before the driver completes the
-                // packet, keeping the termination protocol sound.
-                for fresh in packetize(std::mem::take(&mut delta.gray)) {
-                    queue.push(fresh);
-                }
-            });
-            for obj in leftovers.into_iter().flatten() {
+            for obj in self.par_section(&queue).into_iter().flatten() {
                 self.queue.push(obj);
             }
             // Close the graph on the exact serial path: leftover
-            // packets from a degraded section, plus any gray a failed
+            // packets from a degraded drain, plus any gray a failed
             // worker handed back mid-packet (merged into the explicit
             // queue by `par_section`). Empty — and charge-free — on
             // fault-free runs.
             self.serial_close_drain();
         }
         // The scan cursor tracks the frontier so any later serial scan
-        // of this space starts past the parallel section's copies.
+        // of this space starts past the parallel drain's copies.
         self.scan = self.to.frontier();
     }
 
@@ -647,42 +593,11 @@ impl<'a> Evacuator<'a> {
     /// Filtering duplicates up front means each distinct location pays the
     /// read-forward-write cycle once. The simulated cost of examining the
     /// buffer is charged per *recorded* entry by the caller, exactly as
-    /// before, so `GcStats` is unchanged.
+    /// before, so `GcStats` is unchanged. Serial on every lane, like
+    /// [`forward_roots`](Self::forward_roots).
     pub fn forward_field_locs(&mut self, locs: &mut Vec<Addr>) {
         sort_dedup_addrs_via(Some(self.mem.ssb_scratch_mut()), locs);
-        if self.parallel() && !locs.is_empty() {
-            self.par_forward_field_locs(locs);
-            return;
-        }
         for &loc in locs.iter() {
-            self.forward_word_at(loc);
-        }
-    }
-
-    /// The parallel store-buffer section: the deduplicated locations are
-    /// packetized and each worker read-forward-writes its packet's
-    /// fields through the shared view (after deduplication every
-    /// location has exactly one writer).
-    fn par_forward_field_locs(&mut self, locs: &[Addr]) {
-        let mut packets = packetize(locs.to_vec());
-        if self.lane.packet_reorder {
-            reorder_packets(&mut packets);
-        }
-        let queue: PacketQueue<Vec<Addr>> = PacketQueue::new(self.lane.workers);
-        queue.seed(packets);
-        let (_, leftovers) = self.par_section(&queue, |_, shared, alloc, delta, packet| {
-            for loc in packet {
-                let word = shared.view.load(loc);
-                let fwd = shared.forward_word(alloc, delta, word);
-                if fwd != word {
-                    shared.view.store(loc, fwd);
-                }
-            }
-        });
-        // Degradation path: leftover store-buffer locations take the
-        // serial read-forward-write (idempotent for locations another
-        // worker already fixed up).
-        for loc in leftovers.into_iter().flatten() {
             self.forward_word_at(loc);
         }
     }
@@ -794,49 +709,31 @@ impl<'a> Evacuator<'a> {
         }
     }
 
-    /// Where the to-space scan pointer currently stands (the to-space
-    /// frontier once [`drain`](Evacuator::drain) returns).
-    pub fn scan_cursor(&self) -> Addr {
-        self.scan
-    }
-
-    /// Runs one parallel section: spawns `workers` scoped threads over a
-    /// freshly built [`ParShared`] context (atomic memory view, atomic
-    /// side-metadata view, shared to-space cursor), then merges the
-    /// per-worker deltas back into `GcStats` *in worker-index order* —
-    /// so the merged totals are independent of thread interleaving.
+    /// The body of the parallel drain: spawns `workers` scoped threads
+    /// over a freshly built [`ParShared`] context (atomic memory view,
+    /// atomic side-metadata view, shared to-space cursor), then merges
+    /// the per-worker deltas back into `GcStats` *in worker-index order*
+    /// — so the merged totals are independent of thread interleaving.
     ///
-    /// The section owns the packet loop: each worker repeatedly pops
-    /// from `queue` (recording the packet in its in-flight slot) and
-    /// runs `process` on the packet inside `catch_unwind`. A worker
-    /// that panics rolls back its in-progress forwarding claim, fails
-    /// itself on the queue (requeueing its packet), and retires; a
-    /// worker exceeding the simulated-cycle budget retires likewise. A
-    /// watchdog (armed by config or forced on while a stall fault is
-    /// armed) marks unresponsive workers lost on a wall-clock deadline.
-    /// A generative section's `process` pushes the fresh packets it
-    /// discovers back onto the queue itself (before the driver
-    /// completes the packet, so termination stays sound).
+    /// Each worker repeatedly pops a packet of gray objects from `queue`
+    /// (recording it in its in-flight slot), scans it inside
+    /// `catch_unwind`, and pushes the gray those scans discovered back
+    /// as fresh packets before completing the packet, so termination
+    /// stays sound. A worker that panics rolls back its in-progress
+    /// forwarding claim, fails itself on the queue (requeueing its
+    /// packet), and retires; a worker exceeding the simulated-cycle
+    /// budget retires likewise. A watchdog (armed by config or forced on
+    /// while a stall fault is armed) marks unresponsive workers lost on
+    /// a wall-clock deadline.
     ///
-    /// Returns the merged root relocations and whatever packets the
-    /// section could not finish (queue remnants after a loss-threshold
-    /// close, plus orphaned in-flight packets) — the caller drains
-    /// those on the exact serial path, so the collection's answer is
-    /// always the serial oracle's.
-    ///
-    /// Gray objects the section discovered but did not scan (the
-    /// bounded roots/store-buffer sections, and any gray a failed
-    /// worker handed back) land on the evacuator's explicit queue;
-    /// abandoned chunk tails are recorded as to-space slack.
-    fn par_section<T, F>(
-        &mut self,
-        queue: &PacketQueue<T>,
-        process: F,
-    ) -> (Vec<(usize, u64)>, Vec<T>)
-    where
-        T: Clone + PartialEq + Send,
-        F: Fn(usize, &ParShared<'_>, &mut WorkerCopyAlloc<'_>, &mut WorkerDelta, T) + Sync,
-    {
+    /// Returns whatever packets the workers could not finish (queue
+    /// remnants after a loss-threshold close, plus orphaned in-flight
+    /// packets) — the caller drains those on the exact serial path, so
+    /// the collection's answer is always the serial oracle's. Gray a
+    /// failed worker discovered but never pushed lands on the
+    /// evacuator's explicit queue; abandoned chunk tails are recorded
+    /// as to-space slack.
+    fn par_section(&mut self, queue: &PacketQueue<Vec<Addr>>) -> Vec<Vec<Addr>> {
         let workers = self.lane.workers;
         let frontier = self.to.frontier();
         let limit = frontier + self.to.free_words();
@@ -853,14 +750,10 @@ impl<'a> Evacuator<'a> {
             view,
             side,
         };
-        let faults = SectionFaults::new(if self.outcome.fault_fired {
-            None
-        } else {
-            self.lane.worker_fault.map(|mut f| {
-                f.worker %= workers;
-                f
-            })
-        });
+        let faults = SectionFaults::new(self.lane.worker_fault.map(|mut f| {
+            f.worker %= workers;
+            f
+        }));
         let budget = CycleBudget::new(self.lane.worker_cycle_budget.unwrap_or(u64::MAX));
         let watchdog = self
             .lane
@@ -871,16 +764,16 @@ impl<'a> Evacuator<'a> {
         let outcomes: Vec<(WorkerDelta, usize)> = std::thread::scope(|s| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| {
-                    let (shared, process, faults, budget) = (&shared, &process, &faults, &budget);
+                    let (shared, faults, budget) = (&shared, &faults, &budget);
                     s.spawn(move || {
                         let mut alloc = WorkerCopyAlloc::new(&shared.cursor, shared.workers);
                         let mut delta = WorkerDelta::default();
                         let mut packet_idx = 0usize;
                         loop {
                             if budget.exceeded(delta.copy_cycles + delta.scan_cycles) {
-                                // Over the per-section simulated-cycle
-                                // deadline: retire as lost; the queue
-                                // hands the rest to the serial path.
+                                // Over the simulated-cycle deadline:
+                                // retire as lost; the queue hands the
+                                // rest to the serial path.
                                 faults.note_lost("budget");
                                 queue.fail(w);
                                 break;
@@ -911,7 +804,16 @@ impl<'a> Evacuator<'a> {
                                     if fault == Some(WorkerFaultKind::Panic) {
                                         panic!("injected worker panic");
                                     }
-                                    process(w, shared, &mut alloc, &mut delta, packet);
+                                    for obj in packet {
+                                        shared.scan_obj(&mut alloc, &mut delta, obj);
+                                    }
+                                    // Generative: push the gray this
+                                    // packet discovered back before the
+                                    // packet is completed, keeping the
+                                    // termination protocol sound.
+                                    for fresh in packetize(std::mem::take(&mut delta.gray)) {
+                                        queue.push(fresh);
+                                    }
                                 }));
                             match unwind {
                                 Ok(()) => {
@@ -968,7 +870,6 @@ impl<'a> Evacuator<'a> {
         });
         let new_frontier = shared.cursor.frontier();
         self.to.advance_frontier(new_frontier);
-        let mut root_moves = Vec::new();
         for (w, (delta, chunk_tail)) in outcomes.into_iter().enumerate() {
             self.outcome.worker_copied[w] += delta.copied_bytes;
             self.stats.copied_bytes += delta.copied_bytes;
@@ -983,7 +884,6 @@ impl<'a> Evacuator<'a> {
             for obj in delta.gray {
                 self.queue.push(obj);
             }
-            root_moves.extend(delta.root_moves);
         }
         if faults.fired() {
             self.outcome.fault_fired = true;
@@ -997,13 +897,13 @@ impl<'a> Evacuator<'a> {
             }
             self.outcome.leftover_packets += leftovers.len() as u64;
         }
-        (root_moves, leftovers)
+        leftovers
     }
 }
 
-/// The immutable context every worker of one parallel section shares:
+/// The immutable context every worker of one parallel drain shares:
 /// the atomic memory view, the atomic side-metadata view (mark bitmap +
-/// site bytemap), the section's to-space cursor, the from-range
+/// site bytemap), the drain's to-space cursor, the from-range
 /// membership data, and a read-only borrow of the large-object space
 /// (its mark state lives in the side bitmap, so marking needs no lock).
 /// All tracing state a worker mutates lives in its own [`WorkerDelta`].
@@ -1020,17 +920,6 @@ struct ParShared<'s> {
 }
 
 impl ParShared<'_> {
-    /// [`Evacuator::forward_word`] on the parallel lane.
-    #[inline]
-    fn forward_word(
-        &self,
-        alloc: &mut WorkerCopyAlloc<'_>,
-        delta: &mut WorkerDelta,
-        word: u64,
-    ) -> u64 {
-        u64::from(self.forward(alloc, delta, Addr::new(word as u32)).raw())
-    }
-
     /// [`Evacuator::forward`] on the parallel lane: the claim/publish
     /// protocol. The winner CASes the from-space header to the busy
     /// sentinel, copies the payload into its private chunk, stores the
@@ -1054,7 +943,6 @@ impl ParShared<'_> {
                 // and exactly one wins the scan.
                 if los.contains(addr) && self.side.mark_test_and_set(addr) {
                     delta.copy_cycles += self.cost.large_object_visit;
-                    delta.large_marked += 1;
                     delta.gray.push(addr);
                 }
             }

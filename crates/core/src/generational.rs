@@ -2,7 +2,7 @@
 //! stack collection (§5) and profile-driven pretenuring (§6).
 //!
 //! Two generations, each a [`CopySpace`]: a nursery bounded by the
-//! secondary cache size ([`CopySemantics::Promote`] — minor collections
+//! secondary cache size (minor collections
 //! promote **all** nursery survivors immediately, "at each minor
 //! collection, we immediately promote all live objects from the
 //! nursery") and a tenured generation evacuated between its semispace
@@ -36,7 +36,7 @@ use crate::config::{GcConfig, PretenurePolicy};
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths, LaneOutcome};
 use crate::governor::{PressureRung, PressureSession};
-use crate::space::{CopySemantics, CopySpace, PretenuredRegion};
+use crate::space::{CopySpace, PretenuredRegion};
 use crate::util::{alloc_in_space, materialize, reason_str};
 use crate::LargeObjectSpace;
 
@@ -139,8 +139,8 @@ impl GenerationalPlan {
         });
         let mut c = GenerationalPlan {
             mem,
-            nursery: CopySpace::new("nursery", CopySemantics::Promote, n0, n1),
-            tenured: CopySpace::new("tenured", CopySemantics::Evacuate, t0, t1),
+            nursery: CopySpace::new("nursery", n0, n1),
+            tenured: CopySpace::new("tenured", t0, t1),
             los,
             budget_words,
             nursery_words,

@@ -7,20 +7,23 @@
 //!
 //! * **spaces** ([`space`] module) — the policy components:
 //!   [`CopySpace`] semispace pairs, the mark-sweep [`LargeObjectSpace`],
-//!   and the scanned-in-place [`PretenuredRegion`] (§6), each carrying
-//!   its [`CopySemantics`];
+//!   and the scanned-in-place [`PretenuredRegion`] (§6);
 //! * **plans** — the compositions the paper compares, each a
 //!   [`Collector`]: [`SemispacePlan`] (the Fenichel–Yochelson/Cheney
 //!   baseline with target-liveness resizing, r = 0.10) and
 //!   [`GenerationalPlan`] (nursery + tenured generation with immediate
 //!   promotion and sequential-store-buffer filtering, §2.1; with a
 //!   [`PretenurePolicy`] configured, §6 site-directed tenured
-//!   allocation). A plan supplies spaces, copy semantics and its release
-//!   step; the collection protocol itself — prologue, roots, evacuator
-//!   wiring, epilogue — is the one staged cycle of the `cycle` module;
-//! * **the tracing driver** ([`Evacuator`]) — one work-queue transitive
-//!   closure (Cheney scan cursors + an [`ObjectQueue`] for objects traced
-//!   in place) that every plan configures and reuses.
+//!   allocation). A plan supplies its spaces — the role each is passed
+//!   in for a collection (vacated, destination, aging, large-object)
+//!   decides how its objects are treated — and its release step; the
+//!   collection protocol itself — prologue, roots, evacuator wiring,
+//!   epilogue — is the one staged cycle of the `cycle` module;
+//! * **the tracing driver** (the crate-private `evac` module) — one
+//!   work-queue transitive closure (Cheney scan cursors + an explicit
+//!   queue for objects traced in place) that every plan configures and
+//!   reuses; with `workers > 1` its closure drain fans out over the
+//!   work-packet scheduler.
 //!
 //! Cross-cutting the layers: **generational stack collection** (§5) —
 //! scan caching in [`roots`], driven by stack markers placed per
@@ -52,7 +55,7 @@ mod generational;
 mod governor;
 mod los;
 pub mod roots;
-pub mod scheduler;
+mod scheduler;
 mod semispace;
 pub mod space;
 mod util;
@@ -60,13 +63,13 @@ pub mod verify;
 
 pub use adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptivePretenure};
 pub use config::{GcConfig, MarkerPolicy, ParallelConfig, PretenurePolicy};
-pub use evac::{Evacuator, LaneOutcome, ObjectQueue, POISON};
+pub use evac::POISON;
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
 pub use roots::{FrameScanInfo, RootLoc, ScanCache, ScanOutcome};
 pub use scheduler::{WorkerFaultKind, WorkerFaultSpec};
 pub use semispace::SemispacePlan;
-pub use space::{CopySemantics, CopySpace, PretenuredRegion, SpacePolicy};
+pub use space::{CopySpace, PretenuredRegion};
 pub use verify::{
     check_graph, check_inspection, graph_snapshot, verify_collection, verify_vm, vm_snapshot,
     LiveReport,

@@ -16,11 +16,11 @@
 //! through the atomic [`SideMetaView`](tilgc_mem::SideMetaView) without
 //! taking a lock.
 //!
-//! In the space/plan layering this is the
-//! [`CopySemantics::MarkSweep`](crate::CopySemantics::MarkSweep) policy:
-//! the generational plans route oversized allocations here, and the
-//! tracing driver marks reached large objects and queues them on its
-//! [`ObjectQueue`](crate::ObjectQueue) to be scanned without moving.
+//! In the space/plan layering this is the mark-sweep policy: the
+//! generational plans route oversized allocations here and pass the
+//! space to the cycle as `TraceSpaces::los`, and the tracing driver
+//! marks reached large objects and queues them on its explicit gray
+//! queue to be scanned without moving.
 
 use std::collections::BTreeMap;
 

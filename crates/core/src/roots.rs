@@ -19,9 +19,8 @@
 //! the freshly decoded roots, [`append_cached_roots`] expands the cached
 //! prefix when a collection moves everything (every plan except the
 //! immediate-promotion minor, whose cached frames contribute no roots at
-//! all — the §5 payoff), and
-//! [`Evacuator::forward_roots`](crate::Evacuator::forward_roots)
-//! processes the combined list.
+//! all — the §5 payoff), and the driver's `forward_roots` loop (`evac`
+//! module) processes the combined list.
 
 use std::sync::Arc;
 
@@ -534,6 +533,9 @@ mod tests {
     #[should_panic(expected = "disagrees with shadow")]
     fn misdeclared_descriptor_is_caught() {
         let mut m = MutatorState::new();
+        // On by default only with debug assertions; this is the check's
+        // test, so it asks for it whatever the profile.
+        m.check_shadows = true;
         let d = m
             .traces
             .register(FrameDesc::new("bad").slot(Trace::NonPointer));

@@ -9,17 +9,16 @@ use tilgc_mem::Addr;
 /// tiny fraction of to-space.
 pub const CHUNK_WORDS: usize = 256;
 
-/// The shared to-space allocation cursor for one parallel section.
+/// The shared to-space allocation cursor for one parallel drain.
 ///
 /// Built from a [`Space`](tilgc_mem::Space)'s frontier and limit;
 /// workers carve chunks off it with a single `fetch_update` each. After
-/// the section joins, the plan syncs the final frontier back with
+/// the workers join, the evacuator syncs the final frontier back with
 /// [`Space::advance_frontier`](tilgc_mem::Space::advance_frontier) and
 /// records abandoned tails with
 /// [`Space::note_slack`](tilgc_mem::Space::note_slack).
 pub struct SharedCursor {
     next: AtomicUsize,
-    start: usize,
     limit: usize,
 }
 
@@ -29,7 +28,6 @@ impl SharedCursor {
         assert!(frontier <= limit, "cursor frontier past limit");
         SharedCursor {
             next: AtomicUsize::new(frontier.raw() as usize),
-            start: frontier.raw() as usize,
             limit: limit.raw() as usize,
         }
     }
@@ -53,11 +51,6 @@ impl SharedCursor {
     /// Words still available (snapshot).
     pub fn remaining(&self) -> usize {
         self.limit - self.next.load(Ordering::Relaxed)
-    }
-
-    /// Words handed out since construction (exact once workers joined).
-    pub fn taken_words(&self) -> usize {
-        self.next.load(Ordering::Relaxed) - self.start
     }
 }
 
@@ -141,7 +134,7 @@ mod tests {
         assert_eq!(c.take(6), Some(Addr::new(104)));
         assert_eq!(c.take(1), None);
         assert_eq!(c.frontier(), Addr::new(110));
-        assert_eq!(c.taken_words(), 10);
+        assert_eq!(c.remaining(), 0);
     }
 
     #[test]
@@ -151,7 +144,11 @@ mod tests {
         let x = a.alloc(8).unwrap();
         let y = a.alloc(8).unwrap();
         assert_eq!(y - x, 8, "second alloc bumps in the same chunk");
-        assert_eq!(c.taken_words(), CHUNK_WORDS, "one chunk taken");
+        assert_eq!(
+            c.frontier() - Addr::new(0x100),
+            CHUNK_WORDS,
+            "one chunk taken"
+        );
         assert_eq!(a.finish(), CHUNK_WORDS - 16);
     }
 
@@ -178,7 +175,7 @@ mod tests {
         let slack = a.finish();
         assert_eq!(
             live + slack,
-            c.taken_words(),
+            c.frontier() - Addr::new(64),
             "every taken word is live or slack"
         );
         assert!(
@@ -244,7 +241,7 @@ mod tests {
             }
             assert_eq!(
                 live + slack,
-                c.taken_words(),
+                c.frontier() - Addr::new(start),
                 "allocations + abandoned tails cover exactly the taken words"
             );
         }

@@ -14,7 +14,6 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Duration;
 
 use super::queue::lock_recover;
 
@@ -24,21 +23,21 @@ pub enum WorkerFaultKind {
     /// The worker panics (inside the packet loop's `catch_unwind`): its
     /// in-flight packet is requeued and the worker retires as lost.
     Panic,
-    /// The worker parks on the section's [`StallLatch`] and stops
+    /// The worker parks on the drain's stall latch and stops
     /// responding; the watchdog's wall-clock backstop marks it lost,
     /// requeues its packet, and releases the latch so the thread can
     /// join.
     Stall,
     /// The worker silently skips the packet — neither processing nor
     /// completing it. The orphan is discovered in the worker's
-    /// in-flight slot after the section joins and is drained on the
+    /// in-flight slot after the workers join and is drained on the
     /// serial path (the `orphan` degradation trigger).
     Drop,
 }
 
 /// A deterministic single-shot worker fault: `worker`'s `packet`-th
-/// packet pop (counted per worker, across the collection's sections)
-/// triggers `kind`. Plain data so it can live in `GcConfig`.
+/// packet pop (counted per worker, within one collection's parallel
+/// drain) triggers `kind`. Plain data so it can live in `GcConfig`.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct WorkerFaultSpec {
     /// Which fault fires.
@@ -57,7 +56,7 @@ const TRIGGER_PANIC: u8 = 1;
 const TRIGGER_WATCHDOG: u8 = 2;
 const TRIGGER_BUDGET: u8 = 3;
 
-/// Shared fault state for one parallel section: the (already
+/// Shared fault state for one parallel drain: the (already
 /// worker-resolved) armed spec, the one-shot fired flag, the lost
 /// counter, and the degradation trigger slot.
 pub struct SectionFaults {
@@ -70,8 +69,8 @@ pub struct SectionFaults {
 }
 
 impl SectionFaults {
-    /// Builds the section state; `spec` is `None` when no fault is
-    /// armed (or a previous section already fired it).
+    /// Builds the drain's fault state; `spec` is `None` when no fault is
+    /// armed (or an earlier collection already fired it).
     pub fn new(spec: Option<WorkerFaultSpec>) -> SectionFaults {
         SectionFaults {
             spec,
@@ -95,7 +94,7 @@ impl SectionFaults {
             .then_some(spec.kind)
     }
 
-    /// Whether the armed fault (if any) fired during this section.
+    /// Whether the armed fault (if any) fired during this drain.
     pub fn fired(&self) -> bool {
         self.fired.load(Ordering::Acquire)
     }
@@ -120,7 +119,7 @@ impl SectionFaults {
                 .compare_exchange(TRIGGER_NONE, code, Ordering::AcqRel, Ordering::Acquire);
     }
 
-    /// Workers lost during the section.
+    /// Workers lost during the drain.
     pub fn lost(&self) -> u64 {
         self.lost.load(Ordering::Acquire)
     }
@@ -137,7 +136,7 @@ impl SectionFaults {
 }
 
 /// Where a stall-injected worker parks until the watchdog (or the
-/// section teardown) releases it. Poison-safe like the packet queue: a
+/// drain's teardown) releases it. Poison-safe like the packet queue: a
 /// panic elsewhere can never wedge the latch.
 pub struct StallLatch {
     released: Mutex<bool>,
@@ -164,25 +163,6 @@ impl StallLatch {
         }
     }
 
-    /// Parks with a timeout (used by tests). Returns whether the latch
-    /// was released (vs. the wait timing out).
-    pub fn park_timeout(&self, dur: Duration) -> bool {
-        let mut released = lock_recover(&self.released);
-        let deadline = std::time::Instant::now() + dur;
-        while !*released {
-            let now = std::time::Instant::now();
-            if now >= deadline {
-                return false;
-            }
-            released = self
-                .cond
-                .wait_timeout(released, deadline - now)
-                .unwrap_or_else(std::sync::PoisonError::into_inner)
-                .0;
-        }
-        true
-    }
-
     /// Releases every parked (and future) waiter. Idempotent.
     pub fn release(&self) {
         let mut released = lock_recover(&self.released);
@@ -192,13 +172,7 @@ impl StallLatch {
     }
 }
 
-impl Default for StallLatch {
-    fn default() -> StallLatch {
-        StallLatch::new()
-    }
-}
-
-/// Per-worker section cycle telemetry bridged back to the coordinator:
+/// Per-worker drain cycle telemetry bridged back to the coordinator:
 /// workers publish their accumulated simulated cycles so the budget
 /// check (the watchdog's simulated-cycle half) reads a live value.
 pub struct CycleBudget {
@@ -209,7 +183,7 @@ pub struct CycleBudget {
 }
 
 impl CycleBudget {
-    /// A budget of `budget` simulated cycles per worker per section.
+    /// A budget of `budget` simulated cycles per worker per drain.
     pub fn new(budget: u64) -> CycleBudget {
         CycleBudget {
             budget,
@@ -267,7 +241,7 @@ mod tests {
             s.spawn(|| latch.park());
             latch.release();
         });
-        assert!(latch.park_timeout(Duration::from_millis(1)), "idempotent");
+        latch.park(); // released for good: a later park returns at once
     }
 
     #[test]

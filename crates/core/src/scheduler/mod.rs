@@ -1,26 +1,22 @@
 //! The work-packet scheduler for parallel collection (MMTk-style).
 //!
-//! A parallel collection runs as a sequence of bounded *sections*, each
-//! fanning one kind of work out over `workers` threads:
-//!
-//! 1. **Root packets** — the root words a stack scan produced (fresh
-//!    frames, cached frames, registers, alloc buffer) are read serially,
-//!    split into packets, forwarded in parallel, and written back
-//!    serially.
-//! 2. **Store-buffer packets** — the sorted, deduplicated field
-//!    locations of the sequential store buffer, split into packets.
-//! 3. **Trace/copy packets** — the transitive-closure drain: packets of
-//!    gray objects pulled from a shared [`PacketQueue`], each scan
-//!    discovering more gray objects that are pushed back as fresh
-//!    packets.
+//! A parallel collection fans out exactly one step, the
+//! transitive-closure drain: the gray objects the serial steps queued
+//! are split into packets on a shared [`PacketQueue`], `workers` threads
+//! pull and scan them, and each scan's newly discovered gray objects go
+//! back on the queue as fresh packets. Root forwarding and store-buffer
+//! filtering are serial on every lane, by measurement: §5 makes the root
+//! set of a minor collection tiny and the store buffer arrives sorted
+//! and deduplicated, so a thread round around either cost several times
+//! the work it split (EXPERIMENTS.md, *Parallel scaling*). Their copies
+//! are attributed to worker 0 and seed the drain.
 //!
 //! **Packet lifecycle.** A packet is a `Vec` of up to
-//! [`PACKET_OBJECTS`] work items. Sections 1 and 2 are *bounded*: the
-//! packet set is fixed up front, workers just drain it. Section 3 is
-//! *generative*: scanning a packet produces new packets, so it needs
-//! termination detection — a worker that finds the queue empty parks on
-//! the queue's condvar; when every worker is parked the queue flips to
-//! `done` and all workers return ([`PacketQueue::pop`]).
+//! [`PACKET_OBJECTS`] gray objects. The drain is *generative* —
+//! scanning a packet produces new packets — so it needs termination
+//! detection: a worker that finds the queue empty parks on the queue's
+//! condvar; when every worker is parked the queue flips to `done` and
+//! all workers return ([`PacketQueue::pop_worker`]).
 //!
 //! **Copy allocation.** Workers never contend on the to-space bump
 //! pointer: each holds a [`WorkerCopyAlloc`] that carves
@@ -33,9 +29,9 @@
 //! memory view ([`SharedMemView`](tilgc_mem::SharedMemView)): CAS the
 //! from-space header to the busy sentinel, copy the payload, then
 //! release-publish the forwarding header. Losers spin until the
-//! forwarding pointer appears. The protocol lives in
-//! [`Evacuator`](crate::Evacuator)'s parallel drain paths; this module
-//! provides the scheduling primitives.
+//! forwarding pointer appears. The protocol lives in the evacuator's
+//! parallel drain (`evac.rs`); this module provides the scheduling
+//! primitives.
 //!
 //! **Determinism contract.** `workers = 1` never enters this module:
 //! the plans fall back to the serial Cheney lane, whose every counter
@@ -58,7 +54,7 @@
 //! the queue ([`PacketQueue::fail`]), and retires. A watchdog on the
 //! coordinator marks unresponsive workers lost
 //! ([`PacketQueue::mark_lost`]) on a wall-clock deadline, and workers
-//! retire themselves when a per-section simulated-cycle budget
+//! retire themselves when a per-worker simulated-cycle budget
 //! ([`CycleBudget`]) is exceeded. Once losses reach the queue's
 //! threshold the queue closes and the coordinator drains every
 //! remaining packet on the exact serial path — the collection always
@@ -71,10 +67,10 @@ mod fault;
 mod queue;
 
 pub use alloc::{SharedCursor, WorkerCopyAlloc, CHUNK_WORDS};
-pub use fault::{CycleBudget, SectionFaults, StallLatch, WorkerFaultKind, WorkerFaultSpec};
+pub use fault::{CycleBudget, SectionFaults, WorkerFaultKind, WorkerFaultSpec};
 pub use queue::PacketQueue;
 
-use tilgc_mem::{Addr, Header};
+use tilgc_mem::Addr;
 
 /// Maximum work items per packet. Small enough to balance load across
 /// workers, large enough to amortize queue locking.
@@ -117,8 +113,8 @@ pub fn reorder_packets<T>(packets: &mut [T]) {
     }
 }
 
-/// One worker's private accounting for a parallel section, merged into
-/// `GcStats` (in worker-index order) after the section joins. Keeping
+/// One worker's private accounting for the parallel drain, merged into
+/// `GcStats` (in worker-index order) after the workers join. Keeping
 /// the charges out of the shared state makes the merged totals
 /// identical to the serial lane's regardless of interleaving.
 #[derive(Debug, Default)]
@@ -131,22 +127,15 @@ pub struct WorkerDelta {
     pub scanned_words: u64,
     /// Scan cycles (`scan_per_word` × words scanned).
     pub scan_cycles: u64,
-    /// Work items this worker forwarded that actually moved (roots
-    /// sections charge `root_process` per relocation).
-    pub relocated: u64,
-    /// Large objects this worker marked (`large_object_visit` each).
-    pub large_marked: u64,
-    /// Gray objects discovered in a *bounded* section, to seed the
-    /// trace/copy drain.
+    /// Gray objects the current packet's scans discovered, pushed back
+    /// as fresh packets before the packet completes; what a failed
+    /// worker leaves here goes to the coordinator's serial drain.
     pub gray: Vec<Addr>,
     /// Deferred telemetry: (site, bytes, from_nursery) per copy, fed to
     /// the accumulator after the join (host-side only, order-free).
     pub telem_copies: Vec<(u16, u64, bool)>,
     /// Abandoned chunk-tail words, folded into the space's slack.
     pub tail_slack: usize,
-    /// Root relocations `(root_index, forwarded_word)` discovered by a
-    /// roots section, written back to the mutator after the join.
-    pub root_moves: Vec<(usize, u64)>,
     /// The claim currently held by this worker's forward-in-progress
     /// (between the BUSY CAS and the forwarding publish). If the worker
     /// unwinds here, the coordinator rolls the claim back by
@@ -167,34 +156,6 @@ pub struct PendingClaim {
     /// Words already allocated for the copy destination (0 until the
     /// allocation succeeds); refunded as chunk slack on rollback.
     pub dest_words: usize,
-}
-
-impl PendingClaim {
-    /// The original (pre-claim) header.
-    pub fn original_header(&self) -> Header {
-        Header::from_raw(self.original)
-    }
-}
-
-impl WorkerDelta {
-    /// Folds another delta into this one (used when merging the
-    /// per-worker results in worker-index order).
-    pub fn merge(&mut self, other: WorkerDelta) {
-        debug_assert!(
-            other.pending_claim.is_none(),
-            "merging a delta with an unresolved claim"
-        );
-        self.copied_bytes += other.copied_bytes;
-        self.copy_cycles += other.copy_cycles;
-        self.scanned_words += other.scanned_words;
-        self.scan_cycles += other.scan_cycles;
-        self.relocated += other.relocated;
-        self.large_marked += other.large_marked;
-        self.gray.extend(other.gray);
-        self.telem_copies.extend(other.telem_copies);
-        self.tail_slack += other.tail_slack;
-        self.root_moves.extend(other.root_moves);
-    }
 }
 
 #[cfg(test)]
@@ -219,24 +180,5 @@ mod tests {
         sorted.sort_unstable();
         assert_eq!(sorted, (0..7).collect::<Vec<u32>>());
         assert_ne!(p, (0..7).collect::<Vec<u32>>(), "order actually changed");
-    }
-
-    #[test]
-    fn delta_merge_sums_counters() {
-        let mut a = WorkerDelta {
-            copied_bytes: 16,
-            gray: vec![Addr::new(1)],
-            tail_slack: 3,
-            ..Default::default()
-        };
-        a.merge(WorkerDelta {
-            copied_bytes: 8,
-            gray: vec![Addr::new(2)],
-            tail_slack: 1,
-            ..Default::default()
-        });
-        assert_eq!(a.copied_bytes, 24);
-        assert_eq!(a.gray, vec![Addr::new(1), Addr::new(2)]);
-        assert_eq!(a.tail_slack, 4);
     }
 }

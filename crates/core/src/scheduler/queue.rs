@@ -43,7 +43,7 @@ struct State<T> {
     loss_threshold: usize,
 }
 
-/// A blocking MPMC queue of work packets for one parallel section.
+/// A blocking MPMC queue of work packets for one parallel drain.
 ///
 /// Termination is the classic idle-count protocol: a worker that finds
 /// the queue empty parks on the condvar; when every *live* worker is
@@ -112,30 +112,22 @@ impl<T: Clone> PacketQueue<T> {
         self.cond.notify_one();
     }
 
-    /// Pops the next packet, blocking while the queue is empty but some
-    /// worker is still active (and might generate more). Returns `None`
-    /// once every live worker is idle — the section is complete.
+    /// Pops the next packet for worker `w`, blocking while the queue is
+    /// empty but some worker is still active (and might generate more).
+    /// Returns `None` once every live worker is idle — the drain is
+    /// complete — or immediately if the worker has been marked lost.
+    ///
+    /// A clone of the packet is recorded in the worker's in-flight slot
+    /// so the work survives if the worker is lost before calling
+    /// [`complete`](Self::complete).
     ///
     /// `from_back` drains LIFO instead of FIFO; the packet-reorder
     /// fault injection gives odd-numbered workers a back-draining pop
     /// to shake out ordering assumptions.
-    pub fn pop(&self, from_back: bool) -> Option<T> {
-        self.pop_inner(None, from_back)
-    }
-
-    /// [`pop`](Self::pop) for worker `w`, additionally recording a
-    /// clone of the packet in the worker's in-flight slot so the work
-    /// survives if the worker is lost before calling
-    /// [`complete`](Self::complete). Returns `None` immediately if the
-    /// worker has been marked lost.
     pub fn pop_worker(&self, w: usize, from_back: bool) -> Option<T> {
-        self.pop_inner(Some(w), from_back)
-    }
-
-    fn pop_inner(&self, worker: Option<usize>, from_back: bool) -> Option<T> {
         let mut st = lock_recover(&self.state);
         loop {
-            if st.done || worker.is_some_and(|w| st.lost[w]) {
+            if st.done || st.lost[w] {
                 return None;
             }
             let packet = if from_back {
@@ -144,12 +136,10 @@ impl<T: Clone> PacketQueue<T> {
                 st.packets.pop_front()
             };
             if let Some(p) = packet {
-                if let Some(w) = worker {
-                    st.in_flight[w].push(InFlight {
-                        packet: p.clone(),
-                        since: Instant::now(),
-                    });
-                }
+                st.in_flight[w].push(InFlight {
+                    packet: p.clone(),
+                    since: Instant::now(),
+                });
                 return Some(p);
             }
             st.idle += 1;
@@ -203,25 +193,10 @@ impl<T: Clone> PacketQueue<T> {
         self.cond.notify_all();
     }
 
-    /// Closes the queue unconditionally: every pop returns `None` and
-    /// the remaining packets become leftovers. The coordinator's
-    /// degradation entry point.
-    pub fn close(&self) {
-        let mut st = lock_recover(&self.state);
-        st.done = true;
-        drop(st);
-        self.cond.notify_all();
-    }
-
-    /// Whether the queue has terminated (drained, closed, or past the
-    /// loss threshold).
+    /// Whether the queue has terminated (drained, or past the loss
+    /// threshold).
     pub fn is_done(&self) -> bool {
         lock_recover(&self.state).done
-    }
-
-    /// Workers lost so far.
-    pub fn lost_count(&self) -> usize {
-        lock_recover(&self.state).lost_count
     }
 
     /// Live (not-lost) workers whose oldest in-flight packet is older
@@ -239,7 +214,7 @@ impl<T: Clone> PacketQueue<T> {
             .collect()
     }
 
-    /// Drains everything the section left behind — queued packets plus
+    /// Drains everything the workers left behind — queued packets plus
     /// any orphaned in-flight entries (a worker that popped but never
     /// completed nor failed) — for the coordinator's serial drain.
     /// Call after the workers have joined.
@@ -250,16 +225,6 @@ impl<T: Clone> PacketQueue<T> {
             left.extend(st.in_flight[w].drain(..).map(|f| f.packet));
         }
         left
-    }
-
-    /// Packets currently queued (snapshot; for tests and logging).
-    pub fn len(&self) -> usize {
-        lock_recover(&self.state).packets.len()
-    }
-
-    /// Whether the queue is currently empty (snapshot).
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
     }
 }
 
@@ -294,23 +259,34 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    /// Packets currently queued.
+    fn queued<T>(q: &PacketQueue<T>) -> usize {
+        lock_recover(&q.state).packets.len()
+    }
+
     #[test]
     fn single_worker_drains_and_terminates() {
         let q: PacketQueue<u32> = PacketQueue::new(1);
         q.seed([1, 2, 3]);
-        assert_eq!(q.pop(false), Some(1));
-        assert_eq!(q.pop(false), Some(2));
-        assert_eq!(q.pop(false), Some(3));
-        assert_eq!(q.pop(false), None, "idle count hits workers => done");
-        assert_eq!(q.pop(false), None, "stays done");
+        for expect in 1..=3 {
+            assert_eq!(q.pop_worker(0, false), Some(expect));
+            q.complete(0);
+        }
+        assert_eq!(
+            q.pop_worker(0, false),
+            None,
+            "idle count hits workers => done"
+        );
+        assert_eq!(q.pop_worker(0, false), None, "stays done");
     }
 
     #[test]
     fn back_pop_drains_lifo() {
         let q: PacketQueue<u32> = PacketQueue::new(1);
         q.seed([1, 2, 3]);
-        assert_eq!(q.pop(true), Some(3));
-        assert_eq!(q.pop(true), Some(2));
+        assert_eq!(q.pop_worker(0, true), Some(3));
+        q.complete(0);
+        assert_eq!(q.pop_worker(0, true), Some(2));
     }
 
     #[test]
@@ -338,8 +314,12 @@ mod tests {
             }
         });
         assert_eq!(leaves.load(Ordering::Relaxed), 64);
-        assert!(q.is_empty());
-        assert_eq!(q.pop(false), None, "terminated queue stays terminated");
+        assert_eq!(queued(&q), 0);
+        assert_eq!(
+            q.pop_worker(0, false),
+            None,
+            "terminated queue stays terminated"
+        );
         assert!(q.take_leftovers().is_empty(), "nothing in flight remains");
     }
 
@@ -355,11 +335,12 @@ mod tests {
                 for w in 0..3 {
                     let (q, popped) = (&q, &popped);
                     s.spawn(move || {
-                        while let Some(v) = q.pop(w == 1) {
+                        while let Some(v) = q.pop_worker(w, w == 1) {
                             popped.fetch_add(1, Ordering::Relaxed);
                             if v > 0 {
                                 q.push(v - 1);
                             }
+                            q.complete(w);
                         }
                     });
                 }
@@ -400,7 +381,7 @@ mod tests {
         let mut left = q.take_leftovers();
         left.sort_unstable();
         assert_eq!(left, vec![1, 2, 3], "in-flight packet 1 was requeued");
-        assert_eq!(q.lost_count(), 1);
+        assert_eq!(lock_recover(&q.state).lost_count, 1);
     }
 
     #[test]
@@ -422,9 +403,9 @@ mod tests {
         q.seed([5]);
         assert_eq!(q.pop_worker(0, false), Some(5));
         q.mark_lost(0); // spurious: worker 0 is actually still running
-        assert_eq!(q.len(), 1, "packet requeued");
+        assert_eq!(queued(&q), 1, "packet requeued");
         q.complete(0); // worker 0 finishes after all
-        assert_eq!(q.len(), 0, "duplicate removed before anyone re-ran it");
+        assert_eq!(queued(&q), 0, "duplicate removed before anyone re-ran it");
     }
 
     #[test]
@@ -437,25 +418,6 @@ mod tests {
         assert_eq!(q.stale_workers(Duration::from_millis(1)), vec![1]);
         q.complete(1);
         assert!(q.stale_workers(Duration::ZERO).is_empty());
-    }
-
-    #[test]
-    fn close_wakes_parked_workers() {
-        let q: PacketQueue<u32> = PacketQueue::new(2);
-        let popped = AtomicUsize::new(0);
-        std::thread::scope(|s| {
-            let (q, popped) = (&q, &popped);
-            s.spawn(move || {
-                // Parks (queue empty, other worker never goes idle).
-                if q.pop_worker(0, false).is_some() {
-                    popped.fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            std::thread::sleep(Duration::from_millis(2));
-            q.close();
-        });
-        assert_eq!(popped.load(Ordering::Relaxed), 0);
-        assert!(q.is_done());
     }
 
     #[test]
@@ -476,7 +438,7 @@ mod tests {
         q.push(5);
         assert_eq!(q.pop_worker(0, false), Some(4));
         q.complete(0);
-        assert_eq!(q.len(), 1);
-        assert_eq!(q.pop(false), Some(5));
+        assert_eq!(queued(&q), 1);
+        assert_eq!(q.pop_worker(0, false), Some(5));
     }
 }

@@ -1,9 +1,8 @@
 //! The semispace baseline plan (§2.1).
 //!
 //! One [`CopySpace`] is the whole heap: allocation bumps through the
-//! active half, and a full collection evacuates survivors into the other
-//! ([`CopySemantics::Evacuate`]). After each collection the heap is
-//! resized toward the target liveness ratio `r = 0.10` ("if the liveness
+//! active half, and a full collection evacuates survivors into the
+//! other. After each collection the heap is resized toward the target liveness ratio `r = 0.10` ("if the liveness
 //! ratio after a collection was r′, then the heap is resized by the
 //! factor r′/r"), capped by the experiment's memory budget `k · Min`.
 //!
@@ -21,7 +20,7 @@ use crate::config::GcConfig;
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{PressureRung, PressureSession};
-use crate::space::{CopySemantics, CopySpace};
+use crate::space::CopySpace;
 use crate::util::{alloc_in_space, reason_str};
 
 /// Resizing target liveness ratio (`r` = 0.10 in §2.1).
@@ -62,7 +61,7 @@ impl SemispacePlan {
         );
         SemispacePlan {
             mem,
-            heap: CopySpace::new("semispace", CopySemantics::Evacuate, a, b),
+            heap: CopySpace::new("semispace", a, b),
             budget_words,
             base: PlanBase::new(config),
         }

@@ -2,92 +2,57 @@
 //! component with its own allocation discipline, membership test, and
 //! per-object treatment during a trace.
 //!
-//! A plan composes these policies and assigns each a
-//! [`CopySemantics`]; the shared tracing driver
-//! ([`Evacuator`](crate::Evacuator)) then applies the assigned treatment
-//! when the transitive closure reaches an object:
+//! A plan composes these policies and decides each one's treatment by
+//! the role it passes the space in for a collection (the `from`, `to`,
+//! `survivor` and `los` fields of the cycle's `TraceSpaces`); the shared
+//! tracing driver (`evac`) then applies that treatment when the
+//! transitive closure reaches an object:
 //!
 //! * [`CopySpace`] — a pair of bump-allocated semispaces with an active
 //!   half. One `CopySpace` is the whole heap of the semispace plan
-//!   (semantics [`CopySemantics::Evacuate`]), another is the nursery of
-//!   the generational plans (semantics [`CopySemantics::Promote`]: all
-//!   survivors leave for an older space, §2.1), and a third is the
-//!   tenured generation (evacuated between its halves at major
-//!   collections).
-//! * [`LargeObjectSpace`] — mark-sweep; objects
-//!   never move ([`CopySemantics::MarkSweep`]).
+//!   (survivors are evacuated into the other half), another is the
+//!   nursery of the generational plans (all survivors leave for an
+//!   older space, §2.1), and a third is the tenured generation
+//!   (evacuated between its halves at major collections).
+//! * [`LargeObjectSpace`](crate::LargeObjectSpace) — mark-sweep;
+//!   objects never move.
 //! * [`PretenuredRegion`] — the §6 policy: objects from designated sites
 //!   are born tenured and the freshly allocated region is *scanned in
-//!   place* at the next collection instead of being copied
-//!   ([`CopySemantics::ScanInPlace`]), unless the §7.2 analysis cleared
-//!   their site of scanning entirely.
+//!   place* at the next collection instead of being copied, unless the
+//!   §7.2 analysis cleared their site of scanning entirely.
 
 use tilgc_mem::{Addr, SiteId, SiteRouteTable, Space};
 
 use crate::config::PretenurePolicy;
-use crate::los::LargeObjectSpace;
-
-/// What the tracing driver does with a live object found in a space —
-/// the per-space treatment a plan assigns when it
-/// configures a collection.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum CopySemantics {
-    /// Copy survivors into the other half of the same [`CopySpace`]
-    /// (the Cheney semispace discipline).
-    Evacuate,
-    /// Copy survivors into an *older* space — the generational nursery's
-    /// immediate promotion (§2.1), optionally detoured through an aging
-    /// survivor half under a §7.2 tenure threshold.
-    Promote,
-    /// Leave the object where it is and forward its pointer fields in
-    /// place — freshly pretenured regions (§6: "copying objects is
-    /// slower than only scanning them") and young large pointer arrays.
-    ScanInPlace,
-    /// Leave the object where it is; liveness is a mark bit and
-    /// reclamation a sweep (the large-object space).
-    MarkSweep,
-}
-
-/// Common face of the space policies: a label for diagnostics, the copy
-/// semantics the owning plan assigned, and a membership test.
-pub trait SpacePolicy {
-    /// Short diagnostic label ("nursery", "tenured", "los", ...).
-    fn label(&self) -> &'static str;
-
-    /// The treatment the owning plan assigned to this space's objects.
-    fn semantics(&self) -> CopySemantics;
-
-    /// Whether `addr` currently belongs to this space.
-    fn contains(&self, addr: Addr) -> bool;
-
-    /// Words currently occupied by this space's objects.
-    fn used_words(&self) -> usize;
-}
 
 /// A pair of bump-allocated semispaces with an active half — the moving
 /// spaces of every plan (the semispace heap, the nursery system, the
 /// tenured generation).
 ///
 /// Allocation always bumps through the active half; a collection copies
-/// survivors out (into the inactive half, or into another space entirely
-/// under [`CopySemantics::Promote`]) and [`flip`](CopySpace::flip)s.
+/// survivors out (into the inactive half, or — the nursery's promotion —
+/// into another space entirely) and [`flip`](CopySpace::flip)s.
 #[derive(Debug)]
 pub struct CopySpace {
     label: &'static str,
-    semantics: CopySemantics,
     spaces: [Space; 2],
     active: usize,
 }
 
 impl CopySpace {
     /// Builds a copy space from two (equal-capacity) reservations.
-    pub fn new(label: &'static str, semantics: CopySemantics, a: Space, b: Space) -> CopySpace {
+    pub fn new(label: &'static str, a: Space, b: Space) -> CopySpace {
         CopySpace {
             label,
-            semantics,
             spaces: [a, b],
             active: 0,
         }
+    }
+
+    /// Short diagnostic label ("nursery", "tenured", ...), the space's
+    /// row name in the heap census.
+    pub fn label(&self) -> &'static str {
+        self.label
     }
 
     /// The half allocation currently bumps through.
@@ -123,50 +88,14 @@ impl CopySpace {
     }
 }
 
-impl SpacePolicy for CopySpace {
-    fn label(&self) -> &'static str {
-        self.label
-    }
-
-    fn semantics(&self) -> CopySemantics {
-        self.semantics
-    }
-
-    fn contains(&self, addr: Addr) -> bool {
-        self.spaces[0].contains(addr) || self.spaces[1].contains(addr)
-    }
-
-    fn used_words(&self) -> usize {
-        self.spaces[0].used_words() + self.spaces[1].used_words()
-    }
-}
-
-impl SpacePolicy for LargeObjectSpace {
-    fn label(&self) -> &'static str {
-        "los"
-    }
-
-    fn semantics(&self) -> CopySemantics {
-        CopySemantics::MarkSweep
-    }
-
-    fn contains(&self, addr: Addr) -> bool {
-        LargeObjectSpace::contains(self, addr)
-    }
-
-    fn used_words(&self) -> usize {
-        LargeObjectSpace::used_words(self)
-    }
-}
-
 /// The §6 pretenured region: the site policy deciding which allocations
 /// are born tenured, plus the objects allocated since the last collection
 /// that still owe their one in-place scan.
 ///
 /// The region is not a separate reservation — pretenured objects live in
 /// the tenured [`CopySpace`] — but it is a distinct *policy*: its objects
-/// are [`CopySemantics::ScanInPlace`] until the next collection has seen
-/// them, after which they are ordinary tenured objects.
+/// are scanned in place until the next collection has seen them, after
+/// which they are ordinary tenured objects.
 #[derive(Debug, Default)]
 pub struct PretenuredRegion {
     policy: PretenurePolicy,
@@ -283,27 +212,6 @@ impl PretenuredRegion {
     }
 }
 
-impl SpacePolicy for PretenuredRegion {
-    fn label(&self) -> &'static str {
-        "pretenured"
-    }
-
-    fn semantics(&self) -> CopySemantics {
-        CopySemantics::ScanInPlace
-    }
-
-    /// Membership in the *policy* sense: the object still owes its
-    /// in-place scan. (Physically the object lives in the tenured
-    /// `CopySpace`.)
-    fn contains(&self, addr: Addr) -> bool {
-        self.pending.contains(&addr)
-    }
-
-    fn used_words(&self) -> usize {
-        0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -314,11 +222,11 @@ mod tests {
         let mut mem = Memory::with_capacity_words(512);
         let a = Space::new(mem.reserve(128).unwrap());
         let b = Space::new(mem.reserve(128).unwrap());
-        let mut cs = CopySpace::new("heap", CopySemantics::Evacuate, a, b);
-        assert_eq!(cs.semantics(), CopySemantics::Evacuate);
+        let mut cs = CopySpace::new("heap", a, b);
+        assert_eq!(cs.label(), "heap");
         let in_active = cs.active_mut().alloc(4).unwrap();
-        assert!(SpacePolicy::contains(&cs, in_active));
-        assert_eq!(cs.used_words(), 4);
+        assert!(cs.active().contains(in_active));
+        assert_eq!(cs.active().used_words(), 4);
         cs.flip();
         assert_eq!(cs.inactive().used_words(), 4);
         assert_eq!(cs.active().used_words(), 0);
@@ -337,13 +245,12 @@ mod tests {
         policy.add_no_scan_site(cleared);
         let mut region = PretenuredRegion::new(policy);
         assert!(region.should_pretenure(hot));
-        assert_eq!(region.semantics(), CopySemantics::ScanInPlace);
 
         region.note_alloc(Addr::new(10), hot, 4, false);
         region.note_alloc(Addr::new(20), hot, 4, true); // pointer-free
         region.note_alloc(Addr::new(30), cleared, 4, false); // §7.2 no-scan
-        assert!(SpacePolicy::contains(&region, Addr::new(10)));
-        assert!(!SpacePolicy::contains(&region, Addr::new(20)));
+        assert!(region.pending.contains(&Addr::new(10)));
+        assert!(!region.pending.contains(&Addr::new(20)));
         assert_eq!(region.take_pending(), vec![Addr::new(10)]);
         assert!(region.take_pending().is_empty());
     }
@@ -367,7 +274,7 @@ mod tests {
             "no-scan entry dropped too"
         );
         // Pending scans of already-tenured objects survive the demotion.
-        assert!(SpacePolicy::contains(&region, Addr::new(10)));
+        assert!(region.pending.contains(&Addr::new(10)));
         assert_eq!(region.demote_hottest(), Some(cool));
         // Sites with equal (zero) pressure demote lowest-id first.
         assert_eq!(region.demote_hottest(), Some(idle));

@@ -128,8 +128,9 @@ pub fn check_graph(mem: &Memory, roots: &[Addr]) -> LiveReport {
 /// the collection's `GcStats` delta. The plans call this after every
 /// collection: on the serial lane the worker vector must be empty; on a
 /// parallel lane it must have exactly one slot per worker and sum to
-/// the bytes the collection copied (worker 0 also absorbs serial-section
-/// copies). The jsonl schema validator re-checks the same identity on
+/// the bytes the collection copied (worker 0 also absorbs the copies the
+/// serial steps make: roots, store buffer, in-place scans, the
+/// degradation drain). The jsonl schema validator re-checks the same identity on
 /// the emitted `collection-end` events.
 ///
 /// # Panics

@@ -142,6 +142,9 @@ fn pointer_slots_start_as_null_pointers() {
 #[should_panic(expected = "cannot hold")]
 fn trace_validation_rejects_pointer_in_int_slot() {
     let mut vm = vm();
+    // On by default only with debug assertions; this is the check's
+    // test, so it asks for it whatever the profile.
+    vm.mutator_mut().check_shadows = true;
     let site = vm.site("t::x");
     let d = vm.register_frame(FrameDesc::new("f").slot(Trace::NonPointer));
     vm.push_frame(d);

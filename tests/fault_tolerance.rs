@@ -2,10 +2,11 @@
 //! everything but wall-clock time and the fault counters.
 //!
 //! For each injected fault kind (worker panic, worker stall, packet
-//! drop), a 4-worker run must terminate, produce the same program
-//! answer, the same reachable heap graph, and the same deterministic
-//! `GcStats` as the serial oracle — only the `*_wall_ns` fields and the
-//! fault counters (`workers_lost`, `degraded_collections`) may differ.
+//! drop) and for a one-cycle worker budget, a 4-worker run must
+//! terminate, produce the same program answer, the same reachable heap
+//! graph, and the same deterministic `GcStats` as the serial oracle —
+//! only the `*_wall_ns` fields and the fault counters (`workers_lost`,
+//! `degraded_collections`) may differ.
 //! The degraded collection must announce itself in telemetry with a
 //! schema-valid `degradation-begin`/`degradation-end` episode.
 
@@ -78,10 +79,49 @@ fn fault_config(kind: WorkerFaultKind) -> GcConfig {
     }
 }
 
-/// All three fault kinds, against the serial oracle, on two plans
-/// whose parallel lanes engage under this sizing (the semispace plan
-/// never collects Life inside a 48 MiB budget, so a fault armed there
-/// would be inert).
+/// One way to lose work mid-drain: its label, the 4-worker config that
+/// provokes it, the `degradation-begin` triggers it may report, and
+/// whether it retires a worker (a dropped packet only orphans work).
+type Scenario = (&'static str, GcConfig, &'static [&'static str], bool);
+
+/// The three injected fault kinds, plus a one-cycle `worker_cycle_budget`
+/// — every worker retires after its first packet of every collection.
+fn scenarios() -> [Scenario; 4] {
+    [
+        (
+            "panic",
+            fault_config(WorkerFaultKind::Panic),
+            &["panic"],
+            true,
+        ),
+        // A stalled worker is usually caught by the watchdog, but the
+        // queue can also close on the loss before the latch releases,
+        // surfacing the episode as a panic-path loss.
+        (
+            "stall",
+            fault_config(WorkerFaultKind::Stall),
+            &["watchdog", "panic"],
+            true,
+        ),
+        (
+            "drop",
+            fault_config(WorkerFaultKind::Drop),
+            &["orphan"],
+            false,
+        ),
+        (
+            "budget",
+            config(4).worker_cycle_budget(1),
+            &["budget"],
+            true,
+        ),
+    ]
+}
+
+/// Every scenario, against the serial oracle, on two plans whose
+/// parallel lanes engage under this sizing (the semispace plan never
+/// collects Life inside a 48 MiB budget, so a fault armed there would
+/// be inert).
 #[test]
 fn injected_faults_reproduce_the_serial_oracle() {
     big_stack(|| {
@@ -90,12 +130,8 @@ fn injected_faults_reproduce_the_serial_oracle() {
             CollectorKind::GenerationalStack,
         ] {
             let serial = run(kind, Benchmark::Life, &config(1));
-            for fault in [
-                WorkerFaultKind::Panic,
-                WorkerFaultKind::Stall,
-                WorkerFaultKind::Drop,
-            ] {
-                let faulted = run(kind, Benchmark::Life, &fault_config(fault));
+            for (fault, faulted_config, _, loses_worker) in scenarios() {
+                let faulted = run(kind, Benchmark::Life, &faulted_config);
                 assert_eq!(
                     serial.0,
                     faulted.0,
@@ -123,17 +159,12 @@ fn injected_faults_reproduce_the_serial_oracle() {
                     kind.label(),
                     fault
                 );
-                match fault {
-                    // A panicked or stalled worker is marked lost; a
-                    // dropped packet only orphans work.
-                    WorkerFaultKind::Panic | WorkerFaultKind::Stall => assert!(
-                        faulted.1.workers_lost >= 1,
-                        "{} / {:?}: lost worker not counted",
-                        kind.label(),
-                        fault
-                    ),
-                    WorkerFaultKind::Drop => {}
-                }
+                assert!(
+                    !loses_worker || faulted.1.workers_lost >= 1,
+                    "{} / {:?}: lost worker not counted",
+                    kind.label(),
+                    fault
+                );
                 assert_eq!(
                     serial.1.workers_lost, 0,
                     "serial oracle must not lose workers"
@@ -148,22 +179,15 @@ fn injected_faults_reproduce_the_serial_oracle() {
 }
 
 /// The degraded collection announces itself: exactly one bracketed
-/// degradation episode per fired fault, with the expected trigger, and
-/// the whole trace still passes the JSONL schema validator.
+/// degradation episode per degraded collection, with the expected
+/// trigger, and the whole trace still passes the JSONL schema validator.
 #[test]
 fn degradation_episode_is_bracketed_and_schema_valid() {
     big_stack(|| {
-        for (fault, triggers) in [
-            (WorkerFaultKind::Panic, &["panic"][..]),
-            // A stalled worker is usually caught by the watchdog, but
-            // the queue can also close on the loss before the latch
-            // releases, surfacing the episode as a panic-path loss.
-            (WorkerFaultKind::Stall, &["watchdog", "panic"][..]),
-            (WorkerFaultKind::Drop, &["orphan"][..]),
-        ] {
+        for (fault, faulted_config, triggers, _) in scenarios() {
             let mut vm = build_vm_with_recorder(
                 CollectorKind::Generational,
-                &fault_config(fault),
+                &faulted_config,
                 Box::new(RingRecorder::with_capacity(1 << 16)),
             );
             let _ = Benchmark::Life.run(&mut vm, 1);
@@ -282,6 +306,18 @@ fn ttsp_tracking_is_observational_and_gated() {
                 );
             }
         }
+    });
+}
+
+/// A budget no worker can reach retires no one: the knob is inert until
+/// a worker actually overruns it.
+#[test]
+fn a_roomy_cycle_budget_never_degrades() {
+    big_stack(|| {
+        let roomy = config(4).worker_cycle_budget(u64::MAX / 2);
+        let (_, stats, _) = run(CollectorKind::Generational, Benchmark::Life, &roomy);
+        assert_eq!(stats.workers_lost, 0);
+        assert_eq!(stats.degraded_collections, 0);
     });
 }
 
