@@ -42,42 +42,22 @@ use tilgc_obs::SiteWindow;
 
 use crate::PretenurePolicy;
 
-/// Tuning knobs of the online estimator. The defaults are deliberately
-/// conservative: promotion needs sustained ≥ 80 % survival (the paper's
-/// offline threshold), demotion needs survival to collapse below 40 %,
-/// and no site flips twice within four collections.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct AdaptiveConfig {
-    /// Smoothed survival (per-mille) at or above which a nursery site is
-    /// promoted to tenured-at-birth placement.
-    pub promote_permille: u64,
-    /// Smoothed survival (per-mille) at or below which a pretenured site
-    /// is demoted back to the nursery path.
-    pub demote_permille: u64,
-    /// Minimum number of collections between two flips of the same
-    /// site. Together with the band gap this bounds flip rate: an
-    /// oscillating site changes placement at most once per window.
-    pub cooldown: u64,
-    /// Windows with fewer allocations than this carry no signal and are
-    /// ignored (they would let a single surviving object look like
-    /// 100 % survival).
-    pub min_allocs: u64,
-    /// EWMA smoothing shift: each sample moves the estimate by
-    /// `(sample - ewma) >> ewma_shift`. 2 ⇒ new data carries 1/4 weight.
-    pub ewma_shift: u32,
-}
-
-impl Default for AdaptiveConfig {
-    fn default() -> AdaptiveConfig {
-        AdaptiveConfig {
-            promote_permille: 800,
-            demote_permille: 400,
-            cooldown: 4,
-            min_allocs: 8,
-            ewma_shift: 2,
-        }
-    }
-}
+/// Smoothed survival (per-mille) at or above which a nursery site is
+/// promoted to tenured-at-birth placement: the paper's offline cutoff.
+const PROMOTE_PERMILLE: i64 = 800;
+/// Smoothed survival (per-mille) at or below which a pretenured site is
+/// demoted back to the nursery path.
+const DEMOTE_PERMILLE: i64 = 400;
+/// Minimum number of collections between two flips of the same site.
+/// Together with the band gap this bounds flip rate: an oscillating
+/// site changes placement at most once per window.
+pub const COOLDOWN: u64 = 4;
+/// Windows with fewer allocations than this carry no signal (a single
+/// surviving object would look like 100 % survival) and are ignored.
+const MIN_ALLOCS: u64 = 8;
+/// EWMA smoothing shift: each sample moves the estimate by
+/// `(sample - ewma) >> EWMA_SHIFT`. 2 ⇒ new data carries 1/4 weight.
+const EWMA_SHIFT: u32 = 2;
 
 /// Per-site estimator state.
 #[derive(Clone, Copy, Debug, Default)]
@@ -126,11 +106,11 @@ impl AdaptiveOutcome {
 /// # Example
 ///
 /// ```
-/// use tilgc_core::{AdaptiveConfig, AdaptivePretenure};
+/// use tilgc_core::AdaptivePretenure;
 /// use tilgc_mem::SiteId;
 /// use tilgc_obs::SiteWindow;
 ///
-/// let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), None);
+/// let mut a = AdaptivePretenure::new(None);
 /// let win = |survived| SiteWindow {
 ///     site: 7,
 ///     allocs: 100,
@@ -149,7 +129,6 @@ impl AdaptiveOutcome {
 /// ```
 #[derive(Clone, Debug)]
 pub struct AdaptivePretenure {
-    config: AdaptiveConfig,
     sites: BTreeMap<SiteId, SiteState>,
     /// The estimator's view of the currently pretenured set.
     pretenured: std::collections::BTreeSet<SiteId>,
@@ -158,13 +137,12 @@ pub struct AdaptivePretenure {
 impl AdaptivePretenure {
     /// Creates an estimator, seeding the pretenured view from `seed`
     /// (the static, profile-derived policy) when present.
-    pub fn new(config: AdaptiveConfig, seed: Option<&PretenurePolicy>) -> AdaptivePretenure {
+    pub fn new(seed: Option<&PretenurePolicy>) -> AdaptivePretenure {
         let pretenured = match seed {
             Some(p) => p.sites().collect(),
             None => Default::default(),
         };
         AdaptivePretenure {
-            config,
             sites: BTreeMap::new(),
             pretenured,
         }
@@ -194,8 +172,8 @@ impl AdaptivePretenure {
         // The governor demoted for *space*, not lifetime; bias the
         // estimate below the promote band so re-promotion needs fresh
         // sustained evidence.
-        if s.ewma_permille >= self.config.promote_permille as i64 {
-            s.ewma_permille = self.config.demote_permille as i64;
+        if s.ewma_permille >= PROMOTE_PERMILLE {
+            s.ewma_permille = DEMOTE_PERMILLE;
         }
         s.major_allocs = 0;
     }
@@ -255,14 +233,14 @@ impl AdaptivePretenure {
         collection: u64,
         out: &mut AdaptiveOutcome,
     ) {
-        if w.allocs < self.config.min_allocs {
+        if w.allocs < MIN_ALLOCS {
             return;
         }
         let sample = (w.survived.min(w.allocs) * 1000 / w.allocs) as i64;
         let s = self.sites.entry(site).or_default();
-        update_ewma(s, sample, self.config.ewma_shift);
-        let cooled = cooled_down(s, collection, self.config.cooldown);
-        if s.ewma_permille >= self.config.promote_permille as i64 && cooled {
+        update_ewma(s, sample);
+        let cooled = cooled_down(s, collection);
+        if s.ewma_permille >= PROMOTE_PERMILLE && cooled {
             s.last_flip = Some(collection);
             s.major_allocs = 0;
             self.pretenured.insert(site);
@@ -286,14 +264,14 @@ impl AdaptivePretenure {
     ) {
         let s = self.sites.entry(site).or_default();
         let allocs = s.major_allocs;
-        if allocs < self.config.min_allocs {
+        if allocs < MIN_ALLOCS {
             return;
         }
         let sample = (live.min(allocs) * 1000 / allocs) as i64;
         s.major_allocs = 0;
-        update_ewma(s, sample, self.config.ewma_shift);
-        let cooled = cooled_down(s, collection, self.config.cooldown);
-        if s.ewma_permille <= self.config.demote_permille as i64 && cooled {
+        update_ewma(s, sample);
+        let cooled = cooled_down(s, collection);
+        if s.ewma_permille <= DEMOTE_PERMILLE && cooled {
             s.last_flip = Some(collection);
             self.pretenured.remove(&site);
             out.demotions
@@ -303,10 +281,10 @@ impl AdaptivePretenure {
 }
 
 /// EWMA update: adopt the first sample, then decay toward new samples
-/// with weight `2^-shift`.
-fn update_ewma(s: &mut SiteState, sample: i64, shift: u32) {
+/// with weight `2^-EWMA_SHIFT`.
+fn update_ewma(s: &mut SiteState, sample: i64) {
     if s.seeded {
-        s.ewma_permille += (sample - s.ewma_permille) >> shift;
+        s.ewma_permille += (sample - s.ewma_permille) >> EWMA_SHIFT;
     } else {
         s.ewma_permille = sample;
         s.seeded = true;
@@ -314,9 +292,9 @@ fn update_ewma(s: &mut SiteState, sample: i64, shift: u32) {
 }
 
 /// Whether the site's cooldown has elapsed by `collection`.
-fn cooled_down(s: &SiteState, collection: u64, cooldown: u64) -> bool {
+fn cooled_down(s: &SiteState, collection: u64) -> bool {
     match s.last_flip {
-        Some(last) => collection.saturating_sub(last) >= cooldown,
+        Some(last) => collection.saturating_sub(last) >= COOLDOWN,
         None => true,
     }
 }
@@ -352,7 +330,7 @@ mod tests {
 
     #[test]
     fn sustained_survival_promotes_once() {
-        let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), None);
+        let mut a = AdaptivePretenure::new(None);
         let mut promotions = 0;
         for gc in 0..10 {
             let out = a.observe(gc, false, &[win(3, 100, 100)]);
@@ -364,7 +342,7 @@ mod tests {
 
     #[test]
     fn low_survival_never_promotes() {
-        let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), None);
+        let mut a = AdaptivePretenure::new(None);
         for gc in 0..50 {
             let out = a.observe(gc, false, &[win(3, 100, 10)]);
             assert!(out.is_empty());
@@ -374,7 +352,7 @@ mod tests {
 
     #[test]
     fn small_windows_carry_no_signal() {
-        let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), None);
+        let mut a = AdaptivePretenure::new(None);
         // 4 allocs < min_allocs: 100% survival of a tiny window must
         // not promote.
         for gc in 0..50 {
@@ -388,7 +366,7 @@ mod tests {
     fn seeded_site_demotes_when_tenured_survival_collapses() {
         let mut seed = PretenurePolicy::new();
         seed.add_site(SiteId::new(5));
-        let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), Some(&seed));
+        let mut a = AdaptivePretenure::new(Some(&seed));
         assert!(a.is_pretenured(SiteId::new(5)));
         // Minors: allocations accumulate, zero nursery survivors —
         // structurally uninformative, must not demote.
@@ -408,7 +386,7 @@ mod tests {
 
     #[test]
     fn unknown_site_is_never_flipped() {
-        let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), None);
+        let mut a = AdaptivePretenure::new(None);
         for gc in 0..10 {
             let out = a.observe(gc, false, &[win(0, 1000, 1000)]);
             assert!(out.is_empty());
@@ -420,8 +398,7 @@ mod tests {
     /// every window flips at most once per cooldown window.
     #[test]
     fn oscillating_site_flips_at_most_once_per_cooldown() {
-        let config = AdaptiveConfig::default();
-        let mut a = AdaptivePretenure::new(config, None);
+        let mut a = AdaptivePretenure::new(None);
         let mut flips: Vec<u64> = Vec::new();
         for gc in 0..200u64 {
             let alive = gc % 2 == 0;
@@ -442,11 +419,11 @@ mod tests {
         }
         for pair in flips.windows(2) {
             assert!(
-                pair[1] - pair[0] >= config.cooldown,
+                pair[1] - pair[0] >= COOLDOWN,
                 "flips at {} and {} violate the cooldown of {}",
                 pair[0],
                 pair[1],
-                config.cooldown
+                COOLDOWN
             );
         }
     }
@@ -455,7 +432,7 @@ mod tests {
     fn forced_demotion_syncs_view_and_starts_cooldown() {
         let mut seed = PretenurePolicy::new();
         seed.add_site(SiteId::new(2));
-        let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), Some(&seed));
+        let mut a = AdaptivePretenure::new(Some(&seed));
         a.note_forced_demotion(SiteId::new(2), 10);
         assert!(!a.is_pretenured(SiteId::new(2)));
         // Perfect survival immediately after: no flip until cooldown.
@@ -474,7 +451,7 @@ mod tests {
     #[test]
     fn same_stream_same_decisions() {
         let run = || {
-            let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), None);
+            let mut a = AdaptivePretenure::new(None);
             let mut log = Vec::new();
             for gc in 0..64u64 {
                 let s = (gc * 37) % 101;

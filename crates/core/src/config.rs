@@ -76,7 +76,7 @@ impl MarkerPolicy {
 }
 
 /// A pretenuring policy: the set of allocation sites whose objects go
-/// straight to the tenured generation (§6), plus the §7.2 extensions.
+/// straight to the tenured generation (§6), plus the §7.2 no-scan set.
 ///
 /// Derived from heap profiles by `tilgc-profile` (sites with old% ≥ 80 in
 /// the paper), or built by hand:
@@ -96,9 +96,6 @@ impl MarkerPolicy {
 pub struct PretenurePolicy {
     sites: BTreeSet<SiteId>,
     no_scan: BTreeSet<SiteId>,
-    /// Group pretenured objects into per-site regions, enabling the
-    /// specialized (cheaper) region scans of §7.2.
-    pub group_by_site: bool,
 }
 
 impl PretenurePolicy {
@@ -253,7 +250,7 @@ pub struct GcConfig {
     /// Stack-marker placement policy.
     pub marker_policy: MarkerPolicy,
     /// Arrays at least this many bytes go to the mark-sweep large-object
-    /// space instead of the nursery. 0 disables the space.
+    /// space instead of the nursery.
     pub large_object_bytes: usize,
     /// Gather a heap profile during the run (≈50–200 % slower in the
     /// paper; here it costs host time, not simulated time).
@@ -263,29 +260,17 @@ pub struct GcConfig {
     /// Online adaptive pretenuring: promote/demote allocation sites
     /// mid-run from an EWMA of observed per-site survival, with
     /// hysteresis bands and a cooldown (see the `adaptive` module).
-    /// `None` — the default — keeps placement exactly as the static
+    /// `false` — the default — keeps placement exactly as the static
     /// `pretenure` policy says for the whole run.
-    pub adaptive: Option<crate::AdaptiveConfig>,
+    pub adaptive: bool,
     /// §7.2 extension: objects must survive this many minor collections
     /// before being promoted to the tenured generation (age recorded in
     /// the header's counter bits). 0 — the paper's configuration —
     /// promotes every nursery survivor immediately.
     pub tenure_threshold: u8,
-    /// §9 extension: adaptively prefer full (major) collections while the
-    /// tenured generation keeps dying quickly — the regime where "a
-    /// semispace collector can outperform a generational collector". The
-    /// collector watches the reclaim ratio of recent major collections
-    /// and, while it stays high, collects both generations together
-    /// instead of paying promote-then-discard double copies.
-    pub adaptive_major: bool,
     /// The parallel-lane knobs (worker count, packet reorder, injected
     /// worker fault, watchdog deadline, per-worker cycle budget).
     pub parallel: ParallelConfig,
-    /// Record time-to-safepoint: at each collection, the simulated
-    /// cycles elapsed since the mutator's last safepoint poll. Purely
-    /// observational — no simulated cycles are charged — so goldens are
-    /// unchanged; disabled by default.
-    pub track_ttsp: bool,
 }
 
 /// Reads of the grouped knobs go through: `config.workers` is
@@ -308,11 +293,9 @@ impl Default for GcConfig {
             large_object_bytes: 16 << 10,
             profiling: false,
             pretenure: None,
-            adaptive: None,
+            adaptive: false,
             tenure_threshold: 0,
-            adaptive_major: false,
             parallel: ParallelConfig::default(),
-            track_ttsp: false,
         }
     }
 }
@@ -338,15 +321,27 @@ impl GcConfig {
     }
 
     /// Sets the marker placement policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the policy's marker interval is 0.
     #[must_use]
     pub fn marker_policy(mut self, policy: MarkerPolicy) -> GcConfig {
+        if let MarkerPolicy::EveryN(n) | MarkerPolicy::EveryNPlusTop(n) = policy {
+            assert!(n > 0, "marker interval must be positive");
+        }
         self.marker_policy = policy;
         self
     }
 
-    /// Sets the large-object threshold (0 disables the space).
+    /// Sets the large-object threshold.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bytes` is 0 — the large-object space is always on.
     #[must_use]
     pub fn large_object_bytes(mut self, bytes: usize) -> GcConfig {
+        assert!(bytes > 0, "large-object threshold must be positive");
         self.large_object_bytes = bytes;
         self
     }
@@ -365,18 +360,10 @@ impl GcConfig {
         self
     }
 
-    /// Enables online adaptive pretenuring with the given estimator
-    /// configuration.
+    /// Enables or disables online adaptive pretenuring.
     #[must_use]
-    pub fn adaptive(mut self, config: crate::AdaptiveConfig) -> GcConfig {
-        self.adaptive = Some(config);
-        self
-    }
-
-    /// Enables the adaptive major-collection strategy (§9 extension).
-    #[must_use]
-    pub fn adaptive_major(mut self, on: bool) -> GcConfig {
-        self.adaptive_major = on;
+    pub fn adaptive(mut self, on: bool) -> GcConfig {
+        self.adaptive = on;
         self
     }
 
@@ -427,13 +414,6 @@ impl GcConfig {
     #[must_use]
     pub fn worker_cycle_budget(mut self, cycles: u64) -> GcConfig {
         self.parallel.worker_cycle_budget = Some(cycles);
-        self
-    }
-
-    /// Enables time-to-safepoint tracking (observational only).
-    #[must_use]
-    pub fn track_ttsp(mut self, on: bool) -> GcConfig {
-        self.track_ttsp = on;
         self
     }
 
@@ -516,5 +496,57 @@ mod tests {
             .nursery_bytes(1 << 14);
         assert_eq!(c.heap_budget_words(), (1 << 20) / 8);
         assert_eq!(c.nursery_words(), (1 << 14) / 8);
+    }
+
+    #[test]
+    #[should_panic(expected = "marker interval must be positive")]
+    fn zero_marker_interval_is_rejected_at_the_builder() {
+        let _ = GcConfig::new().marker_policy(MarkerPolicy::EveryN(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "large-object threshold must be positive")]
+    fn zero_large_object_threshold_is_rejected_at_the_builder() {
+        let _ = GcConfig::new().large_object_bytes(0);
+    }
+
+    macro_rules! field_count {
+        ($ty:ident { $($field:ident),* } = $e:expr) => {{
+            let $ty { $($field: _),* } = $e;
+            [$(stringify!($field)),*].len()
+        }};
+    }
+
+    /// The option surface, pinned by the compiler: `field_count!`
+    /// destructures without `..`, so a new field fails to compile
+    /// *here*. Before adding one, fill in its row of DESIGN.md's
+    /// "Options and what they pay" table — the paper table it produces,
+    /// the benchmark metric it moves, the bug it caught — and delete it
+    /// if all three are empty.
+    #[test]
+    fn option_surface_is_pinned() {
+        let own = field_count!(
+            GcConfig {
+                heap_budget_bytes,
+                nursery_bytes,
+                marker_policy,
+                large_object_bytes,
+                profiling,
+                pretenure,
+                adaptive,
+                tenure_threshold,
+                parallel
+            } = GcConfig::default()
+        ) - 1; // `parallel` is the group below
+        let lane = field_count!(
+            ParallelConfig {
+                workers,
+                packet_reorder,
+                worker_fault,
+                watchdog_ms,
+                worker_cycle_budget
+            } = ParallelConfig::default()
+        );
+        assert_eq!((own, lane), (8, 5), "settable values");
     }
 }

@@ -46,7 +46,6 @@ pub(crate) struct PlanBase {
     /// Whether the injected worker fault has fired: it stays armed until
     /// its one shot (the spec is per-run, not per-collection).
     pub fault_fired: bool,
-    pub track_ttsp: bool,
 }
 
 impl PlanBase {
@@ -61,7 +60,6 @@ impl PlanBase {
             marker_policy: config.marker_policy,
             parallel: config.parallel,
             fault_fired: false,
-            track_ttsp: config.track_ttsp,
         }
     }
 
@@ -166,13 +164,6 @@ impl Cycle {
             copy_ns: 0,
         };
         let depth = cycle.depth_at_gc as u64;
-        // TTSP is read before any GC work so the distance reflects the
-        // mutator's position when the collection took over.
-        let ttsp_cycles = if base.track_ttsp {
-            m.cycles_since_safepoint()
-        } else {
-            0
-        };
         if m.recorder.is_enabled() {
             base.telem
                 .get_or_insert_with(TelemetryAcc::default)
@@ -184,7 +175,8 @@ impl Cycle {
                 major,
                 depth,
                 start_cycles: m.stats.client_cycles + base.stats.gc_cycles(),
-                ttsp_cycles,
+                // Read before any GC work: the mutator's position at takeover.
+                ttsp_cycles: m.cycles_since_safepoint(),
             }));
             cycle.timer = Some(PhaseTimer::start(base.stats.gc_cycles()));
         }

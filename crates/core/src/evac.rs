@@ -566,18 +566,10 @@ impl<'a> Evacuator<'a> {
     /// Scans an object *in place*, forwarding its pointer fields without
     /// copying the object itself. Used for freshly pretenured regions,
     /// dirty (write-barrier-remembered) objects, and young large arrays.
-    ///
-    /// `specialized` selects the cheaper per-word cost of the §7.2
-    /// site-grouped scan (no per-object tag decoding).
-    pub fn scan_in_place(&mut self, addr: Addr, specialized: bool) {
+    pub fn scan_in_place(&mut self, addr: Addr) {
         let h = object::header(self.mem, addr);
         debug_assert!(!h.is_forward(), "in-place scan of forwarded object");
-        let per_word = if specialized {
-            self.cost.region_scan_per_word
-        } else {
-            self.cost.scan_per_word
-        };
-        self.stats.copy_cycles += per_word * h.size_words() as u64;
+        self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
         self.stats.pretenured_scanned_words += h.size_words() as u64;
         if let Some(t) = self.telem.as_deref_mut() {
             t.note_inplace_scan(h.size_bytes() as u64);
@@ -1461,7 +1453,7 @@ mod tests {
             &mut r.stats,
             CostModel::default(),
         );
-        ev.scan_in_place(owner, true);
+        ev.scan_in_place(owner);
         ev.drain();
         let new_child = object::ptr_field(&r.mem, owner, 0);
         assert_ne!(new_child, child);
@@ -1872,14 +1864,9 @@ mod tests {
 
         /// [`scan_in_place`](Evacuator::scan_in_place) through the scalar
         /// field loop, with the same charges.
-        fn scan_in_place_reference(&mut self, addr: Addr, specialized: bool) {
+        fn scan_in_place_reference(&mut self, addr: Addr) {
             let h = object::header(self.mem, addr);
-            let per_word = if specialized {
-                self.cost.region_scan_per_word
-            } else {
-                self.cost.scan_per_word
-            };
-            self.stats.copy_cycles += per_word * h.size_words() as u64;
+            self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
             self.stats.pretenured_scanned_words += h.size_words() as u64;
             self.scan_fields_reference(addr, h);
         }
@@ -2012,13 +1999,13 @@ mod tests {
     #[test]
     fn batched_scan_matches_the_scalar_field_loop() {
         let batched = trace_heap(8, |ev, owners| {
-            for (n, &o) in owners.iter().enumerate() {
-                ev.scan_in_place(o, n % 2 == 0);
+            for &o in owners {
+                ev.scan_in_place(o);
             }
         });
         let scalar = trace_heap(8, |ev, owners| {
-            for (n, &o) in owners.iter().enumerate() {
-                ev.scan_in_place_reference(o, n % 2 == 0);
+            for &o in owners {
+                ev.scan_in_place_reference(o);
             }
         });
         assert!(batched.stats.copied_bytes > 0 && !batched.young_owner_refs.is_empty());

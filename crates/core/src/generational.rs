@@ -51,7 +51,7 @@ pub struct GenerationalPlan {
     /// §7.2 threshold the pair works as aging semispaces.
     nursery: CopySpace,
     tenured: CopySpace,
-    los: Option<LargeObjectSpace>,
+    los: LargeObjectSpace,
     budget_words: usize,
     nursery_words: usize,
     large_object_words: usize,
@@ -66,28 +66,11 @@ pub struct GenerationalPlan {
     /// set, the telemetry accumulator runs even without a recorder —
     /// the estimator is its only consumer then.
     adaptive: Option<AdaptivePretenure>,
-    /// Oversized objects tenured at birth with no pretenure/LOS pending
-    /// list to ride on; scanned in place at the next minor collection.
-    oversized_pending: Vec<Addr>,
     /// §7.2 remembered set: old-generation objects / field locations
     /// currently referencing survivor-space objects (only populated when
     /// `tenure_threshold > 0`).
     young_refs: Vec<Addr>,
     young_locs: Vec<Addr>,
-    /// §9 adaptive strategy: switch to semispace-style operation while
-    /// tenured data keeps dying.
-    adaptive_major: bool,
-    /// While set, the plan operates as a semispace collector: allocation
-    /// goes straight into the (large) tenured space and every collection
-    /// is a full collection — the regime §9 identifies as the one where
-    /// "a semispace collector can outperform a generational collector".
-    semispace_mode: bool,
-    /// Reclaim ratio of the most recent major collection (1.0 = all
-    /// tenured data died).
-    last_major_reclaim: f64,
-    /// Collections spent in semispace mode since entering; the mode is
-    /// re-evaluated ("probation") every 32.
-    mode_age: u32,
     /// Whether the governor's one-shot budget rebalance (ladder rung 3)
     /// has already been spent for this plan's lifetime.
     rebalanced: bool,
@@ -98,8 +81,8 @@ impl GenerationalPlan {
     /// Creates a generational plan within `config.heap_budget_bytes`.
     ///
     /// The nursery gets `config.nursery_bytes` (capped at a quarter of the
-    /// budget); the rest is split between the two tenured semispaces and,
-    /// if enabled, the large-object space.
+    /// budget); the rest is split between the two tenured semispaces and
+    /// the large-object space.
     ///
     /// # Panics
     ///
@@ -108,11 +91,7 @@ impl GenerationalPlan {
         let budget_words = config.heap_budget_words();
         let nursery_words = config.nursery_words().min(budget_words / 4).max(64);
         let tenured_phys = budget_words; // physical reservation; logical limits enforce budget
-        let los_phys = if config.large_object_bytes > 0 {
-            budget_words
-        } else {
-            0
-        };
+        let los_phys = budget_words;
         let capacity = 2 * nursery_words + 2 * tenured_phys + los_phys + 32;
         let mut mem = Memory::with_capacity_words(capacity);
         let n0 = Space::new(
@@ -131,12 +110,10 @@ impl GenerationalPlan {
             mem.reserve_owned(tenured_phys, "tenured")
                 .expect("tenured reservation"),
         );
-        let los = (los_phys > 0).then(|| {
-            LargeObjectSpace::new(
-                mem.reserve_owned(los_phys, "los")
-                    .expect("large-object reservation"),
-            )
-        });
+        let los = LargeObjectSpace::new(
+            mem.reserve_owned(los_phys, "los")
+                .expect("large-object reservation"),
+        );
         let mut c = GenerationalPlan {
             mem,
             nursery: CopySpace::new("nursery", n0, n1),
@@ -152,18 +129,13 @@ impl GenerationalPlan {
             pretenured: config
                 .pretenure
                 .clone()
-                .or_else(|| config.adaptive.map(|_| PretenurePolicy::new()))
+                .or_else(|| config.adaptive.then(PretenurePolicy::new))
                 .map(PretenuredRegion::new),
             adaptive: config
                 .adaptive
-                .map(|a| AdaptivePretenure::new(a, config.pretenure.as_ref())),
-            oversized_pending: Vec::new(),
+                .then(|| AdaptivePretenure::new(config.pretenure.as_ref())),
             young_refs: Vec::new(),
             young_locs: Vec::new(),
-            adaptive_major: config.adaptive_major,
-            semispace_mode: false,
-            last_major_reclaim: 0.0,
-            mode_age: 0,
             rebalanced: false,
             base: PlanBase::new(config),
         };
@@ -179,10 +151,9 @@ impl GenerationalPlan {
 
     /// The tenured budget per semispace, given current LOS usage.
     fn tenured_max_words(&self) -> usize {
-        let los_used = self.los.as_ref().map_or(0, |l| l.used_words());
         self.budget_words
             .saturating_sub(self.nursery_words)
-            .saturating_sub(los_used)
+            .saturating_sub(self.los.used_words())
             / 2
     }
 
@@ -214,8 +185,6 @@ impl GenerationalPlan {
 
     fn minor(&mut self, m: &mut MutatorState, reason: &'static str) {
         let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "generational", reason, false);
-        let mut los_pending = self.take_los_pending();
-        los_pending.append(&mut self.oversized_pending);
         // Immediate promotion means frames scanned at an earlier
         // collection cannot reference the (newer) nursery: only newly
         // scanned frames, registers and the alloc buffer yield roots.
@@ -266,23 +235,21 @@ impl GenerationalPlan {
         tr.evac.forward_field_locs(&mut field_locs);
         tr.mark(GcPhase::BarrierFilter);
         // Freshly pretenured regions: scan in place instead of copying.
-        let pending = self.pretenured.as_mut().map(|p| p.take_pending());
-        let grouped = self.pretenured.as_ref().is_some_and(|p| p.grouped());
-        if let Some(pending) = pending {
-            for addr in pending {
-                tr.evac.scan_in_place(addr, grouped);
+        if let Some(p) = self.pretenured.as_mut() {
+            for addr in p.take_pending() {
+                tr.evac.scan_in_place(addr);
             }
         }
         tr.mark(GcPhase::PretenuredInPlaceScan);
-        // Young large pointer arrays may hold nursery references from
-        // their initializing stores.
-        for addr in los_pending {
-            tr.evac.scan_in_place(addr, false);
+        // Young large pointer arrays and oversized records tenured at
+        // birth: their initializing stores may reference the nursery.
+        for addr in std::mem::take(&mut self.los.pending_scan) {
+            tr.evac.scan_in_place(addr);
         }
         // §7.2 remembered set: old objects still referencing survivors
         // from the previous collection.
         for addr in std::mem::take(&mut self.young_refs) {
-            tr.evac.scan_in_place(addr, false);
+            tr.evac.scan_in_place(addr);
         }
         for loc in std::mem::take(&mut self.young_locs) {
             tr.evac.forward_word_at(loc);
@@ -316,8 +283,7 @@ impl GenerationalPlan {
             self.nursery.flip();
         }
 
-        let live_words =
-            self.tenured.active().used_words() + self.los.as_ref().map_or(0, |l| l.used_words());
+        let live_words = self.tenured.active().used_words() + self.los.used_words();
         // With a §7.2 tenure threshold, copied-back survivors live in the
         // nursery system but are not counted in `live_words`: the record
         // marks the byte accounting incomplete so verifiers skip it.
@@ -347,10 +313,8 @@ impl GenerationalPlan {
             "the inactive nursery semispace is empty between collections"
         );
         let tenured_from = self.tenured_live_range();
-        if let Some(l) = self.los.as_mut() {
-            l.begin_marking(&mut self.mem);
-            l.pending_scan.clear();
-        }
+        self.los.begin_marking(&mut self.mem);
+        self.los.pending_scan.clear();
         // The full trace subsumes the write barrier: drop its contents.
         // A dirty object in a vacated space loses its bit to that space's
         // bulk clear; a large object stays put, so its bit goes here.
@@ -367,7 +331,7 @@ impl GenerationalPlan {
                 + (tenured_from.end - tenured_from.start),
             to: t_to,
             nursery: Some(nursery_range),
-            los: self.los.as_mut(),
+            los: Some(&mut self.los),
             survivor: None,
         };
         let mut tr = cycle.trace(&mut self.base, &mut self.mem, m, spaces, &roots);
@@ -376,7 +340,6 @@ impl GenerationalPlan {
         if let Some(p) = self.pretenured.as_mut() {
             p.clear_pending();
         }
-        self.oversized_pending.clear();
         self.young_refs.clear();
         self.young_locs.clear();
         tr.mark(GcPhase::BarrierFilter);
@@ -394,12 +357,10 @@ impl GenerationalPlan {
             tenured_from.start,
             tenured_from.end,
         );
-        if let Some(l) = self.los.as_mut() {
-            let swept = l.sweep(&self.mem);
-            if let Some(p) = self.base.profile.as_mut() {
-                for addr in swept {
-                    p.on_death(addr);
-                }
+        let swept = self.los.sweep(&self.mem);
+        if let Some(p) = self.base.profile.as_mut() {
+            for addr in swept {
+                p.on_death(addr);
             }
         }
 
@@ -415,26 +376,7 @@ impl GenerationalPlan {
         self.tenured.active_mut().reset();
         self.tenured.flip();
 
-        let tenured_before = tenured_from.end - tenured_from.start;
-        let tenured_after = self.tenured.active().used_words();
-        self.last_major_reclaim = if tenured_before == 0 {
-            0.0
-        } else {
-            1.0 - (tenured_after as f64 / tenured_before as f64).min(1.0)
-        };
-        if self.adaptive_major && !self.semispace_mode {
-            // Enter semispace mode when tenured data keeps dying fast —
-            // a single major reclaimed most of the generation.
-            // (A majors-dominate-the-mix trigger was also evaluated; it
-            // enters the mode exactly when the tenured arena is too tight
-            // for semispace-style operation to help, so only the reclaim
-            // signal is used. EXPERIMENTS.md records the comparison.)
-            if self.last_major_reclaim > 0.6 {
-                self.semispace_mode = true;
-                self.mode_age = 0;
-            }
-        }
-        let live_words = tenured_after + self.los.as_ref().map_or(0, |l| l.used_words());
+        let live_words = self.tenured.active().used_words() + self.los.used_words();
         self.apply_limits(live_words);
         // Live tenured data past its budget share is not a panic here:
         // `set_limit_words` clamps the limit up to the used words, so
@@ -464,18 +406,9 @@ impl GenerationalPlan {
             adaptive: self.adaptive.as_mut(),
             pretenured: self.pretenured.as_mut(),
             copy_spaces: &[&self.nursery, &self.tenured],
-            los: self.los.as_ref(),
+            los: Some(&self.los),
         };
         cycle.finish(&mut self.base, &self.mem, m, lanes, release);
-    }
-
-    /// Scans young large pointer arrays (initializing stores may reference
-    /// the nursery) before a minor collection's drain.
-    fn take_los_pending(&mut self) -> Vec<Addr> {
-        self.los
-            .as_mut()
-            .map(|l| std::mem::take(&mut l.pending_scan))
-            .unwrap_or_default()
     }
 
     /// One allocation attempt against the nursery. A forced-failure
@@ -495,7 +428,7 @@ impl GenerationalPlan {
         if m.consume_forced_failure() {
             return None;
         }
-        self.los.as_mut().expect("LOS routing checked").alloc(words)
+        self.los.alloc(words)
     }
 
     /// The budget picture at the moment an arena gave out.
@@ -506,7 +439,7 @@ impl GenerationalPlan {
                 self.nursery.active().used_words(),
             ),
             "los" => {
-                let used = self.los.as_ref().map_or(0, |l| l.used_words());
+                let used = self.los.used_words();
                 let committed = self.nursery_words + 2 * self.tenured.active().used_words() + used;
                 (self.budget_words.saturating_sub(committed), used)
             }
@@ -529,8 +462,7 @@ impl GenerationalPlan {
         self.rebalanced = true;
         self.nursery_words = (self.nursery_words / 2).max(64);
         self.nursery.set_limit_words(self.nursery_words);
-        let live =
-            self.tenured.active().used_words() + self.los.as_ref().map_or(0, |l| l.used_words());
+        let live = self.tenured.active().used_words() + self.los.used_words();
         self.apply_limits(live);
     }
 
@@ -618,11 +550,7 @@ impl GenerationalPlan {
         m.alloc_buf = buf;
         if matches!(shape, AllocShape::PtrArray { .. }) {
             // The initializing store may reference the nursery.
-            self.los
-                .as_mut()
-                .expect("LOS routing checked")
-                .pending_scan
-                .push(addr);
+            self.los.pending_scan.push(addr);
         }
         if let Some(prof) = self.base.profile.as_mut() {
             prof.on_alloc(addr, shape.site(), shape.size_bytes());
@@ -728,10 +656,8 @@ impl GenerationalPlan {
         // Arrays that would not even fit an empty nursery are routed here
         // regardless of the configured threshold.
         let is_array = !matches!(shape, AllocShape::Record { .. });
-        let over_threshold = self.large_object_words > 0 && words >= self.large_object_words;
-        if self.los.is_some()
-            && is_array
-            && (over_threshold || words > self.nursery.active().capacity_words())
+        if is_array
+            && (words >= self.large_object_words || words > self.nursery.active().capacity_words())
         {
             return self.alloc_large(m, shape);
         }
@@ -745,26 +671,7 @@ impl GenerationalPlan {
             return self.alloc_pretenured(m, shape);
         }
 
-        // §9 semispace mode: the whole tenured semispace is the
-        // allocation arena; every collection is a full collection, so no
-        // promotion copying and no region scans are needed.
-        if self.semispace_mode {
-            if !self.tenured_attempt_fits(m, words) {
-                self.major(m, "alloc-failure");
-            }
-            if self.semispace_mode && self.tenured_attempt_fits(m, words) {
-                let addr = self.finish_tenured_alloc(m, shape);
-                if let Some(prof) = self.base.profile.as_mut() {
-                    prof.on_alloc(addr, site, shape.size_bytes());
-                }
-                return Ok(addr);
-            }
-            // Mode flipped off (or space still tight): fall through to the
-            // generational paths below.
-        }
-
-        // Objects too big for the nursery but with no large-object space
-        // to go to (or non-array records) are tenured at birth, with the
+        // Records too big for the nursery are tenured at birth, with the
         // same deferred in-place scan pretenured objects get.
         if words > self.nursery.active().capacity_words() {
             if !self.tenured_attempt_fits(m, words) {
@@ -791,16 +698,8 @@ impl GenerationalPlan {
             let addr = self.finish_tenured_alloc(m, shape);
             match self.pretenured.as_mut() {
                 Some(p) => p.defer_scan(addr),
-                None => {
-                    // No pretenure machinery: reuse the LOS pending list
-                    // if present, else fall back to an immediate barrier
-                    // record so the next minor collection scans it.
-                    if let Some(l) = self.los.as_mut() {
-                        l.pending_scan.push(addr);
-                    } else {
-                        self.oversized_pending.push(addr);
-                    }
-                }
+                // No pretenure machinery: ride the LOS pending list.
+                None => self.los.pending_scan.push(addr),
             }
             if let Some(prof) = self.base.profile.as_mut() {
                 prof.on_alloc(addr, site, shape.size_bytes());
@@ -883,20 +782,10 @@ impl Collector for GenerationalPlan {
         match reason {
             CollectReason::ForcedMajor => self.major(m, why),
             CollectReason::Forced | CollectReason::AllocFailure => {
-                if self.semispace_mode {
-                    self.mode_age += 1;
-                    if self.mode_age >= 32 {
-                        // Probation: drop back to generational operation
-                        // and let the window re-decide.
-                        self.semispace_mode = false;
-                    }
+                if self.needs_major() {
                     self.major(m, why);
                 } else {
-                    if self.needs_major() {
-                        self.major(m, why);
-                    } else {
-                        self.minor(m, why);
-                    }
+                    self.minor(m, why);
                 }
             }
         }

@@ -28,8 +28,7 @@
 //! Cross-cutting the layers: **generational stack collection** (§5) —
 //! scan caching in [`roots`], driven by stack markers placed per
 //! [`MarkerPolicy`] — and **profile-driven pretenuring** (§6) per
-//! [`PretenurePolicy`], including the §7.2 no-scan and site-grouping
-//! extensions.
+//! [`PretenurePolicy`], including the §7.2 no-scan extension.
 //!
 //! # Quick start
 //!
@@ -61,7 +60,7 @@ pub mod space;
 mod util;
 pub mod verify;
 
-pub use adaptive::{AdaptiveConfig, AdaptiveOutcome, AdaptivePretenure};
+pub use adaptive::{AdaptiveOutcome, AdaptivePretenure};
 pub use config::{GcConfig, MarkerPolicy, ParallelConfig, PretenurePolicy};
 pub use evac::POISON;
 pub use generational::GenerationalPlan;
@@ -120,13 +119,13 @@ pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> Box<dyn Collec
     match kind {
         CollectorKind::Semispace => {
             config.pretenure = None;
-            config.adaptive = None;
+            config.adaptive = false;
             Box::new(SemispacePlan::new(&config))
         }
         CollectorKind::Generational => {
             config.marker_policy = MarkerPolicy::Disabled;
             config.pretenure = None;
-            config.adaptive = None;
+            config.adaptive = false;
             Box::new(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStack => {
@@ -134,7 +133,7 @@ pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> Box<dyn Collec
                 config.marker_policy = MarkerPolicy::PAPER;
             }
             config.pretenure = None;
-            config.adaptive = None;
+            config.adaptive = false;
             Box::new(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStackPretenure => {

@@ -25,7 +25,7 @@
 use std::sync::Arc;
 
 use tilgc_runtime::trace::{RegEffect, Trace, TypeLoc, NUM_REGS};
-use tilgc_runtime::{type_word_is_pointer, GcStats, MutatorState, RaiseBookkeeping, ShadowTag};
+use tilgc_runtime::{type_word_is_pointer, GcStats, MutatorState, ShadowTag};
 
 use crate::config::MarkerPolicy;
 
@@ -172,8 +172,7 @@ pub fn append_cached_roots(
 ///   (their decodes are reused) and markers are re-placed per `policy`
 ///   after the scan — §5's generational stack collection.
 ///
-/// Costs are charged to `stats` (`stack_cycles`), including the deferred
-/// handler-chain walk when [`RaiseBookkeeping::Deferred`] is active.
+/// Costs are charged to `stats` (`stack_cycles`).
 ///
 /// # Panics
 ///
@@ -211,24 +210,12 @@ fn scan_stack_impl(
     use_bitmaps: bool,
 ) -> ScanOutcome {
     let cost = m.cost;
-    let mut cycles: u64 = 0;
-
-    // Deferred exception bookkeeping: reconstruct the watermark from the
-    // handler chain (§5's alternative implementation).
-    if m.raise_mode == RaiseBookkeeping::Deferred {
-        let (min, visited) = m.handlers.walk_for_collection();
-        cycles += cost.handler_walk * visited as u64;
-        if let Some(d) = min {
-            m.stack.note_watermark(d);
-        }
-    }
-
     let depth = m.stack.depth();
     let reusable = match cache.as_deref() {
         Some(c) => m.stack.reusable_prefix().min(c.frames.len()),
         None => 0,
     };
-    cycles += cost.frame_reuse * reusable as u64;
+    let mut cycles = cost.frame_reuse * reusable as u64;
 
     let mut reg_state = match (reusable, cache.as_deref()) {
         (0, _) | (_, None) => RegState::EMPTY,
@@ -557,55 +544,6 @@ mod tests {
         assert!(out.new_roots.contains(&RootLoc::AllocBuf(0)));
         assert!(out.new_roots.contains(&RootLoc::AllocBuf(2)));
         assert!(!out.new_roots.contains(&RootLoc::AllocBuf(1)));
-    }
-
-    #[test]
-    fn deferred_raise_mode_reconstructs_the_watermark_at_scan_time() {
-        use tilgc_runtime::RaiseBookkeeping;
-        let mut m = mutator(100);
-        m.raise_mode = RaiseBookkeeping::Deferred;
-        let mut stats = GcStats::default();
-        let mut cache = ScanCache::default();
-        scan_stack(
-            &mut m,
-            Some(&mut cache),
-            MarkerPolicy::EveryN(10),
-            &mut stats,
-        );
-
-        // A raise to depth 30 — with deferred bookkeeping the stack's
-        // watermark is NOT updated at raise time...
-        m.handlers.push(30);
-        let target = m.handlers.raise().expect("handler installed");
-        m.stack.unwind_for_raise_silent(target);
-        assert_eq!(
-            m.stack.watermark(),
-            usize::MAX,
-            "deferred: no watermark at raise"
-        );
-
-        // ...the intact markers above 30 would wrongly promise reuse...
-        let d = m.stack.frame(0).desc();
-        for _ in 0..70 {
-            m.stack.push(d, 2);
-            m.stack.top_mut().set(0, crate::roots::tests::null_ptr());
-        }
-        // ...but the next scan walks the handler chain first and clamps.
-        let out = scan_stack(
-            &mut m,
-            Some(&mut cache),
-            MarkerPolicy::EveryN(10),
-            &mut stats,
-        );
-        assert!(
-            out.reused_frames <= 30,
-            "deferred walk must cap reuse at the raise depth, got {}",
-            out.reused_frames
-        );
-    }
-
-    pub(super) fn null_ptr() -> tilgc_runtime::Value {
-        tilgc_runtime::Value::NULL
     }
 
     /// The bitmap fast path must be observably identical to the per-slot

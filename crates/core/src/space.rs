@@ -159,11 +159,6 @@ impl PretenuredRegion {
         self.policy.remove_site(site)
     }
 
-    /// Whether pending scans use the cheaper §7.2 site-grouped kernel.
-    pub fn grouped(&self) -> bool {
-        self.policy.group_by_site
-    }
-
     /// Records a freshly pretenured allocation of `words` words, queuing
     /// it for its one in-place scan — unless it is pointer-free or the
     /// §7.2 analysis cleared its site ("some areas may require no

@@ -7,7 +7,8 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use tilgc_core::{AdaptiveConfig, AdaptivePretenure, PretenurePolicy};
+use tilgc_core::adaptive::COOLDOWN;
+use tilgc_core::{AdaptivePretenure, PretenurePolicy};
 use tilgc_mem::SiteId;
 use tilgc_obs::SiteWindow;
 
@@ -64,7 +65,7 @@ fn replay(stream: &[Tick], seed_site: u16) -> Vec<(u64, Vec<u16>, Vec<u16>)> {
         p.add_site(SiteId::new(s));
         p
     });
-    let mut a = AdaptivePretenure::new(AdaptiveConfig::default(), seed.as_ref());
+    let mut a = AdaptivePretenure::new(seed.as_ref());
     let mut log = Vec::new();
     for (gc, tick) in stream.iter().enumerate() {
         let out = a.observe(gc as u64, tick.major, &to_windows(tick));
@@ -98,7 +99,6 @@ proptest! {
         stream in proptest::collection::vec(tick_strategy(), 1..120),
         seed in 0u16..6,
     ) {
-        let config = AdaptiveConfig::default();
         let log = replay(&stream, seed);
         let mut last_flip: BTreeMap<u16, u64> = BTreeMap::new();
         let mut pretenured: Vec<u16> = (seed != 0).then_some(seed).into_iter().collect();
@@ -107,7 +107,7 @@ proptest! {
                 prop_assert!(site != 0, "UNKNOWN site promoted");
                 prop_assert!(!pretenured.contains(&site), "promoted twice");
                 if let Some(&last) = last_flip.get(&site) {
-                    prop_assert!(gc - last >= config.cooldown,
+                    prop_assert!(gc - last >= COOLDOWN,
                         "site {} flipped at {} and {}", site, last, gc);
                 }
                 last_flip.insert(site, gc);
@@ -118,7 +118,7 @@ proptest! {
                 prop_assert!(pretenured.contains(&site),
                     "site {} demoted while on the nursery path", site);
                 if let Some(&last) = last_flip.get(&site) {
-                    prop_assert!(gc - last >= config.cooldown,
+                    prop_assert!(gc - last >= COOLDOWN,
                         "site {} flipped at {} and {}", site, last, gc);
                 }
                 last_flip.insert(site, gc);
@@ -138,7 +138,6 @@ proptest! {
 /// also lost a worker.
 #[test]
 fn forced_demotion_during_degraded_collection_respects_cooldown() {
-    let config = AdaptiveConfig::default();
     let win = |site: u16, allocs: u64, survived: u64| SiteWindow {
         site,
         allocs,
@@ -149,7 +148,7 @@ fn forced_demotion_during_degraded_collection_respects_cooldown() {
     };
     let mut seed = PretenurePolicy::new();
     seed.add_site(SiteId::new(3));
-    let mut a = AdaptivePretenure::new(config, Some(&seed));
+    let mut a = AdaptivePretenure::new(Some(&seed));
 
     // Collection 10 degrades (worker lost, serial drain); the pressure
     // rung fires inside that same collection and force-demotes site 3.
@@ -160,19 +159,19 @@ fn forced_demotion_during_degraded_collection_respects_cooldown() {
     // Perfect survival evidence from the episode's own serial drain and
     // the collections right after it must not re-promote the site
     // inside the cooldown window.
-    for gc in degraded..degraded + config.cooldown {
+    for gc in degraded..degraded + COOLDOWN {
         let out = a.observe(gc, false, &[win(3, 100, 100)]);
         assert!(
             out.promotions.is_empty(),
             "flip at {gc} violates the cooldown of {} started by the \
              mid-degradation demotion",
-            config.cooldown
+            COOLDOWN
         );
     }
 
     // Once cooled down and re-proven, the site may flip back.
     let mut promoted = false;
-    for gc in degraded + config.cooldown..degraded + 4 * config.cooldown {
+    for gc in degraded + COOLDOWN..degraded + 4 * COOLDOWN {
         promoted |= !a
             .observe(gc, false, &[win(3, 100, 100)])
             .promotions

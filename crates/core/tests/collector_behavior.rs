@@ -405,57 +405,6 @@ fn snapshot_is_stable_across_forced_collections() {
 }
 
 #[test]
-fn adaptive_mode_is_transparent_and_engages_on_dying_tenured() {
-    // A PIA-like workload: retained window that dies shortly after
-    // tenuring. The adaptive collector must produce the same result, and
-    // its collection mix must differ from the plain generational one
-    // (evidence the mode actually engaged).
-    let run = |adaptive: bool| {
-        let config = GcConfig::new()
-            .heap_budget_bytes(256 << 10)
-            .nursery_bytes(8 << 10)
-            .adaptive_major(adaptive);
-        let mut vm = build_vm(CollectorKind::Generational, &config);
-        let site = vm.site("t::win");
-        let d = frame_with_ptrs(&mut vm, 1);
-        vm.push_frame(d);
-        vm.set_slot(0, Value::NULL);
-        for i in 0..4000 {
-            // Keep a sliding window of 40 cells alive.
-            let tail = vm.slot_ptr(0);
-            let cell = vm
-                .alloc_record(site, &[Value::Int(i), Value::Ptr(tail)])
-                .unwrap();
-            vm.set_slot(0, Value::Ptr(cell));
-            if i % 40 == 39 {
-                // Truncate: walk 40 cells in and cut.
-                let mut cur = vm.slot_ptr(0);
-                for _ in 0..39 {
-                    cur = vm.load_ptr(cur, 1);
-                }
-                vm.store_ptr(cur, 1, Addr::NULL);
-            }
-        }
-        let mut h = 0u64;
-        let mut cur = vm.slot_ptr(0);
-        while !cur.is_null() {
-            h = h.wrapping_mul(31).wrapping_add(vm.load_int(cur, 0) as u64);
-            cur = vm.load_ptr(cur, 1);
-        }
-        verify_vm(&vm);
-        (
-            h,
-            vm.gc_stats().major_collections,
-            vm.gc_stats().collections,
-        )
-    };
-    let (h_plain, _, _) = run(false);
-    let (h_adaptive, majors, collections) = run(true);
-    assert_eq!(h_plain, h_adaptive, "adaptive mode changed program results");
-    assert!(majors > 0 && collections > 0);
-}
-
-#[test]
 fn tenure_threshold_ages_objects_through_the_nursery_system() {
     // §7.2 variant: with threshold 3, a live object must survive three
     // minor collections before reaching the tenured generation.

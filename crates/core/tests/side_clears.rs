@@ -160,14 +160,4 @@ fn address_space_is_sized_from_the_spaces_reserved() {
         2 * nursery + 2 * budget + budget + 32,
         "two nursery halves, two tenured halves, the LOS"
     );
-    let without = build_vm(
-        CollectorKind::Generational,
-        &config.clone().large_object_bytes(0),
-    );
-    assert_eq!(
-        without.mem().capacity_words(),
-        2 * nursery + 2 * budget + 32,
-        "no LOS, no LOS reservation"
-    );
-    assert_eq!(without.mem().owned_chunks_by("los"), 0);
 }

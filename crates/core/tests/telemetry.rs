@@ -362,10 +362,9 @@ fn every_plan_emits_one_collection_grammar() {
         })
     };
     for kind in CollectorKind::ALL {
-        for (variant, track_ttsp, config) in [
-            ("serial", false, config_for(kind)),
-            ("ttsp", true, config_for(kind).track_ttsp(true)),
-            ("faulted", false, faulted(config_for(kind))),
+        for (variant, config) in [
+            ("serial", config_for(kind)),
+            ("faulted", faulted(config_for(kind))),
         ] {
             let label = format!("{} / {variant}", kind.label());
             let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
@@ -387,14 +386,7 @@ fn every_plan_emits_one_collection_grammar() {
                     "{label}: need both collection kinds"
                 );
             }
-            if track_ttsp {
-                assert!(ttsp.iter().any(|&t| t > 0), "{label}: no TTSP observed");
-            } else {
-                assert!(
-                    ttsp.iter().all(|&t| t == 0),
-                    "{label}: TTSP reported untracked"
-                );
-            }
+            assert!(ttsp.iter().any(|&t| t > 0), "{label}: no TTSP observed");
         }
     }
 }
@@ -514,7 +506,7 @@ fn adaptive_flips_reconcile_events_against_stats() {
         .heap_budget_bytes(256 << 10)
         .nursery_bytes(8 << 10)
         .pretenure(policy)
-        .adaptive(tilgc_core::AdaptiveConfig::default());
+        .adaptive(true);
     let kind = CollectorKind::GenerationalStackPretenure;
 
     let mut vm = build_vm_with_recorder(

@@ -25,7 +25,7 @@
 //! adaptive lane demotes the stale site at the first post-flip major
 //! and promotes the newly-hot one within a few minors.
 
-use tilgc_core::{build_vm, AdaptiveConfig, CollectorKind, GcConfig, PretenurePolicy};
+use tilgc_core::{build_vm, CollectorKind, GcConfig, PretenurePolicy};
 use tilgc_mem::SiteId;
 use tilgc_runtime::{FrameDesc, GcStats, Trace, Value, Vm};
 
@@ -126,7 +126,7 @@ fn run_lane(config: &GcConfig) -> (u64, GcStats) {
 /// on the program checksum — placement must be invisible to the program.
 pub fn measure() -> DriftReport {
     let (static_sum, static_gc) = run_lane(&lane_config());
-    let (adaptive_sum, adaptive_gc) = run_lane(&lane_config().adaptive(AdaptiveConfig::default()));
+    let (adaptive_sum, adaptive_gc) = run_lane(&lane_config().adaptive(true));
     assert_eq!(
         static_sum, adaptive_sum,
         "adaptive placement changed the program's result"

@@ -1,11 +1,11 @@
-//! Experiments beyond the paper's main tables: the §7.2 and §9
-//! extensions and the design-choice ablations DESIGN.md calls out.
+//! Experiments beyond the paper's main tables: the §7.2 extensions and
+//! the design-choice ablations DESIGN.md calls out.
 
 use tilgc_core::{build_collector, build_vm, CollectorKind, MarkerPolicy};
 use tilgc_programs::Benchmark;
-use tilgc_runtime::{CostModel, MutatorState, RaiseBookkeeping, Vm, WriteBarrier};
+use tilgc_runtime::{CostModel, MutatorState, Vm, WriteBarrier};
 
-use crate::harness::{config_with_budget, fmt_secs, run_once, run_resilient, Calibration};
+use crate::harness::{config_with_budget, fmt_secs, run_once, Calibration};
 
 /// §7.2: no-scan pretenuring on Nqueen.
 ///
@@ -27,14 +27,12 @@ pub fn no_scan_pretenuring(scale: u32) {
     let budget = cal.budget_for_k(bench, 4.0);
 
     let mut rows = Vec::new();
-    for (label, derive_no_scan, group) in [
-        ("pretenure, scanned", false, false),
-        ("pretenure, site-grouped scan", false, true),
-        ("pretenure, no-scan analysis", true, true),
+    for (label, derive_no_scan) in [
+        ("pretenure, scanned", false),
+        ("pretenure, no-scan analysis", true),
     ] {
         let opts = tilgc_profile::PolicyOptions {
             derive_no_scan,
-            group_by_site: group,
             ..Default::default()
         };
         let policy = tilgc_profile::derive_policy(profile, &opts);
@@ -66,7 +64,7 @@ pub fn no_scan_pretenuring(scale: u32) {
         );
     }
     let base = &rows[0].1;
-    let best = &rows[2].1;
+    let best = &rows[1].1;
     println!(
         "region-scan work eliminated: {:.0}%\n",
         100.0
@@ -76,42 +74,6 @@ pub fn no_scan_pretenuring(scale: u32) {
                 .saturating_sub(best.gc.pretenured_scanned_words)) as f64
             / base.gc.pretenured_scanned_words.max(1) as f64
     );
-}
-
-/// §9: the adaptive major-collection strategy on PIA at k = 1.5 — the
-/// configuration where the paper observes that a semispace collector can
-/// beat a generational one because tenured data dies quickly.
-pub fn adaptive_major(scale: u32) {
-    println!("Extension (§9): adaptive full collections on dying-tenured PIA");
-    let bench = Benchmark::Pia;
-    let mut cal = Calibration::new(scale);
-    println!(
-        "{:<8} {:<24} {:>10} {:>12} {:>8}",
-        "k", "collector", "GC time", "copied", "GCs"
-    );
-    for k in crate::harness::K_VALUES {
-        let budget = cal.budget_for_k(bench, k);
-        let semi = run_resilient(bench, CollectorKind::Semispace, budget, scale);
-        let gen = run_resilient(bench, CollectorKind::Generational, budget, scale);
-        let config = config_with_budget(budget).adaptive_major(true);
-        let hybrid = run_once(bench, CollectorKind::Generational, &config, scale);
-        assert_eq!(gen.checksum, hybrid.checksum);
-        for (label, r) in [
-            ("semispace", &semi),
-            ("generational", &gen),
-            ("gen+adaptive", &hybrid),
-        ] {
-            println!(
-                "{:<8} {:<24} {:>10} {:>12} {:>8}",
-                k,
-                label,
-                fmt_secs(r.gc_secs()),
-                r.gc.copied_bytes,
-                r.gc.collections
-            );
-        }
-    }
-    println!();
 }
 
 /// §7.1: marker-placement policies on Knuth-Bendix (simulated cycles).
@@ -183,40 +145,6 @@ pub fn barrier_comparison(scale: u32) {
             fmt_secs(CostModel::default().secs(gc.gc_cycles())),
             gc.barrier_entries,
             vm.mutator_stats().pointer_updates,
-        );
-    }
-    assert!(checksums.windows(2).all(|w| w[0] == w[1]));
-    println!();
-}
-
-/// §5's two exception-bookkeeping strategies, on raise-using Peg.
-pub fn raise_bookkeeping(scale: u32) {
-    println!("Ablation (§5): exception bookkeeping variants, Peg, k = 4");
-    let bench = Benchmark::Peg;
-    let mut cal = Calibration::new(scale);
-    let budget = cal.budget_for_k(bench, 4.0);
-    println!(
-        "{:<22} {:>12} {:>12} {:>10}",
-        "variant", "client time", "GC time", "raises"
-    );
-    let mut checksums = Vec::new();
-    for (label, mode) in [
-        ("watermark at raise", RaiseBookkeeping::Watermark),
-        ("deferred to GC", RaiseBookkeeping::Deferred),
-    ] {
-        let config = config_with_budget(budget);
-        let mut vm = build_vm(CollectorKind::GenerationalStack, &config);
-        vm.mutator_mut().raise_mode = mode;
-        vm.mutator_mut().check_shadows = false;
-        let h = bench.run(&mut vm, scale);
-        vm.finish();
-        checksums.push(h);
-        println!(
-            "{:<22} {:>12} {:>12} {:>10}",
-            label,
-            fmt_secs(CostModel::default().secs(vm.mutator_stats().client_cycles)),
-            fmt_secs(CostModel::default().secs(vm.gc_stats().gc_cycles())),
-            vm.mutator().stack.stats().raises,
         );
     }
     assert!(checksums.windows(2).all(|w| w[0] == w[1]));
@@ -335,9 +263,7 @@ pub fn cost_sensitivity(scale: u32) {
 pub fn all(scale: u32) {
     no_scan_pretenuring(scale);
     tenure_threshold(scale);
-    adaptive_major(scale);
     marker_policies(scale);
     barrier_comparison(scale);
-    raise_bookkeeping(scale);
     cost_sensitivity(scale);
 }

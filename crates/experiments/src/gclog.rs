@@ -55,7 +55,7 @@ pub fn run(
         return ExitCode::FAILURE;
     };
 
-    let run = run_recorded(bench, kind, adaptive, false);
+    let run = run_recorded(bench, kind, adaptive);
     let (events, sites, dropped) = (&run.events, &run.sites, run.dropped);
     let clock_hz = CostModel::default().clock_hz;
 

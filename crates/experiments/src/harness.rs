@@ -14,8 +14,7 @@
 use std::collections::HashMap;
 
 use tilgc_core::{
-    build_vm, build_vm_with_recorder, AdaptiveConfig, CollectorKind, GcConfig, MarkerPolicy,
-    PretenurePolicy,
+    build_vm, build_vm_with_recorder, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy,
 };
 use tilgc_obs::{Event, RingRecorder};
 use tilgc_programs::Benchmark;
@@ -230,31 +229,22 @@ pub struct RecordedRun {
 /// Runs `bench` at scale 1 under `kind` with the telemetry recorder
 /// attached, at the calibrated k = 4.0 budget and (for the pretenure
 /// plan) the profile-derived policy — the rig behind `gc-log` and live
-/// `slo-report`. `adaptive` turns the online pretenuring estimator on,
-/// `ttsp` the observational time-to-safepoint tracking.
+/// `slo-report`. `adaptive` turns the online pretenuring estimator on.
 ///
 /// Like [`run_resilient`] the budget grows by 25 % steps when the run
 /// exhausts the heap (calibration samples live size only at semispace
 /// collection points, so even k = 4.0 can undershoot a peak). Unlike it,
 /// a run that merely survived under pressure is kept: governor episodes
 /// are what the event stream is there to show.
-pub fn run_recorded(
-    bench: Benchmark,
-    kind: CollectorKind,
-    adaptive: bool,
-    ttsp: bool,
-) -> RecordedRun {
+pub fn run_recorded(bench: Benchmark, kind: CollectorKind, adaptive: bool) -> RecordedRun {
     let scale = 1;
     let mut budget = Calibration::new(scale).budget_for_k(bench, 4.0);
     let policy = (kind == CollectorKind::GenerationalStackPretenure)
         .then(|| derive_pretenure_policy(bench, scale).0);
     loop {
-        let mut config = config_with_budget(budget).track_ttsp(ttsp);
+        let mut config = config_with_budget(budget).adaptive(adaptive);
         if let Some(policy) = &policy {
             config = config.pretenure(policy.clone());
-        }
-        if adaptive {
-            config = config.adaptive(AdaptiveConfig::default());
         }
         let attempt = catch_silenced(|| {
             let recorder = Box::new(RingRecorder::with_capacity(RING_CAPACITY));
@@ -360,11 +350,11 @@ mod tests {
         let calibrated = |bench| Calibration::new(1).budget_for_k(bench, 4.0);
         // Neither fits its calibrated k = 4.0 budget under semispace.
         for bench in [Benchmark::Fft, Benchmark::Simple] {
-            let run = run_recorded(bench, CollectorKind::Semispace, false, false);
+            let run = run_recorded(bench, CollectorKind::Semispace, false);
             assert!(run.budget > calibrated(bench), "{}", bench.name());
             assert!(!run.events.is_empty());
         }
-        let fits = run_recorded(Benchmark::Life, CollectorKind::Semispace, false, false);
+        let fits = run_recorded(Benchmark::Life, CollectorKind::Semispace, false);
         assert_eq!(fits.budget, calibrated(Benchmark::Life));
     }
 }

@@ -6,7 +6,7 @@
 //! experiments gc-log [--bench NAME] [--plan LABEL] [--out-dir DIR]
 //!                    [--validate] [--adaptive]
 //! experiments slo-report [--input FILE.jsonl | --bench NAME --plan LABEL
-//!                        [--adaptive] [--ttsp]] [--validate] [--report FILE]
+//!                        [--adaptive]] [--validate] [--report FILE]
 //!                        [--max-p50 C] [--max-p90 C] [--max-p99 C]
 //!                        [--max-p999 C] [--mmu-window C] [--min-mmu P]
 //! experiments drift
@@ -31,9 +31,9 @@
 //! preceding `--mmu-window CYCLES` (default 1500000, i.e. 10 ms at the
 //! default clock; the flag pair may repeat for multiple windows) —
 //! exiting nonzero on any violation. `--report FILE` additionally writes
-//! the report text to a file for CI artifacts. `--ttsp` enables
-//! time-to-safepoint tracking on live runs; replayed streams surface
-//! TTSP automatically whenever they carry `ttsp_cycles` fields.
+//! the report text to a file for CI artifacts. Time-to-safepoint is
+//! reported whenever the stream carries `ttsp_cycles` fields, which
+//! every live run does.
 //! `drift` runs the phase-flipping workload under the pretenure plan
 //! twice — stale static policy vs online adaptation — and reports the
 //! deterministic `drift_adaptive_speedup_vs_static` ratio.
@@ -51,6 +51,12 @@ mod tables;
 
 use std::process::ExitCode;
 
+/// `--scale`'s operand: a positive integer (0 would run every program
+/// on an empty input and print tables of nonsense).
+fn parse_scale(arg: Option<&String>) -> Option<u32> {
+    arg.and_then(|s| s.parse().ok()).filter(|&s| s > 0)
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut which: Option<String> = None;
@@ -61,7 +67,6 @@ fn main() -> ExitCode {
     let mut out_dir = "gclog".to_string();
     let mut validate = false;
     let mut adaptive = false;
-    let mut ttsp = false;
     let mut input: Option<String> = None;
     let mut report: Option<String> = None;
     let mut spec = tilgc_obs::metrics::SloSpec::default();
@@ -111,7 +116,6 @@ fn main() -> ExitCode {
             }
             "--validate" => validate = true,
             "--adaptive" => adaptive = true,
-            "--ttsp" => ttsp = true,
             "--input" => {
                 i += 1;
                 let Some(path) = args.get(i) else {
@@ -164,7 +168,7 @@ fn main() -> ExitCode {
             }
             "--scale" => {
                 i += 1;
-                scale = match args.get(i).and_then(|s| s.parse().ok()) {
+                scale = match parse_scale(args.get(i)) {
                     Some(s) => s,
                     None => {
                         eprintln!("--scale needs a positive integer");
@@ -190,7 +194,6 @@ fn main() -> ExitCode {
             bench,
             plan,
             adaptive,
-            ttsp,
             validate,
             report,
             spec,
@@ -237,4 +240,19 @@ fn main() -> ExitCode {
         run(&which);
     }
     ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_scale;
+
+    #[test]
+    fn scale_must_be_a_positive_integer() {
+        let parse = |s: &str| parse_scale(Some(&s.to_string()));
+        assert_eq!(parse("3"), Some(3));
+        assert_eq!(
+            [parse("0"), parse("-1"), parse("x"), parse_scale(None)],
+            [None; 4]
+        );
+    }
 }

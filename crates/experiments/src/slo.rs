@@ -14,10 +14,9 @@
 //! CI gate on it.
 //!
 //! Time-to-safepoint is surfaced alongside the pauses whenever the
-//! stream carries it: replayed files contribute their `ttsp_cycles`
-//! fields, and `--ttsp` turns tracking on for live runs. The section is
-//! omitted when every observation is zero, so untracked runs render
-//! exactly as before.
+//! stream carries it: every recorded collection observes it, and
+//! replayed files contribute their `ttsp_cycles` fields. The section is
+//! omitted when every observation is zero (a pre-TTSP trace).
 //!
 //! One caveat for replayed streams: the timeline horizon is the last
 //! recorded event, so mutator time after the final collection is not
@@ -53,9 +52,6 @@ pub struct SloRequest {
     pub plan: String,
     /// Live mode: enable the online pretenuring estimator.
     pub adaptive: bool,
-    /// Live mode: track time-to-safepoint (observational; the replay
-    /// path surfaces TTSP whenever the stream carries it).
-    pub ttsp: bool,
     /// Schema-validate the stream before evaluating it.
     pub validate: bool,
     /// Also write the report text to this file (CI artifact).
@@ -256,7 +252,7 @@ fn summarize_live_run(req: &SloRequest) -> Result<StreamSummary, String> {
             )
         })?;
 
-    let run = run_recorded(bench, kind, req.adaptive, req.ttsp);
+    let run = run_recorded(bench, kind, req.adaptive);
     let events = &run.events;
     let clock_hz = CostModel::default().clock_hz;
 
@@ -344,9 +340,9 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     }
 
     // Time-to-safepoint: only rendered when the stream actually carries
-    // nonzero observations (a run without `track_ttsp` — or any
-    // pre-TTSP trace — reads as all zeros and keeps the report
-    // byte-identical to what it printed before the section existed).
+    // nonzero observations (a pre-TTSP trace reads as all zeros and
+    // keeps the report byte-identical to what it printed before the
+    // section existed).
     let t = summary.ttsp.histogram();
     if t.max() > 0 {
         let _ = writeln!(out);
@@ -481,7 +477,7 @@ mod tests {
                 Benchmark::Nqueen,
                 Benchmark::Pia,
             ] {
-                let run = run_recorded(bench, kind, false, true);
+                let run = run_recorded(bench, kind, false);
                 assert_eq!(run.dropped, 0);
                 let mut metrics = PauseMetrics::from_events(&run.events);
                 metrics.set_horizon(run.client_cycles + run.gc.gc_cycles());
@@ -615,7 +611,6 @@ mod tests {
             bench: String::new(),
             plan: String::new(),
             adaptive: false,
-            ttsp: false,
             validate: false,
             report: None,
             spec,

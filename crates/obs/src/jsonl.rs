@@ -143,8 +143,8 @@ pub fn render(
 }
 
 fn begin_line(e: &CollectionBegin) -> String {
-    // `ttsp_cycles` appears only when TTSP tracking observed a nonzero
-    // distance, so untracked traces stay byte-identical to older output.
+    // `ttsp_cycles` appears only when the observed distance is nonzero
+    // (the schema rejects an explicit zero).
     let mut obj = Obj::new("collection-begin")
         .num("collection", e.collection)
         .str("plan", e.plan)
@@ -383,7 +383,7 @@ mod tests {
         let v = parse(&begin_line(&e)).unwrap();
         assert!(
             v.get("ttsp_cycles").is_none(),
-            "untracked begin line carries no ttsp field"
+            "a zero distance is omitted from the begin line"
         );
         e.ttsp_cycles = 42;
         let v = parse(&begin_line(&e)).unwrap();

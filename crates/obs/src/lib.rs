@@ -162,9 +162,8 @@ pub struct CollectionBegin {
     /// client cycles + GC cycles accumulated so far.
     pub start_cycles: u64,
     /// Time-to-safepoint: client cycles elapsed between the mutator's
-    /// last safepoint poll and this collection. Zero when TTSP tracking
-    /// is off (the default) — the JSONL sink omits the field then, so
-    /// untracked traces stay byte-identical.
+    /// last safepoint poll and this collection. Observed, never
+    /// charged; the JSONL sink omits the field when it is zero.
     pub ttsp_cycles: u64,
 }
 

@@ -86,8 +86,8 @@ pub fn validate_line(line: &str) -> Result<(), String> {
         }
         "collection-begin" => {
             // `ttsp_cycles` is optional: the sink omits it when the
-            // observed time-to-safepoint is zero (or tracking is off),
-            // so when present it must be nonzero.
+            // observed time-to-safepoint is zero, so when present it
+            // must be nonzero.
             let mut fields = vec![
                 ("collection", Ty::U64),
                 ("plan", Ty::Str),

@@ -23,9 +23,6 @@ pub struct PolicyOptions {
     /// Run the §7.2 analysis: mark pretenured sites whose observed
     /// outgoing edges all target pretenured sites as no-scan.
     pub derive_no_scan: bool,
-    /// Group pretenured objects into per-site regions (specialized
-    /// scans).
-    pub group_by_site: bool,
 }
 
 impl Default for PolicyOptions {
@@ -34,7 +31,6 @@ impl Default for PolicyOptions {
             old_percent_cutoff: 80.0,
             min_alloc_objects: 4,
             derive_no_scan: false,
-            group_by_site: false,
         }
     }
 }
@@ -60,7 +56,6 @@ impl Default for PolicyOptions {
 /// ```
 pub fn derive_policy(profile: &HeapProfile, opts: &PolicyOptions) -> PretenurePolicy {
     let mut policy = PretenurePolicy::new();
-    policy.group_by_site = opts.group_by_site;
     for (site, row) in profile.iter() {
         if row.alloc_objects >= opts.min_alloc_objects
             && row.old_percent() >= opts.old_percent_cutoff

@@ -70,12 +70,10 @@ pub struct CostModel {
     pub scan_per_word: u64,
     /// Filtering one sequential-store-buffer entry or card.
     pub barrier_entry: u64,
-    /// Scanning one word of a dirty card or pretenured region.
+    /// Scanning one word of a dirty (object-marking barrier) object.
     pub region_scan_per_word: u64,
     /// Placing one stack marker (swap return address, table insert).
     pub marker_place: u64,
-    /// Visiting one handler-chain entry in the deferred raise variant.
-    pub handler_walk: u64,
     /// Reusing one cached frame (the cheap path of generational stack
     /// collection — a bounds check, no decoding).
     pub frame_reuse: u64,
@@ -119,7 +117,6 @@ impl Default for CostModel {
             barrier_entry: 10,
             region_scan_per_word: 2,
             marker_place: 25,
-            handler_walk: 8,
             frame_reuse: 2,
             large_object_visit: 40,
             pressure_retry: 20,

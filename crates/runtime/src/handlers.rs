@@ -5,36 +5,18 @@
 //! every frame above it — possibly jumping past marked frames without
 //! running their stubs (§5). The runtime therefore needs *some* mechanism
 //! to tell the collector how deep raises have cut. The paper describes
-//! two and implements the first:
-//!
-//! 1. **Watermark at raise time** ([`RaiseBookkeeping::Watermark`]): each
-//!    raise updates `M` immediately (a couple of instructions per raise).
-//! 2. **Deferred** ([`RaiseBookkeeping::Deferred`]): raises record nothing
-//!    globally; handlers that caught remember the depth, and the collector
-//!    walks the handler chain at each collection.
+//! two and "implements the first", and so does this crate: each raise
+//! lowers the stack watermark `M` immediately
+//! ([`Stack::unwind_for_raise`](crate::Stack::unwind_for_raise), a couple
+//! of instructions per raise), so the chain itself is only a list of
+//! frame depths. The second scheme — record the cut on the handler and
+//! have the collector walk the chain at every collection — was carried as
+//! an ablation until it was measured to tie the first on every number it
+//! printed while making every raise and pop in every mode propagate its
+//! records; it is retired (EXPERIMENTS.md, *Retired*).
 
-/// Which of the two §5 exception-bookkeeping strategies is in effect.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum RaiseBookkeeping {
-    /// Update the watermark `M` on every raise (the paper's choice).
-    #[default]
-    Watermark,
-    /// Record on the handler; the collector reconstructs `M` by walking
-    /// the chain at collection time.
-    Deferred,
-}
-
-/// One installed exception handler.
-#[derive(Clone, Copy, Debug)]
-struct Handler {
-    /// Depth of the frame the handler returns control to.
-    frame_depth: usize,
-    /// For the deferred variant: the shallowest depth a raise cut this
-    /// part of the chain down to since the last collection.
-    caught_depth: Option<usize>,
-}
-
-/// The chain of installed exception handlers, innermost last.
+/// The chain of installed exception handlers, innermost last: the depth of
+/// the frame each handler returns control to.
 ///
 /// # Example
 ///
@@ -50,10 +32,7 @@ struct Handler {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct HandlerChain {
-    handlers: Vec<Handler>,
-    /// Deferred-variant info that would otherwise be lost when a flagged
-    /// handler is popped normally.
-    orphaned_caught_depth: Option<usize>,
+    handlers: Vec<usize>,
 }
 
 impl HandlerChain {
@@ -64,56 +43,24 @@ impl HandlerChain {
 
     /// Installs a handler anchored at `frame_depth`.
     pub fn push(&mut self, frame_depth: usize) {
-        self.handlers.push(Handler {
-            frame_depth,
-            caught_depth: None,
-        });
+        self.handlers.push(frame_depth);
     }
 
     /// Removes the innermost handler on normal exit from its `handle`
-    /// expression. Deferred-variant catch records are propagated outward
-    /// so the collector's walk still sees them.
+    /// expression.
     ///
     /// # Panics
     ///
     /// Panics if no handler is installed.
     pub fn pop(&mut self) {
-        let h = self.handlers.pop().expect("pop on empty handler chain");
-        if let Some(d) = h.caught_depth {
-            match self.handlers.last_mut() {
-                Some(outer) => {
-                    outer.caught_depth = Some(outer.caught_depth.map_or(d, |o| o.min(d)));
-                }
-                None => {
-                    self.orphaned_caught_depth =
-                        Some(self.orphaned_caught_depth.map_or(d, |o| o.min(d)));
-                }
-            }
-        }
+        self.handlers.pop().expect("pop on empty handler chain");
     }
 
     /// Raises an exception: removes the innermost handler and returns the
     /// frame depth control transfers to, or `None` if the exception is
-    /// uncaught. The deferred catch record lands on the *enclosing*
-    /// handler (or the orphan slot), since the catching handler itself is
-    /// consumed.
+    /// uncaught.
     pub fn raise(&mut self) -> Option<usize> {
-        let caught = self.handlers.pop()?;
-        let d = caught.frame_depth;
-        let merged = match caught.caught_depth {
-            Some(prev) => prev.min(d),
-            None => d,
-        };
-        match self.handlers.last_mut() {
-            Some(outer) => {
-                outer.caught_depth = Some(outer.caught_depth.map_or(merged, |o| o.min(merged)));
-            }
-            None => {
-                self.orphaned_caught_depth =
-                    Some(self.orphaned_caught_depth.map_or(merged, |o| o.min(merged)));
-            }
-        }
-        Some(d)
+        self.handlers.pop()
     }
 
     /// Number of installed handlers.
@@ -128,22 +75,7 @@ impl HandlerChain {
 
     /// The innermost handler's frame depth, if any.
     pub fn innermost_depth(&self) -> Option<usize> {
-        self.handlers.last().map(|h| h.frame_depth)
-    }
-
-    /// Collector-side walk for the deferred variant: returns the
-    /// shallowest depth any raise reached since the last walk (or `None`)
-    /// and clears the records. The returned `usize` also reports how many
-    /// chain entries were visited, for cost accounting.
-    pub fn walk_for_collection(&mut self) -> (Option<usize>, usize) {
-        let mut min = self.orphaned_caught_depth.take();
-        let visited = self.handlers.len();
-        for h in &mut self.handlers {
-            if let Some(d) = h.caught_depth.take() {
-                min = Some(min.map_or(d, |m| m.min(d)));
-            }
-        }
-        (min, visited)
+        self.handlers.last().copied()
     }
 }
 
@@ -165,52 +97,5 @@ mod tests {
     fn uncaught_raise_returns_none() {
         let mut c = HandlerChain::new();
         assert_eq!(c.raise(), None);
-    }
-
-    #[test]
-    fn deferred_walk_sees_catch_depths() {
-        let mut c = HandlerChain::new();
-        c.push(2);
-        c.push(8);
-        c.raise(); // caught at depth 8, recorded on the handler at 2
-        let (min, visited) = c.walk_for_collection();
-        assert_eq!(min, Some(8));
-        assert_eq!(visited, 1);
-        // Records are cleared by the walk.
-        assert_eq!(c.walk_for_collection().0, None);
-    }
-
-    #[test]
-    fn deferred_records_survive_normal_pops() {
-        let mut c = HandlerChain::new();
-        c.push(2);
-        c.push(5);
-        c.push(8);
-        c.raise(); // depth 8 recorded on handler at 5
-        c.pop(); // handler at 5 exits normally; record moves to handler at 2
-        let (min, _) = c.walk_for_collection();
-        assert_eq!(min, Some(8));
-    }
-
-    #[test]
-    fn deferred_records_survive_popping_the_last_handler() {
-        let mut c = HandlerChain::new();
-        c.push(4);
-        c.raise(); // uncaught chain-wise? No: handler at 4 catches.
-        assert!(c.is_empty());
-        let (min, _) = c.walk_for_collection();
-        assert_eq!(min, Some(4));
-    }
-
-    #[test]
-    fn nested_raises_keep_the_minimum() {
-        let mut c = HandlerChain::new();
-        c.push(1);
-        c.push(6);
-        c.push(9);
-        assert_eq!(c.raise(), Some(9));
-        assert_eq!(c.raise(), Some(6));
-        let (min, _) = c.walk_for_collection();
-        assert_eq!(min, Some(6));
     }
 }

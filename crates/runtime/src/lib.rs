@@ -13,8 +13,8 @@
 //! * [write barriers](barrier): the sequential store buffer the paper
 //!   uses, plus the card-marking alternative it recommends for
 //!   update-heavy programs;
-//! * exception [handler chains](HandlerChain) with both §5 bookkeeping
-//!   variants;
+//! * exception [handler chains](HandlerChain) (§5's raise-time
+//!   watermark scheme);
 //! * the [`Collector`] interface that the collectors in `tilgc-core`
 //!   implement, and the [`Vm`] facade benchmark programs are written
 //!   against;
@@ -47,7 +47,7 @@ pub use barrier::{BarrierEntry, WriteBarrier};
 pub use collector::{AllocShape, CollectReason, CollectionInspection, Collector};
 pub use cost::CostModel;
 pub use driver::{OpDriver, StepOutcome, VmOp};
-pub use handlers::{HandlerChain, RaiseBookkeeping};
+pub use handlers::HandlerChain;
 pub use mutator::MutatorState;
 pub use profile_data::{HeapProfile, SiteProfile};
 pub use registers::RegisterFile;

@@ -2,7 +2,7 @@
 
 use crate::barrier::WriteBarrier;
 use crate::cost::CostModel;
-use crate::handlers::{HandlerChain, RaiseBookkeeping};
+use crate::handlers::HandlerChain;
 use crate::registers::RegisterFile;
 use crate::sites::SiteRegistry;
 use crate::stack::Stack;
@@ -34,8 +34,6 @@ pub struct MutatorState {
     pub stats: MutatorStats,
     /// The shared cycle cost model.
     pub cost: CostModel,
-    /// Which §5 exception-bookkeeping variant is active.
-    pub raise_mode: RaiseBookkeeping,
     /// Whether API entry points cross-check shadow tags against traces
     /// (catches mis-declared frame descriptors in test programs).
     pub check_shadows: bool,
@@ -81,7 +79,6 @@ impl MutatorState {
             sites: SiteRegistry::new(),
             stats: MutatorStats::default(),
             cost: CostModel::default(),
-            raise_mode: RaiseBookkeeping::Watermark,
             check_shadows: cfg!(debug_assertions),
             alloc_buf: Vec::new(),
             alloc_buf_ptr_mask: 0,
@@ -137,7 +134,6 @@ mod tests {
     fn defaults_match_paper_configuration() {
         let m = MutatorState::new();
         assert!(matches!(m.barrier, WriteBarrier::Ssb(_)));
-        assert_eq!(m.raise_mode, RaiseBookkeeping::Watermark);
         assert_eq!(m.stack.depth(), 0);
     }
 

@@ -246,35 +246,6 @@ impl Stack {
         // the next scan; the watermark makes them harmless meanwhile.
     }
 
-    /// Like [`unwind_for_raise`](Stack::unwind_for_raise) but *without*
-    /// updating the watermark — the bookkeeping variant of §5 in which the
-    /// collector later reconstructs the watermark by walking the handler
-    /// chain ("deferring the handling of exceptions to a collection").
-    /// The caller must eventually feed the reconstructed depth back via
-    /// [`note_watermark`](Stack::note_watermark) before the next scan
-    /// reuses anything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `target_depth` exceeds the current depth.
-    pub fn unwind_for_raise_silent(&mut self, target_depth: usize) {
-        assert!(
-            target_depth <= self.depth(),
-            "unwind target beyond stack top"
-        );
-        let popped = self.depth() - target_depth;
-        self.frames.truncate(target_depth);
-        self.stats.pops += popped as u64;
-        self.stats.raises += 1;
-        self.min_depth_since_scan = self.min_depth_since_scan.min(target_depth);
-    }
-
-    /// Lowers the watermark to `depth` (used by the deferred
-    /// exception-bookkeeping variant at collection time).
-    pub fn note_watermark(&mut self, depth: usize) {
-        self.watermark = self.watermark.min(depth);
-    }
-
     /// The frame at `depth` (0 = oldest).
     ///
     /// # Panics

@@ -30,7 +30,6 @@ use std::fmt;
 use tilgc_mem::{object, Addr, GcError, Header, Memory, SiteId, MAX_RECORD_FIELDS};
 
 use crate::collector::{AllocShape, CollectReason, Collector};
-use crate::handlers::RaiseBookkeeping;
 use crate::mutator::MutatorState;
 use crate::profile_data::HeapProfile;
 use crate::stack::PopEvent;
@@ -577,26 +576,15 @@ impl Vm {
         self.m.handlers.pop();
     }
 
-    /// Raises an exception: unwinds to the innermost handler.
-    ///
-    /// With [`RaiseBookkeeping::Watermark`] the stack watermark `M` is
-    /// updated now; with [`RaiseBookkeeping::Deferred`] the record lands
-    /// on the handler chain for the collector to find.
+    /// Raises an exception: unwinds to the innermost handler, lowering
+    /// the stack watermark `M` to it (§5's first scheme).
     pub fn raise(&mut self) -> RaiseOutcome {
         let Some(target) = self.m.handlers.raise() else {
             return RaiseOutcome::Uncaught;
         };
-        let mut cost = self.m.cost.raise_base;
-        match self.m.raise_mode {
-            RaiseBookkeeping::Watermark => {
-                self.m.stack.unwind_for_raise(target);
-                cost += self.m.cost.raise_watermark;
-            }
-            RaiseBookkeeping::Deferred => {
-                self.m.stack.unwind_for_raise_silent(target);
-            }
-        }
-        self.m.charge(cost);
+        self.m.stack.unwind_for_raise(target);
+        self.m
+            .charge(self.m.cost.raise_base + self.m.cost.raise_watermark);
         RaiseOutcome::Caught {
             handler_depth: target,
         }

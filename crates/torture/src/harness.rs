@@ -22,8 +22,8 @@ use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tilgc_core::{
-    build_vm, check_inspection, verify_collection, verify_vm, vm_snapshot, AdaptiveConfig,
-    CollectorKind, GcConfig, PretenurePolicy, WorkerFaultKind, WorkerFaultSpec,
+    build_vm, check_inspection, verify_collection, verify_vm, vm_snapshot, CollectorKind, GcConfig,
+    PretenurePolicy, WorkerFaultKind, WorkerFaultSpec,
 };
 use tilgc_mem::WORD_BYTES;
 use tilgc_runtime::driver::{arr_site_id, raw_site_id, rec_site_id, PTR_FREE_REC_INDEX};
@@ -229,14 +229,11 @@ fn build_lane(
         policy.add_no_scan_site(rec_site_id(PTR_FREE_REC_INDEX));
         policy.add_site(arr_site_id(1));
         policy.add_site(raw_site_id(1));
-        gc = gc.pretenure(policy);
-        if adaptive {
-            // The online policy starts from the same static seed the
-            // oracle lane keeps, then flips sites as survival evidence
-            // accumulates — exercising mid-run placement changes under
-            // the full op mix.
-            gc = gc.adaptive(AdaptiveConfig::default());
-        }
+        // The online policy starts from the same static seed the
+        // oracle lane keeps, then flips sites as survival evidence
+        // accumulates — exercising mid-run placement changes under
+        // the full op mix.
+        gc = gc.pretenure(policy).adaptive(adaptive);
     }
     let mut vm = build_vm(kind, &gc);
     if cfg.fault == Some(Fault::DropBarrier) && kind != CollectorKind::Semispace {

@@ -50,10 +50,6 @@ fn run_in_vm(bench: Benchmark, mut vm: Vm) -> (u64, GcStats) {
     (checksum, *vm.gc_stats())
 }
 
-fn run(bench: Benchmark, kind: CollectorKind, config: &GcConfig) -> (u64, GcStats) {
-    run_in_vm(bench, build_vm(kind, config))
-}
-
 /// A calibration run is only accepted if it never felt memory pressure:
 /// no governor episode opened and no collection left a generation past
 /// its budget share. A run that merely *survives* by degrading
@@ -64,33 +60,44 @@ fn pressure_free(out: (u64, GcStats)) -> Option<(u64, GcStats)> {
     (out.1.pressure_episodes == 0 && out.1.budget_overruns == 0).then_some(out)
 }
 
-/// Like [`run`], but `None` on out-of-memory or memory pressure — the
+/// Silences the expected out-of-memory panic, and only that one. The
+/// hook is process-global and this binary's tests (and the golden's
+/// benchmark threads) run concurrently, so it is installed once and
+/// never swapped back: every other panic still reaches the previous
+/// hook and is printed.
+fn silence_expected_oom() {
+    static INSTALL: std::sync::Once = std::sync::Once::new();
+    INSTALL.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if !info.to_string().contains("heap budget exhausted") {
+                prev(info);
+            }
+        }));
+    });
+}
+
+/// [`run_in_vm`], but `None` on out-of-memory or memory pressure — the
 /// calibration samples live size only at semispace collection points, so
 /// a k·Min budget can genuinely undershoot a peak (the experiments
 /// harness grows the budget by 25% steps for the same reason).
-fn run_or_oom(bench: Benchmark, kind: CollectorKind, config: &GcConfig) -> Option<(u64, GcStats)> {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {})); // silence the expected OOM panic
-    let out =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run(bench, kind, config))).ok();
-    std::panic::set_hook(prev_hook);
-    out.and_then(pressure_free)
+fn run_in_vm_or_oom(bench: Benchmark, vm: Vm) -> Option<(u64, GcStats)> {
+    silence_expected_oom();
+    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_in_vm(bench, vm)))
+        .ok()
+        .and_then(pressure_free)
 }
 
-/// [`run_or_oom`], for a pre-built VM.
-fn run_in_vm_or_oom(bench: Benchmark, vm: Vm) -> Option<(u64, GcStats)> {
-    let prev_hook = std::panic::take_hook();
-    std::panic::set_hook(Box::new(|_| {}));
-    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| run_in_vm(bench, vm))).ok();
-    std::panic::set_hook(prev_hook);
-    out.and_then(pressure_free)
+/// [`run_in_vm_or_oom`] on the VM `build_vm` composes for `kind`.
+fn run_or_oom(bench: Benchmark, kind: CollectorKind, config: &GcConfig) -> Option<(u64, GcStats)> {
+    run_in_vm_or_oom(bench, build_vm(kind, config))
 }
 
 /// Max live bytes measured by a generous semispace run (every semispace
 /// collection computes the exact live set).
 fn max_live_bytes(bench: Benchmark) -> u64 {
     let config = config_with_budget(64 << 20);
-    let (_, gc) = run(bench, CollectorKind::Semispace, &config);
+    let (_, gc) = run_in_vm(bench, build_vm(CollectorKind::Semispace, &config));
     gc.max_live_bytes.max(8 << 10)
 }
 
@@ -216,13 +223,13 @@ fn plan_constructors_match_build_collector() {
     }
 }
 
-#[test]
-fn gc_stats_match_golden() {
-    let mut lines = Vec::new();
-    for bench in Benchmark::ALL {
-        let min = 2 * max_live_bytes(bench);
-        let budget = ((K * min as f64) as usize).max(48 << 10);
-        for kind in CollectorKind::ALL {
+/// One benchmark's four golden lines, in `CollectorKind::ALL` order.
+fn golden_lines(bench: Benchmark) -> Vec<String> {
+    let min = 2 * max_live_bytes(bench);
+    let budget = ((K * min as f64) as usize).max(48 << 10);
+    CollectorKind::ALL
+        .into_iter()
+        .map(|kind| {
             let mut budget = budget;
             let (checksum, gc) = loop {
                 let config = match kind {
@@ -234,9 +241,21 @@ fn gc_stats_match_golden() {
                 }
                 budget += budget / 4;
             };
-            lines.push(stats_line(bench, kind, checksum, &gc));
-        }
-    }
+            stats_line(bench, kind, checksum, &gc)
+        })
+        .collect()
+}
+
+#[test]
+fn gc_stats_match_golden() {
+    // The benchmarks are independent: one thread each, joined in
+    // `Benchmark::ALL` order so the text is the serial loop's.
+    let lines: Vec<String> = std::thread::scope(|s| {
+        let runs = Benchmark::ALL.map(|bench| s.spawn(move || golden_lines(bench)));
+        runs.into_iter()
+            .flat_map(|run| run.join().expect("benchmark thread panicked"))
+            .collect()
+    });
     let actual = lines.join("\n") + "\n";
 
     let path = golden_path();

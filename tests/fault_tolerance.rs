@@ -229,83 +229,56 @@ fn degradation_episode_is_bracketed_and_schema_valid() {
     });
 }
 
-/// TTSP tracking: when enabled, collection-begin events carry the
-/// mutator's distance from its last safepoint poll and the trace still
-/// validates; when disabled (the default), every `ttsp_cycles` is zero
-/// so the JSONL output is byte-identical to pre-TTSP traces.
+/// TTSP: every recorded collection-begin carries the mutator's distance
+/// from its last safepoint poll. Reading it charges nothing, so a
+/// recorded run and an unrecorded one agree on the answer and on
+/// `GcStats`, and the trace validates.
 #[test]
-fn ttsp_tracking_is_observational_and_gated() {
+fn ttsp_is_observational() {
     big_stack(|| {
-        let run_events = |track: bool| {
-            let cfg = if track {
-                config(1).track_ttsp(true)
-            } else {
-                config(1)
-            };
-            let mut vm = build_vm_with_recorder(
-                CollectorKind::Generational,
-                &cfg,
-                Box::new(RingRecorder::with_capacity(1 << 16)),
-            );
-            let answer = Benchmark::Life.run(&mut vm, 1);
-            verify_vm(&vm);
-            let stats = normalize(*vm.gc_stats());
-            let events = RingRecorder::drain_events_from(vm.recorder_mut()).expect("ring");
-            (answer, stats, events)
-        };
-        let (plain_answer, plain_stats, plain_events) = run_events(false);
-        let (ttsp_answer, ttsp_stats, ttsp_events) = run_events(true);
-        assert_eq!(
-            plain_answer, ttsp_answer,
-            "TTSP tracking changed the answer"
-        );
-        assert_eq!(plain_stats, ttsp_stats, "TTSP tracking changed GcStats");
+        let (bare_answer, bare_stats, _) =
+            run(CollectorKind::Generational, Benchmark::Life, &config(1));
 
-        let begins = |events: &[Event]| {
-            events
-                .iter()
-                .filter_map(|e| match e {
-                    Event::CollectionBegin(b) => Some(b.ttsp_cycles),
-                    _ => None,
-                })
-                .collect::<Vec<u64>>()
-        };
-        let plain = begins(&plain_events);
-        let tracked = begins(&ttsp_events);
-        assert!(!tracked.is_empty(), "benchmark must collect");
-        assert_eq!(plain.len(), tracked.len(), "collection counts diverged");
-        assert!(
-            plain.iter().all(|&t| t == 0),
-            "untracked runs must report zero TTSP"
+        let mut vm = build_vm_with_recorder(
+            CollectorKind::Generational,
+            &config(1),
+            Box::new(RingRecorder::with_capacity(1 << 16)),
         );
+        let answer = Benchmark::Life.run(&mut vm, 1);
+        verify_vm(&vm);
+        assert_eq!(bare_answer, answer, "recording TTSP changed the answer");
+        assert_eq!(
+            normalize(bare_stats),
+            normalize(*vm.gc_stats()),
+            "recording TTSP changed GcStats"
+        );
+
+        let events = RingRecorder::drain_events_from(vm.recorder_mut()).expect("ring");
+        let observed: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match e {
+                Event::CollectionBegin(b) => Some(b.ttsp_cycles),
+                _ => None,
+            })
+            .collect();
+        assert!(!observed.is_empty(), "benchmark must collect");
         assert!(
-            tracked.iter().any(|&t| t > 0),
-            "tracked run never observed a nonzero time-to-safepoint"
+            observed.iter().any(|&t| t > 0),
+            "no collection observed a nonzero time-to-safepoint"
         );
 
         // The metrics layer sees every collection, zeros included.
-        let metrics = tilgc_obs::metrics::TtspMetrics::from_events(&ttsp_events);
-        assert_eq!(metrics.histogram().count(), tracked.len() as u64);
+        let metrics = tilgc_obs::metrics::TtspMetrics::from_events(&events);
+        assert_eq!(metrics.histogram().count(), observed.len() as u64);
 
-        // Both traces validate; the untracked one carries no
-        // `ttsp_cycles` field at all.
-        for (label, events) in [("plain", &plain_events), ("ttsp", &ttsp_events)] {
-            let doc = tilgc_obs::jsonl::render("generational", "life", 1, &[], events);
-            if let Err(e) = tilgc_obs::schema::validate_jsonl(&doc) {
-                panic!("{label}: trace failed schema validation: {e}");
-            }
-            if label == "plain" {
-                assert!(
-                    !doc.contains("ttsp_cycles"),
-                    "untracked trace must omit ttsp_cycles entirely"
-                );
-            } else {
-                assert!(
-                    doc.contains("ttsp_cycles"),
-                    "tracked trace must surface ttsp_cycles"
-                );
-            }
+        let doc = tilgc_obs::jsonl::render("generational", "life", 1, &[], &events);
+        if let Err(e) = tilgc_obs::schema::validate_jsonl(&doc) {
+            panic!("trace failed schema validation: {e}");
         }
+        assert!(
+            doc.contains("ttsp_cycles"),
+            "trace must surface ttsp_cycles"
+        );
     });
 }
 
