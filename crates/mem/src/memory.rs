@@ -1,4 +1,4 @@
-use crate::side::{ChunkMap, SideBitmap, SideMetaView, SideMetadata};
+use crate::side::{fresh_mapping_len, ChunkMap, SideBitmap, SideMetaView, SideMetadata};
 use crate::{Addr, MemError, SiteId, SpaceRange};
 
 /// Size of a machine word, in bytes. The simulation models a 64-bit machine
@@ -57,8 +57,10 @@ impl Memory {
             capacity <= u32::MAX as usize,
             "memory capacity exceeds 32-bit addressing"
         );
+        let mut words = vec![0; fresh_mapping_len::<u64>(capacity)];
+        words.truncate(capacity);
         Memory {
-            words: vec![0; capacity],
+            words,
             reserved: 1,
             chunks: ChunkMap::new(capacity),
             side: SideMetadata::new(capacity),
@@ -371,6 +373,20 @@ impl Memory {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn over_sized_backing_request_keeps_the_requested_length() {
+        let mem = Memory::with_capacity_words(1 << 10);
+        assert_eq!(mem.capacity_words(), 1 << 10);
+        assert_eq!(mem.word(Addr::new((1 << 10) - 1)), 0);
+        assert_eq!(mem.site_of(Addr::new((1 << 10) - 1)), SiteId::new(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn one_word_past_capacity_is_out_of_bounds() {
+        Memory::with_capacity_words(1 << 10).word(Addr::new(1 << 10));
+    }
 
     #[test]
     fn reserve_is_disjoint_and_skips_null() {

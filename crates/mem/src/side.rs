@@ -26,7 +26,9 @@
 //! Storage is plain `vec![0; n]` arrays of `u64` / `u16`: a zeroed
 //! allocation commits no page until its first write, so building a heap
 //! costs what the program touches, not what the collector reserves
-//! (2.375 bytes of side metadata per reserved heap word). The serial
+//! (2.375 bytes of side metadata per reserved heap word) — provided the
+//! allocator hands out a fresh mapping, which the two word-indexed arrays
+//! make sure of (see `FRESH_MAPPING_BYTES` below). The serial
 //! paths are ordinary loads and stores; the parallel paths borrow the
 //! same arrays as atomics for the length of a collection through
 //! [`Memory::shared_views`](crate::Memory::shared_views) and the audited
@@ -39,6 +41,26 @@ use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
 
 use crate::shared::as_atomics;
 use crate::{Addr, SiteId, SpaceRange};
+
+/// Smallest request glibc *always* serves with a fresh anonymous mapping:
+/// one page past its `DEFAULT_MMAP_THRESHOLD_MAX` (32 MiB on 64-bit).
+///
+/// `calloc` skips the clear only for untouched pages. glibc raises its
+/// dynamic mmap threshold to the size of the largest mapped chunk freed so
+/// far, capped at that constant; a later, smaller `calloc` is then carved
+/// from the brk heap, and a recycled chunk is cleared in full — once a
+/// process has dropped its first heap, the next one's whole reservation
+/// turns resident. A request above the cap can never take that path, so
+/// the heap word array and the site table ask for at least this much and
+/// keep only the length they need; the untouched tail costs address
+/// space, not memory. Harmless on allocators without the rule.
+const FRESH_MAPPING_BYTES: usize = (32 << 20) + 4096;
+
+/// Element count to request for a zeroed `Vec<T>` that will be truncated
+/// to `n`: enough to clear [`FRESH_MAPPING_BYTES`].
+pub(crate) fn fresh_mapping_len<T>(n: usize) -> usize {
+    n.max(FRESH_MAPPING_BYTES.div_ceil(std::mem::size_of::<T>()))
+}
 
 /// Words per chunk (2¹⁵ words = 256 KiB of simulated heap).
 pub const CHUNK_WORDS: usize = 1 << 15;
@@ -282,9 +304,9 @@ pub struct SiteTable {
 
 impl SiteTable {
     pub(crate) fn new(capacity_words: usize) -> SiteTable {
-        SiteTable {
-            tags: vec![0; capacity_words],
-        }
+        let mut tags = vec![0; fresh_mapping_len::<u16>(capacity_words)];
+        tags.truncate(capacity_words);
+        SiteTable { tags }
     }
 
     /// The site tag for the object whose header is at `addr`.

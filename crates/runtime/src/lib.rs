@@ -52,7 +52,7 @@ pub use mutator::MutatorState;
 pub use profile_data::{HeapProfile, SiteProfile};
 pub use registers::RegisterFile;
 pub use sites::SiteRegistry;
-pub use stack::{Frame, PopEvent, Stack, StackStats};
+pub use stack::{Frame, FrameMut, Stack, StackStats};
 pub use stats::{GcStats, MutatorStats};
 pub use trace::{
     type_word_is_pointer, CompiledTrace, DescId, FrameDesc, Reg, RegEffect, Trace, TraceTable,

@@ -18,45 +18,34 @@
 //! balance the gains of information reuse against the cost of the
 //! bookkeeping").
 
-use std::collections::BTreeMap;
-
 use crate::trace::DescId;
 use crate::value::{ShadowTag, Value};
 
-/// One activation record.
+/// A borrowed view of one activation record.
 ///
-/// The real runtime lays frames out contiguously in memory with the return
-/// address in the first slot (Figure 1); here each frame is a small object
-/// carrying its descriptor key (the "return address"), its raw slot words,
-/// and the simulation-only shadow tags.
-#[derive(Clone, Debug)]
-pub struct Frame {
-    desc: DescId,
-    slots: Vec<u64>,
-    shadow: Vec<ShadowTag>,
-    marked: bool,
+/// As in the real runtime, frames lie contiguously in one word array
+/// (Figure 1). A view names a frame by depth and resolves its slice of
+/// that array — raw slot words and the simulation-only shadow tags — only
+/// when a slot is read, so asking a frame for its descriptor key (the
+/// "return address"), as the stack scan does for every frame, costs one
+/// load.
+#[derive(Clone, Copy, Debug)]
+pub struct Frame<'a> {
+    stack: &'a Stack,
+    depth: usize,
 }
 
-impl Frame {
-    fn new(desc: DescId, num_slots: usize) -> Frame {
-        Frame {
-            desc,
-            slots: vec![0; num_slots],
-            shadow: vec![ShadowTag::NonPtr; num_slots],
-            marked: false,
-        }
-    }
-
+impl Frame<'_> {
     /// The trace-table key for this frame (its "return address").
     #[inline]
     pub fn desc(&self) -> DescId {
-        self.desc
+        self.stack.frames[self.depth].desc
     }
 
     /// Number of slots.
     #[inline]
     pub fn num_slots(&self) -> usize {
-        self.slots.len()
+        self.stack.slots(self.depth).len()
     }
 
     /// Raw word in slot `i`.
@@ -66,9 +55,30 @@ impl Frame {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn word(&self, i: usize) -> u64 {
-        self.slots[i]
+        self.stack.words[self.stack.slots(self.depth)][i]
     }
 
+    /// Shadow tag of slot `i` (testing oracle only).
+    #[inline]
+    pub fn shadow(&self, i: usize) -> ShadowTag {
+        self.stack.shadow[self.stack.slots(self.depth)][i]
+    }
+
+    /// Whether this frame currently carries a stack marker.
+    #[inline]
+    pub fn is_marked(&self) -> bool {
+        self.stack.frames[self.depth].marked
+    }
+}
+
+/// A borrowed, writable view of one activation record's slots.
+#[derive(Debug)]
+pub struct FrameMut<'a> {
+    words: &'a mut [u64],
+    shadow: &'a mut [ShadowTag],
+}
+
+impl FrameMut<'_> {
     /// Writes a typed value into slot `i`, updating the shadow tag.
     ///
     /// # Panics
@@ -76,7 +86,7 @@ impl Frame {
     /// Panics if `i` is out of range.
     #[inline]
     pub fn set(&mut self, i: usize, value: Value) {
-        self.slots[i] = value.to_word();
+        self.words[i] = value.to_word();
         self.shadow[i] = ShadowTag::of(value);
     }
 
@@ -84,7 +94,7 @@ impl Frame {
     /// (collector relocation of a pointer).
     #[inline]
     pub fn set_word_raw(&mut self, i: usize, word: u64) {
-        self.slots[i] = word;
+        self.words[i] = word;
     }
 
     /// Writes a raw word together with an explicit shadow tag — used for
@@ -92,20 +102,8 @@ impl Frame {
     /// the frame itself) pointerness from the register file.
     #[inline]
     pub fn set_word_tagged(&mut self, i: usize, word: u64, tag: ShadowTag) {
-        self.slots[i] = word;
+        self.words[i] = word;
         self.shadow[i] = tag;
-    }
-
-    /// Shadow tag of slot `i` (testing oracle only).
-    #[inline]
-    pub fn shadow(&self, i: usize) -> ShadowTag {
-        self.shadow[i]
-    }
-
-    /// Whether this frame currently carries a stack marker.
-    #[inline]
-    pub fn is_marked(&self) -> bool {
-        self.marked
     }
 }
 
@@ -126,14 +124,13 @@ pub struct StackStats {
     pub raises: u64,
 }
 
-/// What [`Stack::pop`] observed, so the VM can charge the right simulated
-/// cost.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct PopEvent {
-    /// The popped frame's descriptor.
-    pub desc: DescId,
-    /// Whether the pop returned through a stub (a marker fired).
-    pub fired_marker: bool,
+/// Where one live frame sits in the word array.
+#[derive(Clone, Copy, Debug)]
+struct FrameRec {
+    desc: DescId,
+    /// Index of slot 0; the frame ends where the next one begins.
+    base: usize,
+    marked: bool,
 }
 
 /// The activation-record stack with marker bookkeeping.
@@ -148,16 +145,21 @@ pub struct PopEvent {
 /// let mut stack = Stack::new();
 /// for _ in 0..100 { stack.push(d, 1); }
 /// // A collection scans the stack and places markers every 25 frames.
-/// stack.place_markers(25);
+/// stack.place_markers_at((24..100).step_by(25));
 /// assert_eq!(stack.reusable_prefix(), 99); // all but the active top frame
 /// for _ in 0..30 { stack.pop(); }          // pops fire the markers at depths 99 and 74
 /// assert_eq!(stack.reusable_prefix(), 49); // bounded by the intact marker at depth 49
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Stack {
-    frames: Vec<Frame>,
-    /// Original return addresses of marked frames, keyed by depth.
-    marker_table: BTreeMap<usize, DescId>,
+    /// Every live frame's slots, oldest first (Figure 1's layout).
+    words: Vec<u64>,
+    /// Simulation-only shadow tags, parallel to `words`.
+    shadow: Vec<ShadowTag>,
+    frames: Vec<FrameRec>,
+    /// Depths of marked frames, ascending — the side table the stubs
+    /// consult.
+    marker_table: Vec<usize>,
     /// Shallowest depth reached by exception unwinds since the last scan
     /// (`usize::MAX` if none) — the paper's `M`.
     watermark: usize,
@@ -172,11 +174,8 @@ impl Stack {
     /// Creates an empty stack.
     pub fn new() -> Stack {
         Stack {
-            frames: Vec::new(),
-            marker_table: BTreeMap::new(),
             watermark: usize::MAX,
-            min_depth_since_scan: 0,
-            stats: StackStats::default(),
+            ..Stack::default()
         }
     }
 
@@ -194,34 +193,42 @@ impl Stack {
 
     /// Pushes a frame of `num_slots` zeroed slots described by `desc`.
     pub fn push(&mut self, desc: DescId, num_slots: usize) {
-        self.frames.push(Frame::new(desc, num_slots));
+        let base = self.words.len();
+        self.frames.push(FrameRec {
+            desc,
+            base,
+            marked: false,
+        });
+        self.words.resize(base + num_slots, 0);
+        self.shadow.resize(base + num_slots, ShadowTag::NonPtr);
         self.stats.pushes += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.frames.len());
     }
 
-    /// Pops the top frame, firing its marker stub if it carries one.
+    /// Pops the top frame, firing its marker stub if it carries one;
+    /// returns whether a stub fired, so the VM can charge the right
+    /// simulated cost.
     ///
     /// # Panics
     ///
     /// Panics if the stack is empty.
-    pub fn pop(&mut self) -> PopEvent {
+    pub fn pop(&mut self) -> bool {
         let frame = self.frames.pop().expect("pop on empty stack");
+        self.words.truncate(frame.base);
+        self.shadow.truncate(frame.base);
         let depth = self.frames.len();
         self.stats.pops += 1;
         self.min_depth_since_scan = self.min_depth_since_scan.min(depth);
-        let fired = frame.marked;
-        if fired {
+        if frame.marked {
             // The stub runs: it notes the deactivation (removes the table
             // entry) and control continues at the recorded original
             // return address.
-            let original = self.marker_table.remove(&depth);
-            debug_assert!(original.is_some(), "marked frame without table entry");
+            let entry = self.marker_table.binary_search(&depth);
+            self.marker_table
+                .remove(entry.expect("marked frame without table entry"));
             self.stats.marker_fires += 1;
         }
-        PopEvent {
-            desc: frame.desc,
-            fired_marker: fired,
-        }
+        frame.marked
     }
 
     /// Unwinds to `target_depth` because of a raised exception: frames are
@@ -237,6 +244,10 @@ impl Stack {
             "unwind target beyond stack top"
         );
         let popped = self.depth() - target_depth;
+        let cut = self.frames.get(target_depth);
+        let base = cut.map_or(self.words.len(), |f| f.base);
+        self.words.truncate(base);
+        self.shadow.truncate(base);
         self.frames.truncate(target_depth);
         self.stats.pops += popped as u64;
         self.stats.raises += 1;
@@ -246,14 +257,23 @@ impl Stack {
         // the next scan; the watermark makes them harmless meanwhile.
     }
 
+    /// Where frame `depth`'s slots lie in the word array: from its base to
+    /// the next frame's (read, not re-derived from a descriptor).
+    #[inline]
+    fn slots(&self, depth: usize) -> std::ops::Range<usize> {
+        let next = self.frames.get(depth + 1);
+        self.frames[depth].base..next.map_or(self.words.len(), |f| f.base)
+    }
+
     /// The frame at `depth` (0 = oldest).
     ///
     /// # Panics
     ///
     /// Panics if `depth` is out of range.
     #[inline]
-    pub fn frame(&self, depth: usize) -> &Frame {
-        &self.frames[depth]
+    pub fn frame(&self, depth: usize) -> Frame<'_> {
+        assert!(depth < self.depth(), "frame {depth} out of range");
+        Frame { stack: self, depth }
     }
 
     /// Mutable access to the frame at `depth`.
@@ -262,8 +282,12 @@ impl Stack {
     ///
     /// Panics if `depth` is out of range.
     #[inline]
-    pub fn frame_mut(&mut self, depth: usize) -> &mut Frame {
-        &mut self.frames[depth]
+    pub fn frame_mut(&mut self, depth: usize) -> FrameMut<'_> {
+        let slots = self.slots(depth);
+        FrameMut {
+            words: &mut self.words[slots.clone()],
+            shadow: &mut self.shadow[slots],
+        }
     }
 
     /// The top (most recent) frame.
@@ -272,8 +296,8 @@ impl Stack {
     ///
     /// Panics if the stack is empty.
     #[inline]
-    pub fn top(&self) -> &Frame {
-        self.frames.last().expect("top of empty stack")
+    pub fn top(&self) -> Frame<'_> {
+        self.frame(self.depth().checked_sub(1).expect("top of empty stack"))
     }
 
     /// Mutable access to the top frame.
@@ -282,8 +306,8 @@ impl Stack {
     ///
     /// Panics if the stack is empty.
     #[inline]
-    pub fn top_mut(&mut self) -> &mut Frame {
-        self.frames.last_mut().expect("top of empty stack")
+    pub fn top_mut(&mut self) -> FrameMut<'_> {
+        self.frame_mut(self.depth().checked_sub(1).expect("top of empty stack"))
     }
 
     /// Number of leading frames that are provably unchanged since the last
@@ -301,9 +325,9 @@ impl Stack {
         // Entries at depth ≥ M are stale: an exception jumped past them
         // without firing their stubs.
         let intact_bound = self.watermark.min(self.depth());
-        let deepest_intact = match self.marker_table.range(..intact_bound).next_back() {
-            Some((&d, _)) => d,
-            None => return 0,
+        let intact = self.marker_table.partition_point(|&d| d < intact_bound);
+        let Some(&deepest_intact) = self.marker_table[..intact].last() else {
+            return 0;
         };
         deepest_intact.min(self.watermark.saturating_sub(1))
     }
@@ -318,62 +342,31 @@ impl Stack {
     }
 
     /// Called by the collector after a full or partial scan: removes stale
-    /// marker entries, resets the watermark and the oracle, and marks
-    /// every `interval`-th frame. Returns the number of markers placed
-    /// (each placement has a bookkeeping cost).
-    ///
-    /// With `interval == 0` no new markers are placed (marker machinery
-    /// disabled), but bookkeeping is still reset.
-    pub fn place_markers(&mut self, interval: usize) -> usize {
+    /// marker entries, resets the watermark and the oracle, and marks the
+    /// frames at the given depths — the caller's placement policy decides
+    /// which (§7.1 notes "a more dynamic policy of marker placement may
+    /// achieve better performance with fewer markers"). Depths beyond the
+    /// stack are ignored; an empty list still resets the bookkeeping.
+    /// Returns the number of markers placed (each placement has a
+    /// bookkeeping cost).
+    pub fn place_markers_at(&mut self, depths: impl IntoIterator<Item = usize>) -> usize {
         // Lazy cleanup: an entry is stale if its frame is gone or was
         // replaced by a new (unmarked) frame after an exception unwind.
         let depth = self.depth();
-        let frames = &self.frames;
-        self.marker_table
-            .retain(|&d, _| d < depth && frames[d].marked);
-        self.watermark = usize::MAX;
-        self.min_depth_since_scan = depth;
-        if interval == 0 {
-            return 0;
-        }
-        let mut placed = 0;
-        let mut d = interval - 1;
-        while d < depth {
-            let frame = &mut self.frames[d];
-            if !frame.marked {
-                self.marker_table.insert(d, frame.desc);
-                frame.marked = true;
-                placed += 1;
-            }
-            d += interval;
-        }
-        self.stats.markers_placed += placed as u64;
-        placed
-    }
-
-    /// Like [`place_markers`](Stack::place_markers) but with an explicit
-    /// list of depths, for non-uniform placement policies (§7.1 notes "a
-    /// more dynamic policy of marker placement may achieve better
-    /// performance with fewer markers"). Depths beyond the stack are
-    /// ignored. Returns the number of markers placed.
-    pub fn place_markers_at(&mut self, depths: impl IntoIterator<Item = usize>) -> usize {
-        let depth = self.depth();
-        let frames = &self.frames;
-        self.marker_table
-            .retain(|&d, _| d < depth && frames[d].marked);
+        let frames = &mut self.frames;
+        self.marker_table.retain(|&d| d < depth && frames[d].marked);
         self.watermark = usize::MAX;
         self.min_depth_since_scan = depth;
         let mut placed = 0;
         for d in depths {
-            if d >= depth {
-                continue;
-            }
-            let frame = &mut self.frames[d];
-            if !frame.marked {
-                self.marker_table.insert(d, frame.desc);
-                frame.marked = true;
+            if d < depth && !frames[d].marked {
+                self.marker_table.push(d);
+                frames[d].marked = true;
                 placed += 1;
             }
+        }
+        if placed > 0 {
+            self.marker_table.sort_unstable();
         }
         self.stats.markers_placed += placed as u64;
         placed
@@ -408,6 +401,12 @@ mod tests {
         t.register(FrameDesc::new("t"))
     }
 
+    /// Every `n`-th of `depth` frames — what tilgc-core's
+    /// `MarkerPolicy::EveryN` hands to `place_markers_at`.
+    fn every(n: usize, depth: usize) -> impl Iterator<Item = usize> {
+        (n - 1..depth).step_by(n)
+    }
+
     fn stack_of(n: usize) -> Stack {
         let d = desc();
         let mut s = Stack::new();
@@ -423,8 +422,7 @@ mod tests {
         assert_eq!(s.depth(), 3);
         s.top_mut().set(0, Value::Int(9));
         assert_eq!(s.top().word(0), 9);
-        let ev = s.pop();
-        assert!(!ev.fired_marker);
+        assert!(!s.pop(), "no marker to fire");
         assert_eq!(s.depth(), 2);
         assert_eq!(s.stats().max_depth, 3);
     }
@@ -442,7 +440,7 @@ mod tests {
     #[test]
     fn markers_every_interval() {
         let mut s = stack_of(100);
-        let placed = s.place_markers(25);
+        let placed = s.place_markers_at(every(25, s.depth()));
         assert_eq!(placed, 4); // depths 24, 49, 74, 99
         assert!(s.frame(24).is_marked() && s.frame(99).is_marked());
         assert!(!s.frame(25).is_marked());
@@ -452,7 +450,7 @@ mod tests {
     #[test]
     fn interval_zero_disables_markers() {
         let mut s = stack_of(100);
-        assert_eq!(s.place_markers(0), 0);
+        assert_eq!(s.place_markers_at([]), 0);
         assert_eq!(s.reusable_prefix(), 0);
         // But the oracle still resets.
         assert_eq!(s.true_unchanged_prefix(), 99);
@@ -461,7 +459,7 @@ mod tests {
     #[test]
     fn firing_markers_shrinks_the_prefix_conservatively() {
         let mut s = stack_of(100);
-        s.place_markers(25);
+        s.place_markers_at(every(25, s.depth()));
         for _ in 0..26 {
             s.pop(); // pops 99..74, firing markers at 99 and 74
         }
@@ -477,7 +475,7 @@ mod tests {
     fn regrowth_after_pops_is_not_reused() {
         let d = desc();
         let mut s = stack_of(100);
-        s.place_markers(25);
+        s.place_markers_at(every(25, s.depth()));
         for _ in 0..60 {
             s.pop(); // down to depth 40, firing markers 99, 74, 49
         }
@@ -496,7 +494,7 @@ mod tests {
     fn exception_unwind_uses_watermark_not_stubs() {
         let d = desc();
         let mut s = stack_of(100);
-        s.place_markers(25);
+        s.place_markers_at(every(25, s.depth()));
         s.unwind_for_raise(30); // jumps past markers at 99, 74, 49 silently
         assert_eq!(s.stats().marker_fires, 0);
         assert_eq!(s.watermark(), 30);
@@ -514,12 +512,12 @@ mod tests {
     fn rescan_cleans_stale_entries_and_resets_watermark() {
         let d = desc();
         let mut s = stack_of(100);
-        s.place_markers(25);
+        s.place_markers_at(every(25, s.depth()));
         s.unwind_for_raise(10);
         for _ in 0..40 {
             s.push(d, 2);
         }
-        s.place_markers(25);
+        s.place_markers_at(every(25, s.depth()));
         assert_eq!(s.watermark(), usize::MAX);
         assert_eq!(s.reusable_prefix(), 49); // depth 50, markers at 24 and 49 intact
         assert_eq!(s.live_markers(), 2);
@@ -528,9 +526,9 @@ mod tests {
     #[test]
     fn remarking_does_not_duplicate() {
         let mut s = stack_of(50);
-        assert_eq!(s.place_markers(25), 2);
+        assert_eq!(s.place_markers_at(every(25, s.depth())), 2);
         assert_eq!(
-            s.place_markers(25),
+            s.place_markers_at(every(25, s.depth())),
             0,
             "existing markers are kept, not re-placed"
         );

@@ -255,68 +255,65 @@ impl FrameDesc {
             .map(|&(_, e)| e)
             .unwrap_or(RegEffect::Preserve)
     }
-
-    /// The callee-save registers this frame spills into slots, with the
-    /// slot index of each spill.
-    pub fn callee_saves(&self) -> impl Iterator<Item = (usize, Reg)> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, t)| match t {
-            Trace::CalleeSave(r) => Some((i, *r)),
-            _ => None,
-        })
-    }
 }
 
-/// A [`FrameDesc`]'s slot traces precompiled at [`TraceTable::register`]
-/// time.
+/// A [`FrameDesc`]'s layout compiled once at [`TraceTable::register`]
+/// time: the one per-descriptor form that frame push, frame pop and the
+/// stack scan all read.
 ///
 /// Most frames are *static*: every slot is [`Trace::Pointer`] or
 /// [`Trace::NonPointer`], so which slots are roots is known the moment the
-/// descriptor is registered. For those frames the compiled form packs the
-/// pointer slots into a `u64` bitmap (and a shared slot-index list for the
-/// scan cache), letting the stack scan walk set bits instead of matching a
-/// `Trace` per slot. Frames with [`Trace::CalleeSave`] or
-/// [`Trace::Compute`] slots depend on runtime state and keep the two-pass
-/// decode.
+/// descriptor is registered. For those frames the scan walks the set bits
+/// of the packed pointer bitmap (and shares the slot-index list with the
+/// scan cache) instead of matching a `Trace` per slot. Frames with
+/// [`Trace::CalleeSave`] or [`Trace::Compute`] slots depend on runtime
+/// state and keep the two-pass decode; their declared pointer slots are
+/// only part of the answer.
 #[derive(Clone, Debug)]
 pub struct CompiledTrace {
-    /// Bit `i` set means slot `i` is statically a pointer. Meaningful only
-    /// when [`is_static`](CompiledTrace::is_static); empty otherwise.
+    /// Bit `i` set means slot `i` is declared [`Trace::Pointer`].
     ptr_bitmap: Vec<u64>,
     /// The same information as `ptr_bitmap`, as a shared index list —
-    /// cloned (not recomputed) into every scan-cache entry.
+    /// cloned (not recomputed) into every scan-cache entry, and walked by
+    /// frame push to null the pointer slots.
     ptr_slots: Arc<[u16]>,
+    /// `(slot, reg)` for every [`Trace::CalleeSave`] slot: spilled by
+    /// frame push, restored by frame pop.
+    callee_saves: Vec<(usize, Reg)>,
     num_slots: usize,
     is_static: bool,
 }
 
 impl CompiledTrace {
     fn compile(desc: &FrameDesc) -> CompiledTrace {
-        let num_slots = desc.slots.len();
-        let is_static = desc
-            .slots
-            .iter()
-            .all(|t| matches!(t, Trace::Pointer | Trace::NonPointer));
-        let mut ptr_bitmap = Vec::new();
+        let mut ptr_bitmap = vec![0u64; desc.slots.len().div_ceil(64)];
         let mut ptr_slots = Vec::new();
-        if is_static {
-            ptr_bitmap = vec![0u64; num_slots.div_ceil(64)];
-            for (i, t) in desc.slots.iter().enumerate() {
-                if matches!(t, Trace::Pointer) {
+        let mut callee_saves = Vec::new();
+        for (i, t) in desc.slots.iter().enumerate() {
+            match *t {
+                Trace::Pointer => {
                     ptr_bitmap[i / 64] |= 1 << (i % 64);
                     ptr_slots.push(i as u16);
                 }
+                Trace::CalleeSave(reg) => callee_saves.push((i, reg)),
+                Trace::NonPointer | Trace::Compute(_) => {}
             }
         }
         CompiledTrace {
             ptr_bitmap,
             ptr_slots: ptr_slots.into(),
-            num_slots,
-            is_static,
+            callee_saves,
+            num_slots: desc.slots.len(),
+            is_static: desc
+                .slots
+                .iter()
+                .all(|t| matches!(t, Trace::Pointer | Trace::NonPointer)),
         }
     }
 
     /// Whether every slot's pointerness was decided at registration time
-    /// (no callee-save or compute slots).
+    /// (no callee-save or compute slots): the declared pointer slots are
+    /// then the frame's whole root set.
     #[inline]
     pub fn is_static(&self) -> bool {
         self.is_static
@@ -334,10 +331,17 @@ impl CompiledTrace {
         &self.ptr_bitmap
     }
 
-    /// The static pointer-slot list, shared (not copied) per clone.
+    /// The declared pointer-slot list, shared (not copied) per clone.
     #[inline]
     pub fn ptr_slots(&self) -> Arc<[u16]> {
         Arc::clone(&self.ptr_slots)
+    }
+
+    /// What frame push and pop need: the declared pointer slots and the
+    /// `(slot, reg)` callee-save spills, borrowed.
+    #[inline]
+    pub(crate) fn frame_layout(&self) -> (&[u16], &[(usize, Reg)]) {
+        (&self.ptr_slots, &self.callee_saves)
     }
 }
 
@@ -360,8 +364,15 @@ impl TraceTable {
     /// # Panics
     ///
     /// Panics on descriptors whose `Compute` traces reference slots out of
-    /// range — the moral equivalent of a compiler bug.
+    /// range, or with more slots than a 16-bit slot index can name — the
+    /// moral equivalent of a compiler bug.
     pub fn register(&mut self, desc: FrameDesc) -> DescId {
+        assert!(
+            desc.slots.len() <= 1 << 16,
+            "frame {:?} has {} slots; slot indices are 16-bit",
+            desc.name,
+            desc.slots.len()
+        );
         for (i, t) in desc.slots.iter().enumerate() {
             if let Trace::Compute(TypeLoc::Slot(s)) = t {
                 assert!(
@@ -386,7 +397,7 @@ impl TraceTable {
         &self.descs[id.index()]
     }
 
-    /// Looks up a descriptor's precompiled trace bitmap.
+    /// Looks up a descriptor's compiled layout.
     ///
     /// # Panics
     ///
@@ -439,8 +450,11 @@ mod tests {
             .slot(Trace::NonPointer)
             .slot(Trace::CalleeSave(Reg::new(9)))
             .slot(Trace::CalleeSave(Reg::new(10)));
-        let spills: Vec<_> = d.callee_saves().collect();
-        assert_eq!(spills, vec![(1, Reg::new(9)), (2, Reg::new(10))]);
+        let compiled = CompiledTrace::compile(&d);
+        assert_eq!(
+            compiled.frame_layout().1,
+            [(1, Reg::new(9)), (2, Reg::new(10))]
+        );
     }
 
     #[test]
@@ -459,6 +473,13 @@ mod tests {
     fn bad_compute_reference_panics() {
         let mut t = TraceTable::new();
         t.register(FrameDesc::new("bad").slot(Trace::Compute(TypeLoc::Slot(5))));
+    }
+
+    #[test]
+    #[should_panic(expected = "slot indices are 16-bit")]
+    fn frame_wider_than_a_slot_index_is_rejected() {
+        let mut t = TraceTable::new();
+        t.register(FrameDesc::new("wide").slots(70_000, Trace::Pointer));
     }
 
     #[test]
@@ -491,6 +512,16 @@ mod tests {
         assert!(!t.compiled(cs).is_static());
         assert!(!t.compiled(cp).is_static());
         assert_eq!(t.compiled(cp).num_slots(), 2);
+        // The declared pointer slots are listed for dynamic frames too
+        // (frame push nulls them); only the scan may not stop there.
+        let mixed = t.register(
+            FrameDesc::new("mixed")
+                .slot(Trace::CalleeSave(Reg::new(3)))
+                .slot(Trace::Pointer),
+        );
+        assert!(!t.compiled(mixed).is_static());
+        assert_eq!(&*t.compiled(mixed).ptr_slots(), &[1u16]);
+        assert_eq!(t.compiled(mixed).ptr_bitmap(), &[0b10]);
     }
 
     #[test]

@@ -32,7 +32,6 @@ use tilgc_mem::{object, Addr, GcError, Header, Memory, SiteId, MAX_RECORD_FIELDS
 use crate::collector::{AllocShape, CollectReason, Collector};
 use crate::mutator::MutatorState;
 use crate::profile_data::HeapProfile;
-use crate::stack::PopEvent;
 use crate::stats::{GcStats, MutatorStats};
 use crate::trace::{DescId, FrameDesc, Reg};
 use crate::value::{ShadowTag, Value};
@@ -203,27 +202,17 @@ impl Vm {
     /// [`Trace::Pointer`](crate::Trace::Pointer) start as null pointers
     /// (the frame is zeroed, and the layout says they are pointer slots).
     pub fn push_frame(&mut self, desc: DescId) {
-        let d = self.m.traces.desc(desc);
-        let num_slots = d.num_slots();
-        let spills: Vec<(usize, Reg)> = d.callee_saves().collect();
-        let ptr_slots: Vec<usize> = d
-            .slot_traces()
-            .iter()
-            .enumerate()
-            .filter(|(_, t)| matches!(t, crate::Trace::Pointer))
-            .map(|(i, _)| i)
-            .collect();
-        let push_cost = self.m.cost.frame_push;
-        self.m.stack.push(desc, num_slots);
-        for i in ptr_slots {
-            self.m.stack.top_mut().set_word_tagged(i, 0, ShadowTag::Ptr);
+        let compiled = self.m.traces.compiled(desc);
+        let (ptr_slots, spills) = compiled.frame_layout();
+        self.m.stack.push(desc, compiled.num_slots());
+        let mut top = self.m.stack.top_mut();
+        for &slot in ptr_slots {
+            top.set_word_tagged(slot as usize, 0, ShadowTag::Ptr);
         }
-        for (slot, reg) in spills {
-            let word = self.m.regs.word(reg);
-            let tag = self.m.regs.shadow(reg);
-            self.m.stack.top_mut().set_word_tagged(slot, word, tag);
+        for &(slot, reg) in spills {
+            top.set_word_tagged(slot, self.m.regs.word(reg), self.m.regs.shadow(reg));
         }
-        self.m.charge(push_cost);
+        self.m.charge(self.m.cost.frame_push);
     }
 
     /// Pops the top activation record, restoring its callee-save
@@ -234,17 +223,14 @@ impl Vm {
     /// Panics if the stack is empty.
     pub fn pop_frame(&mut self) {
         let top = self.m.stack.top();
-        let desc = top.desc();
-        let d = self.m.traces.desc(desc);
-        let restores: Vec<(usize, Reg)> = d.callee_saves().collect();
-        for &(slot, reg) in &restores {
-            let word = self.m.stack.top().word(slot);
-            let tag = self.m.stack.top().shadow(slot);
-            self.m.regs.set_word_tagged(reg, word, tag);
+        let (_, spills) = self.m.traces.compiled(top.desc()).frame_layout();
+        for &(slot, reg) in spills {
+            self.m
+                .regs
+                .set_word_tagged(reg, top.word(slot), top.shadow(slot));
         }
-        let PopEvent { fired_marker, .. } = self.m.stack.pop();
         let mut cost = self.m.cost.frame_pop;
-        if fired_marker {
+        if self.m.stack.pop() {
             cost += self.m.cost.marker_fire;
         }
         self.m.charge(cost);
@@ -576,9 +562,15 @@ impl Vm {
         self.m.handlers.pop();
     }
 
-    /// Raises an exception: unwinds to the innermost handler, lowering
-    /// the stack watermark `M` to it (§5's first scheme).
+    /// Raises an exception: unwinds to the innermost live handler,
+    /// lowering the stack watermark `M` to it (§5's first scheme). A
+    /// handler anchored above the current depth is dead — its installing
+    /// frame returned, which leaves the `handle` scope — and is discarded.
     pub fn raise(&mut self) -> RaiseOutcome {
+        let depth = self.m.stack.depth();
+        while self.m.handlers.innermost_depth().is_some_and(|h| h > depth) {
+            self.m.handlers.pop();
+        }
         let Some(target) = self.m.handlers.raise() else {
             return RaiseOutcome::Uncaught;
         };

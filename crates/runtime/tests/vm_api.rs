@@ -6,11 +6,12 @@
 use tilgc_mem::{object, Addr, Memory, Space};
 use tilgc_runtime::{
     AllocShape, CollectReason, Collector, FrameDesc, GcStats, MutatorState, RaiseOutcome, Reg,
-    ShadowTag, Trace, Value, Vm,
+    ShadowTag, Trace, TypeLoc, Value, Vm,
 };
 
 /// A bump-only collector that never collects — the runtime substrate can
-/// be tested without any GC behaviour.
+/// be tested without any GC behaviour. A request that does not fit is the
+/// typed out-of-memory verdict a real plan's escalation ladder ends in.
 struct BumpCollector {
     mem: Memory,
     space: Space,
@@ -47,10 +48,13 @@ impl Collector for BumpCollector {
         m: &mut MutatorState,
         shape: AllocShape,
     ) -> Result<Addr, tilgc_mem::GcError> {
-        let addr = self
-            .space
-            .alloc(shape.size_words())
-            .expect("bump space exhausted");
+        let Ok(addr) = self.space.alloc(shape.size_words()) else {
+            return Err(tilgc_mem::GcError::TenuredExhausted {
+                kind: shape.kind(),
+                requested_words: shape.size_words(),
+                budget: tilgc_mem::BudgetSnapshot::default(),
+            });
+        };
         match shape {
             AllocShape::Record { site, len, mask } => {
                 let h = tilgc_mem::Header::record(len, mask).expect("valid");
@@ -122,6 +126,43 @@ fn callee_save_spills_at_push_and_restores_at_pop() {
     vm.set_reg(Reg::new(9), Value::Ptr(other));
     vm.pop_frame();
     assert_eq!(vm.reg_ptr(Reg::new(9)), obj, "restored at exit");
+}
+
+#[test]
+fn mixed_frame_spills_restores_and_nulls_from_the_compiled_layout() {
+    // A non-static frame: push and pop serve it from the compiled layout
+    // too — pointer slots nulled, both spills taken and restored, the
+    // `Compute` slot and its type word left as plain zeroed non-pointers.
+    let mut vm = vm();
+    let site = vm.site("t::x");
+    let mixed = vm.register_frame(
+        FrameDesc::new("mixed")
+            .slot(Trace::Pointer)
+            .slot(Trace::CalleeSave(Reg::new(9)))
+            .slot(Trace::NonPointer)
+            .slot(Trace::Compute(TypeLoc::Slot(2)))
+            .slot(Trace::CalleeSave(Reg::new(10)))
+            .slot(Trace::Pointer),
+    );
+    let obj = vm.alloc_record(site, &[Value::Int(5)]).unwrap();
+    vm.set_reg(Reg::new(9), Value::Ptr(obj));
+    vm.set_reg(Reg::new(10), Value::Int(77));
+    vm.push_frame(mixed);
+    let top = vm.mutator().stack.top();
+    let words: Vec<u64> = (0..6).map(|i| top.word(i)).collect();
+    let tags: Vec<ShadowTag> = (0..6).map(|i| top.shadow(i)).collect();
+    assert_eq!(words, [0, u64::from(obj.raw()), 0, 0, 77, 0]);
+    use ShadowTag::{NonPtr, Ptr};
+    assert_eq!(tags, [Ptr, Ptr, NonPtr, NonPtr, NonPtr, Ptr]);
+    // The callee clobbers both registers (swapping their pointerness).
+    vm.set_reg(Reg::new(9), Value::Int(1));
+    vm.set_reg(Reg::new(10), Value::Ptr(obj));
+    vm.pop_frame();
+    assert_eq!(vm.reg_ptr(Reg::new(9)), obj, "pointer spill restored");
+    assert_eq!(vm.reg_int(Reg::new(10)), 77, "integer spill restored");
+    let m = vm.mutator();
+    assert_eq!(m.regs.shadow(Reg::new(10)), NonPtr, "with its tag");
+    assert_eq!(m.stack.depth(), 0);
 }
 
 #[test]
@@ -214,6 +255,45 @@ fn nested_handlers_unwind_innermost_first() {
     vm.push_frame(d);
     assert_eq!(vm.raise(), RaiseOutcome::Caught { handler_depth: 3 });
     assert_eq!(vm.raise(), RaiseOutcome::Caught { handler_depth: 1 });
+}
+
+#[test]
+fn raise_skips_a_handler_whose_installing_frame_returned() {
+    let mut vm = vm();
+    let d = vm.register_frame(FrameDesc::new("f").slot(Trace::NonPointer));
+    vm.push_frame(d);
+    vm.push_handler(); // depth 1: live throughout
+    vm.push_frame(d);
+    vm.push_handler(); // depth 2: its frame returns below
+    vm.pop_frame();
+    // Returning left the inner `handle` scope: the raise lands on the
+    // outer handler instead of unwinding "up" to depth 2.
+    assert_eq!(vm.raise(), RaiseOutcome::Caught { handler_depth: 1 });
+
+    // With only a dead handler installed the raise is uncaught.
+    vm.push_frame(d);
+    vm.push_handler(); // depth 2
+    vm.pop_frame();
+    assert_eq!(vm.raise(), RaiseOutcome::Uncaught);
+    assert_eq!(vm.depth(), 1, "an uncaught raise leaves the stack alone");
+    assert!(vm.mutator().handlers.is_empty(), "dead entry discarded");
+}
+
+#[test]
+fn heap_overflow_past_a_dead_handler_is_a_clean_uncaught_error() {
+    let mut vm = vm();
+    let site = vm.site("t::huge");
+    let d = vm.register_frame(FrameDesc::new("f").slot(Trace::NonPointer));
+    vm.push_frame(d);
+    vm.push_frame(d);
+    vm.push_handler();
+    vm.pop_frame();
+    // 16 MB does not fit the 8 MB bump space: the implicit raise must
+    // return, not panic in the unwind.
+    let err = vm.alloc_raw_array(site, 16 << 20).unwrap_err();
+    assert_eq!(err.outcome, RaiseOutcome::Uncaught);
+    assert_eq!(err.error.kind(), tilgc_mem::AllocKind::RawArray);
+    assert_eq!(vm.depth(), 1);
 }
 
 #[test]

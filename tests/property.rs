@@ -3,7 +3,9 @@
 //! marker machinery must never over-promise.
 
 use proptest::prelude::*;
-use tilgc::core::{build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig, PretenurePolicy};
+use tilgc::core::{
+    build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy,
+};
 use tilgc::mem::ObjectKind;
 use tilgc::runtime::{FrameDesc, RaiseOutcome, Trace, Value, Vm};
 
@@ -333,7 +335,8 @@ proptest! {
                 }
                 Op::Gc => {
                     // Simulate a scan epoch: place markers directly.
-                    vm.mutator_mut().stack.place_markers(interval);
+                    let placements = MarkerPolicy::EveryN(interval).placements(vm.depth());
+                    vm.mutator_mut().stack.place_markers_at(placements);
                 }
                 _ => {}
             }
