@@ -24,7 +24,7 @@
 //! only scanning them"), unless the §7.2 analysis marked their site
 //! no-scan.
 
-use tilgc_mem::{Addr, BudgetSnapshot, GcError, Memory, Space, SpaceRange};
+use tilgc_mem::{Addr, Arena, BudgetSnapshot, GcError, Memory, SiteId, Space, SpaceRange};
 use tilgc_obs::{Event, GcPhase, SiteDemote};
 use tilgc_runtime::{
     AllocShape, BarrierEntry, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile,
@@ -35,9 +35,9 @@ use crate::adaptive::AdaptivePretenure;
 use crate::config::{GcConfig, PretenurePolicy};
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths, LaneOutcome};
-use crate::governor::{PressureRung, PressureSession};
+use crate::governor::{self, Governed, Ladder, PressureRung, PressureSession, Recovery};
 use crate::space::{CopySpace, PretenuredRegion};
-use crate::util::{alloc_in_space, materialize, reason_str};
+use crate::util::reason_str;
 use crate::LargeObjectSpace;
 
 /// Tenured-generation resizing target liveness ratio (0.3 in §2.1).
@@ -74,6 +74,12 @@ pub struct GenerationalPlan {
     /// Whether the governor's one-shot budget rebalance (ladder rung 3)
     /// has already been spent for this plan's lifetime.
     rebalanced: bool,
+    /// Whether live tenured data sits past the tenured share of the
+    /// budget (refreshed wherever the share is recomputed). While it
+    /// does the budget is spent, and a young allocation attempt fails
+    /// like a full nursery — only tenured-arena requests read the
+    /// tenured limit, and a guest retaining small objects makes none.
+    tenured_over_share: bool,
     base: PlanBase,
 }
 
@@ -137,16 +143,12 @@ impl GenerationalPlan {
             young_refs: Vec::new(),
             young_locs: Vec::new(),
             rebalanced: false,
+            tenured_over_share: false,
             base: PlanBase::new(config),
         };
         c.base.keep_windows = c.adaptive.is_some();
         c.apply_limits(0);
         c
-    }
-
-    /// The pretenured-region site policy in force, if any.
-    pub fn pretenure_policy(&self) -> Option<&PretenurePolicy> {
-        self.pretenured.as_ref().map(|r| r.policy())
     }
 
     /// The tenured budget per semispace, given current LOS usage.
@@ -160,6 +162,7 @@ impl GenerationalPlan {
     fn apply_limits(&mut self, live_words: usize) {
         let max = self.tenured_max_words();
         self.tenured.set_limit_words(max);
+        self.tenured_over_share = self.tenured.active().used_words() > max;
         let target = (live_words as f64 / TENURED_TARGET_LIVENESS) as usize;
         self.major_threshold_words = target.clamp((2 * self.nursery_words).min(max), max);
     }
@@ -380,11 +383,12 @@ impl GenerationalPlan {
         self.apply_limits(live_words);
         // Live tenured data past its budget share is not a panic here:
         // `set_limit_words` clamps the limit up to the used words, so
-        // the *next* allocation fails typed and the governor's ladder
-        // (rebalance, demotion) or a `HeapOverflow` raise handles it.
-        // The overrun is counted so calibration harnesses can tell this
-        // run was not pressure-free even if every allocation succeeds.
-        if self.tenured.active().used_words() > self.tenured_max_words() {
+        // tenured and young attempts alike fail typed from now on and
+        // the governor's ladder (rebalance, demotion) or a
+        // `HeapOverflow` raise handles it. The overrun is counted so
+        // calibration harnesses can tell this run was not pressure-free
+        // even if every allocation succeeds.
+        if self.tenured_over_share {
             self.base.stats.budget_overruns += 1;
         }
         self.finish_cycle(m, &mut cycle, lanes, live_words, true);
@@ -411,39 +415,19 @@ impl GenerationalPlan {
         cycle.finish(&mut self.base, &self.mem, m, lanes, release);
     }
 
-    /// One allocation attempt against the nursery. A forced-failure
-    /// token is consumed first, so fault injection fails each *attempt*
-    /// (not each logical allocation) and drives the full ladder.
-    fn nursery_attempt_fits(&self, m: &mut MutatorState, words: usize) -> bool {
-        !m.consume_forced_failure() && self.nursery.active().fits(words)
-    }
-
-    /// One allocation attempt against the tenured generation.
-    fn tenured_attempt_fits(&self, m: &mut MutatorState, words: usize) -> bool {
-        !m.consume_forced_failure() && self.tenured.active().fits(words)
-    }
-
-    /// One allocation attempt against the large-object space.
-    fn los_attempt_alloc(&mut self, m: &mut MutatorState, words: usize) -> Option<Addr> {
-        if m.consume_forced_failure() {
-            return None;
-        }
-        self.los.alloc(words)
-    }
-
-    /// The budget picture at the moment an arena gave out.
-    fn snapshot(&self, space: &'static str) -> BudgetSnapshot {
-        let (free_words, live_words) = match space {
-            "nursery" => (
+    /// The budget picture at the moment `arena` gave out.
+    fn snapshot(&self, arena: Arena) -> BudgetSnapshot {
+        let (free_words, live_words) = match arena {
+            Arena::Nursery => (
                 self.nursery.active().free_words(),
                 self.nursery.active().used_words(),
             ),
-            "los" => {
+            Arena::Los => {
                 let used = self.los.used_words();
                 let committed = self.nursery_words + 2 * self.tenured.active().used_words() + used;
                 (self.budget_words.saturating_sub(committed), used)
             }
-            _ => (
+            Arena::Tenured => (
                 self.tenured.active().free_words(),
                 self.tenured.active().used_words(),
             ),
@@ -466,296 +450,167 @@ impl GenerationalPlan {
         self.apply_limits(live);
     }
 
-    /// Climbs the tenured-arena rungs shared by the pretenure and
-    /// oversized paths — retry-major, then the one-shot rebalance —
-    /// after the ordinary slow path (one major collection) has already
-    /// failed. Returns whether `words` now fit the active tenured half.
-    fn climb_tenured_ladder(
+    /// The pretenuring path's last rung, after the tenured ladder ran
+    /// out: demotes pretenured sites (hottest first) back to nursery
+    /// allocation until `site` itself routes young.
+    fn demote_until_young(
         &mut self,
         m: &mut MutatorState,
         session: &mut PressureSession,
-        words: usize,
-    ) -> bool {
-        let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
-        self.major(m, "alloc-failure");
-        if self.tenured_attempt_fits(m, words) {
-            session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
-            return true;
-        }
-        session.emit_rung(m, PressureRung::RetryMajor, "escalated", charged);
-        if !self.rebalanced {
-            let charged = session.charge(m, &mut self.base.stats, PressureRung::Rebalance);
-            self.rebalance();
-            if self.tenured_attempt_fits(m, words) {
-                session.emit_rung(m, PressureRung::Rebalance, "recovered", charged);
-                return true;
+        site: SiteId,
+    ) {
+        while self.route_pretenured(site) {
+            let charged = session.charge(m, &mut self.base.stats, PressureRung::Demote);
+            let demoted = self
+                .pretenured
+                .as_mut()
+                .expect("pretenure routing checked")
+                .demote_hottest()
+                .expect("`site` is still pretenured");
+            if let Some(p) = self.base.profile.as_mut() {
+                p.note_demotion(demoted);
             }
-            session.emit_rung(m, PressureRung::Rebalance, "escalated", charged);
-        }
-        false
-    }
-
-    /// Bump-allocates into the active tenured half, which the caller
-    /// has checked (or recovered) to fit.
-    fn finish_tenured_alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Addr {
-        let buf = std::mem::take(&mut m.alloc_buf);
-        let addr = alloc_in_space(&mut self.mem, self.tenured.active_mut(), shape, &buf)
-            .expect("tenured space was checked to fit");
-        m.alloc_buf = buf;
-        addr
-    }
-
-    /// The large-array path: mark-sweep placement with a ladder of one
-    /// retry-major rung (rebalancing cannot grow the LOS reservation).
-    fn alloc_large(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
-        let words = shape.size_words();
-        let mut addr = self.los_attempt_alloc(m, words);
-        if addr.is_none() {
-            // Ordinary slow path: a major collection sweeps dead blocks.
-            self.major(m, "alloc-failure");
-            addr = self.los_attempt_alloc(m, words);
-        }
-        let addr = match addr {
-            Some(a) => a,
-            None => {
-                let mut session = PressureSession::begin(
-                    m,
-                    &mut self.base.stats,
-                    shape.site().get(),
-                    words as u64,
-                    "los",
-                );
-                let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
-                self.major(m, "alloc-failure");
-                match self.los_attempt_alloc(m, words) {
-                    Some(a) => {
-                        session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
-                        session.finish(m, "recovered");
-                        a
-                    }
-                    None => {
-                        session.emit_rung(m, PressureRung::RetryMajor, "escalated", charged);
-                        session.finish(m, "exhausted");
-                        return Err(GcError::LargeObjectExhausted {
-                            kind: shape.kind(),
-                            requested_words: words,
-                            budget: self.snapshot("los"),
-                        });
-                    }
+            // A governor demotion while adaptation is on is a policy
+            // flip like any other: sync the estimator's view (starting
+            // the site's cooldown), count it, and emit the event with
+            // its distinct reason.
+            if let Some(a) = self.adaptive.as_mut() {
+                let collection = self.base.stats.collections;
+                a.note_forced_demotion(demoted, collection);
+                self.base.stats.sites_demoted += 1;
+                if m.recorder.is_enabled() {
+                    m.recorder.record(Event::SiteDemote(SiteDemote {
+                        collection,
+                        site: demoted.get(),
+                        survival_permille: a.survival_permille(demoted).unwrap_or(0),
+                        reason: "pressure",
+                    }));
                 }
             }
-        };
-        let buf = std::mem::take(&mut m.alloc_buf);
-        materialize(&mut self.mem, addr, shape, &buf);
-        m.alloc_buf = buf;
-        if matches!(shape, AllocShape::PtrArray { .. }) {
-            // The initializing store may reference the nursery.
-            self.los.pending_scan.push(addr);
+            session.emit_rung(m, PressureRung::Demote, "demoted", charged);
         }
-        if let Some(prof) = self.base.profile.as_mut() {
-            prof.on_alloc(addr, shape.site(), shape.size_bytes());
-        }
-        Ok(addr)
     }
 
-    /// The pretenuring path: tenured-at-birth placement whose last
-    /// ladder rung demotes pretenured sites (hottest first) back to
-    /// nursery allocation until this site re-routes young.
-    fn alloc_pretenured(
-        &mut self,
-        m: &mut MutatorState,
-        shape: AllocShape,
-    ) -> Result<Addr, GcError> {
-        let words = shape.size_words();
-        let site = shape.site();
-        m.charge(m.cost.pretenure_alloc_extra);
-        if !self.tenured_attempt_fits(m, words) {
-            self.major(m, "alloc-failure");
-            if !self.tenured_attempt_fits(m, words) {
-                let mut session = PressureSession::begin(
-                    m,
-                    &mut self.base.stats,
-                    site.get(),
-                    words as u64,
-                    "tenured",
-                );
-                if !self.climb_tenured_ladder(m, &mut session, words) {
-                    while self
-                        .pretenured
-                        .as_ref()
-                        .is_some_and(|p| p.should_pretenure(site))
-                    {
-                        let charged = session.charge(m, &mut self.base.stats, PressureRung::Demote);
-                        let demoted = self
-                            .pretenured
-                            .as_mut()
-                            .expect("pretenure routing checked")
-                            .demote_hottest()
-                            .expect("`site` is still pretenured");
-                        if let Some(p) = self.base.profile.as_mut() {
-                            p.note_demotion(demoted);
-                        }
-                        // A governor demotion while adaptation is on is
-                        // a policy flip like any other: sync the
-                        // estimator's view (starting the site's
-                        // cooldown), count it, and emit the event with
-                        // its distinct reason.
-                        if let Some(a) = self.adaptive.as_mut() {
-                            let collection = self.base.stats.collections;
-                            a.note_forced_demotion(demoted, collection);
-                            self.base.stats.sites_demoted += 1;
-                            if m.recorder.is_enabled() {
-                                m.recorder.record(Event::SiteDemote(SiteDemote {
-                                    collection,
-                                    site: demoted.get(),
-                                    survival_permille: a.survival_permille(demoted).unwrap_or(0),
-                                    reason: "pressure",
-                                }));
-                            }
-                        }
-                        session.emit_rung(m, PressureRung::Demote, "demoted", charged);
-                    }
-                    session.finish(m, "recovered");
-                    // The site now allocates young: re-route through the
-                    // ordinary paths (nursery, or oversized fallback).
-                    return self.alloc_inner(m, shape);
-                }
-                session.finish(m, "recovered");
-            }
-        }
-        let addr = self.finish_tenured_alloc(m, shape);
-        self.base.stats.pretenured_bytes += shape.size_bytes() as u64;
-        // §7.2: "some areas may require no scanning because they
-        // contain no pointers" — pointer-free objects never make
-        // it onto the pending-scan list, and neither do objects
-        // from sites the no-scan analysis cleared.
-        let pointer_free = match shape {
-            AllocShape::Record { mask, .. } => mask == 0,
-            AllocShape::PtrArray { .. } => false,
-            AllocShape::RawArray { .. } => true,
-        };
+    fn route_pretenured(&self, site: SiteId) -> bool {
         self.pretenured
-            .as_mut()
-            .expect("pretenure routing checked")
-            .note_alloc(addr, site, words, pointer_free);
-        if let Some(prof) = self.base.profile.as_mut() {
-            prof.on_alloc(addr, site, shape.size_bytes());
-        }
-        Ok(addr)
+            .as_ref()
+            .is_some_and(|p| p.should_pretenure(site))
     }
 
-    /// Allocation with the telemetry note already taken: the routing and
-    /// per-path ladders. Recurses (once) after a demotion re-route.
-    fn alloc_inner(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+    /// Where a request of this shape is placed.
+    fn route(&self, shape: AllocShape) -> Arena {
         let words = shape.size_words();
-        let site = shape.site();
-
         // Large arrays bypass the nursery (§2.1) — checked before the
         // pretenuring policy because a mark-sweep-managed array is never
         // copied anyway, which strictly dominates tenured placement.
         // Arrays that would not even fit an empty nursery are routed here
-        // regardless of the configured threshold.
+        // regardless of the configured threshold. (A record always fits
+        // one: it is at most `MAX_RECORD_FIELDS + 1` words and a nursery
+        // never shrinks below 64.)
         let is_array = !matches!(shape, AllocShape::Record { .. });
         if is_array
             && (words >= self.large_object_words || words > self.nursery.active().capacity_words())
         {
-            return self.alloc_large(m, shape);
+            Arena::Los
+        } else if self.route_pretenured(shape.site()) {
+            // Profile-driven pretenuring: straight to the tenured generation.
+            Arena::Tenured
+        } else {
+            Arena::Nursery
         }
+    }
 
-        // Profile-driven pretenuring: straight to the tenured generation.
-        if self
-            .pretenured
-            .as_ref()
-            .is_some_and(|p| p.should_pretenure(site))
-        {
-            return self.alloc_pretenured(m, shape);
+    /// Allocation with the telemetry note already taken: route, place
+    /// through the governor, initialize. Recurses (once) after a
+    /// demotion re-route.
+    fn alloc_inner(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+        let words = shape.size_words();
+        let site = shape.site();
+        let arena = self.route(shape);
+        let ladder = match arena {
+            Arena::Nursery => &Ladder::NURSERY,
+            Arena::Tenured if !self.rebalanced => &Ladder::TENURED,
+            Arena::Tenured | Arena::Los => &Ladder::FULL_COLLECTION,
+        };
+        if arena == Arena::Tenured {
+            m.charge(m.cost.pretenure_alloc_extra);
         }
-
-        // Records too big for the nursery are tenured at birth, with the
-        // same deferred in-place scan pretenured objects get.
-        if words > self.nursery.active().capacity_words() {
-            if !self.tenured_attempt_fits(m, words) {
-                self.major(m, "alloc-failure");
-                if !self.tenured_attempt_fits(m, words) {
-                    let mut session = PressureSession::begin(
-                        m,
-                        &mut self.base.stats,
-                        site.get(),
-                        words as u64,
-                        "tenured",
-                    );
-                    if !self.climb_tenured_ladder(m, &mut session, words) {
-                        session.finish(m, "exhausted");
-                        return Err(GcError::TenuredExhausted {
-                            kind: shape.kind(),
-                            requested_words: words,
-                            budget: self.snapshot("tenured"),
-                        });
-                    }
-                    session.finish(m, "recovered");
-                }
+        let addr = match governor::allocate(self, m, arena, ladder, site, words) {
+            Ok(addr) => addr,
+            Err(mut session) if arena == Arena::Tenured => {
+                self.demote_until_young(m, &mut session, site);
+                session.finish(m, "recovered");
+                // The site now allocates young: re-route.
+                return self.alloc_inner(m, shape);
             }
-            let addr = self.finish_tenured_alloc(m, shape);
-            match self.pretenured.as_mut() {
-                Some(p) => p.defer_scan(addr),
-                // No pretenure machinery: ride the LOS pending list.
-                None => self.los.pending_scan.push(addr),
+            Err(session) => {
+                session.finish(m, "exhausted");
+                // Refused over the tenured share: name the arena that is full.
+                let arena = match arena {
+                    Arena::Nursery if self.tenured_over_share => Arena::Tenured,
+                    routed => routed,
+                };
+                return Err(GcError {
+                    arena,
+                    kind: shape.kind(),
+                    requested_words: words,
+                    budget: self.snapshot(arena),
+                });
             }
-            if let Some(prof) = self.base.profile.as_mut() {
-                prof.on_alloc(addr, site, shape.size_bytes());
+        };
+        shape.write(&mut self.mem, addr, &m.alloc_buf);
+        match arena {
+            Arena::Tenured => {
+                self.base.stats.pretenured_bytes += shape.size_bytes() as u64;
+                // §7.2: "some areas may require no scanning because they
+                // contain no pointers" — pointer-free objects never make
+                // it onto the pending-scan list, and neither do objects
+                // from sites the no-scan analysis cleared.
+                let pointer_free = match shape {
+                    AllocShape::Record { mask, .. } => mask == 0,
+                    AllocShape::PtrArray { .. } => false,
+                    AllocShape::RawArray { .. } => true,
+                };
+                self.pretenured
+                    .as_mut()
+                    .expect("pretenure routing checked")
+                    .note_alloc(addr, site, words, pointer_free);
             }
-            return Ok(addr);
+            // The initializing store may reference the nursery.
+            Arena::Los if matches!(shape, AllocShape::PtrArray { .. }) => {
+                self.los.pending_scan.push(addr);
+            }
+            Arena::Nursery | Arena::Los => {}
         }
-
-        // Ordinary nursery allocation.
-        if !self.nursery_attempt_fits(m, words) {
-            self.collect(m, CollectReason::AllocFailure);
-            if !self.nursery_attempt_fits(m, words) {
-                // Accumulated copied-back survivors can crowd the nursery
-                // system; a major collection promotes them all.
-                self.major(m, "alloc-failure");
-                if !self.nursery_attempt_fits(m, words) {
-                    let mut session = PressureSession::begin(
-                        m,
-                        &mut self.base.stats,
-                        site.get(),
-                        words as u64,
-                        "nursery",
-                    );
-                    let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMinor);
-                    self.minor(m, "alloc-failure");
-                    if self.nursery_attempt_fits(m, words) {
-                        session.emit_rung(m, PressureRung::RetryMinor, "recovered", charged);
-                        session.finish(m, "recovered");
-                    } else {
-                        session.emit_rung(m, PressureRung::RetryMinor, "escalated", charged);
-                        let charged =
-                            session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
-                        self.major(m, "alloc-failure");
-                        if self.nursery_attempt_fits(m, words) {
-                            session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
-                            session.finish(m, "recovered");
-                        } else {
-                            session.emit_rung(m, PressureRung::RetryMajor, "escalated", charged);
-                            session.finish(m, "exhausted");
-                            return Err(GcError::NurseryExhausted {
-                                kind: shape.kind(),
-                                requested_words: words,
-                                budget: self.snapshot("nursery"),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        let buf = std::mem::take(&mut m.alloc_buf);
-        let addr = alloc_in_space(&mut self.mem, self.nursery.active_mut(), shape, &buf)
-            .expect("nursery was checked to fit");
-        m.alloc_buf = buf;
         if let Some(prof) = self.base.profile.as_mut() {
             prof.on_alloc(addr, site, shape.size_bytes());
         }
         Ok(addr)
+    }
+}
+
+impl Governed for GenerationalPlan {
+    fn stats_mut(&mut self) -> &mut GcStats {
+        &mut self.base.stats
+    }
+
+    #[inline]
+    fn place(&mut self, arena: Arena, words: usize) -> Option<Addr> {
+        match arena {
+            Arena::Nursery if self.tenured_over_share => None,
+            Arena::Nursery => self.nursery.active_mut().alloc(words).ok(),
+            Arena::Tenured => self.tenured.active_mut().alloc(words).ok(),
+            Arena::Los => self.los.alloc(words),
+        }
+    }
+
+    fn recover(&mut self, m: &mut MutatorState, step: Recovery) {
+        match step {
+            Recovery::Collect => self.collect(m, CollectReason::AllocFailure),
+            Recovery::Minor => self.minor(m, "alloc-failure"),
+            Recovery::Major => self.major(m, "alloc-failure"),
+            Recovery::Rebalance => self.rebalance(),
+        }
     }
 }
 

@@ -11,7 +11,7 @@
 //! ablation benches compare semispace collection with and without scan
 //! caching.
 
-use tilgc_mem::{Addr, BudgetSnapshot, GcError, Memory, Space};
+use tilgc_mem::{Addr, Arena, BudgetSnapshot, GcError, Memory, Space};
 use tilgc_runtime::{
     AllocShape, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile, MutatorState,
 };
@@ -19,9 +19,9 @@ use tilgc_runtime::{
 use crate::config::GcConfig;
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths};
-use crate::governor::{PressureRung, PressureSession};
+use crate::governor::{self, Governed, Ladder, Recovery};
 use crate::space::CopySpace;
-use crate::util::{alloc_in_space, reason_str};
+use crate::util::reason_str;
 
 /// Resizing target liveness ratio (`r` = 0.10 in §2.1).
 const TARGET_LIVENESS: f64 = 0.10;
@@ -65,39 +65,6 @@ impl SemispacePlan {
             budget_words,
             base: PlanBase::new(config),
         }
-    }
-
-    /// Capacity of one semispace right now, in words.
-    pub fn semispace_words(&self) -> usize {
-        self.heap.active().capacity_words()
-    }
-
-    /// Whether `words` fit in the active half right now. Consumes one
-    /// forced-failure token first, so fault injection fails each
-    /// *attempt* (not each logical allocation) and exercises the ladder.
-    fn attempt_fits(&self, m: &mut MutatorState, words: usize) -> bool {
-        !m.consume_forced_failure() && self.heap.active().fits(words)
-    }
-
-    fn budget_snapshot(&self) -> BudgetSnapshot {
-        BudgetSnapshot {
-            budget_words: self.budget_words,
-            free_words: self.heap.active().free_words(),
-            live_words: self.heap.active().used_words(),
-        }
-    }
-
-    /// Bump-allocates into the active half (which was checked to fit)
-    /// and records the allocation in the heap profile.
-    fn finish_alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Addr {
-        let buf = std::mem::take(&mut m.alloc_buf);
-        let addr = alloc_in_space(&mut self.mem, self.heap.active_mut(), shape, &buf)
-            .expect("space was checked to fit");
-        m.alloc_buf = buf;
-        if let Some(p) = self.base.profile.as_mut() {
-            p.on_alloc(addr, shape.site(), shape.size_bytes());
-        }
-        addr
     }
 
     fn do_collect(&mut self, m: &mut MutatorState, reason: &'static str) {
@@ -160,6 +127,22 @@ impl SemispacePlan {
     }
 }
 
+impl Governed for SemispacePlan {
+    fn stats_mut(&mut self) -> &mut GcStats {
+        &mut self.base.stats
+    }
+
+    #[inline]
+    fn place(&mut self, _arena: Arena, words: usize) -> Option<Addr> {
+        self.heap.active_mut().alloc(words).ok()
+    }
+
+    /// Every semispace collection is a full one, whatever the step.
+    fn recover(&mut self, m: &mut MutatorState, _step: Recovery) {
+        self.do_collect(m, "alloc-failure");
+    }
+}
+
 impl Collector for SemispacePlan {
     fn name(&self) -> &'static str {
         "semispace"
@@ -176,38 +159,30 @@ impl Collector for SemispacePlan {
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
         let words = shape.size_words();
         self.base.note_alloc(m, shape);
-        if self.attempt_fits(m, words) {
-            return Ok(self.finish_alloc(m, shape));
-        }
-        // Ordinary slow path: one collection, no pressure episode yet.
-        self.do_collect(m, "alloc-failure");
-        if self.attempt_fits(m, words) {
-            return Ok(self.finish_alloc(m, shape));
-        }
-        // The slow path failed: open a pressure episode and climb the
-        // ladder. A single-space plan has only the retry-major rung.
-        let mut session = PressureSession::begin(
-            m,
-            &mut self.base.stats,
-            shape.site().get(),
-            words as u64,
-            "tenured",
-        );
-        let charged = session.charge(m, &mut self.base.stats, PressureRung::RetryMajor);
-        self.do_collect(m, "alloc-failure");
-        if self.attempt_fits(m, words) {
-            session.emit_rung(m, PressureRung::RetryMajor, "recovered", charged);
-            session.finish(m, "recovered");
-            return Ok(self.finish_alloc(m, shape));
-        }
-        session.emit_rung(m, PressureRung::RetryMajor, "escalated", charged);
-        session.finish(m, "exhausted");
         // The semispace plan's single heap plays the tenured role.
-        Err(GcError::TenuredExhausted {
-            kind: shape.kind(),
-            requested_words: words,
-            budget: self.budget_snapshot(),
-        })
+        let ladder = &Ladder::FULL_COLLECTION;
+        match governor::allocate(self, m, Arena::Tenured, ladder, shape.site(), words) {
+            Ok(addr) => {
+                shape.write(&mut self.mem, addr, &m.alloc_buf);
+                if let Some(p) = self.base.profile.as_mut() {
+                    p.on_alloc(addr, shape.site(), shape.size_bytes());
+                }
+                Ok(addr)
+            }
+            Err(session) => {
+                session.finish(m, "exhausted");
+                Err(GcError {
+                    arena: Arena::Tenured,
+                    kind: shape.kind(),
+                    requested_words: words,
+                    budget: BudgetSnapshot {
+                        budget_words: self.budget_words,
+                        free_words: self.heap.active().free_words(),
+                        live_words: self.heap.active().used_words(),
+                    },
+                })
+            }
+        }
     }
 
     fn collect(&mut self, m: &mut MutatorState, reason: CollectReason) {
@@ -321,10 +296,10 @@ mod tests {
             tilgc_runtime::RaiseOutcome::Uncaught
         ));
         let err = overflow.error;
-        assert_eq!(err.kind(), tilgc_mem::AllocKind::PtrArray);
-        assert_eq!(err.space(), "tenured");
-        assert!(err.requested_words() >= 16);
-        let budget = err.budget();
+        assert_eq!(err.kind, tilgc_mem::ObjectKind::PtrArray);
+        assert_eq!(err.arena, Arena::Tenured);
+        assert!(err.requested_words >= 16);
+        let budget = err.budget;
         assert_eq!(budget.budget_words, (8 << 10) / 8);
         assert!(budget.live_words <= budget.budget_words);
         let msg = err.to_string();
@@ -339,7 +314,7 @@ mod tests {
     fn resizing_respects_budget_cap() {
         let config = GcConfig::new().heap_budget_bytes(32 << 10);
         let c = SemispacePlan::new(&config);
-        assert_eq!(c.semispace_words(), (32 << 10) / 8 / 2);
+        assert_eq!(c.heap.active().capacity_words(), (32 << 10) / 8 / 2);
     }
 
     #[test]

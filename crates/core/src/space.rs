@@ -188,12 +188,6 @@ impl PretenuredRegion {
         Some(hottest)
     }
 
-    /// Queues an object for the next in-place scan unconditionally (the
-    /// oversized-at-birth routing, which has no site policy behind it).
-    pub fn defer_scan(&mut self, addr: Addr) {
-        self.pending.push(addr);
-    }
-
     /// Takes the pending-scan list for a minor collection's in-place
     /// pass.
     pub fn take_pending(&mut self) -> Vec<Addr> {

@@ -5,8 +5,8 @@
 //! panicking, and a run that *recovers* from pressure via the governor's
 //! ladder must stay byte-deterministic.
 
-use tilgc_core::{build_vm, build_vm_with_recorder, CollectorKind, GcConfig};
-use tilgc_mem::Addr;
+use tilgc_core::{build_vm, build_vm_with_recorder, CollectorKind, GcConfig, PretenurePolicy};
+use tilgc_mem::{Addr, Arena};
 use tilgc_obs::{jsonl, schema, Event, RingRecorder};
 use tilgc_runtime::{FrameDesc, GcStats, HeapOverflow, RaiseOutcome, Trace, Value, Vm};
 
@@ -51,7 +51,7 @@ fn caught_overflow_resumes_the_guest_on_every_plan() {
             "{label}: the installed handler must catch the raise"
         );
         assert!(
-            overflow.error.budget().budget_words > 0,
+            overflow.error.budget.budget_words > 0,
             "{label}: error carries the budget snapshot"
         );
         assert!(
@@ -94,6 +94,79 @@ fn unhandled_overflow_is_a_typed_verdict_not_a_panic() {
         vm.set_slot(0, Value::NULL);
         vm.gc_now();
         assert!(vm.gc_stats().collections > 0, "{label}");
+    }
+}
+
+/// The budget is enforced on every route, not only the large-object one:
+/// a guest that retains small objects is refused — typed, within its
+/// budget, heap usable afterwards — whichever arena its requests land in.
+#[test]
+fn every_route_refuses_within_the_budget_on_every_plan() {
+    type Grow = fn(&mut Vm, tilgc_mem::SiteId) -> Result<Addr, HeapOverflow>;
+    let shapes: [(&str, Grow); 4] = [
+        ("4-field record", |vm, site| {
+            let head = Value::Ptr(vm.slot_ptr(0));
+            vm.alloc_record(site, &[head, Value::Int(1), Value::Int(2), Value::Int(3)])
+        }),
+        ("60-element array", |vm, site| {
+            let head = vm.slot_ptr(0);
+            vm.alloc_ptr_array(site, 60, head)
+        }),
+        ("128-element array", |vm, site| {
+            let head = vm.slot_ptr(0);
+            vm.alloc_ptr_array(site, 128, head)
+        }),
+        ("pretenured record", |vm, _| {
+            let head = Value::Ptr(vm.slot_ptr(0));
+            let site = vm.site("ovf::pretenured");
+            vm.alloc_record(site, &[head, Value::Int(1), Value::Int(2), Value::Int(3)])
+        }),
+    ];
+    // Sites register in the same order in every VM.
+    let mut probe = build_vm(CollectorKind::Generational, &tight_config());
+    let _ = probe.site("ovf::chain");
+    let mut policy = PretenurePolicy::new();
+    policy.add_site(probe.site("ovf::pretenured"));
+    let config = tight_config().pretenure(policy);
+
+    for kind in CollectorKind::ALL {
+        for (shape, grow) in shapes {
+            let label = format!("{} / {shape}", kind.label());
+            let mut vm = build_vm(kind, &config);
+            let site = vm.site("ovf::chain");
+            let d = vm.register_frame(FrameDesc::new("ovf").slot(Trace::Pointer));
+            vm.push_frame(d);
+            vm.set_slot(0, Value::NULL);
+            vm.push_handler();
+
+            let overflow = (0..100_000)
+                .find_map(|_| match grow(&mut vm, site) {
+                    Ok(a) => {
+                        vm.set_slot(0, Value::Ptr(a));
+                        None
+                    }
+                    Err(e) => Some(e),
+                })
+                .unwrap_or_else(|| panic!("{label}: a 64 KB budget was never exhausted"));
+            assert_eq!(
+                overflow.outcome,
+                RaiseOutcome::Caught { handler_depth: 1 },
+                "{label}"
+            );
+            let error = overflow.error;
+            assert!(
+                error.budget.live_words <= error.budget.budget_words,
+                "{label}: refused only after overrunning the budget: {error}"
+            );
+            let large = shape == "128-element array" && kind != CollectorKind::Semispace;
+            let arena = if large { Arena::Los } else { Arena::Tenured };
+            assert_eq!(error.arena, arena, "{label}: {error}");
+
+            vm.set_slot(0, Value::NULL);
+            vm.gc_now();
+            let again = vm.alloc_ptr_array(site, 128, Addr::NULL);
+            assert!(again.is_ok(), "{label}: heap unusable: {:?}", again.err());
+        }
     }
 }
 

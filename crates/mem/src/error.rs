@@ -1,7 +1,7 @@
 use std::error::Error;
 use std::fmt;
 
-use crate::Addr;
+use crate::{Addr, ObjectKind};
 
 /// Errors produced by the memory substrate.
 ///
@@ -75,28 +75,26 @@ impl fmt::Display for MemError {
 
 impl Error for MemError {}
 
-/// The broad shape class of a failed allocation request.
-///
-/// Carried inside [`GcError`] so diagnostics can say *what kind* of object
-/// the guest asked for without dragging the full shape (mask, site table)
-/// across the error path.
+/// Where an allocation request is routed, and — in a [`GcError`] —
+/// which arena's share of the budget could not absorb it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum AllocKind {
-    /// A fixed-shape record with a pointer mask.
-    Record,
-    /// An array of guest pointers.
-    PtrArray,
-    /// An array of raw (pointer-free) bytes.
-    RawArray,
+pub enum Arena {
+    /// The young generation's allocation space.
+    Nursery,
+    /// The tenured generation (or the whole heap, for single-space plans).
+    Tenured,
+    /// The mark-sweep large-object space.
+    Los,
 }
 
-impl fmt::Display for AllocKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            AllocKind::Record => "record",
-            AllocKind::PtrArray => "pointer array",
-            AllocKind::RawArray => "raw array",
-        })
+impl Arena {
+    /// The name used on the telemetry wire and in diagnostics.
+    pub fn label(self) -> &'static str {
+        match self {
+            Arena::Nursery => "nursery",
+            Arena::Tenured => "tenured",
+            Arena::Los => "los",
+        }
     }
 }
 
@@ -120,83 +118,18 @@ pub struct BudgetSnapshot {
 /// Returned by `Collector::alloc` after the heap-pressure
 /// governor has exhausted its escalation ladder (retry after minor, retry
 /// after major, budget rebalance, pretenuring demotion). It names the
-/// space that could not be grown any further; the runtime converts it into
+/// arena that could not be grown any further; the runtime converts it into
 /// a catchable `HeapOverflow` raise through the guest handler chain.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum GcError {
-    /// The nursery cannot hold the request even when empty.
-    NurseryExhausted {
-        /// Shape class of the failed request.
-        kind: AllocKind,
-        /// Words requested by the allocation.
-        requested_words: usize,
-        /// Budget picture at the point of failure.
-        budget: BudgetSnapshot,
-    },
-    /// The tenured arena (or the whole heap, for single-space plans)
-    /// cannot absorb the request within the global budget.
-    TenuredExhausted {
-        /// Shape class of the failed request.
-        kind: AllocKind,
-        /// Words requested by the allocation.
-        requested_words: usize,
-        /// Budget picture at the point of failure.
-        budget: BudgetSnapshot,
-    },
-    /// The large-object space has no run of free words big enough.
-    LargeObjectExhausted {
-        /// Shape class of the failed request.
-        kind: AllocKind,
-        /// Words requested by the allocation.
-        requested_words: usize,
-        /// Budget picture at the point of failure.
-        budget: BudgetSnapshot,
-    },
-}
-
-impl GcError {
-    /// The shape class of the failed request.
-    pub fn kind(&self) -> AllocKind {
-        match *self {
-            GcError::NurseryExhausted { kind, .. }
-            | GcError::TenuredExhausted { kind, .. }
-            | GcError::LargeObjectExhausted { kind, .. } => kind,
-        }
-    }
-
-    /// Words the failed allocation asked for.
-    pub fn requested_words(&self) -> usize {
-        match *self {
-            GcError::NurseryExhausted {
-                requested_words, ..
-            }
-            | GcError::TenuredExhausted {
-                requested_words, ..
-            }
-            | GcError::LargeObjectExhausted {
-                requested_words, ..
-            } => requested_words,
-        }
-    }
-
-    /// The budget picture captured when the ladder gave up.
-    pub fn budget(&self) -> BudgetSnapshot {
-        match *self {
-            GcError::NurseryExhausted { budget, .. }
-            | GcError::TenuredExhausted { budget, .. }
-            | GcError::LargeObjectExhausted { budget, .. } => budget,
-        }
-    }
-
-    /// The wire name of the exhausted space ("nursery", "tenured", "los").
-    pub fn space(&self) -> &'static str {
-        match self {
-            GcError::NurseryExhausted { .. } => "nursery",
-            GcError::TenuredExhausted { .. } => "tenured",
-            GcError::LargeObjectExhausted { .. } => "los",
-        }
-    }
+pub struct GcError {
+    /// The arena whose share of the budget is exhausted.
+    pub arena: Arena,
+    /// Shape class of the failed request.
+    pub kind: ObjectKind,
+    /// Words requested by the allocation.
+    pub requested_words: usize,
+    /// Budget picture at the point of failure.
+    pub budget: BudgetSnapshot,
 }
 
 impl fmt::Display for GcError {
@@ -205,12 +138,12 @@ impl fmt::Display for GcError {
             f,
             "{} space exhausted: {} of {} words does not fit \
              ({} words free, {} live, budget {} words)",
-            self.space(),
-            self.kind(),
-            self.requested_words(),
-            self.budget().free_words,
-            self.budget().live_words,
-            self.budget().budget_words,
+            self.arena.label(),
+            self.kind,
+            self.requested_words,
+            self.budget.free_words,
+            self.budget.live_words,
+            self.budget.budget_words,
         )
     }
 }
@@ -260,44 +193,21 @@ mod tests {
             live_words: 900,
         };
         let errors = [
-            GcError::NurseryExhausted {
-                kind: AllocKind::Record,
-                requested_words: 8,
-                budget,
-            },
-            GcError::TenuredExhausted {
-                kind: AllocKind::PtrArray,
-                requested_words: 64,
-                budget,
-            },
-            GcError::LargeObjectExhausted {
-                kind: AllocKind::RawArray,
-                requested_words: 512,
-                budget,
-            },
-        ];
+            (Arena::Nursery, ObjectKind::Record, 8),
+            (Arena::Tenured, ObjectKind::PtrArray, 64),
+            (Arena::Los, ObjectKind::RawArray, 512),
+        ]
+        .map(|(arena, kind, requested_words)| GcError {
+            arena,
+            kind,
+            requested_words,
+            budget,
+        });
         for e in errors {
             let s = e.to_string();
             assert!(!s.is_empty());
             assert!(s.chars().next().unwrap().is_lowercase());
-            assert!(s.contains(e.space()));
+            assert!(s.starts_with(e.arena.label()));
         }
-    }
-
-    #[test]
-    fn gc_error_accessors_round_trip() {
-        let e = GcError::LargeObjectExhausted {
-            kind: AllocKind::PtrArray,
-            requested_words: 4096,
-            budget: BudgetSnapshot {
-                budget_words: 8192,
-                free_words: 100,
-                live_words: 8000,
-            },
-        };
-        assert_eq!(e.kind(), AllocKind::PtrArray);
-        assert_eq!(e.requested_words(), 4096);
-        assert_eq!(e.budget().free_words, 100);
-        assert_eq!(e.space(), "los");
     }
 }

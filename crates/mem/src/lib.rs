@@ -65,7 +65,7 @@ mod site;
 mod space;
 
 pub use addr::Addr;
-pub use error::{AllocKind, BudgetSnapshot, GcError, MemError};
+pub use error::{Arena, BudgetSnapshot, GcError, MemError};
 pub use header::{Header, ObjectKind, MAX_PTR_MASK_FIELDS, MAX_RECORD_FIELDS};
 pub use memory::{Memory, WORD_BYTES};
 pub use object::Obj;

@@ -6,7 +6,7 @@
 //! [`Collector::alloc`]; when space runs out the collector scans the
 //! mutator state for roots, relocates live data and retries.
 
-use tilgc_mem::{Addr, AllocKind, GcError, Memory, SiteId};
+use tilgc_mem::{Addr, GcError, Header, Memory, ObjectKind, SiteId};
 
 use crate::mutator::MutatorState;
 use crate::profile_data::HeapProfile;
@@ -72,12 +72,47 @@ impl AllocShape {
     }
 
     /// The broad shape class of the request, for [`GcError`] reporting.
-    pub fn kind(&self) -> AllocKind {
+    pub fn kind(&self) -> ObjectKind {
         match self {
-            AllocShape::Record { .. } => AllocKind::Record,
-            AllocShape::PtrArray { .. } => AllocKind::PtrArray,
-            AllocShape::RawArray { .. } => AllocKind::RawArray,
+            AllocShape::Record { .. } => ObjectKind::Record,
+            AllocShape::PtrArray { .. } => ObjectKind::PtrArray,
+            AllocShape::RawArray { .. } => ObjectKind::RawArray,
         }
+    }
+
+    /// Writes a freshly allocated object of this shape at `addr`: header,
+    /// fields initialized from the staged `operands`
+    /// ([`MutatorState::alloc_buf`]), and the site in the side bytemap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the shape is invalid (over-long record); shapes are
+    /// validated by the `Vm` entry points before they reach a collector.
+    #[inline]
+    pub fn write(&self, mem: &mut Memory, addr: Addr, operands: &[u64]) {
+        match *self {
+            AllocShape::Record { len, mask, .. } => {
+                let header = Header::record(len, mask).expect("record shape validated by Vm");
+                let words = mem.words_at_mut(addr, header.size_words());
+                words[0] = header.raw();
+                words[1..].copy_from_slice(&operands[..len]);
+            }
+            AllocShape::PtrArray { len, .. } => {
+                let header = Header::ptr_array(len).expect("array shape validated by Vm");
+                let init = operands.first().copied().unwrap_or(0);
+                let words = mem.words_at_mut(addr, header.size_words());
+                words[0] = header.raw();
+                words[1..].fill(init);
+            }
+            AllocShape::RawArray { len_bytes, .. } => {
+                let header = Header::raw_array(len_bytes).expect("array shape validated by Vm");
+                let words = mem.words_at_mut(addr, header.size_words());
+                words[0] = header.raw();
+                words[1..].fill(0);
+            }
+        }
+        // The allocation site lives in the side bytemap, not the header.
+        mem.set_site(addr, self.site());
     }
 }
 
@@ -173,11 +208,6 @@ pub trait Collector {
     /// Cumulative collection statistics.
     fn gc_stats(&self) -> &GcStats;
 
-    /// Live bytes as of the last collection.
-    fn live_bytes_estimate(&self) -> u64 {
-        self.gc_stats().last_live_bytes
-    }
-
     /// End-of-run hook: flush profiling data, run a final sweep, etc.
     ///
     /// Deliberately *not* defaulted: a defaulted no-op let collectors
@@ -206,6 +236,54 @@ pub trait Collector {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tilgc_mem::{object, Space};
+
+    #[test]
+    fn materialize_each_shape() {
+        let mut mem = Memory::with_capacity_words(128);
+        let mut s = Space::new(mem.reserve(64).unwrap());
+        let mut place = |mem: &mut Memory, shape: AllocShape, operands: &[u64]| {
+            let addr = s.alloc(shape.size_words()).unwrap();
+            shape.write(mem, addr, operands);
+            addr
+        };
+
+        let rec = place(
+            &mut mem,
+            AllocShape::Record {
+                site: SiteId::new(1),
+                len: 2,
+                mask: 0b10,
+            },
+            &[11, 640],
+        );
+        assert_eq!(object::field(&mem, rec, 0), 11);
+        assert!(object::header(&mem, rec).field_is_pointer(1));
+        assert_eq!(mem.site_of(rec), SiteId::new(1));
+
+        let arr = place(
+            &mut mem,
+            AllocShape::PtrArray {
+                site: SiteId::new(2),
+                len: 3,
+            },
+            &[u64::from(rec.raw())],
+        );
+        for i in 0..3 {
+            assert_eq!(object::ptr_field(&mem, arr, i), rec);
+        }
+
+        let raw = place(
+            &mut mem,
+            AllocShape::RawArray {
+                site: SiteId::new(3),
+                len_bytes: 10,
+            },
+            &[],
+        );
+        assert_eq!(object::header(&mem, raw).payload_words(), 2);
+        assert_eq!(object::field(&mem, raw, 0), 0);
+    }
 
     #[test]
     fn shape_sizes() {

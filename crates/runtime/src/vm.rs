@@ -346,22 +346,20 @@ impl Vm {
         );
         let mut mask = 0u32;
         self.m.alloc_buf.clear();
-        self.m.alloc_buf_ptr_mask = 0;
         for (i, v) in fields.iter().enumerate() {
             if v.is_pointer() {
                 mask |= 1 << i;
-                self.m.alloc_buf_ptr_mask |= 1 << i;
             }
             self.m.alloc_buf.push(v.to_word());
         }
+        self.m.alloc_buf_ptr_mask = u64::from(mask);
         let shape = AllocShape::Record {
             site,
             len: fields.len(),
             mask,
         };
-        self.pre_alloc(&shape);
         self.m.stats.record_bytes += shape.size_bytes() as u64;
-        self.finish_alloc(shape)
+        self.alloc(shape)
     }
 
     /// Allocates a pointer array filled with `init`.
@@ -380,9 +378,8 @@ impl Vm {
         self.m.alloc_buf.push(u64::from(init.raw()));
         self.m.alloc_buf_ptr_mask = 1;
         let shape = AllocShape::PtrArray { site, len };
-        self.pre_alloc(&shape);
         self.m.stats.ptr_array_bytes += shape.size_bytes() as u64;
-        self.finish_alloc(shape)
+        self.alloc(shape)
     }
 
     /// Allocates a zero-filled raw array of `len_bytes` bytes.
@@ -399,22 +396,19 @@ impl Vm {
         self.m.alloc_buf.clear();
         self.m.alloc_buf_ptr_mask = 0;
         let shape = AllocShape::RawArray { site, len_bytes };
-        self.pre_alloc(&shape);
         self.m.stats.raw_array_bytes += shape.size_bytes() as u64;
-        self.finish_alloc(shape)
+        self.alloc(shape)
     }
 
-    fn pre_alloc(&mut self, shape: &AllocShape) {
+    /// Charges the allocation sequence and hands the staged request to
+    /// the collector; a typed refusal is raised through the handler
+    /// chain as an SML-style heap overflow.
+    fn alloc(&mut self, shape: AllocShape) -> Result<Addr, HeapOverflow> {
         let words = shape.size_words() as u64;
         let cost = self.m.cost.alloc_base + self.m.cost.alloc_per_word * words;
         self.m.charge(cost);
         self.m.stats.alloc_bytes += shape.size_bytes() as u64;
         self.m.stats.alloc_objects += 1;
-    }
-
-    /// Hands the staged request to the collector; a typed refusal is
-    /// raised through the handler chain as an SML-style heap overflow.
-    fn finish_alloc(&mut self, shape: AllocShape) -> Result<Addr, HeapOverflow> {
         // Allocation is a GC-possible point: the collector may run
         // inside `alloc`, reading its time-to-safepoint as the client
         // cycles since the previous poll; the poll after it starts the

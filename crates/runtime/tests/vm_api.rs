@@ -3,7 +3,7 @@
 //! push/pop with callee-save spill/restore, slot/trace validation,
 //! barriers, exceptions, and allocation staging.
 
-use tilgc_mem::{object, Addr, Memory, Space};
+use tilgc_mem::{Addr, Memory, Space};
 use tilgc_runtime::{
     AllocShape, CollectReason, Collector, FrameDesc, GcStats, MutatorState, RaiseOutcome, Reg,
     ShadowTag, Trace, TypeLoc, Value, Vm,
@@ -49,39 +49,14 @@ impl Collector for BumpCollector {
         shape: AllocShape,
     ) -> Result<Addr, tilgc_mem::GcError> {
         let Ok(addr) = self.space.alloc(shape.size_words()) else {
-            return Err(tilgc_mem::GcError::TenuredExhausted {
+            return Err(tilgc_mem::GcError {
+                arena: tilgc_mem::Arena::Tenured,
                 kind: shape.kind(),
                 requested_words: shape.size_words(),
                 budget: tilgc_mem::BudgetSnapshot::default(),
             });
         };
-        match shape {
-            AllocShape::Record { site, len, mask } => {
-                let h = tilgc_mem::Header::record(len, mask).expect("valid");
-                object::set_header(&mut self.mem, addr, h);
-                self.mem.set_site(addr, site);
-                for (i, &w) in m.alloc_buf.iter().enumerate().take(len) {
-                    object::set_field(&mut self.mem, addr, i, w);
-                }
-            }
-            AllocShape::PtrArray { site, len } => {
-                let h = tilgc_mem::Header::ptr_array(len).expect("valid");
-                object::set_header(&mut self.mem, addr, h);
-                self.mem.set_site(addr, site);
-                let init = m.alloc_buf.first().copied().unwrap_or(0);
-                for i in 0..len {
-                    object::set_field(&mut self.mem, addr, i, init);
-                }
-            }
-            AllocShape::RawArray { site, len_bytes } => {
-                let h = tilgc_mem::Header::raw_array(len_bytes).expect("valid");
-                object::set_header(&mut self.mem, addr, h);
-                self.mem.set_site(addr, site);
-                for i in 0..h.payload_words() {
-                    object::set_field(&mut self.mem, addr, i, 0);
-                }
-            }
-        }
+        shape.write(&mut self.mem, addr, &m.alloc_buf);
         Ok(addr)
     }
 
@@ -292,7 +267,7 @@ fn heap_overflow_past_a_dead_handler_is_a_clean_uncaught_error() {
     // return, not panic in the unwind.
     let err = vm.alloc_raw_array(site, 16 << 20).unwrap_err();
     assert_eq!(err.outcome, RaiseOutcome::Uncaught);
-    assert_eq!(err.error.kind(), tilgc_mem::AllocKind::RawArray);
+    assert_eq!(err.error.kind, tilgc_mem::ObjectKind::RawArray);
     assert_eq!(vm.depth(), 1);
 }
 
