@@ -588,7 +588,7 @@ impl<'a> Evacuator<'a> {
     /// before, so `GcStats` is unchanged. Serial on every lane, like
     /// [`forward_roots`](Self::forward_roots).
     pub fn forward_field_locs(&mut self, locs: &mut Vec<Addr>) {
-        sort_dedup_addrs_via(Some(self.mem.ssb_scratch_mut()), locs);
+        sort_dedup_addrs(self.mem.ssb_scratch_mut(), locs);
         for &loc in locs.iter() {
             self.forward_word_at(loc);
         }
@@ -1051,37 +1051,33 @@ impl ParShared<'_> {
     }
 }
 
-/// Buffers at least this long are radix-sorted in
-/// [`Evacuator::forward_field_locs`]; shorter ones use the standard
-/// comparison sort (lower constant factors at small sizes).
-const RADIX_SORT_MIN: usize = 2048;
-
 /// Sorts and deduplicates a store-buffer address batch, producing the
-/// ascending unique locations — exactly `sort_unstable` + `dedup`, with
-/// two fast paths picked by batch shape:
+/// ascending unique locations — exactly `sort_unstable` + `dedup`, by
+/// one of two routes picked by batch shape:
 ///
 /// * **dense batches** (address span under 64× the entry count — the
 ///   common store-buffer shape, hot fields clustered in one region) are
-///   collapsed through a span bitmap: one set-bit pass over the
-///   entries, one `trailing_zeros` walk over the bitmap words. Linear
-///   in entries + span words, no sort at all — this is what restored
-///   the store-buffer filter's edge over the unbatched reference
-///   kernel;
-/// * sparse batches of [`RADIX_SORT_MIN`] or more entries radix-sort;
-/// * small sparse batches comparison-sort.
-#[cfg(test)]
-fn sort_dedup_addrs(locs: &mut Vec<Addr>) {
-    sort_dedup_addrs_via(None, locs);
-}
-
-/// The `scratch` is an optional persistent bitmap for the dense path.
-/// The evacuator passes the heap's side-metadata SSB scratch bitmap, so
-/// dense batches dedup with **zero allocation** — the bitmap is sized to
-/// the address space and already resident. Callers without a scratch (or
-/// batches whose addresses exceed its capacity) fall back to a
-/// span-sized temporary bitmap. Both paths emit the same ascending
-/// unique sequence.
-fn sort_dedup_addrs_via(scratch: Option<&mut SideBitmap>, locs: &mut Vec<Addr>) {
+///   collapsed through `scratch`, the heap's side-metadata SSB bitmap:
+///   one set-bit pass over the entries, one `trailing_zeros` walk over
+///   the span's bitmap words. Linear in entries + span words, no sort
+///   and **zero allocation** — the bitmap is sized to the address space
+///   and already resident (so every heap address fits it), and the
+///   drain leaves it all-clear for the next batch;
+/// * sparse batches comparison-sort.
+///
+/// Why two routes and no more. Counted per call at the commit that
+/// deleted the other two (an LSB radix sort for sparse batches of
+/// ≥ 2 048 entries, and a span-sized temporary bitmap for callers
+/// without a scratch): `experiments all` dense 3 517× / comparison
+/// 4 381× (largest sparse batch 132 entries); benchmark `barrier-storm`
+/// dense 20 133×, `churn-gen` / `churn-par` dense 1 377×, `table5` 54
+/// dense + 819 comparison, `paper-k2` 1 917 dense + 1 765 comparison
+/// (largest 132), `churn-semi` / `stack-rescan` / `stack-markers` none;
+/// torture `--seeds 0..200` on every lane ≤ 773 of each, batches ≤ 5.
+/// Radix and temporary bitmap: 0 everywhere — a sparse batch that large
+/// needs ≥ 2 048 entries spread over ≥ 1 MB in one minor collection,
+/// and the evacuator always has the scratch.
+fn sort_dedup_addrs(scratch: &mut SideBitmap, locs: &mut Vec<Addr>) {
     let n = locs.len();
     if n < 2 {
         return;
@@ -1093,87 +1089,15 @@ fn sort_dedup_addrs_via(scratch: Option<&mut SideBitmap>, locs: &mut Vec<Addr>) 
     }
     let span = (hi - lo) as usize + 1;
     if span / 64 < n {
-        if let Some(scratch) = scratch {
-            if (hi as usize) < scratch.bit_capacity() {
-                for &a in locs.iter() {
-                    scratch.set(a);
-                }
-                locs.clear();
-                scratch.drain_sorted(Addr::new(lo), Addr::new(hi), locs);
-                return;
-            }
-        }
-        let mut bits = vec![0u64; span.div_ceil(64)];
         for &a in locs.iter() {
-            let off = (a.raw() - lo) as usize;
-            bits[off / 64] |= 1u64 << (off % 64);
+            scratch.set(a);
         }
         locs.clear();
-        for (w, &bitword) in bits.iter().enumerate() {
-            let mut bitword = bitword;
-            while bitword != 0 {
-                let b = bitword.trailing_zeros() as usize;
-                bitword &= bitword - 1;
-                locs.push(Addr::new(lo + (w * 64 + b) as u32));
-            }
-        }
-        return;
-    }
-    if n >= RADIX_SORT_MIN {
-        radix_sort_addrs(locs);
+        scratch.drain_sorted(Addr::new(lo), Addr::new(hi), locs);
     } else {
         locs.sort_unstable();
+        locs.dedup();
     }
-    locs.dedup();
-}
-
-/// Sorts an address batch with an LSB radix sort: O(n) in the 32-bit
-/// key width, against the comparison sort's O(n log n). Store buffers
-/// are the one place the collector sorts hundreds of thousands of keys
-/// (the paper's Peg records 2.9 million updates), where the linear
-/// passes win decisively. A preliminary XOR sweep finds the byte
-/// positions on which every key agrees — store-buffer addresses
-/// cluster in one region, so typically only the low one or two bytes
-/// discriminate — and only the discriminating positions get a
-/// counting pass.
-fn radix_sort_addrs(locs: &mut Vec<Addr>) {
-    let n = locs.len();
-    if n < 2 {
-        return;
-    }
-    let firstkey = locs[0].raw();
-    let mut diff = 0u32;
-    for &a in locs.iter() {
-        diff |= a.raw() ^ firstkey;
-    }
-    if diff == 0 {
-        return; // all keys equal
-    }
-    let mut buf = std::mem::take(locs);
-    let mut scratch = vec![Addr::NULL; n];
-    for p in 0..4 {
-        let shift = 8 * p;
-        if (diff >> shift) & 0xff == 0 {
-            continue; // every key shares this byte
-        }
-        let mut counts = [0usize; 256];
-        for &a in buf.iter() {
-            counts[((a.raw() >> shift) & 0xff) as usize] += 1;
-        }
-        let mut offsets = [0usize; 256];
-        let mut sum = 0;
-        for (o, &count) in offsets.iter_mut().zip(counts.iter()) {
-            *o = sum;
-            sum += count;
-        }
-        for &a in buf.iter() {
-            let b = ((a.raw() >> shift) & 0xff) as usize;
-            scratch[offsets[b]] = a;
-            offsets[b] += 1;
-        }
-        std::mem::swap(&mut buf, &mut scratch);
-    }
-    *locs = buf;
 }
 
 /// Reports every unforwarded (dead) object in `[start, upto)` to the
@@ -1208,31 +1132,6 @@ pub fn poison_range(mem: &mut Memory, range: SpaceRange, upto: Addr) {
 mod tests {
     use super::*;
     use tilgc_mem::SiteId;
-
-    #[test]
-    fn radix_sort_matches_comparison_sort() {
-        // Fixed multiplicative-hash stream: duplicate-heavy, spans all
-        // four key bytes, and hits the shared-byte skip on none of them.
-        let mut v: Vec<Addr> = (0..10_000u32)
-            .map(|i| Addr::new(i.wrapping_mul(2_654_435_761) >> 8))
-            .collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_addrs(&mut v);
-        assert_eq!(v, expect);
-    }
-
-    #[test]
-    fn radix_sort_skips_shared_byte_passes() {
-        // Every key below 256 shares its upper three bytes; the sort
-        // must still order them using the one discriminating pass.
-        let mut v: Vec<Addr> = (0..256u32).rev().map(Addr::new).collect();
-        let mut expect = v.clone();
-        expect.sort_unstable();
-        radix_sort_addrs(&mut v);
-        assert_eq!(v, expect);
-        radix_sort_addrs(&mut Vec::new());
-    }
 
     struct Rig {
         mem: Memory,
@@ -1540,6 +1439,7 @@ mod tests {
 
     #[test]
     fn sort_dedup_matches_sort_then_dedup_on_every_shape() {
+        let mut mem = Memory::with_capacity_words(1 << 16);
         let mut state = 0x1234_5678u32;
         let mut rng = move || {
             state ^= state << 13;
@@ -1547,8 +1447,8 @@ mod tests {
             state ^= state << 5;
             state
         };
-        // Dense (bitmap path), sparse-large (radix path), sparse-small
-        // (comparison path), duplicates everywhere.
+        // Dense (bitmap route), sparse-large and sparse-small (both the
+        // comparison route), duplicates everywhere.
         let shapes: Vec<Vec<Addr>> = vec![
             (0..5000).map(|_| Addr::new(1000 + rng() % 900)).collect(),
             (0..4096).map(|_| Addr::new(rng() >> 4)).collect(),
@@ -1560,11 +1460,13 @@ mod tests {
             let mut expect = v.clone();
             expect.sort_unstable();
             expect.dedup();
-            sort_dedup_addrs(&mut v);
+            sort_dedup_addrs(mem.ssb_scratch_mut(), &mut v);
             assert_eq!(v, expect);
         }
     }
 
+    /// The scratch-bitmap route against the reference, `sort_unstable` +
+    /// `dedup`, batch after batch over one persistent scratch.
     #[test]
     fn sort_dedup_scratch_bitmap_path_matches_temp_vec_path() {
         let mut mem = Memory::with_capacity_words(1 << 16);
@@ -1576,7 +1478,7 @@ mod tests {
             state
         };
         for round in 0..20 {
-            // Dense cluster inside the heap: the scratch path triggers.
+            // Dense cluster inside the heap: the scratch route triggers.
             let base = 1 + rng() % 60_000;
             let mut v: Vec<Addr> = (0..500 + round * 37)
                 .map(|_| Addr::new(base + rng() % 400))
@@ -1584,19 +1486,14 @@ mod tests {
             let mut expect = v.clone();
             expect.sort_unstable();
             expect.dedup();
-            sort_dedup_addrs_via(Some(mem.ssb_scratch_mut()), &mut v);
-            assert_eq!(v, expect, "scratch path diverged in round {round}");
+            sort_dedup_addrs(mem.ssb_scratch_mut(), &mut v);
+            assert_eq!(v, expect, "scratch route diverged in round {round}");
         }
         // The scratch must be left all-clear between batches: a second
         // batch over a disjoint range sees no leftover bits.
         let mut v = vec![Addr::new(40), Addr::new(41), Addr::new(40), Addr::new(45)];
-        sort_dedup_addrs_via(Some(mem.ssb_scratch_mut()), &mut v);
+        sort_dedup_addrs(mem.ssb_scratch_mut(), &mut v);
         assert_eq!(v, vec![Addr::new(40), Addr::new(41), Addr::new(45)]);
-        // Addresses beyond the scratch's capacity fall back cleanly.
-        let big = Addr::new((1 << 16) + 64);
-        let mut v = vec![big, Addr::new(1 << 16), big];
-        sort_dedup_addrs_via(Some(mem.ssb_scratch_mut()), &mut v);
-        assert_eq!(v, vec![Addr::new(1 << 16), big]);
     }
 
     /// Builds a linked list + shared diamond in from-space and returns

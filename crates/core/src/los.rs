@@ -81,11 +81,6 @@ impl LargeObjectSpace {
         self.objects.contains_key(&addr.raw())
     }
 
-    /// Whether `addr` falls anywhere in the space's reservation.
-    pub fn in_range(&self, addr: Addr) -> bool {
-        self.range.contains(addr)
-    }
-
     /// Allocates a block of `words` words, first-fit.
     ///
     /// Returns `None` if no block fits (the caller should trigger a major

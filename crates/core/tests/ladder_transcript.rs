@@ -20,7 +20,8 @@ use std::fmt::Write as _;
 
 use tilgc_core::{build_vm_with_recorder, CollectorKind, GcConfig, PretenurePolicy};
 use tilgc_mem::{Addr, SiteId};
-use tilgc_obs::{jsonl, Event, RingRecorder};
+use tilgc_obs::jsonl::{self, Line};
+use tilgc_obs::{Event, RingRecorder};
 use tilgc_runtime::{FrameDesc, HeapOverflow, Trace, Value, Vm};
 
 /// One shape per route an allocation can take.
@@ -208,4 +209,23 @@ fn ladders_emit_the_pinned_transcript() {
             });
         panic!("ladder transcript diverged at {first}");
     }
+}
+
+/// Every event line of the golden decodes through the one codec and
+/// re-encodes to the identical bytes: the pressure / demotion vocabulary
+/// the ladders emit is the vocabulary the reader's one list allows.
+#[test]
+fn every_golden_event_line_round_trips_through_the_codec() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/ladder_transcript.txt");
+    let golden = std::fs::read_to_string(path).expect("golden transcript");
+    let mut lines = 0;
+    for line in golden.lines().filter(|l| l.starts_with("{\"type\":")) {
+        match jsonl::parse_line(line) {
+            Ok(Line::Event(e)) => assert_eq!(jsonl::event_line(&e), line),
+            other => panic!("{line}: {other:?}"),
+        }
+        lines += 1;
+    }
+    assert!(lines > 1000, "only {lines} event lines in the golden");
 }

@@ -92,6 +92,17 @@ fn workload(vm: &mut Vm) {
 
 /// Zeroes the host-time fields, which legitimately differ run to run;
 /// everything else in `GcStats` is deterministic and must match.
+/// Decodes a rendered document back to its events.
+fn decode(doc: &str) -> Vec<Event> {
+    let mut events = Vec::new();
+    jsonl::read_doc(doc, |e| {
+        events.push(e);
+        Ok(())
+    })
+    .expect("a rendered stream decodes");
+    events
+}
+
 fn scrub(mut s: GcStats) -> GcStats {
     s.stack_wall_ns = 0;
     s.copy_wall_ns = 0;
@@ -244,9 +255,12 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
             "{label}: sampled copied bytes"
         );
 
-        // The stream renders to schema-valid JSONL on every plan.
+        // The stream renders to schema-valid JSONL on every plan, and the
+        // document decodes back to the very events that were recorded.
         let doc = jsonl::render(label, "telemetry-test", 150_000_000, &[], &events);
         schema::validate_jsonl(&doc).unwrap_or_else(|e| panic!("{label}: {e}"));
+        assert_eq!(decode(&doc), events, "{label}: codec round trip");
+        schema::check_stream(&events).unwrap_or_else(|e| panic!("{label}: {e}"));
 
         // Plan-specific signal checks, so the reconciliation above is
         // not vacuously summing zeros.
@@ -541,9 +555,11 @@ fn adaptive_flips_reconcile_events_against_stats() {
     assert!(promotes > 0, "the always-survives site never promoted");
     assert!(demotes > 0, "the always-dies seeded site never demoted");
 
-    // The stream (flips included) renders to schema-valid JSONL.
+    // The stream (flips included) renders to schema-valid JSONL and
+    // decodes back to itself.
     let doc = jsonl::render(kind.label(), "adaptive-test", 150_000_000, &[], &events);
     schema::validate_jsonl(&doc).unwrap_or_else(|e| panic!("{e}"));
+    assert_eq!(decode(&doc), events, "codec round trip");
 
     // Adaptation reads the same windows the recorder samples; running
     // without any recorder must decide identically.

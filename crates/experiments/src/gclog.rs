@@ -1,7 +1,7 @@
 //! `experiments gc-log` — runs one benchmark under one collector with
 //! the telemetry recorder attached, renders an ASCII per-collection
-//! timeline on stdout, and writes the full event stream as JSONL plus a
-//! Chrome trace-event file (open it at <https://ui.perfetto.dev>).
+//! timeline on stdout, and writes the full event stream as JSONL (the
+//! file `slo-report --input` replays).
 //!
 //! The recorder is host-side only: the run's simulated cycle counts and
 //! `GcStats` are identical to an unrecorded run of the same program.
@@ -11,7 +11,7 @@ use std::process::ExitCode;
 
 use tilgc_core::CollectorKind;
 use tilgc_obs::metrics::PauseMetrics;
-use tilgc_obs::{chrome, jsonl, schema, Event, GcPhase};
+use tilgc_obs::{jsonl, schema, Event, GcPhase};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::CostModel;
 
@@ -76,35 +76,22 @@ pub fn run(
     print_pause_summary(events, events.len(), dropped, clock_hz);
 
     let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, sites, events);
-    let chrome_doc = chrome::render(kind.label(), bench.name(), clock_hz, events);
-    let stem = format!("gclog-{}-{}", bench.name(), kind.label());
-    let jsonl_path = format!("{out_dir}/{stem}.jsonl");
-    let chrome_path = format!("{out_dir}/{stem}.trace.json");
+    let jsonl_path = format!("{out_dir}/gclog-{}-{}.jsonl", bench.name(), kind.label());
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("cannot create {out_dir}: {e}");
         return ExitCode::FAILURE;
     }
-    for (path, doc) in [(&jsonl_path, &jsonl_doc), (&chrome_path, &chrome_doc)] {
-        if let Err(e) = std::fs::write(path, doc) {
-            eprintln!("cannot write {path}: {e}");
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = std::fs::write(&jsonl_path, &jsonl_doc) {
+        eprintln!("cannot write {jsonl_path}: {e}");
+        return ExitCode::FAILURE;
     }
     println!("wrote {jsonl_path}");
-    println!("wrote {chrome_path} (open at https://ui.perfetto.dev)");
 
     if validate {
         match schema::validate_jsonl(&jsonl_doc) {
             Ok(n) => println!("validate: {n} JSONL lines conform to the schema"),
             Err(e) => {
                 eprintln!("validate: JSONL schema violation: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-        match schema::validate_chrome(&chrome_doc) {
-            Ok(n) => println!("validate: Chrome trace OK ({n} trace events)"),
-            Err(e) => {
-                eprintln!("validate: Chrome trace violation: {e}");
                 return ExitCode::FAILURE;
             }
         }

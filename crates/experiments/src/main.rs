@@ -17,10 +17,10 @@
 //! `gc-log` runs one benchmark (default `Checksum`) under one collector
 //! (default `gen+markers`) with the telemetry recorder attached, prints
 //! an ASCII per-collection phase timeline and per-site survival table,
-//! and writes the event stream as JSONL plus a Chrome/Perfetto trace
-//! into `--out-dir` (default `gclog`); `--validate` additionally checks
-//! both files against the documented schema, and `--adaptive` turns the
-//! online pretenuring estimator on so its site flips show up in the log.
+//! and writes the event stream as JSONL into `--out-dir` (default
+//! `gclog`); `--validate` additionally decodes the file back and checks
+//! it against the documented schema, and `--adaptive` turns the online
+//! pretenuring estimator on so its site flips show up in the log.
 //! `slo-report` evaluates pause-time service-level objectives: it reads
 //! an event stream (a `gc-log` JSONL via `--input`, or a live run of
 //! `--bench` under `--plan` — the gc-log rig), prints the pause

@@ -18,6 +18,15 @@
 //! replayed files contribute their `ttsp_cycles` fields. The section is
 //! omitted when every observation is zero (a pre-TTSP trace).
 //!
+//! A replayed file goes through the one codec (`tilgc_obs::jsonl`):
+//! every line is decoded back to the `Event` the recorder produced and
+//! the events are summarized by the same function as a live run's. A
+//! line that does not decode — unknown type, key or vocabulary word, a
+//! missing or second `meta` line — is an error naming file and line,
+//! with or without `--validate` (before the codec existed, `--input`
+//! silently skipped lines it did not know). `--validate` adds the stream
+//! identities (`tilgc_obs::schema`).
+//!
 //! One caveat for replayed streams: the timeline horizon is the last
 //! recorded event, so mutator time after the final collection is not
 //! visible and whole-run MMU reads slightly low. Live mode extends the
@@ -27,9 +36,9 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use tilgc_core::CollectorKind;
-use tilgc_obs::json;
+use tilgc_obs::jsonl::{self, Meta};
 use tilgc_obs::metrics::{fmt_permille, PauseMetrics, SloSpec, TtspMetrics};
-use tilgc_obs::{jsonl, schema, Event};
+use tilgc_obs::{schema, Event, HeapCensus};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::CostModel;
 
@@ -60,55 +69,53 @@ pub struct SloRequest {
     pub spec: SloSpec,
 }
 
-/// One space row of the most recent heap census, for the report footer.
-struct CensusRow {
-    space: String,
-    used_words: u64,
-    reserved_words: u64,
-    chunks: u64,
-}
-
-/// The last heap census seen in the stream.
-#[derive(Default)]
-struct LastCensus {
-    collection: u64,
-    pretenured_sites: u64,
-    rows: Vec<CensusRow>,
-}
-
 /// Everything extracted from a stream, whatever its source.
 struct StreamSummary {
     source: String,
-    plan: String,
-    bench: String,
-    clock_hz: u64,
+    /// Plan, benchmark and clock rate: the stream's `meta` line.
+    meta: Meta,
     metrics: PauseMetrics,
     /// Time-to-safepoint observations, one per collection. All-zero
     /// when the stream was recorded without TTSP tracking (the JSONL
     /// sink omits the field for zero), so the report section is gated
     /// on a nonzero maximum.
     ttsp: TtspMetrics,
-    census: Option<LastCensus>,
+    /// The last heap census in the stream, for the report footer.
+    census: Option<HeapCensus>,
     event_count: usize,
     dropped: u64,
 }
 
+impl StreamSummary {
+    /// The one summarizer: live and replayed streams are both `Event`s
+    /// by the time they get here.
+    fn from_events(source: String, meta: Meta, events: &[Event], dropped: u64) -> StreamSummary {
+        StreamSummary {
+            source,
+            meta,
+            metrics: PauseMetrics::from_events(events),
+            ttsp: TtspMetrics::from_events(events),
+            census: events.iter().rev().find_map(|e| match e {
+                Event::HeapCensus(c) => Some(c.clone()),
+                _ => None,
+            }),
+            event_count: events.len(),
+            dropped,
+        }
+    }
+}
+
 pub fn run(req: &SloRequest) -> ExitCode {
     let summary = match &req.input {
-        Some(path) => match summarize_jsonl_file(path, req.validate) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("slo-report: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        None => match summarize_live_run(req) {
-            Ok(s) => s,
-            Err(e) => {
-                eprintln!("slo-report: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
+        Some(path) => summarize_jsonl_file(path, req.validate),
+        None => summarize_live_run(req),
+    };
+    let summary = match summary {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("slo-report: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let (text, violations) = render_report(&summary, &req.spec);
     print!("{text}");
@@ -126,104 +133,34 @@ pub fn run(req: &SloRequest) -> ExitCode {
     }
 }
 
-/// Replays a JSONL file into a [`StreamSummary`] without reconstructing
-/// `Event` values: each line is parsed and only the fields the metrics
-/// need are read.
+/// Replays a JSONL file: every line is decoded back to the `Event` the
+/// recorder produced (one parse per line; a line that does not decode
+/// is an error naming file and line, with or without `validate`), and
+/// `validate` additionally runs the stream identities over them.
 fn summarize_jsonl_file(path: &str, validate: bool) -> Result<StreamSummary, String> {
     let doc = std::fs::read_to_string(path).map_err(|e| format!("cannot read {path}: {e}"))?;
-    if validate {
-        let n = schema::validate_jsonl(&doc).map_err(|e| format!("{path}: schema: {e}"))?;
-        println!("validate: {n} JSONL lines conform to the schema");
-    }
-    let mut metrics = PauseMetrics::new();
-    let mut ttsp = TtspMetrics::new();
-    let mut plan = String::from("?");
-    let mut bench = String::from("?");
-    let mut clock_hz = CostModel::default().clock_hz;
-    let mut census: Option<LastCensus> = None;
-    let mut open: Option<u64> = None;
-    let mut event_count = 0usize;
-    for (i, line) in doc.lines().enumerate() {
-        if line.is_empty() {
-            continue;
+    let mut events = Vec::new();
+    let mut checker = validate.then(schema::Checker::default);
+    let (meta, lines) = jsonl::read_doc(&doc, |e| {
+        if let Some(checker) = &mut checker {
+            checker.event(&e)?;
         }
-        let v = json::parse(line).map_err(|e| format!("{path}:{}: {e}", i + 1))?;
-        let kind = v
-            .get("type")
-            .and_then(|t| t.as_str())
-            .ok_or_else(|| format!("{path}:{}: line without a type", i + 1))?;
-        let num = |key: &str| -> Result<u64, String> {
-            v.get(key)
-                .and_then(|n| n.as_u64())
-                .ok_or_else(|| format!("{path}:{}: {kind} missing {key}", i + 1))
-        };
-        match kind {
-            "meta" => {
-                clock_hz = num("clock_hz")?;
-                if let Some(p) = v.get("plan").and_then(|p| p.as_str()) {
-                    plan = p.to_string();
-                }
-                if let Some(b) = v.get("bench").and_then(|b| b.as_str()) {
-                    bench = b.to_string();
-                }
-                continue; // not an event
-            }
-            "collection-begin" => {
-                open = Some(num("start_cycles")?);
-                // Optional: the sink omits it when zero (and always,
-                // before TTSP tracking existed).
-                ttsp.push(v.get("ttsp_cycles").and_then(|n| n.as_u64()).unwrap_or(0));
-            }
-            "collection-end" => {
-                let gc_cycles = num("gc_cycles")?;
-                let end_cycles = num("end_cycles")?;
-                let start = open
-                    .take()
-                    .unwrap_or_else(|| end_cycles.saturating_sub(gc_cycles));
-                metrics.push_pause(start, end_cycles, gc_cycles);
-            }
-            "heap-census" => {
-                let mut last = LastCensus {
-                    collection: num("collection")?,
-                    pretenured_sites: num("pretenured_sites")?,
-                    rows: Vec::new(),
-                };
-                let spaces = v
-                    .get("spaces")
-                    .and_then(|s| s.as_array())
-                    .ok_or_else(|| format!("{path}:{}: census without spaces", i + 1))?;
-                for s in spaces {
-                    let field = |key: &str| s.get(key).and_then(|n| n.as_u64()).unwrap_or(0);
-                    last.rows.push(CensusRow {
-                        space: s
-                            .get("space")
-                            .and_then(|n| n.as_str())
-                            .unwrap_or("?")
-                            .to_string(),
-                        used_words: field("used_words"),
-                        reserved_words: field("reserved_words"),
-                        chunks: field("chunks"),
-                    });
-                }
-                census = Some(last);
-            }
-            _ => {}
-        }
-        event_count += 1;
-    }
-    Ok(StreamSummary {
-        source: path.to_string(),
-        plan,
-        bench,
-        clock_hz,
-        metrics,
-        ttsp,
-        census,
-        event_count,
-        // A file has no ring; whatever was dropped at record time is
-        // simply absent from it.
-        dropped: 0,
+        events.push(e);
+        Ok(())
     })
+    .map_err(|e| format!("{path}: {e}"))?;
+    if let Some(checker) = checker {
+        checker.finish().map_err(|e| format!("{path}: {e}"))?;
+        println!("validate: {lines} JSONL lines conform to the schema");
+    }
+    // A file has no ring; whatever was dropped at record time is simply
+    // absent from it.
+    Ok(StreamSummary::from_events(
+        path.to_string(),
+        meta,
+        &events,
+        0,
+    ))
 }
 
 /// Runs one benchmark with the recorder attached — the `gc-log` rig —
@@ -253,58 +190,38 @@ fn summarize_live_run(req: &SloRequest) -> Result<StreamSummary, String> {
         })?;
 
     let run = run_recorded(bench, kind, req.adaptive);
-    let events = &run.events;
-    let clock_hz = CostModel::default().clock_hz;
-
     if req.validate {
-        let doc = jsonl::render(kind.label(), bench.name(), clock_hz, &run.sites, events);
-        let n = schema::validate_jsonl(&doc).map_err(|e| format!("schema: {e}"))?;
-        println!("validate: {n} JSONL lines conform to the schema");
+        schema::check_stream(&run.events).map_err(|e| format!("schema: {e}"))?;
+        println!(
+            "validate: {} events conform to the schema",
+            run.events.len()
+        );
     }
-
-    let mut metrics = PauseMetrics::from_events(events);
-    metrics.set_horizon(run.client_cycles + run.gc.gc_cycles());
-    let ttsp = TtspMetrics::from_events(events);
-    let census = events.iter().rev().find_map(|e| match e {
-        Event::HeapCensus(c) => Some(LastCensus {
-            collection: c.collection,
-            pretenured_sites: c.pretenured_sites,
-            rows: c
-                .spaces
-                .iter()
-                .map(|s| CensusRow {
-                    space: s.space.to_string(),
-                    used_words: s.used_words,
-                    reserved_words: s.reserved_words,
-                    chunks: s.chunks,
-                })
-                .collect(),
-        }),
-        _ => None,
-    });
-    Ok(StreamSummary {
-        source: format!(
-            "{} on {} (live, budget {} bytes)",
-            bench.name(),
-            kind.label(),
-            run.budget
-        ),
+    let source = format!(
+        "{} on {} (live, budget {} bytes)",
+        bench.name(),
+        kind.label(),
+        run.budget
+    );
+    let meta = Meta {
         plan: kind.label().to_string(),
         bench: bench.name().to_string(),
-        clock_hz,
-        metrics,
-        ttsp,
-        census,
-        event_count: events.len(),
-        dropped: run.dropped,
-    })
+        clock_hz: CostModel::default().clock_hz,
+        sites: run.sites,
+    };
+    let mut summary = StreamSummary::from_events(source, meta, &run.events, run.dropped);
+    // A live run knows its full length; a file's horizon is its last event.
+    summary
+        .metrics
+        .set_horizon(run.client_cycles + run.gc.gc_cycles());
+    Ok(summary)
 }
 
 /// Renders the full report and returns it with the violation count.
 fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     let mut out = String::new();
     let model = CostModel {
-        clock_hz: summary.clock_hz,
+        clock_hz: summary.meta.clock_hz,
         ..CostModel::default()
     };
     let h = summary.metrics.histogram();
@@ -312,9 +229,9 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     let _ = writeln!(
         out,
         "plan {}, bench {}, clock {} Hz, horizon {} cycles",
-        summary.plan,
-        summary.bench,
-        summary.clock_hz,
+        summary.meta.plan,
+        summary.meta.bench,
+        summary.meta.clock_hz,
         summary.metrics.horizon()
     );
     let _ = writeln!(out);
@@ -396,7 +313,7 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
             "  {:<10} {:>12} {:>15} {:>7}",
             "space", "used_words", "reserved_words", "chunks"
         );
-        for row in &census.rows {
+        for row in &census.spaces {
             let _ = writeln!(
                 out,
                 "  {:<10} {:>12} {:>15} {:>7}",
@@ -450,6 +367,7 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
 mod tests {
     use super::*;
     use tilgc_obs::metrics::PauseHistogram;
+    use tilgc_obs::{CollectionBegin, CollectionEnd, GcPhase, Hist, PhaseSpan, SpaceCensus};
 
     /// The deterministic latency lanes: per plan, over Color,
     /// Knuth-Bendix, Nqueen and PIA at k = 4.0 with TTSP tracking on —
@@ -497,20 +415,75 @@ mod tests {
         }
     }
 
-    /// A minimal schema-shaped stream: the fields the summarizer reads
-    /// are the documented ones, so these literals track the real schema.
+    /// A small stream rendered by the writer itself, so the fixture
+    /// cannot drift from the schema: one bracketed collection with its
+    /// census, then an end whose begin was lost to the ring.
     fn sample_doc() -> String {
-        [
-            r#"{"type":"meta","plan":"gen+markers","bench":"Checksum","clock_hz":100000,"sites":[]}"#,
-            r#"{"type":"collection-begin","collection":1,"plan":"gen+markers","reason":"alloc-failure","major":false,"depth":2,"start_cycles":1000}"#,
-            r#"{"type":"collection-end","collection":1,"gc_cycles":500,"end_cycles":1500}"#,
-            r#"{"type":"heap-census","collection":1,"pretenured_sites":3,"spaces":[{"space":"nursery","used_words":10,"reserved_words":64,"chunks":1}]}"#,
-            r#"{"type":"collection-end","collection":2,"gc_cycles":200,"end_cycles":4000}"#,
-        ]
-        .join("\n")
+        sample_doc_with_ttsp(0)
     }
 
-    fn summary_of(doc: &str) -> StreamSummary {
+    fn sample_doc_with_ttsp(ttsp_cycles: u64) -> String {
+        let end = |collection, gc_cycles, end_cycles| {
+            Event::CollectionEnd(Box::new(CollectionEnd {
+                collection,
+                major: false,
+                depth: 2,
+                claimed_prefix: 0,
+                oracle_prefix: 0,
+                copied_bytes: 0,
+                scanned_words: 0,
+                pretenured_scanned_words: 0,
+                roots_found: 0,
+                frames_scanned: 0,
+                frames_reused: 0,
+                slots_scanned: 0,
+                barrier_entries: 0,
+                markers_placed: 0,
+                gc_cycles,
+                end_cycles,
+                live_bytes_after: 0,
+                wall_ns: 0,
+                size_hist: Hist::default(),
+                depth_hist: Hist::default(),
+                workers: 1,
+                worker_copied_bytes: Vec::new(),
+                chunks_owned: 1,
+                side_cleared_words: 0,
+            }))
+        };
+        let events = [
+            Event::CollectionBegin(CollectionBegin {
+                collection: 1,
+                plan: "generational",
+                reason: "alloc-failure",
+                major: false,
+                depth: 2,
+                start_cycles: 1000,
+                ttsp_cycles,
+            }),
+            Event::Phase(PhaseSpan {
+                collection: 1,
+                phase: GcPhase::CheneyCopy,
+                cycles: 500,
+                wall_ns: 0,
+            }),
+            end(1, 500, 1500),
+            Event::HeapCensus(HeapCensus {
+                collection: 1,
+                pretenured_sites: 3,
+                spaces: vec![SpaceCensus {
+                    space: "nursery",
+                    used_words: 10,
+                    reserved_words: 64,
+                    chunks: 1,
+                }],
+            }),
+            end(2, 200, 4000),
+        ];
+        jsonl::render("gen+markers", "Checksum", 100_000, &[], &events)
+    }
+
+    fn replay(doc: &str, validate: bool) -> Result<StreamSummary, String> {
         let dir = std::env::temp_dir().join("tilgc-slo-test");
         std::fs::create_dir_all(&dir).unwrap();
         // One file per call: tests run on parallel threads, and two of
@@ -519,24 +492,28 @@ mod tests {
         let n = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         let path = dir.join(format!("sample-{}-{n}.jsonl", std::process::id()));
         std::fs::write(&path, doc).unwrap();
-        summarize_jsonl_file(path.to_str().unwrap(), false).unwrap()
+        summarize_jsonl_file(path.to_str().unwrap(), validate)
+    }
+
+    fn summary_of(doc: &str) -> StreamSummary {
+        replay(doc, false).unwrap()
     }
 
     #[test]
     fn jsonl_replay_reconstructs_pauses_and_census() {
         let s = summary_of(&sample_doc());
-        assert_eq!(s.plan, "gen+markers");
-        assert_eq!(s.clock_hz, 100_000);
+        assert_eq!(s.meta.plan, "gen+markers");
+        assert_eq!(s.meta.clock_hz, 100_000);
         assert_eq!(s.metrics.pause_count(), 2);
         assert_eq!(s.metrics.histogram().sum(), 700);
         // The second end had no begin: its start is end - gc_cycles.
         assert_eq!(s.metrics.horizon(), 4000);
         let census = s.census.as_ref().expect("census captured");
         assert_eq!(census.pretenured_sites, 3);
-        assert_eq!(census.rows[0].space, "nursery");
-        assert_eq!(census.rows[0].reserved_words, 64);
-        // 4 event lines; meta is not an event.
-        assert_eq!(s.event_count, 4);
+        assert_eq!(census.spaces[0].space, "nursery");
+        assert_eq!(census.spaces[0].reserved_words, 64);
+        // 5 event lines; meta is not an event.
+        assert_eq!(s.event_count, 5);
     }
 
     #[test]
@@ -582,11 +559,7 @@ mod tests {
             "all-zero TTSP must not change the report: {text}"
         );
         // A tracked stream carries `ttsp_cycles` on collection-begin.
-        let doc = sample_doc().replace(
-            r#""start_cycles":1000}"#,
-            r#""start_cycles":1000,"ttsp_cycles":40}"#,
-        );
-        let s = summary_of(&doc);
+        let s = summary_of(&sample_doc_with_ttsp(40));
         assert_eq!(s.ttsp.histogram().count(), 1);
         assert_eq!(s.ttsp.histogram().max(), 40);
         let (text, _) = render_report(&s, &SloSpec::default());
@@ -594,6 +567,40 @@ mod tests {
             text.contains("time-to-safepoint (1 collections"),
             "tracked TTSP must be surfaced: {text}"
         );
+    }
+
+    /// Writer → file → reader → metrics: a replayed stream is the live
+    /// stream, so it renders the report the live events render.
+    #[test]
+    fn replayed_stream_reports_what_the_live_events_report() {
+        let kind = CollectorKind::GenerationalStackPretenure;
+        let run = run_recorded(Benchmark::Life, kind, true);
+        let doc = jsonl::render(kind.label(), "Life", 150_000_000, &run.sites, &run.events);
+        let replayed = replay(&doc, true).expect("a recorded stream validates");
+        let (source, meta) = (replayed.source.clone(), replayed.meta.clone());
+        let live = StreamSummary::from_events(source, meta, &run.events, 0);
+        let spec = SloSpec::default();
+        assert_eq!(render_report(&replayed, &spec), render_report(&live, &spec));
+        assert!(replayed.metrics.pause_count() > 0 && replayed.census.is_some());
+    }
+
+    /// `--input` refuses what it cannot decode, naming file and line,
+    /// whether or not `--validate` is given; the stream identities are
+    /// what `--validate` adds.
+    #[test]
+    fn replay_refuses_undecodable_lines_and_validate_adds_the_identities() {
+        for validate in [false, true] {
+            let doc = sample_doc().replacen('\n', "\n{\"type\":\"mystery\"}\n", 1);
+            let err = replay(&doc, validate).err().expect("refused");
+            assert!(
+                err.contains(".jsonl: line 2: unknown event type \"mystery\""),
+                "{err}"
+            );
+        }
+        // The sample's second end has no begin: summarized as a ring
+        // drop without `--validate`, an identity violation with it.
+        let err = replay(&sample_doc(), true).err().expect("refused");
+        assert!(err.contains("line 6: end without begin for 2"), "{err}");
     }
 
     /// The CI contract end to end: replaying a stream through `--input`

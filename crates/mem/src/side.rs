@@ -173,14 +173,6 @@ impl SideBitmap {
         (i / 64, 1u64 << (i % 64))
     }
 
-    /// Number of addressable bits (addresses `0..bit_capacity()` are in
-    /// range for every accessor). A multiple of 64, so it may exceed the
-    /// heap's word capacity by up to 63 slack bits.
-    #[inline]
-    pub fn bit_capacity(&self) -> usize {
-        self.words.len() * 64
-    }
-
     /// Reads the bit for `addr`.
     #[inline]
     pub fn get(&self, addr: Addr) -> bool {

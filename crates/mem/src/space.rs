@@ -93,18 +93,6 @@ impl Space {
         }
     }
 
-    /// Creates a space spanning `range` but logically limited to
-    /// `limit_words` words.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `limit_words` exceeds the range length.
-    pub fn with_limit(range: SpaceRange, limit_words: usize) -> Space {
-        let mut s = Space::new(range);
-        s.set_limit_words(limit_words);
-        s
-    }
-
     /// The reserved range backing this space.
     #[inline]
     pub fn range(&self) -> SpaceRange {

@@ -1,79 +1,115 @@
-//! The JSONL sink: one hand-rolled JSON object per line, one line per
+//! The JSONL codec: one hand-rolled JSON object per line, one line per
 //! event, preceded by a `meta` line that resolves plan, benchmark, clock
 //! rate, and allocation-site names.
 //!
-//! The full line schema is documented in DESIGN.md ("Telemetry") and
-//! machine-checked by [`crate::schema::validate_line`].
+//! This module is the only place that knows how an [`Event`] becomes a
+//! line and back. The writer ([`event_line`], [`meta_line`], [`render`])
+//! and the reader ([`parse_line`], [`read_doc`]) sit side by side, and "a
+//! line is well-formed" *means* "it decodes": the keys a decoder asks
+//! its `Fields` reader for are the keys the schema allows (anything
+//! left over is rejected), and every closed string field is interned
+//! against the one list in [`vocab`]. What is not syntax — the
+//! identities between fields and between lines — is [`crate::schema`]'s
+//! job, over decoded `Event`s. The line schema is documented in
+//! DESIGN.md ("Telemetry").
 
-use crate::json::escape_into;
+use crate::json::{self, escape_into, Value};
 use crate::{
-    CollectionBegin, CollectionEnd, DegradationBegin, DegradationEnd, Event, HeapCensus, Hist,
-    PhaseSpan, PressureBegin, PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample,
+    CollectionBegin, CollectionEnd, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus,
+    Hist, PhaseSpan, PressureBegin, PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample,
+    SpaceCensus,
 };
 
-/// Builds JSONL object lines field by field.
+/// Version of the line schema, carried by the `meta` line. Bumped when a
+/// line changes meaning; the reader refuses any other value.
+pub const SCHEMA_VERSION: u64 = 1;
+
+/// Every closed string vocabulary of the wire format, each listed once.
+/// The producers' `&'static str` fields hold exactly these words, and the
+/// reader hands the same `&'static str` back.
+pub mod vocab {
+    /// `collection-begin.plan`: the emitting plan's name.
+    pub const PLAN: &[&str] = &["semispace", "generational"];
+    /// `collection-begin.reason`.
+    pub const REASON: &[&str] = &["alloc-failure", "forced", "forced-major"];
+    /// `pressure-begin.space`: the arena under pressure.
+    pub const ARENA: &[&str] = &["nursery", "tenured", "los"];
+    /// `heap-census.spaces[].space`.
+    pub const CENSUS_SPACE: &[&str] = &["semispace", "nursery", "tenured", "los"];
+    /// `pressure-rung.rung`.
+    pub const RUNG: &[&str] = &["retry-minor", "retry-major", "rebalance", "demote"];
+    /// `pressure-rung.outcome`.
+    pub const RUNG_OUTCOME: &[&str] = &["recovered", "escalated", "demoted"];
+    /// `pressure-end.outcome`.
+    pub const EPISODE_OUTCOME: &[&str] = &["recovered", "exhausted"];
+    /// `site-demote.reason`.
+    pub const DEMOTE_REASON: &[&str] = &["adaptive", "pressure"];
+    /// `degradation-begin.trigger`.
+    pub const TRIGGER: &[&str] = &["panic", "watchdog", "budget", "orphan"];
+    /// `degradation-end.outcome`.
+    pub const DEGRADATION_OUTCOME: &[&str] = &["drained"];
+}
+
+/// Builds one JSON object field by field.
 struct Obj {
     out: String,
 }
 
 impl Obj {
-    fn new(kind: &str) -> Obj {
+    /// An object with no fields yet: an element of an object array.
+    fn row() -> Obj {
         let mut out = String::with_capacity(256);
-        out.push_str("{\"type\":");
-        escape_into(&mut out, kind);
+        out.push('{');
         Obj { out }
     }
 
-    fn num(mut self, key: &str, value: u64) -> Obj {
-        self.out.push(',');
+    /// A line: an object whose first field is its `type`.
+    fn new(kind: &str) -> Obj {
+        Obj::row().str("type", kind)
+    }
+
+    fn key(&mut self, key: &str) {
+        if self.out.len() > 1 {
+            self.out.push(',');
+        }
         escape_into(&mut self.out, key);
         self.out.push(':');
+    }
+
+    fn num(mut self, key: &str, value: u64) -> Obj {
+        self.key(key);
         self.out.push_str(&value.to_string());
         self
     }
 
     fn str(mut self, key: &str, value: &str) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push(':');
+        self.key(key);
         escape_into(&mut self.out, value);
         self
     }
 
     fn bool(mut self, key: &str, value: bool) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push(':');
+        self.key(key);
         self.out.push_str(if value { "true" } else { "false" });
         self
     }
 
-    fn nums(mut self, key: &str, values: &[u64]) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push_str(":[");
-        for (i, v) in values.iter().enumerate() {
+    /// An array of already-rendered elements.
+    fn array(mut self, key: &str, items: impl Iterator<Item = String>) -> Obj {
+        self.key(key);
+        self.out.push('[');
+        for (i, item) in items.enumerate() {
             if i > 0 {
                 self.out.push(',');
             }
-            self.out.push_str(&v.to_string());
+            self.out.push_str(&item);
         }
         self.out.push(']');
         self
     }
 
-    fn hist(mut self, key: &str, hist: &Hist) -> Obj {
-        self.out.push(',');
-        escape_into(&mut self.out, key);
-        self.out.push_str(":[");
-        for (i, b) in hist.buckets.iter().enumerate() {
-            if i > 0 {
-                self.out.push(',');
-            }
-            self.out.push_str(&b.to_string());
-        }
-        self.out.push(']');
-        self
+    fn nums(self, key: &str, values: &[u64]) -> Obj {
+        self.array(key, values.iter().map(u64::to_string))
     }
 
     fn finish(mut self) -> String {
@@ -85,44 +121,130 @@ impl Obj {
 /// Renders the leading `meta` line: run identity plus the site-id → name
 /// table needed to interpret `site-sample` lines.
 pub fn meta_line(plan: &str, bench: &str, clock_hz: u64, sites: &[(u16, String)]) -> String {
-    let mut out = String::with_capacity(128 + 24 * sites.len());
-    out.push_str("{\"type\":\"meta\",\"plan\":");
-    escape_into(&mut out, plan);
-    out.push_str(",\"bench\":");
-    escape_into(&mut out, bench);
-    out.push_str(",\"clock_hz\":");
-    out.push_str(&clock_hz.to_string());
-    out.push_str(",\"sites\":[");
-    for (i, (id, name)) in sites.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str("{\"id\":");
-        out.push_str(&id.to_string());
-        out.push_str(",\"name\":");
-        escape_into(&mut out, name);
-        out.push('}');
-    }
-    out.push_str("]}");
-    out
+    let site = |(id, name): &(u16, String)| Obj::row().num("id", *id as u64).str("name", name);
+    Obj::new("meta")
+        .num("schema_version", SCHEMA_VERSION)
+        .str("plan", plan)
+        .str("bench", bench)
+        .num("clock_hz", clock_hz)
+        .array("sites", sites.iter().map(site).map(Obj::finish))
+        .finish()
 }
 
 /// Renders one event as a JSONL line (no trailing newline).
 pub fn event_line(event: &Event) -> String {
     match event {
-        Event::CollectionBegin(e) => begin_line(e),
-        Event::Phase(e) => phase_line(e),
-        Event::CollectionEnd(e) => end_line(e),
-        Event::SiteSample(e) => site_line(e),
-        Event::PressureBegin(e) => pressure_begin_line(e),
-        Event::PressureRung(e) => pressure_rung_line(e),
-        Event::PressureEnd(e) => pressure_end_line(e),
-        Event::SitePromote(e) => site_promote_line(e),
-        Event::SiteDemote(e) => site_demote_line(e),
-        Event::HeapCensus(e) => census_line(e),
-        Event::DegradationBegin(e) => degradation_begin_line(e),
-        Event::DegradationEnd(e) => degradation_end_line(e),
+        Event::CollectionBegin(e) => {
+            // `ttsp_cycles` appears only when the observed distance is
+            // nonzero (the reader rejects an explicit zero).
+            let obj = Obj::new("collection-begin")
+                .num("collection", e.collection)
+                .str("plan", e.plan)
+                .str("reason", e.reason)
+                .bool("major", e.major)
+                .num("depth", e.depth)
+                .num("start_cycles", e.start_cycles);
+            if e.ttsp_cycles > 0 {
+                obj.num("ttsp_cycles", e.ttsp_cycles)
+            } else {
+                obj
+            }
+        }
+        Event::Phase(e) => Obj::new("phase")
+            .num("collection", e.collection)
+            .str("phase", e.phase.wire_name())
+            .num("cycles", e.cycles)
+            .num("wall_ns", e.wall_ns),
+        Event::CollectionEnd(e) => {
+            // Worker fields appear only on parallel collections, so a
+            // serial (workers = 1) trace stays byte-identical to
+            // pre-scheduler output.
+            let obj = Obj::new("collection-end")
+                .num("collection", e.collection)
+                .bool("major", e.major)
+                .num("depth", e.depth)
+                .num("claimed_prefix", e.claimed_prefix)
+                .num("oracle_prefix", e.oracle_prefix)
+                .num("copied_bytes", e.copied_bytes)
+                .num("scanned_words", e.scanned_words)
+                .num("pretenured_scanned_words", e.pretenured_scanned_words)
+                .num("roots_found", e.roots_found)
+                .num("frames_scanned", e.frames_scanned)
+                .num("frames_reused", e.frames_reused)
+                .num("slots_scanned", e.slots_scanned)
+                .num("barrier_entries", e.barrier_entries)
+                .num("markers_placed", e.markers_placed)
+                .num("gc_cycles", e.gc_cycles)
+                .num("end_cycles", e.end_cycles)
+                .num("live_bytes_after", e.live_bytes_after)
+                .num("wall_ns", e.wall_ns)
+                .num("chunks_owned", e.chunks_owned)
+                .num("side_cleared_words", e.side_cleared_words)
+                .nums("size_hist", &e.size_hist.buckets)
+                .nums("depth_hist", &e.depth_hist.buckets);
+            if e.workers > 1 {
+                obj.num("workers", e.workers)
+                    .nums("worker_copied_bytes", &e.worker_copied_bytes)
+            } else {
+                obj
+            }
+        }
+        Event::SiteSample(e) => Obj::new("site-sample")
+            .num("collection", e.collection)
+            .num("site", e.site as u64)
+            .num("allocs", e.allocs)
+            .num("alloc_bytes", e.alloc_bytes)
+            .num("copied_objects", e.copied_objects)
+            .num("copied_bytes", e.copied_bytes)
+            .num("survived", e.survived),
+        Event::PressureBegin(e) => Obj::new("pressure-begin")
+            .num("site", e.site as u64)
+            .num("words", e.words)
+            .str("space", e.space)
+            .num("start_cycles", e.start_cycles),
+        Event::PressureRung(e) => Obj::new("pressure-rung")
+            .str("rung", e.rung)
+            .num("site", e.site as u64)
+            .num("words", e.words)
+            .str("outcome", e.outcome)
+            .num("cycles", e.cycles),
+        Event::PressureEnd(e) => Obj::new("pressure-end")
+            .str("outcome", e.outcome)
+            .num("rungs", e.rungs)
+            .num("cycles", e.cycles),
+        Event::SitePromote(e) => Obj::new("site-promote")
+            .num("collection", e.collection)
+            .num("site", e.site as u64)
+            .num("survival_permille", e.survival_permille),
+        Event::SiteDemote(e) => Obj::new("site-demote")
+            .num("collection", e.collection)
+            .num("site", e.site as u64)
+            .num("survival_permille", e.survival_permille)
+            .str("reason", e.reason),
+        Event::HeapCensus(e) => {
+            let space = |s: &SpaceCensus| {
+                Obj::row()
+                    .str("space", s.space)
+                    .num("used_words", s.used_words)
+                    .num("reserved_words", s.reserved_words)
+                    .num("chunks", s.chunks)
+            };
+            Obj::new("heap-census")
+                .num("collection", e.collection)
+                .num("pretenured_sites", e.pretenured_sites)
+                .array("spaces", e.spaces.iter().map(space).map(Obj::finish))
+        }
+        Event::DegradationBegin(e) => Obj::new("degradation-begin")
+            .num("collection", e.collection)
+            .str("trigger", e.trigger)
+            .num("workers", e.workers)
+            .num("workers_lost", e.workers_lost),
+        Event::DegradationEnd(e) => Obj::new("degradation-end")
+            .num("collection", e.collection)
+            .num("leftover_packets", e.leftover_packets)
+            .str("outcome", e.outcome),
     }
+    .finish()
 }
 
 /// Renders a whole event stream, meta line first, newline-terminated.
@@ -142,177 +264,343 @@ pub fn render(
     out
 }
 
-fn begin_line(e: &CollectionBegin) -> String {
-    // `ttsp_cycles` appears only when the observed distance is nonzero
-    // (the schema rejects an explicit zero).
-    let mut obj = Obj::new("collection-begin")
-        .num("collection", e.collection)
-        .str("plan", e.plan)
-        .str("reason", e.reason)
-        .bool("major", e.major)
-        .num("depth", e.depth)
-        .num("start_cycles", e.start_cycles);
-    if e.ttsp_cycles > 0 {
-        obj = obj.num("ttsp_cycles", e.ttsp_cycles);
+/// The run identity carried by a stream's leading `meta` line.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct Meta {
+    /// The collector plan label the run was recorded under.
+    pub plan: String,
+    /// The benchmark (or workload) name.
+    pub bench: String,
+    /// Simulated clock rate, cycles per second (positive).
+    pub clock_hz: u64,
+    /// The site-id → name table for `site-sample` lines.
+    pub sites: Vec<(u16, String)>,
+}
+
+/// One decoded line of a stream.
+#[derive(Clone, Debug, PartialEq)]
+pub enum Line {
+    /// The leading `meta` line.
+    Meta(Meta),
+    /// An event line, decoded to the `Event` the recorder produced.
+    Event(Event),
+}
+
+/// Reads one JSON object's fields by key, remembering which were asked
+/// for, so that [`finish`](Fields::finish) can reject the rest: the keys
+/// a decoder reads are the keys the schema allows.
+struct Fields<'a> {
+    fields: &'a [(String, Value)],
+    seen: Vec<bool>,
+}
+
+impl<'a> Fields<'a> {
+    fn new(v: &'a Value) -> Result<Fields<'a>, String> {
+        let fields = v.as_object().ok_or("expected a JSON object")?;
+        Ok(Fields {
+            fields,
+            seen: vec![false; fields.len()],
+        })
     }
-    obj.finish()
-}
 
-fn phase_line(e: &PhaseSpan) -> String {
-    Obj::new("phase")
-        .num("collection", e.collection)
-        .str("phase", e.phase.wire_name())
-        .num("cycles", e.cycles)
-        .num("wall_ns", e.wall_ns)
-        .finish()
-}
-
-fn end_line(e: &CollectionEnd) -> String {
-    // Worker fields appear only on parallel collections, so a serial
-    // (workers = 1) trace stays byte-identical to pre-scheduler output.
-    let mut obj = Obj::new("collection-end")
-        .num("collection", e.collection)
-        .bool("major", e.major)
-        .num("depth", e.depth)
-        .num("claimed_prefix", e.claimed_prefix)
-        .num("oracle_prefix", e.oracle_prefix)
-        .num("copied_bytes", e.copied_bytes)
-        .num("scanned_words", e.scanned_words)
-        .num("pretenured_scanned_words", e.pretenured_scanned_words)
-        .num("roots_found", e.roots_found)
-        .num("frames_scanned", e.frames_scanned)
-        .num("frames_reused", e.frames_reused)
-        .num("slots_scanned", e.slots_scanned)
-        .num("barrier_entries", e.barrier_entries)
-        .num("markers_placed", e.markers_placed)
-        .num("gc_cycles", e.gc_cycles)
-        .num("end_cycles", e.end_cycles)
-        .num("live_bytes_after", e.live_bytes_after)
-        .num("wall_ns", e.wall_ns)
-        .num("chunks_owned", e.chunks_owned)
-        .num("side_cleared_words", e.side_cleared_words)
-        .hist("size_hist", &e.size_hist)
-        .hist("depth_hist", &e.depth_hist);
-    if e.workers > 1 {
-        obj = obj
-            .num("workers", e.workers)
-            .nums("worker_copied_bytes", &e.worker_copied_bytes);
+    /// Looks up an optional field.
+    fn opt(&mut self, key: &str) -> Option<&'a Value> {
+        let i = self.fields.iter().position(|(k, _)| k == key)?;
+        self.seen[i] = true;
+        Some(&self.fields[i].1)
     }
-    obj.finish()
-}
 
-fn pressure_begin_line(e: &PressureBegin) -> String {
-    Obj::new("pressure-begin")
-        .num("site", e.site as u64)
-        .num("words", e.words)
-        .str("space", e.space)
-        .num("start_cycles", e.start_cycles)
-        .finish()
-}
+    /// Looks up a required field and converts it with `read`; `what`
+    /// names the expected type in the error.
+    fn get<T>(
+        &mut self,
+        key: &str,
+        what: &str,
+        read: impl FnOnce(&'a Value) -> Option<T>,
+    ) -> Result<T, String> {
+        let v = self
+            .opt(key)
+            .ok_or_else(|| format!("missing field {key:?}"))?;
+        read(v).ok_or_else(|| format!("field {key:?} is not {what}"))
+    }
 
-fn pressure_rung_line(e: &PressureRung) -> String {
-    Obj::new("pressure-rung")
-        .str("rung", e.rung)
-        .num("site", e.site as u64)
-        .num("words", e.words)
-        .str("outcome", e.outcome)
-        .num("cycles", e.cycles)
-        .finish()
-}
+    fn num(&mut self, key: &str) -> Result<u64, String> {
+        self.get(key, "a non-negative integer", Value::as_u64)
+    }
 
-fn pressure_end_line(e: &PressureEnd) -> String {
-    Obj::new("pressure-end")
-        .str("outcome", e.outcome)
-        .num("rungs", e.rungs)
-        .num("cycles", e.cycles)
-        .finish()
-}
-
-fn site_promote_line(e: &SitePromote) -> String {
-    Obj::new("site-promote")
-        .num("collection", e.collection)
-        .num("site", e.site as u64)
-        .num("survival_permille", e.survival_permille)
-        .finish()
-}
-
-fn site_demote_line(e: &SiteDemote) -> String {
-    Obj::new("site-demote")
-        .num("collection", e.collection)
-        .num("site", e.site as u64)
-        .num("survival_permille", e.survival_permille)
-        .str("reason", e.reason)
-        .finish()
-}
-
-fn census_line(e: &HeapCensus) -> String {
-    // The spaces array is an object array like meta's sites, so it is
-    // hand-built rather than going through Obj.
-    let mut out = String::with_capacity(128 + 64 * e.spaces.len());
-    out.push_str("{\"type\":\"heap-census\",\"collection\":");
-    out.push_str(&e.collection.to_string());
-    out.push_str(",\"pretenured_sites\":");
-    out.push_str(&e.pretenured_sites.to_string());
-    out.push_str(",\"spaces\":[");
-    for (i, s) in e.spaces.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    /// A number that the writer omits when it is below `floor`, so that
+    /// an explicit smaller value is an error and every line has exactly
+    /// one encoding.
+    fn num_or_omitted(&mut self, key: &str, floor: u64) -> Result<Option<u64>, String> {
+        if self.opt(key).is_none() {
+            return Ok(None);
         }
-        out.push_str("{\"space\":");
-        escape_into(&mut out, s.space);
-        out.push_str(",\"used_words\":");
-        out.push_str(&s.used_words.to_string());
-        out.push_str(",\"reserved_words\":");
-        out.push_str(&s.reserved_words.to_string());
-        out.push_str(",\"chunks\":");
-        out.push_str(&s.chunks.to_string());
-        out.push('}');
+        match self.num(key)? {
+            n if n < floor => Err(format!("{key} is {n}, below {floor} (the writer omits it)")),
+            n => Ok(Some(n)),
+        }
     }
-    out.push_str("]}");
-    out
+
+    fn site(&mut self, key: &str) -> Result<u16, String> {
+        self.get(key, "a 16-bit site id", |v| u16::try_from(v.as_u64()?).ok())
+    }
+
+    fn flag(&mut self, key: &str) -> Result<bool, String> {
+        self.get(key, "a boolean", Value::as_bool)
+    }
+
+    fn text(&mut self, key: &str) -> Result<&'a str, String> {
+        self.get(key, "a string", Value::as_str)
+    }
+
+    /// A string field interned against one of the [`vocab`] lists.
+    fn word(&mut self, key: &str, vocab: &[&'static str]) -> Result<&'static str, String> {
+        let s = self.text(key)?;
+        let known = vocab.iter().copied().find(|w| *w == s);
+        known.ok_or_else(|| format!("unknown {key} {s:?} (expected one of {vocab:?})"))
+    }
+
+    fn nums(&mut self, key: &str) -> Result<Vec<u64>, String> {
+        self.get(key, "an array of non-negative integers", |v| {
+            v.as_array()?.iter().map(Value::as_u64).collect()
+        })
+    }
+
+    fn hist(&mut self, key: &str) -> Result<Hist, String> {
+        let buckets = <[u64; crate::HIST_BUCKETS]>::try_from(self.nums(key)?)
+            .map_err(|v| format!("{key} has {} buckets", v.len()))?;
+        Ok(Hist { buckets })
+    }
+
+    /// An array of objects (`meta.sites`, `heap-census.spaces`), each
+    /// element decoded by `row` and checked for leftover keys.
+    fn rows<T>(
+        &mut self,
+        key: &str,
+        row: impl Fn(&mut Fields<'a>) -> Result<T, String>,
+    ) -> Result<Vec<T>, String> {
+        let items = self.get(key, "an array", Value::as_array)?;
+        let decode = |item| {
+            let mut f = Fields::new(item)?;
+            let decoded = row(&mut f)?;
+            f.finish().map(|()| decoded)
+        };
+        items.iter().map(decode).collect()
+    }
+
+    /// Rejects any field no decoder asked for.
+    fn finish(self) -> Result<(), String> {
+        match self.seen.iter().position(|seen| !seen) {
+            Some(i) => Err(format!("unknown field {:?}", self.fields[i].0)),
+            None => Ok(()),
+        }
+    }
 }
 
-fn degradation_begin_line(e: &DegradationBegin) -> String {
-    Obj::new("degradation-begin")
-        .num("collection", e.collection)
-        .str("trigger", e.trigger)
-        .num("workers", e.workers)
-        .num("workers_lost", e.workers_lost)
-        .finish()
+/// Decodes one line — the inverse of [`meta_line`] / [`event_line`]:
+/// `parse_line(&event_line(&e)) == Ok(Line::Event(e))` for every event a
+/// recorder produces, and a line that decodes re-encodes to itself.
+pub fn parse_line(line: &str) -> Result<Line, String> {
+    let v = json::parse(line)?;
+    let mut f = Fields::new(&v)?;
+    let kind = f.text("type")?;
+    let decoded = match kind {
+        "meta" => Line::Meta(meta(&mut f)?),
+        _ => Line::Event(event(kind, &mut f)?),
+    };
+    f.finish().map_err(|e| format!("{kind}: {e}"))?;
+    Ok(decoded)
 }
 
-fn degradation_end_line(e: &DegradationEnd) -> String {
-    Obj::new("degradation-end")
-        .num("collection", e.collection)
-        .num("leftover_packets", e.leftover_packets)
-        .str("outcome", e.outcome)
-        .finish()
+fn meta(f: &mut Fields) -> Result<Meta, String> {
+    let version = f.num("schema_version")?;
+    if version != SCHEMA_VERSION {
+        return Err(format!(
+            "schema_version {version} is not the supported version {SCHEMA_VERSION}"
+        ));
+    }
+    let meta = Meta {
+        plan: f.text("plan")?.to_string(),
+        bench: f.text("bench")?.to_string(),
+        clock_hz: f.num("clock_hz")?,
+        sites: f.rows("sites", |s| {
+            Ok((s.site("id")?, s.text("name")?.to_string()))
+        })?,
+    };
+    if meta.clock_hz == 0 {
+        return Err("clock_hz must be positive".to_string());
+    }
+    Ok(meta)
 }
 
-fn site_line(e: &SiteSample) -> String {
-    Obj::new("site-sample")
-        .num("collection", e.collection)
-        .num("site", e.site as u64)
-        .num("allocs", e.allocs)
-        .num("alloc_bytes", e.alloc_bytes)
-        .num("copied_objects", e.copied_objects)
-        .num("copied_bytes", e.copied_bytes)
-        .num("survived", e.survived)
-        .finish()
+fn event(kind: &str, f: &mut Fields) -> Result<Event, String> {
+    Ok(match kind {
+        "collection-begin" => Event::CollectionBegin(CollectionBegin {
+            collection: f.num("collection")?,
+            plan: f.word("plan", vocab::PLAN)?,
+            reason: f.word("reason", vocab::REASON)?,
+            major: f.flag("major")?,
+            depth: f.num("depth")?,
+            start_cycles: f.num("start_cycles")?,
+            ttsp_cycles: f.num_or_omitted("ttsp_cycles", 1)?.unwrap_or(0),
+        }),
+        "phase" => Event::Phase(PhaseSpan {
+            collection: f.num("collection")?,
+            phase: {
+                let name = f.text("phase")?;
+                let phase = GcPhase::ALL.into_iter().find(|p| p.wire_name() == name);
+                phase.ok_or_else(|| format!("unknown phase {name:?}"))?
+            },
+            cycles: f.num("cycles")?,
+            wall_ns: f.num("wall_ns")?,
+        }),
+        "collection-end" => {
+            // Worker fields are optional-together: the writer emits both
+            // on a parallel collection (workers ≥ 2) and neither on a
+            // serial one, which decodes as `workers: 1`, no per-worker row.
+            let workers = f.num_or_omitted("workers", 2)?;
+            let worker_copied_bytes = match workers {
+                Some(_) => f.nums("worker_copied_bytes")?,
+                None => Vec::new(),
+            };
+            Event::CollectionEnd(Box::new(CollectionEnd {
+                collection: f.num("collection")?,
+                major: f.flag("major")?,
+                depth: f.num("depth")?,
+                claimed_prefix: f.num("claimed_prefix")?,
+                oracle_prefix: f.num("oracle_prefix")?,
+                copied_bytes: f.num("copied_bytes")?,
+                scanned_words: f.num("scanned_words")?,
+                pretenured_scanned_words: f.num("pretenured_scanned_words")?,
+                roots_found: f.num("roots_found")?,
+                frames_scanned: f.num("frames_scanned")?,
+                frames_reused: f.num("frames_reused")?,
+                slots_scanned: f.num("slots_scanned")?,
+                barrier_entries: f.num("barrier_entries")?,
+                markers_placed: f.num("markers_placed")?,
+                gc_cycles: f.num("gc_cycles")?,
+                end_cycles: f.num("end_cycles")?,
+                live_bytes_after: f.num("live_bytes_after")?,
+                wall_ns: f.num("wall_ns")?,
+                size_hist: f.hist("size_hist")?,
+                depth_hist: f.hist("depth_hist")?,
+                workers: workers.unwrap_or(1),
+                worker_copied_bytes,
+                chunks_owned: f.num("chunks_owned")?,
+                side_cleared_words: f.num("side_cleared_words")?,
+            }))
+        }
+        "site-sample" => Event::SiteSample(SiteSample {
+            collection: f.num("collection")?,
+            site: f.site("site")?,
+            allocs: f.num("allocs")?,
+            alloc_bytes: f.num("alloc_bytes")?,
+            copied_objects: f.num("copied_objects")?,
+            copied_bytes: f.num("copied_bytes")?,
+            survived: f.num("survived")?,
+        }),
+        "pressure-begin" => Event::PressureBegin(PressureBegin {
+            site: f.site("site")?,
+            words: f.num("words")?,
+            space: f.word("space", vocab::ARENA)?,
+            start_cycles: f.num("start_cycles")?,
+        }),
+        "pressure-rung" => Event::PressureRung(PressureRung {
+            rung: f.word("rung", vocab::RUNG)?,
+            site: f.site("site")?,
+            words: f.num("words")?,
+            outcome: f.word("outcome", vocab::RUNG_OUTCOME)?,
+            cycles: f.num("cycles")?,
+        }),
+        "pressure-end" => Event::PressureEnd(PressureEnd {
+            outcome: f.word("outcome", vocab::EPISODE_OUTCOME)?,
+            rungs: f.num("rungs")?,
+            cycles: f.num("cycles")?,
+        }),
+        "site-promote" => Event::SitePromote(SitePromote {
+            collection: f.num("collection")?,
+            site: f.site("site")?,
+            survival_permille: f.num("survival_permille")?,
+        }),
+        "site-demote" => Event::SiteDemote(SiteDemote {
+            collection: f.num("collection")?,
+            site: f.site("site")?,
+            survival_permille: f.num("survival_permille")?,
+            reason: f.word("reason", vocab::DEMOTE_REASON)?,
+        }),
+        "heap-census" => Event::HeapCensus(HeapCensus {
+            collection: f.num("collection")?,
+            pretenured_sites: f.num("pretenured_sites")?,
+            spaces: f.rows("spaces", |s| {
+                Ok(SpaceCensus {
+                    space: s.word("space", vocab::CENSUS_SPACE)?,
+                    used_words: s.num("used_words")?,
+                    reserved_words: s.num("reserved_words")?,
+                    chunks: s.num("chunks")?,
+                })
+            })?,
+        }),
+        "degradation-begin" => Event::DegradationBegin(DegradationBegin {
+            collection: f.num("collection")?,
+            trigger: f.word("trigger", vocab::TRIGGER)?,
+            workers: f.num("workers")?,
+            workers_lost: f.num("workers_lost")?,
+        }),
+        "degradation-end" => Event::DegradationEnd(DegradationEnd {
+            collection: f.num("collection")?,
+            leftover_packets: f.num("leftover_packets")?,
+            outcome: f.word("outcome", vocab::DEGRADATION_OUTCOME)?,
+        }),
+        other => return Err(format!("unknown event type {other:?}")),
+    })
+}
+
+/// Decodes a whole document: the first non-empty line must be the one
+/// `meta` line, every other non-empty line an event, handed to `each` in
+/// order. Errors — a line that does not decode, or whatever `each`
+/// returns — are prefixed with the 1-based line number. Returns the meta
+/// and the number of non-empty lines.
+pub fn read_doc(
+    doc: &str,
+    mut each: impl FnMut(Event) -> Result<(), String>,
+) -> Result<(Meta, usize), String> {
+    let mut meta = None;
+    let mut lines = 0usize;
+    for (i, line) in doc.lines().enumerate() {
+        if line.is_empty() {
+            continue;
+        }
+        let at = |e: String| format!("line {}: {e}", i + 1);
+        match (parse_line(line).map_err(at)?, &meta) {
+            (Line::Meta(m), None) => meta = Some(m),
+            (Line::Meta(_), Some(_)) => return Err(at("a second meta line".to_string())),
+            (Line::Event(_), None) => return Err(at("expected meta line".to_string())),
+            (Line::Event(e), Some(_)) => each(e).map_err(at)?,
+        }
+        lines += 1;
+    }
+    let meta = meta.ok_or("empty document")?;
+    Ok((meta, lines))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::json::parse;
-    use crate::GcPhase;
+
+    /// Renders `e`, checks the line decodes back to `e`, returns it.
+    fn round_trip(e: Event) -> String {
+        let line = event_line(&e);
+        assert_eq!(parse_line(&line), Ok(Line::Event(e)), "{line}");
+        line
+    }
 
     #[test]
     fn lines_are_valid_json_with_expected_fields() {
         let events = [
             Event::CollectionBegin(CollectionBegin {
                 collection: 1,
-                plan: "gen+markers",
+                plan: "generational",
                 reason: "alloc-failure",
                 major: false,
                 depth: 9,
@@ -336,13 +624,14 @@ mod tests {
             }),
         ];
         for e in &events {
-            let v = parse(&event_line(e)).expect("line parses");
+            let v = parse(&round_trip(e.clone())).expect("line parses");
             assert!(v.get("type").is_some());
             assert_eq!(v.get("collection").unwrap().as_u64(), Some(1));
         }
-        let v = parse(&event_line(&events[1])).unwrap();
-        assert_eq!(v.get("phase").unwrap().as_str(), Some("stack-decode"));
-        assert_eq!(v.get("cycles").unwrap().as_u64(), Some(77));
+        assert_eq!(
+            event_line(&events[1]),
+            r#"{"type":"phase","collection":1,"phase":"stack-decode","cycles":77,"wall_ns":880}"#
+        );
     }
 
     #[test]
@@ -352,21 +641,52 @@ mod tests {
             site: 7,
             survival_permille: 912,
         });
-        let v = parse(&event_line(&promote)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("site-promote"));
-        assert_eq!(v.get("site").unwrap().as_u64(), Some(7));
-        assert_eq!(v.get("survival_permille").unwrap().as_u64(), Some(912));
-
+        assert_eq!(
+            round_trip(promote),
+            r#"{"type":"site-promote","collection":12,"site":7,"survival_permille":912}"#
+        );
         let demote = Event::SiteDemote(SiteDemote {
             collection: 19,
             site: 7,
             survival_permille: 120,
             reason: "adaptive",
         });
-        let v = parse(&event_line(&demote)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("site-demote"));
-        assert_eq!(v.get("reason").unwrap().as_str(), Some("adaptive"));
-        assert_eq!(v.get("collection").unwrap().as_u64(), Some(19));
+        assert_eq!(
+            round_trip(demote),
+            r#"{"type":"site-demote","collection":19,"site":7,"survival_permille":120,"reason":"adaptive"}"#
+        );
+    }
+
+    #[test]
+    fn pressure_lines_round_trip() {
+        let begin = Event::PressureBegin(PressureBegin {
+            site: 4,
+            words: 18,
+            space: "los",
+            start_cycles: 900,
+        });
+        assert_eq!(
+            round_trip(begin),
+            r#"{"type":"pressure-begin","site":4,"words":18,"space":"los","start_cycles":900}"#
+        );
+        for rung in vocab::RUNG {
+            for outcome in vocab::RUNG_OUTCOME {
+                round_trip(Event::PressureRung(PressureRung {
+                    rung,
+                    site: 4,
+                    words: 18,
+                    outcome,
+                    cycles: 20,
+                }));
+            }
+        }
+        for outcome in vocab::EPISODE_OUTCOME {
+            round_trip(Event::PressureEnd(PressureEnd {
+                outcome,
+                rungs: 2,
+                cycles: 40,
+            }));
+        }
     }
 
     #[test]
@@ -380,55 +700,56 @@ mod tests {
             start_cycles: 500,
             ttsp_cycles: 0,
         };
-        let v = parse(&begin_line(&e)).unwrap();
+        let line = round_trip(Event::CollectionBegin(e.clone()));
         assert!(
-            v.get("ttsp_cycles").is_none(),
+            !line.contains("ttsp_cycles"),
             "a zero distance is omitted from the begin line"
         );
         e.ttsp_cycles = 42;
-        let v = parse(&begin_line(&e)).unwrap();
-        assert_eq!(v.get("ttsp_cycles").unwrap().as_u64(), Some(42));
+        let line = round_trip(Event::CollectionBegin(e));
+        assert!(line.ends_with(r#","start_cycles":500,"ttsp_cycles":42}"#));
     }
 
     #[test]
     fn degradation_lines_round_trip() {
-        let begin = Event::DegradationBegin(DegradationBegin {
-            collection: 7,
-            trigger: "panic",
-            workers: 4,
-            workers_lost: 1,
-        });
-        let v = parse(&event_line(&begin)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("degradation-begin"));
-        assert_eq!(v.get("trigger").unwrap().as_str(), Some("panic"));
-        assert_eq!(v.get("workers").unwrap().as_u64(), Some(4));
-        assert_eq!(v.get("workers_lost").unwrap().as_u64(), Some(1));
-
+        for trigger in vocab::TRIGGER {
+            round_trip(Event::DegradationBegin(DegradationBegin {
+                collection: 7,
+                trigger,
+                workers: 4,
+                workers_lost: 1,
+            }));
+        }
         let end = Event::DegradationEnd(DegradationEnd {
             collection: 7,
             leftover_packets: 3,
             outcome: "drained",
         });
-        let v = parse(&event_line(&end)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("degradation-end"));
-        assert_eq!(v.get("leftover_packets").unwrap().as_u64(), Some(3));
-        assert_eq!(v.get("outcome").unwrap().as_str(), Some("drained"));
+        assert_eq!(
+            round_trip(end),
+            r#"{"type":"degradation-end","collection":7,"leftover_packets":3,"outcome":"drained"}"#
+        );
     }
 
     #[test]
     fn meta_line_resolves_sites() {
-        let line = meta_line(
-            "semispace",
-            "Life",
-            150_000_000,
-            &[(0, "unknown".to_string()), (3, "rec\"3".to_string())],
-        );
-        let v = parse(&line).expect("meta parses");
-        assert_eq!(v.get("type").unwrap().as_str(), Some("meta"));
-        assert_eq!(v.get("clock_hz").unwrap().as_u64(), Some(150_000_000));
-        let sites = v.get("sites").unwrap().as_array().unwrap();
-        assert_eq!(sites.len(), 2);
-        assert_eq!(sites[1].get("name").unwrap().as_str(), Some("rec\"3"));
+        let sites = vec![(0, "unknown".to_string()), (3, "rec\"3".to_string())];
+        let line = meta_line("semispace", "Life", 150_000_000, &sites);
+        assert!(line.starts_with(r#"{"type":"meta","schema_version":1,"plan":"semispace","#));
+        let meta = Meta {
+            plan: "semispace".to_string(),
+            bench: "Life".to_string(),
+            clock_hz: 150_000_000,
+            sites,
+        };
+        assert_eq!(parse_line(&line), Ok(Line::Meta(meta)));
+
+        let err = parse_line(&line.replace("150000000", "0")).unwrap_err();
+        assert!(err.contains("clock_hz must be positive"), "{err}");
+        let err = parse_line(&line.replace(r#""id":3"#, r#""id":70000"#)).unwrap_err();
+        assert!(err.contains("16-bit site id"), "{err}");
+        let err = parse_line(&line.replace(r#""id":3,"#, r#""id":3,"x":1,"#)).unwrap_err();
+        assert!(err.contains("unknown field \"x\""), "{err}");
     }
 
     #[test]
@@ -437,13 +758,13 @@ mod tests {
             collection: 4,
             pretenured_sites: 2,
             spaces: vec![
-                crate::SpaceCensus {
+                SpaceCensus {
                     space: "nursery",
                     used_words: 0,
                     reserved_words: 1024,
                     chunks: 2,
                 },
-                crate::SpaceCensus {
+                SpaceCensus {
                     space: "tenured",
                     used_words: 500,
                     reserved_words: 4096,
@@ -451,15 +772,10 @@ mod tests {
                 },
             ],
         });
-        let v = parse(&event_line(&e)).unwrap();
-        assert_eq!(v.get("type").unwrap().as_str(), Some("heap-census"));
-        assert_eq!(v.get("collection").unwrap().as_u64(), Some(4));
-        assert_eq!(v.get("pretenured_sites").unwrap().as_u64(), Some(2));
-        let spaces = v.get("spaces").unwrap().as_array().unwrap();
-        assert_eq!(spaces.len(), 2);
-        assert_eq!(spaces[0].get("space").unwrap().as_str(), Some("nursery"));
-        assert_eq!(spaces[1].get("used_words").unwrap().as_u64(), Some(500));
-        assert_eq!(spaces[1].get("chunks").unwrap().as_u64(), Some(8));
+        assert_eq!(
+            round_trip(e),
+            r#"{"type":"heap-census","collection":4,"pretenured_sites":2,"spaces":[{"space":"nursery","used_words":0,"reserved_words":1024,"chunks":2},{"space":"tenured","used_words":500,"reserved_words":4096,"chunks":8}]}"#
+        );
     }
 
     #[test]
@@ -492,7 +808,7 @@ mod tests {
             workers: 1,
             worker_copied_bytes: Vec::new(),
         };
-        let v = parse(&end_line(&e)).unwrap();
+        let v = parse(&round_trip(Event::CollectionEnd(Box::new(e.clone())))).unwrap();
         let hist = v.get("size_hist").unwrap().as_array().unwrap();
         assert_eq!(hist.len(), crate::HIST_BUCKETS);
         assert_eq!(hist[5].as_u64(), Some(1), "16 lands in [16,32)");
@@ -501,13 +817,13 @@ mod tests {
             "serial end line carries no worker fields"
         );
 
-        let mut par = e.clone();
+        let mut par = e;
         par.workers = 2;
         par.worker_copied_bytes = vec![48, 16];
-        let v = parse(&end_line(&par)).unwrap();
-        assert_eq!(v.get("workers").unwrap().as_u64(), Some(2));
-        let per = v.get("worker_copied_bytes").unwrap().as_array().unwrap();
-        assert_eq!(per.len(), 2);
-        assert_eq!(per[0].as_u64(), Some(48));
+        let line = round_trip(Event::CollectionEnd(Box::new(par)));
+        assert!(line.ends_with(r#","workers":2,"worker_copied_bytes":[48,16]}"#));
+        let short = line.replace(",0]", "]");
+        let err = parse_line(&short).unwrap_err();
+        assert!(err.contains("size_hist has 15 buckets"), "{err}");
     }
 }

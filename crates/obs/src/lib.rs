@@ -16,21 +16,23 @@
 //!   it, and never touch `GcStats`, preserving byte-identity of every
 //!   deterministic counter;
 //! * a bounded [`RingRecorder`] sink (drop-oldest);
-//! * serde-free writers: [`jsonl`] (one event per line) and [`chrome`]
-//!   (Chrome trace-event format — a run opens directly in Perfetto);
-//! * a [`schema`] validator (with its own minimal [`json`] parser) that
-//!   checks every emitted JSONL line against the documented schema.
+//! * one serde-free codec, [`jsonl`]: `Event` ⇄ line, one event per
+//!   line — the only module that knows the wire format, in both
+//!   directions (over the crate's own minimal [`json`] parser);
+//! * [`schema`]: the identities a stream must satisfy, checked over
+//!   decoded `Event`s — replayed from a file or live, never rendered;
+//! * [`metrics`]: pause histograms, MMU and SLO evaluation over the
+//!   same `Event`s.
 //!
 //! This crate sits *below* `tilgc-runtime` in the dependency order
 //! (`mem ← obs ← runtime ← core`) so the collectors can emit events
 //! through the recorder installed in the mutator state. It is std-only:
 //! allocation sites are identified by their raw `u16` ids here; name
-//! resolution happens in the sinks' metadata line.
+//! resolution happens in the stream's `meta` line.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod chrome;
 pub mod json;
 pub mod jsonl;
 pub mod metrics;
@@ -108,7 +110,7 @@ impl GcPhase {
         GcPhase::CheneyCopy,
     ];
 
-    /// Wire name used in the JSONL and Chrome sinks.
+    /// Wire name used on JSONL lines.
     pub fn wire_name(self) -> &'static str {
         match self {
             GcPhase::Setup => "setup",
@@ -253,8 +255,8 @@ pub struct CollectionEnd {
 pub struct SiteSample {
     /// The collection this sample was taken at.
     pub collection: u64,
-    /// Raw 16-bit allocation-site id (resolved to a name by the sinks'
-    /// metadata line).
+    /// Raw 16-bit allocation-site id (resolved to a name by the stream's
+    /// `meta` line).
     pub site: u16,
     /// Objects allocated from this site since the last sample.
     pub allocs: u64,

@@ -121,12 +121,6 @@ pub fn head_int(vm: &mut Vm, cell: Addr) -> i64 {
     vm.load_int(cell, 0)
 }
 
-/// Head of a cons cell, as a pointer field.
-#[inline]
-pub fn head_ptr(vm: &mut Vm, cell: Addr) -> Addr {
-    vm.load_ptr(cell, 0)
-}
-
 /// Tail of a cons cell.
 #[inline]
 pub fn tail(vm: &mut Vm, cell: Addr) -> Addr {

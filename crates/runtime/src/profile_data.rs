@@ -94,11 +94,6 @@ impl HeapProfile {
         HeapProfile::default()
     }
 
-    /// Total bytes allocated so far (the profile's clock).
-    pub fn clock_bytes(&self) -> u64 {
-        self.alloc_clock_bytes
-    }
-
     fn entry(&mut self, site: SiteId) -> &mut SiteProfile {
         let i = site.index();
         if i >= self.sites.len() {

@@ -83,32 +83,6 @@ impl Value {
             other => panic!("expected pointer, found {other:?}"),
         }
     }
-
-    /// The integer payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not an integer.
-    #[inline]
-    pub fn as_int(self) -> i64 {
-        match self {
-            Value::Int(i) => i,
-            other => panic!("expected integer, found {other:?}"),
-        }
-    }
-
-    /// The floating-point payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a real.
-    #[inline]
-    pub fn as_real(self) -> f64 {
-        match self {
-            Value::Real(r) => r,
-            other => panic!("expected real, found {other:?}"),
-        }
-    }
 }
 
 impl From<i64> for Value {

@@ -282,21 +282,6 @@ impl Vm {
         self.m.stack.top().word(i) as i64
     }
 
-    /// Double in slot `i` of the top frame.
-    pub fn slot_f64(&self, i: usize) -> f64 {
-        f64::from_bits(self.m.stack.top().word(i))
-    }
-
-    /// The value in slot `i`, decoded via its shadow tag (pointers come
-    /// back as `Value::Ptr`, everything else as `Value::Int`).
-    pub fn slot_value(&self, i: usize) -> Value {
-        let word = self.m.stack.top().word(i);
-        match self.m.stack.top().shadow(i) {
-            ShadowTag::Ptr => Value::from_ptr_word(word),
-            ShadowTag::NonPtr => Value::from_int_word(word),
-        }
-    }
-
     /// Writes a typed value into a register.
     pub fn set_reg(&mut self, reg: Reg, value: Value) {
         self.m.regs.set(reg, value);

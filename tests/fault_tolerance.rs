@@ -225,6 +225,15 @@ fn degradation_episode_is_bracketed_and_schema_valid() {
             if let Err(e) = tilgc_obs::schema::validate_jsonl(&doc) {
                 panic!("{fault:?}: trace failed schema validation: {e}");
             }
+            // Worker rows and degradation lines decode back to the
+            // events that were recorded.
+            let mut decoded = Vec::new();
+            let each = |e| {
+                decoded.push(e);
+                Ok(())
+            };
+            tilgc_obs::jsonl::read_doc(&doc, each).expect("decodes");
+            assert_eq!(decoded, events, "{fault:?}: codec round trip");
         }
     });
 }
