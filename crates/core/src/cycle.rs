@@ -17,7 +17,7 @@ use tilgc_obs::{
     CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
     SiteDemote, SitePromote, SiteWindow, SpaceCensus, TelemetryAcc,
 };
-use tilgc_runtime::{AllocShape, CollectionInspection, GcStats, HeapProfile, MutatorState};
+use tilgc_runtime::{CollectionInspection, GcStats, HeapProfile, MutatorState};
 
 use crate::adaptive::AdaptivePretenure;
 use crate::config::{GcConfig, MarkerPolicy, ParallelConfig};
@@ -34,7 +34,8 @@ pub(crate) struct PlanBase {
     pub stats: GcStats,
     pub inspection: Option<CollectionInspection>,
     /// Telemetry accumulator, allocated lazily the first time a
-    /// collection or allocation runs with an enabled recorder installed.
+    /// collection runs with someone listening (an enabled recorder, or
+    /// `keep_windows`).
     pub telem: Option<TelemetryAcc>,
     /// Keep the accumulator running without a recorder: the adaptive
     /// estimator is then its only consumer.
@@ -63,17 +64,34 @@ impl PlanBase {
         }
     }
 
-    /// Counts an allocation into the per-site time-series. Called before
-    /// routing (and before any demotion re-route) so every allocation
-    /// path feeds the same windows; the adaptive estimator consumes the
-    /// windows the recorder samples, so it keeps them flowing recorder
-    /// or no.
-    pub fn note_alloc(&mut self, m: &MutatorState, shape: AllocShape) {
-        if m.recorder.is_enabled() || self.keep_windows {
-            self.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_alloc(shape.site().get(), shape.size_bytes() as u64);
+    /// Entry to the collector (`Collector::alloc`, `collect`, `finish`):
+    /// the frontier of `space`, the one this plan lends, comes home.
+    /// Harmless when nothing is out.
+    pub fn enter(m: &mut MutatorState, space: &mut Space) {
+        let cursor = m.retire_window();
+        if space.is_lent() {
+            space.retire(cursor);
         }
+    }
+
+    /// Exit from the collector: lends `space`'s frontier to the mutator,
+    /// which may bump records, and arrays under `array_limit_words`,
+    /// through it until the next entry. `hold` is the plan's own reason
+    /// to place every object itself; a profiling plan always does
+    /// (`on_alloc` wants every object). Not lending leaves the window
+    /// empty, which is all the mutator's fast path ever tests.
+    pub fn leave(
+        &self,
+        m: &mut MutatorState,
+        space: &mut Space,
+        array_limit_words: usize,
+        hold: bool,
+    ) {
+        if hold || self.profile.is_some() {
+            return;
+        }
+        let (cursor, limit) = space.lend();
+        m.lend_window(cursor, limit, array_limit_words);
     }
 }
 
@@ -164,6 +182,16 @@ impl Cycle {
             copy_ns: 0,
         };
         let depth = cycle.depth_at_gc as u64;
+        // The mutator tallies every allocation per site on its own side
+        // of the window; a collection is where the per-site windows are
+        // read, so it is where the tally is folded in — or dropped, when
+        // neither a recorder nor the adaptive estimator is listening.
+        if m.recorder.is_enabled() || base.keep_windows {
+            let telem = base.telem.get_or_insert_with(TelemetryAcc::default);
+            m.drain_site_tally(|site, n, bytes| telem.note_allocs(site.get(), n, bytes));
+        } else {
+            m.drain_site_tally(|_, _, _| {});
+        }
         if m.recorder.is_enabled() {
             base.telem
                 .get_or_insert_with(TelemetryAcc::default)
@@ -371,7 +399,7 @@ impl Cycle {
             .map(|l| row("los", l.used_words(), l.capacity_words()));
         m.recorder.record(Event::HeapCensus(HeapCensus {
             collection,
-            pretenured_sites: pretenured.map_or(0, |r| r.routed_sites() as u64),
+            pretenured_sites: pretenured.map_or(0, |r| r.policy().len() as u64),
             spaces: copy_rows.chain(los_row).collect(),
         }));
         for e in telem.drain_samples(collection) {
@@ -445,7 +473,7 @@ fn adapt(
     }
     let region = pretenured.expect("adaptive plans always compose a pretenured region");
     for &(site, permille) in &out.promotions {
-        region.promote_site(site);
+        region.promote_site(&mut m.routes, site);
         base.stats.sites_promoted += 1;
         if m.recorder.is_enabled() {
             m.recorder.record(Event::SitePromote(SitePromote {
@@ -456,7 +484,7 @@ fn adapt(
         }
     }
     for &(site, permille) in &out.demotions {
-        region.demote_site(site);
+        region.demote_site(&mut m.routes, site);
         base.stats.sites_demoted += 1;
         if m.recorder.is_enabled() {
             m.recorder.record(Event::SiteDemote(SiteDemote {

@@ -415,6 +415,43 @@ impl GenerationalPlan {
         cycle.finish(&mut self.base, &self.mem, m, lanes, release);
     }
 
+    /// Entry to the collector: the nursery frontier comes home, and the
+    /// pretenuring policy is routed in this mutator's table if it has
+    /// not been yet.
+    fn enter(&mut self, m: &mut MutatorState) {
+        PlanBase::enter(m, self.nursery.active_mut());
+        if let Some(p) = self.pretenured.as_mut() {
+            p.seed_routes(&mut m.routes);
+        }
+    }
+
+    /// Exit from the collector: lends the nursery out again — unless
+    /// live tenured data is over its share, when a young allocation must
+    /// come through the door to be refused.
+    fn leave(&mut self, m: &mut MutatorState) {
+        self.base.leave(
+            m,
+            self.nursery.active_mut(),
+            self.large_object_words,
+            self.tenured_over_share,
+        );
+    }
+
+    /// The collection the plan's own policy picks for `reason`.
+    fn collect_inner(&mut self, m: &mut MutatorState, reason: CollectReason) {
+        let why = reason_str(reason);
+        match reason {
+            CollectReason::ForcedMajor => self.major(m, why),
+            CollectReason::Forced | CollectReason::AllocFailure => {
+                if self.needs_major() {
+                    self.major(m, why);
+                } else {
+                    self.minor(m, why);
+                }
+            }
+        }
+    }
+
     /// The budget picture at the moment `arena` gave out.
     fn snapshot(&self, arena: Arena) -> BudgetSnapshot {
         let (free_words, live_words) = match arena {
@@ -459,13 +496,13 @@ impl GenerationalPlan {
         session: &mut PressureSession,
         site: SiteId,
     ) {
-        while self.route_pretenured(site) {
+        while self.route_pretenured(m, site) {
             let charged = session.charge(m, &mut self.base.stats, PressureRung::Demote);
             let demoted = self
                 .pretenured
                 .as_mut()
                 .expect("pretenure routing checked")
-                .demote_hottest()
+                .demote_hottest(&mut m.routes)
                 .expect("`site` is still pretenured");
             if let Some(p) = self.base.profile.as_mut() {
                 p.note_demotion(demoted);
@@ -491,14 +528,15 @@ impl GenerationalPlan {
         }
     }
 
-    fn route_pretenured(&self, site: SiteId) -> bool {
-        self.pretenured
-            .as_ref()
-            .is_some_and(|p| p.should_pretenure(site))
+    /// Whether `site` is born tenured: the mutator's route table is the
+    /// one record of it (a routed site never uses the window), flipped by
+    /// this plan's region alone.
+    fn route_pretenured(&self, m: &MutatorState, site: SiteId) -> bool {
+        self.pretenured.is_some() && m.routes.route(site)
     }
 
     /// Where a request of this shape is placed.
-    fn route(&self, shape: AllocShape) -> Arena {
+    fn route(&self, m: &MutatorState, shape: AllocShape) -> Arena {
         let words = shape.size_words();
         // Large arrays bypass the nursery (§2.1) — checked before the
         // pretenuring policy because a mark-sweep-managed array is never
@@ -512,7 +550,7 @@ impl GenerationalPlan {
             && (words >= self.large_object_words || words > self.nursery.active().capacity_words())
         {
             Arena::Los
-        } else if self.route_pretenured(shape.site()) {
+        } else if self.route_pretenured(m, shape.site()) {
             // Profile-driven pretenuring: straight to the tenured generation.
             Arena::Tenured
         } else {
@@ -520,13 +558,12 @@ impl GenerationalPlan {
         }
     }
 
-    /// Allocation with the telemetry note already taken: route, place
-    /// through the governor, initialize. Recurses (once) after a
-    /// demotion re-route.
+    /// The door, with the frontier home: route, place through the
+    /// governor, initialize. Recurses (once) after a demotion re-route.
     fn alloc_inner(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
         let words = shape.size_words();
         let site = shape.site();
-        let arena = self.route(shape);
+        let arena = self.route(m, shape);
         let ladder = match arena {
             Arena::Nursery => &Ladder::NURSERY,
             Arena::Tenured if !self.rebalanced => &Ladder::TENURED,
@@ -606,7 +643,7 @@ impl Governed for GenerationalPlan {
 
     fn recover(&mut self, m: &mut MutatorState, step: Recovery) {
         match step {
-            Recovery::Collect => self.collect(m, CollectReason::AllocFailure),
+            Recovery::Collect => self.collect_inner(m, CollectReason::AllocFailure),
             Recovery::Minor => self.minor(m, "alloc-failure"),
             Recovery::Major => self.major(m, "alloc-failure"),
             Recovery::Rebalance => self.rebalance(),
@@ -628,32 +665,28 @@ impl Collector for GenerationalPlan {
     }
 
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
-        self.base.note_alloc(m, shape);
-        self.alloc_inner(m, shape)
+        self.enter(m);
+        let result = self.alloc_inner(m, shape);
+        self.leave(m);
+        result
     }
 
     fn collect(&mut self, m: &mut MutatorState, reason: CollectReason) {
-        let why = reason_str(reason);
-        match reason {
-            CollectReason::ForcedMajor => self.major(m, why),
-            CollectReason::Forced | CollectReason::AllocFailure => {
-                if self.needs_major() {
-                    self.major(m, why);
-                } else {
-                    self.minor(m, why);
-                }
-            }
-        }
+        self.enter(m);
+        self.collect_inner(m, reason);
+        self.leave(m);
     }
 
     fn gc_stats(&self) -> &GcStats {
         &self.base.stats
     }
 
-    fn finish(&mut self, _m: &mut MutatorState) {
+    fn finish(&mut self, m: &mut MutatorState) {
+        self.enter(m);
         if let Some(p) = self.base.profile.as_mut() {
             p.finish();
         }
+        self.leave(m);
     }
 
     fn take_profile(&mut self) -> Option<HeapProfile> {

@@ -125,6 +125,14 @@ impl SemispacePlan {
         };
         cycle.finish(&mut self.base, &self.mem, m, lanes, release);
     }
+
+    /// Exit from the collector: the active half is the mutator's to bump
+    /// through, arrays of any size included (there is no large-object
+    /// space to route them to).
+    fn leave(&mut self, m: &mut MutatorState) {
+        self.base
+            .leave(m, self.heap.active_mut(), usize::MAX, false);
+    }
 }
 
 impl Governed for SemispacePlan {
@@ -157,11 +165,12 @@ impl Collector for SemispacePlan {
     }
 
     fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+        PlanBase::enter(m, self.heap.active_mut());
         let words = shape.size_words();
-        self.base.note_alloc(m, shape);
         // The semispace plan's single heap plays the tenured role.
         let ladder = &Ladder::FULL_COLLECTION;
-        match governor::allocate(self, m, Arena::Tenured, ladder, shape.site(), words) {
+        let result = match governor::allocate(self, m, Arena::Tenured, ladder, shape.site(), words)
+        {
             Ok(addr) => {
                 shape.write(&mut self.mem, addr, &m.alloc_buf);
                 if let Some(p) = self.base.profile.as_mut() {
@@ -182,21 +191,27 @@ impl Collector for SemispacePlan {
                     },
                 })
             }
-        }
+        };
+        self.leave(m);
+        result
     }
 
     fn collect(&mut self, m: &mut MutatorState, reason: CollectReason) {
+        PlanBase::enter(m, self.heap.active_mut());
         self.do_collect(m, reason_str(reason));
+        self.leave(m);
     }
 
     fn gc_stats(&self) -> &GcStats {
         &self.base.stats
     }
 
-    fn finish(&mut self, _m: &mut MutatorState) {
+    fn finish(&mut self, m: &mut MutatorState) {
+        PlanBase::enter(m, self.heap.active_mut());
         if let Some(p) = self.base.profile.as_mut() {
             p.finish();
         }
+        self.leave(m);
     }
 
     fn take_profile(&mut self) -> Option<HeapProfile> {

@@ -96,31 +96,31 @@ impl CopySpace {
 /// the tenured [`CopySpace`] — but it is a distinct *policy*: its objects
 /// are scanned in place until the next collection has seen them, after
 /// which they are ordinary tenured objects.
+///
+/// The per-allocation question "is this site pretenured?" is not asked
+/// here: the mutator's [`SiteRouteTable`] answers it (a routed site never
+/// uses the allocation window), and every policy flip below toggles the
+/// site's bit in the table the caller passes — the plan owns none.
 #[derive(Debug, Default)]
 pub struct PretenuredRegion {
     policy: PretenurePolicy,
-    /// Branch-free mirror of the policy's site set, consulted on the
-    /// allocation fast path (the `BTreeSet` stays authoritative for
-    /// enumeration and the no-scan subset).
-    route: SiteRouteTable,
+    /// Whether the policy's sites have been routed in the mutator's
+    /// table yet (the plan is built before it meets its mutator).
+    seeded: bool,
     pending: Vec<Addr>,
-    /// Words allocated per pretenured site over the run — the pressure
-    /// signal the governor's demotion rung ranks sites by.
-    alloc_words: std::collections::BTreeMap<SiteId, u64>,
+    /// Words allocated per pretenured site over the run, by site index —
+    /// the pressure signal the governor's demotion rung ranks sites by.
+    alloc_words: Vec<u64>,
 }
 
 impl PretenuredRegion {
     /// Builds the region around a derived (or hand-written) site policy.
     pub fn new(policy: PretenurePolicy) -> PretenuredRegion {
-        let mut route = SiteRouteTable::new();
-        for site in policy.sites() {
-            route.set(site);
-        }
         PretenuredRegion {
             policy,
-            route,
+            seeded: false,
             pending: Vec::new(),
-            alloc_words: std::collections::BTreeMap::new(),
+            alloc_words: Vec::new(),
         }
     }
 
@@ -129,33 +129,30 @@ impl PretenuredRegion {
         &self.policy
     }
 
-    /// Number of sites currently routed tenured-at-birth (the route
-    /// table's popcount — tracks adaptive flips, unlike the static
-    /// policy's site list).
-    pub fn routed_sites(&self) -> usize {
-        self.route.len()
-    }
-
-    /// Whether allocations from `site` are born tenured. This is the
-    /// alloc fast path's test: one word index and a bit probe,
-    /// branch-free regardless of how many sites are routed.
-    #[inline]
-    pub fn should_pretenure(&self, site: SiteId) -> bool {
-        self.route.route(site)
+    /// Routes every site of the policy in `routes`, the first time it is
+    /// called: the plan is built before it meets the mutator it
+    /// allocates for, so it seeds on every entry and only the first one
+    /// does anything.
+    pub fn seed_routes(&mut self, routes: &mut SiteRouteTable) {
+        if !std::mem::replace(&mut self.seeded, true) {
+            for site in self.policy.sites() {
+                routes.set(site);
+            }
+        }
     }
 
     /// Routes future allocations from `site` to the tenured-at-birth
     /// path (an online promotion). Idempotent.
-    pub fn promote_site(&mut self, site: SiteId) {
+    pub fn promote_site(&mut self, routes: &mut SiteRouteTable, site: SiteId) {
         self.policy.add_site(site);
-        self.route.set(site);
+        routes.set(site);
     }
 
     /// Reroutes future allocations from `site` back to the nursery (an
     /// online demotion). Objects the site already tenured stay where
     /// they are. Returns whether the site was routed.
-    pub fn demote_site(&mut self, site: SiteId) -> bool {
-        self.route.clear(site);
+    pub fn demote_site(&mut self, routes: &mut SiteRouteTable, site: SiteId) -> bool {
+        routes.clear(site);
         self.policy.remove_site(site)
     }
 
@@ -164,7 +161,10 @@ impl PretenuredRegion {
     /// §7.2 analysis cleared its site ("some areas may require no
     /// scanning because they contain no pointers").
     pub fn note_alloc(&mut self, addr: Addr, site: SiteId, words: usize, pointer_free: bool) {
-        *self.alloc_words.entry(site).or_insert(0) += words as u64;
+        if site.index() >= self.alloc_words.len() {
+            self.alloc_words.resize(site.index() + 1, 0);
+        }
+        self.alloc_words[site.index()] += words as u64;
         if !pointer_free && !self.policy.is_no_scan(site) {
             self.pending.push(addr);
         }
@@ -176,15 +176,14 @@ impl PretenuredRegion {
     /// site already tenured stay where they are (any still owing their
     /// in-place scan remain pending); only *future* allocations are
     /// rerouted. Returns `None` when no site is left to demote.
-    pub fn demote_hottest(&mut self) -> Option<SiteId> {
+    pub fn demote_hottest(&mut self, routes: &mut SiteRouteTable) -> Option<SiteId> {
         let hottest = self.policy.sites().max_by_key(|s| {
             (
-                self.alloc_words.get(s).copied().unwrap_or(0),
+                self.alloc_words.get(s.index()).copied().unwrap_or(0),
                 std::cmp::Reverse(*s),
             )
         })?;
-        self.policy.remove_site(hottest);
-        self.route.clear(hottest);
+        self.demote_site(routes, hottest);
         Some(hottest)
     }
 
@@ -233,7 +232,10 @@ mod tests {
         policy.add_site(cleared);
         policy.add_no_scan_site(cleared);
         let mut region = PretenuredRegion::new(policy);
-        assert!(region.should_pretenure(hot));
+        let mut routes = SiteRouteTable::new();
+        region.seed_routes(&mut routes);
+        assert!(routes.route(hot) && routes.route(cleared));
+        assert_eq!(routes.len(), 2);
 
         region.note_alloc(Addr::new(10), hot, 4, false);
         region.note_alloc(Addr::new(20), hot, 4, true); // pointer-free
@@ -252,22 +254,25 @@ mod tests {
         let mut policy: PretenurePolicy = [cool, hot, idle].into_iter().collect();
         policy.add_no_scan_site(hot);
         let mut region = PretenuredRegion::new(policy);
+        let mut routes = SiteRouteTable::new();
+        region.seed_routes(&mut routes);
         region.note_alloc(Addr::new(10), cool, 8, false);
         region.note_alloc(Addr::new(20), hot, 64, false);
         region.note_alloc(Addr::new(30), hot, 64, false);
 
-        assert_eq!(region.demote_hottest(), Some(hot));
-        assert!(!region.should_pretenure(hot));
+        assert_eq!(region.demote_hottest(&mut routes), Some(hot));
+        assert!(!routes.route(hot));
         assert!(
             !region.policy().is_no_scan(hot),
             "no-scan entry dropped too"
         );
         // Pending scans of already-tenured objects survive the demotion.
         assert!(region.pending.contains(&Addr::new(10)));
-        assert_eq!(region.demote_hottest(), Some(cool));
+        assert_eq!(region.demote_hottest(&mut routes), Some(cool));
         // Sites with equal (zero) pressure demote lowest-id first.
-        assert_eq!(region.demote_hottest(), Some(idle));
-        assert_eq!(region.demote_hottest(), None);
+        assert_eq!(region.demote_hottest(&mut routes), Some(idle));
+        assert_eq!(region.demote_hottest(&mut routes), None);
+        assert!(routes.is_empty());
     }
 
     #[test]
@@ -275,19 +280,24 @@ mod tests {
         let seeded = SiteId::new(4);
         let policy: PretenurePolicy = [seeded].into_iter().collect();
         let mut region = PretenuredRegion::new(policy);
-        assert!(region.should_pretenure(seeded));
+        let mut routes = SiteRouteTable::new();
+        region.seed_routes(&mut routes);
+        assert!(routes.route(seeded));
 
         let promoted = SiteId::new(9);
-        region.promote_site(promoted);
-        assert!(region.should_pretenure(promoted));
+        region.promote_site(&mut routes, promoted);
+        assert!(routes.route(promoted));
         assert!(region.policy().should_pretenure(promoted));
 
-        assert!(region.demote_site(promoted));
-        assert!(!region.should_pretenure(promoted));
-        assert!(!region.demote_site(promoted), "already demoted");
+        assert!(region.demote_site(&mut routes, promoted));
+        assert!(!routes.route(promoted));
+        assert!(
+            !region.demote_site(&mut routes, promoted),
+            "already demoted"
+        );
 
-        // demote_hottest keeps the fast-path mirror in sync too.
-        assert_eq!(region.demote_hottest(), Some(seeded));
-        assert!(!region.should_pretenure(seeded));
+        assert_eq!(region.demote_hottest(&mut routes), Some(seeded));
+        assert!(!routes.route(seeded));
+        assert_eq!(routes.len(), region.policy().len());
     }
 }

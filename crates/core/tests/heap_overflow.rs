@@ -161,6 +161,11 @@ fn every_route_refuses_within_the_budget_on_every_plan() {
             let large = shape == "128-element array" && kind != CollectorKind::Semispace;
             let arena = if large { Arena::Los } else { Arena::Tenured };
             assert_eq!(error.arena, arena, "{label}: {error}");
+            // Nothing was freed, so the retry is refused as well: a
+            // collector that hands the mutator an allocation window
+            // while the budget is spent would let it through.
+            let retry = grow(&mut vm, site);
+            assert!(retry.is_err(), "{label}: the retry got {retry:?}");
 
             vm.set_slot(0, Value::NULL);
             vm.gc_now();
@@ -190,7 +195,7 @@ fn pressured_workload(vm: &mut Vm, kind: CollectorKind) {
     vm.set_slot(0, Value::NULL);
     for i in 0..300 {
         if i == 150 {
-            vm.mutator_mut().force_alloc_failures = episode_tokens(kind);
+            vm.mutator_mut().inject_alloc_failures(episode_tokens(kind));
         }
         let tail = vm.slot_ptr(0);
         let c = vm

@@ -128,7 +128,7 @@ fn scenario(kind: CollectorKind, case: Case, tokens: u32) -> String {
         Case::Pretenured | Case::PretenuredAdaptive => &["hot", "cool"],
     };
     for &name in requests {
-        vm.mutator_mut().force_alloc_failures = tokens;
+        vm.mutator_mut().inject_alloc_failures(tokens);
         let tail = vm.slot_ptr(0);
         let result = match name {
             "record" => vm.alloc_record(s.cell, &[Value::Int(7), Value::Ptr(tail)]),
@@ -137,7 +137,7 @@ fn scenario(kind: CollectorKind, case: Case, tokens: u32) -> String {
             "hot" => vm.alloc_record(s.hot, &[Value::Int(7), Value::NULL]),
             _ => vm.alloc_record(s.cool, &[Value::Int(8), Value::NULL]),
         };
-        let left = std::mem::take(&mut vm.mutator_mut().force_alloc_failures);
+        let left = vm.mutator_mut().take_alloc_failures();
         writeln!(out, "{name}: {} (tokens left {left})", describe(result)).unwrap();
     }
 

@@ -98,6 +98,7 @@ impl Header {
     ///
     /// Panics if `mask` has bits set at or above `len` — that is a
     /// compiler-side bug, not a runtime condition.
+    #[inline]
     pub fn record(len: usize, mask: u32) -> Result<Header, MemError> {
         if len > MAX_RECORD_FIELDS {
             return Err(MemError::ObjectTooLarge { words: len });
@@ -117,6 +118,7 @@ impl Header {
     ///
     /// Returns [`MemError::ObjectTooLarge`] if `len` exceeds the 30-bit
     /// length field.
+    #[inline]
     pub fn ptr_array(len: usize) -> Result<Header, MemError> {
         if len > MAX_ARRAY_LEN {
             return Err(MemError::ObjectTooLarge { words: len });
@@ -130,6 +132,7 @@ impl Header {
     ///
     /// Returns [`MemError::ObjectTooLarge`] if `len_bytes` exceeds the
     /// 30-bit length field.
+    #[inline]
     pub fn raw_array(len_bytes: usize) -> Result<Header, MemError> {
         if len_bytes > MAX_ARRAY_LEN {
             return Err(MemError::ObjectTooLarge {

@@ -51,8 +51,8 @@ use crate::{Addr, SiteId, SpaceRange};
 /// from the brk heap, and a recycled chunk is cleared in full — once a
 /// process has dropped its first heap, the next one's whole reservation
 /// turns resident. A request above the cap can never take that path, so
-/// the heap word array and the site table ask for at least this much and
-/// keep only the length they need; the untouched tail costs address
+/// the heap word array, the site table and the side bitmaps ask for at
+/// least this much and keep only the length they need; the untouched tail costs address
 /// space, not memory. Harmless on allocators without the rule.
 const FRESH_MAPPING_BYTES: usize = (32 << 20) + 4096;
 
@@ -162,9 +162,14 @@ pub struct SideBitmap {
 impl SideBitmap {
     /// Builds an all-clear bitmap covering `capacity_words` heap words.
     pub(crate) fn new(capacity_words: usize) -> SideBitmap {
-        SideBitmap {
-            words: vec![0; capacity_words.div_ceil(64)],
-        }
+        let n = capacity_words.div_ceil(64);
+        // A fresh mapping, like the word array and the site table: a
+        // bitmap `calloc` carves from a recycled brk chunk is cleared —
+        // made resident — in full (9 MB each for a 192 MB budget), and
+        // whether it is recycled depends on malloc order elsewhere.
+        let mut words = vec![0; fresh_mapping_len::<u64>(n)];
+        words.truncate(n);
+        SideBitmap { words }
     }
 
     #[inline]

@@ -79,6 +79,10 @@ pub struct Space {
     /// Subtracted from [`used_words`](Space::used_words) so live-size
     /// accounting matches a serial collection of the same heap.
     slack: usize,
+    /// Whether the frontier is out on loan ([`lend`](Space::lend)): the
+    /// borrower bumps its own copy, so `next` is stale until
+    /// [`retire`](Space::retire) brings the cursor home.
+    lent: bool,
 }
 
 impl Space {
@@ -90,6 +94,7 @@ impl Space {
             limit: range.end,
             next: range.start,
             slack: 0,
+            lent: false,
         }
     }
 
@@ -107,9 +112,48 @@ impl Space {
 
     /// Current allocation frontier: the address the next allocation will
     /// return.
+    ///
+    /// # Panics
+    ///
+    /// Panics in debug builds while the frontier is [lent](Space::lend):
+    /// the borrower has the only current copy, and a second frontier is a
+    /// bug, not a convention.
     #[inline]
     pub fn frontier(&self) -> Addr {
+        debug_assert!(!self.lent, "frontier of a lent space read");
         self.next
+    }
+
+    /// Lends the allocation frontier out: returns `(cursor, limit)`, the
+    /// window its one borrower may bump through on its own. Until
+    /// [`retire`](Space::retire), every frontier-reading method of this
+    /// space ([`alloc`](Space::alloc) included) is a debug panic.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the frontier is already lent.
+    pub fn lend(&mut self) -> (Addr, Addr) {
+        assert!(!self.lent, "space lent twice");
+        self.lent = true;
+        (self.next, self.limit)
+    }
+
+    /// Whether the frontier is out on loan.
+    #[inline]
+    pub fn is_lent(&self) -> bool {
+        self.lent
+    }
+
+    /// Ends a loan: the borrower's `cursor` becomes the frontier.
+    ///
+    /// # Panics
+    ///
+    /// Panics if nothing is lent, or if `cursor` is behind the frontier
+    /// that was lent or past the logical limit.
+    pub fn retire(&mut self, cursor: Addr) {
+        assert!(self.lent, "retire without a loan");
+        self.lent = false;
+        self.advance_frontier(cursor);
     }
 
     /// Bump-allocates `words` words.
@@ -127,7 +171,7 @@ impl Space {
                 available: self.free_words(),
             });
         }
-        let addr = self.next;
+        let addr = self.frontier();
         self.next += words;
         Ok(addr)
     }
@@ -152,7 +196,7 @@ impl Space {
     /// parallel-collection [slack](Space::note_slack).
     #[inline]
     pub fn used_words(&self) -> usize {
-        (self.next - self.range.start) - self.slack
+        self.physical_used_words() - self.slack
     }
 
     /// Words physically consumed up to the frontier, counting abandoned
@@ -160,13 +204,13 @@ impl Space {
     /// must use; resize policy uses the live [`used_words`](Space::used_words).
     #[inline]
     fn physical_used_words(&self) -> usize {
-        self.next - self.range.start
+        self.frontier() - self.range.start
     }
 
     /// Words still available below the logical limit.
     #[inline]
     pub fn free_words(&self) -> usize {
-        self.limit - self.next
+        self.limit - self.frontier()
     }
 
     /// The logical capacity (words between start and limit).
@@ -193,6 +237,7 @@ impl Space {
     /// Empties the space: the frontier returns to the start. The contents
     /// become logically dead (collectors poison them in debug builds).
     pub fn reset(&mut self) {
+        debug_assert!(!self.lent, "reset of a lent space");
         self.next = self.range.start;
         self.slack = 0;
     }
@@ -227,7 +272,7 @@ impl Space {
     /// logical limit.
     pub fn advance_frontier(&mut self, addr: Addr) {
         assert!(
-            addr >= self.next && addr <= self.limit,
+            addr >= self.frontier() && addr <= self.limit,
             "frontier {addr} outside [{}, {}]",
             self.next,
             self.limit
@@ -345,6 +390,46 @@ mod tests {
         let mut s = space(64);
         let a = s.alloc(8).unwrap();
         s.advance_frontier(a + 4);
+    }
+
+    #[test]
+    fn a_lent_frontier_comes_home_with_the_borrowers_cursor() {
+        let mut s = space(64);
+        let a = s.alloc(4).unwrap();
+        let (cursor, limit) = s.lend();
+        assert!(s.is_lent());
+        assert_eq!((cursor, limit), (a + 4, a + 64));
+        s.retire(cursor + 10);
+        assert!(!s.is_lent());
+        assert_eq!(s.used_words(), 14);
+        assert_eq!(s.alloc(1).unwrap(), a + 14);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lent space")]
+    fn alloc_on_a_lent_space_panics() {
+        let mut s = space(64);
+        s.lend();
+        let _ = s.alloc(1);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "lent space")]
+    fn frontier_of_a_lent_space_panics() {
+        let mut s = space(64);
+        s.lend();
+        s.frontier();
+    }
+
+    #[test]
+    #[should_panic(expected = "outside")]
+    fn retire_rejects_a_cursor_past_the_limit() {
+        let mut s = space(64);
+        s.set_limit_words(16);
+        let (_, limit) = s.lend();
+        s.retire(limit + 1);
     }
 
     #[test]

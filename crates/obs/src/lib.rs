@@ -647,7 +647,7 @@ pub struct SiteWindow {
 /// run-cumulative object-size and stack-depth histograms snapshotted into
 /// each [`CollectionEnd`].
 ///
-/// Plans feed the allocation side ([`note_alloc`](TelemetryAcc::note_alloc))
+/// Plans feed the allocation side ([`note_allocs`](TelemetryAcc::note_allocs))
 /// and lend the accumulator to the evacuation driver for the copy side
 /// during a collection. Everything here is host-side bookkeeping: no
 /// simulated cycles are ever charged for it.
@@ -669,10 +669,10 @@ impl TelemetryAcc {
         &mut self.sites[i]
     }
 
-    /// Counts one allocation from `site`.
-    pub fn note_alloc(&mut self, site: u16, bytes: u64) {
+    /// Counts `allocs` allocations from `site`, `bytes` bytes in all.
+    pub fn note_allocs(&mut self, site: u16, allocs: u64, bytes: u64) {
         let d = self.site_mut(site);
-        d.allocs += 1;
+        d.allocs += allocs;
         d.alloc_bytes += bytes;
     }
 
@@ -837,8 +837,8 @@ mod tests {
     #[test]
     fn telemetry_acc_drains_site_deltas() {
         let mut acc = TelemetryAcc::default();
-        acc.note_alloc(3, 16);
-        acc.note_alloc(3, 24);
+        acc.note_allocs(3, 1, 16);
+        acc.note_allocs(3, 1, 24);
         acc.note_copy(3, 16, true);
         acc.note_copy(9, 40, false);
         acc.note_inplace_scan(64);
@@ -867,9 +867,9 @@ mod tests {
     #[test]
     fn windows_read_without_draining_and_clear_resets() {
         let mut acc = TelemetryAcc::default();
-        acc.note_alloc(2, 8);
+        acc.note_allocs(2, 1, 8);
         acc.note_copy(2, 8, true);
-        acc.note_alloc(5, 16);
+        acc.note_allocs(5, 1, 16);
         let windows: Vec<SiteWindow> = acc.windows().collect();
         assert_eq!(windows.len(), 2);
         assert_eq!(
@@ -888,7 +888,7 @@ mod tests {
         assert_eq!(acc.windows().count(), 2);
         assert_eq!(acc.drain_samples(1).len(), 2);
         // clear_windows resets without emitting.
-        acc.note_alloc(2, 8);
+        acc.note_allocs(2, 1, 8);
         acc.clear_windows();
         assert_eq!(acc.windows().count(), 0);
         assert!(acc.drain_samples(2).is_empty());

@@ -2,15 +2,41 @@
 //!
 //! The runtime owns the stack, registers, write barrier and handler chain
 //! (everything the mutator touches); a [`Collector`] owns the memory and
-//! its spaces. Allocation requests flow down through
-//! [`Collector::alloc`]; when space runs out the collector scans the
-//! mutator state for roots, relocates live data and retries.
+//! its spaces. Between entries it lends the mutator a window of its
+//! allocation space ([`MutatorState::lend_window`]) that
+//! [`Vm`](crate::Vm) bumps through on its own; a request the window
+//! cannot serve goes through the door, [`Collector::alloc`], where the
+//! collector places it itself — scanning the mutator state for roots,
+//! relocating live data and retrying when space has run out.
 
 use tilgc_mem::{Addr, GcError, Header, Memory, ObjectKind, SiteId};
 
 use crate::mutator::MutatorState;
 use crate::profile_data::HeapProfile;
 use crate::stats::GcStats;
+use crate::value::Value;
+
+/// An initial field word of a new object, in either form an allocation
+/// holds it: the typed [`Value`] the program passed, or the bare word
+/// staged in [`MutatorState::alloc_buf`].
+pub trait Operand: Copy {
+    /// The word stored in the object.
+    fn to_word(self) -> u64;
+}
+
+impl Operand for u64 {
+    #[inline]
+    fn to_word(self) -> u64 {
+        self
+    }
+}
+
+impl Operand for Value {
+    #[inline]
+    fn to_word(self) -> u64 {
+        Value::to_word(self)
+    }
+}
 
 /// The shape of a requested allocation.
 ///
@@ -81,25 +107,32 @@ impl AllocShape {
     }
 
     /// Writes a freshly allocated object of this shape at `addr`: header,
-    /// fields initialized from the staged `operands`
-    /// ([`MutatorState::alloc_buf`]), and the site in the side bytemap.
+    /// fields initialized from `operands` (the program's [`Value`]s on a
+    /// window hit, the words staged in [`MutatorState::alloc_buf`] behind
+    /// the door), and the site in the side bytemap. The one place an
+    /// object's layout is written down.
     ///
     /// # Panics
     ///
     /// Panics if the shape is invalid (over-long record); shapes are
     /// validated by the `Vm` entry points before they reach a collector.
-    #[inline]
-    pub fn write(&self, mem: &mut Memory, addr: Addr, operands: &[u64]) {
+    //
+    // Forced inline: on `Vm`'s hit path the shape and often the operands
+    // are known at the call site, and only an inlined writer folds them.
+    #[inline(always)]
+    pub fn write<T: Operand>(&self, mem: &mut Memory, addr: Addr, operands: &[T]) {
         match *self {
             AllocShape::Record { len, mask, .. } => {
                 let header = Header::record(len, mask).expect("record shape validated by Vm");
                 let words = mem.words_at_mut(addr, header.size_words());
                 words[0] = header.raw();
-                words[1..].copy_from_slice(&operands[..len]);
+                for (word, operand) in words[1..].iter_mut().zip(&operands[..len]) {
+                    *word = operand.to_word();
+                }
             }
             AllocShape::PtrArray { len, .. } => {
                 let header = Header::ptr_array(len).expect("array shape validated by Vm");
-                let init = operands.first().copied().unwrap_or(0);
+                let init = operands.first().map_or(0, |o| o.to_word());
                 let words = mem.words_at_mut(addr, header.size_words());
                 words[0] = header.raw();
                 words[1..].fill(init);
@@ -191,7 +224,13 @@ pub trait Collector {
     /// Write access to the simulated memory (mutator field stores).
     fn memory_mut(&mut self) -> &mut Memory;
 
-    /// Allocates an object, collecting first if necessary.
+    /// Allocates an object, collecting first if necessary. Entered only
+    /// on a window miss: [`Vm`](crate::Vm) serves what fits the lent
+    /// window itself and comes here for the rest — a full window, an
+    /// array over the large-object threshold, a routed site — with the
+    /// operands staged in [`MutatorState::alloc_buf`]. Correct at any
+    /// time, whether or not a window is out: an implementation that lends
+    /// takes its cursor back first.
     ///
     /// # Errors
     ///
@@ -279,7 +318,7 @@ mod tests {
                 site: SiteId::new(3),
                 len_bytes: 10,
             },
-            &[],
+            &[0u64; 0],
         );
         assert_eq!(object::header(&mem, raw).payload_words(), 2);
         assert_eq!(object::field(&mem, raw, 0), 0);

@@ -44,7 +44,7 @@ mod value;
 mod vm;
 
 pub use barrier::{BarrierEntry, WriteBarrier};
-pub use collector::{AllocShape, CollectReason, CollectionInspection, Collector};
+pub use collector::{AllocShape, CollectReason, CollectionInspection, Collector, Operand};
 pub use cost::CostModel;
 pub use driver::{OpDriver, StepOutcome, VmOp};
 pub use handlers::HandlerChain;

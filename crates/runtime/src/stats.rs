@@ -1,7 +1,7 @@
 //! Run statistics: the raw material of the paper's tables.
 
 /// Mutator-side counters (the "Client" columns and most of Table 2).
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct MutatorStats {
     /// Total bytes allocated (Table 2, "Total Alloc").
     pub alloc_bytes: u64,
@@ -113,6 +113,15 @@ pub struct GcStats {
 }
 
 impl GcStats {
+    /// The deterministic part: these statistics with the host-time
+    /// fields (`*_wall_ns`) zeroed, for comparing two runs.
+    pub fn without_host_time(mut self) -> GcStats {
+        self.stack_wall_ns = 0;
+        self.copy_wall_ns = 0;
+        self.total_wall_ns = 0;
+        self
+    }
+
     /// Total simulated GC cycles.
     pub fn gc_cycles(&self) -> u64 {
         self.stack_cycles + self.copy_cycles + self.other_cycles

@@ -12,6 +12,12 @@
 //!   the mutator-visible reachable graph of every lane is canonicalized
 //!   ([`vm_snapshot`]) and diffed against the first lane's.
 //!
+//! `gen+markers` runs twice: as is, and with the allocation window closed
+//! before every op, so every allocation of the twin goes through
+//! `Collector::alloc`. The two must agree on the graph like any pair of
+//! lanes and, after every op, on `GcStats` and `MutatorStats` to the
+//! cycle — the window is an implementation of the door, not a policy.
+//!
 //! Any mismatch or oracle panic becomes a [`Divergence`] carrying the
 //! seed, the op index and the trace; [`run_seed`] then minimizes the
 //! trace with the greedy deletion shrinker before reporting.
@@ -156,6 +162,9 @@ pub struct Divergence {
     pub workers: usize,
     /// Whether the failing lane ran the online adaptive policy.
     pub adaptive: bool,
+    /// Whether the failing lane was the `gen+markers` twin that
+    /// allocates through the door alone (window closed before every op).
+    pub door_only: bool,
     /// What went wrong.
     pub detail: String,
     /// The trace that reproduces the failure (minimized by
@@ -167,10 +176,11 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "seed {}: plan {}{} (workers {}) failed at op {}: {}",
+            "seed {}: plan {}{}{} (workers {}) failed at op {}: {}",
             self.seed,
             self.plan,
             if self.adaptive { " (adaptive)" } else { "" },
+            if self.door_only { " (door only)" } else { "" },
             self.workers,
             self.op_index,
             self.detail
@@ -188,8 +198,21 @@ struct Lane {
     kind: CollectorKind,
     workers: usize,
     adaptive: bool,
+    /// Close the allocation window before every op.
+    door_only: bool,
     vm: Vm,
     driver: OpDriver,
+}
+
+impl Lane {
+    /// Runs one op (an op allocates at most once, so closing the window
+    /// here sends a door-only lane's every allocation through the door).
+    fn step(&mut self, op: VmOp) -> Result<StepOutcome, tilgc_runtime::VmExit> {
+        if self.door_only {
+            self.vm.mutator_mut().close_window();
+        }
+        self.driver.step(&mut self.vm, op)
+    }
 }
 
 fn build_lane(
@@ -244,6 +267,7 @@ fn build_lane(
         kind,
         workers,
         adaptive,
+        door_only: false,
         vm,
         driver,
     }
@@ -292,6 +316,7 @@ fn diverge(seed: u64, op_index: usize, lane: &Lane, detail: String, ops: &[VmOp]
         plan: lane.kind.label(),
         workers: lane.workers,
         adaptive: lane.adaptive,
+        door_only: lane.door_only,
         detail,
         trace: ops.to_vec(),
     }
@@ -411,6 +436,16 @@ pub fn run_ops_outcome(seed: u64, ops: &[VmOp], cfg: &TortureConfig) -> RunOutco
             }
         }
     }
+    // The door-only twin of the serial `gen+markers` lane.
+    let twin = lanes
+        .iter()
+        .position(|l| l.kind == CollectorKind::GenerationalStack)
+        .map(|oracle| {
+            let mut lane = build_lane(seed, CollectorKind::GenerationalStack, 1, false, cfg);
+            lane.door_only = true;
+            lanes.push(lane);
+            (oracle, lanes.len() - 1)
+        });
     let stride = cfg.check_stride.max(1);
     let inject_at = (cfg.fault == Some(Fault::OomAlloc) && !ops.is_empty()).then(|| {
         cfg.fault_pin
@@ -423,14 +458,14 @@ pub fn run_ops_outcome(seed: u64, ops: &[VmOp], cfg: &TortureConfig) -> RunOutco
                 // Two forced failures: one for the fast path, one for
                 // the ordinary slow-path retry — the third attempt is
                 // real, so the pressure ladder decides the outcome.
-                lane.vm.mutator_mut().force_alloc_failures = 2;
+                lane.vm.mutator_mut().inject_alloc_failures(2);
             }
         }
         let mut collected = false;
         for lane in &mut lanes {
             let collections_before = lane.vm.gc_stats().collections;
             let alloc_before = lane.vm.mutator_stats().alloc_bytes;
-            let stepped = catch_unwind(AssertUnwindSafe(|| lane.driver.step(&mut lane.vm, op)));
+            let stepped = catch_unwind(AssertUnwindSafe(|| lane.step(op)));
             match stepped {
                 Err(p) => {
                     return RunOutcome::Diverged(diverge(
@@ -482,6 +517,18 @@ pub fn run_ops_outcome(seed: u64, ops: &[VmOp], cfg: &TortureConfig) -> RunOutco
                 if let Some(d) = skewed_accounting_check(seed, i, lane, slack, ops) {
                     return RunOutcome::Diverged(d);
                 }
+            }
+        }
+        if let Some((oracle, twin)) = twin {
+            let counters = |lane: &Lane| {
+                let vm = &lane.vm;
+                (vm.gc_stats().without_host_time(), *vm.mutator_stats())
+            };
+            let (window, door) = (counters(&lanes[oracle]), counters(&lanes[twin]));
+            if window != door {
+                let detail =
+                    format!("door and window disagree on the counters: {door:?} vs {window:?}");
+                return RunOutcome::Diverged(diverge(seed, i, &lanes[twin], detail, ops));
             }
         }
         if oom.is_none() && (collected || (i + 1) % stride == 0 || i + 1 == ops.len()) {
@@ -567,10 +614,11 @@ pub fn failure_telemetry(d: &Divergence, cfg: &TortureConfig) -> String {
     };
     let _quiet = QuietPanics::new();
     let mut lane = build_lane(d.seed, kind, d.workers.max(1), d.adaptive, cfg);
+    lane.door_only = d.door_only;
     lane.vm
         .set_recorder(Box::new(tilgc_obs::RingRecorder::with_capacity(1 << 16)));
     for &op in &d.trace {
-        let stepped = catch_unwind(AssertUnwindSafe(|| lane.driver.step(&mut lane.vm, op)));
+        let stepped = catch_unwind(AssertUnwindSafe(|| lane.step(op)));
         match stepped {
             Ok(Ok(_)) => {}
             // A panic or a typed out-of-memory exit both end the replay;
@@ -724,6 +772,7 @@ mod tests {
             plan: "semispace",
             workers: 4,
             adaptive: true,
+            door_only: false,
             detail: "boom".into(),
             trace: vec![VmOp::Gc, VmOp::Pop],
         };
