@@ -35,7 +35,7 @@
 
 use tilgc_mem::{
     object, Addr, Header, Memory, ObjectKind, SharedMemView, SideBitmap, SideMetaView, Space,
-    SpaceRange, MAX_RECORD_FIELDS,
+    SpaceRange, MAX_RECORD_FIELDS, POISON,
 };
 use tilgc_obs::TelemetryAcc;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState};
@@ -73,10 +73,6 @@ impl ObjectQueue {
         self.pending.pop()
     }
 }
-
-/// In debug builds, vacated spaces are filled with this pattern so that a
-/// stale pointer dereference fails loudly instead of reading garbage.
-pub const POISON: u64 = 0xdead_dead_dead_dead;
 
 /// What one collection's tracing lanes report back once the closure is
 /// drained (see [`Evacuator::outcome`]): the lanes used, their

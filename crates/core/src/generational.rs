@@ -45,7 +45,6 @@ const TENURED_TARGET_LIVENESS: f64 = 0.30;
 
 /// The two-generation plan of §2.1.
 pub struct GenerationalPlan {
-    mem: Memory,
     /// The nursery system: with a zero tenure threshold only the active
     /// half is ever used (the paper's immediate-promotion setup); with a
     /// §7.2 threshold the pair works as aging semispaces.
@@ -84,7 +83,9 @@ pub struct GenerationalPlan {
 }
 
 impl GenerationalPlan {
-    /// Creates a generational plan within `config.heap_budget_bytes`.
+    /// Creates a generational plan within `config.heap_budget_bytes`,
+    /// and the [`Memory`] it reserved its spaces in — the `Vm`'s to own,
+    /// and the one every entry point of this plan must be handed.
     ///
     /// The nursery gets `config.nursery_bytes` (capped at a quarter of the
     /// budget); the rest is split between the two tenured semispaces and
@@ -93,7 +94,7 @@ impl GenerationalPlan {
     /// # Panics
     ///
     /// Panics if the budget is too small for the requested nursery.
-    pub fn new(config: &GcConfig) -> GenerationalPlan {
+    pub fn new(config: &GcConfig) -> (GenerationalPlan, Memory) {
         let budget_words = config.heap_budget_words();
         let nursery_words = config.nursery_words().min(budget_words / 4).max(64);
         let tenured_phys = budget_words; // physical reservation; logical limits enforce budget
@@ -121,7 +122,6 @@ impl GenerationalPlan {
                 .expect("large-object reservation"),
         );
         let mut c = GenerationalPlan {
-            mem,
             nursery: CopySpace::new("nursery", n0, n1),
             tenured: CopySpace::new("tenured", t0, t1),
             los,
@@ -148,7 +148,7 @@ impl GenerationalPlan {
         };
         c.base.keep_windows = c.adaptive.is_some();
         c.apply_limits(0);
-        c
+        (c, mem)
     }
 
     /// The tenured budget per semispace, given current LOS usage.
@@ -186,8 +186,8 @@ impl GenerationalPlan {
         }
     }
 
-    fn minor(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "generational", reason, false);
+    fn minor(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
+        let mut cycle = Cycle::begin(&mut self.base, mem, m, "generational", reason, false);
         // Immediate promotion means frames scanned at an earlier
         // collection cannot reference the (newer) nursery: only newly
         // scanned frames, registers and the alloc buffer yield roots.
@@ -208,7 +208,7 @@ impl GenerationalPlan {
             survivor: (tenure_threshold > 0)
                 .then(|| (self.nursery.inactive_mut(), tenure_threshold)),
         };
-        let mut tr = cycle.trace(&mut self.base, &mut self.mem, m, spaces, &roots);
+        let mut tr = cycle.trace(&mut self.base, mem, m, spaces, &roots);
 
         // Write barrier: old→young references created by pointer updates.
         // Field entries (the sequential store buffer) are batched —
@@ -269,16 +269,16 @@ impl GenerationalPlan {
         cycle.mark(GcPhase::BarrierFilter, &self.base.stats);
 
         sweep_profile_deaths(
-            &self.mem,
+            mem,
             self.base.profile.as_mut(),
             nursery_range.start,
             nursery_frontier,
         );
-        poison_range(&mut self.mem, nursery_range, nursery_frontier);
+        poison_range(mem, nursery_range, nursery_frontier);
         // Vacating the nursery invalidates every side dirty bit in it in
         // one word sweep — fresh allocations at reused addresses must
         // start clean or the object-marking barrier would skip them.
-        self.mem.bulk_clear_dirty(nursery_range, nursery_frontier);
+        mem.bulk_clear_dirty(nursery_range, nursery_frontier);
         self.nursery.active_mut().reset();
         if tenure_threshold > 0 {
             // Flip: allocation continues in the space now holding the
@@ -291,6 +291,7 @@ impl GenerationalPlan {
         // nursery system but are not counted in `live_words`: the record
         // marks the byte accounting incomplete so verifiers skip it.
         self.finish_cycle(
+            mem,
             m,
             &mut cycle,
             drained.lanes,
@@ -299,8 +300,8 @@ impl GenerationalPlan {
         );
     }
 
-    fn major(&mut self, m: &mut MutatorState, reason: &'static str) {
-        let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "generational", reason, true);
+    fn major(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
+        let mut cycle = Cycle::begin(&mut self.base, mem, m, "generational", reason, true);
         self.base.stats.major_collections += 1;
         // A major collection moves tenured objects, so cached frames'
         // roots must be relocated too — but their decode cost is still
@@ -316,14 +317,14 @@ impl GenerationalPlan {
             "the inactive nursery semispace is empty between collections"
         );
         let tenured_from = self.tenured_live_range();
-        self.los.begin_marking(&mut self.mem);
+        self.los.begin_marking(mem);
         self.los.pending_scan.clear();
         // The full trace subsumes the write barrier: drop its contents.
         // A dirty object in a vacated space loses its bit to that space's
         // bulk clear; a large object stays put, so its bit goes here.
         m.barrier.drain(|entry| {
             if let BarrierEntry::Object(obj) = entry {
-                self.mem.clear_dirty(obj);
+                mem.clear_dirty(obj);
             }
         });
         let t_to = self.tenured.inactive_mut();
@@ -337,7 +338,7 @@ impl GenerationalPlan {
             los: Some(&mut self.los),
             survivor: None,
         };
-        let mut tr = cycle.trace(&mut self.base, &mut self.mem, m, spaces, &roots);
+        let mut tr = cycle.trace(&mut self.base, mem, m, spaces, &roots);
         // Pending pretenured/oversized objects are ordinary tenured
         // objects for a major collection: traced if reachable.
         if let Some(p) = self.pretenured.as_mut() {
@@ -349,33 +350,33 @@ impl GenerationalPlan {
         let lanes = tr.drain().lanes;
 
         sweep_profile_deaths(
-            &self.mem,
+            mem,
             self.base.profile.as_mut(),
             nursery_range.start,
             nursery_frontier,
         );
         sweep_profile_deaths(
-            &self.mem,
+            mem,
             self.base.profile.as_mut(),
             tenured_from.start,
             tenured_from.end,
         );
-        let swept = self.los.sweep(&self.mem);
+        let swept = self.los.sweep(mem);
         if let Some(p) = self.base.profile.as_mut() {
             for addr in swept {
                 p.on_death(addr);
             }
         }
 
-        poison_range(&mut self.mem, nursery_range, nursery_frontier);
-        self.mem.bulk_clear_dirty(nursery_range, nursery_frontier);
+        poison_range(mem, nursery_range, nursery_frontier);
+        mem.bulk_clear_dirty(nursery_range, nursery_frontier);
         self.nursery.active_mut().reset();
         let tenured_full = self.tenured.active().range();
-        poison_range(&mut self.mem, tenured_from, tenured_from.end);
+        poison_range(mem, tenured_from, tenured_from.end);
         // The vacated tenured semispace sheds its barrier dirty bits in
         // one sweep of what it used, not of its (budget-sized)
         // reservation; the next major's copies land on clean metadata.
-        self.mem.bulk_clear_dirty(tenured_full, tenured_from.end);
+        mem.bulk_clear_dirty(tenured_full, tenured_from.end);
         self.tenured.active_mut().reset();
         self.tenured.flip();
 
@@ -391,13 +392,14 @@ impl GenerationalPlan {
         if self.tenured_over_share {
             self.base.stats.budget_overruns += 1;
         }
-        self.finish_cycle(m, &mut cycle, lanes, live_words, true);
+        self.finish_cycle(mem, m, &mut cycle, lanes, live_words, true);
     }
 
     /// The epilogue both collections share: the adaptive estimator and
     /// pretenured region for the decision step, and the spaces to census.
     fn finish_cycle(
         &mut self,
+        mem: &Memory,
         m: &mut MutatorState,
         cycle: &mut Cycle,
         lanes: LaneOutcome,
@@ -412,7 +414,7 @@ impl GenerationalPlan {
             copy_spaces: &[&self.nursery, &self.tenured],
             los: Some(&self.los),
         };
-        cycle.finish(&mut self.base, &self.mem, m, lanes, release);
+        cycle.finish(&mut self.base, mem, m, lanes, release);
     }
 
     /// Entry to the collector: the nursery frontier comes home, and the
@@ -438,15 +440,15 @@ impl GenerationalPlan {
     }
 
     /// The collection the plan's own policy picks for `reason`.
-    fn collect_inner(&mut self, m: &mut MutatorState, reason: CollectReason) {
+    fn collect_inner(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
         let why = reason_str(reason);
         match reason {
-            CollectReason::ForcedMajor => self.major(m, why),
+            CollectReason::ForcedMajor => self.major(mem, m, why),
             CollectReason::Forced | CollectReason::AllocFailure => {
                 if self.needs_major() {
-                    self.major(m, why);
+                    self.major(mem, m, why);
                 } else {
-                    self.minor(m, why);
+                    self.minor(mem, m, why);
                 }
             }
         }
@@ -560,7 +562,12 @@ impl GenerationalPlan {
 
     /// The door, with the frontier home: route, place through the
     /// governor, initialize. Recurses (once) after a demotion re-route.
-    fn alloc_inner(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+    fn alloc_inner(
+        &mut self,
+        mem: &mut Memory,
+        m: &mut MutatorState,
+        shape: AllocShape,
+    ) -> Result<Addr, GcError> {
         let words = shape.size_words();
         let site = shape.site();
         let arena = self.route(m, shape);
@@ -572,13 +579,13 @@ impl GenerationalPlan {
         if arena == Arena::Tenured {
             m.charge(m.cost.pretenure_alloc_extra);
         }
-        let addr = match governor::allocate(self, m, arena, ladder, site, words) {
+        let addr = match governor::allocate(self, mem, m, arena, ladder, site, words) {
             Ok(addr) => addr,
             Err(mut session) if arena == Arena::Tenured => {
                 self.demote_until_young(m, &mut session, site);
                 session.finish(m, "recovered");
                 // The site now allocates young: re-route.
-                return self.alloc_inner(m, shape);
+                return self.alloc_inner(mem, m, shape);
             }
             Err(session) => {
                 session.finish(m, "exhausted");
@@ -595,7 +602,7 @@ impl GenerationalPlan {
                 });
             }
         };
-        shape.write(&mut self.mem, addr, &m.alloc_buf);
+        shape.write(mem, addr, &m.alloc_buf);
         match arena {
             Arena::Tenured => {
                 self.base.stats.pretenured_bytes += shape.size_bytes() as u64;
@@ -641,11 +648,11 @@ impl Governed for GenerationalPlan {
         }
     }
 
-    fn recover(&mut self, m: &mut MutatorState, step: Recovery) {
+    fn recover(&mut self, mem: &mut Memory, m: &mut MutatorState, step: Recovery) {
         match step {
-            Recovery::Collect => self.collect_inner(m, CollectReason::AllocFailure),
-            Recovery::Minor => self.minor(m, "alloc-failure"),
-            Recovery::Major => self.major(m, "alloc-failure"),
+            Recovery::Collect => self.collect_inner(mem, m, CollectReason::AllocFailure),
+            Recovery::Minor => self.minor(mem, m, "alloc-failure"),
+            Recovery::Major => self.major(mem, m, "alloc-failure"),
             Recovery::Rebalance => self.rebalance(),
         }
     }
@@ -656,24 +663,21 @@ impl Collector for GenerationalPlan {
         "generational"
     }
 
-    fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+    fn alloc(
+        &mut self,
+        mem: &mut Memory,
+        m: &mut MutatorState,
+        shape: AllocShape,
+    ) -> Result<Addr, GcError> {
         self.enter(m);
-        let result = self.alloc_inner(m, shape);
+        let result = self.alloc_inner(mem, m, shape);
         self.leave(m);
         result
     }
 
-    fn collect(&mut self, m: &mut MutatorState, reason: CollectReason) {
+    fn collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
         self.enter(m);
-        self.collect_inner(m, reason);
+        self.collect_inner(mem, m, reason);
         self.leave(m);
     }
 
@@ -681,7 +685,7 @@ impl Collector for GenerationalPlan {
         &self.base.stats
     }
 
-    fn finish(&mut self, m: &mut MutatorState) {
+    fn finish(&mut self, _mem: &mut Memory, m: &mut MutatorState) {
         self.enter(m);
         if let Some(p) = self.base.profile.as_mut() {
             p.finish();

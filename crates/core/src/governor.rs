@@ -24,7 +24,7 @@
 //! charges the same cycles, so a recovered-pressure run is
 //! byte-deterministic with or without telemetry.
 
-use tilgc_mem::{Addr, Arena, SiteId};
+use tilgc_mem::{Addr, Arena, Memory, SiteId};
 use tilgc_obs::{Event, PressureBegin, PressureEnd, PressureRung as RungEvent};
 use tilgc_runtime::{CostModel, GcStats, MutatorState};
 
@@ -99,7 +99,7 @@ pub(crate) trait Governed {
     }
 
     /// Runs the recovery work of one step.
-    fn recover(&mut self, m: &mut MutatorState, step: Recovery);
+    fn recover(&mut self, mem: &mut Memory, m: &mut MutatorState, step: Recovery);
 }
 
 /// Places `words` words in `arena`, climbing `ladder` if they do not
@@ -113,6 +113,7 @@ pub(crate) trait Governed {
 #[inline]
 pub(crate) fn allocate<P: Governed>(
     plan: &mut P,
+    mem: &mut Memory,
     m: &mut MutatorState,
     arena: Arena,
     ladder: &Ladder,
@@ -123,7 +124,7 @@ pub(crate) fn allocate<P: Governed>(
         return Ok(addr);
     }
     for &step in ladder.ordinary {
-        plan.recover(m, step);
+        plan.recover(mem, m, step);
         if let Some(addr) = plan.attempt(m, arena, words) {
             return Ok(addr);
         }
@@ -131,7 +132,7 @@ pub(crate) fn allocate<P: Governed>(
     let mut session = PressureSession::begin(m, plan.stats_mut(), site, words, arena);
     for &(rung, step) in ladder.rungs {
         let charged = session.charge(m, plan.stats_mut(), rung);
-        plan.recover(m, step);
+        plan.recover(mem, m, step);
         if let Some(addr) = plan.attempt(m, arena, words) {
             session.emit_rung(m, rung, "recovered", charged);
             session.finish(m, "recovered");

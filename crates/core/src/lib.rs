@@ -37,7 +37,8 @@
 //! use tilgc_runtime::{Value, Vm};
 //!
 //! let config = GcConfig::new().heap_budget_bytes(1 << 20);
-//! let mut vm = Vm::new(build_collector(CollectorKind::Generational, &config));
+//! let (collector, mem) = build_collector(CollectorKind::Generational, &config);
+//! let mut vm = Vm::new(collector, mem);
 //! let site = vm.site("example::pair");
 //! let pair = vm.alloc_record(site, &[Value::Int(1), Value::Int(2)]).unwrap();
 //! assert_eq!(vm.load_int(pair, 0), 1);
@@ -62,18 +63,19 @@ pub mod verify;
 
 pub use adaptive::{AdaptiveOutcome, AdaptivePretenure};
 pub use config::{GcConfig, MarkerPolicy, ParallelConfig, PretenurePolicy};
-pub use evac::POISON;
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
 pub use roots::{FrameScanInfo, RootLoc, ScanCache, ScanOutcome};
 pub use scheduler::{WorkerFaultKind, WorkerFaultSpec};
 pub use semispace::SemispacePlan;
 pub use space::{CopySpace, PretenuredRegion};
+pub use tilgc_mem::POISON;
 pub use verify::{
     check_graph, check_inspection, graph_snapshot, verify_collection, verify_vm, vm_snapshot,
     LiveReport,
 };
 
+use tilgc_mem::Memory;
 use tilgc_runtime::{Collector, MutatorState, Vm, WriteBarrier};
 
 /// The collector configurations the paper compares (§3).
@@ -113,20 +115,24 @@ impl CollectorKind {
 
 /// Builds a collector of the given kind, adjusting `config` to the kind's
 /// needs (marker policy on for the stack-collection variants; pretenuring
-/// dropped for the kinds that do not use it).
-pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> Box<dyn Collector> {
+/// dropped for the kinds that do not use it), together with the
+/// [`Memory`] it reserved its spaces in: the pair a [`Vm`] is built from.
+pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> (Box<dyn Collector>, Memory) {
+    fn boxed<P: Collector + 'static>((plan, mem): (P, Memory)) -> (Box<dyn Collector>, Memory) {
+        (Box::new(plan), mem)
+    }
     let mut config = config.clone();
     match kind {
         CollectorKind::Semispace => {
             config.pretenure = None;
             config.adaptive = false;
-            Box::new(SemispacePlan::new(&config))
+            boxed(SemispacePlan::new(&config))
         }
         CollectorKind::Generational => {
             config.marker_policy = MarkerPolicy::Disabled;
             config.pretenure = None;
             config.adaptive = false;
-            Box::new(GenerationalPlan::new(&config))
+            boxed(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStack => {
             if !config.marker_policy.is_enabled() {
@@ -134,13 +140,13 @@ pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> Box<dyn Collec
             }
             config.pretenure = None;
             config.adaptive = false;
-            Box::new(GenerationalPlan::new(&config))
+            boxed(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStackPretenure => {
             if !config.marker_policy.is_enabled() {
                 config.marker_policy = MarkerPolicy::PAPER;
             }
-            Box::new(GenerationalPlan::new(&config))
+            boxed(GenerationalPlan::new(&config))
         }
     }
 }
@@ -154,7 +160,8 @@ pub fn build_vm(kind: CollectorKind, config: &GcConfig) -> Vm {
         CollectorKind::Semispace => WriteBarrier::None,
         _ => WriteBarrier::ssb(),
     };
-    Vm::with_mutator(m, build_collector(kind, config))
+    let (collector, mem) = build_collector(kind, config);
+    Vm::with_mutator(m, collector, mem)
 }
 
 /// Builds a full [`Vm`] like [`build_vm`], with a telemetry recorder

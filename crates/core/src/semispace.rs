@@ -28,7 +28,6 @@ const TARGET_LIVENESS: f64 = 0.10;
 
 /// The semispace (Fenichel–Yochelson/Cheney) plan.
 pub struct SemispacePlan {
-    mem: Memory,
     heap: CopySpace,
     budget_words: usize,
     base: PlanBase,
@@ -36,13 +35,15 @@ pub struct SemispacePlan {
 
 impl SemispacePlan {
     /// Creates a semispace plan within `config.heap_budget_bytes` of
-    /// total memory (each semispace gets half).
+    /// total memory (each semispace gets half), and the [`Memory`] it
+    /// reserved its semispaces in — the `Vm`'s to own, and the one every
+    /// entry point of this plan must be handed.
     ///
     /// # Panics
     ///
     /// Panics if the budget is too small to hold even two one-kilobyte
     /// semispaces.
-    pub fn new(config: &GcConfig) -> SemispacePlan {
+    pub fn new(config: &GcConfig) -> (SemispacePlan, Memory) {
         let budget_words = config.heap_budget_words();
         let semi = budget_words / 2;
         assert!(
@@ -59,17 +60,17 @@ impl SemispacePlan {
             mem.reserve_owned(semi, "semispace")
                 .expect("semispace reservation"),
         );
-        SemispacePlan {
-            mem,
+        let plan = SemispacePlan {
             heap: CopySpace::new("semispace", a, b),
             budget_words,
             base: PlanBase::new(config),
-        }
+        };
+        (plan, mem)
     }
 
-    fn do_collect(&mut self, m: &mut MutatorState, reason: &'static str) {
+    fn do_collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
         // Every semispace collection traces the whole heap.
-        let mut cycle = Cycle::begin(&mut self.base, &self.mem, m, "semispace", reason, true);
+        let mut cycle = Cycle::begin(&mut self.base, mem, m, "semispace", reason, true);
         // Every collection moves everything, so cached frames' roots must
         // be processed too — the cache saves only the decode cost.
         let roots = cycle.scan_roots(&mut self.base, m, true);
@@ -87,7 +88,7 @@ impl SemispacePlan {
             survivor: None,
         };
         let lanes = cycle
-            .trace(&mut self.base, &mut self.mem, m, spaces, &roots)
+            .trace(&mut self.base, mem, m, spaces, &roots)
             .drain()
             .lanes;
 
@@ -96,15 +97,15 @@ impl SemispacePlan {
         m.barrier.drain(|_| {});
 
         sweep_profile_deaths(
-            &self.mem,
+            mem,
             self.base.profile.as_mut(),
             from_range.start,
             from_frontier,
         );
-        poison_range(&mut self.mem, from_range, from_frontier);
+        poison_range(mem, from_range, from_frontier);
         // The vacated half drops any barrier dirty bits an embedder set
         // in one word sweep (the plan itself records none).
-        self.mem.bulk_clear_dirty(from_range, from_frontier);
+        mem.bulk_clear_dirty(from_range, from_frontier);
         self.heap.active_mut().reset();
         self.heap.flip();
         let live_words = self.heap.active().used_words();
@@ -123,7 +124,7 @@ impl SemispacePlan {
             copy_spaces: &[&self.heap],
             los: None,
         };
-        cycle.finish(&mut self.base, &self.mem, m, lanes, release);
+        cycle.finish(&mut self.base, mem, m, lanes, release);
     }
 
     /// Exit from the collector: the active half is the mutator's to bump
@@ -146,8 +147,8 @@ impl Governed for SemispacePlan {
     }
 
     /// Every semispace collection is a full one, whatever the step.
-    fn recover(&mut self, m: &mut MutatorState, _step: Recovery) {
-        self.do_collect(m, "alloc-failure");
+    fn recover(&mut self, mem: &mut Memory, m: &mut MutatorState, _step: Recovery) {
+        self.do_collect(mem, m, "alloc-failure");
     }
 }
 
@@ -156,49 +157,46 @@ impl Collector for SemispacePlan {
         "semispace"
     }
 
-    fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
-    fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+    fn alloc(
+        &mut self,
+        mem: &mut Memory,
+        m: &mut MutatorState,
+        shape: AllocShape,
+    ) -> Result<Addr, GcError> {
         PlanBase::enter(m, self.heap.active_mut());
         let words = shape.size_words();
         // The semispace plan's single heap plays the tenured role.
         let ladder = &Ladder::FULL_COLLECTION;
-        let result = match governor::allocate(self, m, Arena::Tenured, ladder, shape.site(), words)
-        {
-            Ok(addr) => {
-                shape.write(&mut self.mem, addr, &m.alloc_buf);
-                if let Some(p) = self.base.profile.as_mut() {
-                    p.on_alloc(addr, shape.site(), shape.size_bytes());
+        let result =
+            match governor::allocate(self, mem, m, Arena::Tenured, ladder, shape.site(), words) {
+                Ok(addr) => {
+                    shape.write(mem, addr, &m.alloc_buf);
+                    if let Some(p) = self.base.profile.as_mut() {
+                        p.on_alloc(addr, shape.site(), shape.size_bytes());
+                    }
+                    Ok(addr)
                 }
-                Ok(addr)
-            }
-            Err(session) => {
-                session.finish(m, "exhausted");
-                Err(GcError {
-                    arena: Arena::Tenured,
-                    kind: shape.kind(),
-                    requested_words: words,
-                    budget: BudgetSnapshot {
-                        budget_words: self.budget_words,
-                        free_words: self.heap.active().free_words(),
-                        live_words: self.heap.active().used_words(),
-                    },
-                })
-            }
-        };
+                Err(session) => {
+                    session.finish(m, "exhausted");
+                    Err(GcError {
+                        arena: Arena::Tenured,
+                        kind: shape.kind(),
+                        requested_words: words,
+                        budget: BudgetSnapshot {
+                            budget_words: self.budget_words,
+                            free_words: self.heap.active().free_words(),
+                            live_words: self.heap.active().used_words(),
+                        },
+                    })
+                }
+            };
         self.leave(m);
         result
     }
 
-    fn collect(&mut self, m: &mut MutatorState, reason: CollectReason) {
+    fn collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
         PlanBase::enter(m, self.heap.active_mut());
-        self.do_collect(m, reason_str(reason));
+        self.do_collect(mem, m, reason_str(reason));
         self.leave(m);
     }
 
@@ -206,7 +204,7 @@ impl Collector for SemispacePlan {
         &self.base.stats
     }
 
-    fn finish(&mut self, m: &mut MutatorState) {
+    fn finish(&mut self, _mem: &mut Memory, m: &mut MutatorState) {
         PlanBase::enter(m, self.heap.active_mut());
         if let Some(p) = self.base.profile.as_mut() {
             p.finish();
@@ -232,7 +230,8 @@ mod tests {
         let config = GcConfig::new().heap_budget_bytes(budget);
         let mut m = MutatorState::new();
         m.barrier = tilgc_runtime::WriteBarrier::None;
-        Vm::with_mutator(m, Box::new(SemispacePlan::new(&config)))
+        let (plan, mem) = SemispacePlan::new(&config);
+        Vm::with_mutator(m, Box::new(plan), mem)
     }
 
     #[test]
@@ -328,7 +327,7 @@ mod tests {
     #[test]
     fn resizing_respects_budget_cap() {
         let config = GcConfig::new().heap_budget_bytes(32 << 10);
-        let c = SemispacePlan::new(&config);
+        let (c, _mem) = SemispacePlan::new(&config);
         assert_eq!(c.heap.active().capacity_words(), (32 << 10) / 8 / 2);
     }
 
@@ -351,7 +350,8 @@ mod tests {
         let config = GcConfig::new().heap_budget_bytes(16 << 10).profiling(true);
         let mut m = MutatorState::new();
         m.barrier = tilgc_runtime::WriteBarrier::None;
-        let mut vm = Vm::with_mutator(m, Box::new(SemispacePlan::new(&config)));
+        let (plan, mem) = SemispacePlan::new(&config);
+        let mut vm = Vm::with_mutator(m, Box::new(plan), mem);
         let site = vm.site("t::p");
         for _ in 0..2000 {
             let _ = vm.alloc_record(site, &[Value::Int(1)]);

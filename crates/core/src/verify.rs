@@ -7,17 +7,15 @@
 //! the same graph is the central correctness claim of the root-scanning
 //! machinery.
 //!
-//! The verifier is plan-agnostic: it sees the heap only through the
-//! [`Collector`](tilgc_runtime::Collector) seam (memory + shadow tags),
-//! so the same walk validates every plan — semispace,
-//! generational, or pretenuring — and any space layout a plan composes.
+//! The verifier is plan-agnostic: it sees the heap only as the
+//! [`Vm`]'s memory and shadow tags, so the same walk validates every
+//! plan — semispace, generational, or pretenuring — and any space layout
+//! a plan composes.
 
 use std::collections::{HashSet, VecDeque};
 
-use tilgc_mem::{object, Addr, Memory, ObjectKind, WORD_BYTES};
+use tilgc_mem::{object, Addr, Memory, ObjectKind, POISON, WORD_BYTES};
 use tilgc_runtime::{CollectionInspection, MutatorState, ShadowTag, Vm};
-
-use crate::evac::POISON;
 
 /// Summary of a verified heap.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -163,7 +161,7 @@ pub fn check_worker_accounting(workers: u64, worker_copied: &[u64], copied_bytes
 /// Panics on any dangling or malformed reachable pointer.
 pub fn verify_vm(vm: &Vm) -> LiveReport {
     let roots = shadow_roots(vm.mutator());
-    check_graph(vm.collector().memory(), &roots)
+    check_graph(vm.mem(), &roots)
 }
 
 /// Cross-checks a collection's [`CollectionInspection`] record against
@@ -307,7 +305,7 @@ pub fn graph_snapshot(mem: &Memory, roots: &[Addr]) -> Vec<u64> {
 /// Snapshot of a running VM's reachable graph (shadow roots).
 pub fn vm_snapshot(vm: &Vm) -> Vec<u64> {
     let roots = shadow_roots(vm.mutator());
-    graph_snapshot(vm.collector().memory(), &roots)
+    graph_snapshot(vm.mem(), &roots)
 }
 
 #[cfg(test)]

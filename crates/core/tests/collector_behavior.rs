@@ -5,7 +5,7 @@
 use tilgc_core::{
     build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy,
 };
-use tilgc_mem::Addr;
+use tilgc_mem::{object, Addr};
 use tilgc_runtime::{FrameDesc, MutatorState, RaiseOutcome, Trace, Value, Vm, WriteBarrier};
 
 fn small_config() -> GcConfig {
@@ -87,10 +87,9 @@ fn object_mark_barrier_is_equivalent_to_ssb() {
     let run = |barrier: WriteBarrier| -> Vec<u64> {
         let mut m = MutatorState::new();
         m.barrier = barrier;
-        let mut vm = Vm::with_mutator(
-            m,
-            tilgc_core::build_collector(CollectorKind::Generational, &small_config()),
-        );
+        let (collector, mem) =
+            tilgc_core::build_collector(CollectorKind::Generational, &small_config());
+        let mut vm = Vm::with_mutator(m, collector, mem);
         let site = vm.site("t::slotbox");
         let d = frame_with_ptrs(&mut vm, 1);
         vm.push_frame(d);
@@ -116,10 +115,9 @@ fn object_mark_barrier_is_equivalent_to_ssb() {
 fn object_mark_barrier_dedups_repeated_updates() {
     let mut m = MutatorState::new();
     m.barrier = WriteBarrier::object_mark();
-    let mut vm = Vm::with_mutator(
-        m,
-        tilgc_core::build_collector(CollectorKind::Generational, &small_config()),
-    );
+    let (collector, mem) =
+        tilgc_core::build_collector(CollectorKind::Generational, &small_config());
+    let mut vm = Vm::with_mutator(m, collector, mem);
     let site = vm.site("t::box");
     let d = frame_with_ptrs(&mut vm, 2);
     vm.push_frame(d);
@@ -564,7 +562,8 @@ fn semispace_with_markers_reuses_decodes_but_processes_all_roots() {
     let config = small_config().marker_policy(MarkerPolicy::PAPER);
     let mut m = MutatorState::new();
     m.barrier = WriteBarrier::None;
-    let mut vm = Vm::with_mutator(m, Box::new(tilgc_core::SemispacePlan::new(&config)));
+    let (plan, mem) = tilgc_core::SemispacePlan::new(&config);
+    let mut vm = Vm::with_mutator(m, Box::new(plan), mem);
     let site = vm.site("t::deep");
     let d = frame_with_ptrs(&mut vm, 1);
     // A deep, persistent stack with one root per frame.
@@ -593,4 +592,67 @@ fn semispace_with_markers_reuses_decodes_but_processes_all_roots() {
         assert_eq!(vm.load_int(addr, 0), depth as i64);
     }
     verify_vm(&vm);
+}
+
+/// The `Vm` owns the memory and hands it to the plan at every entry, so
+/// there is one memory by construction: after a forced minor and a forced
+/// major collection, the slots lead to moved objects whose fields the
+/// `Vm`'s own loads — and a direct read of `vm.mem()` — find intact.
+fn the_vm_reads_what_the_collector_wrote(kind: CollectorKind) {
+    let mut vm = build_vm(kind, &small_config());
+    let site = vm.site("t::owned");
+    let d = frame_with_ptrs(&mut vm, 2);
+    vm.push_frame(d);
+    let raw = vm.alloc_raw_array(site, 24).unwrap();
+    vm.store_f64(raw, 1, -7.25);
+    vm.store_byte(raw, 23, 0x5a);
+    vm.set_slot(1, Value::Ptr(raw));
+    let rec = vm
+        .alloc_record(site, &[Value::Int(41), Value::Ptr(raw)])
+        .unwrap();
+    vm.set_slot(1, Value::Ptr(rec));
+    let arr = vm.alloc_ptr_array(site, 3, Addr::NULL).unwrap();
+    let rec = vm.slot_ptr(1);
+    vm.store_ptr(arr, 2, rec);
+    vm.set_slot(0, Value::Ptr(arr));
+    vm.set_slot(1, Value::NULL);
+
+    for (what, major) in [("minor", false), ("major", true)] {
+        let stale = vm.slot_ptr(0);
+        if major {
+            vm.gc_major();
+        } else {
+            vm.gc_now();
+        }
+        let arr = vm.slot_ptr(0);
+        assert_ne!(arr, stale, "{what}: the array moved");
+        assert_eq!(vm.header(arr).len(), 3, "{what}");
+        let rec = vm.load_ptr(arr, 2);
+        assert_eq!(
+            object::field(vm.mem(), rec, 0),
+            41,
+            "{what}: read off vm.mem()"
+        );
+        assert_eq!(vm.load_int(rec, 0), 41, "{what}");
+        let raw = vm.load_ptr(rec, 1);
+        assert_eq!(vm.load_f64(raw, 1), -7.25, "{what}");
+        assert_eq!(vm.load_byte(raw, 23), 0x5a, "{what}");
+        // A store after the collection lands where the next one looks.
+        vm.store_int(rec, 0, 41);
+        assert_eq!(verify_vm(&vm).objects, 3, "{what}");
+    }
+    assert_eq!(vm.gc_stats().collections, 2);
+    // (A semispace plan counts no majors: every collection is full.)
+    let majors = u64::from(kind != CollectorKind::Semispace);
+    assert_eq!(vm.gc_stats().major_collections, majors);
+}
+
+#[test]
+fn semispace_vm_reads_what_the_collector_wrote() {
+    the_vm_reads_what_the_collector_wrote(CollectorKind::Semispace);
+}
+
+#[test]
+fn generational_vm_reads_what_the_collector_wrote() {
+    the_vm_reads_what_the_collector_wrote(CollectorKind::GenerationalStack);
 }

@@ -19,7 +19,8 @@ fn small_config() -> GcConfig {
 fn object_mark_vm(kind: CollectorKind) -> Vm {
     let mut m = MutatorState::new();
     m.barrier = WriteBarrier::object_mark();
-    Vm::with_mutator(m, build_collector(kind, &small_config()))
+    let (collector, mem) = build_collector(kind, &small_config());
+    Vm::with_mutator(m, collector, mem)
 }
 
 fn every_addr(mem: &Memory) -> impl Iterator<Item = Addr> {

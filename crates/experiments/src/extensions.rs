@@ -134,7 +134,8 @@ pub fn barrier_comparison(scale: u32) {
         let mut m = MutatorState::new();
         m.barrier = barrier;
         m.check_shadows = false;
-        let mut vm = Vm::with_mutator(m, build_collector(CollectorKind::Generational, &config));
+        let (collector, mem) = build_collector(CollectorKind::Generational, &config);
+        let mut vm = Vm::with_mutator(m, collector, mem);
         let h = bench.run(&mut vm, scale);
         vm.finish();
         checksums.push(h);

@@ -67,7 +67,7 @@ mod space;
 pub use addr::Addr;
 pub use error::{Arena, BudgetSnapshot, GcError, MemError};
 pub use header::{Header, ObjectKind, MAX_PTR_MASK_FIELDS, MAX_RECORD_FIELDS};
-pub use memory::{Memory, WORD_BYTES};
+pub use memory::{Memory, POISON, WORD_BYTES};
 pub use object::Obj;
 pub use shared::SharedMemView;
 pub use side::{ChunkMap, SideBitmap, SideMetaView, CHUNK_BYTES, CHUNK_WORDS};

@@ -5,6 +5,13 @@ use crate::{Addr, MemError, SiteId, SpaceRange};
 /// (the paper's DEC Alpha 21064 is 64-bit).
 pub const WORD_BYTES: usize = 8;
 
+/// In debug builds, collectors fill vacated spaces with this pattern so
+/// that a stale pointer dereference fails loudly instead of reading
+/// garbage. (Read as a header it is a well-formed, enormous pointer
+/// array, which is why the mutator's debug access check tests for it by
+/// value.)
+pub const POISON: u64 = 0xdead_dead_dead_dead;
+
 /// The chunked simulated address space.
 ///
 /// All heap spaces — semispaces, nursery, tenured area, large-object space,

@@ -1,8 +1,11 @@
 //! The interface between the mutator and a garbage collector.
 //!
 //! The runtime owns the stack, registers, write barrier and handler chain
-//! (everything the mutator touches); a [`Collector`] owns the memory and
-//! its spaces. Between entries it lends the mutator a window of its
+//! and the simulated [`Memory`] itself (everything the mutator touches —
+//! a load or a store is an instruction of the program, §2.1); a
+//! [`Collector`] owns the *spaces* it carved out of that memory and the
+//! policy over them, and is handed the memory at each of its three entry
+//! points. Between entries it lends the mutator a window of its
 //! allocation space ([`MutatorState::lend_window`]) that
 //! [`Vm`](crate::Vm) bumps through on its own; a request the window
 //! cannot serve goes through the door, [`Collector::alloc`], where the
@@ -209,7 +212,15 @@ pub enum CollectReason {
     ForcedMajor,
 }
 
-/// A garbage collector driving a [`Memory`].
+/// A garbage collector over a [`Memory`] the [`Vm`](crate::Vm) owns.
+///
+/// The collector sizes the memory and reserves its spaces in it when it
+/// is built, then hands it to whoever builds the `Vm`; from then on it
+/// sees it only as the `mem` argument of [`alloc`](Collector::alloc),
+/// [`collect`](Collector::collect) and [`finish`](Collector::finish) —
+/// always the one memory its spaces were reserved in. There is no
+/// accessor for it here: the mutator's loads and stores never come
+/// through the collector.
 ///
 /// Implementations live in `tilgc-core`: the semispace baseline, the
 /// generational collector, and the generational collector extended with
@@ -217,12 +228,6 @@ pub enum CollectReason {
 pub trait Collector {
     /// A short human-readable name ("semispace", "generational", ...).
     fn name(&self) -> &'static str;
-
-    /// Read access to the simulated memory.
-    fn memory(&self) -> &Memory;
-
-    /// Write access to the simulated memory (mutator field stores).
-    fn memory_mut(&mut self) -> &mut Memory;
 
     /// Allocates an object, collecting first if necessary. Entered only
     /// on a window miss: [`Vm`](crate::Vm) serves what fits the lent
@@ -239,10 +244,15 @@ pub trait Collector {
     /// pretenuring demotion) cannot make the request fit within the fixed
     /// heap budget. The error names the exhausted space; the VM converts
     /// it into a catchable `HeapOverflow` raise for the guest program.
-    fn alloc(&mut self, mutator: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError>;
+    fn alloc(
+        &mut self,
+        mem: &mut Memory,
+        mutator: &mut MutatorState,
+        shape: AllocShape,
+    ) -> Result<Addr, GcError>;
 
     /// Runs a collection now.
-    fn collect(&mut self, mutator: &mut MutatorState, reason: CollectReason);
+    fn collect(&mut self, mem: &mut Memory, mutator: &mut MutatorState, reason: CollectReason);
 
     /// Cumulative collection statistics.
     fn gc_stats(&self) -> &GcStats;
@@ -253,7 +263,7 @@ pub trait Collector {
     /// silently skip their final profile flush (the pretenuring plan's
     /// final-sweep flush is load-bearing for §6 policy derivation), so
     /// every implementation must state what — if anything — it does.
-    fn finish(&mut self, mutator: &mut MutatorState);
+    fn finish(&mut self, mem: &mut Memory, mutator: &mut MutatorState);
 
     /// Extracts the heap profile gathered during the run, if profiling
     /// was enabled. Collectors that never profile return `None`

@@ -1,10 +1,27 @@
 //! The `Vm` facade: the API benchmark programs are written against.
 //!
-//! A `Vm` couples a [`MutatorState`] with a [`Collector`]. Programs
-//! allocate through it, keep their live pointers in *frame slots* (never
-//! in host-language locals across an allocation — any allocation may move
-//! objects), and mirror their call structure as pushed/popped frames so
-//! the collector sees a realistic activation-record stack.
+//! A `Vm` owns a [`MutatorState`] and the simulated [`Memory`], and
+//! couples them with a [`Collector`]. Programs allocate through it, keep
+//! their live pointers in *frame slots* (never in host-language locals
+//! across an allocation — any allocation may move objects), and mirror
+//! their call structure as pushed/popped frames so the collector sees a
+//! realistic activation-record stack.
+//!
+//! # What is an instruction and what is a call
+//!
+//! The paper's mutator (§2.1) reads and writes the heap with ordinary
+//! loads and stores, appends to the store list inline, and meets the
+//! collector only at an allocation miss or a collection. So here: the
+//! heap accessors (`header`, `load_*`, `store_*` — [`Vm::store_ptr`] is
+//! the whole write barrier) and the slot and register accessors are
+//! `#[inline]` and touch the `Vm`'s own memory and mutator state — a
+//! program's `vm.load_int(l, 0)` compiles to a charge, a bounds check
+//! and a load. What a call site does not need stays out of line: the
+//! checked-mode halves of `set_slot` / `slot_ptr` / `reg_ptr`, the debug
+//! access check, and `push_frame` / `pop_frame`, which are loops over a
+//! frame layout and measured faster as calls. The collector is behind
+//! three out-of-line entries only: the allocation door, `gc_now` /
+//! `gc_major`, and `finish`, each of which hands it the memory.
 //!
 //! # The rooting discipline
 //!
@@ -25,12 +42,14 @@
 //! [`Collector::alloc`].
 //!
 //! Violations do not go quietly: vacated spaces are poisoned in debug
-//! builds and the heap verifier in `tilgc-core` rejects dangling
-//! addresses.
+//! builds, every heap accessor of a debug build first checks that its
+//! address is a live object's and its index inside the payload
+//! ([`Vm::check_field`] — the panic names the stale `Addr`), and the
+//! heap verifier in `tilgc-core` rejects dangling addresses.
 
 use std::fmt;
 
-use tilgc_mem::{object, Addr, GcError, Header, Memory, SiteId, MAX_RECORD_FIELDS};
+use tilgc_mem::{object, Addr, GcError, Header, Memory, SiteId, MAX_RECORD_FIELDS, POISON};
 
 use crate::collector::{AllocShape, CollectReason, Collector};
 use crate::mutator::MutatorState;
@@ -101,15 +120,17 @@ impl fmt::Display for VmExit {
 
 impl std::error::Error for VmExit {}
 
-/// A running TIL-style virtual machine: mutator state plus a collector.
+/// A running TIL-style virtual machine: mutator state and the simulated
+/// memory, plus a collector over that memory.
 ///
 /// # Example
 ///
 /// ```no_run
 /// use tilgc_runtime::{Vm, FrameDesc, Trace, Value};
 ///
-/// # fn collector() -> Box<dyn tilgc_runtime::Collector> { unimplemented!() }
-/// let mut vm = Vm::new(collector());
+/// # fn collector() -> (Box<dyn tilgc_runtime::Collector>, tilgc_mem::Memory) { unimplemented!() }
+/// let (collector, mem) = collector();
+/// let mut vm = Vm::new(collector, mem);
 /// let site = vm.site("example::pair");
 /// let d = vm.register_frame(FrameDesc::new("example").slot(Trace::Pointer));
 /// vm.push_frame(d);
@@ -119,6 +140,7 @@ impl std::error::Error for VmExit {}
 /// ```
 pub struct Vm {
     m: MutatorState,
+    mem: Memory,
     gc: Box<dyn Collector>,
 }
 
@@ -132,19 +154,18 @@ impl std::fmt::Debug for Vm {
 }
 
 impl Vm {
-    /// Creates a VM over the given collector with default mutator state.
-    pub fn new(collector: Box<dyn Collector>) -> Vm {
-        Vm {
-            m: MutatorState::new(),
-            gc: collector,
-        }
+    /// Creates a VM over the given collector and the memory it reserved
+    /// its spaces in, with default mutator state.
+    pub fn new(collector: Box<dyn Collector>, mem: Memory) -> Vm {
+        Vm::with_mutator(MutatorState::new(), collector, mem)
     }
 
     /// Creates a VM with custom mutator state (barrier choice, cost
     /// model, raise bookkeeping, ...).
-    pub fn with_mutator(mutator: MutatorState, collector: Box<dyn Collector>) -> Vm {
+    pub fn with_mutator(mutator: MutatorState, collector: Box<dyn Collector>, mem: Memory) -> Vm {
         Vm {
             m: mutator,
+            mem,
             gc: collector,
         }
     }
@@ -168,7 +189,7 @@ impl Vm {
 
     /// The simulated memory (read-only).
     pub fn mem(&self) -> &Memory {
-        self.gc.memory()
+        &self.mem
     }
 
     /// Collector statistics.
@@ -247,18 +268,27 @@ impl Vm {
     /// does not admit the value — e.g. storing a pointer into a
     /// `NonPointer` slot, which in the real system would hide a root from
     /// the collector.
+    #[inline]
     pub fn set_slot(&mut self, i: usize, value: Value) {
         if self.m.check_shadows {
-            let trace = self.m.traces.desc(self.m.stack.top().desc()).slot_trace(i);
-            assert!(
-                trace.admits(value),
-                "slot {i} with trace {trace:?} cannot hold {value:?}"
-            );
+            self.check_slot_admits(i, value);
         }
         self.m.stack.top_mut().set(i, value);
     }
 
+    /// Checked mode's half of [`set_slot`](Vm::set_slot), out of line so
+    /// a call site carries the store only.
+    #[inline(never)]
+    fn check_slot_admits(&self, i: usize, value: Value) {
+        let trace = self.m.traces.desc(self.m.stack.top().desc()).slot_trace(i);
+        assert!(
+            trace.admits(value),
+            "slot {i} with trace {trace:?} cannot hold {value:?}"
+        );
+    }
+
     /// Raw word in slot `i` of the top frame.
+    #[inline]
     pub fn slot_word(&self, i: usize) -> u64 {
         self.m.stack.top().word(i)
     }
@@ -269,23 +299,32 @@ impl Vm {
     ///
     /// Panics in checked mode if the slot does not currently hold a
     /// pointer.
+    #[inline]
     pub fn slot_ptr(&self, i: usize) -> Addr {
         if self.m.check_shadows {
-            assert_eq!(
-                self.m.stack.top().shadow(i),
-                ShadowTag::Ptr,
-                "slot {i} read as pointer but holds a non-pointer"
-            );
+            self.check_slot_holds_ptr(i);
         }
         Addr::new(self.m.stack.top().word(i) as u32)
     }
 
+    /// Checked mode's half of [`slot_ptr`](Vm::slot_ptr), out of line.
+    #[inline(never)]
+    fn check_slot_holds_ptr(&self, i: usize) {
+        assert_eq!(
+            self.m.stack.top().shadow(i),
+            ShadowTag::Ptr,
+            "slot {i} read as pointer but holds a non-pointer"
+        );
+    }
+
     /// Integer in slot `i` of the top frame.
+    #[inline]
     pub fn slot_int(&self, i: usize) -> i64 {
         self.m.stack.top().word(i) as i64
     }
 
     /// Writes a typed value into a register.
+    #[inline]
     pub fn set_reg(&mut self, reg: Reg, value: Value) {
         self.m.regs.set(reg, value);
     }
@@ -295,18 +334,26 @@ impl Vm {
     /// # Panics
     ///
     /// Panics in checked mode if the register holds a non-pointer.
+    #[inline]
     pub fn reg_ptr(&self, reg: Reg) -> Addr {
         if self.m.check_shadows {
-            assert_eq!(
-                self.m.regs.shadow(reg),
-                ShadowTag::Ptr,
-                "register {reg} is not a pointer"
-            );
+            self.check_reg_holds_ptr(reg);
         }
         Addr::new(self.m.regs.word(reg) as u32)
     }
 
+    /// Checked mode's half of [`reg_ptr`](Vm::reg_ptr), out of line.
+    #[inline(never)]
+    fn check_reg_holds_ptr(&self, reg: Reg) {
+        assert_eq!(
+            self.m.regs.shadow(reg),
+            ShadowTag::Ptr,
+            "register {reg} is not a pointer"
+        );
+    }
+
     /// Integer in register `reg`.
+    #[inline]
     pub fn reg_int(&self, reg: Reg) -> i64 {
         self.m.regs.word(reg) as i64
     }
@@ -419,7 +466,7 @@ impl Vm {
         let is_array = !matches!(shape, AllocShape::Record { .. });
         let result = match self.m.bump(shape.site(), words, is_array) {
             Some(addr) => {
-                shape.write(self.gc.memory_mut(), addr, operands);
+                shape.write(&mut self.mem, addr, operands);
                 Ok(addr)
             }
             None => self.door(shape),
@@ -437,17 +484,71 @@ impl Vm {
     /// the handler chain as an SML-style heap overflow.
     #[inline(never)]
     fn door(&mut self, shape: AllocShape) -> Result<Addr, HeapOverflow> {
-        self.gc.alloc(&mut self.m, shape).map_err(|error| {
-            let outcome = self.raise();
-            HeapOverflow { error, outcome }
-        })
+        self.gc
+            .alloc(&mut self.mem, &mut self.m, shape)
+            .map_err(|error| {
+                let outcome = self.raise();
+                HeapOverflow { error, outcome }
+            })
     }
 
     // ----- heap access ---------------------------------------------------------
+    //
+    // Instructions of the program, not calls into the runtime: `#[inline]`
+    // so that they cross the crate boundary into the program's loops, and
+    // over `self.mem` so that nothing is dispatched. Only the debug
+    // check's panicking half stays out of line.
 
     /// Header of the object at `obj`.
+    #[inline]
     pub fn header(&self, obj: Addr) -> Header {
-        object::header(self.gc.memory(), obj)
+        object::header(&self.mem, obj)
+    }
+
+    /// Panics unless `obj` is the address of a live object — its header
+    /// is neither a forwarding pointer nor [`POISON`], the two things a
+    /// collection leaves where an object used to be — and `i` indexes a
+    /// word of its payload. The check every word accessor (`load_ptr`,
+    /// `load_int`, `load_f64` and their stores) runs first in a debug
+    /// build; a release build compiles the call out, so it is public for
+    /// tests and embedders that want it regardless.
+    ///
+    /// Without it an index one past the end passes the pointerness
+    /// assertions below ([`Header::field_is_pointer`] answers for any
+    /// index) and reads or overwrites the next object's header.
+    #[track_caller]
+    pub fn check_field(&self, obj: Addr, i: usize) {
+        let header = self.live_header(obj);
+        assert!(
+            i < header.payload_words(),
+            "field {i} is out of range of {obj}: {header:?}"
+        );
+    }
+
+    /// [`check_field`](Vm::check_field) for the byte accessors: `i`
+    /// indexes a byte of the object's payload.
+    #[track_caller]
+    pub fn check_byte(&self, obj: Addr, i: usize) {
+        let header = self.live_header(obj);
+        assert!(
+            i < header.len(),
+            "byte {i} is out of range of {obj}: {header:?}"
+        );
+    }
+
+    /// The header at `obj`, which must be a live object's.
+    #[track_caller]
+    fn live_header(&self, obj: Addr) -> Header {
+        let header = self.header(obj);
+        assert!(
+            header.raw() != POISON,
+            "stale address {obj}: it points into a vacated (poisoned) space"
+        );
+        assert!(
+            !header.is_forward(),
+            "stale address {obj}: the object moved, leaving {header:?}"
+        );
+        header
     }
 
     /// Loads pointer field `i` of `obj`.
@@ -455,24 +556,32 @@ impl Vm {
     /// # Panics
     ///
     /// Panics in debug builds if the header says field `i` is not a
-    /// pointer.
+    /// pointer, or on a [`check_field`](Vm::check_field) violation.
+    #[inline]
     pub fn load_ptr(&mut self, obj: Addr, i: usize) -> Addr {
+        if cfg!(debug_assertions) {
+            self.check_field(obj, i);
+        }
         debug_assert!(
-            object::header(self.gc.memory(), obj).field_is_pointer(i),
+            self.header(obj).field_is_pointer(i),
             "load_ptr of non-pointer field {i} of {obj}"
         );
         self.m.charge(self.m.cost.heap_access);
-        object::ptr_field(self.gc.memory(), obj, i)
+        object::ptr_field(&self.mem, obj, i)
     }
 
     /// Loads integer field `i` of `obj`.
+    #[inline]
     pub fn load_int(&mut self, obj: Addr, i: usize) -> i64 {
+        if cfg!(debug_assertions) {
+            self.check_field(obj, i);
+        }
         debug_assert!(
-            !object::header(self.gc.memory(), obj).field_is_pointer(i),
+            !self.header(obj).field_is_pointer(i),
             "load_int of pointer field {i} of {obj}"
         );
         self.m.charge(self.m.cost.heap_access);
-        object::field(self.gc.memory(), obj, i) as i64
+        object::field(&self.mem, obj, i) as i64
     }
 
     /// Loads double element `i` of a raw array, or an unboxed float field
@@ -481,31 +590,45 @@ impl Vm {
     /// # Panics
     ///
     /// Panics in debug builds if the field is a pointer field.
+    #[inline]
     pub fn load_f64(&mut self, obj: Addr, i: usize) -> f64 {
+        if cfg!(debug_assertions) {
+            self.check_field(obj, i);
+        }
         debug_assert!(
-            !object::header(self.gc.memory(), obj).field_is_pointer(i),
+            !self.header(obj).field_is_pointer(i),
             "load_f64 of pointer field {i} of {obj}"
         );
         self.m.charge(self.m.cost.heap_access);
-        object::f64_elem(self.gc.memory(), obj, i)
+        object::f64_elem(&self.mem, obj, i)
     }
 
     /// Loads byte `i` of a raw array.
+    #[inline]
     pub fn load_byte(&mut self, obj: Addr, i: usize) -> u8 {
+        if cfg!(debug_assertions) {
+            self.check_byte(obj, i);
+        }
         self.m.charge(self.m.cost.heap_access);
-        object::byte(self.gc.memory(), obj, i)
+        object::byte(&self.mem, obj, i)
     }
 
     /// Stores a pointer into field `i` of `obj`, recording the update in
-    /// the write barrier (§2.1's "pointer updates").
+    /// the write barrier (§2.1's "pointer updates"). The barrier is all
+    /// here, inline as the paper's is: dirty test-and-set or store-buffer
+    /// push, count, charge, store.
     ///
     /// # Panics
     ///
     /// Panics in debug builds if the header says field `i` is not a
-    /// pointer field.
+    /// pointer field, or on a [`check_field`](Vm::check_field) violation.
+    #[inline]
     pub fn store_ptr(&mut self, obj: Addr, i: usize, value: Addr) {
+        if cfg!(debug_assertions) {
+            self.check_field(obj, i);
+        }
         debug_assert!(
-            object::header(self.gc.memory(), obj).field_is_pointer(i),
+            self.header(obj).field_is_pointer(i),
             "store_ptr into non-pointer field {i} of {obj}"
         );
         let record = if self.m.barrier.dedups_objects() {
@@ -513,7 +636,7 @@ impl Vm {
             // repeated updates to the same object. One branch-free
             // test-and-set (load, OR, store, bit-test) replaces the old
             // header read-modify-write with its taken/not-taken branch.
-            !self.gc.memory_mut().dirty_test_and_set(obj)
+            !self.mem.dirty_test_and_set(obj)
         } else {
             true
         };
@@ -523,18 +646,22 @@ impl Vm {
         self.m.stats.pointer_updates += 1;
         self.m
             .charge(self.m.cost.heap_access + self.m.cost.barrier_record);
-        object::set_field(self.gc.memory_mut(), obj, i, u64::from(value.raw()));
+        object::set_field(&mut self.mem, obj, i, u64::from(value.raw()));
     }
 
     /// Stores an integer into field `i` of `obj` (no barrier needed, as
     /// the paper notes).
+    #[inline]
     pub fn store_int(&mut self, obj: Addr, i: usize, value: i64) {
+        if cfg!(debug_assertions) {
+            self.check_field(obj, i);
+        }
         debug_assert!(
-            !object::header(self.gc.memory(), obj).field_is_pointer(i),
+            !self.header(obj).field_is_pointer(i),
             "store_int into pointer field {i} of {obj}"
         );
         self.m.charge(self.m.cost.heap_access);
-        object::set_field(self.gc.memory_mut(), obj, i, value as u64);
+        object::set_field(&mut self.mem, obj, i, value as u64);
     }
 
     /// Stores a double into element `i` of a raw array or an unboxed
@@ -543,19 +670,27 @@ impl Vm {
     /// # Panics
     ///
     /// Panics in debug builds if the field is a pointer field.
+    #[inline]
     pub fn store_f64(&mut self, obj: Addr, i: usize, value: f64) {
+        if cfg!(debug_assertions) {
+            self.check_field(obj, i);
+        }
         debug_assert!(
-            !object::header(self.gc.memory(), obj).field_is_pointer(i),
+            !self.header(obj).field_is_pointer(i),
             "store_f64 into pointer field {i} of {obj}"
         );
         self.m.charge(self.m.cost.heap_access);
-        object::set_f64_elem(self.gc.memory_mut(), obj, i, value);
+        object::set_f64_elem(&mut self.mem, obj, i, value);
     }
 
     /// Stores a byte into a raw array.
+    #[inline]
     pub fn store_byte(&mut self, obj: Addr, i: usize, value: u8) {
+        if cfg!(debug_assertions) {
+            self.check_byte(obj, i);
+        }
         self.m.charge(self.m.cost.heap_access);
-        object::set_byte(self.gc.memory_mut(), obj, i, value);
+        object::set_byte(&mut self.mem, obj, i, value);
     }
 
     // ----- exceptions ---------------------------------------------------------
@@ -599,19 +734,21 @@ impl Vm {
 
     /// Forces a collection.
     pub fn gc_now(&mut self) {
-        self.gc.collect(&mut self.m, CollectReason::Forced);
+        self.gc
+            .collect(&mut self.mem, &mut self.m, CollectReason::Forced);
         self.m.poll_safepoint();
     }
 
     /// Forces a major collection (for generational collectors).
     pub fn gc_major(&mut self) {
-        self.gc.collect(&mut self.m, CollectReason::ForcedMajor);
+        self.gc
+            .collect(&mut self.mem, &mut self.m, CollectReason::ForcedMajor);
         self.m.poll_safepoint();
     }
 
     /// Ends the run: final collector bookkeeping (profile flush, ...).
     pub fn finish(&mut self) {
-        self.gc.finish(&mut self.m);
+        self.gc.finish(&mut self.mem, &mut self.m);
     }
 
     /// Extracts the heap profile, if the collector gathered one.

@@ -1,32 +1,37 @@
 //! Behavioural tests of the `Vm` facade against a minimal test collector,
 //! exercising the runtime substrate independently of `tilgc-core`: frame
 //! push/pop with callee-save spill/restore, slot/trace validation,
-//! barriers, exceptions, and allocation staging.
+//! barriers, exceptions, allocation staging, and the debug-build check
+//! on every heap access.
 
-use tilgc_mem::{Addr, Memory, Space};
+use tilgc_mem::{object, Addr, Header, Memory, Space, POISON};
 use tilgc_runtime::{
     AllocShape, CollectReason, Collector, FrameDesc, GcStats, MutatorState, RaiseOutcome, Reg,
     ShadowTag, Trace, TypeLoc, Value, Vm,
 };
 
-/// A bump-only collector that never collects — the runtime substrate can
+/// A bump-only collector that never reclaims — the runtime substrate can
 /// be tested without any GC behaviour. A request that does not fit is the
 /// typed out-of-memory verdict a real plan's escalation ladder ends in.
+/// `collect` is the smallest thing that moves objects: it slides all of
+/// them up past the frontier, relocates the pointers in their fields and
+/// in the frame slots, and leaves where each object was what a plan
+/// leaves there — a forwarding header, or (on a forced major) the poison
+/// a debug-build plan fills a vacated space with.
 struct BumpCollector {
-    mem: Memory,
     space: Space,
     stats: GcStats,
 }
 
 impl BumpCollector {
-    fn new() -> BumpCollector {
+    fn new() -> (BumpCollector, Memory) {
         let mut mem = Memory::with_capacity_words(1 << 20);
         let space = Space::new(mem.reserve((1 << 20) - 16).expect("reserve"));
-        BumpCollector {
-            mem,
+        let collector = BumpCollector {
             space,
             stats: GcStats::default(),
-        }
+        };
+        (collector, mem)
     }
 }
 
@@ -35,16 +40,9 @@ impl Collector for BumpCollector {
         "bump"
     }
 
-    fn memory(&self) -> &Memory {
-        &self.mem
-    }
-
-    fn memory_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     fn alloc(
         &mut self,
+        mem: &mut Memory,
         m: &mut MutatorState,
         shape: AllocShape,
     ) -> Result<Addr, tilgc_mem::GcError> {
@@ -56,17 +54,47 @@ impl Collector for BumpCollector {
                 budget: tilgc_mem::BudgetSnapshot::default(),
             });
         };
-        shape.write(&mut self.mem, addr, &m.alloc_buf);
+        shape.write(mem, addr, &m.alloc_buf);
         Ok(addr)
     }
 
-    fn collect(&mut self, _m: &mut MutatorState, _reason: CollectReason) {}
+    fn collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
+        let from = self.space.start();
+        let used = self.space.used_words();
+        let to = self.space.alloc(used).expect("room to slide into");
+        mem.copy_words(from, to, used);
+        let slid = |word: u64| if word == 0 { 0 } else { word + used as u64 };
+        let copies: Vec<_> = object::walk(mem, to, to + used).collect();
+        for copy in copies {
+            for i in (0..copy.header.payload_words()).filter(|&i| copy.header.field_is_pointer(i)) {
+                let target = object::field(mem, copy.addr, i);
+                object::set_field(mem, copy.addr, i, slid(target));
+            }
+            let original = from + (copy.addr - to);
+            object::set_header(mem, original, Header::forward(copy.addr));
+        }
+        if reason == CollectReason::ForcedMajor {
+            mem.fill(from, used, POISON);
+        }
+        for depth in 0..m.stack.depth() {
+            let frame = m.stack.frame(depth);
+            let moved: Vec<_> = (0..frame.num_slots())
+                .filter(|&i| frame.shadow(i) == ShadowTag::Ptr)
+                .map(|i| (i, slid(frame.word(i))))
+                .collect();
+            let mut frame = m.stack.frame_mut(depth);
+            for (i, word) in moved {
+                frame.set_word_raw(i, word);
+            }
+        }
+        m.barrier.drain(|_| {});
+    }
 
     fn gc_stats(&self) -> &GcStats {
         &self.stats
     }
 
-    fn finish(&mut self, _m: &mut MutatorState) {}
+    fn finish(&mut self, _mem: &mut Memory, _m: &mut MutatorState) {}
 
     fn take_profile(&mut self) -> Option<tilgc_runtime::HeapProfile> {
         None
@@ -78,7 +106,8 @@ impl Collector for BumpCollector {
 }
 
 fn vm() -> Vm {
-    Vm::new(Box::new(BumpCollector::new()))
+    let (collector, mem) = BumpCollector::new();
+    Vm::new(Box::new(collector), mem)
 }
 
 #[test]
@@ -299,4 +328,123 @@ fn client_cycles_accumulate_per_operation() {
         vm.mutator_stats().client_cycles > mid,
         "frame ops charge client cycles"
     );
+    // A heap access is one `heap_access`, inlined or not; a pointer store
+    // adds the barrier's record.
+    let cost = vm.mutator().cost;
+    let obj = vm
+        .alloc_record(site, &[Value::Int(0), Value::NULL])
+        .unwrap();
+    let before = vm.mutator_stats().client_cycles;
+    let _ = (
+        vm.load_int(obj, 0),
+        vm.load_ptr(obj, 1),
+        vm.load_f64(obj, 0),
+    );
+    vm.store_int(obj, 0, 1);
+    vm.store_f64(obj, 0, 1.0);
+    let after_five = vm.mutator_stats().client_cycles;
+    assert_eq!(after_five - before, 5 * cost.heap_access);
+    vm.store_ptr(obj, 1, obj);
+    assert_eq!(
+        vm.mutator_stats().client_cycles - after_five,
+        cost.heap_access + cost.barrier_record
+    );
+}
+
+// ----- the access check --------------------------------------------------
+//
+// `Header::field_is_pointer` answers for any index, so without
+// `Vm::check_field` / `check_byte` an access one past the end passes the
+// pointerness assertions and lands on the next object's header. The
+// accessors run the check in debug builds only; each test below calls the
+// accessor (whose panic a debug build sees) and then the check itself
+// (whose panic a release build sees), so `cargo test --release` runs it
+// too.
+
+#[test]
+#[should_panic(expected = "field 2 is out of range of")]
+fn load_one_past_a_records_last_field_is_caught() {
+    let mut vm = vm();
+    let site = vm.site("t::rec");
+    let rec = vm
+        .alloc_record(site, &[Value::Int(1), Value::Int(2)])
+        .unwrap();
+    let _next = vm.alloc_record(site, &[Value::Int(3)]).unwrap();
+    let _ = vm.load_int(rec, 2); // would read `_next`'s header
+    vm.check_field(rec, 2);
+}
+
+#[test]
+#[should_panic(expected = "field 3 is out of range of")]
+fn store_one_past_a_pointer_arrays_last_element_is_caught() {
+    let mut vm = vm();
+    let site = vm.site("t::arr");
+    let arr = vm.alloc_ptr_array(site, 3, Addr::NULL).unwrap();
+    let next = vm.alloc_record(site, &[Value::Int(3)]).unwrap();
+    vm.store_ptr(arr, 3, next); // would overwrite `next`'s header
+    vm.check_field(arr, 3);
+}
+
+#[test]
+#[should_panic(expected = "field 2 is out of range of")]
+fn load_one_past_a_raw_arrays_last_word_is_caught() {
+    let mut vm = vm();
+    let site = vm.site("t::raw");
+    let raw = vm.alloc_raw_array(site, 12).unwrap(); // 2 words
+    vm.store_f64(raw, 1, 0.5);
+    vm.check_field(raw, 1);
+    let _ = vm.load_f64(raw, 2);
+    vm.check_field(raw, 2);
+}
+
+#[test]
+#[should_panic(expected = "byte 12 is out of range of")]
+fn store_one_past_a_raw_arrays_last_byte_is_caught() {
+    let mut vm = vm();
+    let site = vm.site("t::raw");
+    let raw = vm.alloc_raw_array(site, 12).unwrap();
+    vm.store_byte(raw, 11, 7);
+    vm.check_byte(raw, 11);
+    // Byte 12 is inside the second word but past the array's length.
+    vm.store_byte(raw, 12, 7);
+    vm.check_byte(raw, 12);
+}
+
+/// A record rooted in slot 0 of a one-slot frame, and its address.
+fn rooted_record(vm: &mut Vm) -> Addr {
+    let site = vm.site("t::rec");
+    let d = vm.register_frame(FrameDesc::new("f").slot(Trace::Pointer));
+    vm.push_frame(d);
+    let rec = vm.alloc_record(site, &[Value::Int(41)]).unwrap();
+    vm.set_slot(0, Value::Ptr(rec));
+    rec
+}
+
+#[test]
+#[should_panic(expected = "stale address")]
+fn a_load_through_an_address_held_across_gc_now_is_caught() {
+    let mut vm = vm();
+    let stale = rooted_record(&mut vm);
+    vm.gc_now();
+    // The slot was relocated and reads fine; the host local was not.
+    let fresh = vm.slot_ptr(0);
+    assert_ne!(fresh, stale);
+    assert_eq!(vm.load_int(fresh, 0), 41);
+    assert!(vm.header(stale).is_forward());
+    let _ = vm.load_int(stale, 0);
+    vm.check_field(stale, 0);
+}
+
+#[test]
+#[should_panic(expected = "poisoned")]
+fn a_store_through_an_address_into_a_poisoned_space_is_caught() {
+    let mut vm = vm();
+    let stale = rooted_record(&mut vm);
+    vm.gc_major();
+    assert_eq!(vm.load_int(vm.slot_ptr(0), 0), 41);
+    // Read as a header, poison is a pointer array of some 10^9 elements:
+    // only a test by value tells it from an object.
+    assert!(vm.header(stale).field_is_pointer(0));
+    vm.store_int(stale, 0, 1);
+    vm.check_field(stale, 0);
 }

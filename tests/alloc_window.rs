@@ -321,24 +321,23 @@ impl Collector for CountingDoor {
     fn name(&self) -> &'static str {
         self.plan.name()
     }
-    fn memory(&self) -> &Memory {
-        self.plan.memory()
-    }
-    fn memory_mut(&mut self) -> &mut Memory {
-        self.plan.memory_mut()
-    }
-    fn alloc(&mut self, m: &mut MutatorState, shape: AllocShape) -> Result<Addr, GcError> {
+    fn alloc(
+        &mut self,
+        mem: &mut Memory,
+        m: &mut MutatorState,
+        shape: AllocShape,
+    ) -> Result<Addr, GcError> {
         self.entries.set(self.entries.get() + 1);
-        self.plan.alloc(m, shape)
+        self.plan.alloc(mem, m, shape)
     }
-    fn collect(&mut self, m: &mut MutatorState, reason: CollectReason) {
-        self.plan.collect(m, reason);
+    fn collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
+        self.plan.collect(mem, m, reason);
     }
     fn gc_stats(&self) -> &GcStats {
         self.plan.gc_stats()
     }
-    fn finish(&mut self, m: &mut MutatorState) {
-        self.plan.finish(m);
+    fn finish(&mut self, mem: &mut Memory, m: &mut MutatorState) {
+        self.plan.finish(mem, m);
     }
     fn take_profile(&mut self) -> Option<HeapProfile> {
         self.plan.take_profile()
@@ -359,11 +358,12 @@ fn an_open_window_serves_allocations_and_a_closed_one_none() {
         for recorded in [false, true] {
             for door_only in [false, true] {
                 let entries = Rc::new(Cell::new(0));
-                let plan = build_collector(kind, &config);
-                let mut vm = Vm::new(Box::new(CountingDoor {
+                let (plan, mem) = build_collector(kind, &config);
+                let door = CountingDoor {
                     plan,
                     entries: Rc::clone(&entries),
-                }));
+                };
+                let mut vm = Vm::new(Box::new(door), mem);
                 if recorded {
                     vm.set_recorder(Box::new(RingRecorder::with_capacity(1 << 12)));
                 }

@@ -20,6 +20,7 @@ use std::fmt::Write as _;
 use tilgc_core::{
     build_vm, CollectorKind, GcConfig, GenerationalPlan, MarkerPolicy, SemispacePlan,
 };
+use tilgc_mem::Memory;
 use tilgc_programs::Benchmark;
 use tilgc_runtime::{Collector, GcStats, MutatorState, Vm, WriteBarrier};
 
@@ -156,28 +157,31 @@ fn stats_line(bench: Benchmark, kind: CollectorKind, checksum: u64, g: &GcStats)
 /// otherwise).
 fn build_vm_via_plans(kind: CollectorKind, config: &GcConfig) -> Vm {
     let mut config = config.clone();
-    let collector: Box<dyn Collector> = match kind {
+    fn boxed<P: Collector + 'static>((plan, mem): (P, Memory)) -> (Box<dyn Collector>, Memory) {
+        (Box::new(plan), mem)
+    }
+    let (collector, mem) = match kind {
         CollectorKind::Semispace => {
             config.pretenure = None;
-            Box::new(SemispacePlan::new(&config))
+            boxed(SemispacePlan::new(&config))
         }
         CollectorKind::Generational => {
             config.marker_policy = MarkerPolicy::Disabled;
             config.pretenure = None;
-            Box::new(GenerationalPlan::new(&config))
+            boxed(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStack => {
             if !config.marker_policy.is_enabled() {
                 config.marker_policy = MarkerPolicy::PAPER;
             }
             config.pretenure = None;
-            Box::new(GenerationalPlan::new(&config))
+            boxed(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStackPretenure => {
             if !config.marker_policy.is_enabled() {
                 config.marker_policy = MarkerPolicy::PAPER;
             }
-            Box::new(GenerationalPlan::new(&config))
+            boxed(GenerationalPlan::new(&config))
         }
     };
     let mut m = MutatorState::new();
@@ -185,7 +189,7 @@ fn build_vm_via_plans(kind: CollectorKind, config: &GcConfig) -> Vm {
         CollectorKind::Semispace => WriteBarrier::None,
         _ => WriteBarrier::ssb(),
     };
-    Vm::with_mutator(m, collector)
+    Vm::with_mutator(m, collector, mem)
 }
 
 /// The plan-based constructors must be a drop-in for `build_collector`:
