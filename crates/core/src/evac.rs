@@ -343,69 +343,86 @@ impl<'a> Evacuator<'a> {
         u64::from(self.forward(Addr::new(word as u32)).raw())
     }
 
-    /// Forwards a pointer, copying the target on first contact.
+    /// Forwards a pointer, copying the target on first contact. Only the
+    /// test every pointer takes is inlined into the caller; the copy and
+    /// the large-object mark stay out of line, so a pointer that stays
+    /// put costs no call.
     ///
     /// # Panics
     ///
     /// Panics if to-space overflows — the heap budget is exhausted.
+    #[inline]
     pub fn forward(&mut self, addr: Addr) -> Addr {
         if addr.is_null() {
             return addr;
         }
         if self.from.contains(addr) {
-            let h = object::header(self.mem, addr);
-            if let Some(to) = h.forward_addr() {
-                return to;
+            return self.evacuate(addr);
+        }
+        if self.los.is_some() {
+            self.visit_large(addr);
+        }
+        addr
+    }
+
+    /// The from-space object at `addr`: its copy, made on first contact.
+    #[inline(never)]
+    fn evacuate(&mut self, addr: Addr) -> Addr {
+        let h = object::header(self.mem, addr);
+        if let Some(to) = h.forward_addr() {
+            return to;
+        }
+        let words = h.size_words();
+        let new_age = h.age().saturating_add(1);
+        let site = self.mem.site_of(addr);
+        let dest = match self.survivor.as_deref_mut() {
+            Some(survivor) if new_age < self.tenure_age && survivor.fits(words) => survivor,
+            _ => &mut *self.to,
+        };
+        let new = dest
+            .alloc(words)
+            .unwrap_or_else(|_| panic!("to-space overflow: heap budget exhausted"));
+        self.mem.copy_words(addr, new, words);
+        // Survivors age by one collection. The dirty bit lives in
+        // the side bitmap now and stays behind at the old address
+        // (bulk-cleared when the space is vacated); the site tag is
+        // the one piece of side metadata that moves with the object.
+        object::set_header(self.mem, new, h.with_age(new_age));
+        self.mem.set_site(new, site);
+        object::set_header(self.mem, addr, Header::forward(new));
+        let bytes = h.size_bytes();
+        self.stats.copied_bytes += bytes as u64;
+        self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
+        if self.lane.workers > 1 {
+            // Serial copy during a parallel collection (roots, store
+            // buffer, in-place scans, the degradation drain): the
+            // Cheney cursor is disabled (to-space has chunk-slack
+            // holes), so the copy must join the explicit gray queue
+            // the parallel drain feeds on. Attributed to worker 0
+            // so the per-worker totals still sum to `copied_bytes`.
+            self.outcome.worker_copied[0] += bytes as u64;
+            self.queue.push(new);
+        }
+        if self.profile.is_some() || self.telem.is_some() {
+            let from_nursery = self.nursery.is_some_and(|n| n.contains(addr));
+            if let Some(p) = self.profile.as_deref_mut() {
+                p.on_copy(addr, new, bytes, from_nursery);
             }
-            let words = h.size_words();
-            let new_age = h.age().saturating_add(1);
-            let site = self.mem.site_of(addr);
-            let dest = match self.survivor.as_deref_mut() {
-                Some(survivor) if new_age < self.tenure_age && survivor.fits(words) => survivor,
-                _ => &mut *self.to,
-            };
-            let new = dest
-                .alloc(words)
-                .unwrap_or_else(|_| panic!("to-space overflow: heap budget exhausted"));
-            self.mem.copy_words(addr, new, words);
-            // Survivors age by one collection. The dirty bit lives in
-            // the side bitmap now and stays behind at the old address
-            // (bulk-cleared when the space is vacated); the site tag is
-            // the one piece of side metadata that moves with the object.
-            object::set_header(self.mem, new, h.with_age(new_age));
-            self.mem.set_site(new, site);
-            object::set_header(self.mem, addr, Header::forward(new));
-            let bytes = h.size_bytes();
-            self.stats.copied_bytes += bytes as u64;
-            self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
-            if self.lane.workers > 1 {
-                // Serial copy during a parallel collection (roots, store
-                // buffer, in-place scans, the degradation drain): the
-                // Cheney cursor is disabled (to-space has chunk-slack
-                // holes), so the copy must join the explicit gray queue
-                // the parallel drain feeds on. Attributed to worker 0
-                // so the per-worker totals still sum to `copied_bytes`.
-                self.outcome.worker_copied[0] += bytes as u64;
-                self.queue.push(new);
+            if let Some(t) = self.telem.as_deref_mut() {
+                t.note_copy(site.get(), bytes as u64, from_nursery);
             }
-            if self.profile.is_some() || self.telem.is_some() {
-                let from_nursery = self.nursery.is_some_and(|n| n.contains(addr));
-                if let Some(p) = self.profile.as_deref_mut() {
-                    p.on_copy(addr, new, bytes, from_nursery);
-                }
-                if let Some(t) = self.telem.as_deref_mut() {
-                    t.note_copy(site.get(), bytes as u64, from_nursery);
-                }
+        }
+        new
+    }
+
+    /// Marks and queues `addr` if it is a large object not yet reached.
+    #[inline(never)]
+    fn visit_large(&mut self, addr: Addr) {
+        if let Some(los) = self.los.as_deref() {
+            if los.contains(addr) && los.mark(self.mem, addr) {
+                self.stats.copy_cycles += self.cost.large_object_visit;
+                self.queue.push(addr);
             }
-            new
-        } else {
-            if let Some(los) = self.los.as_deref() {
-                if los.contains(addr) && los.mark(self.mem, addr) {
-                    self.stats.copy_cycles += self.cost.large_object_visit;
-                    self.queue.push(addr);
-                }
-            }
-            addr
         }
     }
 

@@ -65,7 +65,7 @@ pub use adaptive::{AdaptiveOutcome, AdaptivePretenure};
 pub use config::{GcConfig, MarkerPolicy, ParallelConfig, PretenurePolicy};
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
-pub use roots::{FrameScanInfo, RootLoc, ScanCache, ScanOutcome};
+pub use roots::{RootLoc, ScanCache, ScanOutcome};
 pub use scheduler::{WorkerFaultKind, WorkerFaultSpec};
 pub use semispace::SemispacePlan;
 pub use space::{CopySpace, PretenuredRegion};

@@ -10,9 +10,10 @@
 //! frame-boundary discovery pass is implicit in the simulation, but its
 //! cost is charged per decoded frame).
 //!
-//! With a [`ScanCache`], frames below the stack's
-//! [`reusable_prefix`](tilgc_runtime::Stack::reusable_prefix) are not
-//! re-decoded: their root-slot lists and the register state at the cache
+//! A stack root is named by its index in the stack's word array, as the
+//! real collector names it by address. With a [`ScanCache`], frames below
+//! the stack's [`reusable_prefix`](tilgc_runtime::Stack::reusable_prefix)
+//! are not re-decoded: their roots and the register state at the cache
 //! boundary are reused from the previous collection.
 //!
 //! Plans feed the result into the tracing driver: [`scan_stack`] yields
@@ -21,8 +22,6 @@
 //! immediate-promotion minor, whose cached frames contribute no roots at
 //! all — the §5 payoff), and the driver's `forward_roots` loop (`evac`
 //! module) processes the combined list.
-
-use std::sync::Arc;
 
 use tilgc_runtime::trace::{RegEffect, Trace, TypeLoc, NUM_REGS};
 use tilgc_runtime::{type_word_is_pointer, GcStats, MutatorState, ShadowTag};
@@ -56,40 +55,72 @@ impl RegState {
     }
 }
 
-/// The cached decode of one frame.
-#[derive(Clone, Debug)]
-pub struct FrameScanInfo {
-    /// Slot indices that hold pointers (resolved through callee-save and
-    /// compute traces). Shared: frames whose traces are fully static
-    /// reference the list precompiled into the trace table rather than a
-    /// per-scan copy.
-    pub ptr_slots: Arc<[u16]>,
-    /// Register pointerness after this frame's effects.
-    pub reg_state_after: RegState,
-}
-
 /// Scan results cached across collections — the data structure at the
 /// heart of generational stack collection.
+///
+/// Flat: the cached frames' roots as stack-word indices in one list, and
+/// per frame where its run ends. The indices stay valid because a frame
+/// below the reusable prefix was never popped since it was decoded, and
+/// neither was any frame under it, so its base is where it was.
 #[derive(Clone, Debug, Default)]
 pub struct ScanCache {
-    /// Per-frame cached decodes; index = frame depth.
-    pub frames: Vec<FrameScanInfo>,
+    /// Every cached frame's roots, oldest frame first.
+    roots: Vec<u32>,
+    /// Per cached frame (index = depth): the end of its run in `roots`,
+    /// and the register pointerness after its effects.
+    frames: Vec<(usize, RegState)>,
+}
+
+impl ScanCache {
+    /// Where the roots of cached frames `0 .. frames` end in `roots`.
+    fn run_end(&self, frames: usize) -> usize {
+        self.frames[..frames].last().map_or(0, |&(end, _)| end)
+    }
+
+    /// Keeps the cached frames `0 .. frames`.
+    fn truncate(&mut self, frames: usize) {
+        self.roots.truncate(self.run_end(frames));
+        self.frames.truncate(frames);
+    }
 }
 
 /// The location of one root (a pointer the collector must relocate).
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum RootLoc {
-    /// Slot `slot` of the frame at `depth`.
-    Slot {
-        /// Frame depth (0 = oldest).
-        depth: u32,
-        /// Slot index within the frame.
-        slot: u16,
-    },
+    /// Word `i` of the stack's word array.
+    StackWord(u32),
     /// A general-purpose register.
     Reg(u8),
     /// Entry `i` of the allocation staging buffer.
     AllocBuf(u16),
+}
+
+impl RootLoc {
+    /// The root in slot `slot` of the frame at `depth`, whose slot 0 is
+    /// stack word `base`: the one place a root's word index is computed,
+    /// which panics if the index does not fit a `u32`.
+    #[inline]
+    fn stack_slot(base: usize, depth: usize, slot: usize) -> RootLoc {
+        // Out of line, so the scan's loops keep no panic arguments alive.
+        #[cold]
+        #[inline(never)]
+        fn refuse(depth: usize, slot: usize, index: usize) -> ! {
+            panic!("slot {slot} of frame {depth} is stack word {index}, past a 32-bit root index")
+        }
+        let index = base + slot;
+        match u32::try_from(index) {
+            Ok(i) => RootLoc::StackWord(i),
+            Err(_) => refuse(depth, slot, index),
+        }
+    }
+
+    /// The stack-word index, if this is a stack root.
+    fn stack_word(&self) -> Option<u32> {
+        match *self {
+            RootLoc::StackWord(i) => Some(i),
+            RootLoc::Reg(_) | RootLoc::AllocBuf(_) => None,
+        }
+    }
 }
 
 /// What a scan produced.
@@ -116,35 +147,32 @@ pub struct ScanOutcome {
 }
 
 /// Reads the word a root location currently holds.
+#[inline]
 pub fn read_root(m: &MutatorState, loc: RootLoc) -> u64 {
     match loc {
-        RootLoc::Slot { depth, slot } => m.stack.frame(depth as usize).word(slot as usize),
+        RootLoc::StackWord(i) => m.stack.word(i as usize),
         RootLoc::Reg(r) => m.regs.word(tilgc_runtime::Reg::new(r)),
         RootLoc::AllocBuf(i) => m.alloc_buf[i as usize],
     }
 }
 
 /// Writes a (relocated) word back into a root location.
+#[inline]
 pub fn write_root(m: &mut MutatorState, loc: RootLoc, word: u64) {
     match loc {
-        RootLoc::Slot { depth, slot } => {
-            m.stack
-                .frame_mut(depth as usize)
-                .set_word_raw(slot as usize, word);
-        }
+        RootLoc::StackWord(i) => m.stack.set_word_raw(i as usize, word),
         RootLoc::Reg(r) => m.regs.set_word_raw(tilgc_runtime::Reg::new(r), word),
         RootLoc::AllocBuf(i) => m.alloc_buf[i as usize] = word,
     }
 }
 
-/// Expands the reused (cached) frames' pointer slots into root
-/// locations, appending to `roots`.
+/// Expands the reused (cached) frames' roots, appending to `roots`.
 ///
 /// The scan cache saves the frame *decode* cost, not root processing:
 /// a plan whose collection moves objects the cached frames may reference
 /// — the semispace plan always, the generational plans at major
 /// collections and (under a §7.2 tenure threshold) at minor ones —
-/// feeds the cached slots back through the tracing driver with this
+/// feeds the cached roots back through the tracing driver with this
 /// helper after [`scan_stack`]. The immediate-promotion minor collection
 /// is the one case that skips it: everything a cached frame references
 /// is already tenured, so cached frames contribute no roots at all (§5).
@@ -153,21 +181,16 @@ pub fn append_cached_roots(
     reused_frames: usize,
     roots: &mut Vec<RootLoc>,
 ) {
-    if let Some(cache) = cache {
-        for (d, info) in cache.frames.iter().enumerate().take(reused_frames) {
-            for &slot in info.ptr_slots.iter() {
-                roots.push(RootLoc::Slot {
-                    depth: d as u32,
-                    slot,
-                });
-            }
-        }
+    if let Some(c) = cache {
+        let cached = &c.roots[..c.run_end(reused_frames)];
+        roots.extend(cached.iter().map(|&i| RootLoc::StackWord(i)));
     }
 }
 
 /// Scans the mutator state for roots.
 ///
-/// * With `cache = None` this is the plain §2.3 full scan.
+/// * With `cache = None` this is the plain §2.3 full scan: it produces
+///   the roots and charges the cycles, and keeps nothing.
 /// * With a cache, frames under the stack's reusable prefix are skipped
 ///   (their decodes are reused) and markers are re-placed per `policy`
 ///   after the scan — §5's generational stack collection.
@@ -188,39 +211,26 @@ pub fn scan_stack(
     scan_stack_impl(m, cache, policy, stats, true)
 }
 
-/// [`scan_stack`] with the bitmap fast path disabled: every frame takes
-/// the per-slot `Trace` decode, as before precompilation. The oracle of
-/// `bitmap_path_matches_reference_scan`; results and charged costs are
-/// identical by construction.
-#[cfg(test)]
-fn scan_stack_reference(
-    m: &mut MutatorState,
-    cache: Option<&mut ScanCache>,
-    policy: MarkerPolicy,
-    stats: &mut GcStats,
-) -> ScanOutcome {
-    scan_stack_impl(m, cache, policy, stats, false)
-}
-
 fn scan_stack_impl(
     m: &mut MutatorState,
-    cache: Option<&mut ScanCache>,
+    mut cache: Option<&mut ScanCache>,
     policy: MarkerPolicy,
     stats: &mut GcStats,
     use_bitmaps: bool,
 ) -> ScanOutcome {
     let cost = m.cost;
     let depth = m.stack.depth();
-    let reusable = match cache.as_deref() {
-        Some(c) => m.stack.reusable_prefix().min(c.frames.len()),
-        None => 0,
+    // The cache keeps the reusable prefix; the frames above it are
+    // decoded again and appended.
+    let (reusable, mut reg_state) = match cache.as_deref_mut() {
+        Some(c) => {
+            let r = m.stack.reusable_prefix().min(c.frames.len());
+            c.truncate(r);
+            (r, c.frames.last().map_or(RegState::EMPTY, |&(_, s)| s))
+        }
+        None => (0, RegState::EMPTY),
     };
     let mut cycles = cost.frame_reuse * reusable as u64;
-
-    let mut reg_state = match (reusable, cache.as_deref()) {
-        (0, _) | (_, None) => RegState::EMPTY,
-        (r, Some(c)) => c.frames[r - 1].reg_state_after,
-    };
 
     let mut outcome = ScanOutcome {
         reused_frames: reusable,
@@ -229,86 +239,74 @@ fn scan_stack_impl(
         oracle_prefix: m.stack.true_unchanged_prefix(),
         ..Default::default()
     };
-    let mut new_infos: Vec<FrameScanInfo> = Vec::with_capacity(depth - reusable);
+    // The decode's charges are counted here and priced after the loop:
+    // `frame_decode` per frame, `slot_trace` per slot and
+    // `compute_trace_extra` per `Compute` slot, whichever path decodes.
     let mut slots_seen: u64 = 0;
+    let mut computed: u64 = 0;
 
     for d in reusable..depth {
         let frame = m.stack.frame(d);
-        let desc_id = frame.desc();
-        let desc = m.traces.desc(desc_id);
-        cycles += cost.frame_decode;
-        slots_seen += desc.num_slots() as u64;
+        let base = m.stack.frame_base(d);
+        let desc = m.traces.desc(frame.desc());
+        let compiled = m.traces.compiled(frame.desc());
+        slots_seen += compiled.num_slots() as u64;
 
         // Bitmap fast path: fully static frames were compiled into packed
         // pointer bitmasks at registration, so the scan walks set bits
-        // instead of matching a `Trace` per slot — and reuses the
-        // precompiled slot list instead of rebuilding it. Shadow checking
-        // wants the per-slot decode, so it keeps the reference path. The
-        // charge is `slot_trace` per slot either way (static frames have
-        // no `Compute` slots, the only per-slot surcharge).
-        let compiled = m.traces.compiled(desc_id);
+        // instead of matching a `Trace` per slot. Shadow checking wants
+        // the per-slot decode, so it keeps the reference path.
         if use_bitmaps && compiled.is_static() && !m.check_shadows {
-            cycles += cost.slot_trace * compiled.num_slots() as u64;
             for (w, &word) in compiled.ptr_bitmap().iter().enumerate() {
                 let mut bits = word;
                 while bits != 0 {
-                    let slot = (w * 64 + bits.trailing_zeros() as usize) as u16;
+                    let slot = w * 64 + bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    outcome.new_roots.push(RootLoc::Slot {
-                        depth: d as u32,
-                        slot,
-                    });
+                    outcome.new_roots.push(RootLoc::stack_slot(base, d, slot));
                 }
             }
-            reg_state = reg_state.apply(desc.reg_effects());
-            new_infos.push(FrameScanInfo {
-                ptr_slots: compiled.ptr_slots(),
-                reg_state_after: reg_state,
-            });
-            continue;
-        }
-
-        let mut ptr_slots: Vec<u16> = Vec::new();
-        for (i, &trace) in desc.slot_traces().iter().enumerate() {
-            cycles += cost.slot_trace;
-            let is_ptr = match trace {
-                Trace::Pointer => true,
-                Trace::NonPointer => false,
-                Trace::CalleeSave(r) => reg_state.is_pointer(r.index()),
-                Trace::Compute(loc) => {
-                    cycles += cost.compute_trace_extra;
-                    let type_word = match loc {
-                        TypeLoc::Slot(s) => frame.word(s as usize),
-                        TypeLoc::Reg(r) => m.regs.word(r),
-                    };
-                    type_word_is_pointer(type_word)
+        } else {
+            for (i, &trace) in desc.slot_traces().iter().enumerate() {
+                let is_ptr = match trace {
+                    Trace::Pointer => true,
+                    Trace::NonPointer => false,
+                    Trace::CalleeSave(r) => reg_state.is_pointer(r.index()),
+                    Trace::Compute(loc) => {
+                        computed += 1;
+                        let type_word = match loc {
+                            TypeLoc::Slot(s) => frame.word(s as usize),
+                            TypeLoc::Reg(r) => m.regs.word(r),
+                        };
+                        type_word_is_pointer(type_word)
+                    }
+                };
+                if m.check_shadows {
+                    let shadow_ptr = frame.shadow(i) == ShadowTag::Ptr;
+                    assert_eq!(
+                        is_ptr,
+                        shadow_ptr,
+                        "trace decode disagrees with shadow for slot {i} (trace {trace:?}) of \
+                         frame {d} ({})",
+                        desc.name()
+                    );
                 }
-            };
-            if m.check_shadows {
-                let shadow_ptr = frame.shadow(i) == ShadowTag::Ptr;
-                assert_eq!(
-                    is_ptr,
-                    shadow_ptr,
-                    "trace decode disagrees with shadow for slot {i} (trace {trace:?}) of \
-                     frame {d} ({})",
-                    desc.name()
-                );
-            }
-            if is_ptr {
-                ptr_slots.push(i as u16);
-                outcome.new_roots.push(RootLoc::Slot {
-                    depth: d as u32,
-                    slot: i as u16,
-                });
+                if is_ptr {
+                    outcome.new_roots.push(RootLoc::stack_slot(base, d, i));
+                }
             }
         }
         reg_state = reg_state.apply(desc.reg_effects());
-        new_infos.push(FrameScanInfo {
-            ptr_slots: ptr_slots.into(),
-            reg_state_after: reg_state,
-        });
+        if let Some(c) = cache.as_deref_mut() {
+            // `c.roots` holds the reused prefix's roots until the fresh
+            // ones join it below.
+            c.frames
+                .push((c.roots.len() + outcome.new_roots.len(), reg_state));
+        }
     }
     outcome.scanned_frames = depth - reusable;
+    cycles += cost.frame_decode * outcome.scanned_frames as u64
+        + cost.slot_trace * slots_seen
+        + cost.compute_trace_extra * computed;
 
     // Registers live across the collection point.
     for r in 0..NUM_REGS {
@@ -335,8 +333,8 @@ fn scan_stack_impl(
     }
 
     if let Some(c) = cache {
-        c.frames.truncate(reusable);
-        c.frames.extend(new_infos);
+        c.roots
+            .extend(outcome.new_roots.iter().filter_map(RootLoc::stack_word));
         let placed = m.stack.place_markers_at(policy.placements(depth));
         cycles += cost.marker_place * placed as u64;
         stats.markers_placed += placed as u64;
@@ -373,17 +371,33 @@ mod tests {
         m
     }
 
+    /// [`scan_stack`] with the bitmap fast path disabled: every frame
+    /// takes the per-slot `Trace` decode, as before precompilation. The
+    /// oracle of `bitmap_path_matches_reference_scan`; results and charged
+    /// costs are identical by construction.
+    fn scan_stack_reference(
+        m: &mut MutatorState,
+        cache: Option<&mut ScanCache>,
+        policy: MarkerPolicy,
+        stats: &mut GcStats,
+    ) -> ScanOutcome {
+        scan_stack_impl(m, cache, policy, stats, false)
+    }
+
+    /// The stack roots among `roots`, as sorted word indices.
+    fn stack_words(roots: &[RootLoc]) -> Vec<u32> {
+        let mut words: Vec<u32> = roots.iter().filter_map(RootLoc::stack_word).collect();
+        words.sort_unstable();
+        words
+    }
+
     #[test]
     fn full_scan_finds_every_pointer_slot() {
         let mut m = mutator(10);
         let mut stats = GcStats::default();
         let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        let slot_roots = out
-            .new_roots
-            .iter()
-            .filter(|r| matches!(r, RootLoc::Slot { .. }))
-            .count();
-        assert_eq!(slot_roots, 10);
+        let slot_roots = stack_words(&out.new_roots);
+        assert_eq!(slot_roots, (0..10).map(|d| 2 * d).collect::<Vec<u32>>());
         assert_eq!(out.scanned_frames, 10);
         assert_eq!(out.reused_frames, 0);
         assert!(stats.stack_cycles > 0);
@@ -414,6 +428,7 @@ mod tests {
         assert_eq!(out2.reused_frames, 99);
         assert_eq!(out2.scanned_frames, 1);
         assert_eq!(cache.frames.len(), 100);
+        assert_eq!(cache.roots.len(), 100);
     }
 
     #[test]
@@ -444,6 +459,7 @@ mod tests {
         assert_eq!(out.reused_frames, 49, "intact marker at 49 bounds reuse");
         assert_eq!(out.scanned_frames, 80 - 49);
         assert_eq!(cache.frames.len(), 80);
+        assert_eq!(cache.roots.len(), 80);
     }
 
     #[test]
@@ -464,7 +480,8 @@ mod tests {
 
         let mut stats = GcStats::default();
         let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert!(out.new_roots.contains(&RootLoc::Slot { depth: 1, slot: 0 }));
+        let spill = RootLoc::stack_slot(m.stack.frame_base(1), 1, 0);
+        assert!(out.new_roots.contains(&spill));
         // $5 is still pointer-valued at the top, so it is a register root.
         assert!(out.new_roots.contains(&RootLoc::Reg(5)));
     }
@@ -501,19 +518,13 @@ mod tests {
         m.stack.top_mut().set(1, Value::Ptr(Addr::new(640)));
         let mut stats = GcStats::default();
         let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert!(out.new_roots.contains(&RootLoc::Slot { depth: 0, slot: 1 }));
+        assert!(out.new_roots.contains(&RootLoc::stack_slot(0, 0, 1)));
 
         // Flip the type to unboxed: same slot, now not a root.
         m.stack.top_mut().set(0, Value::Int(TYPE_UNBOXED));
         m.stack.top_mut().set(1, Value::Int(640));
         let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert_eq!(
-            out.new_roots
-                .iter()
-                .filter(|r| matches!(r, RootLoc::Slot { .. }))
-                .count(),
-            0
-        );
+        assert!(stack_words(&out.new_roots).is_empty());
     }
 
     #[test]
@@ -547,8 +558,8 @@ mod tests {
     }
 
     /// The bitmap fast path must be observably identical to the per-slot
-    /// reference decode: same roots in the same order, same cached
-    /// decodes, same charged costs.
+    /// reference decode: same roots in the same order, same cache, same
+    /// charged costs.
     #[test]
     fn bitmap_path_matches_reference_scan() {
         let build = || {
@@ -606,20 +617,151 @@ mod tests {
         assert_eq!(out_fast.scanned_frames, out_ref.scanned_frames);
         assert_eq!(out_fast.reused_frames, out_ref.reused_frames);
         assert_eq!(stats_fast, stats_ref);
-        assert_eq!(cache_fast.frames.len(), cache_ref.frames.len());
-        for (f, r) in cache_fast.frames.iter().zip(cache_ref.frames.iter()) {
-            assert_eq!(&*f.ptr_slots, &*r.ptr_slots);
-            assert_eq!(f.reg_state_after, r.reg_state_after);
+        assert_eq!(cache_fast.roots, cache_ref.roots);
+        assert_eq!(cache_fast.frames, cache_ref.frames);
+    }
+
+    /// The workspace's deterministic xorshift64* generator.
+    fn xorshift(state: &mut u64) -> u64 {
+        let mut x = *state;
+        x ^= x << 13;
+        x ^= x >> 7;
+        x ^= x << 17;
+        *state = x;
+        x.wrapping_mul(0x2545_f491_4f6c_dd1d)
+    }
+
+    /// Random pushes, pops and raise unwinds over static and dynamic
+    /// frames, with a cached scan after every burst: its fresh roots plus
+    /// the expanded cached prefix are exactly the stack words a cache-less
+    /// scan of the same stack names, and the register state at the cache
+    /// boundary is the one a full decode computes there.
+    #[test]
+    fn cached_scans_name_the_roots_of_a_full_scan() {
+        for every in [1, 3, 25] {
+            let mut reused = 0;
+            for seed in 1..=6u64 {
+                let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let mut m = MutatorState::new();
+                m.check_shadows = false; // the bitmap path, as in release builds
+                let descs = [
+                    m.traces.register(
+                        FrameDesc::new("static")
+                            .slot(Trace::Pointer)
+                            .slot(Trace::NonPointer)
+                            .slot(Trace::Pointer)
+                            .def_pointer(Reg::new(7)),
+                    ),
+                    m.traces.register(FrameDesc::new("leaf")),
+                    m.traces.register(
+                        FrameDesc::new("wide")
+                            .slots(70, Trace::NonPointer)
+                            .slot(Trace::Pointer)
+                            .def_non_pointer(Reg::new(7)),
+                    ),
+                    m.traces.register(
+                        FrameDesc::new("callee-save")
+                            .slot(Trace::CalleeSave(Reg::new(7)))
+                            .slot(Trace::Pointer),
+                    ),
+                    m.traces.register(
+                        FrameDesc::new("compute")
+                            .slot(Trace::NonPointer)
+                            .slot(Trace::Compute(TypeLoc::Slot(0)))
+                            .def_pointer(Reg::new(9)),
+                    ),
+                ];
+                let mut cache = ScanCache::default();
+                let policy = MarkerPolicy::EveryN(every);
+                for round in 0..40 {
+                    // The first burst only pushes: a stack deep enough for
+                    // markers 25 apart.
+                    let ops = if round == 0 {
+                        60
+                    } else {
+                        xorshift(&mut rng) % 24
+                    };
+                    for _ in 0..ops {
+                        let depth = m.stack.depth();
+                        let op = if round == 0 {
+                            0
+                        } else {
+                            xorshift(&mut rng) % 8
+                        };
+                        match op {
+                            0..=3 => {
+                                let d = descs[(xorshift(&mut rng) % 5) as usize];
+                                let n = m.traces.desc(d).num_slots();
+                                m.stack.push(d, n);
+                                for i in 0..n {
+                                    let word = xorshift(&mut rng);
+                                    m.stack.top_mut().set_word_raw(i, word);
+                                }
+                            }
+                            4 | 5 if depth > 0 => {
+                                m.stack.pop();
+                            }
+                            6 if depth > 0 => {
+                                let frames = xorshift(&mut rng) as usize % depth.min(10);
+                                m.stack.unwind_for_raise(depth - 1 - frames);
+                            }
+                            // The active frame retypes its polymorphic value.
+                            7 if depth > 0 && m.stack.top().num_slots() > 0 => {
+                                let word = xorshift(&mut rng);
+                                m.stack.top_mut().set_word_raw(0, word);
+                            }
+                            _ => {}
+                        }
+                    }
+
+                    let full = scan_stack(&mut m, None, policy, &mut GcStats::default());
+                    // A scan with a cache re-places markers, so the full
+                    // decode into a fresh cache runs on a copy of the stack.
+                    let live = m.stack.clone();
+                    let mut fresh = ScanCache::default();
+                    scan_stack(&mut m, Some(&mut fresh), policy, &mut GcStats::default());
+                    m.stack = live;
+
+                    let out = scan_stack(&mut m, Some(&mut cache), policy, &mut GcStats::default());
+                    let mut roots = out.new_roots;
+                    append_cached_roots(Some(&cache), out.reused_frames, &mut roots);
+                    let at = format!("every {every}, seed {seed}, round {round}");
+                    assert_eq!(stack_words(&roots), stack_words(&full.new_roots), "{at}");
+                    let boundary = |c: &ScanCache| c.frames[..out.reused_frames].last().copied();
+                    assert_eq!(
+                        boundary(&cache).map(|(_, s)| s),
+                        boundary(&fresh).map(|(_, s)| s),
+                        "{at}"
+                    );
+                    assert_eq!(cache.roots, fresh.roots, "{at}");
+                    assert_eq!(cache.frames, fresh.frames, "{at}");
+                    reused += out.reused_frames;
+                }
+            }
+            assert!(reused > 0, "every {every}: no scan reused a frame");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "slot 3 of frame 7 is stack word 4294967296")]
+    fn a_root_index_past_u32_is_refused() {
+        let last = u32::MAX as usize;
+        assert_eq!(
+            RootLoc::stack_slot(last - 3, 7, 3),
+            RootLoc::StackWord(u32::MAX)
+        );
+        RootLoc::stack_slot(last - 2, 7, 3);
     }
 
     #[test]
     fn root_read_write_round_trip() {
         let mut m = mutator(3);
-        let loc = RootLoc::Slot { depth: 1, slot: 0 };
+        let loc = RootLoc::stack_slot(m.stack.frame_base(1), 1, 0);
         assert_eq!(read_root(&m, loc), 101);
         write_root(&mut m, loc, 4242);
         assert_eq!(read_root(&m, loc), 4242);
+        assert_eq!(m.stack.frame(1).word(0), 4242);
+        assert_eq!(m.stack.frame(1).word(1), 7, "the neighbour is untouched");
 
         m.regs.set(Reg::new(3), Value::Ptr(Addr::new(9)));
         let loc = RootLoc::Reg(3);

@@ -265,6 +265,41 @@ impl Stack {
         self.frames[depth].base..next.map_or(self.words.len(), |f| f.base)
     }
 
+    /// Index of frame `depth`'s slot 0 in the word array: slot `i` of the
+    /// frame is word `frame_base(depth) + i`. A frame's base changes only
+    /// when the frame itself is popped, so the stack scan names roots by
+    /// word index, and a frame that was never popped keeps them.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` is out of range.
+    #[inline]
+    pub fn frame_base(&self, depth: usize) -> usize {
+        self.frames[depth].base
+    }
+
+    /// The raw word at index `i` of the word array (see
+    /// [`frame_base`](Self::frame_base)).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is past the top frame's last slot.
+    #[inline]
+    pub fn word(&self, i: usize) -> u64 {
+        self.words[i]
+    }
+
+    /// Overwrites the raw word at index `i` of the word array without
+    /// touching its shadow tag (collector relocation of a root).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is past the top frame's last slot.
+    #[inline]
+    pub fn set_word_raw(&mut self, i: usize, word: u64) {
+        self.words[i] = word;
+    }
+
     /// The frame at `depth` (0 = oldest).
     ///
     /// # Panics
@@ -425,6 +460,21 @@ mod tests {
         assert!(!s.pop(), "no marker to fire");
         assert_eq!(s.depth(), 2);
         assert_eq!(s.stats().max_depth, 3);
+    }
+
+    #[test]
+    fn a_slot_is_its_frame_base_plus_its_index() {
+        let mut s = stack_of(3);
+        s.frame_mut(1).set(1, Value::Int(5));
+        assert_eq!(s.frame_base(1), 2);
+        assert_eq!(s.word(s.frame_base(1) + 1), 5);
+        s.set_word_raw(s.frame_base(2), 8);
+        assert_eq!(s.top().word(0), 8);
+        assert_eq!(
+            s.top().shadow(0),
+            ShadowTag::NonPtr,
+            "raw writes keep the tag"
+        );
     }
 
     #[test]

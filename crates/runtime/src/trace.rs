@@ -16,7 +16,6 @@
 //!   runtime type from another location and decide dynamically.
 
 use std::fmt;
-use std::sync::Arc;
 
 use crate::value::Value;
 
@@ -264,19 +263,17 @@ impl FrameDesc {
 /// Most frames are *static*: every slot is [`Trace::Pointer`] or
 /// [`Trace::NonPointer`], so which slots are roots is known the moment the
 /// descriptor is registered. For those frames the scan walks the set bits
-/// of the packed pointer bitmap (and shares the slot-index list with the
-/// scan cache) instead of matching a `Trace` per slot. Frames with
-/// [`Trace::CalleeSave`] or [`Trace::Compute`] slots depend on runtime
-/// state and keep the two-pass decode; their declared pointer slots are
-/// only part of the answer.
+/// of the packed pointer bitmap instead of matching a `Trace` per slot.
+/// Frames with [`Trace::CalleeSave`] or [`Trace::Compute`] slots depend on
+/// runtime state and keep the two-pass decode; their declared pointer
+/// slots are only part of the answer.
 #[derive(Clone, Debug)]
 pub struct CompiledTrace {
     /// Bit `i` set means slot `i` is declared [`Trace::Pointer`].
     ptr_bitmap: Vec<u64>,
-    /// The same information as `ptr_bitmap`, as a shared index list —
-    /// cloned (not recomputed) into every scan-cache entry, and walked by
+    /// The same information as `ptr_bitmap`, as an index list: walked by
     /// frame push to null the pointer slots.
-    ptr_slots: Arc<[u16]>,
+    ptr_slots: Vec<u16>,
     /// `(slot, reg)` for every [`Trace::CalleeSave`] slot: spilled by
     /// frame push, restored by frame pop.
     callee_saves: Vec<(usize, Reg)>,
@@ -301,7 +298,7 @@ impl CompiledTrace {
         }
         CompiledTrace {
             ptr_bitmap,
-            ptr_slots: ptr_slots.into(),
+            ptr_slots,
             callee_saves,
             num_slots: desc.slots.len(),
             is_static: desc
@@ -329,12 +326,6 @@ impl CompiledTrace {
     #[inline]
     pub fn ptr_bitmap(&self) -> &[u64] {
         &self.ptr_bitmap
-    }
-
-    /// The declared pointer-slot list, shared (not copied) per clone.
-    #[inline]
-    pub fn ptr_slots(&self) -> Arc<[u16]> {
-        Arc::clone(&self.ptr_slots)
     }
 
     /// What frame push and pop need: the declared pointer slots and the
@@ -497,7 +488,7 @@ mod tests {
         assert_eq!(c.ptr_bitmap().len(), 2);
         assert_eq!(c.ptr_bitmap()[0], 1);
         assert_eq!(c.ptr_bitmap()[1], 1 << (71 - 64));
-        assert_eq!(&*c.ptr_slots(), &[0u16, 71]);
+        assert_eq!(c.frame_layout().0, [0u16, 71]);
     }
 
     #[test]
@@ -520,7 +511,7 @@ mod tests {
                 .slot(Trace::Pointer),
         );
         assert!(!t.compiled(mixed).is_static());
-        assert_eq!(&*t.compiled(mixed).ptr_slots(), &[1u16]);
+        assert_eq!(t.compiled(mixed).frame_layout().0, [1u16]);
         assert_eq!(t.compiled(mixed).ptr_bitmap(), &[0b10]);
     }
 
@@ -531,7 +522,7 @@ mod tests {
         assert!(t.compiled(id).is_static());
         assert_eq!(t.compiled(id).num_slots(), 0);
         assert!(t.compiled(id).ptr_bitmap().is_empty());
-        assert!(t.compiled(id).ptr_slots().is_empty());
+        assert!(t.compiled(id).frame_layout().0.is_empty());
     }
 
     #[test]
