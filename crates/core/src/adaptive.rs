@@ -17,9 +17,7 @@
 //! at most once per cooldown window.
 //!
 //! Everything is integer arithmetic on deterministic inputs: the same
-//! telemetry stream always yields the same promote/demote sequence, on
-//! one worker or many (worker deltas merge in worker-index order before
-//! the estimator ever sees them).
+//! telemetry stream always yields the same promote/demote sequence.
 //!
 //! Survival evidence is asymmetric, mirroring where the signal lives:
 //!

@@ -6,9 +6,6 @@
 //! [`build_collector`](crate::build_collector) convenience wrapper,
 //! which adjusts the marker/pretenure fields per
 //! [`CollectorKind`](crate::CollectorKind) before delegating to them.
-//! The parallel-lane knobs travel as one [`ParallelConfig`] value from
-//! the configuration through the plan to the
-//! [`Evacuator`](crate::Evacuator).
 
 use std::collections::BTreeSet;
 
@@ -170,59 +167,6 @@ impl FromIterator<SiteId> for PretenurePolicy {
     }
 }
 
-/// The parallel-lane knobs, grouped so a plan stores them and hands them
-/// to the tracing driver (the `evac` module) as one value. The default is
-/// the serial lane with nothing injected.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct ParallelConfig {
-    /// Number of parallel collection workers. 1 (the default) selects
-    /// the deterministic serial lane — the oracle every golden is pinned
-    /// to. Higher values fan tracing work out over a work-packet
-    /// scheduler with per-worker copy allocators; collections that lack
-    /// the to-space headroom the worker chunks need fall back to the
-    /// serial lane (see `scheduler` module docs).
-    pub workers: usize,
-    /// Testing knob: permute work-packet execution order (and alternate
-    /// which end of the shared queue workers drain) to flush hidden
-    /// ordering assumptions. Used by the torture harness's
-    /// packet-reorder injection; a correct scheduler produces identical
-    /// reachable heaps regardless.
-    pub packet_reorder: bool,
-    /// Fault-injection knob: a deterministic single-shot worker fault
-    /// (panic, stall, or packet drop) fired at a `(worker, packet)`
-    /// coordinate of the parallel lanes. The collection must either
-    /// complete via requeue or degrade to the serial path with the
-    /// oracle's exact answer. `None` (the default) injects nothing.
-    pub worker_fault: Option<crate::scheduler::WorkerFaultSpec>,
-    /// Hung-worker watchdog: wall-clock milliseconds a worker may hold
-    /// an in-flight packet before the coordinator marks it lost and
-    /// requeues its work. `None` (the default) disables the watchdog,
-    /// except that an armed stall fault forces it on with a default
-    /// deadline. The deadline must comfortably exceed the worst-case
-    /// per-packet time — a spurious firing keeps the heap correct
-    /// (forwarding is idempotent) but can double-charge simulated
-    /// cycles.
-    pub watchdog_ms: Option<u64>,
-    /// Per-worker simulated-cycle ceiling on one collection's parallel
-    /// drain (the watchdog's deterministic half): a worker that exceeds
-    /// it retires as lost and the rest of the drain degrades to the
-    /// serial path. `None`
-    /// (the default) is unlimited.
-    pub worker_cycle_budget: Option<u64>,
-}
-
-impl Default for ParallelConfig {
-    fn default() -> ParallelConfig {
-        ParallelConfig {
-            workers: 1,
-            packet_reorder: false,
-            worker_fault: None,
-            watchdog_ms: None,
-            worker_cycle_budget: None,
-        }
-    }
-}
-
 /// Configuration shared by the collectors.
 ///
 /// Defaults follow §2.1: 512 KB nursery (the secondary cache size, per
@@ -268,19 +212,25 @@ pub struct GcConfig {
     /// the header's counter bits). 0 — the paper's configuration —
     /// promotes every nursery survivor immediately.
     pub tenure_threshold: u8,
-    /// The parallel-lane knobs (worker count, packet reorder, injected
-    /// worker fault, watchdog deadline, per-worker cycle budget).
-    pub parallel: ParallelConfig,
 }
 
-/// Reads of the grouped knobs go through: `config.workers` is
-/// `config.parallel.workers`. The frozen `benchmark/` package reads that
-/// field by its pre-grouping path and cannot be edited in the same change.
-impl std::ops::Deref for GcConfig {
-    type Target = ParallelConfig;
+// Inert: `benchmark/src/measure.rs:240` and
+// `benchmark/tests/generators.rs:242` read `config.workers`, which is
+// always 1 — collection is serial. ROADMAP item 1 deletes both reads and
+// this shim.
+#[doc(hidden)]
+pub struct SerialLane {
+    pub workers: usize,
+}
 
-    fn deref(&self) -> &ParallelConfig {
-        &self.parallel
+const SERIAL_LANE: SerialLane = SerialLane { workers: 1 };
+
+#[doc(hidden)]
+impl std::ops::Deref for GcConfig {
+    type Target = SerialLane;
+
+    fn deref(&self) -> &SerialLane {
+        &SERIAL_LANE
     }
 }
 
@@ -295,7 +245,6 @@ impl Default for GcConfig {
             pretenure: None,
             adaptive: false,
             tenure_threshold: 0,
-            parallel: ParallelConfig::default(),
         }
     }
 }
@@ -376,44 +325,13 @@ impl GcConfig {
         self
     }
 
-    /// Sets the parallel worker count (1 = the deterministic serial
-    /// lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `n` is 0 — there is always at least the serial lane.
+    // Inert: `benchmark/src/workload.rs:435` and
+    // `benchmark/src/measure.rs:291` call it; collection is serial, so it
+    // changes nothing. ROADMAP item 1 deletes both calls and this method.
+    #[doc(hidden)]
     #[must_use]
-    pub fn workers(mut self, n: usize) -> GcConfig {
+    pub fn workers(self, n: usize) -> GcConfig {
         assert!(n > 0, "worker count must be positive");
-        self.parallel.workers = n;
-        self
-    }
-
-    /// Enables the packet-reorder testing knob.
-    #[must_use]
-    pub fn packet_reorder(mut self, on: bool) -> GcConfig {
-        self.parallel.packet_reorder = on;
-        self
-    }
-
-    /// Arms a single-shot worker fault (fault injection).
-    #[must_use]
-    pub fn worker_fault(mut self, fault: crate::scheduler::WorkerFaultSpec) -> GcConfig {
-        self.parallel.worker_fault = Some(fault);
-        self
-    }
-
-    /// Sets the hung-worker watchdog's wall-clock deadline.
-    #[must_use]
-    pub fn watchdog_ms(mut self, ms: u64) -> GcConfig {
-        self.parallel.watchdog_ms = Some(ms);
-        self
-    }
-
-    /// Sets the per-worker simulated-cycle budget of a parallel drain.
-    #[must_use]
-    pub fn worker_cycle_budget(mut self, cycles: u64) -> GcConfig {
-        self.parallel.worker_cycle_budget = Some(cycles);
         self
     }
 
@@ -525,7 +443,7 @@ mod tests {
     /// if all three are empty.
     #[test]
     fn option_surface_is_pinned() {
-        let own = field_count!(
+        let settable = field_count!(
             GcConfig {
                 heap_budget_bytes,
                 nursery_bytes,
@@ -534,19 +452,9 @@ mod tests {
                 profiling,
                 pretenure,
                 adaptive,
-                tenure_threshold,
-                parallel
+                tenure_threshold
             } = GcConfig::default()
-        ) - 1; // `parallel` is the group below
-        let lane = field_count!(
-            ParallelConfig {
-                workers,
-                packet_reorder,
-                worker_fault,
-                watchdog_ms,
-                worker_cycle_budget
-            } = ParallelConfig::default()
         );
-        assert_eq!((own, lane), (8, 5), "settable values");
+        assert_eq!(settable, 8, "settable values");
     }
 }

@@ -14,20 +14,18 @@ use std::time::Instant;
 
 use tilgc_mem::{Addr, Memory, Space, SpaceRange};
 use tilgc_obs::{
-    CollectionBegin, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus, PhaseTimer,
-    SiteDemote, SitePromote, SiteWindow, SpaceCensus, TelemetryAcc,
+    CollectionBegin, Event, GcPhase, HeapCensus, PhaseTimer, SiteDemote, SitePromote, SiteWindow,
+    SpaceCensus, TelemetryAcc,
 };
 use tilgc_runtime::{CollectionInspection, GcStats, HeapProfile, MutatorState};
 
 use crate::adaptive::AdaptivePretenure;
-use crate::config::{GcConfig, MarkerPolicy, ParallelConfig};
-use crate::evac::{Evacuator, LaneOutcome};
+use crate::config::{GcConfig, MarkerPolicy};
+use crate::evac::Evacuator;
 use crate::los::LargeObjectSpace;
 use crate::roots::{append_cached_roots, scan_stack, RootLoc, ScanCache};
-use crate::scheduler::slack_budget_words;
 use crate::space::{CopySpace, PretenuredRegion};
 use crate::util::{build_collection_end, build_inspection};
-use crate::verify::check_worker_accounting;
 
 /// The state every plan carries for the collection cycle.
 pub(crate) struct PlanBase {
@@ -43,10 +41,6 @@ pub(crate) struct PlanBase {
     pub profile: Option<HeapProfile>,
     pub cache: Option<ScanCache>,
     pub marker_policy: MarkerPolicy,
-    pub parallel: ParallelConfig,
-    /// Whether the injected worker fault has fired: it stays armed until
-    /// its one shot (the spec is per-run, not per-collection).
-    pub fault_fired: bool,
 }
 
 impl PlanBase {
@@ -59,8 +53,6 @@ impl PlanBase {
             profile: config.profiling.then(HeapProfile::new),
             cache: config.marker_policy.is_enabled().then(ScanCache::default),
             marker_policy: config.marker_policy,
-            parallel: config.parallel,
-            fault_fired: false,
         }
     }
 
@@ -95,30 +87,11 @@ impl PlanBase {
     }
 }
 
-/// Whether a collection takes the parallel lanes. They need to-space
-/// headroom for abandoned chunk tails, and support neither profiling nor
-/// the copy-back survivor path (§7.2 threshold), which splits copies
-/// between two spaces — everything else falls back to the serial oracle.
-fn parallel_lane_engages(
-    workers: usize,
-    profiling: bool,
-    survivor: bool,
-    to_free_words: usize,
-    from_used_words: usize,
-) -> bool {
-    workers > 1
-        && !profiling
-        && !survivor
-        && to_free_words >= from_used_words + slack_budget_words(workers)
-}
-
 /// The spaces one collection traces over. Which field a plan passes a
 /// space in is what decides its objects' treatment this collection.
 pub(crate) struct TraceSpaces<'a> {
     /// The ranges being vacated.
     pub from: &'a [SpaceRange],
-    /// Allocated words in `from`: the bound on what can be copied.
-    pub from_used_words: usize,
     pub to: &'a mut Space,
     /// Which of `from` is the allocation area (first promotions).
     pub nursery: Option<SpaceRange>,
@@ -255,13 +228,6 @@ impl Cycle {
         spaces: TraceSpaces<'a>,
         roots: &[RootLoc],
     ) -> Trace<'a> {
-        let parallel = parallel_lane_engages(
-            base.parallel.workers,
-            base.profile.is_some(),
-            spaces.survivor.is_some(),
-            spaces.to.free_words(),
-            spaces.from_used_words,
-        );
         let lend_telemetry = self.timer.is_some() || base.keep_windows;
         let mut trace = Trace {
             evac: Evacuator::new(
@@ -286,13 +252,6 @@ impl Cycle {
                 .evac
                 .set_telemetry(base.telem.get_or_insert_with(TelemetryAcc::default));
         }
-        if parallel {
-            let mut lane = base.parallel;
-            if base.fault_fired {
-                lane.worker_fault = None;
-            }
-            trace.evac.set_parallel(lane);
-        }
         trace.evac.forward_roots(m, roots);
         trace.mark(GcPhase::RootScan);
         trace.cycle.stack_ns = trace.cycle.stack_t0.elapsed().as_nanos() as u64;
@@ -309,25 +268,14 @@ impl Cycle {
         base: &mut PlanBase,
         mem: &Memory,
         m: &mut MutatorState,
-        lanes: LaneOutcome,
         release: Release<'_>,
     ) {
-        if lanes.fault_fired {
-            base.fault_fired = true;
-        }
-        base.stats.workers_lost += lanes.workers_lost;
-        base.stats.degraded_collections += u64::from(lanes.degraded);
         base.stats
             .note_live_bytes(tilgc_mem::words_to_bytes(release.live_words) as u64);
         base.stats.stack_wall_ns += self.stack_ns;
         base.stats.copy_wall_ns += self.copy_ns;
         let total_ns = self.wall_start.elapsed().as_nanos() as u64;
         base.stats.total_wall_ns += total_ns;
-        check_worker_accounting(
-            lanes.workers,
-            &lanes.worker_copied,
-            base.stats.copied_bytes - self.stats_before.copied_bytes,
-        );
         base.inspection = Some(build_inspection(
             &self.stats_before,
             &base.stats,
@@ -360,27 +308,9 @@ impl Cycle {
                 telem,
                 end_cycles,
                 total_ns,
-                lanes.workers,
-                lanes.worker_copied,
                 mem.owned_chunks() as u64,
                 mem.side_cleared_words() - self.side_cleared_before,
             ))));
-        // A degradation episode brackets right behind the end event,
-        // like a census: the affected collection has already closed
-        // with the exact serial answer.
-        if lanes.degraded {
-            m.recorder.record(Event::DegradationBegin(DegradationBegin {
-                collection,
-                trigger: lanes.trigger.unwrap_or("orphan"),
-                workers: lanes.workers,
-                workers_lost: lanes.workers_lost,
-            }));
-            m.recorder.record(Event::DegradationEnd(DegradationEnd {
-                collection,
-                leftover_packets: lanes.leftover_packets,
-                outcome: "drained",
-            }));
-        }
         // The heap census rides right behind the end event: per-space
         // occupancy plus the route table's current size, all host-side
         // reads — no simulated cycles, no GcStats.
@@ -418,7 +348,6 @@ pub(crate) struct Trace<'a> {
 
 /// What [`Trace::drain`] hands back once the evacuator's borrows end.
 pub(crate) struct Drained {
-    pub lanes: LaneOutcome,
     /// §7.2 remembered set for the next minor collection: old objects /
     /// field locations left referencing survivor-space objects.
     pub young_owner_refs: Vec<Addr>,
@@ -438,7 +367,6 @@ impl Trace<'_> {
         self.evac.drain();
         self.mark(GcPhase::CheneyCopy);
         let drained = Drained {
-            lanes: self.evac.outcome(),
             young_owner_refs: self.evac.take_young_owner_refs(),
             young_field_locs: self.evac.take_young_field_locs(),
         };
@@ -493,39 +421,6 @@ fn adapt(
                 survival_permille: permille,
                 reason: "adaptive",
             }));
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn headroom_gate_engages_exactly_at_the_slack_budget() {
-        let from_used = 10_000;
-        for workers in [2, 4, 7] {
-            let enough = from_used + slack_budget_words(workers);
-            // (workers, profiling, survivor, to_free, expect)
-            let table = [
-                (workers, false, false, enough, true),
-                (workers, false, false, enough + 1, true),
-                (workers, false, false, enough - 1, false),
-                (workers, false, false, 0, false),
-                (workers, true, false, enough, false),
-                (workers, false, true, enough, false),
-                (workers, true, true, usize::MAX / 2, false),
-                (1, false, false, enough, false),
-                (1, false, false, usize::MAX / 2, false),
-            ];
-            for (w, profiling, survivor, to_free, expect) in table {
-                assert_eq!(
-                    parallel_lane_engages(w, profiling, survivor, to_free, from_used),
-                    expect,
-                    "workers {w}, profiling {profiling}, survivor {survivor}, \
-                     {to_free} free words against {from_used} used"
-                );
-            }
         }
     }
 }

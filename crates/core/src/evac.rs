@@ -20,39 +20,16 @@
 //! [`forward_roots`](Evacuator::forward_roots) relocates every root
 //! location a stack scan produced and charges the paper's per-root costs,
 //! identically for every plan.
-//!
-//! With [`set_parallel`](Evacuator::set_parallel) the driver runs the
-//! closure drain — and only the drain — on the parallel work-packet
-//! lane of the [`scheduler`](crate::scheduler) module: workers race to
-//! claim from-space objects through the atomic
-//! [`SharedMemView`](tilgc_mem::SharedMemView) and copy them into
-//! per-worker bump chunks. Root forwarding and store-buffer filtering
-//! stay on the serial path on every lane (measured: a thread round
-//! around either costs more than the work it splits), queueing their
-//! copies as the drain's seed. The serial lane (`workers == 1`, the
-//! default) never touches any of that machinery and remains the
-//! byte-identical oracle.
 
 use tilgc_mem::{
-    object, Addr, Header, Memory, ObjectKind, SharedMemView, SideBitmap, SideMetaView, Space,
-    SpaceRange, MAX_RECORD_FIELDS, POISON,
+    object, Addr, Header, Memory, ObjectKind, SideBitmap, Space, SpaceRange, MAX_RECORD_FIELDS,
+    POISON,
 };
 use tilgc_obs::TelemetryAcc;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState};
 
-use crate::config::ParallelConfig;
 use crate::los::LargeObjectSpace;
 use crate::roots::{read_root, write_root, RootLoc};
-use crate::scheduler::{
-    packetize, reorder_packets, CycleBudget, PacketQueue, PendingClaim, SectionFaults,
-    SharedCursor, WorkerCopyAlloc, WorkerDelta, WorkerFaultKind,
-};
-
-/// Watchdog deadline used when a stall fault is armed but no explicit
-/// deadline was configured (a stalled worker would otherwise deadlock
-/// the drain), and the interval at which the watchdog rescans.
-const DEFAULT_STALL_DEADLINE: std::time::Duration = std::time::Duration::from_millis(10);
-const WATCHDOG_POLL: std::time::Duration = std::time::Duration::from_micros(500);
 
 /// The explicit half of the driver's gray set: objects that will be
 /// traced in place (large objects, pretenured regions) rather than
@@ -74,40 +51,8 @@ impl ObjectQueue {
     }
 }
 
-/// What one collection's tracing lanes report back once the closure is
-/// drained (see [`Evacuator::outcome`]): the lanes used, their
-/// per-worker copy totals, and the fault-tolerance outcome. On the
-/// serial lane `workers` is 1, `worker_copied` is empty and the rest is
-/// zero / `false` — folding it into the run counters is then a no-op.
-#[derive(Clone, Debug, Default)]
-pub struct LaneOutcome {
-    /// Tracing lanes used: the worker count, or 1 on the serial lane.
-    pub workers: u64,
-    /// Per-worker copied-byte totals (empty on the serial lane). Index 0
-    /// also absorbs copies made by serial code around the parallel
-    /// drain (roots, store buffer, in-place scans, the degradation
-    /// drain), so the vector always sums to the `copied_bytes` this
-    /// collection added to `GcStats`.
-    pub worker_copied: Vec<u64>,
-    /// Whether the armed injected fault fired in the parallel drain.
-    pub fault_fired: bool,
-    /// Workers lost (panicked, stalled past the deadline, or over
-    /// budget) in the collection's parallel drain.
-    pub workers_lost: u64,
-    /// Whether the drain degraded: lost a worker or left packets for
-    /// the coordinator's serial drain.
-    pub degraded: bool,
-    /// First degradation trigger: `"panic"`, `"watchdog"`, `"budget"`,
-    /// or `"orphan"` (leftover packets with no recorded loss).
-    pub trigger: Option<&'static str>,
-    /// Packets the coordinator drained serially after the queue closed.
-    pub leftover_packets: u64,
-}
-
 /// The ranges one collection vacates, with the membership test every
-/// forwarded word goes through — shared by value between the serial
-/// driver and the parallel workers.
-#[derive(Clone, Copy)]
+/// forwarded word goes through.
 struct FromSet<'a> {
     ranges: &'a [SpaceRange],
     /// Bounding hull of all `ranges`: one range check rejects (or, when
@@ -195,16 +140,6 @@ pub struct Evacuator<'a> {
     /// Old-generation *field locations* (from store-buffer entries) whose
     /// relocated target stayed in the survivor space.
     young_field_locs: Vec<Addr>,
-    /// The parallel-lane knobs in force. The default (`workers == 1`)
-    /// is the serial oracle lane; a higher worker count routes the
-    /// closure drain through the work-packet scheduler. The armed fault,
-    /// if any, fires at most once per run (the cycle disarms it for
-    /// later collections); the watchdog deadline is forced on (with a
-    /// default) while a stall fault is armed — a stalled worker would
-    /// otherwise deadlock the drain.
-    lane: ParallelConfig,
-    /// What the lanes have done so far this collection.
-    outcome: LaneOutcome,
 }
 
 impl<'a> Evacuator<'a> {
@@ -243,55 +178,7 @@ impl<'a> Evacuator<'a> {
             queue: ObjectQueue::default(),
             young_owner_refs: Vec::new(),
             young_field_locs: Vec::new(),
-            lane: ParallelConfig::default(),
-            outcome: LaneOutcome {
-                workers: 1,
-                ..LaneOutcome::default()
-            },
         }
-    }
-
-    /// Switches this collection's drain onto the parallel work-packet
-    /// lane with `lane.workers` tracing threads, the lane's
-    /// packet-reorder knob, armed fault (its worker index is taken
-    /// modulo the worker count), watchdog deadline and per-worker cycle
-    /// budget. A no-op for `lane.workers == 1`.
-    ///
-    /// The parallel lane supports the plain copying configurations only:
-    /// the collection cycle's headroom gate calls this exclusively when
-    /// no survivor space and no heap profile are attached (profiled runs
-    /// and the §7.2 tenure-threshold variant always take the serial
-    /// lane).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a survivor space or profile is attached.
-    pub fn set_parallel(&mut self, lane: ParallelConfig) {
-        assert!(lane.workers >= 1, "worker count must be positive");
-        if lane.workers == 1 {
-            return;
-        }
-        assert!(
-            self.survivor.is_none() && self.profile.is_none(),
-            "parallel collection excludes survivor aging and profiling"
-        );
-        self.outcome.workers = lane.workers as u64;
-        self.outcome.worker_copied = vec![0; lane.workers];
-        self.lane = lane;
-    }
-
-    /// Whether this collection drains on the parallel lane.
-    #[inline]
-    pub fn parallel(&self) -> bool {
-        self.lane.workers > 1
-    }
-
-    /// One-call snapshot of what the lanes did, read after the drain
-    /// (the evacuator's `GcStats` borrow ends there) to update run
-    /// counters, check the per-worker accounting and emit degradation
-    /// events.
-    pub fn outcome(&self) -> LaneOutcome {
-        self.outcome.clone()
     }
 
     /// Routes from-space objects whose post-copy age is below
@@ -393,16 +280,6 @@ impl<'a> Evacuator<'a> {
         let bytes = h.size_bytes();
         self.stats.copied_bytes += bytes as u64;
         self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
-        if self.lane.workers > 1 {
-            // Serial copy during a parallel collection (roots, store
-            // buffer, in-place scans, the degradation drain): the
-            // Cheney cursor is disabled (to-space has chunk-slack
-            // holes), so the copy must join the explicit gray queue
-            // the parallel drain feeds on. Attributed to worker 0
-            // so the per-worker totals still sum to `copied_bytes`.
-            self.outcome.worker_copied[0] += bytes as u64;
-            self.queue.push(new);
-        }
         if self.profile.is_some() || self.telem.is_some() {
             let from_nursery = self.nursery.is_some_and(|n| n.contains(addr));
             if let Some(p) = self.profile.as_deref_mut() {
@@ -435,9 +312,7 @@ impl<'a> Evacuator<'a> {
     /// from [`scan_stack`](crate::roots::scan_stack) (plus the cached
     /// frames the plan chose to expand), and whether forwarding moves a
     /// root depends only on the from-ranges this driver was configured
-    /// with. Serial on every lane: §5 exists to keep this set tiny, and
-    /// on a parallel collection [`forward`](Self::forward) queues each
-    /// copy for the parallel drain.
+    /// with.
     pub fn forward_roots(&mut self, m: &mut MutatorState, roots: &[RootLoc]) -> u64 {
         let mut relocated: u64 = 0;
         for &loc in roots {
@@ -459,10 +334,6 @@ impl<'a> Evacuator<'a> {
     /// landed, the [`ObjectQueue`] yields the objects traced in place,
     /// and the loop ends when all three are dry.
     pub fn drain(&mut self) {
-        if self.parallel() {
-            self.par_drain();
-            return;
-        }
         loop {
             if self.scan < self.to.frontier() {
                 let addr = self.scan;
@@ -496,51 +367,6 @@ impl<'a> Evacuator<'a> {
         self.stats.scanned_words += h.size_words() as u64;
         self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
         self.scan_fields(addr, h);
-    }
-
-    /// The parallel closure drain. The gray set is queue-driven only —
-    /// the Cheney cursors are disabled because chunked copy allocation
-    /// leaves slack holes in to-space — so every pending gray object
-    /// (the copies the serial root, store-buffer and in-place steps
-    /// made) is packetized into a terminating [`PacketQueue`], and
-    /// workers push the packets their scans generate back onto it.
-    fn par_drain(&mut self) {
-        let mut gray = Vec::new();
-        while let Some(obj) = self.queue.pop() {
-            gray.push(obj);
-        }
-        if !gray.is_empty() {
-            let mut packets = packetize(gray);
-            if self.lane.packet_reorder {
-                reorder_packets(&mut packets);
-            }
-            let queue = PacketQueue::new(self.lane.workers);
-            queue.seed(packets);
-            for obj in self.par_section(&queue).into_iter().flatten() {
-                self.queue.push(obj);
-            }
-            // Close the graph on the exact serial path: leftover
-            // packets from a degraded drain, plus any gray a failed
-            // worker handed back mid-packet (merged into the explicit
-            // queue by `par_section`). Empty — and charge-free — on
-            // fault-free runs.
-            self.serial_close_drain();
-        }
-        // The scan cursor tracks the frontier so any later serial scan
-        // of this space starts past the parallel drain's copies.
-        self.scan = self.to.frontier();
-    }
-
-    /// Serially scans the explicit gray queue to emptiness with the
-    /// serial lane's exact charges — the degradation drain. New copies
-    /// made here go through the serial [`forward`](Self::forward), which
-    /// (on a parallel collection) re-enqueues them and attributes their
-    /// bytes to worker 0, so the per-worker accounting still reconciles.
-    fn serial_close_drain(&mut self) {
-        while let Some(obj) = self.queue.pop() {
-            let h = object::header(self.mem, obj);
-            self.scan_gray(obj, h);
-        }
     }
 
     /// Forwards the pointer stored at memory location `loc` (a sequential
@@ -598,8 +424,7 @@ impl<'a> Evacuator<'a> {
     /// Filtering duplicates up front means each distinct location pays the
     /// read-forward-write cycle once. The simulated cost of examining the
     /// buffer is charged per *recorded* entry by the caller, exactly as
-    /// before, so `GcStats` is unchanged. Serial on every lane, like
-    /// [`forward_roots`](Self::forward_roots).
+    /// before, so `GcStats` is unchanged.
     pub fn forward_field_locs(&mut self, locs: &mut Vec<Addr>) {
         sort_dedup_addrs(self.mem.ssb_scratch_mut(), locs);
         for &loc in locs.iter() {
@@ -713,355 +538,6 @@ impl<'a> Evacuator<'a> {
             self.young_owner_refs.push(addr);
         }
     }
-
-    /// The body of the parallel drain: spawns `workers` scoped threads
-    /// over a freshly built [`ParShared`] context (atomic memory view,
-    /// atomic side-metadata view, shared to-space cursor), then merges
-    /// the per-worker deltas back into `GcStats` *in worker-index order*
-    /// — so the merged totals are independent of thread interleaving.
-    ///
-    /// Each worker repeatedly pops a packet of gray objects from `queue`
-    /// (recording it in its in-flight slot), scans it inside
-    /// `catch_unwind`, and pushes the gray those scans discovered back
-    /// as fresh packets before completing the packet, so termination
-    /// stays sound. A worker that panics rolls back its in-progress
-    /// forwarding claim, fails itself on the queue (requeueing its
-    /// packet), and retires; a worker exceeding the simulated-cycle
-    /// budget retires likewise. A watchdog (armed by config or forced on
-    /// while a stall fault is armed) marks unresponsive workers lost on
-    /// a wall-clock deadline.
-    ///
-    /// Returns whatever packets the workers could not finish (queue
-    /// remnants after a loss-threshold close, plus orphaned in-flight
-    /// packets) — the caller drains those on the exact serial path, so
-    /// the collection's answer is always the serial oracle's. Gray a
-    /// failed worker discovered but never pushed lands on the
-    /// evacuator's explicit queue; abandoned chunk tails are recorded
-    /// as to-space slack.
-    fn par_section(&mut self, queue: &PacketQueue<Vec<Addr>>) -> Vec<Vec<Addr>> {
-        let workers = self.lane.workers;
-        let frontier = self.to.frontier();
-        let limit = frontier + self.to.free_words();
-        let telem_on = self.telem.is_some();
-        let (view, side) = self.mem.shared_views();
-        let shared = ParShared {
-            cursor: SharedCursor::new(frontier, limit),
-            from: self.from,
-            nursery: self.nursery,
-            cost: self.cost,
-            workers,
-            telem_on,
-            los: self.los.as_deref(),
-            view,
-            side,
-        };
-        let faults = SectionFaults::new(self.lane.worker_fault.map(|mut f| {
-            f.worker %= workers;
-            f
-        }));
-        let budget = CycleBudget::new(self.lane.worker_cycle_budget.unwrap_or(u64::MAX));
-        let watchdog = self
-            .lane
-            .watchdog_ms
-            .map(std::time::Duration::from_millis)
-            .or(faults.stall_armed().then_some(DEFAULT_STALL_DEADLINE));
-        let reorder = self.lane.packet_reorder;
-        let outcomes: Vec<(WorkerDelta, usize)> = std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let (shared, faults, budget) = (&shared, &faults, &budget);
-                    s.spawn(move || {
-                        let mut alloc = WorkerCopyAlloc::new(&shared.cursor, shared.workers);
-                        let mut delta = WorkerDelta::default();
-                        let mut packet_idx = 0usize;
-                        loop {
-                            if budget.exceeded(delta.copy_cycles + delta.scan_cycles) {
-                                // Over the simulated-cycle deadline:
-                                // retire as lost; the queue hands the
-                                // rest to the serial path.
-                                faults.note_lost("budget");
-                                queue.fail(w);
-                                break;
-                            }
-                            let Some(packet) = queue.pop_worker(w, reorder && w % 2 == 1) else {
-                                break;
-                            };
-                            let fault = faults.should_fire(w, packet_idx);
-                            packet_idx += 1;
-                            match fault {
-                                Some(WorkerFaultKind::Stall) => {
-                                    // Unresponsive until the watchdog
-                                    // marks this worker lost (requeueing
-                                    // the packet) and releases the latch.
-                                    faults.latch.park();
-                                    break;
-                                }
-                                Some(WorkerFaultKind::Drop) => {
-                                    // Neither processed nor completed:
-                                    // the in-flight clone resurfaces as
-                                    // a leftover after the join.
-                                    continue;
-                                }
-                                _ => {}
-                            }
-                            let unwind =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    if fault == Some(WorkerFaultKind::Panic) {
-                                        panic!("injected worker panic");
-                                    }
-                                    for obj in packet {
-                                        shared.scan_obj(&mut alloc, &mut delta, obj);
-                                    }
-                                    // Generative: push the gray this
-                                    // packet discovered back before the
-                                    // packet is completed, keeping the
-                                    // termination protocol sound.
-                                    for fresh in packetize(std::mem::take(&mut delta.gray)) {
-                                        queue.push(fresh);
-                                    }
-                                }));
-                            match unwind {
-                                Ok(()) => {
-                                    queue.complete(w);
-                                }
-                                Err(_) => {
-                                    // Roll back the claim the unwind
-                                    // interrupted (if any): republish
-                                    // the original header so spinning
-                                    // losers re-claim, and refund the
-                                    // abandoned copy destination as
-                                    // chunk slack.
-                                    if let Some(claim) = delta.pending_claim.take() {
-                                        shared.view.publish(claim.addr, claim.original);
-                                        delta.tail_slack += claim.dest_words;
-                                    }
-                                    faults.note_lost("panic");
-                                    queue.fail(w);
-                                    break;
-                                }
-                            }
-                        }
-                        (delta, alloc.finish())
-                    })
-                })
-                .collect();
-            if let Some(deadline) = watchdog {
-                let faults = &faults;
-                s.spawn(move || {
-                    while !queue.is_done() {
-                        for w in queue.stale_workers(deadline) {
-                            faults.note_lost("watchdog");
-                            queue.mark_lost(w);
-                        }
-                        // Free any stall-parked worker the scan just
-                        // retired so its thread can join.
-                        if faults.lost() > 0 {
-                            faults.latch.release();
-                        }
-                        std::thread::sleep(WATCHDOG_POLL);
-                    }
-                    faults.latch.release();
-                });
-            }
-            handles
-                .into_iter()
-                // An Err means the worker died outside the caught
-                // packet loop (queue bookkeeping itself panicked).
-                // Defensive: its delta is gone, but the heap stays
-                // sound — published copies are complete and its
-                // in-flight packet resurfaces as a leftover.
-                .map(|h| h.join().unwrap_or_default())
-                .collect()
-        });
-        let new_frontier = shared.cursor.frontier();
-        self.to.advance_frontier(new_frontier);
-        for (w, (delta, chunk_tail)) in outcomes.into_iter().enumerate() {
-            self.outcome.worker_copied[w] += delta.copied_bytes;
-            self.stats.copied_bytes += delta.copied_bytes;
-            self.stats.copy_cycles += delta.copy_cycles + delta.scan_cycles;
-            self.stats.scanned_words += delta.scanned_words;
-            self.to.note_slack(chunk_tail + delta.tail_slack);
-            if let Some(t) = self.telem.as_deref_mut() {
-                for &(site, bytes, from_nursery) in &delta.telem_copies {
-                    t.note_copy(site, bytes, from_nursery);
-                }
-            }
-            for obj in delta.gray {
-                self.queue.push(obj);
-            }
-        }
-        if faults.fired() {
-            self.outcome.fault_fired = true;
-        }
-        self.outcome.workers_lost += faults.lost();
-        let leftovers = queue.take_leftovers();
-        if faults.lost() > 0 || !leftovers.is_empty() {
-            self.outcome.degraded = true;
-            if self.outcome.trigger.is_none() {
-                self.outcome.trigger = Some(faults.trigger().unwrap_or("orphan"));
-            }
-            self.outcome.leftover_packets += leftovers.len() as u64;
-        }
-        leftovers
-    }
-}
-
-/// The immutable context every worker of one parallel drain shares:
-/// the atomic memory view, the atomic side-metadata view (mark bitmap +
-/// site bytemap), the drain's to-space cursor, the from-range
-/// membership data, and a read-only borrow of the large-object space
-/// (its mark state lives in the side bitmap, so marking needs no lock).
-/// All tracing state a worker mutates lives in its own [`WorkerDelta`].
-struct ParShared<'s> {
-    view: SharedMemView<'s>,
-    side: SideMetaView<'s>,
-    cursor: SharedCursor,
-    from: FromSet<'s>,
-    nursery: Option<SpaceRange>,
-    cost: CostModel,
-    workers: usize,
-    telem_on: bool,
-    los: Option<&'s LargeObjectSpace>,
-}
-
-impl ParShared<'_> {
-    /// [`Evacuator::forward`] on the parallel lane: the claim/publish
-    /// protocol. The winner CASes the from-space header to the busy
-    /// sentinel, copies the payload into its private chunk, stores the
-    /// copy's header, then release-publishes the forwarding header;
-    /// losers spin until the forwarding pointer appears. Charges match
-    /// the serial lane per object exactly, so the merged totals are
-    /// identical.
-    fn forward(
-        &self,
-        alloc: &mut WorkerCopyAlloc<'_>,
-        delta: &mut WorkerDelta,
-        addr: Addr,
-    ) -> Addr {
-        if addr.is_null() {
-            return addr;
-        }
-        if !self.from.contains(addr) {
-            if let Some(los) = self.los {
-                // Lock-free large-object marking: the mark bit lives in
-                // the atomic side bitmap, so workers race on a fetch_or
-                // and exactly one wins the scan.
-                if los.contains(addr) && self.side.mark_test_and_set(addr) {
-                    delta.copy_cycles += self.cost.large_object_visit;
-                    delta.gray.push(addr);
-                }
-            }
-            return addr;
-        }
-        loop {
-            let raw = self.view.load_header_acquire(addr);
-            if raw == SharedMemView::BUSY {
-                std::hint::spin_loop();
-                continue;
-            }
-            let h = Header::from_raw(raw);
-            if let Some(to) = h.forward_addr() {
-                return to;
-            }
-            if self.view.try_claim(addr, raw).is_err() {
-                // Lost the race; the next header load sees the winner's
-                // sentinel or its published forwarding pointer.
-                continue;
-            }
-            // From here to the publish below the claim is this worker's
-            // liability: record it so an unwind (allocation failure, or
-            // any panic while the BUSY sentinel is visible) can be
-            // rolled back by the packet loop instead of wedging every
-            // loser spinning on the sentinel.
-            delta.pending_claim = Some(PendingClaim {
-                addr,
-                original: raw,
-                dest_words: 0,
-            });
-            let words = h.size_words();
-            let new = alloc
-                .alloc(words)
-                .unwrap_or_else(|| panic!("to-space overflow: heap budget exhausted"));
-            if let Some(claim) = delta.pending_claim.as_mut() {
-                claim.dest_words = words;
-            }
-            // The from-space header word holds the busy sentinel, so the
-            // payload copy skips word 0 and the copy's header is written
-            // directly from the claimed value.
-            self.view.copy_words(addr + 1usize, new + 1usize, words - 1);
-            let new_h = h.with_age(h.age().saturating_add(1));
-            self.view.store(new, new_h.raw());
-            // The site tag moves with the object; the copy must be
-            // visible before the forwarding header is published, which
-            // the release store below guarantees.
-            self.side.copy_site(addr, new);
-            self.view.publish(addr, Header::forward(new).raw());
-            // Published: the copy is complete and visible, the claim is
-            // discharged, and only now are the charges taken — so an
-            // unwound claim never leaves partial charges behind.
-            delta.pending_claim = None;
-            let bytes = h.size_bytes() as u64;
-            delta.copied_bytes += bytes;
-            delta.copy_cycles += self.cost.copy_per_word * words as u64;
-            if self.telem_on {
-                let from_nursery = self.nursery.is_some_and(|n| n.contains(addr));
-                delta
-                    .telem_copies
-                    .push((self.side.site_of(addr).get(), bytes, from_nursery));
-            }
-            delta.gray.push(new);
-            return new;
-        }
-    }
-
-    /// Scans one gray object (a to-space copy or a marked large object),
-    /// forwarding its pointer fields through the view. The object is
-    /// private to this worker — every gray object is enqueued exactly
-    /// once, by its claim (or mark) winner — so plain loads and stores
-    /// on its payload cannot race.
-    ///
-    /// The parallel gate excludes profiling and the survivor space, so
-    /// unlike [`Evacuator::scan_fields`] there are no profile edges and
-    /// no young-owner bookkeeping to replicate here.
-    fn scan_obj(&self, alloc: &mut WorkerCopyAlloc<'_>, delta: &mut WorkerDelta, addr: Addr) {
-        let h = Header::from_raw(self.view.load(addr));
-        debug_assert!(!h.is_forward(), "gray object carries a forwarding header");
-        let words = h.size_words() as u64;
-        delta.scanned_words += words;
-        delta.scan_cycles += self.cost.scan_per_word * words;
-        match h.kind() {
-            ObjectKind::RawArray => {}
-            ObjectKind::Record => {
-                let mut mask = h.ptr_mask();
-                let base = object::field_addr(addr, 0);
-                while mask != 0 {
-                    let i = mask.trailing_zeros() as usize;
-                    mask &= mask - 1;
-                    self.forward_field(alloc, delta, base + i);
-                }
-            }
-            ObjectKind::PtrArray => {
-                let base = object::field_addr(addr, 0);
-                for i in 0..h.len() {
-                    self.forward_field(alloc, delta, base + i);
-                }
-            }
-        }
-    }
-
-    /// Forwards the pointer stored at `loc`, writing back on change.
-    #[inline]
-    fn forward_field(&self, alloc: &mut WorkerCopyAlloc<'_>, delta: &mut WorkerDelta, loc: Addr) {
-        let word = self.view.load(loc);
-        let child = Addr::new(word as u32);
-        if child.is_null() {
-            return;
-        }
-        let fwd = self.forward(alloc, delta, child);
-        if fwd != child {
-            self.view.store(loc, u64::from(fwd.raw()));
-        }
-    }
 }
 
 /// Sorts and deduplicates a store-buffer address batch, producing the
@@ -1151,14 +627,6 @@ mod tests {
         from: Space,
         to: Space,
         stats: GcStats,
-    }
-
-    fn lane(workers: usize, packet_reorder: bool) -> ParallelConfig {
-        ParallelConfig {
-            workers,
-            packet_reorder,
-            ..ParallelConfig::default()
-        }
     }
 
     fn rig(words: usize) -> Rig {
@@ -1507,214 +975,6 @@ mod tests {
         let mut v = vec![Addr::new(40), Addr::new(41), Addr::new(40), Addr::new(45)];
         sort_dedup_addrs(mem.ssb_scratch_mut(), &mut v);
         assert_eq!(v, vec![Addr::new(40), Addr::new(41), Addr::new(45)]);
-    }
-
-    /// Builds a linked list + shared diamond in from-space and returns
-    /// the entry points, for serial/parallel equivalence checks.
-    fn build_graph(r: &mut Rig, nodes: usize) -> Vec<Addr> {
-        let shared =
-            object::alloc_record(&mut r.mem, &mut r.from, SiteId::new(9), &[99], 0).unwrap();
-        let mut prev = Addr::NULL;
-        let mut heads = Vec::new();
-        for i in 0..nodes {
-            let a = object::alloc_record(
-                &mut r.mem,
-                &mut r.from,
-                SiteId::new(1 + (i % 5) as u16),
-                &[u64::from(prev.raw()), u64::from(shared.raw()), i as u64],
-                0b011,
-            )
-            .unwrap();
-            if i % 7 == 0 {
-                heads.push(a);
-            }
-            prev = a;
-        }
-        heads.push(prev);
-        heads
-    }
-
-    #[test]
-    fn parallel_drain_copies_the_same_graph_with_identical_stats() {
-        // Serial oracle.
-        let mut sr = rig(4096);
-        let s_heads = build_graph(&mut sr, 200);
-        let from_ranges = [sr.from.range()];
-        let mut ev = Evacuator::new(
-            &mut sr.mem,
-            &from_ranges,
-            &mut sr.to,
-            None,
-            None,
-            None,
-            &mut sr.stats,
-            CostModel::default(),
-        );
-        let s_new: Vec<Addr> = s_heads.iter().map(|&a| ev.forward(a)).collect();
-        ev.drain();
-        drop(ev);
-
-        // Parallel lane, 4 workers.
-        let mut pr = rig(4096);
-        let p_heads = build_graph(&mut pr, 200);
-        let from_ranges = [pr.from.range()];
-        let mut ev = Evacuator::new(
-            &mut pr.mem,
-            &from_ranges,
-            &mut pr.to,
-            None,
-            None,
-            None,
-            &mut pr.stats,
-            CostModel::default(),
-        );
-        ev.set_parallel(lane(4, false));
-        let p_new: Vec<Addr> = p_heads.iter().map(|&a| ev.forward(a)).collect();
-        ev.drain();
-        let per_worker: Vec<u64> = ev.outcome().worker_copied;
-        drop(ev);
-
-        // Same counters (parallel charges are interleaving-independent).
-        assert_eq!(sr.stats.copied_bytes, pr.stats.copied_bytes);
-        assert_eq!(sr.stats.scanned_words, pr.stats.scanned_words);
-        assert_eq!(sr.stats.copy_cycles, pr.stats.copy_cycles);
-        assert_eq!(per_worker.iter().sum::<u64>(), pr.stats.copied_bytes);
-        assert_eq!(per_worker.len(), 4);
-        // Same reachable values: walk both lists, compare payloads.
-        for (&sa, &pa) in s_new.iter().zip(&p_new) {
-            let (mut sa, mut pa) = (sa, pa);
-            loop {
-                assert_eq!(object::field(&sr.mem, sa, 2), object::field(&pr.mem, pa, 2));
-                let s_shared = object::ptr_field(&sr.mem, sa, 1);
-                let p_shared = object::ptr_field(&pr.mem, pa, 1);
-                assert_eq!(object::field(&sr.mem, s_shared, 0), 99);
-                assert_eq!(object::field(&pr.mem, p_shared, 0), 99);
-                sa = object::ptr_field(&sr.mem, sa, 0);
-                pa = object::ptr_field(&pr.mem, pa, 0);
-                assert_eq!(sa.is_null(), pa.is_null());
-                if sa.is_null() {
-                    break;
-                }
-            }
-        }
-        // Live accounting matches the serial lane despite chunk slack.
-        assert_eq!(sr.to.used_words(), pr.to.used_words());
-        assert_eq!(
-            pr.to.used_words() + pr.to.slack_words(),
-            pr.to.frontier() - pr.to.start()
-        );
-    }
-
-    #[test]
-    fn packet_reorder_lane_reaches_the_same_heap() {
-        let mut base = rig(4096);
-        let b_heads = build_graph(&mut base, 150);
-        let from_ranges = [base.from.range()];
-        let mut ev = Evacuator::new(
-            &mut base.mem,
-            &from_ranges,
-            &mut base.to,
-            None,
-            None,
-            None,
-            &mut base.stats,
-            CostModel::default(),
-        );
-        ev.set_parallel(lane(3, true));
-        let heads: Vec<Addr> = b_heads.iter().map(|&a| ev.forward(a)).collect();
-        ev.drain();
-        drop(ev);
-        // The list still chains to its full length with intact payloads.
-        let mut len = 0;
-        let mut cur = *heads.last().unwrap();
-        while !cur.is_null() {
-            len += 1;
-            cur = object::ptr_field(&base.mem, cur, 0);
-        }
-        assert_eq!(len, 150);
-    }
-
-    #[test]
-    fn parallel_forward_field_locs_updates_old_fields() {
-        let mut r = rig(4096);
-        let child1 =
-            object::alloc_record(&mut r.mem, &mut r.from, SiteId::new(1), &[11], 0).unwrap();
-        let child2 =
-            object::alloc_record(&mut r.mem, &mut r.from, SiteId::new(1), &[22], 0).unwrap();
-        // "Old" owners live in to-space; their fields are SSB entries.
-        let owner = object::alloc_record(
-            &mut r.mem,
-            &mut r.to,
-            SiteId::new(2),
-            &[u64::from(child1.raw()), u64::from(child2.raw())],
-            0b11,
-        )
-        .unwrap();
-        let from_ranges = [r.from.range()];
-        let mut ev = Evacuator::new(
-            &mut r.mem,
-            &from_ranges,
-            &mut r.to,
-            None,
-            None,
-            None,
-            &mut r.stats,
-            CostModel::default(),
-        );
-        ev.set_parallel(lane(2, false));
-        // Duplicates on purpose: dedup must leave one writer per location.
-        let mut locs = vec![
-            object::field_addr(owner, 0),
-            object::field_addr(owner, 1),
-            object::field_addr(owner, 0),
-            object::field_addr(owner, 1),
-        ];
-        ev.forward_field_locs(&mut locs);
-        ev.drain();
-        drop(ev);
-        let new1 = object::ptr_field(&r.mem, owner, 0);
-        let new2 = object::ptr_field(&r.mem, owner, 1);
-        assert!(r.to.contains(new1) && r.to.contains(new2));
-        assert_eq!(object::field(&r.mem, new1, 0), 11);
-        assert_eq!(object::field(&r.mem, new2, 0), 22);
-        assert_eq!(r.stats.copied_bytes, 2 * 16, "each child copied once");
-    }
-
-    #[test]
-    fn parallel_lane_marks_and_scans_large_objects() {
-        let mut mem = Memory::with_capacity_words(8192);
-        let mut from = Space::new(mem.reserve(512).unwrap());
-        let mut to = Space::new(mem.reserve(2048).unwrap());
-        let mut los = LargeObjectSpace::new(mem.reserve(2048).unwrap());
-        let mut stats = GcStats::default();
-        let small = object::alloc_record(&mut mem, &mut from, SiteId::new(1), &[5], 0).unwrap();
-        let big = los.alloc(301).unwrap();
-        object::set_header(&mut mem, big, Header::ptr_array(300).unwrap());
-        mem.set_site(big, SiteId::new(2));
-        for i in 0..300 {
-            object::set_field(&mut mem, big, i, 0);
-        }
-        object::set_field(&mut mem, big, 7, u64::from(small.raw()));
-        los.begin_marking(&mut mem);
-        let from_ranges = [from.range()];
-        let mut ev = Evacuator::new(
-            &mut mem,
-            &from_ranges,
-            &mut to,
-            None,
-            Some(&mut los),
-            None,
-            &mut stats,
-            CostModel::default(),
-        );
-        ev.set_parallel(lane(4, false));
-        assert_eq!(ev.forward(big), big, "large objects never move");
-        ev.drain();
-        drop(ev);
-        let new_small = object::ptr_field(&mem, big, 7);
-        assert!(to.contains(new_small));
-        assert_eq!(object::field(&mem, new_small, 0), 5);
-        assert_eq!(los.sweep(&mem).len(), 0, "marked large object survives");
     }
 
     #[test]

@@ -34,7 +34,7 @@ use tilgc_runtime::{
 use crate::adaptive::AdaptivePretenure;
 use crate::config::{GcConfig, PretenurePolicy};
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
-use crate::evac::{poison_range, sweep_profile_deaths, LaneOutcome};
+use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{self, Governed, Ladder, PressureRung, PressureSession, Recovery};
 use crate::space::{CopySpace, PretenuredRegion};
 use crate::util::reason_str;
@@ -201,7 +201,6 @@ impl GenerationalPlan {
         let nursery_frontier = self.nursery.active().frontier();
         let spaces = TraceSpaces {
             from: &[nursery_range],
-            from_used_words: nursery_frontier - nursery_range.start,
             to: self.tenured.active_mut(),
             nursery: Some(nursery_range),
             los: None, // the LOS is old-generation: untouched by minor collections
@@ -290,14 +289,7 @@ impl GenerationalPlan {
         // With a §7.2 tenure threshold, copied-back survivors live in the
         // nursery system but are not counted in `live_words`: the record
         // marks the byte accounting incomplete so verifiers skip it.
-        self.finish_cycle(
-            mem,
-            m,
-            &mut cycle,
-            drained.lanes,
-            live_words,
-            tenure_threshold == 0,
-        );
+        self.finish_cycle(mem, m, &mut cycle, live_words, tenure_threshold == 0);
     }
 
     fn major(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
@@ -331,8 +323,6 @@ impl GenerationalPlan {
         t_to.set_limit_words(t_to.max_capacity_words());
         let spaces = TraceSpaces {
             from: &[nursery_range, tenured_from],
-            from_used_words: (nursery_frontier - nursery_range.start)
-                + (tenured_from.end - tenured_from.start),
             to: t_to,
             nursery: Some(nursery_range),
             los: Some(&mut self.los),
@@ -347,7 +337,7 @@ impl GenerationalPlan {
         self.young_refs.clear();
         self.young_locs.clear();
         tr.mark(GcPhase::BarrierFilter);
-        let lanes = tr.drain().lanes;
+        tr.drain();
 
         sweep_profile_deaths(
             mem,
@@ -392,7 +382,7 @@ impl GenerationalPlan {
         if self.tenured_over_share {
             self.base.stats.budget_overruns += 1;
         }
-        self.finish_cycle(mem, m, &mut cycle, lanes, live_words, true);
+        self.finish_cycle(mem, m, &mut cycle, live_words, true);
     }
 
     /// The epilogue both collections share: the adaptive estimator and
@@ -402,7 +392,6 @@ impl GenerationalPlan {
         mem: &Memory,
         m: &mut MutatorState,
         cycle: &mut Cycle,
-        lanes: LaneOutcome,
         live_words: usize,
         live_accounting_complete: bool,
     ) {
@@ -414,7 +403,7 @@ impl GenerationalPlan {
             copy_spaces: &[&self.nursery, &self.tenured],
             los: Some(&self.los),
         };
-        cycle.finish(&mut self.base, mem, m, lanes, release);
+        cycle.finish(&mut self.base, mem, m, release);
     }
 
     /// Entry to the collector: the nursery frontier comes home, and the

@@ -22,8 +22,7 @@
 //! * **the tracing driver** (the crate-private `evac` module) — one
 //!   work-queue transitive closure (Cheney scan cursors + an explicit
 //!   queue for objects traced in place) that every plan configures and
-//!   reuses; with `workers > 1` its closure drain fans out over the
-//!   work-packet scheduler.
+//!   reuses.
 //!
 //! Cross-cutting the layers: **generational stack collection** (§5) —
 //! scan caching in [`roots`], driven by stack markers placed per
@@ -55,18 +54,16 @@ mod generational;
 mod governor;
 mod los;
 pub mod roots;
-mod scheduler;
 mod semispace;
 pub mod space;
 mod util;
 pub mod verify;
 
 pub use adaptive::{AdaptiveOutcome, AdaptivePretenure};
-pub use config::{GcConfig, MarkerPolicy, ParallelConfig, PretenurePolicy};
+pub use config::{GcConfig, MarkerPolicy, PretenurePolicy};
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
 pub use roots::{RootLoc, ScanCache, ScanOutcome};
-pub use scheduler::{WorkerFaultKind, WorkerFaultSpec};
 pub use semispace::SemispacePlan;
 pub use space::{CopySpace, PretenuredRegion};
 pub use tilgc_mem::POISON;

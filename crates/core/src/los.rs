@@ -12,9 +12,7 @@
 //! Mark state lives in the heap's side mark bitmap
 //! ([`Memory::mark_test_and_set`]), not in per-object bookkeeping:
 //! [`begin_marking`](LargeObjectSpace::begin_marking) is one bulk clear
-//! over the space's used extent, and parallel tracing workers mark
-//! through the atomic [`SideMetaView`](tilgc_mem::SideMetaView) without
-//! taking a lock.
+//! over the space's used extent.
 //!
 //! In the space/plan layering this is the mark-sweep policy: the
 //! generational plans route oversized allocations here and pass the

@@ -81,16 +81,12 @@ impl SemispacePlan {
         to_space.set_limit_words(to_space.max_capacity_words());
         let spaces = TraceSpaces {
             from: &[from_range],
-            from_used_words: from_frontier - from_range.start,
             to: to_space,
             nursery: None,
             los: None,
             survivor: None,
         };
-        let lanes = cycle
-            .trace(&mut self.base, mem, m, spaces, &roots)
-            .drain()
-            .lanes;
+        cycle.trace(&mut self.base, mem, m, spaces, &roots).drain();
 
         // A semispace plan needs no write barrier; discard anything an
         // embedder recorded anyway.
@@ -124,7 +120,7 @@ impl SemispacePlan {
             copy_spaces: &[&self.heap],
             los: None,
         };
-        cycle.finish(&mut self.base, mem, m, lanes, release);
+        cycle.finish(&mut self.base, mem, m, release);
     }
 
     /// Exit from the collector: the active half is the mutator's to bump

@@ -23,8 +23,6 @@ pub(crate) fn build_collection_end(
     telem: &TelemetryAcc,
     end_cycles: u64,
     wall_ns: u64,
-    workers: u64,
-    worker_copied_bytes: Vec<u64>,
     chunks_owned: u64,
     side_cleared_words: u64,
 ) -> tilgc_obs::CollectionEnd {
@@ -49,8 +47,8 @@ pub(crate) fn build_collection_end(
         wall_ns,
         size_hist: telem.size_hist,
         depth_hist: telem.depth_hist,
-        workers,
-        worker_copied_bytes,
+        workers: 1,
+        worker_copied_bytes: Vec::new(),
         chunks_owned,
         side_cleared_words,
     }

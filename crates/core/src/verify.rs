@@ -122,38 +122,6 @@ pub fn check_graph(mem: &Memory, roots: &[Addr]) -> LiveReport {
     }
 }
 
-/// Checks a parallel collection's per-worker copy accounting against
-/// the collection's `GcStats` delta. The plans call this after every
-/// collection: on the serial lane the worker vector must be empty; on a
-/// parallel lane it must have exactly one slot per worker and sum to
-/// the bytes the collection copied (worker 0 also absorbs the copies the
-/// serial steps make: roots, store buffer, in-place scans, the
-/// degradation drain). The jsonl schema validator re-checks the same identity on
-/// the emitted `collection-end` events.
-///
-/// # Panics
-///
-/// Panics if the accounting does not reconcile.
-pub fn check_worker_accounting(workers: u64, worker_copied: &[u64], copied_bytes: u64) {
-    if workers <= 1 {
-        assert!(
-            worker_copied.is_empty(),
-            "serial collection carries per-worker totals: {worker_copied:?}"
-        );
-        return;
-    }
-    assert_eq!(
-        worker_copied.len() as u64,
-        workers,
-        "per-worker totals must have one slot per worker"
-    );
-    assert_eq!(
-        worker_copied.iter().sum::<u64>(),
-        copied_bytes,
-        "per-worker copied bytes do not sum to the collection's copied_bytes"
-    );
-}
-
 /// Verifies a running VM's heap: shadow roots → full graph walk.
 ///
 /// # Panics

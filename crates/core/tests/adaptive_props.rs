@@ -128,14 +128,12 @@ proptest! {
     }
 }
 
-/// A pressure-driven forced demotion that lands *during a degraded
-/// collection* — the governor demotes mid-cycle while the coordinator
-/// is draining a failed parallel section's leftover packets on the
-/// serial path — must start the same cooldown window as any other
-/// flip. Degradation is invisible to the estimator by design (it only
-/// ever sees the collection index the plan passes in), so a site must
-/// not oscillate faster just because the collection that demoted it
-/// also lost a worker.
+/// A pressure-driven forced demotion (the governor's demotion rung) must
+/// start the same cooldown window as any other flip: perfect survival
+/// evidence right after it must not re-promote the site early. The
+/// estimator only ever sees the collection index the plan passes in, so
+/// nothing about the collection the demotion lands in — once a degraded
+/// parallel collection, now any serial one — can shorten the window.
 #[test]
 fn forced_demotion_during_degraded_collection_respects_cooldown() {
     let win = |site: u16, allocs: u64, survived: u64| SiteWindow {
@@ -150,28 +148,27 @@ fn forced_demotion_during_degraded_collection_respects_cooldown() {
     seed.add_site(SiteId::new(3));
     let mut a = AdaptivePretenure::new(Some(&seed));
 
-    // Collection 10 degrades (worker lost, serial drain); the pressure
-    // rung fires inside that same collection and force-demotes site 3.
-    let degraded = 10u64;
-    a.note_forced_demotion(SiteId::new(3), degraded);
+    // The pressure rung force-demotes site 3 at collection 10.
+    let demoted = 10u64;
+    a.note_forced_demotion(SiteId::new(3), demoted);
     assert!(!a.is_pretenured(SiteId::new(3)));
 
-    // Perfect survival evidence from the episode's own serial drain and
-    // the collections right after it must not re-promote the site
-    // inside the cooldown window.
-    for gc in degraded..degraded + COOLDOWN {
+    // Perfect survival evidence from that collection and the ones
+    // right after it must not re-promote the site inside the cooldown
+    // window.
+    for gc in demoted..demoted + COOLDOWN {
         let out = a.observe(gc, false, &[win(3, 100, 100)]);
         assert!(
             out.promotions.is_empty(),
             "flip at {gc} violates the cooldown of {} started by the \
-             mid-degradation demotion",
+             forced demotion",
             COOLDOWN
         );
     }
 
     // Once cooled down and re-proven, the site may flip back.
     let mut promoted = false;
-    for gc in degraded + COOLDOWN..degraded + 4 * COOLDOWN {
+    for gc in demoted + COOLDOWN..demoted + 4 * COOLDOWN {
         promoted |= !a
             .observe(gc, false, &[win(3, 100, 100)])
             .promotions

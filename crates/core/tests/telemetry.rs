@@ -4,11 +4,11 @@
 //! deterministic counters byte-identical to a run with no recorder.
 
 use tilgc_core::{
-    build_vm, build_vm_with_recorder, CollectorKind, GcConfig, PretenurePolicy, WorkerFaultKind,
-    WorkerFaultSpec,
+    build_vm, build_vm_with_recorder, verify_vm, CollectorKind, GcConfig, PretenurePolicy,
 };
 use tilgc_mem::SiteId;
 use tilgc_obs::{jsonl, schema, Event, GcPhase, NullRecorder, RingRecorder};
+use tilgc_programs::Benchmark;
 use tilgc_runtime::{DescId, FrameDesc, GcStats, Trace, Value, Vm};
 
 /// The site the pretenuring configuration tenures at birth. Site ids are
@@ -178,10 +178,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
                         assert!(s.chunks > 0, "{}: space owns no chunks", s.space);
                     }
                 }
-                // Fault-free runs never degrade.
-                Event::DegradationBegin(_) | Event::DegradationEnd(_) => {
-                    panic!("degradation event on a fault-free run")
-                }
             }
         }
 
@@ -289,7 +285,7 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
 /// percentiles are ordered, and the MMU curve is monotone in the window.
 /// The collection cycle is one pipeline, so one grammar holds for every
 /// plan and every collection: `collection-begin, phase…, collection-end,
-/// [degradation-begin, degradation-end], heap-census, site-sample…`,
+/// heap-census, site-sample…`,
 /// all naming the same collection, phases in canonical [`GcPhase`] order.
 /// Returns the `(minor, major)` collection counts and each begin's
 /// `ttsp_cycles`.
@@ -340,17 +336,6 @@ fn assert_cycle_grammar(label: &str, events: &[Event]) -> ((u64, u64), Vec<u64>)
         } else {
             minors += 1;
         }
-        if let Some(Event::DegradationBegin(d)) = it.peek() {
-            assert_eq!(
-                d.collection, id,
-                "{label}: degradation names another collection"
-            );
-            it.next();
-            let Some(Event::DegradationEnd(d)) = it.next() else {
-                panic!("{label}: collection {id} degradation-begin without its end");
-            };
-            assert_eq!(d.collection, id, "{label}");
-        }
         let Some(Event::HeapCensus(census)) = it.next() else {
             panic!("{label}: collection {id} end not followed by heap-census");
         };
@@ -368,40 +353,28 @@ fn assert_cycle_grammar(label: &str, events: &[Event]) -> ((u64, u64), Vec<u64>)
 
 #[test]
 fn every_plan_emits_one_collection_grammar() {
-    let faulted = |c: GcConfig| {
-        c.workers(4).worker_fault(WorkerFaultSpec {
-            kind: WorkerFaultKind::Panic,
-            worker: 0,
-            packet: 0,
-        })
-    };
     for kind in CollectorKind::ALL {
-        for (variant, config) in [
-            ("serial", config_for(kind)),
-            ("faulted", faulted(config_for(kind))),
-        ] {
-            let label = format!("{} / {variant}", kind.label());
-            let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
-            let mut vm = build_vm_with_recorder(kind, &config, recorder);
-            workload(&mut vm);
-            vm.finish();
-            let events = RingRecorder::drain_events_from(vm.recorder_mut())
-                .expect("a RingRecorder was installed");
-            let ((minors, majors), ttsp) = assert_cycle_grammar(&label, &events);
-            assert_eq!(minors + majors, vm.gc_stats().collections, "{label}");
-            if kind == CollectorKind::Semispace {
-                assert!(
-                    majors >= 1 && minors == 0,
-                    "{label}: every collection is full"
-                );
-            } else {
-                assert!(
-                    minors >= 1 && majors >= 1,
-                    "{label}: need both collection kinds"
-                );
-            }
-            assert!(ttsp.iter().any(|&t| t > 0), "{label}: no TTSP observed");
+        let label = kind.label();
+        let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
+        let mut vm = build_vm_with_recorder(kind, &config_for(kind), recorder);
+        workload(&mut vm);
+        vm.finish();
+        let events = RingRecorder::drain_events_from(vm.recorder_mut())
+            .expect("a RingRecorder was installed");
+        let ((minors, majors), ttsp) = assert_cycle_grammar(label, &events);
+        assert_eq!(minors + majors, vm.gc_stats().collections, "{label}");
+        if kind == CollectorKind::Semispace {
+            assert!(
+                majors >= 1 && minors == 0,
+                "{label}: every collection is full"
+            );
+        } else {
+            assert!(
+                minors >= 1 && majors >= 1,
+                "{label}: need both collection kinds"
+            );
         }
+        assert!(ttsp.iter().any(|&t| t > 0), "{label}: no TTSP observed");
     }
 }
 
@@ -627,4 +600,65 @@ fn installed_recorders_leave_gc_stats_byte_identical() {
             "{label}: recording perturbed allocation accounting"
         );
     }
+}
+
+fn big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+    std::thread::Builder::new()
+        .stack_size(256 << 20)
+        .spawn(f)
+        .expect("spawn")
+        .join()
+        .expect("benchmark thread panicked")
+}
+
+/// The Life rig: a roomy heap over a 16 KiB nursery, so the run
+/// collects often.
+fn life_config() -> GcConfig {
+    GcConfig::new()
+        .heap_budget_bytes(48 << 20)
+        .nursery_bytes(16 << 10)
+        .large_object_bytes(4 << 10)
+}
+
+/// `doc` with every `"wall_ns":N` value blanked: host time is the one
+/// thing two identical runs may disagree on.
+fn blank_wall_ns(doc: &str) -> String {
+    const KEY: &str = "\"wall_ns\":";
+    let mut out = String::with_capacity(doc.len());
+    let mut rest = doc;
+    while let Some(i) = rest.find(KEY) {
+        out.push_str(&rest[..i + KEY.len()]);
+        rest = rest[i + KEY.len()..].trim_start_matches(|c: char| c.is_ascii_digit());
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Collection is serial, and `GcConfig::workers` — kept only because the
+/// frozen benchmark calls it — changes nothing: a Life run configured
+/// with two workers has the answer, `GcStats` and JSONL of one configured
+/// with none, and `config.workers` reads 1 either way. This is what keeps
+/// the benchmark's `churn-par` workload an exact serial twin of
+/// `churn-gen`.
+#[test]
+fn the_worker_count_is_inert() {
+    big_stack(|| {
+        let run = |config: &GcConfig| {
+            let mut vm = build_vm_with_recorder(
+                CollectorKind::Generational,
+                config,
+                Box::new(RingRecorder::with_capacity(1 << 16)),
+            );
+            let answer = Benchmark::Life.run(&mut vm, 1);
+            verify_vm(&vm);
+            let events = RingRecorder::drain_events_from(vm.recorder_mut()).expect("ring");
+            let doc = jsonl::render("generational", "life", 1, &[], &events);
+            (answer, scrub(*vm.gc_stats()), blank_wall_ns(&doc))
+        };
+        let (serial, two) = (life_config(), life_config().workers(2));
+        assert_eq!((serial.workers, two.workers), (1, 1));
+        let (a, b) = (run(&serial), run(&two));
+        assert!(a.1.collections > 0, "Life must collect");
+        assert_eq!(a, b, "a worker count moved the run");
+    });
 }

@@ -141,10 +141,6 @@ fn group_collections(events: &[Event]) -> BTreeMap<u64, CollectionRow> {
             Event::PressureBegin(_) | Event::PressureRung(_) | Event::PressureEnd(_) => {}
             // Adaptive site flips likewise get their own section.
             Event::SitePromote(_) | Event::SiteDemote(_) => {}
-            // Degradation episodes annotate a collection that already
-            // has a timeline row; the row's cycles include the serial
-            // drain, so the episode adds no separate entry.
-            Event::DegradationBegin(_) | Event::DegradationEnd(_) => {}
             // Censuses feed the pause/occupancy footer, not the timeline.
             Event::HeapCensus(_) => {}
         }

@@ -41,6 +41,8 @@
 //! Build with `--release`: the simulator is deterministic either way, but
 //! debug builds are an order of magnitude slower.
 
+#![forbid(unsafe_code)]
+
 mod csv;
 mod drift;
 mod extensions;

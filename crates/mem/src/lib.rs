@@ -13,7 +13,7 @@
 //!   bits and allocation-site tags that used to live in object headers,
 //!   stored as plain zero-initialised arrays the OS commits on first
 //!   write, with `memset`-style bulk clears bounded by a space's used
-//!   extent and atomic views for parallel marking;
+//!   extent;
 //! * *nearly tag-free* heap objects in the TIL style: [`records`] whose
 //!   single header word carries a pointer mask, pointer arrays, and raw
 //!   (non-pointer) byte arrays ([`ObjectKind`]), each tagged in the side
@@ -23,14 +23,7 @@
 //!   nurseries, tenured areas and pretenured regions.
 //!
 //! Addresses are indices, not machine pointers, so the simulation is
-//! safe Rust and fully deterministic — with one audited exception: the
-//! [`SharedMemView`] module reinterprets exclusively borrowed plain
-//! arrays as atomics, so parallel collection workers can claim and
-//! forward objects with CAS ([`SharedMemView`], over the `u64` heap
-//! words) and mark and tag them ([`SideMetaView`], over the `u64` mark
-//! bitmap and the `u16` site table). That cast is the only `unsafe` in
-//! the workspace and is confined to a single generic function with
-//! compile-time size and alignment guards for both element types.
+//! safe Rust and fully deterministic.
 //!
 //! [`records`]: ObjectKind::Record
 //!
@@ -51,7 +44,7 @@
 //! assert_eq!(obj.site(), site);
 //! ```
 
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod addr;
@@ -59,7 +52,6 @@ mod error;
 mod header;
 mod memory;
 pub mod object;
-mod shared;
 pub mod side;
 mod site;
 mod space;
@@ -69,8 +61,7 @@ pub use error::{Arena, BudgetSnapshot, GcError, MemError};
 pub use header::{Header, ObjectKind, MAX_PTR_MASK_FIELDS, MAX_RECORD_FIELDS};
 pub use memory::{Memory, POISON, WORD_BYTES};
 pub use object::Obj;
-pub use shared::SharedMemView;
-pub use side::{ChunkMap, SideBitmap, SideMetaView, CHUNK_BYTES, CHUNK_WORDS};
+pub use side::{ChunkMap, SideBitmap, CHUNK_BYTES, CHUNK_WORDS};
 pub use site::{SiteId, SiteRouteTable};
 pub use space::{Space, SpaceRange};
 

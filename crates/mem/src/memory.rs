@@ -1,4 +1,4 @@
-use crate::side::{fresh_mapping_len, ChunkMap, SideBitmap, SideMetaView, SideMetadata};
+use crate::side::{fresh_mapping_len, ChunkMap, SideBitmap, SideMetadata};
 use crate::{Addr, MemError, SiteId, SpaceRange};
 
 /// Size of a machine word, in bytes. The simulation models a 64-bit machine
@@ -228,8 +228,7 @@ impl Memory {
     }
 
     /// Sets the mark bit for `addr`, returning `true` if this call
-    /// claimed it (serial marking path; parallel workers use
-    /// [`SideMetaView::mark_test_and_set`]).
+    /// claimed it.
     #[inline]
     pub fn mark_test_and_set(&mut self, addr: Addr) -> bool {
         !self.side.mark.set_returning_old(addr)
@@ -364,16 +363,6 @@ impl Memory {
     pub fn fill(&mut self, addr: Addr, len: usize, value: u64) {
         let i = addr.index();
         self.words[i..i + len].fill(value);
-    }
-
-    /// Opens the word view and the side-metadata view together, so
-    /// parallel workers can forward objects (word view) and mark / tag
-    /// sites (side view) through one pair of shared handles. Both borrow
-    /// plain arrays as atomics; the `&mut` receiver guarantees no
-    /// non-atomic access can alias them for their lifetime.
-    #[inline]
-    pub fn shared_views(&mut self) -> (crate::SharedMemView<'_>, SideMetaView<'_>) {
-        (crate::SharedMemView::new(&mut self.words), self.side.view())
     }
 }
 

@@ -16,30 +16,22 @@
 //!   id of the object whose header sits at that word.
 //!
 //! Keeping metadata out of headers makes the barrier filter a single
-//! branch-free test-and-set, makes clearing a `memset`-style word sweep
-//! ([`SideBitmap::bulk_clear`]) instead of a per-object header walk, and
-//! lets parallel workers mark through shared atomic views
-//! ([`SideMetaView`]) without touching object headers. This follows the
-//! chunked-heap + side-metadata idiom of production collectors
-//! (mmtk-core's `util/heap` and `util/metadata/side_metadata`).
+//! branch-free test-and-set and makes clearing a `memset`-style word
+//! sweep ([`SideBitmap::bulk_clear`]) instead of a per-object header
+//! walk. This follows the chunked-heap + side-metadata idiom of
+//! production collectors (mmtk-core's `util/heap` and
+//! `util/metadata/side_metadata`).
 //!
 //! Storage is plain `vec![0; n]` arrays of `u64` / `u16`: a zeroed
 //! allocation commits no page until its first write, so building a heap
 //! costs what the program touches, not what the collector reserves
 //! (2.375 bytes of side metadata per reserved heap word) — provided the
 //! allocator hands out a fresh mapping, which the two word-indexed arrays
-//! make sure of (see `FRESH_MAPPING_BYTES` below). The serial
-//! paths are ordinary loads and stores; the parallel paths borrow the
-//! same arrays as atomics for the length of a collection through
-//! [`Memory::shared_views`](crate::Memory::shared_views) and the audited
-//! cast in `shared.rs` — no `unsafe` here. Bulk clears keep the property:
-//! collectors sweep a space's *used extent*, never its whole
+//! make sure of (see `FRESH_MAPPING_BYTES` below). Bulk clears keep the
+//! property: collectors sweep a space's *used extent*, never its whole
 //! reservation, and debug builds check that the tail beyond it is
 //! already clear.
 
-use std::sync::atomic::{AtomicU16, AtomicU64, Ordering};
-
-use crate::shared::as_atomics;
 use crate::{Addr, SiteId, SpaceRange};
 
 /// Smallest request glibc *always* serves with a fresh anonymous mapping:
@@ -345,62 +337,6 @@ impl SideMetadata {
             cleared_words: 0,
         }
     }
-
-    /// The atomic view parallel workers share for one collection. The
-    /// `&mut` receiver is what makes the plain-to-atomic cast sound.
-    pub(crate) fn view(&mut self) -> SideMetaView<'_> {
-        SideMetaView {
-            marks: as_atomics(&mut self.mark.words),
-            sites: as_atomics(&mut self.sites.tags),
-        }
-    }
-}
-
-/// A shared, atomic view of the side metadata for parallel collection
-/// workers.
-///
-/// Copyable and `Sync`, like
-/// [`SharedMemView`](crate::SharedMemView): every worker holds the same
-/// view. Mark bits are claimed with an acquire-release `fetch_or`; site
-/// tags use relaxed loads and stores, which is sound because a copied
-/// object's site tag is written by the claim winner *before* the
-/// release-publish of its forwarding header, and only read through
-/// addresses obtained after that publish (or after the collection).
-#[derive(Clone, Copy, Debug)]
-pub struct SideMetaView<'m> {
-    marks: &'m [AtomicU64],
-    sites: &'m [AtomicU16],
-}
-
-impl SideMetaView<'_> {
-    /// Atomically sets the mark bit for `addr`, returning `true` if
-    /// this call claimed it (the bit was previously clear).
-    #[inline]
-    pub fn mark_test_and_set(&self, addr: Addr) -> bool {
-        let (w, m) = SideBitmap::locate(addr);
-        self.marks[w].fetch_or(m, Ordering::AcqRel) & m == 0
-    }
-
-    /// Reads the mark bit for `addr`.
-    #[inline]
-    pub fn is_marked(&self, addr: Addr) -> bool {
-        let (w, m) = SideBitmap::locate(addr);
-        self.marks[w].load(Ordering::Acquire) & m != 0
-    }
-
-    /// The site tag for the object whose header is at `addr`.
-    #[inline]
-    pub fn site_of(&self, addr: Addr) -> SiteId {
-        SiteId::new(self.sites[addr.index()].load(Ordering::Relaxed))
-    }
-
-    /// Copies the site tag from `from` to `to` (the side-metadata half
-    /// of forwarding an object).
-    #[inline]
-    pub fn copy_site(&self, from: Addr, to: Addr) {
-        let tag = self.sites[from.index()].load(Ordering::Relaxed);
-        self.sites[to.index()].store(tag, Ordering::Relaxed);
-    }
 }
 
 #[cfg(test)]
@@ -529,19 +465,5 @@ mod tests {
         assert_eq!(t.get(Addr::new(9)), SiteId::UNKNOWN);
         t.set(Addr::new(9), SiteId::new(777));
         assert_eq!(t.get(Addr::new(9)), SiteId::new(777));
-    }
-
-    #[test]
-    fn atomic_view_claims_marks_and_copies_sites() {
-        let mut side = SideMetadata::new(256);
-        side.sites.set(Addr::new(10), SiteId::new(42));
-        let view = side.view();
-        assert!(view.mark_test_and_set(Addr::new(10)), "first claim wins");
-        assert!(!view.mark_test_and_set(Addr::new(10)), "second claim loses");
-        assert!(view.is_marked(Addr::new(10)));
-        view.copy_site(Addr::new(10), Addr::new(20));
-        assert_eq!(view.site_of(Addr::new(20)), SiteId::new(42));
-        let _ = view;
-        assert!(side.mark.get(Addr::new(10)), "claim lands in the bitmap");
     }
 }

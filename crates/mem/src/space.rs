@@ -74,11 +74,6 @@ pub struct Space {
     range: SpaceRange,
     limit: Addr,
     next: Addr,
-    /// Words below the frontier that hold no live data: tails of
-    /// per-worker bump chunks abandoned by a parallel collection.
-    /// Subtracted from [`used_words`](Space::used_words) so live-size
-    /// accounting matches a serial collection of the same heap.
-    slack: usize,
     /// Whether the frontier is out on loan ([`lend`](Space::lend)): the
     /// borrower bumps its own copy, so `next` is stale until
     /// [`retire`](Space::retire) brings the cursor home.
@@ -93,7 +88,6 @@ impl Space {
             range,
             limit: range.end,
             next: range.start,
-            slack: 0,
             lent: false,
         }
     }
@@ -191,19 +185,9 @@ impl Space {
         self.range.contains(addr)
     }
 
-    /// Words of live data allocated since the last
-    /// [`reset`](Space::reset): the distance to the frontier minus any
-    /// parallel-collection [slack](Space::note_slack).
+    /// Words allocated since the last [`reset`](Space::reset).
     #[inline]
     pub fn used_words(&self) -> usize {
-        self.physical_used_words() - self.slack
-    }
-
-    /// Words physically consumed up to the frontier, counting abandoned
-    /// chunk tails. This is what the limit clamp and occupancy checks
-    /// must use; resize policy uses the live [`used_words`](Space::used_words).
-    #[inline]
-    fn physical_used_words(&self) -> usize {
         self.frontier() - self.range.start
     }
 
@@ -228,9 +212,7 @@ impl Space {
     /// Moves the logical limit to `words` words past the start, clamped to
     /// the reserved range and never below the current frontier.
     pub fn set_limit_words(&mut self, words: usize) {
-        let clamped = words
-            .min(self.range.words())
-            .max(self.physical_used_words());
+        let clamped = words.min(self.range.words()).max(self.used_words());
         self.limit = self.range.start + clamped;
     }
 
@@ -239,38 +221,15 @@ impl Space {
     pub fn reset(&mut self) {
         debug_assert!(!self.lent, "reset of a lent space");
         self.next = self.range.start;
-        self.slack = 0;
     }
 
-    /// Records `words` of dead space below the frontier — the abandoned
-    /// tail of a parallel worker's bump chunk. Excluded from
-    /// [`used_words`](Space::used_words) so live-size accounting stays
-    /// identical to a serial collection.
-    pub fn note_slack(&mut self, words: usize) {
-        debug_assert!(
-            self.slack + words <= self.physical_used_words(),
-            "slack {} + {words} exceeds physical use {}",
-            self.slack,
-            self.physical_used_words()
-        );
-        self.slack += words;
-    }
-
-    /// Slack words recorded since the last [`reset`](Space::reset).
-    #[inline]
-    pub fn slack_words(&self) -> usize {
-        self.slack
-    }
-
-    /// Advances the allocation frontier to `addr` — how a parallel
-    /// collection syncs a shared atomic cursor back into the space after
-    /// its workers join.
+    /// Advances the allocation frontier to `addr`.
     ///
     /// # Panics
     ///
     /// Panics if `addr` is behind the current frontier or past the
     /// logical limit.
-    pub fn advance_frontier(&mut self, addr: Addr) {
+    fn advance_frontier(&mut self, addr: Addr) {
         assert!(
             addr >= self.frontier() && addr <= self.limit,
             "frontier {addr} outside [{}, {}]",
@@ -358,23 +317,9 @@ mod tests {
         assert!(!s.contains(a + 16));
     }
 
-    #[test]
-    fn slack_is_excluded_from_used_but_not_free() {
-        let mut s = space(100);
-        s.alloc(40).unwrap();
-        s.note_slack(10);
-        assert_eq!(s.used_words(), 30, "live size excludes chunk tails");
-        assert_eq!(s.slack_words(), 10);
-        assert_eq!(s.free_words(), 60, "free space is physical");
-        // The limit clamp must respect the physical frontier, not the
-        // slack-adjusted live size.
-        s.set_limit_words(35);
-        assert_eq!(s.capacity_words(), 40);
-        s.reset();
-        assert_eq!(s.slack_words(), 0);
-        assert_eq!(s.used_words(), 0);
-    }
-
+    /// A cursor bumped outside the space — a collection's copy cursor,
+    /// which was once parallel and is now the borrower's — becomes the
+    /// frontier, and the next allocation starts there.
     #[test]
     fn advance_frontier_syncs_parallel_cursor() {
         let mut s = space(64);

@@ -15,9 +15,8 @@
 
 use crate::json::{self, escape_into, Value};
 use crate::{
-    CollectionBegin, CollectionEnd, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus,
-    Hist, PhaseSpan, PressureBegin, PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample,
-    SpaceCensus,
+    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, Hist, PhaseSpan, PressureBegin,
+    PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample, SpaceCensus,
 };
 
 /// Version of the line schema, carried by the `meta` line. Bumped when a
@@ -44,10 +43,6 @@ pub mod vocab {
     pub const EPISODE_OUTCOME: &[&str] = &["recovered", "exhausted"];
     /// `site-demote.reason`.
     pub const DEMOTE_REASON: &[&str] = &["adaptive", "pressure"];
-    /// `degradation-begin.trigger`.
-    pub const TRIGGER: &[&str] = &["panic", "watchdog", "budget", "orphan"];
-    /// `degradation-end.outcome`.
-    pub const DEGRADATION_OUTCOME: &[&str] = &["drained"];
 }
 
 /// Builds one JSON object field by field.
@@ -155,40 +150,29 @@ pub fn event_line(event: &Event) -> String {
             .str("phase", e.phase.wire_name())
             .num("cycles", e.cycles)
             .num("wall_ns", e.wall_ns),
-        Event::CollectionEnd(e) => {
-            // Worker fields appear only on parallel collections, so a
-            // serial (workers = 1) trace stays byte-identical to
-            // pre-scheduler output.
-            let obj = Obj::new("collection-end")
-                .num("collection", e.collection)
-                .bool("major", e.major)
-                .num("depth", e.depth)
-                .num("claimed_prefix", e.claimed_prefix)
-                .num("oracle_prefix", e.oracle_prefix)
-                .num("copied_bytes", e.copied_bytes)
-                .num("scanned_words", e.scanned_words)
-                .num("pretenured_scanned_words", e.pretenured_scanned_words)
-                .num("roots_found", e.roots_found)
-                .num("frames_scanned", e.frames_scanned)
-                .num("frames_reused", e.frames_reused)
-                .num("slots_scanned", e.slots_scanned)
-                .num("barrier_entries", e.barrier_entries)
-                .num("markers_placed", e.markers_placed)
-                .num("gc_cycles", e.gc_cycles)
-                .num("end_cycles", e.end_cycles)
-                .num("live_bytes_after", e.live_bytes_after)
-                .num("wall_ns", e.wall_ns)
-                .num("chunks_owned", e.chunks_owned)
-                .num("side_cleared_words", e.side_cleared_words)
-                .nums("size_hist", &e.size_hist.buckets)
-                .nums("depth_hist", &e.depth_hist.buckets);
-            if e.workers > 1 {
-                obj.num("workers", e.workers)
-                    .nums("worker_copied_bytes", &e.worker_copied_bytes)
-            } else {
-                obj
-            }
-        }
+        Event::CollectionEnd(e) => Obj::new("collection-end")
+            .num("collection", e.collection)
+            .bool("major", e.major)
+            .num("depth", e.depth)
+            .num("claimed_prefix", e.claimed_prefix)
+            .num("oracle_prefix", e.oracle_prefix)
+            .num("copied_bytes", e.copied_bytes)
+            .num("scanned_words", e.scanned_words)
+            .num("pretenured_scanned_words", e.pretenured_scanned_words)
+            .num("roots_found", e.roots_found)
+            .num("frames_scanned", e.frames_scanned)
+            .num("frames_reused", e.frames_reused)
+            .num("slots_scanned", e.slots_scanned)
+            .num("barrier_entries", e.barrier_entries)
+            .num("markers_placed", e.markers_placed)
+            .num("gc_cycles", e.gc_cycles)
+            .num("end_cycles", e.end_cycles)
+            .num("live_bytes_after", e.live_bytes_after)
+            .num("wall_ns", e.wall_ns)
+            .num("chunks_owned", e.chunks_owned)
+            .num("side_cleared_words", e.side_cleared_words)
+            .nums("size_hist", &e.size_hist.buckets)
+            .nums("depth_hist", &e.depth_hist.buckets),
         Event::SiteSample(e) => Obj::new("site-sample")
             .num("collection", e.collection)
             .num("site", e.site as u64)
@@ -234,15 +218,6 @@ pub fn event_line(event: &Event) -> String {
                 .num("pretenured_sites", e.pretenured_sites)
                 .array("spaces", e.spaces.iter().map(space).map(Obj::finish))
         }
-        Event::DegradationBegin(e) => Obj::new("degradation-begin")
-            .num("collection", e.collection)
-            .str("trigger", e.trigger)
-            .num("workers", e.workers)
-            .num("workers_lost", e.workers_lost),
-        Event::DegradationEnd(e) => Obj::new("degradation-end")
-            .num("collection", e.collection)
-            .num("leftover_packets", e.leftover_packets)
-            .str("outcome", e.outcome),
     }
     .finish()
 }
@@ -454,42 +429,32 @@ fn event(kind: &str, f: &mut Fields) -> Result<Event, String> {
             cycles: f.num("cycles")?,
             wall_ns: f.num("wall_ns")?,
         }),
-        "collection-end" => {
-            // Worker fields are optional-together: the writer emits both
-            // on a parallel collection (workers ≥ 2) and neither on a
-            // serial one, which decodes as `workers: 1`, no per-worker row.
-            let workers = f.num_or_omitted("workers", 2)?;
-            let worker_copied_bytes = match workers {
-                Some(_) => f.nums("worker_copied_bytes")?,
-                None => Vec::new(),
-            };
-            Event::CollectionEnd(Box::new(CollectionEnd {
-                collection: f.num("collection")?,
-                major: f.flag("major")?,
-                depth: f.num("depth")?,
-                claimed_prefix: f.num("claimed_prefix")?,
-                oracle_prefix: f.num("oracle_prefix")?,
-                copied_bytes: f.num("copied_bytes")?,
-                scanned_words: f.num("scanned_words")?,
-                pretenured_scanned_words: f.num("pretenured_scanned_words")?,
-                roots_found: f.num("roots_found")?,
-                frames_scanned: f.num("frames_scanned")?,
-                frames_reused: f.num("frames_reused")?,
-                slots_scanned: f.num("slots_scanned")?,
-                barrier_entries: f.num("barrier_entries")?,
-                markers_placed: f.num("markers_placed")?,
-                gc_cycles: f.num("gc_cycles")?,
-                end_cycles: f.num("end_cycles")?,
-                live_bytes_after: f.num("live_bytes_after")?,
-                wall_ns: f.num("wall_ns")?,
-                size_hist: f.hist("size_hist")?,
-                depth_hist: f.hist("depth_hist")?,
-                workers: workers.unwrap_or(1),
-                worker_copied_bytes,
-                chunks_owned: f.num("chunks_owned")?,
-                side_cleared_words: f.num("side_cleared_words")?,
-            }))
-        }
+        "collection-end" => Event::CollectionEnd(Box::new(CollectionEnd {
+            collection: f.num("collection")?,
+            major: f.flag("major")?,
+            depth: f.num("depth")?,
+            claimed_prefix: f.num("claimed_prefix")?,
+            oracle_prefix: f.num("oracle_prefix")?,
+            copied_bytes: f.num("copied_bytes")?,
+            scanned_words: f.num("scanned_words")?,
+            pretenured_scanned_words: f.num("pretenured_scanned_words")?,
+            roots_found: f.num("roots_found")?,
+            frames_scanned: f.num("frames_scanned")?,
+            frames_reused: f.num("frames_reused")?,
+            slots_scanned: f.num("slots_scanned")?,
+            barrier_entries: f.num("barrier_entries")?,
+            markers_placed: f.num("markers_placed")?,
+            gc_cycles: f.num("gc_cycles")?,
+            end_cycles: f.num("end_cycles")?,
+            live_bytes_after: f.num("live_bytes_after")?,
+            wall_ns: f.num("wall_ns")?,
+            size_hist: f.hist("size_hist")?,
+            depth_hist: f.hist("depth_hist")?,
+            workers: 1,
+            worker_copied_bytes: Vec::new(),
+            chunks_owned: f.num("chunks_owned")?,
+            side_cleared_words: f.num("side_cleared_words")?,
+        })),
         "site-sample" => Event::SiteSample(SiteSample {
             collection: f.num("collection")?,
             site: f.site("site")?,
@@ -539,17 +504,6 @@ fn event(kind: &str, f: &mut Fields) -> Result<Event, String> {
                     chunks: s.num("chunks")?,
                 })
             })?,
-        }),
-        "degradation-begin" => Event::DegradationBegin(DegradationBegin {
-            collection: f.num("collection")?,
-            trigger: f.word("trigger", vocab::TRIGGER)?,
-            workers: f.num("workers")?,
-            workers_lost: f.num("workers_lost")?,
-        }),
-        "degradation-end" => Event::DegradationEnd(DegradationEnd {
-            collection: f.num("collection")?,
-            leftover_packets: f.num("leftover_packets")?,
-            outcome: f.word("outcome", vocab::DEGRADATION_OUTCOME)?,
         }),
         other => return Err(format!("unknown event type {other:?}")),
     })
@@ -711,27 +665,6 @@ mod tests {
     }
 
     #[test]
-    fn degradation_lines_round_trip() {
-        for trigger in vocab::TRIGGER {
-            round_trip(Event::DegradationBegin(DegradationBegin {
-                collection: 7,
-                trigger,
-                workers: 4,
-                workers_lost: 1,
-            }));
-        }
-        let end = Event::DegradationEnd(DegradationEnd {
-            collection: 7,
-            leftover_packets: 3,
-            outcome: "drained",
-        });
-        assert_eq!(
-            round_trip(end),
-            r#"{"type":"degradation-end","collection":7,"leftover_packets":3,"outcome":"drained"}"#
-        );
-    }
-
-    #[test]
     fn meta_line_resolves_sites() {
         let sites = vec![(0, "unknown".to_string()), (3, "rec\"3".to_string())];
         let line = meta_line("semispace", "Life", 150_000_000, &sites);
@@ -808,20 +741,15 @@ mod tests {
             workers: 1,
             worker_copied_bytes: Vec::new(),
         };
-        let v = parse(&round_trip(Event::CollectionEnd(Box::new(e.clone())))).unwrap();
+        let line = round_trip(Event::CollectionEnd(Box::new(e)));
+        let v = parse(&line).unwrap();
         let hist = v.get("size_hist").unwrap().as_array().unwrap();
         assert_eq!(hist.len(), crate::HIST_BUCKETS);
         assert_eq!(hist[5].as_u64(), Some(1), "16 lands in [16,32)");
         assert!(
             v.get("workers").is_none(),
-            "serial end line carries no worker fields"
+            "an end line carries no worker fields"
         );
-
-        let mut par = e;
-        par.workers = 2;
-        par.worker_copied_bytes = vec![48, 16];
-        let line = round_trip(Event::CollectionEnd(Box::new(par)));
-        assert!(line.ends_with(r#","workers":2,"worker_copied_bytes":[48,16]}"#));
         let short = line.replace(",0]", "]");
         let err = parse_line(&short).unwrap_err();
         assert!(err.contains("size_hist has 15 buckets"), "{err}");

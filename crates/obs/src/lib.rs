@@ -231,13 +231,12 @@ pub struct CollectionEnd {
     /// Snapshot of the run-cumulative histogram of stack depth at
     /// collection time.
     pub depth_hist: Hist,
-    /// Number of GC workers that ran this collection (1 on the serial
-    /// lane). The JSONL sink emits worker fields only when this is > 1,
-    /// keeping serial traces byte-identical to pre-scheduler runs.
+    // Inert, always 1 and empty, and never written to a line:
+    // `benchmark/src/trace.rs:346–358` reads both. ROADMAP item 1
+    // deletes that read and these fields.
+    #[doc(hidden)]
     pub workers: u64,
-    /// Bytes copied by each worker, in worker-index order (empty on the
-    /// serial lane). Sums exactly to `copied_bytes`; the schema
-    /// validator checks the identity.
+    #[doc(hidden)]
     pub worker_copied_bytes: Vec<u64>,
     /// Chunks of the heap's address space owned by spaces at collection
     /// end (constant per plan; a layout fingerprint for trace readers).
@@ -371,40 +370,6 @@ pub struct HeapCensus {
     pub spaces: Vec<SpaceCensus>,
 }
 
-/// Start of a mid-cycle degradation episode: a parallel collection lost
-/// a worker (panic, watchdog expiry, or cycle-budget exhaustion) or
-/// found orphaned packets at section close, and the coordinator drained
-/// the remaining work on the exact serial path. Emitted right after the
-/// affected collection's `collection-end` line, like a census.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradationBegin {
-    /// The collection that degraded.
-    pub collection: u64,
-    /// What first triggered the degradation: `"panic"` (a worker
-    /// unwound), `"watchdog"` (a worker blew its stall deadline),
-    /// `"budget"` (a worker exhausted its cycle budget) or `"orphan"`
-    /// (no worker was lost but a dropped packet surfaced at close).
-    pub trigger: &'static str,
-    /// Workers the collection started with.
-    pub workers: u64,
-    /// Workers lost by the time the section closed.
-    pub workers_lost: u64,
-}
-
-/// End of a mid-cycle degradation episode.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct DegradationEnd {
-    /// The collection that degraded (matches the episode's begin).
-    pub collection: u64,
-    /// Packets the coordinator drained serially (requeued in-flight
-    /// work plus anything still unclaimed when the queue closed).
-    pub leftover_packets: u64,
-    /// How the episode ended — always `"drained"`: the serial oracle
-    /// path completes unconditionally, so a degraded collection still
-    /// terminates with the exact serial answer.
-    pub outcome: &'static str,
-}
-
 /// End of a heap-pressure episode.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PressureEnd {
@@ -444,10 +409,6 @@ pub enum Event {
     SiteDemote(SiteDemote),
     /// Per-space occupancy census taken right after a collection.
     HeapCensus(HeapCensus),
-    /// A parallel collection degraded mid-cycle to the serial drain.
-    DegradationBegin(DegradationBegin),
-    /// The degraded collection's serial drain completed.
-    DegradationEnd(DegradationEnd),
 }
 
 /// An event sink installed in the mutator state.

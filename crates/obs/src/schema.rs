@@ -10,36 +10,15 @@
 use crate::{jsonl, Event, SiteDemote, SitePromote};
 
 /// Checks the identities one event must satisfy on its own: a reuse
-/// claim within the §5 oracle bound, per-worker copied bytes that
-/// reconcile with the collection's total, first survivals within the
-/// copies, a per-mille that is one, census rows that fit their
-/// reservation, and degradation worker counts that make sense.
+/// claim within the §5 oracle bound, first survivals within the copies,
+/// a per-mille that is one, and census rows that fit their reservation.
 pub fn check_event(event: &Event) -> Result<(), String> {
     match event {
-        Event::CollectionEnd(e) => {
-            if e.claimed_prefix > e.oracle_prefix {
-                return Err(format!(
-                    "claimed_prefix {} exceeds oracle bound {}",
-                    e.claimed_prefix, e.oracle_prefix
-                ));
-            }
-            // A serial collection (workers ≤ 1) carries no per-worker row.
-            let expected = if e.workers > 1 { e.workers } else { 0 };
-            let per = &e.worker_copied_bytes;
-            if per.len() as u64 != expected {
-                return Err(format!(
-                    "worker_copied_bytes has {} entries for {} workers",
-                    per.len(),
-                    e.workers
-                ));
-            }
-            let sum: u64 = per.iter().sum();
-            if expected > 0 && sum != e.copied_bytes {
-                return Err(format!(
-                    "worker_copied_bytes sum {sum} != copied_bytes {}",
-                    e.copied_bytes
-                ));
-            }
+        Event::CollectionEnd(e) if e.claimed_prefix > e.oracle_prefix => {
+            return Err(format!(
+                "claimed_prefix {} exceeds oracle bound {}",
+                e.claimed_prefix, e.oracle_prefix
+            ));
         }
         Event::SiteSample(s) if s.survived > s.copied_objects => {
             return Err(format!(
@@ -68,17 +47,6 @@ pub fn check_event(event: &Event) -> Result<(), String> {
                 ));
             }
         }
-        Event::DegradationBegin(d) => {
-            if d.workers < 2 {
-                return Err(format!("degradation on {} workers (< 2)", d.workers));
-            }
-            if d.workers_lost > d.workers {
-                return Err(format!(
-                    "workers_lost {} exceeds workers {}",
-                    d.workers_lost, d.workers
-                ));
-            }
-        }
         _ => {}
     }
     Ok(())
@@ -104,16 +72,14 @@ struct Episode {
 /// an open episode, and the closing `pressure-end` must report exactly
 /// the number of rungs taken and the sum of their cycle charges.
 ///
-/// Censuses and degradation episodes sit *outside* any collection span
-/// and reference the collection that just ended; a `degradation-end`
-/// must name the same collection as its begin, with no nesting.
+/// Censuses sit *outside* any collection span and reference the
+/// collection that just ended.
 #[derive(Debug, Default)]
 pub struct Checker {
     open: Option<u64>,
     last_ended: u64,
     phase_sum: u64,
     pressure: Option<Episode>,
-    degradation: Option<u64>,
 }
 
 impl Checker {
@@ -127,9 +93,6 @@ impl Checker {
                 let c = b.collection;
                 if in_collection {
                     return Err(format!("nested collection {c}"));
-                }
-                if self.degradation.is_some() {
-                    return Err(format!("collection {c} began inside a degradation episode"));
                 }
                 if c <= self.last_ended {
                     return Err(format!("collection {c} out of order"));
@@ -161,25 +124,6 @@ impl Checker {
                     return Err("census inside a collection span".to_string());
                 }
                 self.names_last_ended("census", c.collection)?;
-            }
-            Event::DegradationBegin(d) => {
-                if in_collection {
-                    return Err("degradation inside a collection span".to_string());
-                }
-                if self.degradation.is_some() {
-                    return Err("nested degradation episode".to_string());
-                }
-                self.names_last_ended("degradation", d.collection)?;
-                self.degradation = Some(d.collection);
-            }
-            Event::DegradationEnd(d) => {
-                if self.degradation != Some(d.collection) {
-                    return Err(format!(
-                        "degradation end without begin for {}",
-                        d.collection
-                    ));
-                }
-                self.degradation = None;
             }
             Event::PressureBegin(_) => {
                 if self.pressure.is_some() {
@@ -243,9 +187,6 @@ impl Checker {
         if self.pressure.is_some() {
             return Err("pressure episode never ended".to_string());
         }
-        if let Some(c) = self.degradation {
-            return Err(format!("degradation episode for {c} never ended"));
-        }
         Ok(())
     }
 }
@@ -307,9 +248,6 @@ mod tests {
             r#"{"type":"site-demote","collection":8,"site":9,"survival_permille":105,"reason":"adaptive"}"#,
             r#"{"type":"site-demote","collection":9,"site":2,"survival_permille":640,"reason":"pressure"}"#,
             r#"{"type":"collection-begin","collection":2,"plan":"semispace","reason":"alloc-failure","major":false,"depth":1,"start_cycles":99,"ttsp_cycles":12}"#,
-            r#"{"type":"degradation-begin","collection":1,"trigger":"panic","workers":4,"workers_lost":1}"#,
-            r#"{"type":"degradation-begin","collection":1,"trigger":"orphan","workers":2,"workers_lost":0}"#,
-            r#"{"type":"degradation-end","collection":1,"leftover_packets":3,"outcome":"drained"}"#,
         ];
         for line in lines {
             validate_line(line).unwrap_or_else(|e| panic!("{line}: {e}"));
@@ -403,61 +341,12 @@ mod tests {
                 r#"{"type":"collection-begin","collection":1,"plan":"semispace","reason":"forced","major":false,"depth":0,"start_cycles":0,"ttsp_cycles":0}"#,
             ),
             (
-                "unknown trigger \"gremlins\"",
-                r#"{"type":"degradation-begin","collection":1,"trigger":"gremlins","workers":4,"workers_lost":1}"#,
-            ),
-            (
-                "degradation on 1 workers",
-                r#"{"type":"degradation-begin","collection":1,"trigger":"panic","workers":1,"workers_lost":1}"#,
-            ),
-            (
-                "workers_lost 3 exceeds workers 2",
-                r#"{"type":"degradation-begin","collection":1,"trigger":"panic","workers":2,"workers_lost":3}"#,
-            ),
-            (
-                "unknown outcome \"gave-up\"",
-                r#"{"type":"degradation-end","collection":1,"leftover_packets":0,"outcome":"gave-up"}"#,
+                "collection-end: unknown field \"workers\"",
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":0,"pretenured_scanned_words":0,"roots_found":0,"frames_scanned":0,"frames_reused":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"workers":2,"worker_copied_bytes":[48,16]}"#,
             ),
         ];
         for (why, line) in bad {
             let err = validate_line(line).expect_err(line);
-            assert!(err.contains(why), "{line}: {err}");
-        }
-    }
-
-    #[test]
-    fn collection_end_worker_fields_are_optional_together_and_reconciled() {
-        let base = "{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":64,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]";
-        let serial = format!("{base}}}");
-        validate_line(&serial).expect("serial end line valid without worker fields");
-
-        let parallel = format!("{base},\"workers\":2,\"worker_copied_bytes\":[48,16]}}");
-        validate_line(&parallel).expect("parallel end line valid");
-
-        let bad = [
-            (
-                "missing field \"worker_copied_bytes\"",
-                format!("{base},\"workers\":2}}"),
-            ),
-            (
-                "unknown field \"worker_copied_bytes\"",
-                format!("{base},\"worker_copied_bytes\":[64]}}"),
-            ),
-            (
-                "workers is 1, below 2",
-                format!("{base},\"workers\":1,\"worker_copied_bytes\":[64]}}"),
-            ),
-            (
-                "has 2 entries for 3 workers",
-                format!("{base},\"workers\":3,\"worker_copied_bytes\":[48,16]}}"),
-            ),
-            (
-                "sum 65 != copied_bytes 64",
-                format!("{base},\"workers\":2,\"worker_copied_bytes\":[48,17]}}"),
-            ),
-        ];
-        for (why, line) in bad {
-            let err = validate_line(&line).expect_err(&line);
             assert!(err.contains(why), "{line}: {err}");
         }
     }
@@ -501,42 +390,6 @@ mod tests {
         assert!(validate_jsonl(&wrong_collection)
             .unwrap_err()
             .contains("last ended"));
-    }
-
-    #[test]
-    fn jsonl_document_checks_degradation_bracketing() {
-        let meta = meta();
-        let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"generational\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n";
-        let gc_phase = "{\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":5,\"wall_ns\":0}\n";
-        let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
-        let deg_begin = "{\"type\":\"degradation-begin\",\"collection\":1,\"trigger\":\"watchdog\",\"workers\":4,\"workers_lost\":1}\n";
-        let deg_end = "{\"type\":\"degradation-end\",\"collection\":1,\"leftover_packets\":2,\"outcome\":\"drained\"}\n";
-        let ok = format!("{meta}{gc_begin}{gc_phase}{gc_end}{deg_begin}{deg_end}");
-        assert_eq!(validate_jsonl(&ok).unwrap(), 6);
-
-        let inside = format!("{meta}{gc_begin}{deg_begin}");
-        assert!(validate_jsonl(&inside)
-            .unwrap_err()
-            .contains("inside a collection"));
-        let wrong_collection = format!(
-            "{meta}{gc_begin}{gc_phase}{gc_end}{}",
-            deg_begin.replace("\"collection\":1", "\"collection\":2")
-        );
-        assert!(validate_jsonl(&wrong_collection)
-            .unwrap_err()
-            .contains("last ended"));
-        let orphan_end = format!("{meta}{gc_begin}{gc_phase}{gc_end}{deg_end}");
-        assert!(validate_jsonl(&orphan_end)
-            .unwrap_err()
-            .contains("without begin"));
-        let unclosed = format!("{meta}{gc_begin}{gc_phase}{gc_end}{deg_begin}");
-        assert!(validate_jsonl(&unclosed)
-            .unwrap_err()
-            .contains("never ended"));
-        let nested = format!("{meta}{gc_begin}{gc_phase}{gc_end}{deg_begin}{deg_begin}");
-        assert!(validate_jsonl(&nested)
-            .unwrap_err()
-            .contains("nested degradation"));
     }
 
     #[test]

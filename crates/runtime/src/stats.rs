@@ -86,14 +86,12 @@ pub struct GcStats {
     /// rung while adaptation is on.
     pub sites_demoted: u64,
 
-    /// Parallel collection workers lost (panicked, stalled past the
-    /// watchdog deadline, or over the cycle budget) over the run. Zero
-    /// on every fault-free run.
+    // Inert, always 0: `benchmark/src/metrics.rs` reports both and
+    // `benchmark/src/workload.rs:625` checks them. ROADMAP item 1 deletes
+    // those reads and these fields.
+    #[doc(hidden)]
     pub workers_lost: u64,
-    /// Collections that degraded mid-cycle to the serial drain (a lost
-    /// worker or an orphaned packet handed the remaining work to the
-    /// coordinator's exact serial path). Each one is bracketed by a
-    /// `degradation-begin`/`degradation-end` telemetry episode.
+    #[doc(hidden)]
     pub degraded_collections: u64,
 
     /// Simulated cycles spent processing roots ("GC-stack", Table 5).

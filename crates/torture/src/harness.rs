@@ -29,7 +29,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use tilgc_core::{
     build_vm, check_inspection, verify_collection, verify_vm, vm_snapshot, CollectorKind, GcConfig,
-    PretenurePolicy, WorkerFaultKind, WorkerFaultSpec,
+    PretenurePolicy,
 };
 use tilgc_mem::WORD_BYTES;
 use tilgc_runtime::driver::{arr_site_id, raw_site_id, rec_site_id, PTR_FREE_REC_INDEX};
@@ -56,43 +56,6 @@ pub enum Fault {
     /// typed outcome — a caught `HeapOverflow` or a clean
     /// `VmExit::OutOfMemory` — never a panic.
     OomAlloc,
-    /// Perturb the parallel scheduler: packets are deterministically
-    /// permuted and odd-numbered workers drain the shared queue LIFO.
-    /// Unlike the other faults this is *not* a defect — the scheduler
-    /// contract says packet order is invisible, so the expected outcome
-    /// is a clean run; any divergence it surfaces is a real scheduler
-    /// bug (hidden ordering dependence). No-op on serial lanes.
-    PacketReorder,
-    /// Arm a seed-derived single-shot worker panic on every parallel
-    /// lane (the targeted worker panics inside the packet loop). The
-    /// fault-tolerance contract says the panic must be isolated — the
-    /// packet requeued, the section degraded to the serial drain — so
-    /// the expected outcome is a clean run whose graphs still match the
-    /// serial oracle's. No-op on serial lanes.
-    WorkerPanic,
-    /// Arm a seed-derived single-shot worker stall: the targeted worker
-    /// parks and stops responding until the watchdog's wall-clock
-    /// backstop marks it lost. Expected outcome: clean, oracle-matching
-    /// run (via requeue + degradation). No-op on serial lanes.
-    WorkerStall,
-    /// Arm a seed-derived single-shot packet drop: the targeted worker
-    /// silently skips one packet, which must resurface as an orphan and
-    /// drain on the serial path. Expected outcome: clean,
-    /// oracle-matching run. No-op on serial lanes.
-    PacketDrop,
-}
-
-impl Fault {
-    /// The worker-fault kind this injection arms in [`GcConfig`], if it
-    /// is one of the fault-tolerance injections.
-    fn worker_fault_kind(self) -> Option<WorkerFaultKind> {
-        match self {
-            Fault::WorkerPanic => Some(WorkerFaultKind::Panic),
-            Fault::WorkerStall => Some(WorkerFaultKind::Stall),
-            Fault::PacketDrop => Some(WorkerFaultKind::Drop),
-            _ => None,
-        }
-    }
 }
 
 /// One torture run's parameters.
@@ -114,10 +77,6 @@ pub struct TortureConfig {
     pub check_stride: usize,
     /// Optional injected defect.
     pub fault: Option<Fault>,
-    /// Parallel GC worker count. With `workers > 1` every plan runs
-    /// *two* lanes in lockstep — the serial oracle and an N-worker lane
-    /// — and the cross-lane graph diff covers both.
-    pub workers: usize,
     /// Run extra pretenure lanes with the online adaptive policy
     /// enabled, in lockstep with the static-policy oracle lanes. Sites
     /// flip placement mid-run; the reachable graph must not care.
@@ -126,9 +85,7 @@ pub struct TortureConfig {
     /// (the default) derives it from the seed and the *current* program
     /// length; the shrinker pins it to the index derived from the
     /// original program so chunk-halving cannot move the fault out from
-    /// under the failure it is minimizing. The worker-fault injections
-    /// need no pin — their `(worker, packet)` coordinates are derived
-    /// from the seed alone, independent of trace length.
+    /// under the failure it is minimizing.
     pub fault_pin: Option<usize>,
 }
 
@@ -142,7 +99,6 @@ impl Default for TortureConfig {
             plans: CollectorKind::ALL.to_vec(),
             check_stride: 16,
             fault: None,
-            workers: 1,
             adaptive: false,
             fault_pin: None,
         }
@@ -158,8 +114,6 @@ pub struct Divergence {
     pub op_index: usize,
     /// Label of the plan that failed or diverged.
     pub plan: &'static str,
-    /// Worker count of the failing lane (1 = the serial oracle).
-    pub workers: usize,
     /// Whether the failing lane ran the online adaptive policy.
     pub adaptive: bool,
     /// Whether the failing lane was the `gen+markers` twin that
@@ -176,12 +130,11 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "seed {}: plan {}{}{} (workers {}) failed at op {}: {}",
+            "seed {}: plan {}{}{} failed at op {}: {}",
             self.seed,
             self.plan,
             if self.adaptive { " (adaptive)" } else { "" },
             if self.door_only { " (door only)" } else { "" },
-            self.workers,
             self.op_index,
             self.detail
         )?;
@@ -196,7 +149,6 @@ impl fmt::Display for Divergence {
 /// One plan's VM plus its driver state.
 struct Lane {
     kind: CollectorKind,
-    workers: usize,
     adaptive: bool,
     /// Close the allocation window before every op.
     door_only: bool,
@@ -215,32 +167,11 @@ impl Lane {
     }
 }
 
-fn build_lane(
-    seed: u64,
-    kind: CollectorKind,
-    workers: usize,
-    adaptive: bool,
-    cfg: &TortureConfig,
-) -> Lane {
+fn build_lane(kind: CollectorKind, adaptive: bool, cfg: &TortureConfig) -> Lane {
     let mut gc = GcConfig::new()
         .heap_budget_bytes(cfg.heap_budget_bytes)
         .nursery_bytes(cfg.nursery_bytes)
-        .large_object_bytes(cfg.large_object_bytes)
-        .workers(workers);
-    if cfg.fault == Some(Fault::PacketReorder) {
-        gc = gc.packet_reorder(true);
-    }
-    if workers > 1 {
-        if let Some(fault_kind) = cfg.fault.and_then(Fault::worker_fault_kind) {
-            gc = gc.worker_fault(worker_fault_spec(seed, workers, fault_kind));
-            if fault_kind == WorkerFaultKind::Stall {
-                // A short wall-clock deadline keeps the one-shot stall
-                // cheap across a wide seed sweep; correctness does not
-                // depend on the value.
-                gc = gc.watchdog_ms(5);
-            }
-        }
-    }
+        .large_object_bytes(cfg.large_object_bytes);
     if kind == CollectorKind::GenerationalStackPretenure {
         // Pretenure a spread of the driver's sites: two pointer-carrying
         // record sites, the pointer-free record site (the §7.2 no-scan
@@ -265,7 +196,6 @@ fn build_lane(
     let driver = OpDriver::install(&mut vm);
     Lane {
         kind,
-        workers,
         adaptive,
         door_only: false,
         vm,
@@ -314,7 +244,6 @@ fn diverge(seed: u64, op_index: usize, lane: &Lane, detail: String, ops: &[VmOp]
         seed,
         op_index,
         plan: lane.kind.label(),
-        workers: lane.workers,
         adaptive: lane.adaptive,
         door_only: lane.door_only,
         detail,
@@ -363,29 +292,12 @@ fn diff_lanes(seed: u64, op_index: usize, lanes: &[Lane], ops: &[VmOp]) -> Optio
 }
 
 /// SplitMix64 finalizer — derives the [`Fault::OomAlloc`] injection
-/// point and the worker-fault coordinates from the seed, independent of
-/// the program generator's stream.
+/// point from the seed, independent of the program generator's stream.
 fn splitmix(mut x: u64) -> u64 {
     x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
     x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     x ^ (x >> 31)
-}
-
-/// Seed-derived `(worker, packet)` coordinates for the fault-tolerance
-/// injections. Depends only on the seed and the worker count — never on
-/// the trace — so the spec survives trace minimization unchanged. The
-/// packet ordinal is kept small (a worker's first few pops) so the
-/// fault actually fires on the short packet queues the tiny torture
-/// nurseries produce; a seed whose targeted worker never pops simply
-/// leaves the spec armed and inert, which must also be clean.
-fn worker_fault_spec(seed: u64, workers: usize, kind: WorkerFaultKind) -> WorkerFaultSpec {
-    let h = splitmix(seed ^ 0xFA17_u64);
-    WorkerFaultSpec {
-        kind,
-        worker: (h % workers as u64) as usize,
-        packet: (splitmix(h) % 3) as usize,
-    }
 }
 
 /// How a lockstep replay ended.
@@ -415,25 +327,14 @@ pub enum RunOutcome {
 /// `ops` itself (unminimized).
 pub fn run_ops_outcome(seed: u64, ops: &[VmOp], cfg: &TortureConfig) -> RunOutcome {
     assert!(!cfg.plans.is_empty(), "at least one plan required");
-    assert!(cfg.workers >= 1, "worker count must be positive");
-    // With workers > 1, every plan contributes a serial-oracle lane AND
-    // an N-worker lane; the graph diff then covers serial-vs-parallel
-    // within each plan as well as the cross-plan comparison.
     let mut lanes: Vec<Lane> = Vec::new();
     for &k in &cfg.plans {
-        lanes.push(build_lane(seed, k, 1, false, cfg));
-        if cfg.workers > 1 {
-            lanes.push(build_lane(seed, k, cfg.workers, false, cfg));
-        }
-        // Adaptive lanes run alongside the static-policy oracle lanes
-        // (serial, plus parallel when configured): placement flips must
-        // be invisible to the reachable graph, so the same cross-lane
-        // diff covers them.
+        lanes.push(build_lane(k, false, cfg));
+        // Adaptive lanes run alongside the static-policy oracle lanes:
+        // placement flips must be invisible to the reachable graph, so
+        // the same cross-lane diff covers them.
         if cfg.adaptive && k == CollectorKind::GenerationalStackPretenure {
-            lanes.push(build_lane(seed, k, 1, true, cfg));
-            if cfg.workers > 1 {
-                lanes.push(build_lane(seed, k, cfg.workers, true, cfg));
-            }
+            lanes.push(build_lane(k, true, cfg));
         }
     }
     // The door-only twin of the serial `gen+markers` lane.
@@ -441,7 +342,7 @@ pub fn run_ops_outcome(seed: u64, ops: &[VmOp], cfg: &TortureConfig) -> RunOutco
         .iter()
         .position(|l| l.kind == CollectorKind::GenerationalStack)
         .map(|oracle| {
-            let mut lane = build_lane(seed, CollectorKind::GenerationalStack, 1, false, cfg);
+            let mut lane = build_lane(CollectorKind::GenerationalStack, false, cfg);
             lane.door_only = true;
             lanes.push(lane);
             (oracle, lanes.len() - 1)
@@ -613,7 +514,7 @@ pub fn failure_telemetry(d: &Divergence, cfg: &TortureConfig) -> String {
         );
     };
     let _quiet = QuietPanics::new();
-    let mut lane = build_lane(d.seed, kind, d.workers.max(1), d.adaptive, cfg);
+    let mut lane = build_lane(kind, d.adaptive, cfg);
     lane.door_only = d.door_only;
     lane.vm
         .set_recorder(Box::new(tilgc_obs::RingRecorder::with_capacity(1 << 16)));
@@ -737,8 +638,7 @@ pub fn run_seed(seed: u64, cfg: &TortureConfig) -> Option<Divergence> {
     // length before shrinking: without the pin, every chunk deletion
     // would recompute `splitmix(seed) % len` against the shorter
     // candidate and the fault would wander — the shrinker would then be
-    // minimizing a different failure each probe (or none at all). The
-    // worker-fault specs are trace-length-independent and need no pin.
+    // minimizing a different failure each probe (or none at all).
     let mut shrink_cfg = cfg.clone();
     if cfg.fault == Some(Fault::OomAlloc) && cfg.fault_pin.is_none() && !ops.is_empty() {
         shrink_cfg.fault_pin = Some((splitmix(seed) % ops.len() as u64) as usize);
@@ -759,7 +659,7 @@ mod tests {
         let lanes: Vec<Lane> = cfg
             .plans
             .iter()
-            .map(|&k| build_lane(0, k, 1, false, &cfg))
+            .map(|&k| build_lane(k, false, &cfg))
             .collect();
         assert!(diff_lanes(0, 0, &lanes, &[]).is_none());
     }
@@ -770,7 +670,6 @@ mod tests {
             seed: 9,
             op_index: 1,
             plan: "semispace",
-            workers: 4,
             adaptive: true,
             door_only: false,
             detail: "boom".into(),
@@ -779,7 +678,6 @@ mod tests {
         let s = d.to_string();
         assert!(s.contains("seed 9"));
         assert!(s.contains("(adaptive)"));
-        assert!(s.contains("workers 4"));
         assert!(s.contains("Gc"));
         assert!(s.contains("Pop"));
     }
@@ -788,12 +686,11 @@ mod tests {
     fn adaptive_config_adds_pretenure_lanes() {
         let cfg = TortureConfig {
             adaptive: true,
-            workers: 2,
             ops: 64,
             ..TortureConfig::default()
         };
-        // 4 plans × (serial + parallel) + pretenure × (serial + parallel)
-        // adaptive lanes. A short clean run proves the lanes coexist.
+        // 4 plans + an adaptive pretenure lane + the door-only twin. A
+        // short clean run proves the lanes coexist.
         let ops = crate::program::generate(7, cfg.ops);
         assert!(matches!(
             run_ops_outcome(7, &ops, &cfg),

@@ -3,10 +3,8 @@
 //!
 //! ```text
 //! torture [--seeds A..B|N] [--ops N] [--plans L,L,...] [--stride N]
-//!         [--workers N] [--nursery-sweep] [--heap-budget BYTES]
-//!         [--heap-sweep]
-//!         [--inject drop-barrier|skew-copied|oom-alloc|packet-reorder
-//!                  |worker-panic|worker-stall|packet-drop]
+//!         [--adaptive] [--nursery-sweep] [--heap-budget BYTES]
+//!         [--heap-sweep] [--inject drop-barrier|skew-copied|oom-alloc]
 //!         [--budget-sweep] [--failure-out PATH]
 //! ```
 //!
@@ -21,6 +19,8 @@
 //! fails only on a panic or divergence. With `--budget-sweep`, each seed
 //! is instead binary-searched for its minimal surviving heap budget and
 //! the frontier is printed (one line per seed plus a summary).
+
+#![forbid(unsafe_code)]
 
 use std::ops::Range;
 use std::path::PathBuf;
@@ -39,8 +39,6 @@ const USAGE: &str = "usage: torture [options]
   --plans L,L,...      plan labels to run in lockstep (default all four:
                        semispace,generational,gen+markers,gen+markers+pretenure)
   --stride N           diff cross-plan snapshots every N ops (default 16)
-  --workers N          run each plan twice in lockstep: the serial oracle
-                       and an N-worker parallel lane (default 1: serial only)
   --adaptive           add pretenure lanes with the online adaptive policy
                        (sites promote/demote mid-run), diffed in lockstep
                        against the static-policy oracle lanes
@@ -52,11 +50,6 @@ const USAGE: &str = "usage: torture [options]
                        cases); overrides --heap-budget
   --inject FAULT       plant a defect the harness must catch:
                        drop-barrier | skew-copied | oom-alloc
-                       or a perturbation that must stay invisible:
-                       packet-reorder | worker-panic | worker-stall |
-                       packet-drop (all need --workers > 1 to bite; the
-                       worker faults must be absorbed by requeue or
-                       mid-cycle degradation to the serial path)
   --budget-sweep       binary-search each seed's minimal surviving heap
                        budget and print the frontier
   --failure-out PATH   write the minimized failure report to PATH
@@ -67,7 +60,6 @@ struct Args {
     ops: usize,
     plans: Vec<CollectorKind>,
     stride: usize,
-    workers: usize,
     adaptive: bool,
     nursery_sweep: bool,
     heap_budget: Option<usize>,
@@ -117,7 +109,6 @@ fn parse_args() -> Result<Args, String> {
         ops: 512,
         plans: CollectorKind::ALL.to_vec(),
         stride: 16,
-        workers: 1,
         adaptive: false,
         nursery_sweep: false,
         heap_budget: None,
@@ -142,14 +133,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --stride value".to_string())?;
             }
-            "--workers" => {
-                args.workers = value("--workers")?
-                    .parse()
-                    .map_err(|_| "bad --workers value".to_string())?;
-                if args.workers == 0 {
-                    return Err("--workers must be positive".to_string());
-                }
-            }
             "--adaptive" => args.adaptive = true,
             "--nursery-sweep" => args.nursery_sweep = true,
             "--heap-budget" => {
@@ -168,10 +151,6 @@ fn parse_args() -> Result<Args, String> {
                     "drop-barrier" => Fault::DropBarrier,
                     "skew-copied" => Fault::SkewCopied,
                     "oom-alloc" => Fault::OomAlloc,
-                    "packet-reorder" => Fault::PacketReorder,
-                    "worker-panic" => Fault::WorkerPanic,
-                    "worker-stall" => Fault::WorkerStall,
-                    "packet-drop" => Fault::PacketDrop,
                     other => return Err(format!("unknown fault: {other}")),
                 });
             }
@@ -229,12 +208,11 @@ fn main() -> ExitCode {
             plans: args.plans.clone(),
             check_stride: args.stride,
             fault: args.inject,
-            workers: args.workers,
             adaptive: args.adaptive,
             ..TortureConfig::default()
         };
         eprintln!(
-            "torture: nursery {} KB, heap {} KB, seeds {}..{}, {} ops, plans [{}]{}{}{}",
+            "torture: nursery {} KB, heap {} KB, seeds {}..{}, {} ops, plans [{}]{}{}",
             nursery >> 10,
             heap_budget >> 10,
             args.seeds.start,
@@ -245,11 +223,6 @@ fn main() -> ExitCode {
                 .map(|k| k.label())
                 .collect::<Vec<_>>()
                 .join(", "),
-            if cfg.workers > 1 {
-                format!(", serial + {}-worker lanes", cfg.workers)
-            } else {
-                String::new()
-            },
             if cfg.adaptive {
                 ", adaptive pretenure lanes"
             } else {

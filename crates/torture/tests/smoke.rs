@@ -34,31 +34,6 @@ fn fixed_seeds_run_clean_with_a_tiny_nursery() {
     }
 }
 
-/// Serial-vs-parallel lockstep: with `workers = 4`, every plan runs a
-/// serial-oracle lane and a 4-worker lane side by side; the graph diff
-/// must stay silent, with and without the packet-reorder perturbation.
-#[test]
-fn parallel_lanes_match_serial_oracle() {
-    let cfg = TortureConfig {
-        workers: 4,
-        ..smoke_config()
-    };
-    for seed in [0, 1, 2, 17, 42] {
-        if let Some(d) = run_seed(seed, &cfg) {
-            panic!("serial/parallel divergence:\n{d}");
-        }
-    }
-    let reordered = TortureConfig {
-        fault: Some(Fault::PacketReorder),
-        ..cfg
-    };
-    for seed in [3, 23] {
-        if let Some(d) = run_seed(seed, &reordered) {
-            panic!("packet reorder broke lockstep:\n{d}");
-        }
-    }
-}
-
 /// Disabling the write barrier on the generational lanes loses
 /// old-to-young pointers: the oracle (or the cross-plan diff) must
 /// report it, and the shrinker must hand back a reduced trace.
@@ -138,40 +113,4 @@ fn skewed_copied_accounting_is_caught() {
     let lines = tilgc_obs::schema::validate_jsonl(jsonl).expect("replay JSONL validates");
     assert!(lines >= 1, "replay is at least a meta line");
     assert_eq!(lines, events + 1, "JSONL body is the events plus meta");
-}
-
-/// The fault-tolerance injections: a seed-derived worker panic, stall,
-/// or packet drop on every parallel lane must be absorbed — packet
-/// requeued or section degraded to the serial drain — leaving the
-/// lockstep graph diff against the serial oracle silent.
-#[test]
-fn worker_faults_are_absorbed_in_lockstep() {
-    for fault in [Fault::WorkerPanic, Fault::WorkerStall, Fault::PacketDrop] {
-        let cfg = TortureConfig {
-            workers: 4,
-            fault: Some(fault),
-            ..smoke_config()
-        };
-        for seed in [0, 1, 2, 17, 42] {
-            if let Some(d) = run_seed(seed, &cfg) {
-                panic!("{fault:?} was not absorbed:\n{d}");
-            }
-        }
-    }
-}
-
-/// Worker faults on a serial configuration are inert by definition
-/// (`workers = 1` never takes the parallel lane): the sweep must be
-/// exactly as clean as a fault-free one.
-#[test]
-fn worker_faults_are_inert_on_serial_lanes() {
-    let cfg = TortureConfig {
-        fault: Some(Fault::WorkerPanic),
-        ..smoke_config()
-    };
-    for seed in [0, 3] {
-        if let Some(d) = run_seed(seed, &cfg) {
-            panic!("inert fault produced a divergence:\n{d}");
-        }
-    }
 }

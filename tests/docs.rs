@@ -18,9 +18,8 @@ use std::path::{Path, PathBuf};
 use tilgc_obs::json::{self, Value};
 use tilgc_obs::jsonl;
 use tilgc_obs::{
-    CollectionBegin, CollectionEnd, DegradationBegin, DegradationEnd, Event, GcPhase, HeapCensus,
-    Hist, PhaseSpan, PressureBegin, PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample,
-    SpaceCensus,
+    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, Hist, PhaseSpan, PressureBegin,
+    PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample, SpaceCensus,
 };
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
@@ -325,15 +324,13 @@ fn quoted_counts_are_the_real_ones() {
     assert!(quoted >= 2, "README and EXPERIMENTS quote the test count");
 
     let config = read("crates/core/src/config.rs");
-    // `parallel` is the `ParallelConfig` group, not a value of its own.
-    let own = struct_fields(&config, "GcConfig").len() - 1;
-    let lane = struct_fields(&config, "ParallelConfig").len();
+    let settable = struct_fields(&config, "GcConfig").len();
     let design = read("DESIGN.md");
     let stays = design
         .lines()
         .find(|l| l.starts_with("**What stays**"))
         .expect("DESIGN.md has the *What stays* table");
-    assert_eq!(numbers(stays), [own, lane], "{stays}");
+    assert_eq!(numbers(stays), [settable], "{stays}");
 }
 
 /// One event of every kind, optional fields present, so every key the
@@ -378,8 +375,8 @@ fn sample_events() -> Vec<Event> {
             wall_ns: 1,
             size_hist: Hist::default(),
             depth_hist: Hist::default(),
-            workers: 2,
-            worker_copied_bytes: vec![1, 1],
+            workers: 1,
+            worker_copied_bytes: Vec::new(),
             chunks_owned: 1,
             side_cleared_words: 0,
         })),
@@ -431,17 +428,6 @@ fn sample_events() -> Vec<Event> {
                 chunks: 1,
             }],
         }),
-        Event::DegradationBegin(DegradationBegin {
-            collection: 1,
-            trigger: "panic",
-            workers: 2,
-            workers_lost: 1,
-        }),
-        Event::DegradationEnd(DegradationEnd {
-            collection: 1,
-            leftover_packets: 0,
-            outcome: "drained",
-        }),
     ];
     let kinds: BTreeSet<usize> = samples
         .iter()
@@ -456,11 +442,9 @@ fn sample_events() -> Vec<Event> {
             Event::SitePromote(_) => 7,
             Event::SiteDemote(_) => 8,
             Event::HeapCensus(_) => 9,
-            Event::DegradationBegin(_) => 10,
-            Event::DegradationEnd(_) => 11,
         })
         .collect();
-    assert_eq!(kinds.len(), 12, "one sample per event kind");
+    assert_eq!(kinds.len(), 10, "one sample per event kind");
     samples
 }
 
@@ -516,4 +500,37 @@ fn event_schema_table_is_what_the_codec_emits() {
         rows
     };
     assert_eq!(sorted(documented), sorted(emitted));
+}
+
+/// Every crate root outside `vendor/` and `benchmark/` forbids the
+/// escape hatch from safe Rust, and no Rust file outside them uses it:
+/// the simulator's addresses are indices, and nothing needs raw memory.
+#[test]
+fn every_crate_root_forbids_unsafe_code() {
+    // Spelled in two halves so this file does not trip its own check.
+    let keyword = ["un", "safe"].concat();
+    let attribute = format!("#![forbid({keyword}_code)]");
+    let mut files = Vec::new();
+    for dir in ["src", "tests", "crates", "examples"] {
+        rust_files(&root().join(dir), &mut files);
+    }
+    let mut offences = Vec::new();
+    for path in files {
+        let text = std::fs::read_to_string(&path).expect("readable source");
+        let rel = path.strip_prefix(root()).expect("under the root");
+        let is_root = rel.parent().is_some_and(|dir| dir.ends_with("src"))
+            && rel
+                .file_name()
+                .is_some_and(|f| f == "lib.rs" || f == "main.rs");
+        if is_root && !text.lines().any(|l| l.trim() == attribute) {
+            offences.push(format!("{}: no {attribute}", rel.display()));
+        }
+        let is_ident = |c: char| c.is_ascii_alphanumeric() || c == '_';
+        for (i, line) in text.lines().enumerate() {
+            if line.trim() != attribute && line.split(|c| !is_ident(c)).any(|w| w == keyword) {
+                offences.push(format!("{}:{}: {}", rel.display(), i + 1, line.trim()));
+            }
+        }
+    }
+    assert!(offences.is_empty(), "{offences:#?}");
 }

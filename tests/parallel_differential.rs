@@ -1,18 +1,15 @@
-//! Serial-vs-parallel differential: the work-packet scheduler must be
-//! invisible to everything but wall-clock time.
+//! A worker count is invisible: collection is serial.
 //!
-//! For every collector configuration, a benchmark run with `workers = 4`
-//! must produce the same program answer, the same reachable heap graph,
-//! and the same deterministic `GcStats` as the serial (`workers = 1`)
-//! oracle — only the `*_wall_ns` fields may differ. Packet reordering
-//! (the torture harness's scheduling-nondeterminism amplifier) must be
-//! equally invisible.
+//! `GcConfig::workers(n)` survives only because the frozen benchmark
+//! package calls it; it changes nothing. For every collector, a
+//! benchmark run configured with `workers = 4` must produce the same
+//! program answer, the same reachable heap graph, and the same
+//! deterministic `GcStats` as the serial (`workers = 1`) oracle — only
+//! the `*_wall_ns` fields may differ.
 
-use tilgc::core::{
-    build_vm, build_vm_with_recorder, verify_vm, vm_snapshot, CollectorKind, GcConfig,
-};
+use tilgc::core::{build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig};
 use tilgc::programs::Benchmark;
-use tilgc::runtime::{Event, GcStats, RingRecorder};
+use tilgc::runtime::GcStats;
 
 fn big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
     std::thread::Builder::new()
@@ -23,8 +20,7 @@ fn big_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
         .expect("benchmark thread panicked")
 }
 
-/// Ample budget: identical collection timing on both lanes, and enough
-/// to-space headroom that the parallel gate actually engages.
+/// A roomy heap over a 16 KiB nursery, so both runs collect often.
 fn config(workers: usize) -> GcConfig {
     GcConfig::new()
         .heap_budget_bytes(48 << 20)
@@ -50,8 +46,8 @@ fn run(kind: CollectorKind, bench: Benchmark, config: &GcConfig) -> (u64, GcStat
     (answer, stats, graph)
 }
 
-/// All four plans: a 4-worker run is indistinguishable from the serial
-/// oracle in answer, stats, and reachable heap.
+/// All four plans: a run configured with 4 workers is indistinguishable
+/// from the serial oracle in answer, stats, and reachable heap.
 #[test]
 fn parallel_matches_serial_oracle_across_all_plans() {
     big_stack(|| {
@@ -81,73 +77,6 @@ fn parallel_matches_serial_oracle_across_all_plans() {
                     bench.name()
                 );
             }
-        }
-    });
-}
-
-/// The parallel lane must actually run, not just trivially match: the
-/// telemetry stream must carry collection-end events reporting 4 workers
-/// whose per-worker copy totals reconcile with the collection's
-/// `copied_bytes`.
-#[test]
-fn parallel_lane_engages_and_reconciles_per_worker_totals() {
-    big_stack(|| {
-        let mut vm = build_vm_with_recorder(
-            CollectorKind::Generational,
-            &config(4),
-            Box::new(RingRecorder::with_capacity(1 << 16)),
-        );
-        let _ = Benchmark::Life.run(&mut vm, 1);
-        verify_vm(&vm);
-        assert!(vm.gc_stats().collections > 0, "benchmark must collect");
-        let events = RingRecorder::drain_events_from(vm.recorder_mut()).expect("ring installed");
-        let mut parallel_ends = 0usize;
-        for e in &events {
-            if let Event::CollectionEnd(end) = e {
-                if end.workers > 1 {
-                    parallel_ends += 1;
-                    assert_eq!(end.workers, 4);
-                    assert_eq!(end.worker_copied_bytes.len(), 4);
-                    assert_eq!(
-                        end.worker_copied_bytes.iter().sum::<u64>(),
-                        end.copied_bytes,
-                        "per-worker totals must reconcile"
-                    );
-                } else {
-                    assert!(
-                        end.worker_copied_bytes.is_empty(),
-                        "serial collections carry no per-worker totals"
-                    );
-                }
-            }
-        }
-        assert!(
-            parallel_ends > 0,
-            "at least one collection must have taken the parallel lane"
-        );
-    });
-}
-
-/// Packet reordering (worker-count-preserving scheduling perturbation)
-/// is just as invisible as parallelism itself.
-#[test]
-fn packet_reorder_is_invisible() {
-    big_stack(|| {
-        for kind in CollectorKind::ALL {
-            let plain = run(kind, Benchmark::Life, &config(3));
-            let reordered = run(kind, Benchmark::Life, &config(3).packet_reorder(true));
-            assert_eq!(
-                plain.1,
-                reordered.1,
-                "{}: packet reorder changed deterministic stats",
-                kind.label()
-            );
-            assert_eq!(
-                plain.2,
-                reordered.2,
-                "{}: packet reorder changed the reachable heap",
-                kind.label()
-            );
         }
     });
 }
