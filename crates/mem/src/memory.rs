@@ -289,6 +289,34 @@ impl Memory {
         self.words[addr.index()] = value;
     }
 
+    /// Reads the word `offset` words past `addr` — an object's field — as
+    /// one load. The index is `addr + offset` in `usize`, saturating, so
+    /// an offset past the end of memory, however large, fails the backing
+    /// array's bounds check: the only check on this path.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word is out of bounds, or (in debug builds) if
+    /// `addr` is null.
+    #[inline]
+    pub(crate) fn word_offset(&self, addr: Addr, offset: usize) -> u64 {
+        debug_assert!(!addr.is_null(), "read through null address");
+        self.words[addr.index().saturating_add(offset)]
+    }
+
+    /// Writes the word `offset` words past `addr`, checked as
+    /// [`word_offset`](Memory::word_offset) is.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the word is out of bounds, or (in debug builds) if
+    /// `addr` is null.
+    #[inline]
+    pub(crate) fn set_word_offset(&mut self, addr: Addr, offset: usize, value: u64) {
+        debug_assert!(!addr.is_null(), "write through null address");
+        self.words[addr.index().saturating_add(offset)] = value;
+    }
+
     /// Reads the word at `addr` as an IEEE-754 double (TIL stores unboxed
     /// floats directly in raw arrays).
     #[inline]

@@ -94,24 +94,39 @@ pub fn set_header(mem: &mut Memory, addr: Addr, h: Header) {
 }
 
 /// Address of field `i` of the object at `addr`.
+///
+/// # Panics
+///
+/// Panics if the address does not fit in 32 bits.
 #[inline]
 pub fn field_addr(addr: Addr, i: usize) -> Addr {
     addr + (1 + i)
 }
 
-/// Reads field `i` (a raw word) of the object at `addr`.
+/// Reads field `i` (a raw word) of the object at `addr`: one load at word
+/// `addr + 1 + i`, whose bounds check against the memory is the only
+/// check (no field address is formed).
+///
+/// # Panics
+///
+/// Panics if the field lies past the end of memory.
 #[inline]
 pub fn field(mem: &Memory, addr: Addr, i: usize) -> u64 {
-    mem.word(field_addr(addr, i))
+    mem.word_offset(addr, i.saturating_add(1))
 }
 
-/// Writes field `i` (a raw word) of the object at `addr`.
+/// Writes field `i` (a raw word) of the object at `addr`, checked as
+/// [`field`] is.
 ///
 /// This is the *raw* store; intergenerational write-barrier bookkeeping
 /// lives in the runtime crate, which calls down to this.
+///
+/// # Panics
+///
+/// Panics if the field lies past the end of memory.
 #[inline]
 pub fn set_field(mem: &mut Memory, addr: Addr, i: usize, value: u64) {
-    mem.set_word(field_addr(addr, i), value);
+    mem.set_word_offset(addr, i.saturating_add(1), value);
 }
 
 /// Reads field `i` of the object at `addr` as a pointer.
@@ -351,6 +366,52 @@ mod tests {
         assert_eq!(o.kind(), ObjectKind::Record);
         assert!(o.field_is_pointer(1));
         assert!(!o.field_is_pointer(0));
+    }
+
+    // `field` / `set_field` index memory with `addr + 1 + i` as a `usize`;
+    // the memory's bounds check is what stops an index past its end, in
+    // a release build as in a debug one.
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_field_read_past_the_end_of_memory_panics() {
+        let (mut mem, mut s) = setup(64);
+        let a = alloc_record(&mut mem, &mut s, SiteId::new(1), &[1], 0).unwrap();
+        let past = mem.capacity_words() - a.index() - 1;
+        assert_eq!(field(&mem, a, past - 1), 0, "the last word of memory");
+        field(&mem, a, past);
+    }
+
+    #[test]
+    #[should_panic(expected = "index out of bounds")]
+    fn a_field_write_past_the_end_of_memory_panics() {
+        let (mut mem, mut s) = setup(64);
+        let a = alloc_record(&mut mem, &mut s, SiteId::new(1), &[1], 0).unwrap();
+        let past = mem.capacity_words() - a.index() - 1;
+        set_field(&mut mem, a, past, 7);
+    }
+
+    #[test]
+    fn a_field_index_that_would_wrap_panics() {
+        // `addr + 1 + i` saturates: no index wraps around to a word
+        // below the end of memory.
+        let (mut mem, mut s) = setup(64);
+        let a = alloc_record(&mut mem, &mut s, SiteId::new(1), &[1], 0).unwrap();
+        for i in [usize::MAX, usize::MAX - 1, usize::MAX - a.index()] {
+            let read = std::panic::catch_unwind(|| field(&mem, a, i));
+            assert!(read.is_err(), "field {i} read");
+            let mut copy = mem.clone();
+            let write = std::panic::catch_unwind(move || set_field(&mut copy, a, i, 7));
+            assert!(write.is_err(), "field {i} written");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "address overflow")]
+    fn a_field_address_past_32_bits_panics() {
+        // The store buffer records field addresses, so `field_addr` keeps
+        // its overflow check.
+        field_addr(Addr::new(u32::MAX - 1), 1);
     }
 
     #[test]

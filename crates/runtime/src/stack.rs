@@ -18,7 +18,7 @@
 //! balance the gains of information reuse against the cost of the
 //! bookkeeping").
 
-use crate::trace::DescId;
+use crate::trace::{CompiledTrace, DescId, TEMPLATE_BLOCK};
 use crate::value::{ShadowTag, Value};
 
 /// A borrowed view of one activation record.
@@ -131,6 +131,10 @@ struct FrameRec {
     /// Index of slot 0; the frame ends where the next one begins.
     base: usize,
     marked: bool,
+    /// Whether the frame's layout has callee-save slots, which a return
+    /// must restore: a frame without them returns without a layout
+    /// lookup.
+    spills: bool,
 }
 
 /// The activation-record stack with marker bookkeeping.
@@ -157,6 +161,10 @@ pub struct Stack {
     /// Simulation-only shadow tags, parallel to `words`.
     shadow: Vec<ShadowTag>,
     frames: Vec<FrameRec>,
+    /// The top frame's base (0 on an empty stack): its slot `i` is word
+    /// `top_base + i`, and it ends where the array does, so indexing
+    /// `words` is the whole bounds check of a top-frame slot access.
+    top_base: usize,
     /// Depths of marked frames, ascending — the side table the stubs
     /// consult.
     marker_table: Vec<usize>,
@@ -191,18 +199,57 @@ impl Stack {
         self.frames.is_empty()
     }
 
-    /// Pushes a frame of `num_slots` zeroed slots described by `desc`.
+    /// Pushes a frame of `num_slots` zeroed slots described by `desc`,
+    /// every one tagged `NonPtr`.
     pub fn push(&mut self, desc: DescId, num_slots: usize) {
+        let base = self.push_rec(desc, false);
+        self.words.resize(base + num_slots, 0);
+        self.shadow.resize(base + num_slots, ShadowTag::NonPtr);
+    }
+
+    /// Pushes a frame laid out by `layout`, the compiled form of `desc`:
+    /// zeroed slots tagged from its template (declared pointer slots
+    /// start as null pointers). The callee-save spills are the caller's
+    /// to write.
+    ///
+    /// Whole template blocks are copied — fixed-size stores, one length
+    /// update per block, no `memset` — and the stack is then cut back to
+    /// the frame's true end.
+    #[inline]
+    pub fn push_compiled(&mut self, desc: DescId, layout: &CompiledTrace) {
+        let base = self.push_rec(desc, !layout.callee_saves().is_empty());
+        for block in layout.template() {
+            self.words.extend_from_slice(&[0; TEMPLATE_BLOCK]);
+            self.shadow.extend_from_slice(block);
+        }
+        self.words.truncate(base + layout.num_slots());
+        self.shadow.truncate(base + layout.num_slots());
+    }
+
+    /// Records a new top frame starting at the array's end; returns its
+    /// base.
+    #[inline]
+    fn push_rec(&mut self, desc: DescId, spills: bool) -> usize {
         let base = self.words.len();
         self.frames.push(FrameRec {
             desc,
             base,
             marked: false,
+            spills,
         });
-        self.words.resize(base + num_slots, 0);
-        self.shadow.resize(base + num_slots, ShadowTag::NonPtr);
+        self.top_base = base;
         self.stats.pushes += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.frames.len());
+        base
+    }
+
+    /// Cuts the word array back to `base`, the end of the frame now on
+    /// top, and makes that frame the top.
+    #[inline]
+    fn truncate_to(&mut self, base: usize) {
+        self.words.truncate(base);
+        self.shadow.truncate(base);
+        self.top_base = self.frames.last().map_or(0, |f| f.base);
     }
 
     /// Pops the top frame, firing its marker stub if it carries one;
@@ -212,23 +259,28 @@ impl Stack {
     /// # Panics
     ///
     /// Panics if the stack is empty.
+    #[inline]
     pub fn pop(&mut self) -> bool {
         let frame = self.frames.pop().expect("pop on empty stack");
-        self.words.truncate(frame.base);
-        self.shadow.truncate(frame.base);
+        self.truncate_to(frame.base);
         let depth = self.frames.len();
         self.stats.pops += 1;
         self.min_depth_since_scan = self.min_depth_since_scan.min(depth);
         if frame.marked {
-            // The stub runs: it notes the deactivation (removes the table
-            // entry) and control continues at the recorded original
-            // return address.
-            let entry = self.marker_table.binary_search(&depth);
-            self.marker_table
-                .remove(entry.expect("marked frame without table entry"));
-            self.stats.marker_fires += 1;
+            self.fire_marker(depth);
         }
         frame.marked
+    }
+
+    /// The stub of the marked frame that was at `depth` runs: it notes
+    /// the deactivation (removes the table entry) and control continues
+    /// at the recorded original return address.
+    #[inline(never)]
+    fn fire_marker(&mut self, depth: usize) {
+        let entry = self.marker_table.binary_search(&depth);
+        self.marker_table
+            .remove(entry.expect("marked frame without table entry"));
+        self.stats.marker_fires += 1;
     }
 
     /// Unwinds to `target_depth` because of a raised exception: frames are
@@ -246,9 +298,8 @@ impl Stack {
         let popped = self.depth() - target_depth;
         let cut = self.frames.get(target_depth);
         let base = cut.map_or(self.words.len(), |f| f.base);
-        self.words.truncate(base);
-        self.shadow.truncate(base);
         self.frames.truncate(target_depth);
+        self.truncate_to(base);
         self.stats.pops += popped as u64;
         self.stats.raises += 1;
         self.watermark = self.watermark.min(target_depth);
@@ -343,6 +394,58 @@ impl Stack {
     #[inline]
     pub fn top_mut(&mut self) -> FrameMut<'_> {
         self.frame_mut(self.depth().checked_sub(1).expect("top of empty stack"))
+    }
+
+    /// Whether the top frame holds callee-save spills to restore on
+    /// return (`false` on an empty stack).
+    #[inline]
+    pub(crate) fn top_spills(&self) -> bool {
+        self.frames.last().is_some_and(|f| f.spills)
+    }
+
+    /// Raw word in slot `i` of the top frame.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` is not a slot of the top frame (or the stack is
+    /// empty).
+    #[inline]
+    pub fn top_word(&self, i: usize) -> u64 {
+        self.words[self.top_base + i]
+    }
+
+    /// Shadow tag of slot `i` of the top frame (testing oracle only).
+    ///
+    /// # Panics
+    ///
+    /// As [`top_word`](Self::top_word).
+    #[inline]
+    pub fn top_shadow(&self, i: usize) -> ShadowTag {
+        self.shadow[self.top_base + i]
+    }
+
+    /// Writes a typed value into slot `i` of the top frame, updating the
+    /// shadow tag.
+    ///
+    /// # Panics
+    ///
+    /// As [`top_word`](Self::top_word).
+    #[inline]
+    pub fn set_top(&mut self, i: usize, value: Value) {
+        self.set_top_tagged(i, value.to_word(), ShadowTag::of(value));
+    }
+
+    /// Writes a raw word with an explicit shadow tag into slot `i` of the
+    /// top frame (a callee-save spill).
+    ///
+    /// # Panics
+    ///
+    /// As [`top_word`](Self::top_word).
+    #[inline]
+    pub(crate) fn set_top_tagged(&mut self, i: usize, word: u64, tag: ShadowTag) {
+        let j = self.top_base + i;
+        self.words[j] = word;
+        self.shadow[j] = tag;
     }
 
     /// Number of leading frames that are provably unchanged since the last

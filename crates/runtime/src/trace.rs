@@ -17,7 +17,7 @@
 
 use std::fmt;
 
-use crate::value::Value;
+use crate::value::{ShadowTag, Value};
 
 /// Number of general-purpose registers in the simulated machine (the Alpha
 /// has 32).
@@ -256,6 +256,11 @@ impl FrameDesc {
     }
 }
 
+/// Slots per block of a [`CompiledTrace`]'s shadow-tag template: frame push
+/// copies whole blocks, each a fixed-size store, and then cuts the stack
+/// back to the frame's true end.
+pub(crate) const TEMPLATE_BLOCK: usize = 8;
+
 /// A [`FrameDesc`]'s layout compiled once at [`TraceTable::register`]
 /// time: the one per-descriptor form that frame push, frame pop and the
 /// stack scan all read.
@@ -271,9 +276,11 @@ impl FrameDesc {
 pub struct CompiledTrace {
     /// Bit `i` set means slot `i` is declared [`Trace::Pointer`].
     ptr_bitmap: Vec<u64>,
-    /// The same information as `ptr_bitmap`, as an index list: walked by
-    /// frame push to null the pointer slots.
-    ptr_slots: Vec<u16>,
+    /// The shadow tags of a freshly pushed frame — `Ptr` for the declared
+    /// pointer slots (null pointers: the frame is zeroed), `NonPtr` for
+    /// the rest — in blocks of [`TEMPLATE_BLOCK`], the last one padded
+    /// with `NonPtr`.
+    template: Vec<[ShadowTag; TEMPLATE_BLOCK]>,
     /// `(slot, reg)` for every [`Trace::CalleeSave`] slot: spilled by
     /// frame push, restored by frame pop.
     callee_saves: Vec<(usize, Reg)>,
@@ -284,13 +291,14 @@ pub struct CompiledTrace {
 impl CompiledTrace {
     fn compile(desc: &FrameDesc) -> CompiledTrace {
         let mut ptr_bitmap = vec![0u64; desc.slots.len().div_ceil(64)];
-        let mut ptr_slots = Vec::new();
+        let mut template =
+            vec![[ShadowTag::NonPtr; TEMPLATE_BLOCK]; desc.slots.len().div_ceil(TEMPLATE_BLOCK)];
         let mut callee_saves = Vec::new();
         for (i, t) in desc.slots.iter().enumerate() {
             match *t {
                 Trace::Pointer => {
                     ptr_bitmap[i / 64] |= 1 << (i % 64);
-                    ptr_slots.push(i as u16);
+                    template[i / TEMPLATE_BLOCK][i % TEMPLATE_BLOCK] = ShadowTag::Ptr;
                 }
                 Trace::CalleeSave(reg) => callee_saves.push((i, reg)),
                 Trace::NonPointer | Trace::Compute(_) => {}
@@ -298,7 +306,7 @@ impl CompiledTrace {
         }
         CompiledTrace {
             ptr_bitmap,
-            ptr_slots,
+            template,
             callee_saves,
             num_slots: desc.slots.len(),
             is_static: desc
@@ -328,11 +336,17 @@ impl CompiledTrace {
         &self.ptr_bitmap
     }
 
-    /// What frame push and pop need: the declared pointer slots and the
-    /// `(slot, reg)` callee-save spills, borrowed.
+    /// The shadow-tag template frame push copies (see [`TEMPLATE_BLOCK`]).
     #[inline]
-    pub(crate) fn frame_layout(&self) -> (&[u16], &[(usize, Reg)]) {
-        (&self.ptr_slots, &self.callee_saves)
+    pub(crate) fn template(&self) -> &[[ShadowTag; TEMPLATE_BLOCK]] {
+        &self.template
+    }
+
+    /// The `(slot, reg)` callee-save spills frame push takes and frame pop
+    /// restores.
+    #[inline]
+    pub(crate) fn callee_saves(&self) -> &[(usize, Reg)] {
+        &self.callee_saves
     }
 }
 
@@ -412,6 +426,14 @@ impl TraceTable {
 mod tests {
     use super::*;
 
+    /// The slots a compiled template tags `Ptr`, padding included.
+    fn template_ptr_slots(c: &CompiledTrace) -> Vec<usize> {
+        let tags = c.template().iter().flatten();
+        tags.enumerate()
+            .filter_map(|(i, &t)| (t == ShadowTag::Ptr).then_some(i))
+            .collect()
+    }
+
     #[test]
     fn builder_accumulates_slots_and_effects() {
         let d = FrameDesc::new("f")
@@ -443,7 +465,7 @@ mod tests {
             .slot(Trace::CalleeSave(Reg::new(10)));
         let compiled = CompiledTrace::compile(&d);
         assert_eq!(
-            compiled.frame_layout().1,
+            compiled.callee_saves(),
             [(1, Reg::new(9)), (2, Reg::new(10))]
         );
     }
@@ -488,7 +510,8 @@ mod tests {
         assert_eq!(c.ptr_bitmap().len(), 2);
         assert_eq!(c.ptr_bitmap()[0], 1);
         assert_eq!(c.ptr_bitmap()[1], 1 << (71 - 64));
-        assert_eq!(c.frame_layout().0, [0u16, 71]);
+        assert_eq!(c.template().len(), 9, "72 slots in blocks of 8");
+        assert_eq!(template_ptr_slots(c), [0, 71]);
     }
 
     #[test]
@@ -503,7 +526,7 @@ mod tests {
         assert!(!t.compiled(cs).is_static());
         assert!(!t.compiled(cp).is_static());
         assert_eq!(t.compiled(cp).num_slots(), 2);
-        // The declared pointer slots are listed for dynamic frames too
+        // The declared pointer slots are tagged for dynamic frames too
         // (frame push nulls them); only the scan may not stop there.
         let mixed = t.register(
             FrameDesc::new("mixed")
@@ -511,7 +534,7 @@ mod tests {
                 .slot(Trace::Pointer),
         );
         assert!(!t.compiled(mixed).is_static());
-        assert_eq!(t.compiled(mixed).frame_layout().0, [1u16]);
+        assert_eq!(template_ptr_slots(t.compiled(mixed)), [1]);
         assert_eq!(t.compiled(mixed).ptr_bitmap(), &[0b10]);
     }
 
@@ -522,7 +545,7 @@ mod tests {
         assert!(t.compiled(id).is_static());
         assert_eq!(t.compiled(id).num_slots(), 0);
         assert!(t.compiled(id).ptr_bitmap().is_empty());
-        assert!(t.compiled(id).frame_layout().0.is_empty());
+        assert!(t.compiled(id).template().is_empty());
     }
 
     #[test]

@@ -16,12 +16,16 @@
 //! the whole write barrier) and the slot and register accessors are
 //! `#[inline]` and touch the `Vm`'s own memory and mutator state — a
 //! program's `vm.load_int(l, 0)` compiles to a charge, a bounds check
-//! and a load. What a call site does not need stays out of line: the
-//! checked-mode halves of `set_slot` / `slot_ptr` / `reg_ptr`, the debug
-//! access check, and `push_frame` / `pop_frame`, which are loops over a
-//! frame layout and measured faster as calls. The collector is behind
-//! three out-of-line entries only: the allocation door, `gc_now` /
-//! `gc_major`, and `finish`, each of which hands it the memory.
+//! and a load, and `vm.slot_int(i)` to a load at the top frame's cached
+//! base plus `i`, the stack array's bound being the slot bound. What a
+//! call site does not need stays out of line: the checked-mode halves of
+//! `set_slot` / `slot_ptr` / `reg_ptr`, the debug access check, and
+//! `push_frame` / `pop_frame`. A push writes zeroed words and the
+//! frame's compiled shadow-tag template in fixed-size blocks; a pop reads
+//! the layout only when the frame has callee-save spills to restore; both
+//! measured faster as calls. The collector is behind three out-of-line
+//! entries only: the allocation door, `gc_now` / `gc_major`, and
+//! `finish`, each of which hands it the memory.
 //!
 //! # The rooting discipline
 //!
@@ -227,14 +231,10 @@ impl Vm {
     /// (the frame is zeroed, and the layout says they are pointer slots).
     pub fn push_frame(&mut self, desc: DescId) {
         let compiled = self.m.traces.compiled(desc);
-        let (ptr_slots, spills) = compiled.frame_layout();
-        self.m.stack.push(desc, compiled.num_slots());
-        let mut top = self.m.stack.top_mut();
-        for &slot in ptr_slots {
-            top.set_word_tagged(slot as usize, 0, ShadowTag::Ptr);
-        }
-        for &(slot, reg) in spills {
-            top.set_word_tagged(slot, self.m.regs.word(reg), self.m.regs.shadow(reg));
+        self.m.stack.push_compiled(desc, compiled);
+        for &(slot, reg) in compiled.callee_saves() {
+            let (word, tag) = (self.m.regs.word(reg), self.m.regs.shadow(reg));
+            self.m.stack.set_top_tagged(slot, word, tag);
         }
         self.m.charge(self.m.cost.frame_push);
     }
@@ -246,18 +246,27 @@ impl Vm {
     ///
     /// Panics if the stack is empty.
     pub fn pop_frame(&mut self) {
-        let top = self.m.stack.top();
-        let (_, spills) = self.m.traces.compiled(top.desc()).frame_layout();
-        for &(slot, reg) in spills {
-            self.m
-                .regs
-                .set_word_tagged(reg, top.word(slot), top.shadow(slot));
+        if self.m.stack.top_spills() {
+            self.restore_spills();
         }
         let mut cost = self.m.cost.frame_pop;
         if self.m.stack.pop() {
             cost += self.m.cost.marker_fire;
         }
         self.m.charge(cost);
+    }
+
+    /// The top frame's callee-save slots back into their registers: the
+    /// part of a return only frames with spills pay for, with the layout
+    /// lookup it needs.
+    fn restore_spills(&mut self) {
+        let stack = &self.m.stack;
+        let desc = stack.top().desc();
+        for &(slot, reg) in self.m.traces.compiled(desc).callee_saves() {
+            self.m
+                .regs
+                .set_word_tagged(reg, stack.top_word(slot), stack.top_shadow(slot));
+        }
     }
 
     /// Writes a typed value into slot `i` of the top frame.
@@ -273,7 +282,7 @@ impl Vm {
         if self.m.check_shadows {
             self.check_slot_admits(i, value);
         }
-        self.m.stack.top_mut().set(i, value);
+        self.m.stack.set_top(i, value);
     }
 
     /// Checked mode's half of [`set_slot`](Vm::set_slot), out of line so
@@ -290,7 +299,7 @@ impl Vm {
     /// Raw word in slot `i` of the top frame.
     #[inline]
     pub fn slot_word(&self, i: usize) -> u64 {
-        self.m.stack.top().word(i)
+        self.m.stack.top_word(i)
     }
 
     /// Pointer in slot `i` of the top frame.
@@ -304,14 +313,14 @@ impl Vm {
         if self.m.check_shadows {
             self.check_slot_holds_ptr(i);
         }
-        Addr::new(self.m.stack.top().word(i) as u32)
+        Addr::new(self.m.stack.top_word(i) as u32)
     }
 
     /// Checked mode's half of [`slot_ptr`](Vm::slot_ptr), out of line.
     #[inline(never)]
     fn check_slot_holds_ptr(&self, i: usize) {
         assert_eq!(
-            self.m.stack.top().shadow(i),
+            self.m.stack.top_shadow(i),
             ShadowTag::Ptr,
             "slot {i} read as pointer but holds a non-pointer"
         );
@@ -320,7 +329,7 @@ impl Vm {
     /// Integer in slot `i` of the top frame.
     #[inline]
     pub fn slot_int(&self, i: usize) -> i64 {
-        self.m.stack.top().word(i) as i64
+        self.m.stack.top_word(i) as i64
     }
 
     /// Writes a typed value into a register.

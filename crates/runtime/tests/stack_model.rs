@@ -1,11 +1,12 @@
 //! The contiguous-array [`Stack`] checked against the representation it
 //! replaced: a `Vec` of frames that each own their slots. After every
-//! operation of a random sequence every frame view must read exactly what
-//! the model holds, and the marker bookkeeping must stay conservative.
+//! operation of a random sequence every frame view, and the top frame's
+//! slots read through the stack's cached base, must read exactly what the
+//! model holds, and the marker bookkeeping must stay conservative.
 
 use proptest::prelude::*;
 use tilgc_mem::Addr;
-use tilgc_runtime::{DescId, FrameDesc, ShadowTag, Stack, TraceTable, Value};
+use tilgc_runtime::{DescId, FrameDesc, ShadowTag, Stack, Trace, TraceTable, Value};
 
 #[derive(Clone, Debug)]
 enum Op {
@@ -13,6 +14,10 @@ enum Op {
     Push {
         desc: u8,
         slots: u8,
+    },
+    /// Push a frame laid out by descriptor `desc`'s compiled trace.
+    PushCompiled {
+        desc: u8,
     },
     Pop,
     /// Raise-unwind to a depth chosen from the current one.
@@ -41,7 +46,8 @@ enum Op {
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        5 => (any::<u8>(), 0u8..6).prop_map(|(desc, slots)| Op::Push { desc, slots }),
+        3 => (any::<u8>(), 0u8..6).prop_map(|(desc, slots)| Op::Push { desc, slots }),
+        2 => any::<u8>().prop_map(|desc| Op::PushCompiled { desc }),
         4 => Just(Op::Pop),
         1 => any::<u8>().prop_map(|to| Op::Unwind { to }),
         4 => (any::<u8>(), any::<i16>(), any::<bool>())
@@ -66,6 +72,13 @@ fn assert_matches_model(stack: &Stack, model: &[ModelFrame]) {
             assert_eq!(frame.shadow(i), tag, "frame {d} slot {i}");
         }
     }
+    // The top frame's accessors read it through the cached base.
+    if let Some((_, slots)) = model.last() {
+        for (i, &(word, tag)) in slots.iter().enumerate() {
+            assert_eq!(stack.top_word(i), word, "top slot {i}");
+            assert_eq!(stack.top_shadow(i), tag, "top slot {i}");
+        }
+    }
     assert!(
         stack.reusable_prefix() <= stack.true_unchanged_prefix(),
         "markers over-promised: claimed {}, true {}",
@@ -81,9 +94,21 @@ proptest! {
     fn contiguous_stack_matches_the_frame_per_vec_model(
         ops in proptest::collection::vec(op_strategy(), 1..200)
     ) {
+        // Layouts of 0, 3 and 11 slots: the last spans two template
+        // blocks and ends inside the second.
+        let layouts = [
+            vec![],
+            vec![Trace::Pointer, Trace::NonPointer, Trace::Pointer],
+            [Trace::NonPointer, Trace::Pointer].repeat(5).into_iter().chain([Trace::Pointer]).collect(),
+        ];
         let mut table = TraceTable::new();
-        let descs: Vec<DescId> = (0..3)
-            .map(|i| table.register(FrameDesc::new(format!("d{i}"))))
+        let descs: Vec<DescId> = layouts
+            .iter()
+            .enumerate()
+            .map(|(i, traces)| {
+                let desc = traces.iter().fold(FrameDesc::new(format!("d{i}")), |d, &t| d.slot(t));
+                table.register(desc)
+            })
             .collect();
         let mut stack = Stack::new();
         let mut model: Vec<ModelFrame> = Vec::new();
@@ -93,6 +118,14 @@ proptest! {
                     let desc = descs[desc as usize % descs.len()];
                     stack.push(desc, slots as usize);
                     model.push((desc, vec![(0, ShadowTag::NonPtr); slots as usize]));
+                }
+                Op::PushCompiled { desc } => {
+                    let which = desc as usize % descs.len();
+                    stack.push_compiled(descs[which], table.compiled(descs[which]));
+                    let tag = |t: &Trace| {
+                        if *t == Trace::Pointer { ShadowTag::Ptr } else { ShadowTag::NonPtr }
+                    };
+                    model.push((descs[which], layouts[which].iter().map(|t| (0, tag(t))).collect()));
                 }
                 Op::Pop => {
                     if model.pop().is_some() {
@@ -113,7 +146,7 @@ proptest! {
                         } else {
                             Value::Int(i64::from(value))
                         };
-                        stack.top_mut().set(i, value);
+                        stack.set_top(i, value);
                         slots[i] = (value.to_word(), ShadowTag::of(value));
                     }
                 }

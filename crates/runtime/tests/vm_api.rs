@@ -1,13 +1,13 @@
 //! Behavioural tests of the `Vm` facade against a minimal test collector,
 //! exercising the runtime substrate independently of `tilgc-core`: frame
-//! push/pop with callee-save spill/restore, slot/trace validation,
-//! barriers, exceptions, allocation staging, and the debug-build check
-//! on every heap access.
+//! push/pop with callee-save spill/restore, slot/trace validation, the
+//! slot bound, barriers, exceptions, allocation staging, and the
+//! debug-build check on every heap access.
 
 use tilgc_mem::{object, Addr, Header, Memory, Space, POISON};
 use tilgc_runtime::{
-    AllocShape, CollectReason, Collector, FrameDesc, GcStats, MutatorState, RaiseOutcome, Reg,
-    ShadowTag, Trace, TypeLoc, Value, Vm,
+    AllocShape, CollectReason, Collector, DescId, FrameDesc, GcStats, MutatorState, RaiseOutcome,
+    Reg, ShadowTag, Trace, TypeLoc, Value, Vm,
 };
 
 /// A bump-only collector that never reclaims — the runtime substrate can
@@ -181,6 +181,138 @@ fn pointer_slots_start_as_null_pointers() {
     assert!(vm.slot_ptr(0).is_null());
     assert_eq!(vm.mutator().stack.top().shadow(0), ShadowTag::Ptr);
     assert_eq!(vm.mutator().stack.top().shadow(1), ShadowTag::NonPtr);
+}
+
+// ----- the slot bound ------------------------------------------------------
+//
+// A slot access indexes the stack's word array at the top frame's cached
+// base, and the top frame ends where the array does: the array's bounds
+// check is the slot bound. Push, pop and raise each move the base; each
+// case below reaches slot `n` of an `n`-slot top frame after one of them,
+// with `n` inside the wider frame the base last pointed at. Shadow checks
+// are off, so the bound alone has to catch it.
+
+/// A VM with a two-slot frame (`narrow`: a pointer, then an integer) and
+/// a five-slot one (`wide`) registered, shadow checks off.
+fn narrow_and_wide() -> (Vm, DescId, DescId) {
+    let mut vm = vm();
+    vm.mutator_mut().check_shadows = false;
+    let narrow = vm.register_frame(
+        FrameDesc::new("narrow")
+            .slot(Trace::Pointer)
+            .slot(Trace::NonPointer),
+    );
+    let wide = vm.register_frame(FrameDesc::new("wide").slots(5, Trace::NonPointer));
+    (vm, narrow, wide)
+}
+
+/// `narrow` pushed on `wide`: the push moved the base up.
+fn narrow_pushed() -> Vm {
+    let (mut vm, narrow, wide) = narrow_and_wide();
+    vm.push_frame(wide);
+    vm.push_frame(narrow);
+    vm
+}
+
+/// `wide` pushed on `narrow` and popped: the base moved back down.
+fn popped_to_narrow() -> Vm {
+    let (mut vm, narrow, wide) = narrow_and_wide();
+    vm.push_frame(narrow);
+    vm.push_frame(wide);
+    vm.pop_frame();
+    vm
+}
+
+/// A raise from three `wide` frames to a handler in `narrow`.
+fn raised_to_narrow() -> Vm {
+    let (mut vm, narrow, wide) = narrow_and_wide();
+    vm.push_frame(narrow);
+    vm.push_handler();
+    for _ in 0..3 {
+        vm.push_frame(wide);
+    }
+    assert_eq!(vm.raise(), RaiseOutcome::Caught { handler_depth: 1 });
+    vm
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn slot_ptr_past_the_top_frame_panics_after_a_push() {
+    let vm = narrow_pushed();
+    assert!(vm.slot_ptr(0).is_null());
+    let _ = vm.slot_ptr(2);
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn set_slot_past_the_top_frame_panics_after_a_push() {
+    let mut vm = narrow_pushed();
+    vm.set_slot(1, Value::Int(1));
+    vm.set_slot(2, Value::Int(1));
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn slot_ptr_past_the_top_frame_panics_after_a_pop() {
+    let vm = popped_to_narrow();
+    assert!(vm.slot_ptr(0).is_null());
+    let _ = vm.slot_ptr(2);
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn set_slot_past_the_top_frame_panics_after_a_pop() {
+    let mut vm = popped_to_narrow();
+    vm.set_slot(1, Value::Int(1));
+    vm.set_slot(2, Value::Int(1));
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn slot_ptr_past_the_top_frame_panics_after_a_raise() {
+    let vm = raised_to_narrow();
+    assert!(vm.slot_ptr(0).is_null());
+    let _ = vm.slot_ptr(2);
+}
+
+#[test]
+#[should_panic(expected = "index out of bounds")]
+fn set_slot_past_the_top_frame_panics_after_a_raise() {
+    let mut vm = raised_to_narrow();
+    vm.set_slot(1, Value::Int(1));
+    vm.set_slot(2, Value::Int(1));
+}
+
+#[test]
+fn slots_address_the_caller_after_a_pop_and_the_handler_after_a_raise() {
+    let (mut vm, narrow, wide) = narrow_and_wide();
+    let site = vm.site("t::x");
+    let obj = vm.alloc_record(site, &[Value::Int(5)]).unwrap();
+    vm.push_frame(narrow);
+    vm.set_slot(0, Value::Ptr(obj));
+    vm.set_slot(1, Value::Int(11));
+    vm.push_handler();
+    for round in ["pop", "raise"] {
+        for depth in 0..3 {
+            vm.push_frame(wide);
+            for i in 0..5 {
+                assert_eq!(vm.slot_int(i), 0, "a pushed frame is zeroed");
+                vm.set_slot(i, Value::Int(100 * depth + i as i64));
+            }
+        }
+        if round == "pop" {
+            for _ in 0..3 {
+                vm.pop_frame();
+            }
+        } else {
+            assert_eq!(vm.raise(), RaiseOutcome::Caught { handler_depth: 1 });
+        }
+        assert_eq!(vm.depth(), 1);
+        assert_eq!(vm.slot_ptr(0), obj, "after the {round}");
+        assert_eq!(vm.slot_int(1), 11, "after the {round}");
+        assert_eq!(vm.slot_word(1), 11, "after the {round}");
+        assert_eq!(vm.mutator().stack.top_shadow(0), ShadowTag::Ptr);
+    }
 }
 
 #[test]
