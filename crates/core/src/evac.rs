@@ -261,7 +261,7 @@ impl<'a> Evacuator<'a> {
         }
         let words = h.size_words();
         let new_age = h.age().saturating_add(1);
-        let site = self.mem.site_of(addr);
+        let site = h.site();
         let dest = match self.survivor.as_deref_mut() {
             Some(survivor) if new_age < self.tenure_age && survivor.fits(words) => survivor,
             _ => &mut *self.to,
@@ -270,13 +270,13 @@ impl<'a> Evacuator<'a> {
             .alloc(words)
             .unwrap_or_else(|_| panic!("to-space overflow: heap budget exhausted"));
         self.mem.copy_words(addr, new, words);
-        // Survivors age by one collection. The dirty bit lives in
-        // the side bitmap now and stays behind at the old address
-        // (bulk-cleared when the space is vacated); the site tag is
-        // the one piece of side metadata that moves with the object.
+        // Survivors age by one collection; the site rides in the header,
+        // so it moved with the copy, and the forwarding header keeps it
+        // for whoever reads the corpse. The dirty bit lives in the side
+        // bitmap and stays behind at the old address (bulk-cleared when
+        // the space is vacated).
         object::set_header(self.mem, new, h.with_age(new_age));
-        self.mem.set_site(new, site);
-        object::set_header(self.mem, addr, Header::forward(new));
+        object::set_header(self.mem, addr, Header::forward(new).with_site(site));
         let bytes = h.size_bytes();
         self.stats.copied_bytes += bytes as u64;
         self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
@@ -486,7 +486,7 @@ impl<'a> Evacuator<'a> {
             holds_young |= self.in_survivor(new_child);
             if let Some(p) = self.profile.as_deref_mut() {
                 let child_site = self.mem.site_of(new_child);
-                p.on_edge(self.mem.site_of(addr), child_site);
+                p.on_edge(h.site(), child_site);
             }
         }
         if changed {
@@ -526,7 +526,7 @@ impl<'a> Evacuator<'a> {
                 holds_young |= self.in_survivor(new_child);
                 if let Some(p) = self.profile.as_deref_mut() {
                     let child_site = self.mem.site_of(new_child);
-                    p.on_edge(self.mem.site_of(addr), child_site);
+                    p.on_edge(h.site(), child_site);
                 }
             }
             if changed {
@@ -755,6 +755,11 @@ mod tests {
             SiteId::new(1),
             "site tag moves with the copy"
         );
+        assert_eq!(
+            r.mem.site_of(a),
+            SiteId::new(1),
+            "the forwarding header keeps the site"
+        );
         assert!(
             r.mem.is_dirty(a),
             "the stale from-space bit is the plan's to bulk-clear at vacate time"
@@ -774,9 +779,8 @@ mod tests {
         // ...pointed to by a large pointer array in the LOS.
         let big_words = 1 + 300;
         let big = los.alloc(big_words).unwrap();
-        let h = Header::ptr_array(300).unwrap();
+        let h = Header::ptr_array(300).unwrap().with_site(SiteId::new(2));
         object::set_header(&mut mem, big, h);
-        mem.set_site(big, SiteId::new(2));
         for i in 0..300 {
             object::set_field(&mut mem, big, i, 0);
         }
@@ -1096,8 +1100,11 @@ mod tests {
         let decoy = word(prev);
         targets.push(object::alloc_record(&mut mem, &mut to, site, &[3], 0).unwrap());
         let big = los.alloc(71).unwrap();
-        object::set_header(&mut mem, big, Header::ptr_array(70).unwrap());
-        mem.set_site(big, site);
+        object::set_header(
+            &mut mem,
+            big,
+            Header::ptr_array(70).unwrap().with_site(site),
+        );
         for i in 0..70 {
             object::set_field(&mut mem, big, i, word(targets[i % targets.len()]));
         }

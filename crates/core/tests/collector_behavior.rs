@@ -656,3 +656,70 @@ fn semispace_vm_reads_what_the_collector_wrote() {
 fn generational_vm_reads_what_the_collector_wrote() {
     the_vm_reads_what_the_collector_wrote(CollectorKind::GenerationalStack);
 }
+
+/// Every path that writes an object stamps its site in the header, and
+/// the stamp survives a minor and a major collection: a window hit, a
+/// door entry (the window closed first), a large array (the LOS of a
+/// generational plan) and a pretenured site (a pretenured region under
+/// the pretenuring plan; an ordinary allocation elsewhere).
+fn every_writer_stamps_the_site(kind: CollectorKind) {
+    let mut probe = build_vm(kind, &small_config());
+    let pretenured = probe.site("t::pretenured");
+    let mut policy = PretenurePolicy::new();
+    policy.add_site(pretenured);
+    let config = small_config().large_object_bytes(2 << 10).pretenure(policy);
+    let mut vm = build_vm(kind, &config);
+    assert_eq!(vm.site("t::pretenured"), pretenured);
+    let hit = vm.site("t::hit");
+    let door = vm.site("t::door");
+    let large = vm.site("t::large");
+    let d = frame_with_ptrs(&mut vm, 4);
+    vm.push_frame(d);
+    // The first allocation enters the door, which lends the window the
+    // second one bumps through.
+    vm.alloc_record(hit, &[Value::Int(0)]).unwrap();
+    let a = vm.alloc_record(hit, &[Value::Int(1)]).unwrap();
+    vm.set_slot(0, Value::Ptr(a));
+    vm.mutator_mut().close_window();
+    let a = vm.alloc_record(door, &[Value::Int(2)]).unwrap();
+    vm.set_slot(1, Value::Ptr(a));
+    let a = vm.alloc_ptr_array(large, 1024, Addr::NULL).unwrap();
+    vm.set_slot(2, Value::Ptr(a));
+    let a = vm.alloc_raw_array(pretenured, 16).unwrap();
+    vm.set_slot(3, Value::Ptr(a));
+
+    let sites = [hit, door, large, pretenured];
+    let check = |vm: &Vm, when: &str| {
+        for (slot, &site) in sites.iter().enumerate() {
+            let addr = vm.slot_ptr(slot);
+            assert_eq!(vm.mem().site_of(addr), site, "{kind:?} slot {slot} {when}");
+        }
+    };
+    check(&vm, "at allocation");
+    let big = vm.slot_ptr(2);
+    vm.gc_now();
+    check(&vm, "after a minor collection");
+    vm.gc_major();
+    check(&vm, "after a major collection");
+    verify_vm(&vm);
+    if kind != CollectorKind::Semispace {
+        assert_eq!(
+            vm.slot_ptr(2),
+            big,
+            "{kind:?}: the large array sits in the LOS"
+        );
+    }
+    if kind == CollectorKind::GenerationalStackPretenure {
+        assert!(
+            vm.gc_stats().pretenured_bytes > 0,
+            "a pretenured region served the site"
+        );
+    }
+}
+
+#[test]
+fn every_writer_stamps_the_site_on_every_plan() {
+    for kind in CollectorKind::ALL {
+        every_writer_stamps_the_site(kind);
+    }
+}

@@ -1,6 +1,6 @@
 use std::fmt;
 
-use crate::{Addr, MemError};
+use crate::{Addr, MemError, SiteId};
 
 /// Maximum number of fields in a record (bounded by the header pointer-mask
 /// width).
@@ -18,6 +18,14 @@ const KIND_RECORD: u64 = 0;
 const KIND_PTR_ARRAY: u64 = 1;
 const KIND_RAW_ARRAY: u64 = 2;
 const KIND_FORWARD: u64 = 3;
+
+/// The site id sits above the widest kind-specific field — a forwarding
+/// header's 32-bit address at bits 2..33 — so it has the same place in
+/// every header, forwarding headers included.
+const SITE_SHIFT: u32 = 34;
+const SITE_MASK: u64 = 0xffff << SITE_SHIFT;
+const AGE_SHIFT: u32 = 50;
+const AGE_MASK: u64 = 0xff << AGE_SHIFT;
 
 /// The runtime category of a heap object.
 ///
@@ -54,24 +62,29 @@ impl fmt::Display for ObjectKind {
 /// Bit layout (LSB first):
 ///
 /// ```text
-/// kind = record:     | kind:2 | len:5 | mask:24 | pad:1 | pad:16 | age:8 | pad:8 |
-/// kind = ptr array:  | kind:2 | len(words):30   |        pad:16 | age:8 | pad:8 |
-/// kind = raw array:  | kind:2 | len(bytes):30   |        pad:16 | age:8 | pad:8 |
-/// kind = forward:    | kind:2 | to:32                                  | pad:30 |
+/// kind = record:     | kind:2 | len:5 | mask:24 | pad:3 | site:16 | age:8 | pad:6 |
+/// kind = ptr array:  | kind:2 | len(words):30   | pad:2 | site:16 | age:8 | pad:6 |
+/// kind = raw array:  | kind:2 | len(bytes):30   | pad:2 | site:16 | age:8 | pad:6 |
+/// kind = forward:    | kind:2 | to:32                   | site:16 | pad:14        |
 /// ```
 ///
-/// `age` counts minor collections survived (used by the tenure-threshold
-/// collector variant, §7.2). The allocation-site id the profiler keys on
-/// and the write barrier's dirty bit do **not** live here: they are side
-/// metadata, read through [`Memory::site_of`](crate::Memory::site_of)
-/// and the dirty bitmap (see [`crate::side`]). During collection the
-/// header of a copied object is overwritten with a *forwarding* header
-/// pointing at the new copy, exactly as in Cheney's algorithm.
+/// `site` is the [`SiteId`] of the allocation site that created the
+/// object — the id TIL's profiling mode prepends to every object (§6).
+/// It is stamped once, at allocation ([`with_site`](Self::with_site)),
+/// travels with the object when it is copied, and stays behind in the
+/// forwarding header, so [`site`](Self::site) reads the same field
+/// whatever the kind. `age` counts minor collections survived (used by
+/// the tenure-threshold collector variant, §7.2). What a header carries
+/// is the object's immutable identity; the mutable collector state — the
+/// write barrier's dirty bit, the large-object mark bit — is side
+/// metadata (see [`crate::side`]). During collection the header of a
+/// copied object is overwritten with a *forwarding* header pointing at
+/// the new copy, exactly as in Cheney's algorithm.
 ///
 /// # Example
 ///
 /// ```
-/// use tilgc_mem::{Header, ObjectKind, Addr};
+/// use tilgc_mem::{Header, ObjectKind, Addr, SiteId};
 ///
 /// let h = Header::record(3, 0b101).unwrap();
 /// assert_eq!(h.kind(), ObjectKind::Record);
@@ -81,6 +94,10 @@ impl fmt::Display for ObjectKind {
 ///
 /// let f = Header::forward(Addr::new(64));
 /// assert_eq!(f.forward_addr(), Some(Addr::new(64)));
+///
+/// let site = SiteId::new(7);
+/// let h = h.with_site(site);
+/// assert_eq!(Header::forward(Addr::new(64)).with_site(h.site()).site(), site);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Header(u64);
@@ -234,19 +251,33 @@ impl Header {
         }
     }
 
+    /// The allocation site of the object — read from the same bits in
+    /// every kind of header, forwarding headers included.
+    #[inline]
+    pub const fn site(self) -> SiteId {
+        SiteId::new(((self.0 & SITE_MASK) >> SITE_SHIFT) as u16)
+    }
+
+    /// A copy of this header with the site replaced. Valid on every kind,
+    /// so a forwarding header can keep the site of the object it replaced.
+    #[inline]
+    pub const fn with_site(self, site: SiteId) -> Header {
+        Header((self.0 & !SITE_MASK) | ((site.get() as u64) << SITE_SHIFT))
+    }
+
     /// Number of minor collections this object has survived (saturating at
     /// 255).
     #[inline]
     pub fn age(self) -> u8 {
         debug_assert!(!self.is_forward());
-        ((self.0 >> 48) & 0xff) as u8
+        ((self.0 & AGE_MASK) >> AGE_SHIFT) as u8
     }
 
     /// A copy of this header with the age replaced.
     #[inline]
     pub fn with_age(self, age: u8) -> Header {
         debug_assert!(!self.is_forward());
-        Header((self.0 & !(0xffu64 << 48)) | (u64::from(age) << 48))
+        Header((self.0 & !AGE_MASK) | (u64::from(age) << AGE_SHIFT))
     }
 
     /// Payload size in whole words (excluding the header word).
@@ -275,14 +306,15 @@ impl Header {
 impl fmt::Debug for Header {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         if let Some(to) = self.forward_addr() {
-            return write!(f, "Header(forward -> {to})");
+            return write!(f, "Header(forward -> {to} {})", self.site());
         }
         write!(
             f,
-            "Header({} len={} mask={:#b} age={})",
+            "Header({} len={} mask={:#b} {} age={})",
             self.kind(),
             self.len(),
             self.ptr_mask(),
+            self.site(),
             self.age()
         )
     }
@@ -370,6 +402,63 @@ mod tests {
         assert_eq!(aged.len(), h.len());
         assert_eq!(aged.ptr_mask(), h.ptr_mask());
         assert_eq!(aged.with_age(0), h);
+    }
+
+    const SITES: [SiteId; 3] = [SiteId::new(0), SiteId::new(1), SiteId::MAX];
+
+    #[test]
+    fn site_round_trip() {
+        let h = Header::record(2, 0b01).unwrap();
+        assert_eq!(h.site(), SiteId::UNKNOWN, "a new header carries no site");
+        assert_eq!(h.with_site(SiteId::new(777)).site(), SiteId::new(777));
+        assert_eq!(h.with_site(SiteId::new(777)).with_site(SiteId::UNKNOWN), h);
+    }
+
+    #[test]
+    fn site_survives_every_kind_and_disturbs_no_field() {
+        let full = (1u32 << MAX_RECORD_FIELDS) - 1;
+        let longest = MAX_ARRAY_LEN;
+        for site in SITES {
+            let rec = Header::record(MAX_RECORD_FIELDS, full)
+                .unwrap()
+                .with_site(site);
+            assert_eq!(rec.site(), site);
+            assert_eq!(rec.kind(), ObjectKind::Record);
+            assert_eq!(rec.len(), MAX_RECORD_FIELDS);
+            assert_eq!(rec.ptr_mask(), full);
+            assert_eq!(rec.age(), 0);
+
+            let arr = Header::ptr_array(longest).unwrap().with_site(site);
+            assert_eq!(arr.site(), site);
+            assert_eq!(arr.kind(), ObjectKind::PtrArray);
+            assert_eq!(arr.len(), longest);
+            assert_eq!(arr.age(), 0);
+
+            let raw = Header::raw_array(longest).unwrap().with_site(site);
+            assert_eq!(raw.site(), site);
+            assert_eq!(raw.kind(), ObjectKind::RawArray);
+            assert_eq!(raw.len(), longest);
+            assert_eq!(raw.age(), 0);
+
+            for h in [rec, arr, raw] {
+                let aged = h.with_age(255);
+                assert_eq!(aged.site(), site, "the age leaves the site alone");
+                assert_eq!(aged.age(), 255);
+                assert_eq!((aged.len(), aged.ptr_mask()), (h.len(), h.ptr_mask()));
+                assert_eq!(
+                    aged.with_site(site).age(),
+                    255,
+                    "the site leaves the age alone"
+                );
+                assert_eq!(aged.with_age(0), h);
+            }
+
+            let fwd = Header::forward(Addr::new(u32::MAX)).with_site(site);
+            assert!(fwd.is_forward());
+            assert_eq!(fwd.forward_addr(), Some(Addr::new(u32::MAX)));
+            assert_eq!(fwd.site(), site, "a forwarding header keeps the site");
+            assert_eq!(Header::forward(Addr::new(u32::MAX)).site(), SiteId::UNKNOWN);
+        }
     }
 
     #[test]

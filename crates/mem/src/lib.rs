@@ -9,16 +9,15 @@
 //!   heap spaces live — words are 64 bits, matching the DEC Alpha the
 //!   paper measured on; bookkeeping is chunked ([`CHUNK_WORDS`]-sized
 //!   chunks owned by spaces) while the backing store stays contiguous;
-//! * a [`side`]-metadata layer hosting the per-word dirty bits, mark
-//!   bits and allocation-site tags that used to live in object headers,
-//!   stored as plain zero-initialised arrays the OS commits on first
-//!   write, with `memset`-style bulk clears bounded by a space's used
-//!   extent;
+//! * a [`side`]-metadata layer hosting the per-word dirty and mark bits
+//!   — the collector state that changes under an object — stored as
+//!   plain zero-initialised bitmaps the OS commits on first write, with
+//!   `memset`-style bulk clears bounded by a space's used extent;
 //! * *nearly tag-free* heap objects in the TIL style: [`records`] whose
 //!   single header word carries a pointer mask, pointer arrays, and raw
-//!   (non-pointer) byte arrays ([`ObjectKind`]), each tagged in the side
-//!   site table with the [`SiteId`] of the allocation site that created
-//!   it;
+//!   (non-pointer) byte arrays ([`ObjectKind`]), each header also
+//!   carrying the [`SiteId`] of the allocation site that created the
+//!   object;
 //! * bump-allocated [`Space`]s out of which collectors carve semispaces,
 //!   nurseries, tenured areas and pretenured regions.
 //!

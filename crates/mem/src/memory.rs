@@ -1,5 +1,5 @@
-use crate::side::{fresh_mapping_len, ChunkMap, SideBitmap, SideMetadata};
-use crate::{Addr, MemError, SiteId, SpaceRange};
+use crate::side::{fresh_zeroed_words, ChunkMap, SideBitmap, SideMetadata};
+use crate::{Addr, Header, MemError, SiteId, SpaceRange};
 
 /// Size of a machine word, in bytes. The simulation models a 64-bit machine
 /// (the paper's DEC Alpha 21064 is 64-bit).
@@ -24,8 +24,9 @@ pub const POISON: u64 = 0xdead_dead_dead_dead;
 /// chunk boundaries and the copy kernels want contiguous slices), but the
 /// bookkeeping on top is chunked: a [`ChunkMap`] records which space owns
 /// each [`CHUNK_WORDS`](crate::CHUNK_WORDS)-sized chunk, and a side-metadata
-/// layer carries the per-word dirty bits, mark bits and allocation-site
-/// tags that used to live in object headers (see [`crate::side`]).
+/// layer carries the per-word dirty and mark bits — the collector state
+/// that changes under an object, kept out of its header (see
+/// [`crate::side`]).
 ///
 /// Accessors panic on out-of-bounds addresses: in this simulator an invalid
 /// address is a collector bug, never a recoverable runtime condition.
@@ -64,10 +65,8 @@ impl Memory {
             capacity <= u32::MAX as usize,
             "memory capacity exceeds 32-bit addressing"
         );
-        let mut words = vec![0; fresh_mapping_len::<u64>(capacity)];
-        words.truncate(capacity);
         Memory {
-            words,
+            words: fresh_zeroed_words(capacity),
             reserved: 1,
             chunks: ChunkMap::new(capacity),
             side: SideMetadata::new(capacity),
@@ -158,16 +157,13 @@ impl Memory {
         self.chunks.owned_chunks_by(owner)
     }
 
-    /// The allocation-site tag for the object whose header is at `addr`.
+    /// The allocation site of the object whose header is at `addr`, read
+    /// from the header word — a forwarding header included, so an object
+    /// already evacuated by the collection in progress still names its
+    /// site at its old address.
     #[inline]
     pub fn site_of(&self, addr: Addr) -> SiteId {
-        self.side.sites.get(addr)
-    }
-
-    /// Writes the allocation-site tag for the object headed at `addr`.
-    #[inline]
-    pub fn set_site(&mut self, addr: Addr, site: SiteId) {
-        self.side.sites.set(addr, site);
+        Header::from_raw(self.word(addr)).site()
     }
 
     /// Whether the write-barrier dirty bit for `addr` is set.
@@ -536,18 +532,20 @@ mod tests {
 
     #[test]
     fn site_tags_survive_clone() {
+        let stamped = |site| Header::record(0, 0).unwrap().with_site(site).raw();
         let mut mem = Memory::with_capacity_words(64);
-        mem.set_site(Addr::new(5), crate::SiteId::new(9));
+        mem.set_word(Addr::new(5), stamped(SiteId::new(9)));
         mem.set_dirty(Addr::new(5));
         mem.mark_test_and_set(Addr::new(6));
         let mut copy = mem.clone();
-        assert_eq!(copy.site_of(Addr::new(5)), crate::SiteId::new(9));
+        assert_eq!(copy.site_of(Addr::new(5)), SiteId::new(9));
         assert!(copy.is_dirty(Addr::new(5)));
         assert!(copy.is_marked(Addr::new(6)));
-        // The derived clone is deep: the copy's side tables are its own.
-        copy.set_site(Addr::new(5), crate::SiteId::new(1));
+        // The derived clone is deep: the copy's words and side tables are
+        // its own.
+        copy.set_word(Addr::new(5), stamped(SiteId::new(1)));
         copy.clear_dirty(Addr::new(5));
-        assert_eq!(mem.site_of(Addr::new(5)), crate::SiteId::new(9));
+        assert_eq!(mem.site_of(Addr::new(5)), SiteId::new(9));
         assert!(mem.is_dirty(Addr::new(5)));
     }
 

@@ -25,12 +25,11 @@ pub fn alloc_record(
     fields: &[u64],
     mask: u32,
 ) -> Result<Addr, MemError> {
-    let header = Header::record(fields.len(), mask)?;
+    let header = Header::record(fields.len(), mask)?.with_site(site);
     let addr = space.alloc(header.size_words())?;
     let words = mem.words_at_mut(addr, header.size_words());
     words[0] = header.raw();
     words[1..].copy_from_slice(fields);
-    mem.set_site(addr, site);
     Ok(addr)
 }
 
@@ -47,12 +46,11 @@ pub fn alloc_ptr_array(
     len: usize,
     init: Addr,
 ) -> Result<Addr, MemError> {
-    let header = Header::ptr_array(len)?;
+    let header = Header::ptr_array(len)?.with_site(site);
     let addr = space.alloc(header.size_words())?;
     let words = mem.words_at_mut(addr, header.size_words());
     words[0] = header.raw();
     words[1..].fill(u64::from(init.raw()));
-    mem.set_site(addr, site);
     Ok(addr)
 }
 
@@ -71,12 +69,11 @@ pub fn alloc_raw_array(
     site: SiteId,
     len_bytes: usize,
 ) -> Result<Addr, MemError> {
-    let header = Header::raw_array(len_bytes)?;
+    let header = Header::raw_array(len_bytes)?.with_site(site);
     let addr = space.alloc(header.size_words())?;
     let words = mem.words_at_mut(addr, header.size_words());
     words[0] = header.raw();
     words[1..].fill(0);
-    mem.set_site(addr, site);
     Ok(addr)
 }
 
@@ -87,7 +84,9 @@ pub fn header(mem: &Memory, addr: Addr) -> Header {
 }
 
 /// Overwrites the header of the object at `addr` (installing a forwarding
-/// pointer, bumping the age, ...).
+/// pointer, bumping the age, ...). The header carries the object's site:
+/// a replacement keeps it only if it was built from the old header or
+/// stamped with [`Header::with_site`].
 #[inline]
 pub fn set_header(mem: &mut Memory, addr: Addr, h: Header) {
     mem.set_word(addr, h.raw());
@@ -246,8 +245,7 @@ impl<'m> Obj<'m> {
         self.header.is_empty()
     }
 
-    /// The allocation site stamped on the object (read from the side
-    /// site table, not the header).
+    /// The allocation site stamped in the object's header.
     #[inline]
     pub fn site(&self) -> SiteId {
         self.mem.site_of(self.addr)
@@ -482,7 +480,7 @@ mod tests {
         let h = header(&mem, a);
         let copy = to.alloc(h.size_words()).unwrap();
         mem.copy_words(a, copy, h.size_words());
-        set_header(&mut mem, a, Header::forward(copy));
+        set_header(&mut mem, a, Header::forward(copy).with_site(h.site()));
 
         let entries: Vec<_> = walk(&mem, start, end).collect();
         assert_eq!(entries.len(), 2);

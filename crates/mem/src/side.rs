@@ -5,34 +5,34 @@
 //! bookkeeping is chunked: the address space is divided into fixed
 //! [`CHUNK_WORDS`]-sized chunks, each optionally *owned* by the space
 //! whose reservation covers it, and a side-metadata layer hosts the
-//! per-word metadata that used to live in object headers:
+//! per-word collector state that changes under an object:
 //!
 //! * a **dirty bitmap** (1 bit per word) backing the object-marking
 //!   write barrier's deduplication filter,
 //! * a **mark bitmap** (1 bit per word) for large-object marking,
 //! * a **scratch bitmap** (1 bit per word) the SSB dense filter borrows
-//!   transiently,
-//! * a **site table** (16 bits per word) carrying the allocation-site
-//!   id of the object whose header sits at that word.
+//!   transiently.
 //!
-//! Keeping metadata out of headers makes the barrier filter a single
-//! branch-free test-and-set and makes clearing a `memset`-style word
-//! sweep ([`SideBitmap::bulk_clear`]) instead of a per-object header
-//! walk. This follows the chunked-heap + side-metadata idiom of
-//! production collectors (mmtk-core's `util/heap` and
+//! An object's immutable identity — kind, length, pointer mask and
+//! allocation site — is its [`Header`](crate::Header); only mutable GC
+//! state lives here. Keeping that state out of headers makes the barrier
+//! filter a single branch-free test-and-set and makes clearing a
+//! `memset`-style word sweep ([`SideBitmap::bulk_clear`]) instead of a
+//! per-object header walk. This follows the chunked-heap + side-metadata
+//! idiom of production collectors (mmtk-core's `util/heap` and
 //! `util/metadata/side_metadata`).
 //!
-//! Storage is plain `vec![0; n]` arrays of `u64` / `u16`: a zeroed
-//! allocation commits no page until its first write, so building a heap
-//! costs what the program touches, not what the collector reserves
-//! (2.375 bytes of side metadata per reserved heap word) — provided the
-//! allocator hands out a fresh mapping, which the two word-indexed arrays
-//! make sure of (see `FRESH_MAPPING_BYTES` below). Bulk clears keep the
+//! Storage is plain `vec![0; n]` arrays of `u64`: a zeroed allocation
+//! commits no page until its first write, so building a heap costs what
+//! the program touches, not what the collector reserves (0.375 bytes of
+//! side metadata per reserved heap word) — provided the allocator hands
+//! out a fresh mapping, which the heap word array and the bitmaps make
+//! sure of (see `FRESH_MAPPING_BYTES` below). Bulk clears keep the
 //! property: collectors sweep a space's *used extent*, never its whole
 //! reservation, and debug builds check that the tail beyond it is
 //! already clear.
 
-use crate::{Addr, SiteId, SpaceRange};
+use crate::{Addr, SpaceRange};
 
 /// Smallest request glibc *always* serves with a fresh anonymous mapping:
 /// one page past its `DEFAULT_MMAP_THRESHOLD_MAX` (32 MiB on 64-bit).
@@ -43,15 +43,17 @@ use crate::{Addr, SiteId, SpaceRange};
 /// from the brk heap, and a recycled chunk is cleared in full — once a
 /// process has dropped its first heap, the next one's whole reservation
 /// turns resident. A request above the cap can never take that path, so
-/// the heap word array, the site table and the side bitmaps ask for at
-/// least this much and keep only the length they need; the untouched tail costs address
+/// the heap word array and the side bitmaps ask for at least this much
+/// and keep only the length they need; the untouched tail costs address
 /// space, not memory. Harmless on allocators without the rule.
 const FRESH_MAPPING_BYTES: usize = (32 << 20) + 4096;
 
-/// Element count to request for a zeroed `Vec<T>` that will be truncated
-/// to `n`: enough to clear [`FRESH_MAPPING_BYTES`].
-pub(crate) fn fresh_mapping_len<T>(n: usize) -> usize {
-    n.max(FRESH_MAPPING_BYTES.div_ceil(std::mem::size_of::<T>()))
+/// `n` zeroed words, requested at least [`FRESH_MAPPING_BYTES`] long and
+/// truncated to `n`.
+pub(crate) fn fresh_zeroed_words(n: usize) -> Vec<u64> {
+    let mut words = vec![0; n.max(FRESH_MAPPING_BYTES.div_ceil(crate::WORD_BYTES))];
+    words.truncate(n);
+    words
 }
 
 /// Words per chunk (2¹⁵ words = 256 KiB of simulated heap).
@@ -155,13 +157,12 @@ impl SideBitmap {
     /// Builds an all-clear bitmap covering `capacity_words` heap words.
     pub(crate) fn new(capacity_words: usize) -> SideBitmap {
         let n = capacity_words.div_ceil(64);
-        // A fresh mapping, like the word array and the site table: a
-        // bitmap `calloc` carves from a recycled brk chunk is cleared —
-        // made resident — in full (9 MB each for a 192 MB budget), and
+        // A fresh mapping, like the word array: a bitmap `calloc` carves
+        // from a recycled brk chunk is cleared — made resident — in full (9 MB each for a 192 MB budget), and
         // whether it is recycled depends on malloc order elsewhere.
-        let mut words = vec![0; fresh_mapping_len::<u64>(n)];
-        words.truncate(n);
-        SideBitmap { words }
+        SideBitmap {
+            words: fresh_zeroed_words(n),
+        }
     }
 
     #[inline]
@@ -280,37 +281,6 @@ impl SideBitmap {
     }
 }
 
-/// The per-word allocation-site table (16 bits per heap word).
-///
-/// The entry at an object's header address carries its [`SiteId`]; the
-/// tag is written at allocation, copied alongside the object when it is
-/// forwarded, and never cleared — so death profiling can still read the
-/// site of a from-space corpse after the collection that killed it.
-#[derive(Debug, Clone)]
-pub struct SiteTable {
-    tags: Vec<u16>,
-}
-
-impl SiteTable {
-    pub(crate) fn new(capacity_words: usize) -> SiteTable {
-        let mut tags = vec![0; fresh_mapping_len::<u16>(capacity_words)];
-        tags.truncate(capacity_words);
-        SiteTable { tags }
-    }
-
-    /// The site tag for the object whose header is at `addr`.
-    #[inline]
-    pub fn get(&self, addr: Addr) -> SiteId {
-        SiteId::new(self.tags[addr.index()])
-    }
-
-    /// Writes the site tag for the object whose header is at `addr`.
-    #[inline]
-    pub fn set(&mut self, addr: Addr, site: SiteId) {
-        self.tags[addr.index()] = site.get();
-    }
-}
-
 /// The full side-metadata layer owned by a
 /// [`Memory`](crate::Memory).
 #[derive(Debug, Clone)]
@@ -321,8 +291,6 @@ pub(crate) struct SideMetadata {
     pub(crate) mark: SideBitmap,
     /// SSB dense-filter scratch, cleared by the filter after each use.
     pub(crate) scratch: SideBitmap,
-    /// Allocation-site tags, written at allocation and never cleared.
-    pub(crate) sites: SiteTable,
     /// Running total of heap words covered by dirty/mark bulk clears.
     pub(crate) cleared_words: u64,
 }
@@ -333,7 +301,6 @@ impl SideMetadata {
             dirty: SideBitmap::new(capacity_words),
             mark: SideBitmap::new(capacity_words),
             scratch: SideBitmap::new(capacity_words),
-            sites: SiteTable::new(capacity_words),
             cleared_words: 0,
         }
     }
@@ -457,13 +424,5 @@ mod tests {
         let got: Vec<u32> = out.iter().map(|a| a.raw()).collect();
         assert_eq!(got, vec![3, 64, 65, 700, 900]);
         assert!(!bm.get(Addr::new(64)), "drain clears the bits");
-    }
-
-    #[test]
-    fn site_table_round_trip() {
-        let mut t = SiteTable::new(64);
-        assert_eq!(t.get(Addr::new(9)), SiteId::UNKNOWN);
-        t.set(Addr::new(9), SiteId::new(777));
-        assert_eq!(t.get(Addr::new(9)), SiteId::new(777));
     }
 }

@@ -18,21 +18,24 @@ fn xorshift(state: &mut u64) -> u64 {
 }
 
 proptest! {
-    /// Record headers round-trip every legal (len, mask, age)
+    /// Record headers round-trip every legal (len, mask, site, age)
     /// combination through the packed word.
     #[test]
     fn record_header_round_trip(
         len in 0usize..=24,
         mask_bits in any::<u32>(),
+        site in any::<u16>(),
         age in any::<u8>(),
     ) {
         let mask = if len == 0 { 0 } else { mask_bits & ((1u32 << len) - 1) };
         let h = Header::record(len, mask)
             .expect("len <= 24 is valid")
+            .with_site(SiteId::new(site))
             .with_age(age);
         prop_assert_eq!(h.kind(), ObjectKind::Record);
         prop_assert_eq!(h.len(), len);
         prop_assert_eq!(h.ptr_mask(), mask);
+        prop_assert_eq!(h.site(), SiteId::new(site));
         prop_assert_eq!(h.age(), age);
         prop_assert_eq!(h.size_words(), 1 + len);
         prop_assert!(!h.is_forward());
@@ -67,16 +70,18 @@ proptest! {
         }
     }
 
-    /// Forwarding headers preserve the full 32-bit address space.
+    /// Forwarding headers preserve the full 32-bit address space and the
+    /// site of the object they replaced.
     #[test]
-    fn forward_header_round_trip(addr in any::<u32>()) {
-        let h = Header::forward(Addr::new(addr));
+    fn forward_header_round_trip(addr in any::<u32>(), site in any::<u16>()) {
+        let h = Header::forward(Addr::new(addr)).with_site(SiteId::new(site));
         prop_assert!(h.is_forward());
         prop_assert_eq!(h.forward_addr(), Some(Addr::new(addr)));
+        prop_assert_eq!(h.site(), SiteId::new(site));
     }
 
     /// The walker visits exactly the objects allocated, in order, with
-    /// the right headers and side site tags — for arbitrary allocation
+    /// the right headers and site stamps — for arbitrary allocation
     /// sequences.
     #[test]
     fn walk_tiles_arbitrary_allocation_sequences(

@@ -109,11 +109,11 @@ impl AllocShape {
         }
     }
 
-    /// Writes a freshly allocated object of this shape at `addr`: header,
-    /// fields initialized from `operands` (the program's [`Value`]s on a
-    /// window hit, the words staged in [`MutatorState::alloc_buf`] behind
-    /// the door), and the site in the side bytemap. The one place an
-    /// object's layout is written down.
+    /// Writes a freshly allocated object of this shape at `addr`: the
+    /// header, which carries the site, and the fields initialized from
+    /// `operands` (the program's [`Value`]s on a window hit, the words
+    /// staged in [`MutatorState::alloc_buf`] behind the door). The one
+    /// place an object's layout is written down.
     ///
     /// # Panics
     ///
@@ -125,30 +125,28 @@ impl AllocShape {
     #[inline(always)]
     pub fn write<T: Operand>(&self, mem: &mut Memory, addr: Addr, operands: &[T]) {
         match *self {
-            AllocShape::Record { len, mask, .. } => {
+            AllocShape::Record { site, len, mask } => {
                 let header = Header::record(len, mask).expect("record shape validated by Vm");
                 let words = mem.words_at_mut(addr, header.size_words());
-                words[0] = header.raw();
+                words[0] = header.with_site(site).raw();
                 for (word, operand) in words[1..].iter_mut().zip(&operands[..len]) {
                     *word = operand.to_word();
                 }
             }
-            AllocShape::PtrArray { len, .. } => {
+            AllocShape::PtrArray { site, len } => {
                 let header = Header::ptr_array(len).expect("array shape validated by Vm");
                 let init = operands.first().map_or(0, |o| o.to_word());
                 let words = mem.words_at_mut(addr, header.size_words());
-                words[0] = header.raw();
+                words[0] = header.with_site(site).raw();
                 words[1..].fill(init);
             }
-            AllocShape::RawArray { len_bytes, .. } => {
+            AllocShape::RawArray { site, len_bytes } => {
                 let header = Header::raw_array(len_bytes).expect("array shape validated by Vm");
                 let words = mem.words_at_mut(addr, header.size_words());
-                words[0] = header.raw();
+                words[0] = header.with_site(site).raw();
                 words[1..].fill(0);
             }
         }
-        // The allocation site lives in the side bytemap, not the header.
-        mem.set_site(addr, self.site());
     }
 }
 

@@ -453,8 +453,8 @@ impl Vm {
     }
 
     /// The allocation sequence (§2.1): charge it, count it, and — when
-    /// the request fits the window the collector lent — bump, store
-    /// header, fields and site tag, done. Anything else goes through the
+    /// the request fits the window the collector lent — bump, store the
+    /// header (site included) and the fields, done. Anything else goes through the
     /// door. The caller has staged `operands` in the alloc buffer, where
     /// they are roots for the collection a door entry may run and, as
     /// the last allocation's argument registers, for any forced
