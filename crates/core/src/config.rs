@@ -201,12 +201,6 @@ pub struct GcConfig {
     pub profiling: bool,
     /// Pretenuring policy, if any.
     pub pretenure: Option<PretenurePolicy>,
-    /// Online adaptive pretenuring: promote/demote allocation sites
-    /// mid-run from an EWMA of observed per-site survival, with
-    /// hysteresis bands and a cooldown (see the `adaptive` module).
-    /// `false` — the default — keeps placement exactly as the static
-    /// `pretenure` policy says for the whole run.
-    pub adaptive: bool,
     /// §7.2 extension: objects must survive this many minor collections
     /// before being promoted to the tenured generation (age recorded in
     /// the header's counter bits). 0 — the paper's configuration —
@@ -243,7 +237,6 @@ impl Default for GcConfig {
             large_object_bytes: 16 << 10,
             profiling: false,
             pretenure: None,
-            adaptive: false,
             tenure_threshold: 0,
         }
     }
@@ -306,13 +299,6 @@ impl GcConfig {
     #[must_use]
     pub fn pretenure(mut self, policy: PretenurePolicy) -> GcConfig {
         self.pretenure = Some(policy);
-        self
-    }
-
-    /// Enables or disables online adaptive pretenuring.
-    #[must_use]
-    pub fn adaptive(mut self, on: bool) -> GcConfig {
-        self.adaptive = on;
         self
     }
 
@@ -451,10 +437,9 @@ mod tests {
                 large_object_bytes,
                 profiling,
                 pretenure,
-                adaptive,
                 tenure_threshold
             } = GcConfig::default()
         );
-        assert_eq!(settable, 8, "settable values");
+        assert_eq!(settable, 7, "settable values");
     }
 }

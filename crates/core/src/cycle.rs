@@ -14,12 +14,10 @@ use std::time::Instant;
 
 use tilgc_mem::{Addr, Memory, Space, SpaceRange};
 use tilgc_obs::{
-    CollectionBegin, Event, GcPhase, HeapCensus, PhaseTimer, SiteDemote, SitePromote, SiteWindow,
-    SpaceCensus, TelemetryAcc,
+    CollectionBegin, Event, GcPhase, HeapCensus, PhaseTimer, SpaceCensus, TelemetryAcc,
 };
 use tilgc_runtime::{CollectionInspection, GcStats, HeapProfile, MutatorState};
 
-use crate::adaptive::AdaptivePretenure;
 use crate::config::{GcConfig, MarkerPolicy};
 use crate::evac::Evacuator;
 use crate::los::LargeObjectSpace;
@@ -32,12 +30,8 @@ pub(crate) struct PlanBase {
     pub stats: GcStats,
     pub inspection: Option<CollectionInspection>,
     /// Telemetry accumulator, allocated lazily the first time a
-    /// collection runs with someone listening (an enabled recorder, or
-    /// `keep_windows`).
+    /// collection runs with an enabled recorder.
     pub telem: Option<TelemetryAcc>,
-    /// Keep the accumulator running without a recorder: the adaptive
-    /// estimator is then its only consumer.
-    pub keep_windows: bool,
     pub profile: Option<HeapProfile>,
     pub cache: Option<ScanCache>,
     pub marker_policy: MarkerPolicy,
@@ -49,7 +43,6 @@ impl PlanBase {
             stats: GcStats::default(),
             inspection: None,
             telem: None,
-            keep_windows: false,
             profile: config.profiling.then(HeapProfile::new),
             cache: config.marker_policy.is_enabled().then(ScanCache::default),
             marker_policy: config.marker_policy,
@@ -107,8 +100,7 @@ pub(crate) struct Release<'a> {
     /// Whether `live_words` accounts for every live byte (copied-back
     /// §7.2 survivors are not counted; verifiers then skip the check).
     pub live_accounting_complete: bool,
-    pub adaptive: Option<&'a mut AdaptivePretenure>,
-    pub pretenured: Option<&'a mut PretenuredRegion>,
+    pub pretenured: Option<&'a PretenuredRegion>,
     /// The spaces the heap census reports, one row each.
     pub copy_spaces: &'a [&'a CopySpace],
     pub los: Option<&'a LargeObjectSpace>,
@@ -158,8 +150,8 @@ impl Cycle {
         // The mutator tallies every allocation per site on its own side
         // of the window; a collection is where the per-site windows are
         // read, so it is where the tally is folded in — or dropped, when
-        // neither a recorder nor the adaptive estimator is listening.
-        if m.recorder.is_enabled() || base.keep_windows {
+        // no recorder is listening.
+        if m.recorder.is_enabled() {
             let telem = base.telem.get_or_insert_with(TelemetryAcc::default);
             m.drain_site_tally(|site, n, bytes| telem.note_allocs(site.get(), n, bytes));
         } else {
@@ -228,7 +220,7 @@ impl Cycle {
         spaces: TraceSpaces<'a>,
         roots: &[RootLoc],
     ) -> Trace<'a> {
-        let lend_telemetry = self.timer.is_some() || base.keep_windows;
+        let lend_telemetry = self.timer.is_some();
         let mut trace = Trace {
             evac: Evacuator::new(
                 mem,
@@ -284,12 +276,6 @@ impl Cycle {
             release.live_accounting_complete,
             self.scan_claim,
         ));
-        let mut pretenured = release.pretenured;
-        // Before the end event: draining the samples resets the windows
-        // the estimator reads.
-        if let Some(adaptive) = release.adaptive {
-            adapt(base, m, self.major, adaptive, pretenured.as_deref_mut());
-        }
         let Some(timer) = self.timer.take() else {
             return;
         };
@@ -329,7 +315,7 @@ impl Cycle {
             .map(|l| row("los", l.used_words(), l.capacity_words()));
         m.recorder.record(Event::HeapCensus(HeapCensus {
             collection,
-            pretenured_sites: pretenured.map_or(0, |r| r.policy().len() as u64),
+            pretenured_sites: release.pretenured.map_or(0, |r| r.policy().len() as u64),
             spaces: copy_rows.chain(los_row).collect(),
         }));
         for e in telem.drain_samples(collection) {
@@ -372,55 +358,5 @@ impl Trace<'_> {
         };
         self.cycle.copy_ns = self.copy_t0.elapsed().as_nanos() as u64;
         drained
-    }
-}
-
-/// The closed loop's decision step, run at the end of every collection
-/// while adaptation is on: feed the per-site windows into the estimator
-/// and apply the placement flips it returns.
-fn adapt(
-    base: &mut PlanBase,
-    m: &mut MutatorState,
-    major: bool,
-    adaptive: &mut AdaptivePretenure,
-    pretenured: Option<&mut PretenuredRegion>,
-) {
-    let Some(telem) = base.telem.as_mut() else {
-        return;
-    };
-    let windows: Vec<SiteWindow> = telem.windows().collect();
-    let collection = base.stats.collections;
-    let out = adaptive.observe(collection, major, &windows);
-    if !m.recorder.is_enabled() {
-        // No recorder to drain the windows at collection end: reset
-        // them here so each observation stays one collection wide.
-        telem.clear_windows();
-    }
-    if out.is_empty() {
-        return;
-    }
-    let region = pretenured.expect("adaptive plans always compose a pretenured region");
-    for &(site, permille) in &out.promotions {
-        region.promote_site(&mut m.routes, site);
-        base.stats.sites_promoted += 1;
-        if m.recorder.is_enabled() {
-            m.recorder.record(Event::SitePromote(SitePromote {
-                collection,
-                site: site.get(),
-                survival_permille: permille,
-            }));
-        }
-    }
-    for &(site, permille) in &out.demotions {
-        region.demote_site(&mut m.routes, site);
-        base.stats.sites_demoted += 1;
-        if m.recorder.is_enabled() {
-            m.recorder.record(Event::SiteDemote(SiteDemote {
-                collection,
-                site: site.get(),
-                survival_permille: permille,
-                reason: "adaptive",
-            }));
-        }
     }
 }

@@ -25,14 +25,13 @@
 //! no-scan.
 
 use tilgc_mem::{Addr, Arena, BudgetSnapshot, GcError, Memory, SiteId, Space, SpaceRange};
-use tilgc_obs::{Event, GcPhase, SiteDemote};
+use tilgc_obs::GcPhase;
 use tilgc_runtime::{
     AllocShape, BarrierEntry, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile,
     MutatorState,
 };
 
-use crate::adaptive::AdaptivePretenure;
-use crate::config::{GcConfig, PretenurePolicy};
+use crate::config::GcConfig;
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{self, Governed, Ladder, PressureRung, PressureSession, Recovery};
@@ -60,11 +59,6 @@ pub struct GenerationalPlan {
     /// §7.2 tenure threshold (0 = immediate promotion).
     tenure_threshold: u8,
     pretenured: Option<PretenuredRegion>,
-    /// Online adaptive pretenuring (the closed telemetry→policy loop):
-    /// promotes and demotes sites mid-run from observed survival. When
-    /// set, the telemetry accumulator runs even without a recorder —
-    /// the estimator is its only consumer then.
-    adaptive: Option<AdaptivePretenure>,
     /// §7.2 remembered set: old-generation objects / field locations
     /// currently referencing survivor-space objects (only populated when
     /// `tenure_threshold > 0`).
@@ -130,23 +124,13 @@ impl GenerationalPlan {
             large_object_words: config.large_object_bytes / tilgc_mem::WORD_BYTES,
             major_threshold_words: 0,
             tenure_threshold: config.tenure_threshold,
-            // The adaptive loop needs a region to route promoted sites
-            // into even when no static (profile-derived) policy seeds it.
-            pretenured: config
-                .pretenure
-                .clone()
-                .or_else(|| config.adaptive.then(PretenurePolicy::new))
-                .map(PretenuredRegion::new),
-            adaptive: config
-                .adaptive
-                .then(|| AdaptivePretenure::new(config.pretenure.as_ref())),
+            pretenured: config.pretenure.clone().map(PretenuredRegion::new),
             young_refs: Vec::new(),
             young_locs: Vec::new(),
             rebalanced: false,
             tenured_over_share: false,
             base: PlanBase::new(config),
         };
-        c.base.keep_windows = c.adaptive.is_some();
         c.apply_limits(0);
         (c, mem)
     }
@@ -385,8 +369,8 @@ impl GenerationalPlan {
         self.finish_cycle(mem, m, &mut cycle, live_words, true);
     }
 
-    /// The epilogue both collections share: the adaptive estimator and
-    /// pretenured region for the decision step, and the spaces to census.
+    /// The epilogue both collections share: the pretenured region and
+    /// the spaces to census.
     fn finish_cycle(
         &mut self,
         mem: &Memory,
@@ -398,8 +382,7 @@ impl GenerationalPlan {
         let release = Release {
             live_words,
             live_accounting_complete,
-            adaptive: self.adaptive.as_mut(),
-            pretenured: self.pretenured.as_mut(),
+            pretenured: self.pretenured.as_ref(),
             copy_spaces: &[&self.nursery, &self.tenured],
             los: Some(&self.los),
         };
@@ -497,23 +480,6 @@ impl GenerationalPlan {
                 .expect("`site` is still pretenured");
             if let Some(p) = self.base.profile.as_mut() {
                 p.note_demotion(demoted);
-            }
-            // A governor demotion while adaptation is on is a policy
-            // flip like any other: sync the estimator's view (starting
-            // the site's cooldown), count it, and emit the event with
-            // its distinct reason.
-            if let Some(a) = self.adaptive.as_mut() {
-                let collection = self.base.stats.collections;
-                a.note_forced_demotion(demoted, collection);
-                self.base.stats.sites_demoted += 1;
-                if m.recorder.is_enabled() {
-                    m.recorder.record(Event::SiteDemote(SiteDemote {
-                        collection,
-                        site: demoted.get(),
-                        survival_permille: a.survival_permille(demoted).unwrap_or(0),
-                        reason: "pressure",
-                    }));
-                }
             }
             session.emit_rung(m, PressureRung::Demote, "demoted", charged);
         }

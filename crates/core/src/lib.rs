@@ -46,7 +46,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
 mod config;
 mod cycle;
 mod evac;
@@ -59,7 +58,6 @@ pub mod space;
 mod util;
 pub mod verify;
 
-pub use adaptive::{AdaptiveOutcome, AdaptivePretenure};
 pub use config::{GcConfig, MarkerPolicy, PretenurePolicy};
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
@@ -122,13 +120,11 @@ pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> (Box<dyn Colle
     match kind {
         CollectorKind::Semispace => {
             config.pretenure = None;
-            config.adaptive = false;
             boxed(SemispacePlan::new(&config))
         }
         CollectorKind::Generational => {
             config.marker_policy = MarkerPolicy::Disabled;
             config.pretenure = None;
-            config.adaptive = false;
             boxed(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStack => {
@@ -136,7 +132,6 @@ pub fn build_collector(kind: CollectorKind, config: &GcConfig) -> (Box<dyn Colle
                 config.marker_policy = MarkerPolicy::PAPER;
             }
             config.pretenure = None;
-            config.adaptive = false;
             boxed(GenerationalPlan::new(&config))
         }
         CollectorKind::GenerationalStackPretenure => {

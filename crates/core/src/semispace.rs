@@ -115,7 +115,6 @@ impl SemispacePlan {
         let release = Release {
             live_words,
             live_accounting_complete: true,
-            adaptive: None,
             pretenured: None,
             copy_spaces: &[&self.heap],
             los: None,

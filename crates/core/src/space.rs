@@ -141,16 +141,9 @@ impl PretenuredRegion {
         }
     }
 
-    /// Routes future allocations from `site` to the tenured-at-birth
-    /// path (an online promotion). Idempotent.
-    pub fn promote_site(&mut self, routes: &mut SiteRouteTable, site: SiteId) {
-        self.policy.add_site(site);
-        routes.set(site);
-    }
-
-    /// Reroutes future allocations from `site` back to the nursery (an
-    /// online demotion). Objects the site already tenured stay where
-    /// they are. Returns whether the site was routed.
+    /// Reroutes future allocations from `site` back to the nursery.
+    /// Objects the site already tenured stay where they are. Returns
+    /// whether the site was routed.
     pub fn demote_site(&mut self, routes: &mut SiteRouteTable, site: SiteId) -> bool {
         routes.clear(site);
         self.policy.remove_site(site)
@@ -278,23 +271,17 @@ mod tests {
     #[test]
     fn route_table_mirrors_policy_through_flips() {
         let seeded = SiteId::new(4);
-        let policy: PretenurePolicy = [seeded].into_iter().collect();
+        let demoted = SiteId::new(9);
+        let policy: PretenurePolicy = [seeded, demoted].into_iter().collect();
         let mut region = PretenuredRegion::new(policy);
         let mut routes = SiteRouteTable::new();
         region.seed_routes(&mut routes);
-        assert!(routes.route(seeded));
+        assert!(routes.route(seeded) && routes.route(demoted));
 
-        let promoted = SiteId::new(9);
-        region.promote_site(&mut routes, promoted);
-        assert!(routes.route(promoted));
-        assert!(region.policy().should_pretenure(promoted));
-
-        assert!(region.demote_site(&mut routes, promoted));
-        assert!(!routes.route(promoted));
-        assert!(
-            !region.demote_site(&mut routes, promoted),
-            "already demoted"
-        );
+        assert!(region.demote_site(&mut routes, demoted));
+        assert!(!routes.route(demoted));
+        assert!(!region.policy().should_pretenure(demoted));
+        assert!(!region.demote_site(&mut routes, demoted), "already demoted");
 
         assert_eq!(region.demote_hottest(&mut routes), Some(seeded));
         assert!(!routes.route(seeded));

@@ -154,8 +154,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
                 }
                 Event::PressureBegin(_) | Event::PressureEnd(_) => {}
                 Event::PressureRung(r) => rung_cycles += r.cycles,
-                Event::SitePromote(_) => sum.sites_promoted += 1,
-                Event::SiteDemote(_) => sum.sites_demoted += 1,
                 Event::HeapCensus(c) => {
                     censuses += 1;
                     assert_eq!(
@@ -205,16 +203,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
         assert_eq!(
             sum.markers_placed, stats.markers_placed,
             "{label}: markers placed"
-        );
-        // Site flips reconcile too (zero here — adaptation is off, so
-        // nonzero would mean a phantom flip).
-        assert_eq!(
-            sum.sites_promoted, stats.sites_promoted,
-            "{label}: site promotes"
-        );
-        assert_eq!(
-            sum.sites_demoted, stats.sites_demoted,
-            "{label}: site demotes"
         );
 
         // The global identity: every simulated GC cycle is attributed
@@ -446,108 +434,6 @@ fn pause_metrics_reconcile_against_gc_stats_on_every_plan() {
         );
         assert!(curve.iter().all(|&(_, u)| u <= 1000), "{label}: {curve:?}");
     }
-}
-
-/// A workload that gives the online estimator real signal in both
-/// directions: `keep` allocates only survivors (promotion evidence),
-/// the statically seeded `drop` site allocates only garbage that majors
-/// reveal as dead (demotion evidence).
-fn adaptive_workload(vm: &mut Vm) {
-    let keep = vm.site("telem::cell"); // id 1 — the statically seeded site
-    assert_eq!(keep.get(), CELL_SITE);
-    let hot = vm.site("telem::hot");
-    let d = vm.register_frame(FrameDesc::new("adapt").slots(1, Trace::Pointer));
-    vm.push_frame(d);
-    vm.set_slot(0, Value::NULL);
-    for round in 0..30 {
-        // `hot` survivors chain onto the rooted list every round.
-        for i in 0..16 {
-            let tail = vm.slot_ptr(0);
-            let c = vm
-                .alloc_record(hot, &[Value::Int(i), Value::Ptr(tail)])
-                .unwrap();
-            vm.set_slot(0, Value::Ptr(c));
-        }
-        // The seeded site's objects are all garbage.
-        for _ in 0..64 {
-            let _ = vm.alloc_record(keep, &[Value::Int(-1), Value::NULL]);
-        }
-        vm.gc_now();
-        if round % 3 == 2 {
-            vm.gc_major();
-        }
-    }
-}
-
-#[test]
-fn adaptive_flips_reconcile_events_against_stats() {
-    let mut policy = PretenurePolicy::new();
-    policy.add_site(SiteId::new(CELL_SITE));
-    let config = GcConfig::new()
-        .heap_budget_bytes(256 << 10)
-        .nursery_bytes(8 << 10)
-        .pretenure(policy)
-        .adaptive(true);
-    let kind = CollectorKind::GenerationalStackPretenure;
-
-    let mut vm = build_vm_with_recorder(
-        kind,
-        &config,
-        Box::new(RingRecorder::with_capacity(1 << 18)),
-    );
-    adaptive_workload(&mut vm);
-    vm.finish();
-    let stats = *vm.gc_stats();
-    let events =
-        RingRecorder::drain_events_from(vm.recorder_mut()).expect("a RingRecorder was installed");
-
-    let mut promotes = 0u64;
-    let mut demotes = 0u64;
-    for e in &events {
-        match e {
-            Event::SitePromote(p) => {
-                assert!(p.survival_permille <= 1000);
-                promotes += 1;
-            }
-            Event::SiteDemote(dm) => {
-                assert!(dm.survival_permille <= 1000);
-                assert!(dm.reason == "adaptive" || dm.reason == "pressure");
-                demotes += 1;
-            }
-            _ => {}
-        }
-    }
-    assert_eq!(promotes, stats.sites_promoted, "promote events vs stats");
-    assert_eq!(demotes, stats.sites_demoted, "demote events vs stats");
-    assert!(promotes > 0, "the always-survives site never promoted");
-    assert!(demotes > 0, "the always-dies seeded site never demoted");
-
-    // The stream (flips included) renders to schema-valid JSONL and
-    // decodes back to itself.
-    let doc = jsonl::render(kind.label(), "adaptive-test", 150_000_000, &[], &events);
-    schema::validate_jsonl(&doc).unwrap_or_else(|e| panic!("{e}"));
-    assert_eq!(decode(&doc), events, "codec round trip");
-
-    // Adaptation reads the same windows the recorder samples; running
-    // without any recorder must decide identically.
-    let mut bare = build_vm(kind, &config);
-    adaptive_workload(&mut bare);
-    bare.finish();
-    assert_eq!(
-        stats.without_host_time(),
-        bare.gc_stats().without_host_time(),
-        "recorder presence changed adaptive decisions"
-    );
-}
-
-#[test]
-fn adaptation_off_yields_no_flips() {
-    let config = config_for(CollectorKind::GenerationalStackPretenure);
-    let mut vm = build_vm(CollectorKind::GenerationalStackPretenure, &config);
-    adaptive_workload(&mut vm);
-    vm.finish();
-    assert_eq!(vm.gc_stats().sites_promoted, 0);
-    assert_eq!(vm.gc_stats().sites_demoted, 0);
 }
 
 #[test]

@@ -19,17 +19,13 @@ use crate::harness::{parse_target, run_recorded, Calibration};
 const BAR_WIDTH: usize = 40;
 
 /// Runs the gc-log experiment on the pair [`parse_target`] reads from
-/// `bench_name` / `plan_label`. `adaptive` turns on the online
-/// pretenuring estimator (meaningful only under the pretenure plan; the
-/// other plans ignore it), so its promote/demote events appear in the
-/// timeline and JSONL.
+/// `bench_name` / `plan_label`.
 pub fn run(
     cal: &mut Calibration,
     bench_name: &str,
     plan_label: &str,
     out_dir: &str,
     validate: bool,
-    adaptive: bool,
 ) -> ExitCode {
     let (bench, kind) = match parse_target(bench_name, plan_label) {
         Ok(target) => target,
@@ -39,7 +35,7 @@ pub fn run(
         }
     };
 
-    let run = run_recorded(cal, bench, kind, adaptive);
+    let run = run_recorded(cal, bench, kind);
     let (events, sites, dropped) = (&run.events, &run.sites, run.dropped);
     let clock_hz = CostModel::default().clock_hz;
 
@@ -55,7 +51,6 @@ pub fn run(
     }
     print_timeline(events);
     print_pressure(events);
-    print_adaptive_flips(events, sites);
     print_site_table(events, sites);
     print_pause_summary(events, events.len(), dropped, clock_hz);
 
@@ -123,8 +118,6 @@ fn group_collections(events: &[Event]) -> BTreeMap<u64, CollectionRow> {
             // Pressure episodes sit between collections; they get their
             // own section of the report rather than a timeline row.
             Event::PressureBegin(_) | Event::PressureRung(_) | Event::PressureEnd(_) => {}
-            // Adaptive site flips likewise get their own section.
-            Event::SitePromote(_) | Event::SiteDemote(_) => {}
             // Censuses feed the pause/occupancy footer, not the timeline.
             Event::HeapCensus(_) => {}
         }
@@ -200,45 +193,6 @@ fn print_pressure(events: &[Event]) {
                         r.rung, r.outcome, r.cycles
                     );
                 }
-            }
-            _ => {}
-        }
-    }
-}
-
-/// Prints the adaptive pretenuring flips, one line per promote/demote
-/// with the collection it happened at and the estimator's survival EWMA
-/// at decision time. Silent when the run had none (adaptation off, or
-/// nothing drifted).
-fn print_adaptive_flips(events: &[Event], sites: &[(u16, String)]) {
-    let mut printed_header = false;
-    let mut header = || {
-        if !printed_header {
-            printed_header = true;
-            println!();
-            println!("adaptive site flips:");
-        }
-    };
-    for e in events {
-        match e {
-            Event::SitePromote(p) => {
-                header();
-                println!(
-                    "  gc#{:<4} promote {:<24} (survival {}‰)",
-                    p.collection,
-                    site_name(sites, p.site),
-                    p.survival_permille
-                );
-            }
-            Event::SiteDemote(d) => {
-                header();
-                println!(
-                    "  gc#{:<4} demote  {:<24} (survival {}‰, {})",
-                    d.collection,
-                    site_name(sites, d.site),
-                    d.survival_permille,
-                    d.reason
-                );
             }
             _ => {}
         }

@@ -305,22 +305,17 @@ pub struct RecordedRun {
 /// Runs `bench` under `kind` with the telemetry recorder attached, at
 /// the calibrated k = 4.0 budget and (for the pretenure plan) the
 /// profile-derived policy — the rig behind `gc-log` and live
-/// `slo-report`. `adaptive` turns the online pretenuring estimator on.
+/// `slo-report`.
 ///
 /// The budget is [`fit`]: it grows when the run exhausts the heap. Unlike
 /// the tables' runs, a run that merely survived under pressure is kept:
 /// governor episodes are what the event stream is there to show.
-pub fn run_recorded(
-    cal: &mut Calibration,
-    bench: Benchmark,
-    kind: CollectorKind,
-    adaptive: bool,
-) -> RecordedRun {
+pub fn run_recorded(cal: &mut Calibration, bench: Benchmark, kind: CollectorKind) -> RecordedRun {
     let scale = cal.scale();
     let policy =
         (kind == CollectorKind::GenerationalStackPretenure).then(|| cal.policy(bench).0.clone());
     let (budget, (checksum, mut vm)) = fit(cal.budget_for_k(bench, 4.0), |budget| {
-        let mut config = config_with_budget(budget).adaptive(adaptive);
+        let mut config = config_with_budget(budget);
         if let Some(policy) = &policy {
             config = config.pretenure(policy.clone());
         }
@@ -448,7 +443,7 @@ mod tests {
         let mut cal = Calibration::new(1);
         // Neither fits its calibrated k = 4.0 budget under semispace.
         for bench in [Benchmark::Fft, Benchmark::Simple] {
-            let run = run_recorded(&mut cal, bench, CollectorKind::Semispace, false);
+            let run = run_recorded(&mut cal, bench, CollectorKind::Semispace);
             assert!(
                 run.budget > cal.budget_for_k(bench, 4.0),
                 "{}",
@@ -456,7 +451,7 @@ mod tests {
             );
             assert!(!run.events.is_empty());
         }
-        let fits = run_recorded(&mut cal, Benchmark::Life, CollectorKind::Semispace, false);
+        let fits = run_recorded(&mut cal, Benchmark::Life, CollectorKind::Semispace);
         assert_eq!(fits.budget, cal.budget_for_k(Benchmark::Life, 4.0));
     }
 }

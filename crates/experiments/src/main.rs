@@ -4,12 +4,11 @@
 //! ```text
 //! experiments <table1..table7|figure2|extensions|all> [--scale N]
 //! experiments gc-log [--bench NAME] [--plan LABEL] [--out-dir DIR]
-//!                    [--validate] [--adaptive]
-//! experiments slo-report [--input FILE.jsonl | --bench NAME --plan LABEL
-//!                        [--adaptive]] [--validate] [--report FILE]
+//!                    [--validate]
+//! experiments slo-report [--input FILE.jsonl | --bench NAME --plan LABEL]
+//!                        [--validate] [--report FILE]
 //!                        [--max-p50 C] [--max-p90 C] [--max-p99 C]
 //!                        [--max-p999 C] [--mmu-window C] [--min-mmu P]
-//! experiments drift
 //! ```
 //!
 //! Every table and figure is deterministic simulated cycles; host time
@@ -21,8 +20,7 @@
 //! an ASCII per-collection phase timeline and per-site survival table,
 //! and writes the event stream as JSONL into `--out-dir` (default
 //! `gclog`); `--validate` additionally decodes the file back and checks
-//! it against the documented schema, and `--adaptive` turns the online
-//! pretenuring estimator on so its site flips show up in the log.
+//! it against the documented schema.
 //! `slo-report` evaluates pause-time service-level objectives: it reads
 //! an event stream (a `gc-log` JSONL via `--input`, or a live run of
 //! `--bench` under `--plan` — the gc-log rig), prints the pause
@@ -36,16 +34,12 @@
 //! the report text to a file for CI artifacts. Time-to-safepoint is
 //! reported whenever the stream carries `ttsp_cycles` fields, which
 //! every live run does.
-//! `drift` runs the phase-flipping workload under the pretenure plan
-//! twice — stale static policy vs online adaptation — and reports the
-//! deterministic `drift_adaptive_speedup_vs_static` ratio.
 //!
 //! Build with `--release`: the simulator is deterministic either way, but
 //! debug builds are an order of magnitude slower.
 
 #![forbid(unsafe_code)]
 
-mod drift;
 mod extensions;
 mod gclog;
 mod harness;
@@ -68,7 +62,6 @@ fn main() -> ExitCode {
     let mut plan = "gen+markers".to_string();
     let mut out_dir = "gclog".to_string();
     let mut validate = false;
-    let mut adaptive = false;
     let mut input: Option<String> = None;
     let mut report: Option<String> = None;
     let mut spec = tilgc_obs::metrics::SloSpec::default();
@@ -93,7 +86,6 @@ fn main() -> ExitCode {
                 }
             }
             "--validate" => validate = true,
-            "--adaptive" => adaptive = true,
             flag @ ("--max-p50" | "--max-p90" | "--max-p99" | "--max-p999") => {
                 i += 1;
                 let Some(bound) = args.get(i).and_then(|s| s.parse::<u64>().ok()) else {
@@ -149,23 +141,18 @@ fn main() -> ExitCode {
     let which = which.unwrap_or_else(|| "all".to_string());
     let mut cal = harness::Calibration::new(scale);
     if which == "gc-log" {
-        return gclog::run(&mut cal, &bench, &plan, &out_dir, validate, adaptive);
+        return gclog::run(&mut cal, &bench, &plan, &out_dir, validate);
     }
     if which == "slo-report" {
         let request = slo::SloRequest {
             input,
             bench,
             plan,
-            adaptive,
             validate,
             report,
             spec,
         };
         return slo::run(&mut cal, &request);
-    }
-    if which == "drift" {
-        drift::run();
-        return ExitCode::SUCCESS;
     }
     let mut run = |name: &str| match name {
         "table1" => tables::table1(),
@@ -180,7 +167,7 @@ fn main() -> ExitCode {
         other => {
             eprintln!(
                 "unknown experiment {other:?}; expected table1..table7, figure2, extensions, \
-                 gc-log, slo-report, drift, or all"
+                 gc-log, slo-report, or all"
             );
             std::process::exit(2);
         }

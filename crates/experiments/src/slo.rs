@@ -57,8 +57,6 @@ pub struct SloRequest {
     pub bench: String,
     /// Live mode: collector plan label.
     pub plan: String,
-    /// Live mode: enable the online pretenuring estimator.
-    pub adaptive: bool,
     /// Schema-validate the stream before evaluating it.
     pub validate: bool,
     /// Also write the report text to this file (CI artifact).
@@ -165,7 +163,7 @@ fn summarize_jsonl_file(path: &str, validate: bool) -> Result<StreamSummary, Str
 /// and summarizes the captured stream.
 fn summarize_live_run(cal: &mut Calibration, req: &SloRequest) -> Result<StreamSummary, String> {
     let (bench, kind) = parse_target(&req.bench, &req.plan)?;
-    let run = run_recorded(cal, bench, kind, req.adaptive);
+    let run = run_recorded(cal, bench, kind);
     if req.validate {
         schema::check_stream(&run.events).map_err(|e| format!("schema: {e}"))?;
         println!(
@@ -372,7 +370,7 @@ mod tests {
                 Benchmark::Nqueen,
                 Benchmark::Pia,
             ] {
-                let run = run_recorded(&mut cal, bench, kind, false);
+                let run = run_recorded(&mut cal, bench, kind);
                 assert_eq!(run.dropped, 0);
                 let mut metrics = PauseMetrics::from_events(&run.events);
                 metrics.set_horizon(run.horizon_cycles);
@@ -551,7 +549,7 @@ mod tests {
     #[test]
     fn replayed_stream_reports_what_the_live_events_report() {
         let kind = CollectorKind::GenerationalStackPretenure;
-        let run = run_recorded(&mut Calibration::new(1), Benchmark::Life, kind, true);
+        let run = run_recorded(&mut Calibration::new(1), Benchmark::Life, kind);
         let doc = jsonl::render(kind.label(), "Life", 150_000_000, &run.sites, &run.events);
         let replayed = replay(&doc, true).expect("a recorded stream validates");
         let (source, meta) = (replayed.source.clone(), replayed.meta.clone());
@@ -594,7 +592,6 @@ mod tests {
             input: Some(path.to_str().unwrap().to_string()),
             bench: String::new(),
             plan: String::new(),
-            adaptive: false,
             validate: false,
             report: None,
             spec,

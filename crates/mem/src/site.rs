@@ -70,8 +70,8 @@ const ROUTE_WORDS: usize = (u16::MAX as usize + 1) / 64;
 /// pretenured (tenured-at-birth) target", clear means the ordinary
 /// nursery path. The lookup is a constant-time word index + bit test
 /// with no data-dependent branch, so the alloc fast path pays the same
-/// cost whether zero or thousands of sites are pretenured — and an
-/// online policy can flip sites mid-run by toggling single bits.
+/// cost whether zero or thousands of sites are pretenured — and a
+/// demotion mid-run clears a single bit.
 ///
 /// The table is a fixed 8 KB (`1024 × u64`), covering every id without
 /// resizing; membership semantics mirror the policy's site set exactly.

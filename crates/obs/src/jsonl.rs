@@ -16,7 +16,7 @@
 use crate::json::{self, escape_into, Value};
 use crate::{
     CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, Hist, PhaseSpan, PressureBegin,
-    PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample, SpaceCensus,
+    PressureEnd, PressureRung, SiteSample, SpaceCensus,
 };
 
 /// Version of the line schema, carried by the `meta` line. Bumped when a
@@ -41,8 +41,6 @@ pub mod vocab {
     pub const RUNG_OUTCOME: &[&str] = &["recovered", "escalated", "demoted"];
     /// `pressure-end.outcome`.
     pub const EPISODE_OUTCOME: &[&str] = &["recovered", "exhausted"];
-    /// `site-demote.reason`.
-    pub const DEMOTE_REASON: &[&str] = &["adaptive", "pressure"];
 }
 
 /// Builds one JSON object field by field.
@@ -196,15 +194,6 @@ pub fn event_line(event: &Event) -> String {
             .str("outcome", e.outcome)
             .num("rungs", e.rungs)
             .num("cycles", e.cycles),
-        Event::SitePromote(e) => Obj::new("site-promote")
-            .num("collection", e.collection)
-            .num("site", e.site as u64)
-            .num("survival_permille", e.survival_permille),
-        Event::SiteDemote(e) => Obj::new("site-demote")
-            .num("collection", e.collection)
-            .num("site", e.site as u64)
-            .num("survival_permille", e.survival_permille)
-            .str("reason", e.reason),
         Event::HeapCensus(e) => {
             let space = |s: &SpaceCensus| {
                 Obj::row()
@@ -482,17 +471,6 @@ fn event(kind: &str, f: &mut Fields) -> Result<Event, String> {
             rungs: f.num("rungs")?,
             cycles: f.num("cycles")?,
         }),
-        "site-promote" => Event::SitePromote(SitePromote {
-            collection: f.num("collection")?,
-            site: f.site("site")?,
-            survival_permille: f.num("survival_permille")?,
-        }),
-        "site-demote" => Event::SiteDemote(SiteDemote {
-            collection: f.num("collection")?,
-            site: f.site("site")?,
-            survival_permille: f.num("survival_permille")?,
-            reason: f.word("reason", vocab::DEMOTE_REASON)?,
-        }),
         "heap-census" => Event::HeapCensus(HeapCensus {
             collection: f.num("collection")?,
             pretenured_sites: f.num("pretenured_sites")?,
@@ -585,29 +563,6 @@ mod tests {
         assert_eq!(
             event_line(&events[1]),
             r#"{"type":"phase","collection":1,"phase":"stack-decode","cycles":77,"wall_ns":880}"#
-        );
-    }
-
-    #[test]
-    fn site_flip_lines_round_trip() {
-        let promote = Event::SitePromote(SitePromote {
-            collection: 12,
-            site: 7,
-            survival_permille: 912,
-        });
-        assert_eq!(
-            round_trip(promote),
-            r#"{"type":"site-promote","collection":12,"site":7,"survival_permille":912}"#
-        );
-        let demote = Event::SiteDemote(SiteDemote {
-            collection: 19,
-            site: 7,
-            survival_permille: 120,
-            reason: "adaptive",
-        });
-        assert_eq!(
-            round_trip(demote),
-            r#"{"type":"site-demote","collection":19,"site":7,"survival_permille":120,"reason":"adaptive"}"#
         );
     }
 

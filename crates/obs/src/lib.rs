@@ -310,35 +310,6 @@ pub struct PressureRung {
     pub cycles: u64,
 }
 
-/// An online-adaptive policy promoted an allocation site: from this
-/// point its allocations are placed directly in the tenured generation.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SitePromote {
-    /// The collection whose evidence triggered the flip.
-    pub collection: u64,
-    /// Raw 16-bit allocation-site id.
-    pub site: u16,
-    /// The estimator's survival EWMA (per-mille, 0..=1000) at flip time.
-    pub survival_permille: u64,
-}
-
-/// An online-adaptive policy demoted an allocation site back to the
-/// nursery path.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SiteDemote {
-    /// The collection whose evidence (or whose pressure episode)
-    /// triggered the flip.
-    pub collection: u64,
-    /// Raw 16-bit allocation-site id.
-    pub site: u16,
-    /// The estimator's survival EWMA (per-mille, 0..=1000) at flip time.
-    pub survival_permille: u64,
-    /// Why the site was demoted: `"adaptive"` (the estimator's EWMA fell
-    /// through the demote band) or `"pressure"` (the governor's demote
-    /// rung forced it under heap pressure).
-    pub reason: &'static str,
-}
-
 /// One space's row in a [`HeapCensus`].
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SpaceCensus {
@@ -402,11 +373,6 @@ pub enum Event {
     PressureRung(PressureRung),
     /// A heap-pressure episode ended.
     PressureEnd(PressureEnd),
-    /// An adaptive policy promoted a site to tenured-at-birth placement.
-    SitePromote(SitePromote),
-    /// An adaptive policy (or the pressure governor) demoted a site back
-    /// to the nursery.
-    SiteDemote(SiteDemote),
     /// Per-space occupancy census taken right after a collection.
     HeapCensus(HeapCensus),
 }
@@ -581,28 +547,6 @@ impl SiteDelta {
     }
 }
 
-/// A read-only view of one site's accumulated counter window — the same
-/// deltas a [`SiteSample`] would carry, exposed *without* draining so an
-/// online policy can read the evidence a collection produced before the
-/// recorder's sample drain resets it (see
-/// [`TelemetryAcc::windows`]).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct SiteWindow {
-    /// Raw 16-bit allocation-site id.
-    pub site: u16,
-    /// Objects allocated from this site since the last reset.
-    pub allocs: u64,
-    /// Bytes allocated from this site since the last reset.
-    pub alloc_bytes: u64,
-    /// Objects from this site copied since the last reset.
-    pub copied_objects: u64,
-    /// Bytes from this site copied since the last reset.
-    pub copied_bytes: u64,
-    /// Objects from this site copied out of the nursery (first
-    /// survivals) since the last reset.
-    pub survived: u64,
-}
-
 /// The plan-owned telemetry accumulator: per-site allocation/copy deltas
 /// (drained into [`SiteSample`]s at each collection) and the
 /// run-cumulative object-size and stack-depth histograms snapshotted into
@@ -658,37 +602,6 @@ impl TelemetryAcc {
     /// Records the stack depth at a collection.
     pub fn note_depth(&mut self, depth: u64) {
         self.depth_hist.add(depth);
-    }
-
-    /// Iterates the sites with activity since the last drain/clear, in
-    /// site order, without resetting anything. An online policy reads
-    /// these windows at each collection *before*
-    /// [`drain_samples`](TelemetryAcc::drain_samples) (recorder
-    /// installed) or [`clear_windows`](TelemetryAcc::clear_windows)
-    /// (recorder absent) closes the window.
-    pub fn windows(&self) -> impl Iterator<Item = SiteWindow> + '_ {
-        self.sites
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| !d.is_zero())
-            .map(|(site, d)| SiteWindow {
-                site: site as u16,
-                allocs: d.allocs,
-                alloc_bytes: d.alloc_bytes,
-                copied_objects: d.copied_objects,
-                copied_bytes: d.copied_bytes,
-                survived: d.survived,
-            })
-    }
-
-    /// Resets every site window without emitting samples — the
-    /// recorder-less counterpart of
-    /// [`drain_samples`](TelemetryAcc::drain_samples), used when the
-    /// accumulator exists only to feed an online policy.
-    pub fn clear_windows(&mut self) {
-        for d in &mut self.sites {
-            *d = SiteDelta::default();
-        }
     }
 
     /// Emits a [`SiteSample`] for every site with activity since the last
@@ -823,35 +736,5 @@ mod tests {
         assert!(acc.drain_samples(2).is_empty());
         assert_eq!(acc.size_hist.total(), 3);
         assert_eq!(acc.depth_hist.total(), 1);
-    }
-
-    #[test]
-    fn windows_read_without_draining_and_clear_resets() {
-        let mut acc = TelemetryAcc::default();
-        acc.note_allocs(2, 1, 8);
-        acc.note_copy(2, 8, true);
-        acc.note_allocs(5, 1, 16);
-        let windows: Vec<SiteWindow> = acc.windows().collect();
-        assert_eq!(windows.len(), 2);
-        assert_eq!(
-            windows[0],
-            SiteWindow {
-                site: 2,
-                allocs: 1,
-                alloc_bytes: 8,
-                copied_objects: 1,
-                copied_bytes: 8,
-                survived: 1,
-            }
-        );
-        assert_eq!((windows[1].site, windows[1].allocs), (5, 1));
-        // Reading is non-destructive: the drain still sees everything.
-        assert_eq!(acc.windows().count(), 2);
-        assert_eq!(acc.drain_samples(1).len(), 2);
-        // clear_windows resets without emitting.
-        acc.note_allocs(2, 1, 8);
-        acc.clear_windows();
-        assert_eq!(acc.windows().count(), 0);
-        assert!(acc.drain_samples(2).is_empty());
     }
 }

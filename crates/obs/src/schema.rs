@@ -7,11 +7,11 @@
 //! stream that was never rendered ([`check_stream`]). Used by
 //! `experiments gc-log --validate`, `slo-report --validate` and CI.
 
-use crate::{jsonl, Event, SiteDemote, SitePromote};
+use crate::{jsonl, Event};
 
 /// Checks the identities one event must satisfy on its own: a reuse
 /// claim within the §5 oracle bound, first survivals within the copies,
-/// a per-mille that is one, and census rows that fit their reservation.
+/// and census rows that fit their reservation.
 pub fn check_event(event: &Event) -> Result<(), String> {
     match event {
         Event::CollectionEnd(e) if e.claimed_prefix > e.oracle_prefix => {
@@ -24,16 +24,6 @@ pub fn check_event(event: &Event) -> Result<(), String> {
             return Err(format!(
                 "survived {} exceeds copied_objects {}",
                 s.survived, s.copied_objects
-            ));
-        }
-        Event::SitePromote(SitePromote {
-            survival_permille, ..
-        })
-        | Event::SiteDemote(SiteDemote {
-            survival_permille, ..
-        }) if *survival_permille > 1000 => {
-            return Err(format!(
-                "survival_permille {survival_permille} exceeds 1000"
             ));
         }
         Event::HeapCensus(c) => {
@@ -164,7 +154,7 @@ impl Checker {
                     ));
                 }
             }
-            Event::SiteSample(_) | Event::SitePromote(_) | Event::SiteDemote(_) => {}
+            Event::SiteSample(_) => {}
         }
         Ok(())
     }
@@ -243,10 +233,7 @@ mod tests {
             r#"{"type":"pressure-begin","site":4,"words":18,"space":"nursery","start_cycles":900}"#,
             r#"{"type":"pressure-rung","rung":"retry-major","site":4,"words":18,"outcome":"recovered","cycles":20}"#,
             r#"{"type":"pressure-end","outcome":"recovered","rungs":1,"cycles":20}"#,
-            r#"{"type":"site-promote","collection":3,"site":9,"survival_permille":903}"#,
             r#"{"type":"heap-census","collection":1,"pretenured_sites":0,"spaces":[{"space":"nursery","used_words":0,"reserved_words":1024,"chunks":2},{"space":"tenured","used_words":12,"reserved_words":2048,"chunks":4}]}"#,
-            r#"{"type":"site-demote","collection":8,"site":9,"survival_permille":105,"reason":"adaptive"}"#,
-            r#"{"type":"site-demote","collection":9,"site":2,"survival_permille":640,"reason":"pressure"}"#,
             r#"{"type":"collection-begin","collection":2,"plan":"semispace","reason":"alloc-failure","major":false,"depth":1,"start_cycles":99,"ttsp_cycles":12}"#,
         ];
         for line in lines {
@@ -301,20 +288,8 @@ mod tests {
                 r#"{"type":"pressure-end","outcome":"shrug","rungs":1,"cycles":1}"#,
             ),
             (
-                "survival_permille 1001 exceeds 1000",
-                r#"{"type":"site-promote","collection":1,"site":1,"survival_permille":1001}"#,
-            ),
-            (
                 "\"site\" is not a 16-bit site id",
-                r#"{"type":"site-promote","collection":1,"site":70000,"survival_permille":900}"#,
-            ),
-            (
-                "unknown reason \"whim\"",
-                r#"{"type":"site-demote","collection":1,"site":1,"survival_permille":100,"reason":"whim"}"#,
-            ),
-            (
-                "missing field \"reason\"",
-                r#"{"type":"site-demote","collection":1,"site":1,"survival_permille":100}"#,
+                r#"{"type":"site-sample","collection":1,"site":70000,"allocs":0,"alloc_bytes":0,"copied_objects":0,"copied_bytes":0,"survived":0}"#,
             ),
             (
                 "unknown space \"attic\" (expected one of [\"semispace\"",

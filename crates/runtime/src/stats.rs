@@ -77,18 +77,13 @@ pub struct GcStats {
     /// budget undershot the workload.
     pub budget_overruns: u64,
 
-    /// Allocation sites the online adaptive policy promoted to
-    /// tenured-at-birth placement mid-run. Zero whenever adaptation is
-    /// off — the offline (profile-driven) flow never flips sites.
+    // Inert, always 0: `benchmark/src/metrics.rs` reports these four and
+    // `benchmark/src/workload.rs:625` checks the last two. ROADMAP item 1
+    // deletes those reads and these fields.
+    #[doc(hidden)]
     pub sites_promoted: u64,
-    /// Allocation sites demoted back to the nursery path mid-run, by
-    /// the adaptive estimator or by the pressure governor's demotion
-    /// rung while adaptation is on.
+    #[doc(hidden)]
     pub sites_demoted: u64,
-
-    // Inert, always 0: `benchmark/src/metrics.rs` reports both and
-    // `benchmark/src/workload.rs:625` checks them. ROADMAP item 1 deletes
-    // those reads and these fields.
     #[doc(hidden)]
     pub workers_lost: u64,
     #[doc(hidden)]

@@ -77,10 +77,6 @@ pub struct TortureConfig {
     pub check_stride: usize,
     /// Optional injected defect.
     pub fault: Option<Fault>,
-    /// Run extra pretenure lanes with the online adaptive policy
-    /// enabled, in lockstep with the static-policy oracle lanes. Sites
-    /// flip placement mid-run; the reachable graph must not care.
-    pub adaptive: bool,
     /// Pinned op index for the [`Fault::OomAlloc`] injection. `None`
     /// (the default) derives it from the seed and the *current* program
     /// length; the shrinker pins it to the index derived from the
@@ -99,7 +95,6 @@ impl Default for TortureConfig {
             plans: CollectorKind::ALL.to_vec(),
             check_stride: 16,
             fault: None,
-            adaptive: false,
             fault_pin: None,
         }
     }
@@ -114,8 +109,6 @@ pub struct Divergence {
     pub op_index: usize,
     /// Label of the plan that failed or diverged.
     pub plan: &'static str,
-    /// Whether the failing lane ran the online adaptive policy.
-    pub adaptive: bool,
     /// Whether the failing lane was the `gen+markers` twin that
     /// allocates through the door alone (window closed before every op).
     pub door_only: bool,
@@ -130,10 +123,9 @@ impl fmt::Display for Divergence {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "seed {}: plan {}{}{} failed at op {}: {}",
+            "seed {}: plan {}{} failed at op {}: {}",
             self.seed,
             self.plan,
-            if self.adaptive { " (adaptive)" } else { "" },
             if self.door_only { " (door only)" } else { "" },
             self.op_index,
             self.detail
@@ -149,7 +141,6 @@ impl fmt::Display for Divergence {
 /// One plan's VM plus its driver state.
 struct Lane {
     kind: CollectorKind,
-    adaptive: bool,
     /// Close the allocation window before every op.
     door_only: bool,
     vm: Vm,
@@ -167,7 +158,7 @@ impl Lane {
     }
 }
 
-fn build_lane(kind: CollectorKind, adaptive: bool, cfg: &TortureConfig) -> Lane {
+fn build_lane(kind: CollectorKind, cfg: &TortureConfig) -> Lane {
     let mut gc = GcConfig::new()
         .heap_budget_bytes(cfg.heap_budget_bytes)
         .nursery_bytes(cfg.nursery_bytes)
@@ -183,11 +174,7 @@ fn build_lane(kind: CollectorKind, adaptive: bool, cfg: &TortureConfig) -> Lane 
         policy.add_no_scan_site(rec_site_id(PTR_FREE_REC_INDEX));
         policy.add_site(arr_site_id(1));
         policy.add_site(raw_site_id(1));
-        // The online policy starts from the same static seed the
-        // oracle lane keeps, then flips sites as survival evidence
-        // accumulates — exercising mid-run placement changes under
-        // the full op mix.
-        gc = gc.pretenure(policy).adaptive(adaptive);
+        gc = gc.pretenure(policy);
     }
     let mut vm = build_vm(kind, &gc);
     if cfg.fault == Some(Fault::DropBarrier) && kind != CollectorKind::Semispace {
@@ -196,7 +183,6 @@ fn build_lane(kind: CollectorKind, adaptive: bool, cfg: &TortureConfig) -> Lane 
     let driver = OpDriver::install(&mut vm);
     Lane {
         kind,
-        adaptive,
         door_only: false,
         vm,
         driver,
@@ -244,7 +230,6 @@ fn diverge(seed: u64, op_index: usize, lane: &Lane, detail: String, ops: &[VmOp]
         seed,
         op_index,
         plan: lane.kind.label(),
-        adaptive: lane.adaptive,
         door_only: lane.door_only,
         detail,
         trace: ops.to_vec(),
@@ -329,20 +314,14 @@ pub fn run_ops_outcome(seed: u64, ops: &[VmOp], cfg: &TortureConfig) -> RunOutco
     assert!(!cfg.plans.is_empty(), "at least one plan required");
     let mut lanes: Vec<Lane> = Vec::new();
     for &k in &cfg.plans {
-        lanes.push(build_lane(k, false, cfg));
-        // Adaptive lanes run alongside the static-policy oracle lanes:
-        // placement flips must be invisible to the reachable graph, so
-        // the same cross-lane diff covers them.
-        if cfg.adaptive && k == CollectorKind::GenerationalStackPretenure {
-            lanes.push(build_lane(k, true, cfg));
-        }
+        lanes.push(build_lane(k, cfg));
     }
     // The door-only twin of the serial `gen+markers` lane.
     let twin = lanes
         .iter()
         .position(|l| l.kind == CollectorKind::GenerationalStack)
         .map(|oracle| {
-            let mut lane = build_lane(CollectorKind::GenerationalStack, false, cfg);
+            let mut lane = build_lane(CollectorKind::GenerationalStack, cfg);
             lane.door_only = true;
             lanes.push(lane);
             (oracle, lanes.len() - 1)
@@ -514,7 +493,7 @@ pub fn failure_telemetry(d: &Divergence, cfg: &TortureConfig) -> String {
         );
     };
     let _quiet = QuietPanics::new();
-    let mut lane = build_lane(kind, d.adaptive, cfg);
+    let mut lane = build_lane(kind, cfg);
     lane.door_only = d.door_only;
     lane.vm
         .set_recorder(Box::new(tilgc_obs::RingRecorder::with_capacity(1 << 16)));
@@ -656,11 +635,7 @@ mod tests {
     #[test]
     fn lanes_start_identical() {
         let cfg = TortureConfig::default();
-        let lanes: Vec<Lane> = cfg
-            .plans
-            .iter()
-            .map(|&k| build_lane(k, false, &cfg))
-            .collect();
+        let lanes: Vec<Lane> = cfg.plans.iter().map(|&k| build_lane(k, &cfg)).collect();
         assert!(diff_lanes(0, 0, &lanes, &[]).is_none());
     }
 
@@ -670,31 +645,14 @@ mod tests {
             seed: 9,
             op_index: 1,
             plan: "semispace",
-            adaptive: true,
-            door_only: false,
+            door_only: true,
             detail: "boom".into(),
             trace: vec![VmOp::Gc, VmOp::Pop],
         };
         let s = d.to_string();
         assert!(s.contains("seed 9"));
-        assert!(s.contains("(adaptive)"));
+        assert!(s.contains("(door only)"));
         assert!(s.contains("Gc"));
         assert!(s.contains("Pop"));
-    }
-
-    #[test]
-    fn adaptive_config_adds_pretenure_lanes() {
-        let cfg = TortureConfig {
-            adaptive: true,
-            ops: 64,
-            ..TortureConfig::default()
-        };
-        // 4 plans + an adaptive pretenure lane + the door-only twin. A
-        // short clean run proves the lanes coexist.
-        let ops = crate::program::generate(7, cfg.ops);
-        assert!(matches!(
-            run_ops_outcome(7, &ops, &cfg),
-            RunOutcome::Clean | RunOutcome::Oom { .. }
-        ));
     }
 }

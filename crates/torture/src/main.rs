@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! torture [--seeds A..B|N] [--ops N] [--plans L,L,...] [--stride N]
-//!         [--adaptive] [--nursery-sweep] [--heap-budget BYTES]
+//!         [--nursery-sweep] [--heap-budget BYTES]
 //!         [--heap-sweep] [--inject drop-barrier|skew-copied|oom-alloc]
 //!         [--budget-sweep] [--failure-out PATH]
 //! ```
@@ -39,9 +39,6 @@ const USAGE: &str = "usage: torture [options]
   --plans L,L,...      plan labels to run in lockstep (default all four:
                        semispace,generational,gen+markers,gen+markers+pretenure)
   --stride N           diff cross-plan snapshots every N ops (default 16)
-  --adaptive           add pretenure lanes with the online adaptive policy
-                       (sites promote/demote mid-run), diffed in lockstep
-                       against the static-policy oracle lanes
   --nursery-sweep      repeat the sweep at 2 KB, 4 KB and 16 KB nurseries
   --heap-budget BYTES  total heap budget per lane (default 1 MiB)
   --heap-sweep         repeat the sweep at heap budgets of 1, 2, 4 and
@@ -60,7 +57,6 @@ struct Args {
     ops: usize,
     plans: Vec<CollectorKind>,
     stride: usize,
-    adaptive: bool,
     nursery_sweep: bool,
     heap_budget: Option<usize>,
     heap_sweep: bool,
@@ -109,7 +105,6 @@ fn parse_args() -> Result<Args, String> {
         ops: 512,
         plans: CollectorKind::ALL.to_vec(),
         stride: 16,
-        adaptive: false,
         nursery_sweep: false,
         heap_budget: None,
         heap_sweep: false,
@@ -133,7 +128,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|_| "bad --stride value".to_string())?;
             }
-            "--adaptive" => args.adaptive = true,
             "--nursery-sweep" => args.nursery_sweep = true,
             "--heap-budget" => {
                 args.heap_budget = Some(
@@ -208,11 +202,10 @@ fn main() -> ExitCode {
             plans: args.plans.clone(),
             check_stride: args.stride,
             fault: args.inject,
-            adaptive: args.adaptive,
             ..TortureConfig::default()
         };
         eprintln!(
-            "torture: nursery {} KB, heap {} KB, seeds {}..{}, {} ops, plans [{}]{}{}",
+            "torture: nursery {} KB, heap {} KB, seeds {}..{}, {} ops, plans [{}]{}",
             nursery >> 10,
             heap_budget >> 10,
             args.seeds.start,
@@ -223,11 +216,6 @@ fn main() -> ExitCode {
                 .map(|k| k.label())
                 .collect::<Vec<_>>()
                 .join(", "),
-            if cfg.adaptive {
-                ", adaptive pretenure lanes"
-            } else {
-                ""
-            },
             match cfg.fault {
                 Some(f) => format!(", injected fault {f:?}"),
                 None => String::new(),

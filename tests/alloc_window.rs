@@ -6,7 +6,7 @@
 //! the same addresses, same collections, same refusals, same simulated
 //! cycles, same telemetry: the checksum, `GcStats`, `MutatorStats`, the
 //! reachable graph and the recorded JSONL stream are compared, under all
-//! four plans and under adaptive pretenuring.
+//! four plans.
 //!
 //! There is no product knob for this: [`MutatorState::close_window`] is
 //! the setter the fault injector already needs.
@@ -273,23 +273,16 @@ fn config() -> GcConfig {
         .large_object_bytes(1 << 10)
 }
 
-/// The five configurations: the four plans, and the pretenuring plan
-/// with adaptation on. The pretenuring ones route one record site and
-/// the (small) pointer arrays tenured at birth.
+/// The four plans. The pretenuring one routes one record site and the
+/// (small) pointer arrays tenured at birth.
 fn configurations() -> Vec<(&'static str, CollectorKind, GcConfig)> {
     let mut policy = PretenurePolicy::new();
     policy.add_site(SiteId::new(2)); // win::odd
     policy.add_site(SiteId::new(3)); // win::array
-    let mut all: Vec<_> = CollectorKind::ALL
+    CollectorKind::ALL
         .into_iter()
         .map(|kind| (kind.label(), kind, config().pretenure(policy.clone())))
-        .collect();
-    all.push((
-        "adaptive",
-        CollectorKind::GenerationalStackPretenure,
-        config().pretenure(policy).adaptive(true),
-    ));
-    all
+        .collect()
 }
 
 proptest! {

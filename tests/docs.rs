@@ -19,7 +19,7 @@ use tilgc_obs::json::{self, Value};
 use tilgc_obs::jsonl;
 use tilgc_obs::{
     CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, Hist, PhaseSpan, PressureBegin,
-    PressureEnd, PressureRung, SiteDemote, SitePromote, SiteSample, SpaceCensus,
+    PressureEnd, PressureRung, SiteSample, SpaceCensus,
 };
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
@@ -407,17 +407,6 @@ fn sample_events() -> Vec<Event> {
             rungs: 1,
             cycles: 1,
         }),
-        Event::SitePromote(SitePromote {
-            collection: 1,
-            site: 1,
-            survival_permille: 900,
-        }),
-        Event::SiteDemote(SiteDemote {
-            collection: 1,
-            site: 1,
-            survival_permille: 100,
-            reason: "adaptive",
-        }),
         Event::HeapCensus(HeapCensus {
             collection: 1,
             pretenured_sites: 0,
@@ -439,12 +428,10 @@ fn sample_events() -> Vec<Event> {
             Event::PressureBegin(_) => 4,
             Event::PressureRung(_) => 5,
             Event::PressureEnd(_) => 6,
-            Event::SitePromote(_) => 7,
-            Event::SiteDemote(_) => 8,
-            Event::HeapCensus(_) => 9,
+            Event::HeapCensus(_) => 7,
         })
         .collect();
-    assert_eq!(kinds.len(), 10, "one sample per event kind");
+    assert_eq!(kinds.len(), 8, "one sample per event kind");
     samples
 }
 
