@@ -21,7 +21,7 @@ use tilgc_runtime::{CollectionInspection, GcStats, HeapProfile, MutatorState};
 use crate::config::{GcConfig, MarkerPolicy};
 use crate::evac::Evacuator;
 use crate::los::LargeObjectSpace;
-use crate::roots::{append_cached_roots, scan_stack, RootLoc, ScanCache};
+use crate::roots::{scan_stack, ScanCache, ScanOutcome};
 use crate::space::{CopySpace, PretenuredRegion};
 use crate::util::{build_collection_end, build_inspection};
 
@@ -35,6 +35,10 @@ pub(crate) struct PlanBase {
     pub profile: Option<HeapProfile>,
     pub cache: Option<ScanCache>,
     pub marker_policy: MarkerPolicy,
+    /// The root buffer: the stack-word indices of the roots the current
+    /// collection's scan decoded, kept and refilled collection after
+    /// collection.
+    pub roots: Vec<u32>,
 }
 
 impl PlanBase {
@@ -46,6 +50,7 @@ impl PlanBase {
             profile: config.profiling.then(HeapProfile::new),
             cache: config.marker_policy.is_enabled().then(ScanCache::default),
             marker_policy: config.marker_policy,
+            roots: Vec::new(),
         }
     }
 
@@ -116,7 +121,10 @@ pub(crate) struct Cycle {
     /// `None` (and nothing at all is recorded) under the default
     /// disabled recorder.
     timer: Option<PhaseTimer>,
-    scan_claim: (usize, usize),
+    scan: ScanOutcome,
+    /// The cached frames whose roots [`Cycle::trace`] forwards: every
+    /// frame the scan reused, or none.
+    cached_frames: usize,
     stack_t0: Instant,
     stack_ns: u64,
     copy_ns: u64,
@@ -141,7 +149,8 @@ impl Cycle {
             depth_at_gc: m.stack.depth(),
             major,
             timer: None,
-            scan_claim: (0, 0),
+            scan: ScanOutcome::default(),
+            cached_frames: 0,
             stack_t0: wall_start,
             stack_ns: 0,
             copy_ns: 0,
@@ -187,39 +196,44 @@ impl Cycle {
         }
     }
 
-    /// Root processing (GC-stack), first half: decodes the stack. The
-    /// scan cache saves decode cost only, so a collection that moves
-    /// objects cached frames may reference asks for their roots too
-    /// (`expand_cached`).
-    pub fn scan_roots(
-        &mut self,
-        base: &mut PlanBase,
-        m: &mut MutatorState,
-        expand_cached: bool,
-    ) -> Vec<RootLoc> {
+    /// Root processing (GC-stack), first half: decodes the stack into
+    /// the plan's root buffer. The scan cache saves decode cost only, so
+    /// a collection that moves objects cached frames may reference asks
+    /// for their roots too (`expand_cached`), which [`Cycle::trace`]
+    /// forwards from the cache itself.
+    pub fn scan_roots(&mut self, base: &mut PlanBase, m: &mut MutatorState, expand_cached: bool) {
         self.stack_t0 = Instant::now();
-        let outcome = scan_stack(m, base.cache.as_mut(), base.marker_policy, &mut base.stats);
+        self.scan = scan_stack(
+            m,
+            base.cache.as_mut(),
+            base.marker_policy,
+            &mut base.stats,
+            &mut base.roots,
+        );
+        self.cached_frames = if expand_cached {
+            self.scan.reused_frames
+        } else {
+            0
+        };
         self.mark(GcPhase::StackDecode, &base.stats);
-        self.scan_claim = (outcome.claimed_prefix, outcome.oracle_prefix);
-        let mut roots = outcome.new_roots;
-        if expand_cached {
-            append_cached_roots(base.cache.as_ref(), outcome.reused_frames, &mut roots);
-        }
-        roots
     }
 
     /// Root processing, second half, and the start of copying (GC-copy):
-    /// wires the evacuator and forwards `roots`. The returned [`Trace`]
-    /// is the plan's to feed (barrier entries, in-place scans) until
-    /// [`Trace::drain`].
+    /// wires the evacuator and forwards the roots [`Cycle::scan_roots`]
+    /// found. The returned [`Trace`] is the plan's to feed (barrier
+    /// entries, in-place scans) until [`Trace::drain`].
     pub fn trace<'a>(
         &'a mut self,
         base: &'a mut PlanBase,
         mem: &'a mut Memory,
         m: &mut MutatorState,
         spaces: TraceSpaces<'a>,
-        roots: &[RootLoc],
     ) -> Trace<'a> {
+        let reg_roots = self.scan.reg_roots;
+        let cached = base
+            .cache
+            .as_ref()
+            .map_or(&[][..], |c| c.prefix_roots(self.cached_frames));
         let lend_telemetry = self.timer.is_some();
         let mut trace = Trace {
             evac: Evacuator::new(
@@ -244,7 +258,7 @@ impl Cycle {
                 .evac
                 .set_telemetry(base.telem.get_or_insert_with(TelemetryAcc::default));
         }
-        trace.evac.forward_roots(m, roots);
+        trace.evac.forward_roots(m, &base.roots, reg_roots, cached);
         trace.mark(GcPhase::RootScan);
         trace.cycle.stack_ns = trace.cycle.stack_t0.elapsed().as_nanos() as u64;
         trace.copy_t0 = Instant::now();
@@ -274,7 +288,7 @@ impl Cycle {
             self.major,
             self.depth_at_gc,
             release.live_accounting_complete,
-            self.scan_claim,
+            (self.scan.claimed_prefix, self.scan.oracle_prefix),
         ));
         let Some(timer) = self.timer.take() else {
             return;

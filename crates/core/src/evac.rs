@@ -17,19 +17,31 @@
 //!
 //! [`drain`](Evacuator::drain) interleaves the two until nothing gray
 //! remains. Root feeding is shared too:
-//! [`forward_roots`](Evacuator::forward_roots) relocates every root
-//! location a stack scan produced and charges the paper's per-root costs,
-//! identically for every plan.
+//! [`forward_roots`](Evacuator::forward_roots) relocates every root a
+//! stack scan produced — stack words named by index in one slice, then
+//! registers and allocation-buffer entries by mask — and charges the
+//! paper's per-root costs, identically for every plan.
 
 use tilgc_mem::{
     object, Addr, Header, Memory, ObjectKind, SideBitmap, Space, SpaceRange, MAX_RECORD_FIELDS,
     POISON,
 };
 use tilgc_obs::TelemetryAcc;
-use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState};
+use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState, Reg};
 
 use crate::los::LargeObjectSpace;
-use crate::roots::{read_root, write_root, RootLoc};
+use crate::roots::RegState;
+
+/// The indices of the set bits of `mask`, ascending.
+fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let i = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            i
+        })
+    })
+}
 
 /// The explicit half of the driver's gray set: objects that will be
 /// traced in place (large objects, pretenured regions) rather than
@@ -303,29 +315,69 @@ impl<'a> Evacuator<'a> {
         }
     }
 
-    /// Forwards every root location, writing relocated values back, and
-    /// charges the paper's per-root costs (`root_check` for every root
-    /// examined, `root_process` for every root that moved). Returns the
-    /// number of relocated roots.
+    /// Forwards every root, writing relocated values back, and charges
+    /// the paper's per-root costs (`root_check` for every root examined,
+    /// `root_process` for every root that moved). Returns the number of
+    /// relocated roots.
     ///
-    /// This is the root-feeding step every plan shares: the roots come
-    /// from [`scan_stack`](crate::roots::scan_stack) (plus the cached
-    /// frames the plan chose to expand), and whether forwarding moves a
+    /// This is the root-feeding step every plan shares. The roots come
+    /// from [`scan_stack`](crate::roots::scan_stack) and are forwarded in
+    /// one order: the fresh frames' stack words (`roots`), the registers
+    /// in `reg_roots`, the allocation buffer's entries under its pointer
+    /// mask, then the cached frames' stack words (`cached`: the prefix
+    /// the plan chose to expand, or nothing). Whether forwarding moves a
     /// root depends only on the from-ranges this driver was configured
     /// with.
-    pub fn forward_roots(&mut self, m: &mut MutatorState, roots: &[RootLoc]) -> u64 {
-        let mut relocated: u64 = 0;
-        for &loc in roots {
-            let word = read_root(m, loc);
+    pub fn forward_roots(
+        &mut self,
+        m: &mut MutatorState,
+        roots: &[u32],
+        reg_roots: RegState,
+        cached: &[u32],
+    ) -> u64 {
+        let mut relocated = self.forward_stack_words(m.stack.words_mut(), roots);
+        let mut found = roots.len() + cached.len();
+        for r in set_bits(u64::from(reg_roots.mask())) {
+            let reg = Reg::new(r as u8);
+            let word = m.regs.word(reg);
             let fwd = self.forward_word(word);
             if fwd != word {
-                write_root(m, loc, fwd);
+                m.regs.set_word_raw(reg, fwd);
+                relocated += 1;
+            }
+            found += 1;
+        }
+        for i in set_bits(m.alloc_buf_ptr_mask) {
+            let Some(slot) = m.alloc_buf.get_mut(i) else {
+                break;
+            };
+            let fwd = self.forward_word(*slot);
+            if fwd != *slot {
+                *slot = fwd;
+                relocated += 1;
+            }
+            found += 1;
+        }
+        relocated += self.forward_stack_words(m.stack.words_mut(), cached);
+        self.stats.roots_found += found as u64;
+        self.stats.stack_cycles +=
+            self.cost.root_check * found as u64 + self.cost.root_process * relocated;
+        relocated
+    }
+
+    /// Forwards the stack words at indices `roots`; returns how many
+    /// moved.
+    #[inline]
+    fn forward_stack_words(&mut self, words: &mut [u64], roots: &[u32]) -> u64 {
+        let mut relocated = 0;
+        for &i in roots {
+            let word = &mut words[i as usize];
+            let fwd = self.forward_word(*word);
+            if fwd != *word {
+                *word = fwd;
                 relocated += 1;
             }
         }
-        self.stats.roots_found += roots.len() as u64;
-        self.stats.stack_cycles +=
-            self.cost.root_check * roots.len() as u64 + self.cost.root_process * relocated;
         relocated
     }
 
@@ -621,6 +673,7 @@ pub fn poison_range(mem: &mut Memory, range: SpaceRange, upto: Addr) {
 mod tests {
     use super::*;
     use tilgc_mem::SiteId;
+    use tilgc_runtime::trace::NUM_REGS;
 
     struct Rig {
         mem: Memory,
@@ -1045,6 +1098,64 @@ mod tests {
             self.scan_fields_reference(addr, h);
         }
 
+        /// The root loop before root sets were slices: one read and one
+        /// write-back per root location, registers and allocation-buffer
+        /// entries tested bit by bit, in `forward_roots`' order.
+        fn forward_roots_reference(
+            &mut self,
+            m: &mut MutatorState,
+            roots: &[u32],
+            reg_roots: RegState,
+            cached: &[u32],
+        ) -> u64 {
+            let (mut found, mut relocated) = (0u64, 0u64);
+            for &i in roots {
+                let word = m.stack.word(i as usize);
+                let fwd = self.forward_word(word);
+                if fwd != word {
+                    m.stack.words_mut()[i as usize] = fwd;
+                    relocated += 1;
+                }
+                found += 1;
+            }
+            for r in 0..NUM_REGS {
+                if reg_roots.is_pointer(r) {
+                    let reg = Reg::new(r as u8);
+                    let word = m.regs.word(reg);
+                    let fwd = self.forward_word(word);
+                    if fwd != word {
+                        m.regs.set_word_raw(reg, fwd);
+                        relocated += 1;
+                    }
+                    found += 1;
+                }
+            }
+            for i in 0..m.alloc_buf.len() {
+                if (m.alloc_buf_ptr_mask >> i) & 1 == 1 {
+                    let word = m.alloc_buf[i];
+                    let fwd = self.forward_word(word);
+                    if fwd != word {
+                        m.alloc_buf[i] = fwd;
+                        relocated += 1;
+                    }
+                    found += 1;
+                }
+            }
+            for &i in cached {
+                let word = m.stack.word(i as usize);
+                let fwd = self.forward_word(word);
+                if fwd != word {
+                    m.stack.words_mut()[i as usize] = fwd;
+                    relocated += 1;
+                }
+                found += 1;
+            }
+            self.stats.roots_found += found;
+            self.stats.stack_cycles +=
+                self.cost.root_check * found + self.cost.root_process * relocated;
+            relocated
+        }
+
         /// The pre-batching store-buffer filter: one forward per
         /// recorded entry, duplicates and all.
         fn forward_field_locs_reference(&mut self, locs: &[Addr]) {
@@ -1225,5 +1336,175 @@ mod tests {
         per_entry.young_field_locs.sort_unstable();
         per_entry.young_field_locs.dedup();
         assert_eq!(batched, per_entry);
+    }
+
+    /// Everything a root phase and its drain leave behind.
+    #[derive(Debug, PartialEq)]
+    struct Rooted {
+        stack: Vec<u64>,
+        regs: Vec<u64>,
+        alloc_buf: Vec<u64>,
+        heap: Vec<u64>,
+        stats: GcStats,
+        relocated: u64,
+        frontier: Addr,
+    }
+
+    /// Builds a stack of static, callee-save, compute and empty frames
+    /// whose pointer slots, pointer registers and masked allocation-buffer
+    /// entries each reference a different from-space record (or null, or
+    /// a record outside the from-space), each record linking to the next;
+    /// scans it twice with a cache, so the second scan reuses a prefix;
+    /// then forwards that scan's roots and the cached prefix with
+    /// `forward` and drains.
+    fn trace_roots(
+        forward: impl FnOnce(&mut Evacuator<'_>, &mut MutatorState, &[u32], RegState, &[u32]) -> u64,
+    ) -> Rooted {
+        use crate::roots::{scan_stack, ScanCache};
+        use crate::MarkerPolicy;
+        use tilgc_runtime::{FrameDesc, Trace, TypeLoc, Value, TYPE_BOXED, TYPE_UNBOXED};
+
+        const CAPACITY: usize = 8 << 10;
+        let mut mem = Memory::with_capacity_words(CAPACITY);
+        let mut from = Space::new(mem.reserve(2048).unwrap());
+        let mut to = Space::new(mem.reserve(2048).unwrap());
+        let mut old = Space::new(mem.reserve(64).unwrap());
+        let site = SiteId::new(1);
+        let outside = object::alloc_record(&mut mem, &mut old, site, &[5], 0).unwrap();
+        let mut next = Addr::NULL;
+        let mut n = 0u64;
+        let mut target = |mem: &mut Memory| {
+            n += 1;
+            if n % 11 == 0 {
+                return Value::NULL;
+            }
+            if n % 13 == 0 {
+                return Value::Ptr(outside);
+            }
+            let fields = [u64::from(next.raw()), n];
+            next = object::alloc_record(mem, &mut from, site, &fields, 0b01).unwrap();
+            Value::Ptr(next)
+        };
+
+        let mut m = MutatorState::new();
+        m.check_shadows = false; // the slot-list fast path
+        let descs = [
+            m.traces.register(
+                FrameDesc::new("static")
+                    .slot(Trace::Pointer)
+                    .slot(Trace::NonPointer)
+                    .slot(Trace::Pointer)
+                    .def_pointer(Reg::new(7)),
+            ),
+            m.traces.register(
+                FrameDesc::new("callee-save")
+                    .slot(Trace::CalleeSave(Reg::new(7)))
+                    .slot(Trace::Pointer)
+                    .def_non_pointer(Reg::new(7))
+                    .def_pointer(Reg::new(2)),
+            ),
+            m.traces.register(
+                FrameDesc::new("compute")
+                    .slot(Trace::NonPointer)
+                    .slot(Trace::Compute(TypeLoc::Slot(0)))
+                    .def_pointer(Reg::new(9)),
+            ),
+            m.traces.register(FrameDesc::new("leaf")),
+        ];
+        let mut push = |m: &mut MutatorState, mem: &mut Memory, i: usize| {
+            let id = descs[i % descs.len()];
+            let traces = m.traces.desc(id).slot_traces().to_vec();
+            m.stack.push(id, traces.len());
+            for (s, trace) in traces.into_iter().enumerate() {
+                let value = match trace {
+                    Trace::Pointer | Trace::CalleeSave(_) => target(mem),
+                    Trace::NonPointer if i % 3 == 0 => Value::Int(TYPE_BOXED),
+                    Trace::NonPointer => Value::Int(TYPE_UNBOXED),
+                    Trace::Compute(_) => target(mem),
+                };
+                m.stack.top_mut().set(s, value);
+            }
+        };
+        let policy = MarkerPolicy::EveryN(4);
+        let mut cache = ScanCache::default();
+        let mut roots = Vec::new();
+        for i in 0..40 {
+            push(&mut m, &mut mem, i);
+        }
+        scan_stack(
+            &mut m,
+            Some(&mut cache),
+            policy,
+            &mut GcStats::default(),
+            &mut roots,
+        );
+        for _ in 0..9 {
+            m.stack.pop();
+        }
+        for i in 0..12 {
+            push(&mut m, &mut mem, i + 1);
+        }
+        let out = scan_stack(
+            &mut m,
+            Some(&mut cache),
+            policy,
+            &mut GcStats::default(),
+            &mut roots,
+        );
+        assert!(out.reused_frames > 0 && out.scanned_frames > 0);
+        for r in 0..NUM_REGS {
+            let value = if out.reg_roots.is_pointer(r) {
+                target(&mut mem)
+            } else {
+                Value::Int(r as i64)
+            };
+            m.regs.set(Reg::new(r as u8), value);
+        }
+        assert!(out.reg_roots.mask().count_ones() >= 2);
+        m.alloc_buf = (0..5).map(|_| target(&mut mem).to_word()).collect();
+        m.alloc_buf_ptr_mask = 0b10110;
+
+        let mut stats = GcStats::default();
+        let from_ranges = [from.range()];
+        let mut ev = Evacuator::new(
+            &mut mem,
+            &from_ranges,
+            &mut to,
+            None,
+            None,
+            None,
+            &mut stats,
+            CostModel::default(),
+        );
+        let relocated = forward(
+            &mut ev,
+            &mut m,
+            &roots,
+            out.reg_roots,
+            cache.prefix_roots(out.reused_frames),
+        );
+        ev.drain();
+        Rooted {
+            stack: (0..m.stack.num_words()).map(|i| m.stack.word(i)).collect(),
+            regs: (0..NUM_REGS)
+                .map(|r| m.regs.word(Reg::new(r as u8)))
+                .collect(),
+            alloc_buf: m.alloc_buf.clone(),
+            heap: mem.words_at(Addr::new(1), CAPACITY - 1).to_vec(),
+            stats,
+            relocated,
+            frontier: to.frontier(),
+        }
+    }
+
+    #[test]
+    fn slice_forward_matches_the_scalar_root_loop() {
+        let slice =
+            trace_roots(|ev, m, roots, regs, cached| ev.forward_roots(m, roots, regs, cached));
+        let scalar = trace_roots(|ev, m, roots, regs, cached| {
+            ev.forward_roots_reference(m, roots, regs, cached)
+        });
+        assert!(slice.relocated > 20 && slice.stats.copied_bytes > 0);
+        assert_eq!(slice, scalar);
     }
 }

@@ -179,7 +179,7 @@ impl GenerationalPlan {
         // and movable, so cached frames' roots must be processed too
         // (their decode cost is still saved).
         let tenure_threshold = self.tenure_threshold;
-        let roots = cycle.scan_roots(&mut self.base, m, tenure_threshold > 0);
+        cycle.scan_roots(&mut self.base, m, tenure_threshold > 0);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
@@ -191,7 +191,7 @@ impl GenerationalPlan {
             survivor: (tenure_threshold > 0)
                 .then(|| (self.nursery.inactive_mut(), tenure_threshold)),
         };
-        let mut tr = cycle.trace(&mut self.base, mem, m, spaces, &roots);
+        let mut tr = cycle.trace(&mut self.base, mem, m, spaces);
 
         // Write barrier: old→young references created by pointer updates.
         // Field entries (the sequential store buffer) are batched —
@@ -283,7 +283,7 @@ impl GenerationalPlan {
         // roots must be relocated too — but their decode cost is still
         // saved (§5: "it is still advantageous to have amortized the cost
         // of decoding the stack frames").
-        let roots = cycle.scan_roots(&mut self.base, m, true);
+        cycle.scan_roots(&mut self.base, m, true);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
@@ -312,7 +312,7 @@ impl GenerationalPlan {
             los: Some(&mut self.los),
             survivor: None,
         };
-        let mut tr = cycle.trace(&mut self.base, mem, m, spaces, &roots);
+        let mut tr = cycle.trace(&mut self.base, mem, m, spaces);
         // Pending pretenured/oversized objects are ordinary tenured
         // objects for a major collection: traced if reachable.
         if let Some(p) = self.pretenured.as_mut() {

@@ -61,7 +61,7 @@ pub mod verify;
 pub use config::{GcConfig, MarkerPolicy, PretenurePolicy};
 pub use generational::GenerationalPlan;
 pub use los::LargeObjectSpace;
-pub use roots::{RootLoc, ScanCache, ScanOutcome};
+pub use roots::{ScanCache, ScanOutcome};
 pub use semispace::SemispacePlan;
 pub use space::{CopySpace, PretenuredRegion};
 pub use tilgc_mem::POISON;

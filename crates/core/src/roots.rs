@@ -11,19 +11,24 @@
 //! cost is charged per decoded frame).
 //!
 //! A stack root is named by its index in the stack's word array, as the
-//! real collector names it by address. With a [`ScanCache`], frames below
-//! the stack's [`reusable_prefix`](tilgc_runtime::Stack::reusable_prefix)
-//! are not re-decoded: their roots and the register state at the cache
+//! real collector names it by address, and a root set is those indices in
+//! one buffer: a static frame's roots are its base plus its descriptor's
+//! precompiled pointer-slot offsets. Registers and the allocation buffer
+//! are roots by mask — the register state the scan ends with, and the
+//! buffer's own pointer mask. With a [`ScanCache`], frames below the
+//! stack's [`reusable_prefix`](tilgc_runtime::Stack::reusable_prefix) are
+//! not re-decoded: their roots and the register state at the cache
 //! boundary are reused from the previous collection.
 //!
-//! Plans feed the result into the tracing driver: [`scan_stack`] yields
-//! the freshly decoded roots, [`append_cached_roots`] expands the cached
-//! prefix when a collection moves everything (every plan except the
-//! immediate-promotion minor, whose cached frames contribute no roots at
-//! all — the §5 payoff), and the driver's `forward_roots` loop (`evac`
-//! module) processes the combined list.
+//! Plans feed the result into the tracing driver: [`scan_stack`] fills the
+//! buffer with the freshly decoded frames' roots, and the driver's
+//! `forward_roots` loop (`evac` module) forwards them, then the register
+//! and allocation-buffer roots, then — when a collection moves everything
+//! (every plan except the immediate-promotion minor, whose cached frames
+//! contribute no roots at all: the §5 payoff) — the cached prefix's roots
+//! straight from [`ScanCache::prefix_roots`].
 
-use tilgc_runtime::trace::{RegEffect, Trace, TypeLoc, NUM_REGS};
+use tilgc_runtime::trace::{CompiledTrace, Trace, TypeLoc, NUM_REGS};
 use tilgc_runtime::{type_word_is_pointer, GcStats, MutatorState, ShadowTag};
 
 use crate::config::MarkerPolicy;
@@ -42,16 +47,18 @@ impl RegState {
         (self.0 >> r) & 1 == 1
     }
 
-    /// Applies one frame's declared register effects.
-    pub fn apply(mut self, effects: &[(tilgc_runtime::Reg, RegEffect)]) -> RegState {
-        for &(reg, effect) in effects {
-            match effect {
-                RegEffect::Preserve => {}
-                RegEffect::DefPointer => self.0 |= 1 << reg.index(),
-                RegEffect::DefNonPointer => self.0 &= !(1 << reg.index()),
-            }
-        }
-        self
+    /// The registers holding pointers, bit `r` for register `r`.
+    #[inline]
+    pub fn mask(self) -> u32 {
+        self.0
+    }
+
+    /// Applies one frame's declared register effects, precompiled into
+    /// its layout's [`reg_masks`](CompiledTrace::reg_masks).
+    #[inline]
+    pub fn apply(self, layout: &CompiledTrace) -> RegState {
+        let (set, clear) = layout.reg_masks();
+        RegState((self.0 & !clear) | set)
     }
 }
 
@@ -82,55 +89,51 @@ impl ScanCache {
         self.roots.truncate(self.run_end(frames));
         self.frames.truncate(frames);
     }
-}
 
-/// The location of one root (a pointer the collector must relocate).
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum RootLoc {
-    /// Word `i` of the stack's word array.
-    StackWord(u32),
-    /// A general-purpose register.
-    Reg(u8),
-    /// Entry `i` of the allocation staging buffer.
-    AllocBuf(u16),
-}
-
-impl RootLoc {
-    /// The root in slot `slot` of the frame at `depth`, whose slot 0 is
-    /// stack word `base`: the one place a root's word index is computed,
-    /// which panics if the index does not fit a `u32`.
-    #[inline]
-    fn stack_slot(base: usize, depth: usize, slot: usize) -> RootLoc {
-        // Out of line, so the scan's loops keep no panic arguments alive.
-        #[cold]
-        #[inline(never)]
-        fn refuse(depth: usize, slot: usize, index: usize) -> ! {
-            panic!("slot {slot} of frame {depth} is stack word {index}, past a 32-bit root index")
-        }
-        let index = base + slot;
-        match u32::try_from(index) {
-            Ok(i) => RootLoc::StackWord(i),
-            Err(_) => refuse(depth, slot, index),
-        }
-    }
-
-    /// The stack-word index, if this is a stack root.
-    fn stack_word(&self) -> Option<u32> {
-        match *self {
-            RootLoc::StackWord(i) => Some(i),
-            RootLoc::Reg(_) | RootLoc::AllocBuf(_) => None,
-        }
+    /// The roots of cached frames `0 .. frames`, as stack-word indices.
+    ///
+    /// The scan cache saves the frame *decode* cost, not root processing:
+    /// a plan whose collection moves objects the cached frames may
+    /// reference — the semispace plan always, the generational plans at
+    /// major collections and (under a §7.2 tenure threshold) at minor
+    /// ones — forwards these after [`scan_stack`] with
+    /// `frames = reused_frames`. The immediate-promotion minor collection
+    /// is the one case that skips them: everything a cached frame
+    /// references is already tenured (§5).
+    pub fn prefix_roots(&self, frames: usize) -> &[u32] {
+        &self.roots[..self.run_end(frames)]
     }
 }
 
-/// What a scan produced.
+/// Whether every index into a stack of `words` words fits a `u32` root
+/// index — decided once per scan, so the decode casts its indices.
+#[inline]
+fn indices_fit_u32(words: usize) -> bool {
+    words as u64 <= u64::from(u32::MAX) + 1
+}
+
+/// Slot `slot` of the frame at `depth`, whose slot 0 is stack word `base`,
+/// as a root index, or a panic if the index does not fit a `u32`: the
+/// per-slot decode's conversion, and the slot-list path's when
+/// [`indices_fit_u32`] does not vouch for the whole stack.
+#[inline]
+fn checked_index(base: usize, depth: usize, slot: usize) -> u32 {
+    // Out of line, so the scan's loops keep no panic arguments alive.
+    #[cold]
+    #[inline(never)]
+    fn refuse(depth: usize, slot: usize, index: usize) -> ! {
+        panic!("slot {slot} of frame {depth} is stack word {index}, past a 32-bit root index")
+    }
+    let index = base + slot;
+    u32::try_from(index).unwrap_or_else(|_| refuse(depth, slot, index))
+}
+
+/// What a scan produced besides the fresh frames' roots.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
-    /// Roots in *newly scanned* frames, plus registers and the alloc
-    /// buffer. Cached frames' roots are not included — for a minor
-    /// collection with immediate promotion they are irrelevant, and for a
-    /// major collection the caller pulls them from the cache.
-    pub new_roots: Vec<RootLoc>,
+    /// The register roots: the pointerness the scan threaded through
+    /// every frame's effects, as it stands at the collection point.
+    pub reg_roots: RegState,
     /// Frames whose cached decode was reused.
     pub reused_frames: usize,
     /// Frames decoded from scratch.
@@ -146,48 +149,13 @@ pub struct ScanOutcome {
     pub oracle_prefix: usize,
 }
 
-/// Reads the word a root location currently holds.
-#[inline]
-pub fn read_root(m: &MutatorState, loc: RootLoc) -> u64 {
-    match loc {
-        RootLoc::StackWord(i) => m.stack.word(i as usize),
-        RootLoc::Reg(r) => m.regs.word(tilgc_runtime::Reg::new(r)),
-        RootLoc::AllocBuf(i) => m.alloc_buf[i as usize],
-    }
-}
-
-/// Writes a (relocated) word back into a root location.
-#[inline]
-pub fn write_root(m: &mut MutatorState, loc: RootLoc, word: u64) {
-    match loc {
-        RootLoc::StackWord(i) => m.stack.set_word_raw(i as usize, word),
-        RootLoc::Reg(r) => m.regs.set_word_raw(tilgc_runtime::Reg::new(r), word),
-        RootLoc::AllocBuf(i) => m.alloc_buf[i as usize] = word,
-    }
-}
-
-/// Expands the reused (cached) frames' roots, appending to `roots`.
-///
-/// The scan cache saves the frame *decode* cost, not root processing:
-/// a plan whose collection moves objects the cached frames may reference
-/// — the semispace plan always, the generational plans at major
-/// collections and (under a §7.2 tenure threshold) at minor ones —
-/// feeds the cached roots back through the tracing driver with this
-/// helper after [`scan_stack`]. The immediate-promotion minor collection
-/// is the one case that skips it: everything a cached frame references
-/// is already tenured, so cached frames contribute no roots at all (§5).
-pub fn append_cached_roots(
-    cache: Option<&ScanCache>,
-    reused_frames: usize,
-    roots: &mut Vec<RootLoc>,
-) {
-    if let Some(c) = cache {
-        let cached = &c.roots[..c.run_end(reused_frames)];
-        roots.extend(cached.iter().map(|&i| RootLoc::StackWord(i)));
-    }
-}
-
-/// Scans the mutator state for roots.
+/// Scans the mutator state for roots: the stack-word indices of the
+/// roots in *newly scanned* frames replace the contents of `roots`, and
+/// the register roots come back in the outcome. Cached frames' roots are
+/// not included — for a minor collection with immediate promotion they
+/// are irrelevant, and otherwise the caller forwards
+/// [`ScanCache::prefix_roots`]. The allocation buffer's roots are its
+/// pointer mask, which the scan does not read.
 ///
 /// * With `cache = None` this is the plain §2.3 full scan: it produces
 ///   the roots and charges the cycles, and keeps nothing.
@@ -207,8 +175,9 @@ pub fn scan_stack(
     cache: Option<&mut ScanCache>,
     policy: MarkerPolicy,
     stats: &mut GcStats,
+    roots: &mut Vec<u32>,
 ) -> ScanOutcome {
-    scan_stack_impl(m, cache, policy, stats, true)
+    scan_stack_impl(m, cache, policy, stats, roots, true)
 }
 
 fn scan_stack_impl(
@@ -216,10 +185,12 @@ fn scan_stack_impl(
     mut cache: Option<&mut ScanCache>,
     policy: MarkerPolicy,
     stats: &mut GcStats,
-    use_bitmaps: bool,
+    roots: &mut Vec<u32>,
+    use_slot_lists: bool,
 ) -> ScanOutcome {
     let cost = m.cost;
     let depth = m.stack.depth();
+    roots.clear();
     // The cache keeps the reusable prefix; the frames above it are
     // decoded again and appended.
     let (reusable, mut reg_state) = match cache.as_deref_mut() {
@@ -244,28 +215,28 @@ fn scan_stack_impl(
     // `compute_trace_extra` per `Compute` slot, whichever path decodes.
     let mut slots_seen: u64 = 0;
     let mut computed: u64 = 0;
+    // Shadow checking wants the per-slot decode, so it keeps the
+    // reference path for every frame.
+    let fast = use_slot_lists && !m.check_shadows;
+    let narrow = indices_fit_u32(m.stack.num_words());
 
-    for d in reusable..depth {
-        let frame = m.stack.frame(d);
-        let base = m.stack.frame_base(d);
-        let desc = m.traces.desc(frame.desc());
-        let compiled = m.traces.compiled(frame.desc());
+    for (d, (id, base)) in (reusable..).zip(m.stack.frames_from(reusable)) {
+        let compiled = m.traces.compiled(id);
         slots_seen += compiled.num_slots() as u64;
 
-        // Bitmap fast path: fully static frames were compiled into packed
-        // pointer bitmasks at registration, so the scan walks set bits
-        // instead of matching a `Trace` per slot. Shadow checking wants
-        // the per-slot decode, so it keeps the reference path.
-        if use_bitmaps && compiled.is_static() && !m.check_shadows {
-            for (w, &word) in compiled.ptr_bitmap().iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    let slot = w * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    outcome.new_roots.push(RootLoc::stack_slot(base, d, slot));
-                }
+        // Slot-list fast path: a fully static frame's roots were compiled
+        // into pointer-slot offsets at registration, so its decode is one
+        // `extend`.
+        if fast && compiled.is_static() {
+            let slots = compiled.ptr_slots().iter();
+            if narrow {
+                roots.extend(slots.map(|&s| base as u32 + s));
+            } else {
+                roots.extend(slots.map(|&s| checked_index(base, d, s as usize)));
             }
         } else {
+            let frame = m.stack.frame(d);
+            let desc = m.traces.desc(id);
             for (i, &trace) in desc.slot_traces().iter().enumerate() {
                 let is_ptr = match trace {
                     Trace::Pointer => true,
@@ -291,16 +262,15 @@ fn scan_stack_impl(
                     );
                 }
                 if is_ptr {
-                    outcome.new_roots.push(RootLoc::stack_slot(base, d, i));
+                    roots.push(checked_index(base, d, i));
                 }
             }
         }
-        reg_state = reg_state.apply(desc.reg_effects());
+        reg_state = reg_state.apply(compiled);
         if let Some(c) = cache.as_deref_mut() {
             // `c.roots` holds the reused prefix's roots until the fresh
             // ones join it below.
-            c.frames
-                .push((c.roots.len() + outcome.new_roots.len(), reg_state));
+            c.frames.push((c.roots.len() + roots.len(), reg_state));
         }
     }
     outcome.scanned_frames = depth - reusable;
@@ -308,33 +278,23 @@ fn scan_stack_impl(
         + cost.slot_trace * slots_seen
         + cost.compute_trace_extra * computed;
 
-    // Registers live across the collection point.
-    for r in 0..NUM_REGS {
-        cycles += cost.slot_trace;
-        let is_ptr = reg_state.is_pointer(r);
-        if m.check_shadows {
+    // Registers live across the collection point: each is traced, and
+    // the ones the state marks are roots.
+    cycles += cost.slot_trace * NUM_REGS as u64;
+    if m.check_shadows {
+        for r in 0..NUM_REGS {
             let shadow_ptr = m.regs.shadow(tilgc_runtime::Reg::new(r as u8)) == ShadowTag::Ptr;
             assert_eq!(
-                is_ptr, shadow_ptr,
+                reg_state.is_pointer(r),
+                shadow_ptr,
                 "register ${r} trace state disagrees with shadow"
             );
         }
-        if is_ptr {
-            outcome.new_roots.push(RootLoc::Reg(r as u8));
-        }
     }
-
-    // Allocation staging buffer (argument registers of the allocation in
-    // progress).
-    for i in 0..m.alloc_buf.len() {
-        if (m.alloc_buf_ptr_mask >> i) & 1 == 1 {
-            outcome.new_roots.push(RootLoc::AllocBuf(i as u16));
-        }
-    }
+    outcome.reg_roots = reg_state;
 
     if let Some(c) = cache {
-        c.roots
-            .extend(outcome.new_roots.iter().filter_map(RootLoc::stack_word));
+        c.roots.extend_from_slice(roots);
         let placed = m.stack.place_markers_at(policy.placements(depth));
         cycles += cost.marker_place * placed as u64;
         stats.markers_placed += placed as u64;
@@ -350,8 +310,10 @@ fn scan_stack_impl(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilgc_mem::Addr;
-    use tilgc_runtime::{FrameDesc, Reg, Trace, Value, TYPE_BOXED, TYPE_UNBOXED};
+    use crate::evac::Evacuator;
+    use tilgc_mem::{object, Addr, Memory, SiteId, Space};
+    use tilgc_runtime::trace::RegEffect;
+    use tilgc_runtime::{CostModel, FrameDesc, Reg, Trace, Value, TYPE_BOXED, TYPE_UNBOXED};
 
     /// Builds a mutator with `depth` frames: slot 0 pointer, slot 1 int.
     fn mutator(depth: usize) -> MutatorState {
@@ -371,33 +333,86 @@ mod tests {
         m
     }
 
-    /// [`scan_stack`] with the bitmap fast path disabled: every frame
+    /// [`scan_stack`] into a fresh root buffer.
+    fn scan(
+        m: &mut MutatorState,
+        cache: Option<&mut ScanCache>,
+        policy: MarkerPolicy,
+        stats: &mut GcStats,
+    ) -> (Vec<u32>, ScanOutcome) {
+        let mut roots = Vec::new();
+        let out = scan_stack(m, cache, policy, stats, &mut roots);
+        (roots, out)
+    }
+
+    /// [`scan_stack`] with the slot-list fast path disabled: every frame
     /// takes the per-slot `Trace` decode, as before precompilation. The
-    /// oracle of `bitmap_path_matches_reference_scan`; results and charged
-    /// costs are identical by construction.
+    /// oracle of the scan's differential tests; results and charged costs
+    /// are identical by construction.
     fn scan_stack_reference(
         m: &mut MutatorState,
         cache: Option<&mut ScanCache>,
         policy: MarkerPolicy,
         stats: &mut GcStats,
+        roots: &mut Vec<u32>,
     ) -> ScanOutcome {
-        scan_stack_impl(m, cache, policy, stats, false)
+        scan_stack_impl(m, cache, policy, stats, roots, false)
     }
 
-    /// The stack roots among `roots`, as sorted word indices.
-    fn stack_words(roots: &[RootLoc]) -> Vec<u32> {
-        let mut words: Vec<u32> = roots.iter().filter_map(RootLoc::stack_word).collect();
+    /// `roots`, sorted.
+    fn sorted(roots: &[u32]) -> Vec<u32> {
+        let mut words = roots.to_vec();
         words.sort_unstable();
         words
+    }
+
+    /// Forwards `roots`, `reg_roots` and the allocation buffer out of
+    /// `from` into `to` as a collection's root phase does; returns the
+    /// charges.
+    fn forward(
+        mem: &mut Memory,
+        from: &Space,
+        to: &mut Space,
+        m: &mut MutatorState,
+        roots: &[u32],
+        reg_roots: RegState,
+    ) -> GcStats {
+        let mut stats = GcStats::default();
+        let from_ranges = [from.range()];
+        let mut ev = Evacuator::new(
+            mem,
+            &from_ranges,
+            to,
+            None,
+            None,
+            None,
+            &mut stats,
+            CostModel::default(),
+        );
+        ev.forward_roots(m, roots, reg_roots, &[]);
+        stats
+    }
+
+    /// A heap of one from-space and one to-space, and `n` one-field
+    /// records in the from-space.
+    fn heap(n: usize) -> (Memory, Space, Space, Vec<Addr>) {
+        let mut mem = Memory::with_capacity_words(8 * n + 64);
+        let mut from = Space::new(mem.reserve(4 * n + 8).unwrap());
+        let to = Space::new(mem.reserve(4 * n + 8).unwrap());
+        let objs = (0..n)
+            .map(|i| object::alloc_record(&mut mem, &mut from, SiteId::new(1), &[i as u64], 0))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        (mem, from, to, objs)
     }
 
     #[test]
     fn full_scan_finds_every_pointer_slot() {
         let mut m = mutator(10);
         let mut stats = GcStats::default();
-        let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        let slot_roots = stack_words(&out.new_roots);
-        assert_eq!(slot_roots, (0..10).map(|d| 2 * d).collect::<Vec<u32>>());
+        let (roots, out) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        assert_eq!(roots, (0..10).map(|d| 2 * d).collect::<Vec<u32>>());
+        assert_eq!(out.reg_roots, RegState::EMPTY);
         assert_eq!(out.scanned_frames, 10);
         assert_eq!(out.reused_frames, 0);
         assert!(stats.stack_cycles > 0);
@@ -408,7 +423,7 @@ mod tests {
         let mut m = mutator(100);
         let mut stats = GcStats::default();
         let mut cache = ScanCache::default();
-        let out = scan_stack(
+        let (_, out) = scan(
             &mut m,
             Some(&mut cache),
             MarkerPolicy::EveryN(25),
@@ -419,7 +434,7 @@ mod tests {
 
         // Second scan with no mutator activity: reuse up to the deepest
         // marker (depth 99).
-        let out2 = scan_stack(
+        let (roots, out2) = scan(
             &mut m,
             Some(&mut cache),
             MarkerPolicy::EveryN(25),
@@ -427,8 +442,10 @@ mod tests {
         );
         assert_eq!(out2.reused_frames, 99);
         assert_eq!(out2.scanned_frames, 1);
+        assert_eq!(roots, [198]);
         assert_eq!(cache.frames.len(), 100);
         assert_eq!(cache.roots.len(), 100);
+        assert_eq!(cache.prefix_roots(99), &cache.roots[..99]);
     }
 
     #[test]
@@ -436,7 +453,7 @@ mod tests {
         let mut m = mutator(100);
         let mut stats = GcStats::default();
         let mut cache = ScanCache::default();
-        scan_stack(
+        scan(
             &mut m,
             Some(&mut cache),
             MarkerPolicy::EveryN(25),
@@ -450,7 +467,7 @@ mod tests {
             m.stack.push(d, 2);
             m.stack.top_mut().set(0, Value::NULL);
         }
-        let out = scan_stack(
+        let (_, out) = scan(
             &mut m,
             Some(&mut cache),
             MarkerPolicy::EveryN(25),
@@ -479,11 +496,10 @@ mod tests {
         m.stack.top_mut().set_word_tagged(0, 64, ShadowTag::Ptr);
 
         let mut stats = GcStats::default();
-        let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        let spill = RootLoc::stack_slot(m.stack.frame_base(1), 1, 0);
-        assert!(out.new_roots.contains(&spill));
+        let (roots, out) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        assert_eq!(roots, [m.stack.frame_base(1) as u32]);
         // $5 is still pointer-valued at the top, so it is a register root.
-        assert!(out.new_roots.contains(&RootLoc::Reg(5)));
+        assert_eq!(out.reg_roots.mask(), 1 << 5);
     }
 
     #[test]
@@ -501,8 +517,9 @@ mod tests {
         m.stack.top_mut().set_word_tagged(0, 999, ShadowTag::NonPtr);
 
         let mut stats = GcStats::default();
-        let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert!(out.new_roots.is_empty());
+        let (roots, out) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        assert!(roots.is_empty());
+        assert_eq!(out.reg_roots, RegState::EMPTY);
     }
 
     #[test]
@@ -517,14 +534,14 @@ mod tests {
         m.stack.top_mut().set(0, Value::Int(TYPE_BOXED));
         m.stack.top_mut().set(1, Value::Ptr(Addr::new(640)));
         let mut stats = GcStats::default();
-        let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert!(out.new_roots.contains(&RootLoc::stack_slot(0, 0, 1)));
+        let (roots, _) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        assert_eq!(roots, [1]);
 
         // Flip the type to unboxed: same slot, now not a root.
         m.stack.top_mut().set(0, Value::Int(TYPE_UNBOXED));
         m.stack.top_mut().set(1, Value::Int(640));
-        let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert!(stack_words(&out.new_roots).is_empty());
+        let (roots, _) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        assert!(roots.is_empty());
     }
 
     #[test]
@@ -542,29 +559,41 @@ mod tests {
         // in the real system this hides a root. The shadow check trips.
         m.stack.top_mut().set_word_tagged(0, 640, ShadowTag::Ptr);
         let mut stats = GcStats::default();
-        scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
     }
 
+    /// The allocation buffer's roots are its pointer mask: forwarding
+    /// moves the masked entries and leaves the others alone.
     #[test]
     fn alloc_buf_entries_are_roots() {
+        let (mut mem, from, mut to, objs) = heap(3);
         let mut m = MutatorState::new();
-        m.alloc_buf = vec![640, 7, 888];
+        let words: Vec<u64> = objs.iter().map(|a| u64::from(a.raw())).collect();
+        m.alloc_buf = vec![words[0], words[1], words[2]];
         m.alloc_buf_ptr_mask = 0b101;
         let mut stats = GcStats::default();
-        let out = scan_stack(&mut m, None, MarkerPolicy::Disabled, &mut stats);
-        assert!(out.new_roots.contains(&RootLoc::AllocBuf(0)));
-        assert!(out.new_roots.contains(&RootLoc::AllocBuf(2)));
-        assert!(!out.new_roots.contains(&RootLoc::AllocBuf(1)));
+        let (roots, out) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        assert!(roots.is_empty(), "the scan does not read the buffer");
+        let stats = forward(&mut mem, &from, &mut to, &mut m, &roots, out.reg_roots);
+        assert_eq!(stats.roots_found, 2);
+        for i in [0, 2] {
+            assert!(
+                to.contains(Addr::new(m.alloc_buf[i] as u32)),
+                "entry {i} moved"
+            );
+        }
+        assert_eq!(m.alloc_buf[1], words[1], "an unmasked entry stays");
     }
 
-    /// The bitmap fast path must be observably identical to the per-slot
-    /// reference decode: same roots in the same order, same cache, same
-    /// charged costs.
+    /// The slot-list fast path must be observably identical to the
+    /// per-slot reference decode: same roots in the same order, same
+    /// register roots, same cache, same charged costs — whatever the
+    /// buffer held before.
     #[test]
     fn bitmap_path_matches_reference_scan() {
         let build = || {
             let mut m = MutatorState::new();
-            m.check_shadows = false; // enable the bitmap fast path
+            m.check_shadows = false; // enable the slot-list fast path
             let stat = m.traces.register(
                 FrameDesc::new("static")
                     .slot(Trace::Pointer)
@@ -576,7 +605,8 @@ mod tests {
                 FrameDesc::new("dynamic")
                     .slot(Trace::CalleeSave(Reg::new(7)))
                     .slot(Trace::NonPointer)
-                    .slot(Trace::Compute(TypeLoc::Slot(1))),
+                    .slot(Trace::Compute(TypeLoc::Slot(1)))
+                    .def_pointer(Reg::new(2)),
             );
             for i in 0..40 {
                 if i % 5 == 4 {
@@ -600,25 +630,81 @@ mod tests {
         let mut stats_ref = GcStats::default();
         let mut cache_fast = ScanCache::default();
         let mut cache_ref = ScanCache::default();
+        // A buffer left over from an earlier collection.
+        let mut roots_fast = vec![u32::MAX; 5];
+        let mut roots_ref = Vec::new();
         let out_fast = scan_stack(
             &mut m_fast,
             Some(&mut cache_fast),
             MarkerPolicy::EveryN(8),
             &mut stats_fast,
+            &mut roots_fast,
         );
         let out_ref = scan_stack_reference(
             &mut m_ref,
             Some(&mut cache_ref),
             MarkerPolicy::EveryN(8),
             &mut stats_ref,
+            &mut roots_ref,
         );
 
-        assert_eq!(out_fast.new_roots, out_ref.new_roots);
+        assert_eq!(roots_fast, roots_ref);
+        assert_eq!(out_fast.reg_roots, out_ref.reg_roots);
+        assert_eq!(out_fast.reg_roots.mask(), 1 << 7 | 1 << 2);
         assert_eq!(out_fast.scanned_frames, out_ref.scanned_frames);
         assert_eq!(out_fast.reused_frames, out_ref.reused_frames);
         assert_eq!(stats_fast, stats_ref);
         assert_eq!(cache_fast.roots, cache_ref.roots);
         assert_eq!(cache_fast.frames, cache_ref.frames);
+    }
+
+    /// The register effects applied one by one, in declaration order.
+    fn apply_in_sequence(state: RegState, effects: &[(Reg, RegEffect)]) -> RegState {
+        let mut bits = state.mask();
+        for &(reg, effect) in effects {
+            match effect {
+                RegEffect::Preserve => {}
+                RegEffect::DefPointer => bits |= 1 << reg.index(),
+                RegEffect::DefNonPointer => bits &= !(1 << reg.index()),
+            }
+        }
+        RegState(bits)
+    }
+
+    /// A descriptor naming one register twice, in either order, folds to
+    /// the register state its effects give applied in sequence: the last
+    /// one wins.
+    #[test]
+    fn register_masks_fold_like_effects_in_sequence() {
+        let mut m = MutatorState::new();
+        let (r, other) = (Reg::new(4), Reg::new(31));
+        let descs = [
+            FrameDesc::new("ptr-then-int")
+                .def_pointer(r)
+                .def_non_pointer(other)
+                .def_non_pointer(r),
+            FrameDesc::new("int-then-ptr")
+                .def_non_pointer(r)
+                .def_pointer(other)
+                .def_pointer(r),
+            FrameDesc::new("twice")
+                .def_pointer(r)
+                .def_pointer(r)
+                .def_non_pointer(other)
+                .def_non_pointer(other),
+        ];
+        for desc in descs {
+            let id = m.traces.register(desc.clone());
+            for start in [0, u32::MAX, 1 << 4, 1 << 31, 0x9e37_79b9] {
+                let state = RegState(start);
+                assert_eq!(
+                    state.apply(m.traces.compiled(id)),
+                    apply_in_sequence(state, desc.reg_effects()),
+                    "{} from {start:#x}",
+                    desc.name()
+                );
+            }
+        }
     }
 
     /// The workspace's deterministic xorshift64* generator.
@@ -632,10 +718,12 @@ mod tests {
     }
 
     /// Random pushes, pops and raise unwinds over static and dynamic
-    /// frames, with a cached scan after every burst: its fresh roots plus
-    /// the expanded cached prefix are exactly the stack words a cache-less
-    /// scan of the same stack names, and the register state at the cache
-    /// boundary is the one a full decode computes there.
+    /// frames, with a cached scan after every burst into the one root
+    /// buffer a plan keeps: its roots, register roots, cache and charges
+    /// are the per-slot reference decode's, from the same cache; its
+    /// fresh roots plus the cached prefix are exactly the stack words a
+    /// cache-less scan of the same stack names; and the register state at
+    /// the cache boundary is the one a full decode computes there.
     #[test]
     fn cached_scans_name_the_roots_of_a_full_scan() {
         for every in [1, 3, 25] {
@@ -643,7 +731,7 @@ mod tests {
             for seed in 1..=6u64 {
                 let mut rng = seed.wrapping_mul(0x9e37_79b9_7f4a_7c15);
                 let mut m = MutatorState::new();
-                m.check_shadows = false; // the bitmap path, as in release builds
+                m.check_shadows = false; // the slot-list path, as in release builds
                 let descs = [
                     m.traces.register(
                         FrameDesc::new("static")
@@ -672,6 +760,7 @@ mod tests {
                     ),
                 ];
                 let mut cache = ScanCache::default();
+                let mut roots = Vec::new();
                 let policy = MarkerPolicy::EveryN(every);
                 for round in 0..40 {
                     // The first burst only pushes: a stack deep enough for
@@ -713,20 +802,48 @@ mod tests {
                             _ => {}
                         }
                     }
+                    let at = format!("every {every}, seed {seed}, round {round}");
 
-                    let full = scan_stack(&mut m, None, policy, &mut GcStats::default());
+                    let mut full_stats = GcStats::default();
+                    let (full, full_out) = scan(&mut m, None, policy, &mut full_stats);
+                    let mut ref_stats = GcStats::default();
+                    let mut ref_roots = Vec::new();
+                    let ref_out =
+                        scan_stack_reference(&mut m, None, policy, &mut ref_stats, &mut ref_roots);
+                    assert_eq!(full, ref_roots, "{at}");
+                    assert_eq!(full_out.reg_roots, ref_out.reg_roots, "{at}");
+                    assert_eq!(full_stats, ref_stats, "{at}");
+
                     // A scan with a cache re-places markers, so the full
-                    // decode into a fresh cache runs on a copy of the stack.
+                    // decode into a fresh cache, and the reference decode
+                    // from the live cache, run on copies of the stack.
                     let live = m.stack.clone();
                     let mut fresh = ScanCache::default();
-                    scan_stack(&mut m, Some(&mut fresh), policy, &mut GcStats::default());
+                    scan(&mut m, Some(&mut fresh), policy, &mut GcStats::default());
+                    m.stack = live.clone();
+                    let mut ref_cache = cache.clone();
+                    let mut ref_stats = GcStats::default();
+                    let ref_out = scan_stack_reference(
+                        &mut m,
+                        Some(&mut ref_cache),
+                        policy,
+                        &mut ref_stats,
+                        &mut ref_roots,
+                    );
                     m.stack = live;
 
-                    let out = scan_stack(&mut m, Some(&mut cache), policy, &mut GcStats::default());
-                    let mut roots = out.new_roots;
-                    append_cached_roots(Some(&cache), out.reused_frames, &mut roots);
-                    let at = format!("every {every}, seed {seed}, round {round}");
-                    assert_eq!(stack_words(&roots), stack_words(&full.new_roots), "{at}");
+                    let mut stats = GcStats::default();
+                    let out = scan_stack(&mut m, Some(&mut cache), policy, &mut stats, &mut roots);
+                    assert_eq!(roots, ref_roots, "{at}");
+                    assert_eq!(out.reg_roots, ref_out.reg_roots, "{at}");
+                    assert_eq!(out.reg_roots, full_out.reg_roots, "{at}");
+                    assert_eq!(stats, ref_stats, "{at}");
+                    assert_eq!(cache.roots, ref_cache.roots, "{at}");
+                    assert_eq!(cache.frames, ref_cache.frames, "{at}");
+
+                    let mut named = roots.clone();
+                    named.extend_from_slice(cache.prefix_roots(out.reused_frames));
+                    assert_eq!(sorted(&named), sorted(&full), "{at}");
                     let boundary = |c: &ScanCache| c.frames[..out.reused_frames].last().copied();
                     assert_eq!(
                         boundary(&cache).map(|(_, s)| s),
@@ -742,31 +859,47 @@ mod tests {
         }
     }
 
+    /// The guard is decided once per scan, from the stack's word count: a
+    /// stack of `u32::MAX + 1` words still casts every index, one word
+    /// more takes the checked conversion, which refuses an index past
+    /// `u32::MAX` naming frame and slot.
     #[test]
     #[should_panic(expected = "slot 3 of frame 7 is stack word 4294967296")]
     fn a_root_index_past_u32_is_refused() {
         let last = u32::MAX as usize;
-        assert_eq!(
-            RootLoc::stack_slot(last - 3, 7, 3),
-            RootLoc::StackWord(u32::MAX)
-        );
-        RootLoc::stack_slot(last - 2, 7, 3);
+        assert!(indices_fit_u32(last + 1));
+        assert!(!indices_fit_u32(last + 2));
+        assert_eq!(checked_index(last - 3, 7, 3), u32::MAX);
+        checked_index(last - 2, 7, 3);
     }
 
+    /// A stack root and a register root round-trip through the slice
+    /// forward: each word is read at its index, and the relocated word is
+    /// written back there and nowhere else.
     #[test]
     fn root_read_write_round_trip() {
+        let (mut mem, from, mut to, objs) = heap(2);
         let mut m = mutator(3);
-        let loc = RootLoc::stack_slot(m.stack.frame_base(1), 1, 0);
-        assert_eq!(read_root(&m, loc), 101);
-        write_root(&mut m, loc, 4242);
-        assert_eq!(read_root(&m, loc), 4242);
-        assert_eq!(m.stack.frame(1).word(0), 4242);
-        assert_eq!(m.stack.frame(1).word(1), 7, "the neighbour is untouched");
+        let (stack_obj, reg_obj) = (objs[0], objs[1]);
+        m.stack.frame_mut(1).set(0, Value::Ptr(stack_obj));
+        let d = m
+            .traces
+            .register(FrameDesc::new("def").def_pointer(Reg::new(3)));
+        m.stack.push(d, 0);
+        m.regs.set(Reg::new(3), Value::Ptr(reg_obj));
+        let mut stats = GcStats::default();
+        let (roots, out) = scan(&mut m, None, MarkerPolicy::Disabled, &mut stats);
+        let stats = forward(&mut mem, &from, &mut to, &mut m, &roots, out.reg_roots);
+        assert_eq!(stats.roots_found, 4, "three stack roots and $3");
 
-        m.regs.set(Reg::new(3), Value::Ptr(Addr::new(9)));
-        let loc = RootLoc::Reg(3);
-        assert_eq!(read_root(&m, loc), 9);
-        write_root(&mut m, loc, 11);
-        assert_eq!(read_root(&m, loc), 11);
+        let moved = |a: Addr| object::header(&mem, a).forward_addr().unwrap();
+        assert_eq!(m.stack.frame(1).word(0), u64::from(moved(stack_obj).raw()));
+        assert_eq!(m.stack.frame(1).word(1), 7, "the neighbour is untouched");
+        assert_eq!(
+            m.stack.frame(0).word(0),
+            100,
+            "a root outside from-space stays"
+        );
+        assert_eq!(m.regs.word(Reg::new(3)), u64::from(moved(reg_obj).raw()));
     }
 }

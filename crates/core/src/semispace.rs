@@ -73,7 +73,7 @@ impl SemispacePlan {
         let mut cycle = Cycle::begin(&mut self.base, mem, m, "semispace", reason, true);
         // Every collection moves everything, so cached frames' roots must
         // be processed too — the cache saves only the decode cost.
-        let roots = cycle.scan_roots(&mut self.base, m, true);
+        cycle.scan_roots(&mut self.base, m, true);
 
         let from_range = self.heap.active().range();
         let from_frontier = self.heap.active().frontier();
@@ -86,7 +86,7 @@ impl SemispacePlan {
             los: None,
             survivor: None,
         };
-        cycle.trace(&mut self.base, mem, m, spaces, &roots).drain();
+        cycle.trace(&mut self.base, mem, m, spaces).drain();
 
         // A semispace plan needs no write barrier; discard anything an
         // embedder recorded anyway.

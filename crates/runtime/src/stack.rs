@@ -329,6 +329,32 @@ impl Stack {
         self.frames[depth].base
     }
 
+    /// The `(descriptor key, base)` of every frame from `depth` up to the
+    /// top, oldest first: what a stack scan reads of each frame it
+    /// decodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `depth` exceeds the current depth.
+    #[inline]
+    pub fn frames_from(&self, depth: usize) -> impl Iterator<Item = (DescId, usize)> + '_ {
+        self.frames[depth..].iter().map(|f| (f.desc, f.base))
+    }
+
+    /// Number of words in the word array: every live frame's slots.
+    #[inline]
+    pub fn num_words(&self) -> usize {
+        self.words.len()
+    }
+
+    /// The whole word array (see [`frame_base`](Self::frame_base)),
+    /// writable, shadow tags untouched: the collector relocates roots
+    /// through it by word index.
+    #[inline]
+    pub fn words_mut(&mut self) -> &mut [u64] {
+        &mut self.words
+    }
+
     /// The raw word at index `i` of the word array (see
     /// [`frame_base`](Self::frame_base)).
     ///
@@ -338,17 +364,6 @@ impl Stack {
     #[inline]
     pub fn word(&self, i: usize) -> u64 {
         self.words[i]
-    }
-
-    /// Overwrites the raw word at index `i` of the word array without
-    /// touching its shadow tag (collector relocation of a root).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` is past the top frame's last slot.
-    #[inline]
-    pub fn set_word_raw(&mut self, i: usize, word: u64) {
-        self.words[i] = word;
     }
 
     /// The frame at `depth` (0 = oldest).
@@ -571,13 +586,18 @@ mod tests {
         s.frame_mut(1).set(1, Value::Int(5));
         assert_eq!(s.frame_base(1), 2);
         assert_eq!(s.word(s.frame_base(1) + 1), 5);
-        s.set_word_raw(s.frame_base(2), 8);
+        let top = s.frame_base(2);
+        s.words_mut()[top] = 8;
         assert_eq!(s.top().word(0), 8);
         assert_eq!(
             s.top().shadow(0),
             ShadowTag::NonPtr,
             "raw writes keep the tag"
         );
+        assert_eq!(s.num_words(), 6);
+        let d = s.frame(0).desc();
+        assert_eq!(s.frames_from(1).collect::<Vec<_>>(), [(d, 2), (d, 4)]);
+        assert_eq!(s.frames_from(3).count(), 0);
     }
 
     #[test]

@@ -267,15 +267,21 @@ pub(crate) const TEMPLATE_BLOCK: usize = 8;
 ///
 /// Most frames are *static*: every slot is [`Trace::Pointer`] or
 /// [`Trace::NonPointer`], so which slots are roots is known the moment the
-/// descriptor is registered. For those frames the scan walks the set bits
-/// of the packed pointer bitmap instead of matching a `Trace` per slot.
-/// Frames with [`Trace::CalleeSave`] or [`Trace::Compute`] slots depend on
-/// runtime state and keep the two-pass decode; their declared pointer
-/// slots are only part of the answer.
+/// descriptor is registered. For those frames the scan adds the frame's
+/// base to each precompiled pointer-slot offset instead of matching a
+/// `Trace` per slot. Frames with [`Trace::CalleeSave`] or
+/// [`Trace::Compute`] slots depend on runtime state and keep the two-pass
+/// decode; their declared pointer slots are only part of the answer.
 #[derive(Clone, Debug)]
 pub struct CompiledTrace {
-    /// Bit `i` set means slot `i` is declared [`Trace::Pointer`].
-    ptr_bitmap: Vec<u64>,
+    /// The slots declared [`Trace::Pointer`], ascending.
+    ptr_slots: Box<[u32]>,
+    /// The registers the frame's effects leave holding a pointer, and
+    /// those they leave holding a non-pointer (bit `r` = register `r`):
+    /// the declared effects folded in order, so a register named twice
+    /// ends with its last effect, as in [`FrameDesc::reg_effect`].
+    reg_set: u32,
+    reg_clear: u32,
     /// The shadow tags of a freshly pushed frame — `Ptr` for the declared
     /// pointer slots (null pointers: the frame is zeroed), `NonPtr` for
     /// the rest — in blocks of [`TEMPLATE_BLOCK`], the last one padded
@@ -290,22 +296,35 @@ pub struct CompiledTrace {
 
 impl CompiledTrace {
     fn compile(desc: &FrameDesc) -> CompiledTrace {
-        let mut ptr_bitmap = vec![0u64; desc.slots.len().div_ceil(64)];
+        let mut ptr_slots = Vec::new();
         let mut template =
             vec![[ShadowTag::NonPtr; TEMPLATE_BLOCK]; desc.slots.len().div_ceil(TEMPLATE_BLOCK)];
         let mut callee_saves = Vec::new();
         for (i, t) in desc.slots.iter().enumerate() {
             match *t {
                 Trace::Pointer => {
-                    ptr_bitmap[i / 64] |= 1 << (i % 64);
+                    ptr_slots.push(i as u32);
                     template[i / TEMPLATE_BLOCK][i % TEMPLATE_BLOCK] = ShadowTag::Ptr;
                 }
                 Trace::CalleeSave(reg) => callee_saves.push((i, reg)),
                 Trace::NonPointer | Trace::Compute(_) => {}
             }
         }
+        let (mut reg_set, mut reg_clear) = (0u32, 0u32);
+        for &(reg, effect) in &desc.reg_effects {
+            let bit = 1 << reg.index();
+            match effect {
+                RegEffect::Preserve => {}
+                RegEffect::DefPointer => (reg_set, reg_clear) = (reg_set | bit, reg_clear & !bit),
+                RegEffect::DefNonPointer => {
+                    (reg_set, reg_clear) = (reg_set & !bit, reg_clear | bit)
+                }
+            }
+        }
         CompiledTrace {
-            ptr_bitmap,
+            ptr_slots: ptr_slots.into_boxed_slice(),
+            reg_set,
+            reg_clear,
             template,
             callee_saves,
             num_slots: desc.slots.len(),
@@ -330,10 +349,20 @@ impl CompiledTrace {
         self.num_slots
     }
 
-    /// The packed pointer bitmap (one bit per slot, 64 slots per word).
+    /// The slots declared [`Trace::Pointer`], ascending: for a static
+    /// frame, its whole root set as offsets from the frame's base.
     #[inline]
-    pub fn ptr_bitmap(&self) -> &[u64] {
-        &self.ptr_bitmap
+    pub fn ptr_slots(&self) -> &[u32] {
+        &self.ptr_slots
+    }
+
+    /// The frame's register effects as two masks, `(set, clear)`: bit `r`
+    /// of `set` means the frame leaves a pointer in register `r`, of
+    /// `clear` a non-pointer; a register in neither is preserved. Register
+    /// pointerness `s` after the frame is `(s & !clear) | set`.
+    #[inline]
+    pub fn reg_masks(&self) -> (u32, u32) {
+        (self.reg_set, self.reg_clear)
     }
 
     /// The shadow-tag template frame push copies (see [`TEMPLATE_BLOCK`]).
@@ -455,6 +484,13 @@ mod tests {
             .def_pointer(Reg::new(1))
             .def_non_pointer(Reg::new(1));
         assert_eq!(d.reg_effect(Reg::new(1)), RegEffect::DefNonPointer);
+        assert_eq!(CompiledTrace::compile(&d).reg_masks(), (0, 0b10));
+        let d = FrameDesc::new("g")
+            .def_non_pointer(Reg::new(1))
+            .def_pointer(Reg::new(1))
+            .def_non_pointer(Reg::new(31));
+        assert_eq!(d.reg_effect(Reg::new(1)), RegEffect::DefPointer);
+        assert_eq!(CompiledTrace::compile(&d).reg_masks(), (0b10, 1 << 31));
     }
 
     #[test]
@@ -507,9 +543,7 @@ mod tests {
         let c = t.compiled(id);
         assert!(c.is_static());
         assert_eq!(c.num_slots(), 72);
-        assert_eq!(c.ptr_bitmap().len(), 2);
-        assert_eq!(c.ptr_bitmap()[0], 1);
-        assert_eq!(c.ptr_bitmap()[1], 1 << (71 - 64));
+        assert_eq!(c.ptr_slots(), [0, 71]);
         assert_eq!(c.template().len(), 9, "72 slots in blocks of 8");
         assert_eq!(template_ptr_slots(c), [0, 71]);
     }
@@ -535,7 +569,7 @@ mod tests {
         );
         assert!(!t.compiled(mixed).is_static());
         assert_eq!(template_ptr_slots(t.compiled(mixed)), [1]);
-        assert_eq!(t.compiled(mixed).ptr_bitmap(), &[0b10]);
+        assert_eq!(t.compiled(mixed).ptr_slots(), [1]);
     }
 
     #[test]
@@ -544,7 +578,8 @@ mod tests {
         let id = t.register(FrameDesc::new("leaf"));
         assert!(t.compiled(id).is_static());
         assert_eq!(t.compiled(id).num_slots(), 0);
-        assert!(t.compiled(id).ptr_bitmap().is_empty());
+        assert!(t.compiled(id).ptr_slots().is_empty());
+        assert_eq!(t.compiled(id).reg_masks(), (0, 0));
         assert!(t.compiled(id).template().is_empty());
     }
 

@@ -68,19 +68,41 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 /// Interprets the program on a fresh VM of the given kind and returns the
 /// canonical snapshot of the final reachable graph.
 fn interpret(kind: CollectorKind, config: &GcConfig, ops: &[Op]) -> Vec<u64> {
-    interpret_with(kind, config, ops, |_| {})
+    interpret_with(kind, config, ops, None, |_| {})
 }
 
-/// [`interpret`], with a check run after every op — for properties that
-/// must hold at each step of an arbitrary program, not only at the end.
-/// The check asserts on failure.
+/// [`interpret`] twice: once with the mutator's shadow-tag check on, so
+/// every stack scan takes the per-slot reference decode and is checked
+/// against the shadows, and once with it off, so static frames take the
+/// slot-list fast path as in release builds. Both runs must end in the
+/// same graph; returns it.
+fn interpret_both_decodes(kind: CollectorKind, config: &GcConfig, ops: &[Op]) -> Vec<u64> {
+    let checked = interpret_with(kind, config, ops, Some(true), |_| {});
+    let fast = interpret_with(kind, config, ops, Some(false), |_| {});
+    assert_eq!(
+        fast,
+        checked,
+        "{}: the fast decode diverged from the shadow-checked one",
+        kind.label()
+    );
+    checked
+}
+
+/// [`interpret`], with the shadow-tag check set as given (the build's
+/// default for `None`) and a check run after every op — for properties
+/// that must hold at each step of an arbitrary program, not only at the
+/// end. The check asserts on failure.
 fn interpret_with(
     kind: CollectorKind,
     config: &GcConfig,
     ops: &[Op],
+    check_shadows: Option<bool>,
     mut after_op: impl FnMut(&Vm),
 ) -> Vec<u64> {
     let mut vm = build_vm(kind, config);
+    if let Some(check) = check_shadows {
+        vm.mutator_mut().check_shadows = check;
+    }
     let frame = vm.register_frame(FrameDesc::new("prop::frame").slots(SLOTS, Trace::Pointer));
     let rec_site = vm.site("prop::record");
     let arr_site = vm.site("prop::array");
@@ -195,7 +217,7 @@ fn assert_reuse_bound(vm: &Vm) {
     let stack = &vm.mutator().stack;
     assert!(
         stack.reusable_prefix() <= stack.true_unchanged_prefix(),
-        "markers over-promised after a plan-driven scan: claimed {}, true {} (watermark {})",
+        "markers over-promised: claimed {}, true {} (watermark {})",
         stack.reusable_prefix(),
         stack.true_unchanged_prefix(),
         stack.watermark(),
@@ -221,13 +243,13 @@ proptest! {
         ops in proptest::collection::vec(op_strategy(), 1..300)
     ) {
         let config = tight_config();
-        let baseline = interpret(CollectorKind::Semispace, &config, &ops);
+        let baseline = interpret_both_decodes(CollectorKind::Semispace, &config, &ops);
         for kind in [
             CollectorKind::Generational,
             CollectorKind::GenerationalStack,
             CollectorKind::GenerationalStackPretenure,
         ] {
-            let got = interpret(kind, &config, &ops);
+            let got = interpret_both_decodes(kind, &config, &ops);
             prop_assert_eq!(
                 &got, &baseline,
                 "{} diverged from the semispace baseline", kind.label()
@@ -237,7 +259,7 @@ proptest! {
         // must agree too.
         for threshold in [1u8, 3] {
             let config = tight_config().tenure_threshold(threshold);
-            let got = interpret(CollectorKind::GenerationalStack, &config, &ops);
+            let got = interpret_both_decodes(CollectorKind::GenerationalStack, &config, &ops);
             prop_assert_eq!(
                 &got, &baseline,
                 "tenure threshold {} diverged from the baseline", threshold
@@ -278,8 +300,12 @@ proptest! {
     ) {
         let config = tight_config();
         let plain = interpret_with(
-            CollectorKind::GenerationalStack, &config, &ops, assert_reuse_bound,
+            CollectorKind::GenerationalStack, &config, &ops, Some(true), assert_reuse_bound,
         );
+        let fast = interpret_with(
+            CollectorKind::GenerationalStack, &config, &ops, Some(false), assert_reuse_bound,
+        );
+        prop_assert_eq!(&fast, &plain, "the fast decode diverged from the shadow-checked one");
         let mut policy = PretenurePolicy::new();
         // Site ids 1..=3 are prop::record/array/raw in registration order.
         for id in 1..=3u16 {
@@ -287,7 +313,7 @@ proptest! {
         }
         let config = tight_config().pretenure(policy);
         let pretenured = interpret_with(
-            CollectorKind::GenerationalStackPretenure, &config, &ops, assert_reuse_bound,
+            CollectorKind::GenerationalStackPretenure, &config, &ops, None, assert_reuse_bound,
         );
         prop_assert_eq!(
             pretenured, plain,
@@ -297,58 +323,62 @@ proptest! {
 
     /// The marker bookkeeping never claims more reuse than reality: for
     /// arbitrary push/pop/raise interleavings, `reusable_prefix()` is a
-    /// lower bound on the true unchanged prefix.
+    /// lower bound on the true unchanged prefix — with the shadow-tag
+    /// check on and off, ending in the same graph.
     #[test]
     fn marker_reuse_is_always_conservative(
         ops in proptest::collection::vec(op_strategy(), 1..300),
         interval in 1usize..40
     ) {
-        let mut vm = build_vm(CollectorKind::GenerationalStack, &tight_config());
-        let frame = vm.register_frame(
-            FrameDesc::new("prop::frame").slots(SLOTS, Trace::Pointer),
-        );
-        vm.push_frame(frame);
-        let mut handlers: Vec<usize> = Vec::new();
-        for op in &ops {
-            match op {
-                Op::Push
-                    if vm.depth() < 200 => {
-                        vm.push_frame(frame);
-                    }
-                Op::Pop
-                    if vm.depth() > 1 => {
-                        while handlers.last() == Some(&vm.depth()) {
-                            vm.pop_handler();
-                            handlers.pop();
-                        }
-                        vm.pop_frame();
-                    }
-                Op::PushHandler
-                    if handlers.len() < 16 => {
-                        vm.push_handler();
-                        handlers.push(vm.depth());
-                    }
-                Op::Raise => {
-                    if let RaiseOutcome::Caught { .. } = vm.raise() {
-                        handlers.pop();
-                    }
-                }
-                Op::Gc => {
-                    // Simulate a scan epoch: place markers directly.
-                    let placements = MarkerPolicy::EveryN(interval).placements(vm.depth());
-                    vm.mutator_mut().stack.place_markers_at(placements);
-                }
-                _ => {}
-            }
-            let stack = &vm.mutator().stack;
-            prop_assert!(
-                stack.reusable_prefix() <= stack.true_unchanged_prefix(),
-                "markers over-promised: claimed {}, true {}",
-                stack.reusable_prefix(),
-                stack.true_unchanged_prefix()
-            );
-        }
+        let checked = run_marker_epochs(&ops, interval, true);
+        let fast = run_marker_epochs(&ops, interval, false);
+        prop_assert_eq!(fast, checked);
     }
+}
+
+/// The body of `marker_reuse_is_always_conservative`: runs the program's
+/// push / pop / handler / raise ops on a stack-collection VM with the
+/// shadow-tag check set as given, each `Gc` op a simulated scan epoch
+/// (markers placed every `interval` frames), asserting the reuse bound
+/// after every op; returns the final graph.
+fn run_marker_epochs(ops: &[Op], interval: usize, check_shadows: bool) -> Vec<u64> {
+    let mut vm = build_vm(CollectorKind::GenerationalStack, &tight_config());
+    vm.mutator_mut().check_shadows = check_shadows;
+    let frame = vm.register_frame(FrameDesc::new("prop::frame").slots(SLOTS, Trace::Pointer));
+    vm.push_frame(frame);
+    let mut handlers: Vec<usize> = Vec::new();
+    for op in ops {
+        match op {
+            Op::Push if vm.depth() < 200 => {
+                vm.push_frame(frame);
+            }
+            Op::Pop if vm.depth() > 1 => {
+                while handlers.last() == Some(&vm.depth()) {
+                    vm.pop_handler();
+                    handlers.pop();
+                }
+                vm.pop_frame();
+            }
+            Op::PushHandler if handlers.len() < 16 => {
+                vm.push_handler();
+                handlers.push(vm.depth());
+            }
+            Op::Raise => {
+                if let RaiseOutcome::Caught { .. } = vm.raise() {
+                    handlers.pop();
+                }
+            }
+            Op::Gc => {
+                // Simulate a scan epoch: place markers directly.
+                let placements = MarkerPolicy::EveryN(interval).placements(vm.depth());
+                vm.mutator_mut().stack.place_markers_at(placements);
+            }
+            _ => {}
+        }
+        assert_reuse_bound(&vm);
+    }
+    verify_vm(&vm);
+    vm_snapshot(&vm)
 }
 
 /// Parses one `proptest-regressions` entry's op list out of its
