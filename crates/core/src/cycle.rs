@@ -14,21 +14,24 @@ use std::time::Instant;
 
 use tilgc_mem::{Addr, Memory, Space, SpaceRange};
 use tilgc_obs::{
-    CollectionBegin, Event, GcPhase, HeapCensus, PhaseTimer, SpaceCensus, TelemetryAcc,
+    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, PhaseTimer, SpaceCensus,
+    TelemetryAcc,
 };
-use tilgc_runtime::{CollectionInspection, GcStats, HeapProfile, MutatorState};
+use tilgc_runtime::{GcStats, HeapProfile, MutatorState};
 
 use crate::config::{GcConfig, MarkerPolicy};
 use crate::evac::Evacuator;
 use crate::los::LargeObjectSpace;
 use crate::roots::{scan_stack, ScanCache, ScanOutcome};
 use crate::space::{CopySpace, PretenuredRegion};
-use crate::util::{build_collection_end, build_inspection};
 
 /// The state every plan carries for the collection cycle.
 pub(crate) struct PlanBase {
     pub stats: GcStats,
-    pub inspection: Option<CollectionInspection>,
+    /// The most recent collection's record, built by [`Cycle::finish`]
+    /// at every collection (`Collector::last_inspection`); a recorder
+    /// is handed a clone of it.
+    pub inspection: Option<CollectionEnd>,
     /// Telemetry accumulator, allocated lazily the first time a
     /// collection runs with an enabled recorder.
     pub telem: Option<TelemetryAcc>,
@@ -101,10 +104,9 @@ pub(crate) struct TraceSpaces<'a> {
 
 /// What the plan's release step leaves for [`Cycle::finish`].
 pub(crate) struct Release<'a> {
+    /// Every word a live object can occupy after the collection, in any
+    /// space (§7.2 survivors copied back into the nursery included).
     pub live_words: usize,
-    /// Whether `live_words` accounts for every live byte (copied-back
-    /// §7.2 survivors are not counted; verifiers then skip the check).
-    pub live_accounting_complete: bool,
     pub pretenured: Option<&'a PretenuredRegion>,
     /// The spaces the heap census reports, one row each.
     pub copy_spaces: &'a [&'a CopySpace],
@@ -131,7 +133,7 @@ pub(crate) struct Cycle {
 }
 
 impl Cycle {
-    /// Prologue. `major` is what the begin event and the inspection
+    /// Prologue. `major` is what the begin event and the collection's
     /// record say; counting `major_collections` is the plan's business.
     pub fn begin(
         base: &mut PlanBase,
@@ -282,35 +284,18 @@ impl Cycle {
         base.stats.copy_wall_ns += self.copy_ns;
         let total_ns = self.wall_start.elapsed().as_nanos() as u64;
         base.stats.total_wall_ns += total_ns;
-        base.inspection = Some(build_inspection(
-            &self.stats_before,
-            &base.stats,
-            self.major,
-            self.depth_at_gc,
-            release.live_accounting_complete,
-            (self.scan.claimed_prefix, self.scan.oracle_prefix),
-        ));
+        let end = self.record(base, mem, m, total_ns);
         let Some(timer) = self.timer.take() else {
+            base.inspection = Some(end);
             return;
         };
-        let collection = base.stats.collections;
+        let collection = end.collection;
         for e in timer.into_events(collection) {
             m.recorder.record(e);
         }
-        let telem = base.telem.as_mut().expect("allocated by Cycle::begin");
-        let insp = base.inspection.as_ref().expect("just built");
-        let end_cycles = m.stats.client_cycles + base.stats.gc_cycles();
         m.recorder
-            .record(Event::CollectionEnd(Box::new(build_collection_end(
-                &self.stats_before,
-                &base.stats,
-                insp,
-                telem,
-                end_cycles,
-                total_ns,
-                mem.owned_chunks() as u64,
-                mem.side_cleared_words() - self.side_cleared_before,
-            ))));
+            .record(Event::CollectionEnd(Box::new(end.clone())));
+        base.inspection = Some(end);
         // The heap census rides right behind the end event: per-space
         // occupancy plus the route table's current size, all host-side
         // reads — no simulated cycles, no GcStats.
@@ -332,8 +317,56 @@ impl Cycle {
             pretenured_sites: release.pretenured.map_or(0, |r| r.policy().len() as u64),
             spaces: copy_rows.chain(los_row).collect(),
         }));
+        let telem = base.telem.as_mut().expect("allocated by Cycle::begin");
         for e in telem.drain_samples(collection) {
             m.recorder.record(e);
+        }
+    }
+
+    /// The collection's record: the `GcStats` deltas since
+    /// [`Cycle::begin`], the §5 reuse claim against its oracle, and where
+    /// the collection ended on both clocks. Built once the live bytes
+    /// are noted.
+    fn record(
+        &self,
+        base: &PlanBase,
+        mem: &Memory,
+        m: &MutatorState,
+        wall_ns: u64,
+    ) -> CollectionEnd {
+        let (before, after) = (&self.stats_before, &base.stats);
+        // The histograms are the recorder's: cumulative over recorded
+        // collections, empty without one.
+        let (size_hist, depth_hist) = match (&self.timer, &base.telem) {
+            (Some(_), Some(t)) => (t.size_hist, t.depth_hist),
+            _ => Default::default(),
+        };
+        CollectionEnd {
+            collection: after.collections,
+            major: self.major,
+            depth: self.depth_at_gc as u64,
+            claimed_prefix: self.scan.reused_frames as u64,
+            oracle_prefix: self.scan.oracle_prefix as u64,
+            copied_bytes: after.copied_bytes - before.copied_bytes,
+            scanned_words: after.scanned_words - before.scanned_words,
+            pretenured_scanned_words: after.pretenured_scanned_words
+                - before.pretenured_scanned_words,
+            roots_found: after.roots_found - before.roots_found,
+            frames_scanned: after.frames_scanned - before.frames_scanned,
+            frames_reused: after.frames_reused - before.frames_reused,
+            slots_scanned: after.slots_scanned - before.slots_scanned,
+            barrier_entries: after.barrier_entries - before.barrier_entries,
+            markers_placed: after.markers_placed - before.markers_placed,
+            gc_cycles: after.gc_cycles() - before.gc_cycles(),
+            end_cycles: m.stats.client_cycles + after.gc_cycles(),
+            live_bytes_after: after.last_live_bytes,
+            wall_ns,
+            size_hist,
+            depth_hist,
+            workers: 1,
+            worker_copied_bytes: Vec::new(),
+            chunks_owned: mem.owned_chunks() as u64,
+            side_cleared_words: mem.side_cleared_words() - self.side_cleared_before,
         }
     }
 }

@@ -27,7 +27,7 @@
 use tilgc_mem::{Addr, Arena, BudgetSnapshot, GcError, Memory, SiteId, Space, SpaceRange};
 use tilgc_obs::GcPhase;
 use tilgc_runtime::{
-    AllocShape, BarrierEntry, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile,
+    AllocShape, BarrierEntry, CollectReason, CollectionEnd, Collector, GcStats, HeapProfile,
     MutatorState,
 };
 
@@ -36,7 +36,6 @@ use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{self, Governed, Ladder, PressureRung, PressureSession, Recovery};
 use crate::space::{CopySpace, PretenuredRegion};
-use crate::util::reason_str;
 use crate::LargeObjectSpace;
 
 /// Tenured-generation resizing target liveness ratio (0.3 in §2.1).
@@ -269,11 +268,13 @@ impl GenerationalPlan {
             self.nursery.flip();
         }
 
-        let live_words = self.tenured.active().used_words() + self.los.used_words();
-        // With a §7.2 tenure threshold, copied-back survivors live in the
-        // nursery system but are not counted in `live_words`: the record
-        // marks the byte accounting incomplete so verifiers skip it.
-        self.finish_cycle(mem, m, &mut cycle, live_words, tenure_threshold == 0);
+        // With a §7.2 tenure threshold the copied-back survivors are live
+        // too, in the nursery half allocation now continues in (empty
+        // under immediate promotion).
+        let live_words = self.tenured.active().used_words()
+            + self.los.used_words()
+            + self.nursery.active().used_words();
+        self.finish_cycle(mem, m, &mut cycle, live_words);
     }
 
     fn major(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
@@ -366,7 +367,7 @@ impl GenerationalPlan {
         if self.tenured_over_share {
             self.base.stats.budget_overruns += 1;
         }
-        self.finish_cycle(mem, m, &mut cycle, live_words, true);
+        self.finish_cycle(mem, m, &mut cycle, live_words);
     }
 
     /// The epilogue both collections share: the pretenured region and
@@ -377,11 +378,9 @@ impl GenerationalPlan {
         m: &mut MutatorState,
         cycle: &mut Cycle,
         live_words: usize,
-        live_accounting_complete: bool,
     ) {
         let release = Release {
             live_words,
-            live_accounting_complete,
             pretenured: self.pretenured.as_ref(),
             copy_spaces: &[&self.nursery, &self.tenured],
             los: Some(&self.los),
@@ -413,7 +412,7 @@ impl GenerationalPlan {
 
     /// The collection the plan's own policy picks for `reason`.
     fn collect_inner(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
-        let why = reason_str(reason);
+        let why = reason.as_str();
         match reason {
             CollectReason::ForcedMajor => self.major(mem, m, why),
             CollectReason::Forced | CollectReason::AllocFailure => {
@@ -652,7 +651,7 @@ impl Collector for GenerationalPlan {
         self.base.profile.take()
     }
 
-    fn last_inspection(&self) -> Option<&CollectionInspection> {
+    fn last_inspection(&self) -> Option<&CollectionEnd> {
         self.base.inspection.as_ref()
     }
 }

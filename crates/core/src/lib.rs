@@ -55,7 +55,6 @@ mod los;
 pub mod roots;
 mod semispace;
 pub mod space;
-mod util;
 pub mod verify;
 
 pub use config::{GcConfig, MarkerPolicy, PretenurePolicy};

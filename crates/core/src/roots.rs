@@ -138,14 +138,11 @@ pub struct ScanOutcome {
     pub reused_frames: usize,
     /// Frames decoded from scratch.
     pub scanned_frames: usize,
-    /// The cached-prefix claim this scan acted on:
-    /// `min(M, deepest intact marker)` clamped to the cache length
-    /// (equal to `reused_frames`; recorded separately so plans can
-    /// expose the claim for post-collection inspection).
-    pub claimed_prefix: usize,
     /// The simulation oracle's true unchanged prefix, captured *before*
     /// marker placement reset the stack's bookkeeping. A correct marker
-    /// implementation guarantees `claimed_prefix <= oracle_prefix`.
+    /// implementation guarantees `reused_frames <= oracle_prefix`: the
+    /// reuse it acts on, `min(M, deepest intact marker)` clamped to the
+    /// cache length, is the claim the collection's record carries.
     pub oracle_prefix: usize,
 }
 
@@ -205,7 +202,6 @@ fn scan_stack_impl(
 
     let mut outcome = ScanOutcome {
         reused_frames: reusable,
-        claimed_prefix: reusable,
         // Read the oracle now: place_markers_at (below) resets it.
         oracle_prefix: m.stack.true_unchanged_prefix(),
         ..Default::default()

@@ -13,7 +13,7 @@
 
 use tilgc_mem::{Addr, Arena, BudgetSnapshot, GcError, Memory, Space};
 use tilgc_runtime::{
-    AllocShape, CollectReason, CollectionInspection, Collector, GcStats, HeapProfile, MutatorState,
+    AllocShape, CollectReason, CollectionEnd, Collector, GcStats, HeapProfile, MutatorState,
 };
 
 use crate::config::GcConfig;
@@ -21,7 +21,6 @@ use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
 use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{self, Governed, Ladder, Recovery};
 use crate::space::CopySpace;
-use crate::util::reason_str;
 
 /// Resizing target liveness ratio (`r` = 0.10 in §2.1).
 const TARGET_LIVENESS: f64 = 0.10;
@@ -114,7 +113,6 @@ impl SemispacePlan {
 
         let release = Release {
             live_words,
-            live_accounting_complete: true,
             pretenured: None,
             copy_spaces: &[&self.heap],
             los: None,
@@ -191,7 +189,7 @@ impl Collector for SemispacePlan {
 
     fn collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: CollectReason) {
         PlanBase::enter(m, self.heap.active_mut());
-        self.do_collect(mem, m, reason_str(reason));
+        self.do_collect(mem, m, reason.as_str());
         self.leave(m);
     }
 
@@ -211,7 +209,7 @@ impl Collector for SemispacePlan {
         self.base.profile.take()
     }
 
-    fn last_inspection(&self) -> Option<&CollectionInspection> {
+    fn last_inspection(&self) -> Option<&CollectionEnd> {
         self.base.inspection.as_ref()
     }
 }

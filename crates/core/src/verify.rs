@@ -11,11 +11,18 @@
 //! [`Vm`]'s memory and shadow tags, so the same walk validates every
 //! plan — semispace, generational, or pretenuring — and any space layout
 //! a plan composes.
+//!
+//! After a collection, [`verify_collection`] also holds the plan's record
+//! of it ([`CollectionEnd`], from `last_inspection`) against the walk:
+//! the record's own identities are `tilgc_obs::schema`'s, the same check
+//! a replayed telemetry stream gets, and the walk adds the live bound —
+//! on every collection, §7.2 aging minors included.
 
 use std::collections::{HashSet, VecDeque};
 
-use tilgc_mem::{object, Addr, Memory, ObjectKind, POISON, WORD_BYTES};
-use tilgc_runtime::{CollectionInspection, MutatorState, ShadowTag, Vm};
+use tilgc_mem::{object, Addr, Memory, ObjectKind, POISON};
+use tilgc_obs::schema::check_collection_end;
+use tilgc_runtime::{CollectionEnd, MutatorState, ShadowTag, Vm};
 
 /// Summary of a verified heap.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -132,68 +139,39 @@ pub fn verify_vm(vm: &Vm) -> LiveReport {
     check_graph(vm.mem(), &roots)
 }
 
-/// Cross-checks a collection's [`CollectionInspection`] record against
-/// the [`LiveReport`] an independent shadow-tag graph walk produced.
+/// Cross-checks a collection's record against the [`LiveReport`] an
+/// independent shadow-tag graph walk produced.
 ///
-/// The invariants held against the record:
-///
-/// * **reuse bound (§5)** — the scan's claimed cached prefix,
-///   `min(M, deepest intact marker)`, never exceeds the simulation
-///   oracle's true unchanged prefix;
-/// * **frame accounting** — frames scanned plus frames reused equals the
-///   stack depth at the collection point;
-/// * **copy/scan accounting** — every copied word was Cheney-scanned
-///   (the scan cursor starts at the pre-collection frontier, so
-///   `scanned_words * WORD_BYTES >= copied_bytes`);
-/// * **live-size bound** — when the collector's live accounting is
-///   complete, the bytes reachable from the shadow roots fit within the
-///   claimed live size plus `alloc_slack_bytes` (bytes the mutator
-///   allocated after the collection finished).
+/// The record's own identities — the §5 reuse bound, frame accounting,
+/// copy/scan accounting — are [`check_collection_end`]'s, the same
+/// function `gc-log --validate` runs on a recorded stream. Against the
+/// oracle this adds the **live-size bound**: the bytes reachable from
+/// the shadow roots fit within the record's live bytes plus
+/// `alloc_slack_bytes` (bytes the mutator allocated after the
+/// collection finished).
 ///
 /// # Panics
 ///
 /// Panics, naming the violated invariant, if the record is inconsistent
-/// with the oracle — the failure mode an injected accounting bug
-/// produces.
-pub fn check_inspection(report: &LiveReport, insp: &CollectionInspection, alloc_slack_bytes: u64) {
-    assert!(
-        insp.claimed_prefix <= insp.oracle_prefix,
-        "reuse bound violated at collection {}: claimed prefix {} exceeds oracle prefix {}",
-        insp.collection,
-        insp.claimed_prefix,
-        insp.oracle_prefix
-    );
-    assert_eq!(
-        insp.frames_scanned + insp.frames_reused,
-        insp.depth_at_gc,
-        "frame accounting broken at collection {}: {} scanned + {} reused != depth {}",
-        insp.collection,
-        insp.frames_scanned,
-        insp.frames_reused,
-        insp.depth_at_gc
-    );
-    assert!(
-        insp.scanned_words * WORD_BYTES as u64 >= insp.copied_bytes,
-        "copy/scan accounting broken at collection {}: {} words scanned < {} bytes copied",
-        insp.collection,
-        insp.scanned_words,
-        insp.copied_bytes
-    );
-    if insp.live_accounting_complete {
-        assert!(
-            report.bytes as u64 <= insp.live_bytes_after + alloc_slack_bytes,
-            "live accounting broken at collection {}: {} reachable bytes exceed {} live + {} \
-             alloc slack",
-            insp.collection,
-            report.bytes,
-            insp.live_bytes_after,
-            alloc_slack_bytes
-        );
+/// with itself or with the oracle — the failure mode an injected
+/// accounting bug produces.
+pub fn check_inspection(report: &LiveReport, insp: &CollectionEnd, alloc_slack_bytes: u64) {
+    if let Err(broken) = check_collection_end(insp) {
+        panic!("{broken}");
     }
+    assert!(
+        report.bytes as u64 <= insp.live_bytes_after + alloc_slack_bytes,
+        "live accounting broken at collection {}: {} reachable bytes exceed {} live + {} \
+         alloc slack",
+        insp.collection,
+        report.bytes,
+        insp.live_bytes_after,
+        alloc_slack_bytes
+    );
 }
 
 /// Verifies a running VM's heap *and* cross-checks the collector's
-/// most recent [`CollectionInspection`] record via [`check_inspection`].
+/// record of the most recent collection via [`check_inspection`].
 ///
 /// `alloc_slack_bytes` is the number of bytes the mutator has allocated
 /// since the collection being inspected finished (those objects are
@@ -202,7 +180,7 @@ pub fn check_inspection(report: &LiveReport, insp: &CollectionInspection, alloc_
 /// # Panics
 ///
 /// Panics on any dangling/malformed reachable pointer, or on any
-/// inspection-record inconsistency.
+/// inconsistency in the collection's record.
 pub fn verify_collection(vm: &Vm, alloc_slack_bytes: u64) -> LiveReport {
     let report = verify_vm(vm);
     if let Some(insp) = vm.collector().last_inspection() {

@@ -7,8 +7,8 @@ use tilgc_core::{
     build_vm, build_vm_with_recorder, verify_vm, vm_snapshot, CollectorKind, GcConfig,
     PretenurePolicy,
 };
-use tilgc_mem::SiteId;
-use tilgc_obs::{jsonl, schema, Event, GcPhase, NullRecorder, RingRecorder};
+use tilgc_mem::{Addr, SiteId};
+use tilgc_obs::{jsonl, schema, CollectionEnd, Event, GcPhase, NullRecorder, RingRecorder};
 use tilgc_programs::Benchmark;
 use tilgc_runtime::{DescId, FrameDesc, GcStats, Trace, Value, Vm};
 
@@ -479,6 +479,71 @@ fn installed_recorders_leave_gc_stats_byte_identical() {
             ringed.mutator_stats().alloc_bytes,
             "{label}: recording perturbed allocation accounting"
         );
+    }
+}
+
+/// A recorder is handed the plan's own record: every `collection-end`
+/// in the stream equals what `last_inspection` returned right after
+/// that collection — wall time and histograms included.
+#[test]
+fn each_recorded_collection_end_is_the_kept_record() {
+    for kind in CollectorKind::ALL {
+        let label = kind.label();
+        let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
+        let mut vm = build_vm_with_recorder(kind, &config_for(kind), recorder);
+        let cell = vm.site("telem::cell");
+        let d = vm.register_frame(FrameDesc::new("telem").slots(2, Trace::Pointer));
+        vm.push_frame(d);
+        let mut kept: Vec<CollectionEnd> = Vec::new();
+        for i in 0..4000i64 {
+            let before = vm.gc_stats().collections;
+            match i % 400 {
+                // A deep stack collected twice unchanged: markers get reuse.
+                0..=59 => vm.push_frame(d),
+                150 | 250 => vm.gc_now(),
+                300..=359 => vm.pop_frame(),
+                399 => vm.gc_major(),
+                _ => {}
+            }
+            let tail = if i % 3 == 0 {
+                vm.slot_ptr(0)
+            } else {
+                Addr::NULL
+            };
+            let c = vm
+                .alloc_record(cell, &[Value::Int(i), Value::Ptr(tail)])
+                .unwrap();
+            vm.set_slot(0, Value::Ptr(c));
+            let after = vm.gc_stats().collections;
+            if after != before {
+                assert_eq!(after, before + 1, "{label}: one collection per step");
+                kept.push(vm.collector().last_inspection().unwrap().clone());
+            }
+        }
+        let recorded: Vec<CollectionEnd> = RingRecorder::drain_events_from(vm.recorder_mut())
+            .expect("a RingRecorder was installed")
+            .into_iter()
+            .filter_map(|e| match e {
+                Event::CollectionEnd(end) => Some(*end),
+                _ => None,
+            })
+            .collect();
+        let markers = !matches!(kind, CollectorKind::Semispace | CollectorKind::Generational);
+        assert!(recorded.iter().any(|e| e.major), "{label}: no major");
+        assert_eq!(
+            recorded.iter().any(|e| e.frames_reused > 0),
+            markers,
+            "{label}: frames are reused exactly under markers"
+        );
+        assert!(
+            recorded.len() > 10,
+            "{label}: {} collections",
+            recorded.len()
+        );
+        assert_eq!(recorded.len(), kept.len(), "{label}");
+        for (r, k) in recorded.iter().zip(&kept) {
+            assert_eq!(r, k, "{label}: collection {}", k.collection);
+        }
     }
 }
 

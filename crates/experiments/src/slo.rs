@@ -409,7 +409,7 @@ mod tests {
                 scanned_words: 0,
                 pretenured_scanned_words: 0,
                 roots_found: 0,
-                frames_scanned: 0,
+                frames_scanned: 2,
                 frames_reused: 0,
                 slots_scanned: 0,
                 barrier_entries: 0,

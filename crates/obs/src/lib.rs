@@ -183,8 +183,11 @@ pub struct PhaseSpan {
     pub wall_ns: u64,
 }
 
-/// End-of-collection event: the collection's `GcStats` deltas, the §5
-/// reuse-depth snapshot, and cumulative histogram snapshots.
+/// A collection's one record: its `GcStats` deltas, the §5 reuse claim
+/// and its oracle bound, and cumulative histogram snapshots. A plan
+/// builds it at every collection and keeps it (`last_inspection`); a
+/// recorder gets a clone as the `collection-end` event.
+/// [`schema::check_collection_end`] holds its identities.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CollectionEnd {
     /// 1-based collection number.
@@ -193,10 +196,11 @@ pub struct CollectionEnd {
     pub major: bool,
     /// Stack depth (frames) at collection time.
     pub depth: u64,
-    /// Frames of cached scan results the collector claimed to reuse.
+    /// Frames of cached scan results the collector claimed to reuse:
+    /// `min(M, deepest intact marker)`, clamped to the cache length.
     pub claimed_prefix: u64,
-    /// The §5 reuse bound `min(M, deepest intact marker)` the claim is
-    /// checked against.
+    /// The simulation oracle's true unchanged prefix at the same
+    /// instant, the bound the claim is checked against.
     pub oracle_prefix: u64,
     /// Bytes copied by this collection.
     pub copied_bytes: u64,
@@ -226,10 +230,12 @@ pub struct CollectionEnd {
     /// Wall-clock nanoseconds for the whole collection.
     pub wall_ns: u64,
     /// Snapshot of the run-cumulative histogram of GC-processed object
-    /// sizes in bytes (copied or scanned in place).
+    /// sizes in bytes (copied or scanned in place). Kept by the
+    /// recorder's accumulator: empty when no recorder is installed, as
+    /// `depth_hist` is; every other field is exact either way.
     pub size_hist: Hist,
     /// Snapshot of the run-cumulative histogram of stack depth at
-    /// collection time.
+    /// collection time (empty without a recorder).
     pub depth_hist: Hist,
     // Inert, always 1 and empty, and never written to a line:
     // `benchmark/src/trace.rs:346–358` reads both. ROADMAP item 1
@@ -504,13 +510,15 @@ impl PhaseTimer {
     /// Ends the current section, attributing the cycles and wall time
     /// since the previous mark (or [`start`](PhaseTimer::start)) to
     /// `phase`. A phase may be marked more than once; spans accumulate.
+    /// One clock read per mark: it ends this span and starts the next,
+    /// so the spans tile the collection with no gap between them.
     pub fn mark(&mut self, phase: GcPhase, now_cycles: u64) {
-        let wall = self.last_wall.elapsed().as_nanos() as u64;
+        let now = Instant::now();
         let slot = &mut self.acc[phase.index()];
         slot.0 += now_cycles.saturating_sub(self.last_cycles);
-        slot.1 += wall;
+        slot.1 += now.duration_since(self.last_wall).as_nanos() as u64;
         self.last_cycles = now_cycles;
-        self.last_wall = Instant::now();
+        self.last_wall = now;
     }
 
     /// Emits the accumulated spans for `collection` in canonical phase

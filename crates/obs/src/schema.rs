@@ -7,19 +7,51 @@
 //! stream that was never rendered ([`check_stream`]). Used by
 //! `experiments gc-log --validate`, `slo-report --validate` and CI.
 
-use crate::{jsonl, Event};
+use crate::{jsonl, CollectionEnd, Event};
 
-/// Checks the identities one event must satisfy on its own: a reuse
-/// claim within the §5 oracle bound, first survivals within the copies,
-/// and census rows that fit their reservation.
+/// Checks the identities one collection's record holds on its own:
+///
+/// * **reuse bound (§5)** — the claimed cached prefix never exceeds the
+///   simulation oracle's true unchanged prefix, the `min(M, deepest
+///   intact marker)` bound;
+/// * **frame accounting** — frames scanned plus frames reused equals the
+///   stack depth at the collection point;
+/// * **copy/scan accounting** — every copied word was Cheney-scanned
+///   (the scan cursor starts at the pre-collection frontier), so
+///   `scanned_words × 8 ≥ copied_bytes`.
+///
+/// The one statement of them: [`check_event`] runs it on a replayed or
+/// live stream, and `tilgc-core`'s verifier on the record a plan keeps.
+pub fn check_collection_end(e: &CollectionEnd) -> Result<(), String> {
+    let c = e.collection;
+    if e.claimed_prefix > e.oracle_prefix {
+        return Err(format!(
+            "reuse bound violated at collection {c}: claimed prefix {} exceeds oracle prefix {}",
+            e.claimed_prefix, e.oracle_prefix
+        ));
+    }
+    if e.frames_scanned + e.frames_reused != e.depth {
+        return Err(format!(
+            "frame accounting broken at collection {c}: {} scanned + {} reused != depth {}",
+            e.frames_scanned, e.frames_reused, e.depth
+        ));
+    }
+    if e.scanned_words * 8 < e.copied_bytes {
+        return Err(format!(
+            "copy/scan accounting broken at collection {c}: {} words scanned < {} bytes copied",
+            e.scanned_words, e.copied_bytes
+        ));
+    }
+    Ok(())
+}
+
+/// Checks the identities one event must satisfy on its own: a
+/// collection's record identities ([`check_collection_end`]), first
+/// survivals within the copies, and census rows that fit their
+/// reservation.
 pub fn check_event(event: &Event) -> Result<(), String> {
     match event {
-        Event::CollectionEnd(e) if e.claimed_prefix > e.oracle_prefix => {
-            return Err(format!(
-                "claimed_prefix {} exceeds oracle bound {}",
-                e.claimed_prefix, e.oracle_prefix
-            ));
-        }
+        Event::CollectionEnd(e) => check_collection_end(e)?,
         Event::SiteSample(s) if s.survived > s.copied_objects => {
             return Err(format!(
                 "survived {} exceeds copied_objects {}",
@@ -316,8 +348,20 @@ mod tests {
                 r#"{"type":"collection-begin","collection":1,"plan":"semispace","reason":"forced","major":false,"depth":0,"start_cycles":0,"ttsp_cycles":0}"#,
             ),
             (
+                "reuse bound violated at collection 1: claimed prefix 2 exceeds oracle prefix 1",
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":3,"claimed_prefix":2,"oracle_prefix":1,"copied_bytes":0,"scanned_words":0,"frames_scanned":1,"frames_reused":2,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+            ),
+            (
+                "frame accounting broken at collection 1: 1 scanned + 1 reused != depth 3",
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":3,"claimed_prefix":1,"oracle_prefix":1,"copied_bytes":0,"scanned_words":0,"frames_scanned":1,"frames_reused":1,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+            ),
+            (
+                "copy/scan accounting broken at collection 1: 7 words scanned < 64 bytes copied",
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":7,"frames_scanned":0,"frames_reused":0,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+            ),
+            (
                 "collection-end: unknown field \"workers\"",
-                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":0,"pretenured_scanned_words":0,"roots_found":0,"frames_scanned":0,"frames_reused":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"workers":2,"worker_copied_bytes":[48,16]}"#,
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":8,"pretenured_scanned_words":0,"roots_found":0,"frames_scanned":0,"frames_reused":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"workers":2,"worker_copied_bytes":[48,16]}"#,
             ),
         ];
         for (why, line) in bad {

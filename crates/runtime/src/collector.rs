@@ -11,8 +11,15 @@
 //! cannot serve goes through the door, [`Collector::alloc`], where the
 //! collector places it itself — scanning the mutator state for roots,
 //! relocating live data and retrying when space has run out.
+//!
+//! Each collection leaves one record behind, a
+//! [`CollectionEnd`](tilgc_obs::CollectionEnd) the collector builds
+//! whether or not anyone records it and keeps until the next one
+//! ([`Collector::last_inspection`]); a recorder, when one is installed,
+//! gets a clone as its `collection-end` event.
 
 use tilgc_mem::{Addr, GcError, Header, Memory, ObjectKind, SiteId};
+use tilgc_obs::CollectionEnd;
 
 use crate::mutator::MutatorState;
 use crate::profile_data::HeapProfile;
@@ -150,54 +157,6 @@ impl AllocShape {
     }
 }
 
-/// A post-collection inspection record: what the most recent collection
-/// *claims* it did, in a form an external oracle can cross-check.
-///
-/// Cumulative [`GcStats`] cannot be checked per collection — deltas from
-/// different collections blur together. Collectors therefore record the
-/// per-collection deltas (plus the scan's prefix-reuse claim) here at the
-/// end of every collection, and a verifier such as `tilgc-core`'s
-/// `verify_collection` holds them against the shadow-tag oracle: the
-/// claimed reuse prefix must stay under the simulation oracle, every
-/// copied word must have been Cheney-scanned, and the reachable bytes an
-/// independent graph walk finds must fit the claimed live size.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct CollectionInspection {
-    /// Value of [`GcStats::collections`] after this collection (1-based).
-    pub collection: u64,
-    /// Whether the whole heap was collected (a semispace or major
-    /// collection) rather than the nursery alone.
-    pub was_major: bool,
-    /// Stack depth (frames) at the collection point.
-    pub depth_at_gc: u64,
-    /// Live bytes the collector accounted for at the end of the
-    /// collection ([`GcStats::last_live_bytes`] at that instant).
-    pub live_bytes_after: u64,
-    /// Whether `live_bytes_after` covers *every* space a live object can
-    /// inhabit. A §7.2 tenure-threshold minor copies survivors back into
-    /// the nursery system without counting them, so its record sets this
-    /// false and byte-level cross-checks are skipped.
-    pub live_accounting_complete: bool,
-    /// Bytes copied by this collection alone.
-    pub copied_bytes: u64,
-    /// Words Cheney-scanned by this collection alone.
-    pub scanned_words: u64,
-    /// Words scanned in place in pretenured regions by this collection.
-    pub pretenured_scanned_words: u64,
-    /// Root locations processed by this collection.
-    pub roots_found: u64,
-    /// Frames decoded from scratch by this collection's stack scan.
-    pub frames_scanned: u64,
-    /// Frames whose cached decode was reused (§5).
-    pub frames_reused: u64,
-    /// The cached-prefix claim the scan acted on:
-    /// `min(M, deepest intact marker)`, clamped to the cache length.
-    pub claimed_prefix: u64,
-    /// The simulation oracle's true unchanged prefix at the same instant,
-    /// captured *before* marker placement reset the bookkeeping.
-    pub oracle_prefix: u64,
-}
-
 /// Why a collection was requested.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum CollectReason {
@@ -208,6 +167,17 @@ pub enum CollectReason {
     /// The embedder forced a *major* collection (meaningful for
     /// generational collectors; others treat it as `Forced`).
     ForcedMajor,
+}
+
+impl CollectReason {
+    /// The trigger's wire name, as a `collection-begin` event carries it.
+    pub fn as_str(self) -> &'static str {
+        match self {
+            CollectReason::Forced => "forced",
+            CollectReason::ForcedMajor => "forced-major",
+            CollectReason::AllocFailure => "alloc-failure",
+        }
+    }
 }
 
 /// A garbage collector over a [`Memory`] the [`Vm`](crate::Vm) owns.
@@ -269,15 +239,19 @@ pub trait Collector {
     /// [`finish`](Collector::finish).
     fn take_profile(&mut self) -> Option<HeapProfile>;
 
-    /// The [`CollectionInspection`] record of the most recent collection,
-    /// or `None` if no collection has happened yet.
+    /// The record of the most recent collection — the same
+    /// [`CollectionEnd`] a recorder, when one is installed, is handed a
+    /// copy of — or `None` if no collection has happened yet. It is what
+    /// the collection *claims* it did, per collection (cumulative
+    /// [`GcStats`] blur collections together), for an oracle such as
+    /// `tilgc-core`'s `verify_collection` to hold against the heap.
     ///
     /// Not defaulted, for the same anti-drift reason as
     /// [`finish`](Collector::finish): a defaulted `None` would let a
     /// collector silently opt out of post-collection verification, which
     /// is exactly the accounting the differential torture harness exists
     /// to keep honest.
-    fn last_inspection(&self) -> Option<&CollectionInspection>;
+    fn last_inspection(&self) -> Option<&CollectionEnd>;
 }
 
 #[cfg(test)]

@@ -44,7 +44,7 @@ mod value;
 mod vm;
 
 pub use barrier::{BarrierEntry, WriteBarrier};
-pub use collector::{AllocShape, CollectReason, CollectionInspection, Collector, Operand};
+pub use collector::{AllocShape, CollectReason, Collector, Operand};
 pub use cost::CostModel;
 pub use driver::{OpDriver, StepOutcome, VmOp};
 pub use handlers::HandlerChain;
@@ -64,4 +64,4 @@ pub use vm::{HeapOverflow, RaiseOutcome, Vm, VmExit};
 // Telemetry: the recorder lives in `MutatorState` so collectors can emit
 // events; re-exported here so callers need not depend on `tilgc-obs`
 // directly for the common cases.
-pub use tilgc_obs::{Event, GcPhase, NullRecorder, Recorder, RingRecorder};
+pub use tilgc_obs::{CollectionEnd, Event, GcPhase, NullRecorder, Recorder, RingRecorder};

@@ -100,7 +100,7 @@ impl Collector for BumpCollector {
         None
     }
 
-    fn last_inspection(&self) -> Option<&tilgc_runtime::CollectionInspection> {
+    fn last_inspection(&self) -> Option<&tilgc_runtime::CollectionEnd> {
         None
     }
 }

@@ -5,9 +5,10 @@
 //!
 //! * any lane whose collection counter advanced is verified — the
 //!   shadow-tag graph walk ([`verify_collection`]) checks every reachable
-//!   pointer and cross-checks the plan's [`CollectionInspection`] record
-//!   (reuse bound, frame accounting, copy/scan accounting, live-size
-//!   bound);
+//!   pointer and cross-checks the plan's record of the collection, its
+//!   [`CollectionEnd`] (reuse bound, frame accounting, copy/scan
+//!   accounting, live-size bound — the last on every collection, §7.2
+//!   aging minors included);
 //! * periodically (and always after a collection, and at program end)
 //!   the mutator-visible reachable graph of every lane is canonicalized
 //!   ([`vm_snapshot`]) and diffed against the first lane's.
@@ -22,7 +23,7 @@
 //! seed, the op index and the trace; [`run_seed`] then minimizes the
 //! trace with the greedy deletion shrinker before reporting.
 //!
-//! [`CollectionInspection`]: tilgc_runtime::CollectionInspection
+//! [`CollectionEnd`]: tilgc_runtime::CollectionEnd
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -47,7 +48,7 @@ pub enum Fault {
     /// objects — the shadow-tag oracle or the cross-plan diff must trip.
     DropBarrier,
     /// Corrupt the copied-bytes accounting of each collection's
-    /// inspection record before cross-checking it — the copy/scan
+    /// record before cross-checking it — the copy/scan
     /// accounting invariant must trip.
     SkewCopied,
     /// Force allocation attempts to fail at a seed-derived op index (two
@@ -451,7 +452,7 @@ fn skewed_accounting_check(
     ops: &[VmOp],
 ) -> Option<Divergence> {
     let insp = lane.vm.collector().last_inspection()?;
-    let mut bad = *insp;
+    let mut bad = insp.clone();
     bad.copied_bytes = bad.scanned_words * WORD_BYTES as u64 + WORD_BYTES as u64;
     let report = verify_vm(&lane.vm);
     match catch_unwind(AssertUnwindSafe(|| check_inspection(&report, &bad, slack))) {

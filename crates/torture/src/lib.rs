@@ -4,7 +4,8 @@
 //! [`driver`](tilgc_runtime::driver)) are executed in lockstep against
 //! every collector plan the paper compares. After each collection the
 //! shadow-tag heap oracle verifies the reachable graph and cross-checks
-//! the plan's own accounting ([`CollectionInspection`]); between ops the
+//! the plan's own record of the collection ([`CollectionEnd`], the one a
+//! recorder would get); between ops the
 //! mutator-visible heap contents of all plans are diffed. Failures are
 //! minimized by greedy op deletion and reported with the seed, op index
 //! and reproducing trace.
@@ -15,7 +16,7 @@
 //!   for wide sweeps — see `--help`;
 //! * fixed-seed smoke tests in `tests/smoke.rs` that run on every PR.
 //!
-//! [`CollectionInspection`]: tilgc_runtime::CollectionInspection
+//! [`CollectionEnd`]: tilgc_runtime::CollectionEnd
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -23,7 +23,7 @@ use tilgc::core::{
 };
 use tilgc::mem::{Addr, GcError, Memory, ObjectKind, SiteId, MAX_RECORD_FIELDS};
 use tilgc::runtime::{
-    AllocShape, CollectReason, CollectionInspection, Collector, FrameDesc, GcStats, HeapOverflow,
+    AllocShape, CollectReason, CollectionEnd, Collector, FrameDesc, GcStats, HeapOverflow,
     HeapProfile, MutatorState, MutatorStats, RaiseOutcome, RingRecorder, Trace, Value, Vm,
 };
 use tilgc_obs::jsonl;
@@ -335,7 +335,7 @@ impl Collector for CountingDoor {
     fn take_profile(&mut self) -> Option<HeapProfile> {
         self.plan.take_profile()
     }
-    fn last_inspection(&self) -> Option<&CollectionInspection> {
+    fn last_inspection(&self) -> Option<&CollectionEnd> {
         self.plan.last_inspection()
     }
 }

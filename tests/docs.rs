@@ -361,10 +361,10 @@ fn sample_events() -> Vec<Event> {
             claimed_prefix: 0,
             oracle_prefix: 0,
             copied_bytes: 2,
-            scanned_words: 0,
+            scanned_words: 1,
             pretenured_scanned_words: 0,
             roots_found: 0,
-            frames_scanned: 0,
+            frames_scanned: 1,
             frames_reused: 0,
             slots_scanned: 0,
             barrier_entries: 0,

@@ -4,7 +4,8 @@
 
 use proptest::prelude::*;
 use tilgc::core::{
-    build_vm, verify_vm, vm_snapshot, CollectorKind, GcConfig, MarkerPolicy, PretenurePolicy,
+    build_vm, verify_collection, verify_vm, vm_snapshot, CollectorKind, GcConfig, MarkerPolicy,
+    PretenurePolicy,
 };
 use tilgc::mem::ObjectKind;
 use tilgc::runtime::{FrameDesc, RaiseOutcome, Trace, Value, Vm};
@@ -74,11 +75,12 @@ fn interpret(kind: CollectorKind, config: &GcConfig, ops: &[Op]) -> Vec<u64> {
 /// [`interpret`] twice: once with the mutator's shadow-tag check on, so
 /// every stack scan takes the per-slot reference decode and is checked
 /// against the shadows, and once with it off, so static frames take the
-/// slot-list fast path as in release builds. Both runs must end in the
-/// same graph; returns it.
+/// slot-list fast path as in release builds. Both runs verify every
+/// collection ([`verify_each_collection`]) and must end in the same
+/// graph; returns it.
 fn interpret_both_decodes(kind: CollectorKind, config: &GcConfig, ops: &[Op]) -> Vec<u64> {
-    let checked = interpret_with(kind, config, ops, Some(true), |_| {});
-    let fast = interpret_with(kind, config, ops, Some(false), |_| {});
+    let checked = interpret_with(kind, config, ops, Some(true), verify_each_collection());
+    let fast = interpret_with(kind, config, ops, Some(false), verify_each_collection());
     assert_eq!(
         fast,
         checked,
@@ -208,6 +210,23 @@ fn interpret_with(
     }
     verify_vm(&vm);
     vm_snapshot(&vm)
+}
+
+/// An after-op check: when the op ran a collection, the heap and that
+/// collection's record pass `verify_collection` — the record's own
+/// identities and the live bound. The slack is the op's allocation: an
+/// op allocates at most once, and a collection it triggers runs before
+/// the object is made.
+fn verify_each_collection() -> impl FnMut(&Vm) {
+    // (collections, bytes allocated) after the previous op.
+    let mut seen = (0, 0);
+    move |vm| {
+        let now = (vm.gc_stats().collections, vm.mutator_stats().alloc_bytes);
+        if now.0 != seen.0 {
+            verify_collection(vm, now.1 - seen.1);
+        }
+        seen = now;
+    }
 }
 
 /// The paper's reuse bound: the cached-scan prefix claimed by the markers
