@@ -23,98 +23,109 @@ fn op_strategy() -> impl Strategy<Value = LosOp> {
 }
 
 proptest! {
-    /// Invariants under arbitrary schedules:
-    /// * live accounting equals the sum of retained block sizes;
-    /// * no two live blocks overlap;
-    /// * after a sweep, the freed capacity is reusable (a max-size
-    ///   allocation fits whenever the model says it should).
+    /// Arbitrary allocate / retain / sweep schedules keep the space and
+    /// its model in step ([`check_against_model`]).
     #[test]
     fn los_matches_a_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..120)
     ) {
-        let total_words = 4096usize;
-        let mut mem = Memory::with_capacity_words(total_words + 8);
-        let mut los = LargeObjectSpace::new(mem.reserve(total_words).expect("reserve"));
-        // The model: retained blocks as (addr, words).
-        let mut retained: Vec<(Addr, usize)> = Vec::new();
-        let mut transient: Vec<Addr> = Vec::new();
-        let mut live_words = 0usize;
+        check_against_model(ops);
+    }
+}
 
-        for op in ops {
-            match op {
-                LosOp::Alloc { n, keep } => {
-                    let words = 1 + (n as usize) % 96;
-                    match los.alloc(words) {
-                        Some(addr) => {
-                            // No overlap with any retained block.
-                            for &(a, w) in &retained {
-                                let disjoint =
-                                    addr + words <= a || a + w <= addr;
-                                prop_assert!(disjoint, "overlap: {addr}+{words} vs {a}+{w}");
-                            }
-                            if keep {
-                                retained.push((addr, words));
-                                live_words += words;
-                            } else {
-                                transient.push(addr);
-                            }
-                            prop_assert!(los.contains(addr));
+/// A once-failing schedule: one transient block, then only the final
+/// collection.
+#[test]
+fn lone_transient_block_is_swept_and_coalesced() {
+    check_against_model(vec![LosOp::Alloc { n: 0, keep: false }]);
+}
+
+/// Runs `ops` against a 4096-word space and a model of it, checking:
+/// * live accounting equals the sum of retained block sizes;
+/// * no two live blocks overlap;
+/// * after the final sweep, the hole above the highest retained block
+///   (the whole space when nothing is retained) is one allocatable block.
+fn check_against_model(ops: Vec<LosOp>) {
+    let total_words = 4096usize;
+    let mut mem = Memory::with_capacity_words(total_words + 8);
+    let range = mem.reserve(total_words).expect("reserve");
+    let mut los = LargeObjectSpace::new(range);
+    // The model: retained blocks as (addr, words).
+    let mut retained: Vec<(Addr, usize)> = Vec::new();
+    let mut transient: Vec<Addr> = Vec::new();
+    let mut live_words = 0usize;
+
+    for op in ops {
+        match op {
+            LosOp::Alloc { n, keep } => {
+                let words = 1 + (n as usize) % 96;
+                match los.alloc(words) {
+                    Some(addr) => {
+                        // No overlap with any retained block.
+                        for &(a, w) in &retained {
+                            let disjoint = addr + words <= a || a + w <= addr;
+                            prop_assert!(disjoint, "overlap: {addr}+{words} vs {a}+{w}");
                         }
-                        None => {
-                            // Failure is only legitimate when the space is
-                            // genuinely fragmented/full: the retained +
-                            // transient footprint plus the request must
-                            // exceed capacity OR no free block fits. We
-                            // check a weaker sound bound: live data alone
-                            // never explains a failure unless the request
-                            // cannot fit next to it.
-                            prop_assert!(
-                                los.used_words() + words > total_words
-                                    || words <= total_words,
-                            );
+                        if keep {
+                            retained.push((addr, words));
+                            live_words += words;
+                        } else {
+                            transient.push(addr);
                         }
+                        prop_assert!(los.contains(addr));
                     }
-                }
-                LosOp::Collect => {
-                    los.begin_marking(&mut mem);
-                    for &(a, _) in &retained {
-                        los.mark(&mut mem, a);
-                    }
-                    let swept = los.sweep(&mem);
-                    // Exactly the transient objects die.
-                    prop_assert_eq!(swept.len(), transient.len());
-                    for a in &transient {
-                        prop_assert!(swept.contains(a));
-                        prop_assert!(!los.contains(*a));
-                    }
-                    transient.clear();
-                    prop_assert_eq!(los.used_words(), live_words);
-                    prop_assert_eq!(los.object_count(), retained.len());
-                    for &(a, _) in &retained {
-                        prop_assert!(los.contains(a));
+                    None => {
+                        // Failure is only legitimate when the space is
+                        // genuinely fragmented/full: the retained +
+                        // transient footprint plus the request must
+                        // exceed capacity OR no free block fits. We
+                        // check a weaker sound bound: live data alone
+                        // never explains a failure unless the request
+                        // cannot fit next to it.
+                        prop_assert!(
+                            los.used_words() + words > total_words || words <= total_words,
+                        );
                     }
                 }
             }
-        }
-
-        // Final collection, then the largest hole must be allocatable:
-        // with everything transient swept and coalescing in effect, a
-        // block of (capacity - live) words fits iff the retained blocks
-        // leave a contiguous hole that big; at minimum, the tail hole
-        // after the highest retained block must be allocatable.
-        los.begin_marking(&mut mem);
-        for &(a, _) in &retained {
-            los.mark(&mut mem, a);
-        }
-        los.sweep(&mem);
-        let tail_start = retained
-            .iter()
-            .map(|&(a, w)| a + w)
-            .max()
-            .unwrap_or(Addr::NULL);
-        let _ = tail_start;
-        if live_words == 0 {
-            prop_assert!(los.alloc(total_words).is_some(), "empty space must coalesce fully");
+            LosOp::Collect => {
+                los.begin_marking(&mut mem);
+                for &(a, _) in &retained {
+                    los.mark(&mut mem, a);
+                }
+                let swept = los.sweep(&mem);
+                // Exactly the transient objects die.
+                prop_assert_eq!(swept.len(), transient.len());
+                for a in &transient {
+                    prop_assert!(swept.contains(a));
+                    prop_assert!(!los.contains(*a));
+                }
+                transient.clear();
+                prop_assert_eq!(los.used_words(), live_words);
+                prop_assert_eq!(los.object_count(), retained.len());
+                for &(a, _) in &retained {
+                    prop_assert!(los.contains(a));
+                }
+            }
         }
     }
+
+    // Final collection: with everything transient swept and adjacent
+    // frees coalesced, the hole from the highest retained block to the
+    // end of the space is one free block.
+    los.begin_marking(&mut mem);
+    for &(a, _) in &retained {
+        los.mark(&mut mem, a);
+    }
+    los.sweep(&mem);
+    let tail_start = retained
+        .iter()
+        .map(|&(a, w)| a + w)
+        .max()
+        .unwrap_or(range.start);
+    let hole = range.end - tail_start;
+    prop_assert!(
+        los.alloc(hole).is_some(),
+        "the {hole}-word hole above the highest retained block must coalesce fully"
+    );
 }

@@ -55,7 +55,7 @@ pub const RAW_SITES: usize = 3;
 pub const PTR_FREE_REC_INDEX: usize = REC_SITES - 1;
 /// Maximum stack depth the driver grows to — several marker intervals.
 pub const MAX_DEPTH: usize = 200;
-/// Maximum live handlers (mirrors the property-test discipline).
+/// Maximum live handlers: a [`VmOp::PushHandler`] beyond it is a no-op.
 pub const MAX_HANDLERS: usize = 16;
 
 /// The two registers the driver pins as pointer-holding: the base frame

@@ -31,7 +31,10 @@ use tilgc_obs::jsonl;
 const SLOTS: usize = 6;
 
 /// One step of a random mutator program. Slot and field indices are
-/// taken modulo what exists, so every program is well-formed.
+/// taken modulo what exists, so every program is well-formed. Not the
+/// runtime driver's `VmOp` on purpose: the window's edges need records
+/// of up to `MAX_RECORD_FIELDS` fields with any pointer mask and arrays
+/// on both sides of the large-object threshold, and `VmOp` makes none.
 #[derive(Debug, Clone)]
 enum Op {
     /// A record of `arity % (MAX_RECORD_FIELDS + 1)` fields; field `i` is
