@@ -8,23 +8,30 @@
 //! objects are treated. The driver's gray set has two representations,
 //! one for objects that move and one for objects that do not:
 //!
-//! * **Cheney scan cursors** for the moving spaces (`to` and the survivor
-//!   space): a freshly copied object *is* its own queue entry, scanned
-//!   when the cursor reaches it (the classic two-finger scan);
+//! * **gray FIFOs** for the moving spaces (`to` and the survivor space):
+//!   a copy that has a pointer field is queued on its space's FIFO when
+//!   it is made; a pointer-free copy is never queued, only its words
+//!   counted, so the closure never reads it again;
 //! * an explicit [`ObjectQueue`] for objects traced **without moving** —
 //!   marked large objects, and anything a plan feeds through
 //!   [`scan_in_place`](Evacuator::scan_in_place) recursively discovers.
 //!
-//! [`drain`](Evacuator::drain) interleaves the two until nothing gray
-//! remains. Root feeding is shared too:
+//! [`drain`](Evacuator::drain) interleaves them until nothing gray
+//! remains, in the order a Cheney scan of the two spaces would: all of
+//! to-space first, then one survivor object, then one large object.
+//! Every field scan goes through one batch kernel: gather the pointer
+//! fields of up to [`BATCH_EDGES`] edges, load every from-space child's
+//! header in one sweep (independent loads, so their cache misses
+//! overlap), then forward the edges in order. Root feeding is shared too:
 //! [`forward_roots`](Evacuator::forward_roots) relocates every root a
 //! stack scan produced — stack words named by index in one slice, then
 //! registers and allocation-buffer entries by mask — and charges the
 //! paper's per-root costs, identically for every plan.
 
+use std::collections::VecDeque;
+
 use tilgc_mem::{
-    object, Addr, Header, Memory, ObjectKind, SideBitmap, Space, SpaceRange, MAX_RECORD_FIELDS,
-    POISON,
+    object, Addr, Header, Memory, ObjectKind, SideBitmap, SiteId, Space, SpaceRange, POISON,
 };
 use tilgc_obs::TelemetryAcc;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState, Reg};
@@ -45,7 +52,7 @@ fn set_bits(mut mask: u64) -> impl Iterator<Item = usize> {
 
 /// The explicit half of the driver's gray set: objects that will be
 /// traced in place (large objects, pretenured regions) rather than
-/// discovered by a Cheney scan cursor.
+/// queued on a gray FIFO when copied.
 #[derive(Debug, Default)]
 pub struct ObjectQueue {
     pending: Vec<Addr>,
@@ -60,6 +67,54 @@ impl ObjectQueue {
     /// Takes the next gray object, LIFO.
     pub fn pop(&mut self) -> Option<Addr> {
         self.pending.pop()
+    }
+}
+
+/// The most edges one batch of the field-scan kernel gathers before its
+/// header sweep. A pointer array with more elements is scanned in chunks
+/// of this many.
+const BATCH_EDGES: usize = 256;
+
+/// The to-space FIFO's starting capacity: about the widest gray frontier
+/// of a minor collection of the paper's programs, so such a collection
+/// allocates its FIFO once instead of growing it while the roots are
+/// forwarded.
+const TO_GRAY_START: usize = 1024;
+
+/// One pointer field gathered into a batch.
+#[derive(Clone, Copy, Debug)]
+struct Edge {
+    /// Where the pointer is stored.
+    loc: Addr,
+    /// The pointer as gathered; never null.
+    child: Addr,
+    /// What the header sweep found: the child's copy if the child was
+    /// already forwarded, null if it is a from-space object not yet
+    /// copied, the child itself if it lies outside from-space.
+    fwd: Addr,
+}
+
+/// A gray object whose edges a batch holds: what the per-owner
+/// bookkeeping of those edges needs.
+#[derive(Clone, Copy, Debug)]
+struct Owner {
+    addr: Addr,
+    site: SiteId,
+    /// Whether a survivor-space child puts `addr` in the §7.2 remembered
+    /// set: the owner is old, and no earlier chunk of it already did.
+    remembers: bool,
+    /// One past the owner's last edge in the batch.
+    end: usize,
+}
+
+/// Whether an object of header `h` has a pointer field: a record with a
+/// nonzero mask, or a non-empty pointer array.
+#[inline]
+fn has_pointer_field(h: Header) -> bool {
+    match h.kind() {
+        ObjectKind::Record => h.ptr_mask() != 0,
+        ObjectKind::PtrArray => !h.is_empty(),
+        ObjectKind::RawArray => false,
     }
 }
 
@@ -136,13 +191,22 @@ pub struct Evacuator<'a> {
     /// histogram. Host-side only — never charged simulated cycles.
     telem: Option<&'a mut TelemetryAcc>,
     cost: CostModel,
-    scan: Addr,
     /// Optional aging destination (§7.2 tenure-threshold variant):
     /// from-space objects younger than `tenure_age` are copied here
     /// instead of into `to`.
     survivor: Option<&'a mut Space>,
-    survivor_scan: Addr,
     tenure_age: u8,
+    /// The moving half of the gray set: copies into to-space that have
+    /// a pointer field, in copy order.
+    to_gray: VecDeque<Addr>,
+    /// Copies into the survivor space that have a pointer field.
+    survivor_gray: VecDeque<Addr>,
+    /// The batch the field-scan kernel is gathering, and its owners.
+    edges: Vec<Edge>,
+    owners: Vec<Owner>,
+    /// Words of the pointer-free copies made so far, which no FIFO
+    /// holds: [`drain`](Self::drain) charges them as scanned.
+    unqueued_words: u64,
     queue: ObjectQueue,
     /// Old-generation objects observed (during this collection) to hold
     /// a reference into the survivor space. With a tenure threshold,
@@ -172,7 +236,6 @@ impl<'a> Evacuator<'a> {
         stats: &'a mut GcStats,
         cost: CostModel,
     ) -> Evacuator<'a> {
-        let scan = to.frontier();
         Evacuator {
             mem,
             from: FromSet::new(from),
@@ -183,10 +246,13 @@ impl<'a> Evacuator<'a> {
             stats,
             telem: None,
             cost,
-            scan,
             survivor: None,
-            survivor_scan: Addr::NULL,
             tenure_age: 0,
+            to_gray: VecDeque::with_capacity(TO_GRAY_START),
+            survivor_gray: VecDeque::new(),
+            edges: Vec::with_capacity(BATCH_EDGES),
+            owners: Vec::with_capacity(BATCH_EDGES),
+            unqueued_words: 0,
             queue: ObjectQueue::default(),
             young_owner_refs: Vec::new(),
             young_field_locs: Vec::new(),
@@ -198,7 +264,6 @@ impl<'a> Evacuator<'a> {
     /// tenure-threshold discipline ("counter bits within each object
     /// record the number of minor collections the object has survived").
     pub fn set_survivor(&mut self, survivor: &'a mut Space, tenure_age: u8) {
-        self.survivor_scan = survivor.frontier();
         self.survivor = Some(survivor);
         self.tenure_age = tenure_age;
     }
@@ -264,7 +329,8 @@ impl<'a> Evacuator<'a> {
         addr
     }
 
-    /// The from-space object at `addr`: its copy, made on first contact.
+    /// The from-space object at `addr`: its copy, made on first contact
+    /// and queued gray on its space's FIFO if it has a pointer field.
     #[inline(never)]
     fn evacuate(&mut self, addr: Addr) -> Addr {
         let h = object::header(self.mem, addr);
@@ -274,13 +340,20 @@ impl<'a> Evacuator<'a> {
         let words = h.size_words();
         let new_age = h.age().saturating_add(1);
         let site = h.site();
-        let dest = match self.survivor.as_deref_mut() {
-            Some(survivor) if new_age < self.tenure_age && survivor.fits(words) => survivor,
-            _ => &mut *self.to,
+        let (dest, fifo) = match self.survivor.as_deref_mut() {
+            Some(survivor) if new_age < self.tenure_age && survivor.fits(words) => {
+                (survivor, &mut self.survivor_gray)
+            }
+            _ => (&mut *self.to, &mut self.to_gray),
         };
         let new = dest
             .alloc(words)
             .unwrap_or_else(|_| panic!("to-space overflow: heap budget exhausted"));
+        if has_pointer_field(h) {
+            fifo.push_back(new);
+        } else {
+            self.unqueued_words += words as u64;
+        }
         self.mem.copy_words(addr, new, words);
         // Survivors age by one collection; the site rides in the header,
         // so it moved with the copy, and the forwarding header keeps it
@@ -381,44 +454,61 @@ impl<'a> Evacuator<'a> {
         relocated
     }
 
-    /// Runs the transitive closure to completion: the Cheney cursors
-    /// (to-space, then the survivor space) scan copied objects where they
-    /// landed, the [`ObjectQueue`] yields the objects traced in place,
-    /// and the loop ends when all three are dry.
+    /// Runs the transitive closure to completion, in the order a Cheney
+    /// scan of the moving spaces would take: the to-space FIFO until it
+    /// is dry (several objects to a batch), then one survivor object,
+    /// then one object of the [`ObjectQueue`] — each re-checking
+    /// to-space first, since its scan may have copied into it. Then the
+    /// words of the pointer-free copies, which no FIFO held, are charged
+    /// as scanned.
     pub fn drain(&mut self) {
         loop {
-            if self.scan < self.to.frontier() {
-                let addr = self.scan;
-                let h = object::header(self.mem, addr);
-                debug_assert!(!h.is_forward(), "forwarding header in to-space");
-                self.scan = addr + h.size_words();
-                self.scan_gray(addr, h);
-            } else if self
-                .survivor
-                .as_deref()
-                .is_some_and(|s| self.survivor_scan < s.frontier())
-            {
-                let addr = self.survivor_scan;
-                let h = object::header(self.mem, addr);
-                debug_assert!(!h.is_forward(), "forwarding header in survivor space");
-                self.survivor_scan = addr + h.size_words();
-                self.scan_gray(addr, h);
+            if !self.to_gray.is_empty() {
+                self.scan_to_space();
+            } else if let Some(obj) = self.survivor_gray.pop_front() {
+                self.scan_gray(obj);
             } else if let Some(obj) = self.queue.pop() {
-                let h = object::header(self.mem, obj);
-                self.scan_gray(obj, h);
+                self.scan_gray(obj);
             } else {
                 break;
             }
         }
+        let words = std::mem::take(&mut self.unqueued_words);
+        self.stats.scanned_words += words;
+        self.stats.copy_cycles += self.cost.scan_per_word * words;
     }
 
-    /// Scans one gray object of the closure: charges its words to
-    /// `scanned_words` at `scan_per_word`, then forwards its fields.
+    /// Scans the to-space FIFO until it is dry, gathering objects into a
+    /// batch until the next might overflow it (its field count bounds
+    /// its pointer fields). Copies the batch makes join the FIFO's tail,
+    /// so the objects are scanned in copy order. A to-space object is
+    /// old, so a survivor child remembers it.
+    fn scan_to_space(&mut self) {
+        while let Some(addr) = self.to_gray.pop_front() {
+            let h = self.charge_gray(addr);
+            if self.edges.len() + h.len() > BATCH_EDGES {
+                self.flush_batch();
+            }
+            self.gather(addr, h, true);
+        }
+        self.flush_batch();
+    }
+
+    /// Scans one gray object of the closure as a batch of its own.
+    fn scan_gray(&mut self, addr: Addr) {
+        let h = self.charge_gray(addr);
+        self.scan_fields(addr, h);
+    }
+
+    /// Charges the gray object at `addr`'s words to `scanned_words` at
+    /// `scan_per_word`; returns its header.
     #[inline]
-    fn scan_gray(&mut self, addr: Addr, h: Header) {
+    fn charge_gray(&mut self, addr: Addr) -> Header {
+        let h = object::header(self.mem, addr);
+        debug_assert!(!h.is_forward(), "forwarding header on a gray object");
         self.stats.scanned_words += h.size_words() as u64;
         self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
-        self.scan_fields(addr, h);
+        h
     }
 
     /// Forwards the pointer stored at memory location `loc` (a sequential
@@ -484,111 +574,153 @@ impl<'a> Evacuator<'a> {
         }
     }
 
-    /// Forwards every pointer field of the object at `addr`, dispatching
-    /// to a batched kernel per object kind. All three paths visit the same
-    /// fields in the same ascending order as the reference loop and feed
-    /// the profiler identically.
+    /// Forwards every pointer field of the object at `addr` as a batch
+    /// of one object (a long pointer array takes several).
     fn scan_fields(&mut self, addr: Addr, h: Header) {
+        debug_assert!(self.edges.is_empty(), "batch left unflushed");
+        let old = !self.from.contains(addr) && !self.in_survivor(addr);
+        self.gather(addr, h, old);
+        self.flush_batch();
+    }
+
+    /// The batch kernel's first step: appends the non-null pointer
+    /// fields of the object at `addr` to the batch as edges, in field
+    /// order; `remembers` says whether the object is old, so that a
+    /// survivor child puts it in the §7.2 remembered set. The caller
+    /// has made room for a record; a pointer array that does not fit is
+    /// read in chunks, each of which ends the batch but the last.
+    ///
+    /// Gathering a field's value before the earlier edges are forwarded
+    /// is sound because forwarding only ever writes fresh to-space or
+    /// survivor allocations and the *headers* of from-space objects —
+    /// never a payload word of a gathered object.
+    fn gather(&mut self, addr: Addr, h: Header, remembers: bool) {
+        let site = h.site();
+        let base = object::field_addr(addr, 0);
         match h.kind() {
             ObjectKind::RawArray => {}
-            ObjectKind::Record => self.scan_record(addr, h),
-            ObjectKind::PtrArray => self.scan_ptr_array(addr, h),
+            ObjectKind::Record => {
+                let fields = self.mem.words_at(base, h.len());
+                for i in set_bits(u64::from(h.ptr_mask())) {
+                    let child = Addr::new(fields[i] as u32);
+                    if !child.is_null() {
+                        self.edges.push(Edge {
+                            loc: base + i,
+                            child,
+                            fwd: Addr::NULL,
+                        });
+                    }
+                }
+                self.close_owner(addr, site, remembers);
+            }
+            ObjectKind::PtrArray => {
+                let len = h.len();
+                let mut remembers = remembers;
+                let mut start = 0;
+                loop {
+                    let n = (len - start).min(BATCH_EDGES - self.edges.len());
+                    let loc = base + start;
+                    let elems = self.mem.words_at(loc, n);
+                    for (i, &word) in elems.iter().enumerate() {
+                        let child = Addr::new(word as u32);
+                        if !child.is_null() {
+                            self.edges.push(Edge {
+                                loc: loc + i,
+                                child,
+                                fwd: Addr::NULL,
+                            });
+                        }
+                    }
+                    start += n;
+                    self.close_owner(addr, site, remembers);
+                    if start == len {
+                        break;
+                    }
+                    // A chunk that is not the array's last ends its batch,
+                    // so a batch holds one run of the array. The run is
+                    // the batch's last: if its flush remembered the array,
+                    // the array is the remembered set's last entry.
+                    self.flush_batch();
+                    remembers &= self.young_owner_refs.last() != Some(&addr);
+                }
+            }
         }
     }
 
-    /// Batched record scan: the payload is snapshotted with one bounds
-    /// check, pointer fields are found by iterating the set bits of the
-    /// header's pointer mask, and the (rarely) updated words are written
-    /// back as one slice.
-    ///
-    /// Snapshotting is sound because [`forward`](Self::forward) only ever
-    /// writes to fresh to-space/survivor allocations and to the *headers*
-    /// of from-space objects — never into the payload of the object being
-    /// scanned (objects are disjoint, and scanned objects are never in
-    /// from-space).
-    fn scan_record(&mut self, addr: Addr, h: Header) {
-        let mut mask = h.ptr_mask();
-        if mask == 0 {
-            // No pointer fields: nothing to forward, no edges to profile,
-            // and `holds_young` stays false — exactly what the reference
-            // loop concludes after decoding every field.
-            return;
-        }
-        let len = h.len();
-        let base = object::field_addr(addr, 0);
-        let mut buf = [0u64; MAX_RECORD_FIELDS];
-        let buf = &mut buf[..len];
-        buf.copy_from_slice(self.mem.words_at(base, len));
-
-        let owner_is_old = !self.from.contains(addr) && !self.in_survivor(addr);
-        let mut holds_young = false;
-        let mut changed = false;
-        while mask != 0 {
-            let i = mask.trailing_zeros() as usize;
-            mask &= mask - 1;
-            let child = Addr::new(buf[i] as u32);
-            if child.is_null() {
-                continue;
-            }
-            let new_child = self.forward(child);
-            if new_child != child {
-                buf[i] = u64::from(new_child.raw());
-                changed = true;
-            }
-            holds_young |= self.in_survivor(new_child);
-            if let Some(p) = self.profile.as_deref_mut() {
-                let child_site = self.mem.site_of(new_child);
-                p.on_edge(h.site(), child_site);
-            }
-        }
-        if changed {
-            self.mem.words_at_mut(base, len).copy_from_slice(buf);
-        }
-        if owner_is_old && holds_young {
-            self.young_owner_refs.push(addr);
+    /// Ends the edge run of the owner at `addr` in the batch (an owner
+    /// whose fields were all null adds no run).
+    #[inline]
+    fn close_owner(&mut self, addr: Addr, site: SiteId, remembers: bool) {
+        let end = self.edges.len();
+        if self.owners.last().map_or(0, |o| o.end) < end {
+            self.owners.push(Owner {
+                addr,
+                site,
+                remembers,
+                end,
+            });
         }
     }
 
-    /// Batched pointer-array scan: elements are processed in fixed-size
-    /// chunks, each snapshotted and written back as a slice (every element
-    /// of a pointer array is a pointer — no mask to consult).
-    fn scan_ptr_array(&mut self, addr: Addr, h: Header) {
-        const CHUNK: usize = 64;
-        let len = h.len();
-        let owner_is_old = !self.from.contains(addr) && !self.in_survivor(addr);
-        let mut holds_young = false;
-        let mut buf = [0u64; CHUNK];
+    /// The batch kernel's last two steps. **Sweep:** load the header of
+    /// every from-space child in one loop — the loads are independent,
+    /// so their cache misses overlap. **Forward**, in edge order: a
+    /// child the sweep found forwarded takes its copy with no call; a
+    /// from-space child it found uncopied goes to
+    /// [`evacuate`](Self::evacuate), which reads the header again, since
+    /// an earlier edge of this batch may have copied it; a child outside
+    /// from-space stays, marked if it is a large object — what
+    /// [`forward`](Self::forward) does. Per-owner bookkeeping — the §7.2
+    /// remembered set and the profiler's edge table — runs in edge
+    /// order too, so the sequence of copies is the field-by-field
+    /// loop's.
+    fn flush_batch(&mut self) {
+        let mut edges = std::mem::take(&mut self.edges);
+        let mut owners = std::mem::take(&mut self.owners);
+        let young = self.survivor.as_deref().map_or(
+            SpaceRange {
+                start: Addr::NULL,
+                end: Addr::NULL,
+            },
+            Space::range,
+        );
+        for e in edges.iter_mut() {
+            e.fwd = if self.from.contains(e.child) {
+                let h = object::header(self.mem, e.child);
+                h.forward_addr().unwrap_or(Addr::NULL)
+            } else {
+                e.child
+            };
+        }
         let mut start = 0;
-        while start < len {
-            let n = CHUNK.min(len - start);
-            let base = object::field_addr(addr, start);
-            let buf = &mut buf[..n];
-            buf.copy_from_slice(self.mem.words_at(base, n));
-            let mut changed = false;
-            for slot in buf.iter_mut() {
-                let child = Addr::new(*slot as u32);
-                if child.is_null() {
-                    continue;
+        for o in &owners {
+            let mut holds_young = false;
+            for e in &edges[start..o.end] {
+                let new_child = if e.fwd.is_null() {
+                    self.evacuate(e.child)
+                } else {
+                    if e.fwd == e.child && self.los.is_some() {
+                        self.visit_large(e.child);
+                    }
+                    e.fwd
+                };
+                if new_child != e.child {
+                    self.mem.set_word(e.loc, u64::from(new_child.raw()));
                 }
-                let new_child = self.forward(child);
-                if new_child != child {
-                    *slot = u64::from(new_child.raw());
-                    changed = true;
-                }
-                holds_young |= self.in_survivor(new_child);
+                holds_young |= young.contains(new_child);
                 if let Some(p) = self.profile.as_deref_mut() {
-                    let child_site = self.mem.site_of(new_child);
-                    p.on_edge(h.site(), child_site);
+                    p.on_edge(o.site, self.mem.site_of(new_child));
                 }
             }
-            if changed {
-                self.mem.words_at_mut(base, n).copy_from_slice(buf);
+            start = o.end;
+            if o.remembers && holds_young {
+                self.young_owner_refs.push(o.addr);
             }
-            start += n;
         }
-        if owner_is_old && holds_young {
-            self.young_owner_refs.push(addr);
-        }
+        edges.clear();
+        owners.clear();
+        self.edges = edges;
+        self.owners = owners;
     }
 }
 
@@ -672,7 +804,7 @@ pub fn poison_range(mem: &mut Memory, range: SpaceRange, upto: Addr) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilgc_mem::SiteId;
+    use tilgc_mem::MAX_RECORD_FIELDS;
     use tilgc_runtime::trace::NUM_REGS;
 
     struct Rig {
@@ -942,7 +1074,7 @@ mod tests {
         let mut survivor = Space::new(mem.reserve(256).unwrap());
         let mut stats = GcStats::default();
         // A young parent (goes to survivor space) pointing at a young
-        // child: the drain must chase through the survivor cursor.
+        // child: the drain must chase through the survivor FIFO.
         let child = object::alloc_record(&mut mem, &mut from, SiteId::new(1), &[7], 0).unwrap();
         let parent = object::alloc_record(
             &mut mem,
@@ -970,7 +1102,7 @@ mod tests {
         assert!(survivor.contains(new_parent));
         assert!(
             survivor.contains(new_child),
-            "child chased via the survivor scan cursor"
+            "child chased via the survivor FIFO"
         );
         assert_eq!(object::field(&mem, new_child, 0), 7);
     }
@@ -1062,6 +1194,47 @@ mod tests {
     /// The scalar kernels the batched ones replaced, kept as the oracles
     /// of the differential tests below.
     impl Evacuator<'_> {
+        /// The drain before the gray FIFOs: a Cheney cursor over to-space
+        /// from `scan` and one over the survivor space from
+        /// `survivor_scan`, reading every copy back and scanning it with
+        /// the scalar field loop — all of to-space first, then one
+        /// survivor object, then one large object.
+        fn drain_reference(&mut self, mut scan: Addr, mut survivor_scan: Addr) {
+            loop {
+                if scan < self.to.frontier() {
+                    let addr = scan;
+                    let h = object::header(self.mem, addr);
+                    scan = addr + h.size_words();
+                    self.scan_gray_reference(addr, h);
+                } else if self
+                    .survivor
+                    .as_deref()
+                    .is_some_and(|s| survivor_scan < s.frontier())
+                {
+                    let addr = survivor_scan;
+                    let h = object::header(self.mem, addr);
+                    survivor_scan = addr + h.size_words();
+                    self.scan_gray_reference(addr, h);
+                } else if let Some(obj) = self.queue.pop() {
+                    let h = object::header(self.mem, obj);
+                    self.scan_gray_reference(obj, h);
+                } else {
+                    break;
+                }
+            }
+            // The cursors read every copy back: what the copies fed the
+            // FIFOs and the unqueued count is not theirs to charge.
+            self.to_gray.clear();
+            self.survivor_gray.clear();
+            self.unqueued_words = 0;
+        }
+
+        fn scan_gray_reference(&mut self, addr: Addr, h: Header) {
+            self.stats.scanned_words += h.size_words() as u64;
+            self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
+            self.scan_fields_reference(addr, h);
+        }
+
         /// The pre-batching scan loop: header-decoded pointer test and
         /// one bounds-checked read/write per field.
         fn scan_fields_reference(&mut self, addr: Addr, h: Header) {
@@ -1083,6 +1256,9 @@ mod tests {
                     object::set_field(self.mem, addr, i, u64::from(new_child.raw()));
                 }
                 holds_young |= self.in_survivor(new_child);
+                if let Some(p) = self.profile.as_deref_mut() {
+                    p.on_edge(h.site(), self.mem.site_of(new_child));
+                }
             }
             if owner_is_old && holds_young {
                 self.young_owner_refs.push(addr);
@@ -1506,5 +1682,201 @@ mod tests {
         });
         assert!(slice.relocated > 20 && slice.stats.copied_bytes > 0);
         assert_eq!(slice, scalar);
+    }
+
+    /// Everything a closure leaves behind, and what the feed before it
+    /// charged.
+    #[derive(Debug, PartialEq)]
+    struct Closed {
+        traced: Traced,
+        fed: GcStats,
+        edges: Vec<(SiteId, Vec<(SiteId, u64)>)>,
+    }
+
+    /// Builds a from-space graph of 600 objects of every shape — records
+    /// of every length with pseudo-random masks (mask 0 among them, and
+    /// fields that repeat the field before, so one batch reaches a child
+    /// twice), raw arrays, empty and short pointer arrays, and one
+    /// pointer array longer than two batches — at ages 0 and 1, so under
+    /// tenure age 2 young copies go to the survivor space and their aged
+    /// children tenure back into to-space. Pointer fields reach from-space
+    /// objects, null, large objects (which point back into from-space)
+    /// and an old record; the long array, which tenures, and a large
+    /// array as long reach a survivor child in every chunk. A profiler
+    /// is installed. The feed forwards 42 roots (the two long arrays
+    /// among them) through the allocation buffer and scans two old owners in
+    /// place — through the kernels under test, or (`cursor`) through
+    /// their scalar references — and the closure is then drained by the
+    /// FIFO drain or the cursor drain.
+    fn close_graph(cursor: bool) -> Closed {
+        const CAPACITY: usize = 96 << 10;
+        let mut mem = Memory::with_capacity_words(CAPACITY);
+        let mut from = Space::new(mem.reserve(24 << 10).unwrap());
+        let mut to = Space::new(mem.reserve(24 << 10).unwrap());
+        let mut survivor = Space::new(mem.reserve(24 << 10).unwrap());
+        let mut old = Space::new(mem.reserve(1024).unwrap());
+        let mut los = LargeObjectSpace::new(mem.reserve(4096).unwrap());
+        let mut profile = HeapProfile::new();
+        let mut state = 0x2545_f491u32;
+        let mut rng = move |n: u32| {
+            state ^= state << 13;
+            state ^= state >> 17;
+            state ^= state << 5;
+            state % n
+        };
+        let word = |a: Addr| u64::from(a.raw());
+
+        let mut objs = Vec::new();
+        for i in 0..600u32 {
+            let site = SiteId::new(1 + (i % 7) as u16);
+            let a = match rng(10) {
+                _ if i == 300 => {
+                    object::alloc_ptr_array(&mut mem, &mut from, site, 600, Addr::NULL)
+                }
+                0 => object::alloc_raw_array(&mut mem, &mut from, site, 8 + rng(40) as usize),
+                1 => object::alloc_ptr_array(&mut mem, &mut from, site, 0, Addr::NULL),
+                2 => object::alloc_ptr_array(
+                    &mut mem,
+                    &mut from,
+                    site,
+                    1 + rng(30) as usize,
+                    Addr::NULL,
+                ),
+                3 => object::alloc_record(&mut mem, &mut from, site, &[7, 8], 0),
+                _ => {
+                    let len = 1 + rng(MAX_RECORD_FIELDS as u32) as usize;
+                    let mask = rng(1 << len);
+                    object::alloc_record(&mut mem, &mut from, site, &vec![9; len], mask)
+                }
+            }
+            .unwrap();
+            let age = if i == 300 { 1 } else { rng(2) as u8 };
+            let h = object::header(&mem, a).with_age(age);
+            object::set_header(&mut mem, a, h);
+            profile.on_alloc(a, site, object::header(&mem, a).size_bytes());
+            objs.push(a);
+        }
+        let bigs: Vec<Addr> = (0..3)
+            .map(|_| {
+                let big = los.alloc(41).unwrap();
+                let h = Header::ptr_array(40).unwrap().with_site(SiteId::new(9));
+                object::set_header(&mut mem, big, h);
+                big
+            })
+            .collect();
+        let long_big = los.alloc(601).unwrap();
+        let h = Header::ptr_array(600).unwrap().with_site(SiteId::new(9));
+        object::set_header(&mut mem, long_big, h);
+        let elder = object::alloc_record(&mut mem, &mut old, SiteId::new(8), &[5], 0).unwrap();
+        let pick = |rng: &mut dyn FnMut(u32) -> u32| match rng(20) {
+            0 => Addr::NULL,
+            1 => bigs[rng(3) as usize],
+            2 => elder,
+            _ => objs[rng(600) as usize],
+        };
+        let mut owners = Vec::new();
+        for &a in objs.iter().chain(&bigs).chain([&long_big]) {
+            let h = object::header(&mem, a);
+            let mut prev = Addr::NULL;
+            for i in (0..h.len()).filter(|&i| h.field_is_pointer(i)) {
+                let child = if !prev.is_null() && rng(4) == 0 {
+                    prev
+                } else {
+                    pick(&mut rng)
+                };
+                object::set_field(&mut mem, a, i, word(child));
+                prev = child;
+            }
+        }
+        // The two long arrays are old owners — one tenures into to-space,
+        // one is large — with nulls in their first chunk, so a chunk ends
+        // short of a full batch, and a survivor child in every chunk.
+        let young: Vec<Addr> = objs
+            .iter()
+            .copied()
+            .filter(|&a| object::header(&mem, a).age() == 0)
+            .collect();
+        for a in [objs[300], long_big] {
+            for i in 0..600 {
+                if i < BATCH_EDGES && i % 3 == 0 {
+                    object::set_field(&mut mem, a, i, 0);
+                } else if i % 64 == 1 {
+                    object::set_field(&mut mem, a, i, word(young[i % young.len()]));
+                }
+            }
+        }
+        for _ in 0..2 {
+            let fields: Vec<u64> = (0..6).map(|_| word(pick(&mut rng))).collect();
+            owners.push(
+                object::alloc_record(&mut mem, &mut old, SiteId::new(8), &fields, 0b111111)
+                    .unwrap(),
+            );
+        }
+        let mut m = MutatorState::new();
+        m.alloc_buf = (0..40).map(|_| word(objs[rng(600) as usize])).collect();
+        m.alloc_buf.extend([word(objs[300]), word(long_big)]);
+        m.alloc_buf_ptr_mask = (1 << 42) - 1;
+
+        los.begin_marking(&mut mem);
+        let (to_start, survivor_start) = (to.frontier(), survivor.frontier());
+        let mut stats = GcStats::default();
+        let from_ranges = [from.range()];
+        let mut ev = Evacuator::new(
+            &mut mem,
+            &from_ranges,
+            &mut to,
+            Some(from.range()),
+            Some(&mut los),
+            Some(&mut profile),
+            &mut stats,
+            CostModel::default(),
+        );
+        ev.set_survivor(&mut survivor, 2);
+        if cursor {
+            ev.forward_roots_reference(&mut m, &[], RegState::EMPTY, &[]);
+        } else {
+            ev.forward_roots(&mut m, &[], RegState::EMPTY, &[]);
+        }
+        let fed = *ev.stats;
+        for &o in &owners {
+            if cursor {
+                ev.scan_in_place_reference(o);
+            } else {
+                ev.scan_in_place(o);
+            }
+        }
+        if cursor {
+            ev.drain_reference(to_start, survivor_start);
+        } else {
+            ev.drain();
+        }
+        let young_owner_refs = ev.take_young_owner_refs();
+        let young_field_locs = ev.take_young_field_locs();
+        assert!(
+            to.frontier() > to_start && survivor.frontier() > survivor_start,
+            "copies reach both moving spaces"
+        );
+        Closed {
+            traced: Traced {
+                words: mem.words_at(Addr::new(1), CAPACITY - 1).to_vec(),
+                stats,
+                young_owner_refs,
+                young_field_locs,
+                frontiers: (to.frontier(), survivor.frontier()),
+            },
+            fed,
+            edges: profile
+                .iter()
+                .map(|(site, row)| (site, row.edges_to.iter().map(|(&s, &n)| (s, n)).collect()))
+                .collect(),
+        }
+    }
+
+    #[test]
+    fn fifo_drain_matches_the_cheney_cursor_drain() {
+        let fifo = close_graph(false);
+        let cursor = close_graph(true);
+        assert!(fifo.traced.stats.scanned_words > 0 && !fifo.traced.young_owner_refs.is_empty());
+        assert_eq!(fifo, cursor);
     }
 }

@@ -20,9 +20,9 @@
 //!   collection protocol itself — prologue, roots, evacuator wiring,
 //!   epilogue — is the one staged cycle of the `cycle` module;
 //! * **the tracing driver** (the crate-private `evac` module) — one
-//!   work-queue transitive closure (Cheney scan cursors + an explicit
-//!   queue for objects traced in place) that every plan configures and
-//!   reuses.
+//!   work-queue transitive closure (gray FIFOs of the copies that have
+//!   a pointer field, scanned in batches, + an explicit queue for
+//!   objects traced in place) that every plan configures and reuses.
 //!
 //! Cross-cutting the layers: **generational stack collection** (§5) —
 //! scan caching in [`roots`], driven by stack markers placed per

@@ -16,8 +16,9 @@ use crate::{jsonl, CollectionEnd, Event};
 ///   intact marker)` bound;
 /// * **frame accounting** — frames scanned plus frames reused equals the
 ///   stack depth at the collection point;
-/// * **copy/scan accounting** — every copied word was Cheney-scanned
-///   (the scan cursor starts at the pre-collection frontier), so
+/// * **copy/scan accounting** — every copied word is charged as
+///   scanned (a copy with a pointer field when the drain scans it, a
+///   pointer-free one in the drain's closing count), so
 ///   `scanned_words × 8 ≥ copied_bytes`.
 ///
 /// The one statement of them: [`check_event`] runs it on a replayed or
