@@ -210,7 +210,7 @@ pub struct GcConfig {
 
 // Inert: `benchmark/src/measure.rs:240` and
 // `benchmark/tests/generators.rs:242` read `config.workers`, which is
-// always 1 — collection is serial. ROADMAP item 1 deletes both reads and
+// always 1 — collection is serial. ROADMAP item 2(c) deletes both reads and
 // this shim.
 #[doc(hidden)]
 pub struct SerialLane {
@@ -313,7 +313,7 @@ impl GcConfig {
 
     // Inert: `benchmark/src/workload.rs:435` and
     // `benchmark/src/measure.rs:291` call it; collection is serial, so it
-    // changes nothing. ROADMAP item 1 deletes both calls and this method.
+    // changes nothing. ROADMAP item 2(c) deletes both calls and this method.
     #[doc(hidden)]
     #[must_use]
     pub fn workers(self, n: usize) -> GcConfig {

@@ -9,13 +9,17 @@
 //! DESIGN.md's *Architecture* section tabulates what each stage owns and
 //! what the plan supplies. [`PlanBase`] holds the state every plan
 //! carries for those stages.
+//!
+//! A recorder sees a collection only through what `begin` and `finish`
+//! emit (begin, phase spans, end record, census); nothing in the cycle
+//! counts per object for it. The per-site ledger is the heap profile,
+//! which the evacuator feeds when profiling is on.
 
 use std::time::Instant;
 
 use tilgc_mem::{Addr, Memory, Space, SpaceRange};
 use tilgc_obs::{
     CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, PhaseTimer, SpaceCensus,
-    TelemetryAcc,
 };
 use tilgc_runtime::{GcStats, HeapProfile, MutatorState};
 
@@ -32,9 +36,7 @@ pub(crate) struct PlanBase {
     /// at every collection (`Collector::last_inspection`); a recorder
     /// is handed a clone of it.
     pub inspection: Option<CollectionEnd>,
-    /// Telemetry accumulator, allocated lazily the first time a
-    /// collection runs with an enabled recorder.
-    pub telem: Option<TelemetryAcc>,
+    /// The §6 heap profile, when profiling: the one per-site ledger.
     pub profile: Option<HeapProfile>,
     pub cache: Option<ScanCache>,
     pub marker_policy: MarkerPolicy,
@@ -49,7 +51,6 @@ impl PlanBase {
         PlanBase {
             stats: GcStats::default(),
             inspection: None,
-            telem: None,
             profile: config.profiling.then(HeapProfile::new),
             cache: config.marker_policy.is_enabled().then(ScanCache::default),
             marker_policy: config.marker_policy,
@@ -158,20 +159,7 @@ impl Cycle {
             copy_ns: 0,
         };
         let depth = cycle.depth_at_gc as u64;
-        // The mutator tallies every allocation per site on its own side
-        // of the window; a collection is where the per-site windows are
-        // read, so it is where the tally is folded in — or dropped, when
-        // no recorder is listening.
         if m.recorder.is_enabled() {
-            let telem = base.telem.get_or_insert_with(TelemetryAcc::default);
-            m.drain_site_tally(|site, n, bytes| telem.note_allocs(site.get(), n, bytes));
-        } else {
-            m.drain_site_tally(|_, _, _| {});
-        }
-        if m.recorder.is_enabled() {
-            base.telem
-                .get_or_insert_with(TelemetryAcc::default)
-                .note_depth(depth);
             m.recorder.record(Event::CollectionBegin(CollectionBegin {
                 collection: base.stats.collections + 1,
                 plan,
@@ -236,7 +224,6 @@ impl Cycle {
             .cache
             .as_ref()
             .map_or(&[][..], |c| c.prefix_roots(self.cached_frames));
-        let lend_telemetry = self.timer.is_some();
         let mut trace = Trace {
             evac: Evacuator::new(
                 mem,
@@ -254,11 +241,6 @@ impl Cycle {
         };
         if let Some((survivor, tenure_age)) = spaces.survivor {
             trace.evac.set_survivor(survivor, tenure_age);
-        }
-        if lend_telemetry {
-            trace
-                .evac
-                .set_telemetry(base.telem.get_or_insert_with(TelemetryAcc::default));
         }
         trace.evac.forward_roots(m, &base.roots, reg_roots, cached);
         trace.mark(GcPhase::RootScan);
@@ -317,10 +299,6 @@ impl Cycle {
             pretenured_sites: release.pretenured.map_or(0, |r| r.policy().len() as u64),
             spaces: copy_rows.chain(los_row).collect(),
         }));
-        let telem = base.telem.as_mut().expect("allocated by Cycle::begin");
-        for e in telem.drain_samples(collection) {
-            m.recorder.record(e);
-        }
     }
 
     /// The collection's record: the `GcStats` deltas since
@@ -335,12 +313,6 @@ impl Cycle {
         wall_ns: u64,
     ) -> CollectionEnd {
         let (before, after) = (&self.stats_before, &base.stats);
-        // The histograms are the recorder's: cumulative over recorded
-        // collections, empty without one.
-        let (size_hist, depth_hist) = match (&self.timer, &base.telem) {
-            (Some(_), Some(t)) => (t.size_hist, t.depth_hist),
-            _ => Default::default(),
-        };
         CollectionEnd {
             collection: after.collections,
             major: self.major,
@@ -361,8 +333,6 @@ impl Cycle {
             end_cycles: m.stats.client_cycles + after.gc_cycles(),
             live_bytes_after: after.last_live_bytes,
             wall_ns,
-            size_hist,
-            depth_hist,
             workers: 1,
             worker_copied_bytes: Vec::new(),
             chunks_owned: mem.owned_chunks() as u64,

@@ -33,7 +33,6 @@ use std::collections::VecDeque;
 use tilgc_mem::{
     object, Addr, Header, Memory, ObjectKind, SideBitmap, SiteId, Space, SpaceRange, POISON,
 };
-use tilgc_obs::TelemetryAcc;
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState, Reg};
 
 use crate::los::LargeObjectSpace;
@@ -186,10 +185,6 @@ pub struct Evacuator<'a> {
     los: Option<&'a mut LargeObjectSpace>,
     profile: Option<&'a mut HeapProfile>,
     stats: &'a mut GcStats,
-    /// Telemetry accumulator lent by the plan while a recorder is
-    /// installed: per-site copy/survival deltas and the object-size
-    /// histogram. Host-side only — never charged simulated cycles.
-    telem: Option<&'a mut TelemetryAcc>,
     cost: CostModel,
     /// Optional aging destination (§7.2 tenure-threshold variant):
     /// from-space objects younger than `tenure_age` are copied here
@@ -244,7 +239,6 @@ impl<'a> Evacuator<'a> {
             los,
             profile,
             stats,
-            telem: None,
             cost,
             survivor: None,
             tenure_age: 0,
@@ -266,13 +260,6 @@ impl<'a> Evacuator<'a> {
     pub fn set_survivor(&mut self, survivor: &'a mut Space, tenure_age: u8) {
         self.survivor = Some(survivor);
         self.tenure_age = tenure_age;
-    }
-
-    /// Lends the plan's telemetry accumulator to this collection so
-    /// copies and in-place scans feed the per-site counters and size
-    /// histogram.
-    pub fn set_telemetry(&mut self, telem: &'a mut TelemetryAcc) {
-        self.telem = Some(telem);
     }
 
     /// Total simulated GC cycles charged so far, read through the stats
@@ -365,14 +352,9 @@ impl<'a> Evacuator<'a> {
         let bytes = h.size_bytes();
         self.stats.copied_bytes += bytes as u64;
         self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
-        if self.profile.is_some() || self.telem.is_some() {
+        if let Some(p) = self.profile.as_deref_mut() {
             let from_nursery = self.nursery.is_some_and(|n| n.contains(addr));
-            if let Some(p) = self.profile.as_deref_mut() {
-                p.on_copy(addr, new, bytes, from_nursery);
-            }
-            if let Some(t) = self.telem.as_deref_mut() {
-                t.note_copy(site.get(), bytes as u64, from_nursery);
-            }
+            p.on_copy(addr, new, bytes, from_nursery);
         }
         new
     }
@@ -552,9 +534,6 @@ impl<'a> Evacuator<'a> {
         debug_assert!(!h.is_forward(), "in-place scan of forwarded object");
         self.stats.copy_cycles += self.cost.scan_per_word * h.size_words() as u64;
         self.stats.pretenured_scanned_words += h.size_words() as u64;
-        if let Some(t) = self.telem.as_deref_mut() {
-            t.note_inplace_scan(h.size_bytes() as u64);
-        }
         self.scan_fields(addr, h);
     }
 

@@ -52,8 +52,7 @@ fn deep(vm: &mut Vm, d: DescId, site: SiteId, n: usize) {
 
 /// Exercises every counter the events reconcile against: minor and major
 /// collections, barrier traffic, a pointer array, deep recursion for the
-/// marker machinery, and a forced final collection so every allocation
-/// delta has been drained into a `site-sample` by the end.
+/// marker machinery, and a forced final collection.
 fn workload(vm: &mut Vm) {
     let cell = vm.site("telem::cell");
     assert_eq!(cell.get(), CELL_SITE);
@@ -91,8 +90,15 @@ fn workload(vm: &mut Vm) {
     vm.gc_now();
 }
 
-/// Zeroes the host-time fields, which legitimately differ run to run;
-/// everything else in `GcStats` is deterministic and must match.
+/// `GcStats` without its host-time fields, which legitimately differ run
+/// to run, and the client cycles: everything deterministic a run counts.
+fn base_stats(vm: &Vm) -> (GcStats, u64) {
+    (
+        vm.gc_stats().without_host_time(),
+        vm.mutator_stats().client_cycles,
+    )
+}
+
 /// Decodes a rendered document back to its events.
 fn decode(doc: &str) -> Vec<Event> {
     let mut events = Vec::new();
@@ -113,7 +119,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
         workload(&mut vm);
         vm.finish();
         let stats = *vm.gc_stats();
-        let alloc_bytes = vm.mutator_stats().alloc_bytes;
         let events = RingRecorder::drain_events_from(vm.recorder_mut())
             .expect("a RingRecorder was installed");
         assert!(!events.is_empty(), "{}: no events recorded", kind.label());
@@ -124,8 +129,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
         let mut sum = GcStats::default();
         let mut sum_gc_cycles = 0u64;
         let mut rung_cycles = 0u64;
-        let mut sample_alloc_bytes = 0u64;
-        let mut sample_copied_bytes = 0u64;
         let mut phase_cycles: std::collections::HashMap<u64, u64> =
             std::collections::HashMap::new();
         let mut end_gc_cycles: std::collections::HashMap<u64, u64> =
@@ -147,10 +150,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
                     sum.markers_placed += c.markers_placed;
                     sum_gc_cycles += c.gc_cycles;
                     end_gc_cycles.insert(c.collection, c.gc_cycles);
-                }
-                Event::SiteSample(s) => {
-                    sample_alloc_bytes += s.alloc_bytes;
-                    sample_copied_bytes += s.copied_bytes;
                 }
                 Event::PressureBegin(_) | Event::PressureEnd(_) => {}
                 Event::PressureRung(r) => rung_cycles += r.cycles,
@@ -222,17 +221,6 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
             );
         }
 
-        // Per-site samples: every allocation was drained (the workload
-        // ends in a forced collection) and every copy carries its site.
-        assert_eq!(
-            sample_alloc_bytes, alloc_bytes,
-            "{label}: sampled alloc bytes"
-        );
-        assert_eq!(
-            sample_copied_bytes, stats.copied_bytes,
-            "{label}: sampled copied bytes"
-        );
-
         // The stream renders to schema-valid JSONL on every plan, and the
         // document decodes back to the very events that were recorded.
         let doc = jsonl::render(label, "telemetry-test", 150_000_000, &[], &events);
@@ -267,8 +255,7 @@ fn event_sums_reproduce_gc_stats_on_every_plan() {
 /// percentiles are ordered, and the MMU curve is monotone in the window.
 /// The collection cycle is one pipeline, so one grammar holds for every
 /// plan and every collection: `collection-begin, phase…, collection-end,
-/// heap-census, site-sample…`,
-/// all naming the same collection, phases in canonical [`GcPhase`] order.
+/// heap-census`, all naming the same collection, phases in canonical [`GcPhase`] order.
 /// Returns the `(minor, major)` collection counts and each begin's
 /// `ttsp_cycles`.
 fn assert_cycle_grammar(label: &str, events: &[Event]) -> ((u64, u64), Vec<u64>) {
@@ -322,13 +309,6 @@ fn assert_cycle_grammar(label: &str, events: &[Event]) -> ((u64, u64), Vec<u64>)
             panic!("{label}: collection {id} end not followed by heap-census");
         };
         assert_eq!(census.collection, id, "{label}");
-        while let Some(Event::SiteSample(sample)) = it.peek() {
-            assert_eq!(
-                sample.collection, id,
-                "{label}: sample names another collection"
-            );
-            it.next();
-        }
     }
     ((minors, majors), ttsp)
 }
@@ -436,6 +416,21 @@ fn pause_metrics_reconcile_against_gc_stats_on_every_plan() {
     }
 }
 
+/// Runs [`workload`] under a ring recorder and returns the VM and its
+/// stream as JSONL with `wall_ns` blanked.
+fn ringed_run(kind: CollectorKind, config: &GcConfig) -> (Vm, String) {
+    let recorder = Box::new(RingRecorder::with_capacity(1 << 18));
+    let mut vm = build_vm_with_recorder(kind, config, recorder);
+    workload(&mut vm);
+    vm.finish();
+    let events = RingRecorder::drain_events_from(vm.recorder_mut()).expect("ring");
+    let doc = jsonl::render(kind.label(), "telemetry-test", 1, &[], &events);
+    (vm, blank_wall_ns(&doc))
+}
+
+/// Neither a recorder nor the heap profiler moves a simulated number:
+/// `gc-log` records with both, so its stream must be the one a bare
+/// recorder sees.
 #[test]
 fn installed_recorders_leave_gc_stats_byte_identical() {
     for kind in CollectorKind::ALL {
@@ -449,42 +444,33 @@ fn installed_recorders_leave_gc_stats_byte_identical() {
         workload(&mut nulled);
         nulled.finish();
 
-        let mut ringed = build_vm_with_recorder(
-            kind,
-            &config,
-            Box::new(RingRecorder::with_capacity(1 << 18)),
-        );
-        workload(&mut ringed);
-        ringed.finish();
+        let (ringed, ring_doc) = ringed_run(kind, &config);
+        let (mut profiled, profiled_doc) = ringed_run(kind, &config.clone().profiling(true));
 
         let label = kind.label();
-        let base = bare.gc_stats().without_host_time();
-        assert_eq!(
-            base,
-            nulled.gc_stats().without_host_time(),
-            "{label}: NullRecorder perturbed GcStats"
-        );
-        assert_eq!(
-            base,
-            ringed.gc_stats().without_host_time(),
-            "{label}: RingRecorder perturbed GcStats"
-        );
-        assert_eq!(
-            bare.mutator_stats().client_cycles,
-            ringed.mutator_stats().client_cycles,
-            "{label}: recording perturbed client cycles"
-        );
+        let base = base_stats(&bare);
+        assert_eq!(base, base_stats(&nulled), "{label}: NullRecorder perturbed");
+        assert_eq!(base, base_stats(&ringed), "{label}: RingRecorder perturbed");
+        assert_eq!(base, base_stats(&profiled), "{label}: profiling perturbed");
         assert_eq!(
             bare.mutator_stats().alloc_bytes,
             ringed.mutator_stats().alloc_bytes,
             "{label}: recording perturbed allocation accounting"
+        );
+        assert!(
+            profiled.take_profile().is_some(),
+            "{label}: the profiled run kept no profile"
+        );
+        assert_eq!(
+            ring_doc, profiled_doc,
+            "{label}: profiling perturbed the event stream"
         );
     }
 }
 
 /// A recorder is handed the plan's own record: every `collection-end`
 /// in the stream equals what `last_inspection` returned right after
-/// that collection — wall time and histograms included.
+/// that collection — wall time included.
 #[test]
 fn each_recorded_collection_end_is_the_kept_record() {
     for kind in CollectorKind::ALL {

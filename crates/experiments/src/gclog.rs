@@ -1,16 +1,19 @@
 //! `experiments gc-log` — runs one benchmark under one collector with
-//! the telemetry recorder attached, renders an ASCII per-collection
-//! timeline on stdout, and writes the full event stream as JSONL (the
-//! file `slo-report --input` replays).
+//! the telemetry recorder attached and the §6 heap profiler on, renders
+//! an ASCII per-collection timeline and the run's Figure-2 site report
+//! (`tilgc_profile::render_report`) on stdout, and writes the full event
+//! stream as JSONL (the file `slo-report --input` replays).
 //!
-//! The recorder is host-side only: the run's simulated cycle counts and
-//! `GcStats` are identical to an unrecorded run of the same program.
+//! The recorder and the profiler are host-side only: the run's simulated
+//! cycle counts, `GcStats` and event stream are identical to a bare run
+//! of the same program.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
 use tilgc_obs::metrics::PauseMetrics;
 use tilgc_obs::{jsonl, schema, Event, GcPhase};
+use tilgc_profile::{render_report, ReportOptions};
 use tilgc_runtime::CostModel;
 
 use crate::harness::{parse_target, run_recorded, Calibration};
@@ -35,8 +38,9 @@ pub fn run(
         }
     };
 
-    let run = run_recorded(cal, bench, kind);
-    let (events, sites, dropped) = (&run.events, &run.sites, run.dropped);
+    let run = run_recorded(cal, bench, kind, true);
+    let (events, dropped) = (&run.events, run.dropped);
+    let profile = run.profile.as_ref().expect("gc-log profiles its run");
     let clock_hz = CostModel::default().clock_hz;
 
     println!(
@@ -51,10 +55,16 @@ pub fn run(
     }
     print_timeline(events);
     print_pressure(events);
-    print_site_table(events, sites);
+    let opts = ReportOptions {
+        show_names: true,
+        ..ReportOptions::default()
+    };
+    let report = render_report(bench.name(), profile, &run.sites, &opts);
+    print!("\n{report}");
     print_pause_summary(events, events.len(), dropped, clock_hz);
 
-    let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, sites, events);
+    let sites = run.site_table();
+    let jsonl_doc = jsonl::render(kind.label(), bench.name(), clock_hz, &sites, events);
     let jsonl_path = format!("{out_dir}/gclog-{}-{}.jsonl", bench.name(), kind.label());
     if let Err(e) = std::fs::create_dir_all(out_dir) {
         eprintln!("cannot create {out_dir}: {e}");
@@ -114,7 +124,6 @@ fn group_collections(events: &[Event]) -> BTreeMap<u64, CollectionRow> {
                 row.frames_scanned = c.frames_scanned;
                 row.frames_reused = c.frames_reused;
             }
-            Event::SiteSample(_) => {}
             // Pressure episodes sit between collections; they get their
             // own section of the report rather than a timeline row.
             Event::PressureBegin(_) | Event::PressureRung(_) | Event::PressureEnd(_) => {}
@@ -199,14 +208,6 @@ fn print_pressure(events: &[Event]) {
     }
 }
 
-/// The name `sites` gives site `id`, or "?".
-fn site_name(sites: &[(u16, String)], id: u16) -> &str {
-    sites
-        .iter()
-        .find(|(sid, _)| *sid == id)
-        .map_or("?", |(_, n)| n.as_str())
-}
-
 /// Renders a phase bar: each nonzero phase gets cells proportional to its
 /// cycle share (at least one), drawn with the phase's letter code.
 fn phase_bar(phases: &[(GcPhase, u64)], total: u64) -> String {
@@ -261,56 +262,6 @@ fn print_timeline(events: &[Event]) {
             row.frames_reused,
             row.frames_scanned,
             bw = BAR_WIDTH
-        );
-    }
-}
-
-/// Cumulative per-site counters, summed over every collection's sample.
-#[derive(Default)]
-struct SiteRow {
-    allocs: u64,
-    alloc_bytes: u64,
-    copied_objects: u64,
-    copied_bytes: u64,
-    survived: u64,
-}
-
-fn print_site_table(events: &[Event], sites: &[(u16, String)]) {
-    let mut rows: BTreeMap<u16, SiteRow> = BTreeMap::new();
-    for e in events {
-        if let Event::SiteSample(s) = e {
-            let row = rows.entry(s.site).or_default();
-            row.allocs += s.allocs;
-            row.alloc_bytes += s.alloc_bytes;
-            row.copied_objects += s.copied_objects;
-            row.copied_bytes += s.copied_bytes;
-            row.survived += s.survived;
-        }
-    }
-    if rows.is_empty() {
-        return;
-    }
-    println!();
-    println!(
-        "{:<28} {:>10} {:>12} {:>10} {:>12} {:>9}",
-        "site", "allocs", "alloc bytes", "copies", "copied bytes", "survive%"
-    );
-    let mut ordered: Vec<(&u16, &SiteRow)> = rows.iter().collect();
-    ordered.sort_by(|a, b| b.1.alloc_bytes.cmp(&a.1.alloc_bytes).then(a.0.cmp(b.0)));
-    for (id, row) in ordered {
-        let pct = if row.allocs == 0 {
-            0.0
-        } else {
-            100.0 * row.survived as f64 / row.allocs as f64
-        };
-        println!(
-            "{:<28} {:>10} {:>12} {:>10} {:>12} {:>8.1}%",
-            site_name(sites, *id),
-            row.allocs,
-            row.alloc_bytes,
-            row.copied_objects,
-            row.copied_bytes,
-            pct
         );
     }
 }

@@ -298,24 +298,43 @@ pub struct RecordedRun {
     pub events: Vec<Event>,
     /// Events the ring dropped on overflow.
     pub dropped: u64,
-    /// `(id, name)` of the run's allocation sites.
-    pub sites: Vec<(u16, String)>,
+    /// The run's heap profile, when it was asked for.
+    pub profile: Option<HeapProfile>,
+    /// Names of the run's allocation sites.
+    pub sites: tilgc_runtime::SiteRegistry,
+}
+
+impl RecordedRun {
+    /// `(id, name)` of the run's allocation sites: the `meta` line's
+    /// table.
+    pub fn site_table(&self) -> Vec<(u16, String)> {
+        self.sites
+            .iter()
+            .map(|(id, name)| (id.get(), name.to_string()))
+            .collect()
+    }
 }
 
 /// Runs `bench` under `kind` with the telemetry recorder attached, at
 /// the calibrated k = 4.0 budget and (for the pretenure plan) the
 /// profile-derived policy — the rig behind `gc-log` and live
-/// `slo-report`.
+/// `slo-report`. With `profiling`, the run also keeps its §6 heap
+/// profile; the profiler is host-side, so the events are the same.
 ///
 /// The budget is [`fit`]: it grows when the run exhausts the heap. Unlike
 /// the tables' runs, a run that merely survived under pressure is kept:
 /// governor episodes are what the event stream is there to show.
-pub fn run_recorded(cal: &mut Calibration, bench: Benchmark, kind: CollectorKind) -> RecordedRun {
+pub fn run_recorded(
+    cal: &mut Calibration,
+    bench: Benchmark,
+    kind: CollectorKind,
+    profiling: bool,
+) -> RecordedRun {
     let scale = cal.scale();
     let policy =
         (kind == CollectorKind::GenerationalStackPretenure).then(|| cal.policy(bench).0.clone());
     let (budget, (checksum, mut vm)) = fit(cal.budget_for_k(bench, 4.0), |budget| {
-        let mut config = config_with_budget(budget);
+        let mut config = config_with_budget(budget).profiling(profiling);
         if let Some(policy) = &policy {
             config = config.pretenure(policy.clone());
         }
@@ -338,12 +357,8 @@ pub fn run_recorded(cal: &mut Calibration, bench: Benchmark, kind: CollectorKind
         horizon_cycles: vm.mutator_stats().client_cycles + vm.gc_stats().gc_cycles(),
         events,
         dropped,
-        sites: vm
-            .mutator()
-            .sites
-            .iter()
-            .map(|(id, name)| (id.get(), name.to_string()))
-            .collect(),
+        profile: vm.take_profile(),
+        sites: vm.mutator().sites.clone(),
     }
 }
 
@@ -443,7 +458,7 @@ mod tests {
         let mut cal = Calibration::new(1);
         // Neither fits its calibrated k = 4.0 budget under semispace.
         for bench in [Benchmark::Fft, Benchmark::Simple] {
-            let run = run_recorded(&mut cal, bench, CollectorKind::Semispace);
+            let run = run_recorded(&mut cal, bench, CollectorKind::Semispace, false);
             assert!(
                 run.budget > cal.budget_for_k(bench, 4.0),
                 "{}",
@@ -451,7 +466,7 @@ mod tests {
             );
             assert!(!run.events.is_empty());
         }
-        let fits = run_recorded(&mut cal, Benchmark::Life, CollectorKind::Semispace);
+        let fits = run_recorded(&mut cal, Benchmark::Life, CollectorKind::Semispace, false);
         assert_eq!(fits.budget, cal.budget_for_k(Benchmark::Life, 4.0));
     }
 }

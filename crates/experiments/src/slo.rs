@@ -163,7 +163,7 @@ fn summarize_jsonl_file(path: &str, validate: bool) -> Result<StreamSummary, Str
 /// and summarizes the captured stream.
 fn summarize_live_run(cal: &mut Calibration, req: &SloRequest) -> Result<StreamSummary, String> {
     let (bench, kind) = parse_target(&req.bench, &req.plan)?;
-    let run = run_recorded(cal, bench, kind);
+    let run = run_recorded(cal, bench, kind, false);
     if req.validate {
         schema::check_stream(&run.events).map_err(|e| format!("schema: {e}"))?;
         println!(
@@ -181,7 +181,7 @@ fn summarize_live_run(cal: &mut Calibration, req: &SloRequest) -> Result<StreamS
         plan: kind.label().to_string(),
         bench: bench.name().to_string(),
         clock_hz: CostModel::default().clock_hz,
-        sites: run.sites,
+        sites: run.site_table(),
     };
     let mut summary = StreamSummary::from_events(source, meta, &run.events, run.dropped);
     // A live run knows its full length; a file's horizon is its last event.
@@ -340,7 +340,7 @@ mod tests {
     use super::*;
     use tilgc_core::CollectorKind;
     use tilgc_obs::metrics::PauseHistogram;
-    use tilgc_obs::{CollectionBegin, CollectionEnd, GcPhase, Hist, PhaseSpan, SpaceCensus};
+    use tilgc_obs::{CollectionBegin, CollectionEnd, GcPhase, PhaseSpan, SpaceCensus};
     use tilgc_programs::Benchmark;
 
     /// The deterministic latency lanes: per plan, over Color,
@@ -370,7 +370,7 @@ mod tests {
                 Benchmark::Nqueen,
                 Benchmark::Pia,
             ] {
-                let run = run_recorded(&mut cal, bench, kind);
+                let run = run_recorded(&mut cal, bench, kind, false);
                 assert_eq!(run.dropped, 0);
                 let mut metrics = PauseMetrics::from_events(&run.events);
                 metrics.set_horizon(run.horizon_cycles);
@@ -418,8 +418,6 @@ mod tests {
                 end_cycles,
                 live_bytes_after: 0,
                 wall_ns: 0,
-                size_hist: Hist::default(),
-                depth_hist: Hist::default(),
                 workers: 1,
                 worker_copied_bytes: Vec::new(),
                 chunks_owned: 1,
@@ -549,8 +547,9 @@ mod tests {
     #[test]
     fn replayed_stream_reports_what_the_live_events_report() {
         let kind = CollectorKind::GenerationalStackPretenure;
-        let run = run_recorded(&mut Calibration::new(1), Benchmark::Life, kind);
-        let doc = jsonl::render(kind.label(), "Life", 150_000_000, &run.sites, &run.events);
+        let run = run_recorded(&mut Calibration::new(1), Benchmark::Life, kind, false);
+        let sites = run.site_table();
+        let doc = jsonl::render(kind.label(), "Life", 150_000_000, &sites, &run.events);
         let replayed = replay(&doc, true).expect("a recorded stream validates");
         let (source, meta) = (replayed.source.clone(), replayed.meta.clone());
         let live = StreamSummary::from_events(source, meta, &run.events, 0);

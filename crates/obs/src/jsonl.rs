@@ -15,13 +15,13 @@
 
 use crate::json::{self, escape_into, Value};
 use crate::{
-    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, Hist, PhaseSpan, PressureBegin,
-    PressureEnd, PressureRung, SiteSample, SpaceCensus,
+    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, PhaseSpan, PressureBegin,
+    PressureEnd, PressureRung, SpaceCensus,
 };
 
 /// Version of the line schema, carried by the `meta` line. Bumped when a
 /// line changes meaning; the reader refuses any other value.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// Every closed string vocabulary of the wire format, each listed once.
 /// The producers' `&'static str` fields hold exactly these words, and the
@@ -101,10 +101,6 @@ impl Obj {
         self
     }
 
-    fn nums(self, key: &str, values: &[u64]) -> Obj {
-        self.array(key, values.iter().map(u64::to_string))
-    }
-
     fn finish(mut self) -> String {
         self.out.push('}');
         self.out
@@ -112,7 +108,7 @@ impl Obj {
 }
 
 /// Renders the leading `meta` line: run identity plus the site-id → name
-/// table needed to interpret `site-sample` lines.
+/// table that resolves the `site` of pressure lines.
 pub fn meta_line(plan: &str, bench: &str, clock_hz: u64, sites: &[(u16, String)]) -> String {
     let site = |(id, name): &(u16, String)| Obj::row().num("id", *id as u64).str("name", name);
     Obj::new("meta")
@@ -168,17 +164,7 @@ pub fn event_line(event: &Event) -> String {
             .num("live_bytes_after", e.live_bytes_after)
             .num("wall_ns", e.wall_ns)
             .num("chunks_owned", e.chunks_owned)
-            .num("side_cleared_words", e.side_cleared_words)
-            .nums("size_hist", &e.size_hist.buckets)
-            .nums("depth_hist", &e.depth_hist.buckets),
-        Event::SiteSample(e) => Obj::new("site-sample")
-            .num("collection", e.collection)
-            .num("site", e.site as u64)
-            .num("allocs", e.allocs)
-            .num("alloc_bytes", e.alloc_bytes)
-            .num("copied_objects", e.copied_objects)
-            .num("copied_bytes", e.copied_bytes)
-            .num("survived", e.survived),
+            .num("side_cleared_words", e.side_cleared_words),
         Event::PressureBegin(e) => Obj::new("pressure-begin")
             .num("site", e.site as u64)
             .num("words", e.words)
@@ -237,7 +223,7 @@ pub struct Meta {
     pub bench: String,
     /// Simulated clock rate, cycles per second (positive).
     pub clock_hz: u64,
-    /// The site-id → name table for `site-sample` lines.
+    /// The site-id → name table for the `site` of pressure lines.
     pub sites: Vec<(u16, String)>,
 }
 
@@ -322,18 +308,6 @@ impl<'a> Fields<'a> {
         let s = self.text(key)?;
         let known = vocab.iter().copied().find(|w| *w == s);
         known.ok_or_else(|| format!("unknown {key} {s:?} (expected one of {vocab:?})"))
-    }
-
-    fn nums(&mut self, key: &str) -> Result<Vec<u64>, String> {
-        self.get(key, "an array of non-negative integers", |v| {
-            v.as_array()?.iter().map(Value::as_u64).collect()
-        })
-    }
-
-    fn hist(&mut self, key: &str) -> Result<Hist, String> {
-        let buckets = <[u64; crate::HIST_BUCKETS]>::try_from(self.nums(key)?)
-            .map_err(|v| format!("{key} has {} buckets", v.len()))?;
-        Ok(Hist { buckets })
     }
 
     /// An array of objects (`meta.sites`, `heap-census.spaces`), each
@@ -437,22 +411,11 @@ fn event(kind: &str, f: &mut Fields) -> Result<Event, String> {
             end_cycles: f.num("end_cycles")?,
             live_bytes_after: f.num("live_bytes_after")?,
             wall_ns: f.num("wall_ns")?,
-            size_hist: f.hist("size_hist")?,
-            depth_hist: f.hist("depth_hist")?,
             workers: 1,
             worker_copied_bytes: Vec::new(),
             chunks_owned: f.num("chunks_owned")?,
             side_cleared_words: f.num("side_cleared_words")?,
         })),
-        "site-sample" => Event::SiteSample(SiteSample {
-            collection: f.num("collection")?,
-            site: f.site("site")?,
-            allocs: f.num("allocs")?,
-            alloc_bytes: f.num("alloc_bytes")?,
-            copied_objects: f.num("copied_objects")?,
-            copied_bytes: f.num("copied_bytes")?,
-            survived: f.num("survived")?,
-        }),
         "pressure-begin" => Event::PressureBegin(PressureBegin {
             site: f.site("site")?,
             words: f.num("words")?,
@@ -545,15 +508,6 @@ mod tests {
                 cycles: 77,
                 wall_ns: 880,
             }),
-            Event::SiteSample(SiteSample {
-                collection: 1,
-                site: 4,
-                allocs: 10,
-                alloc_bytes: 160,
-                copied_objects: 2,
-                copied_bytes: 32,
-                survived: 2,
-            }),
         ];
         for e in &events {
             let v = parse(&round_trip(e.clone())).expect("line parses");
@@ -623,7 +577,7 @@ mod tests {
     fn meta_line_resolves_sites() {
         let sites = vec![(0, "unknown".to_string()), (3, "rec\"3".to_string())];
         let line = meta_line("semispace", "Life", 150_000_000, &sites);
-        assert!(line.starts_with(r#"{"type":"meta","schema_version":1,"plan":"semispace","#));
+        assert!(line.starts_with(r#"{"type":"meta","schema_version":2,"plan":"semispace","#));
         let meta = Meta {
             plan: "semispace".to_string(),
             bench: "Life".to_string(),
@@ -667,9 +621,7 @@ mod tests {
     }
 
     #[test]
-    fn end_line_carries_histograms() {
-        let mut size_hist = Hist::default();
-        size_hist.add(16);
+    fn end_line_round_trips_without_worker_fields() {
         let e = CollectionEnd {
             collection: 2,
             major: true,
@@ -691,22 +643,18 @@ mod tests {
             wall_ns: 100,
             chunks_owned: 4,
             side_cleared_words: 32,
-            size_hist,
-            depth_hist: Hist::default(),
             workers: 1,
             worker_copied_bytes: Vec::new(),
         };
         let line = round_trip(Event::CollectionEnd(Box::new(e)));
+        assert!(
+            line.ends_with(r#","chunks_owned":4,"side_cleared_words":32}"#),
+            "{line}"
+        );
         let v = parse(&line).unwrap();
-        let hist = v.get("size_hist").unwrap().as_array().unwrap();
-        assert_eq!(hist.len(), crate::HIST_BUCKETS);
-        assert_eq!(hist[5].as_u64(), Some(1), "16 lands in [16,32)");
         assert!(
             v.get("workers").is_none(),
             "an end line carries no worker fields"
         );
-        let short = line.replace(",0]", "]");
-        let err = parse_line(&short).unwrap_err();
-        assert!(err.contains("size_hist has 15 buckets"), "{err}");
     }
 }

@@ -1,5 +1,5 @@
-//! GC telemetry for the `tilgc` collectors: per-collection event traces,
-//! phase timelines and per-site lifetime time-series.
+//! GC telemetry for the `tilgc` collectors: per-collection event traces
+//! and phase timelines.
 //!
 //! The paper's entire argument (Tables 2–6) is made through measurement,
 //! yet end-of-run aggregates (`GcStats`) flatten every collection into one
@@ -7,9 +7,10 @@
 //! the spirit of MMTk's statistics/event-counter subsystem:
 //!
 //! * an [`Event`] stream — one [`CollectionBegin`] / per-phase
-//!   [`PhaseSpan`]s / one [`CollectionEnd`] per collection, plus
-//!   [`SiteSample`] rows carrying per-allocation-site survival counters
-//!   sampled at *every* collection rather than only at run end;
+//!   [`PhaseSpan`]s / one [`CollectionEnd`] / one [`HeapCensus`] per
+//!   collection, plus the heap-pressure episodes between collections.
+//!   Per-site lifetimes are not kept here: the one per-site ledger is
+//!   the §6 heap profile (`tilgc_runtime::HeapProfile`);
 //! * a [`Recorder`] trait with a no-op default ([`NullRecorder`]) so
 //!   recording is zero-cost when disabled — emitters gate all telemetry
 //!   work on [`Recorder::is_enabled`], never charge simulated cycles for
@@ -39,40 +40,6 @@ pub mod metrics;
 pub mod schema;
 
 use std::time::Instant;
-
-/// Number of buckets in a [`Hist`].
-pub const HIST_BUCKETS: usize = 16;
-
-/// A log2-bucketed histogram: bucket 0 counts zeros, bucket `i ≥ 1`
-/// counts values in `[2^(i-1), 2^i)`, and the last bucket absorbs
-/// everything from `2^(HIST_BUCKETS-2)` up.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct Hist {
-    /// The bucket counters.
-    pub buckets: [u64; HIST_BUCKETS],
-}
-
-impl Hist {
-    /// Adds one observation.
-    pub fn add(&mut self, value: u64) {
-        let bucket = (64 - value.leading_zeros() as usize).min(HIST_BUCKETS - 1);
-        self.buckets[bucket] += 1;
-    }
-
-    /// Total observations recorded.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-
-    /// Human-readable range label for bucket `i` (e.g. `"[8,16)"`).
-    pub fn bucket_label(i: usize) -> String {
-        match i {
-            0 => "0".to_string(),
-            _ if i == HIST_BUCKETS - 1 => format!("[{},inf)", 1u64 << (i - 1)),
-            _ => format!("[{},{})", 1u64 << (i - 1), 1u64 << i),
-        }
-    }
-}
 
 /// The phase taxonomy of one collection, in canonical (emission) order.
 ///
@@ -184,9 +151,10 @@ pub struct PhaseSpan {
 }
 
 /// A collection's one record: its `GcStats` deltas, the §5 reuse claim
-/// and its oracle bound, and cumulative histogram snapshots. A plan
+/// and its oracle bound, and where it ended on both clocks. A plan
 /// builds it at every collection and keeps it (`last_inspection`); a
-/// recorder gets a clone as the `collection-end` event.
+/// recorder gets a clone as the `collection-end` event. Every field is
+/// exact with or without a recorder.
 /// [`schema::check_collection_end`] holds its identities.
 #[derive(Clone, Debug, PartialEq)]
 pub struct CollectionEnd {
@@ -229,16 +197,8 @@ pub struct CollectionEnd {
     pub live_bytes_after: u64,
     /// Wall-clock nanoseconds for the whole collection.
     pub wall_ns: u64,
-    /// Snapshot of the run-cumulative histogram of GC-processed object
-    /// sizes in bytes (copied or scanned in place). Kept by the
-    /// recorder's accumulator: empty when no recorder is installed, as
-    /// `depth_hist` is; every other field is exact either way.
-    pub size_hist: Hist,
-    /// Snapshot of the run-cumulative histogram of stack depth at
-    /// collection time (empty without a recorder).
-    pub depth_hist: Hist,
     // Inert, always 1 and empty, and never written to a line:
-    // `benchmark/src/trace.rs:346–358` reads both. ROADMAP item 1
+    // `benchmark/src/trace.rs:346–358` reads both. ROADMAP item 2(c)
     // deletes that read and these fields.
     #[doc(hidden)]
     pub workers: u64,
@@ -250,32 +210,6 @@ pub struct CollectionEnd {
     /// Side-metadata words (dirty + mark bitmap words) retired by this
     /// collection's bulk clears.
     pub side_cleared_words: u64,
-}
-
-/// Per-allocation-site counters accumulated since the previous sample
-/// (i.e. since the previous collection). Summing a site's samples over
-/// the run reproduces its end-of-run totals; the sequence itself is the
-/// site's lifetime time-series.
-#[derive(Clone, Debug, PartialEq)]
-pub struct SiteSample {
-    /// The collection this sample was taken at.
-    pub collection: u64,
-    /// Raw 16-bit allocation-site id (resolved to a name by the stream's
-    /// `meta` line).
-    pub site: u16,
-    /// Objects allocated from this site since the last sample.
-    pub allocs: u64,
-    /// Bytes allocated from this site since the last sample.
-    pub alloc_bytes: u64,
-    /// Objects from this site copied by the collector since the last
-    /// sample (any copy, not just first promotion).
-    pub copied_objects: u64,
-    /// Bytes from this site copied since the last sample.
-    pub copied_bytes: u64,
-    /// Objects from this site that survived their *first* collection
-    /// (copied out of the nursery) since the last sample — the numerator
-    /// of the paper's per-site "% old" survival rate.
-    pub survived: u64,
 }
 
 /// Start of a heap-pressure episode: an allocation that the ordinary
@@ -367,12 +301,10 @@ pub enum Event {
     CollectionBegin(CollectionBegin),
     /// A phase of a collection completed.
     Phase(PhaseSpan),
-    /// A collection finished. Boxed: the end record (two inline
-    /// histograms) is ~6× the size of the other variants, and most
-    /// events in a stream are phases and site samples.
+    /// A collection finished. Boxed: the end record is several times
+    /// the size of the other variants, and most events in a stream are
+    /// phases.
     CollectionEnd(Box<CollectionEnd>),
-    /// Per-site survival counters sampled at a collection.
-    SiteSample(SiteSample),
     /// A heap-pressure episode started.
     PressureBegin(PressureBegin),
     /// The governor took one escalation rung.
@@ -385,8 +317,8 @@ pub enum Event {
 
 /// An event sink installed in the mutator state.
 ///
-/// Emitters must gate *all* telemetry work — event construction, phase
-/// timing, per-site accumulation — on [`is_enabled`](Recorder::is_enabled),
+/// Emitters must gate *all* telemetry work — event construction and
+/// phase timing — on [`is_enabled`](Recorder::is_enabled),
 /// and must never charge simulated cycles or touch `GcStats` for it, so a
 /// disabled recorder leaves every deterministic counter byte-identical.
 pub trait Recorder: std::fmt::Debug {
@@ -539,123 +471,9 @@ impl PhaseTimer {
     }
 }
 
-/// One site's counter deltas since the last sample.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct SiteDelta {
-    allocs: u64,
-    alloc_bytes: u64,
-    copied_objects: u64,
-    copied_bytes: u64,
-    survived: u64,
-}
-
-impl SiteDelta {
-    fn is_zero(&self) -> bool {
-        *self == SiteDelta::default()
-    }
-}
-
-/// The plan-owned telemetry accumulator: per-site allocation/copy deltas
-/// (drained into [`SiteSample`]s at each collection) and the
-/// run-cumulative object-size and stack-depth histograms snapshotted into
-/// each [`CollectionEnd`].
-///
-/// Plans feed the allocation side ([`note_allocs`](TelemetryAcc::note_allocs))
-/// and lend the accumulator to the evacuation driver for the copy side
-/// during a collection. Everything here is host-side bookkeeping: no
-/// simulated cycles are ever charged for it.
-#[derive(Debug, Default)]
-pub struct TelemetryAcc {
-    sites: Vec<SiteDelta>,
-    /// Cumulative histogram of GC-processed object sizes in bytes.
-    pub size_hist: Hist,
-    /// Cumulative histogram of stack depth at collection time.
-    pub depth_hist: Hist,
-}
-
-impl TelemetryAcc {
-    fn site_mut(&mut self, site: u16) -> &mut SiteDelta {
-        let i = site as usize;
-        if i >= self.sites.len() {
-            self.sites.resize(i + 1, SiteDelta::default());
-        }
-        &mut self.sites[i]
-    }
-
-    /// Counts `allocs` allocations from `site`, `bytes` bytes in all.
-    pub fn note_allocs(&mut self, site: u16, allocs: u64, bytes: u64) {
-        let d = self.site_mut(site);
-        d.allocs += allocs;
-        d.alloc_bytes += bytes;
-    }
-
-    /// Counts one copied object from `site`; `from_nursery` marks a first
-    /// survival (promotion out of the allocation area).
-    pub fn note_copy(&mut self, site: u16, bytes: u64, from_nursery: bool) {
-        self.size_hist.add(bytes);
-        let d = self.site_mut(site);
-        d.copied_objects += 1;
-        d.copied_bytes += bytes;
-        if from_nursery {
-            d.survived += 1;
-        }
-    }
-
-    /// Records the size of an object scanned in place (histogram only —
-    /// in-place scans move nothing, so site copy counters are untouched).
-    pub fn note_inplace_scan(&mut self, bytes: u64) {
-        self.size_hist.add(bytes);
-    }
-
-    /// Records the stack depth at a collection.
-    pub fn note_depth(&mut self, depth: u64) {
-        self.depth_hist.add(depth);
-    }
-
-    /// Emits a [`SiteSample`] for every site with activity since the last
-    /// drain, in site order, and resets the deltas.
-    pub fn drain_samples(&mut self, collection: u64) -> Vec<Event> {
-        let mut out = Vec::new();
-        for (site, d) in self.sites.iter_mut().enumerate() {
-            if d.is_zero() {
-                continue;
-            }
-            out.push(Event::SiteSample(SiteSample {
-                collection,
-                site: site as u16,
-                allocs: d.allocs,
-                alloc_bytes: d.alloc_bytes,
-                copied_objects: d.copied_objects,
-                copied_bytes: d.copied_bytes,
-                survived: d.survived,
-            }));
-            *d = SiteDelta::default();
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn hist_buckets_are_log2() {
-        let mut h = Hist::default();
-        for v in [0, 1, 2, 3, 4, 7, 8, 1 << 20] {
-            h.add(v);
-        }
-        assert_eq!(h.buckets[0], 1, "zero bucket");
-        assert_eq!(h.buckets[1], 1, "[1,2)");
-        assert_eq!(h.buckets[2], 2, "[2,4)");
-        assert_eq!(h.buckets[3], 2, "[4,8)");
-        assert_eq!(h.buckets[4], 1, "[8,16)");
-        assert_eq!(h.buckets[HIST_BUCKETS - 1], 1, "overflow bucket");
-        assert_eq!(h.total(), 8);
-        assert_eq!(Hist::bucket_label(0), "0");
-        assert_eq!(Hist::bucket_label(4), "[8,16)");
-        assert_eq!(Hist::bucket_label(HIST_BUCKETS - 1), "[16384,inf)");
-    }
 
     #[test]
     fn ring_drops_oldest_past_capacity() {
@@ -714,35 +532,5 @@ mod tests {
         }
         assert_eq!(total, 310, "spans sum to the total delta");
         assert_eq!(saw_barrier, 10, "re-marked phase accumulated");
-    }
-
-    #[test]
-    fn telemetry_acc_drains_site_deltas() {
-        let mut acc = TelemetryAcc::default();
-        acc.note_allocs(3, 1, 16);
-        acc.note_allocs(3, 1, 24);
-        acc.note_copy(3, 16, true);
-        acc.note_copy(9, 40, false);
-        acc.note_inplace_scan(64);
-        acc.note_depth(5);
-        let samples = acc.drain_samples(1);
-        assert_eq!(samples.len(), 2);
-        let Event::SiteSample(s3) = &samples[0] else {
-            panic!("expected sample")
-        };
-        assert_eq!((s3.site, s3.allocs, s3.alloc_bytes), (3, 2, 40));
-        assert_eq!(
-            (s3.copied_objects, s3.copied_bytes, s3.survived),
-            (1, 16, 1)
-        );
-        let Event::SiteSample(s9) = &samples[1] else {
-            panic!("expected sample")
-        };
-        assert_eq!((s9.site, s9.allocs, s9.survived), (9, 0, 0));
-        assert_eq!(s9.copied_bytes, 40);
-        // Deltas reset; histograms are cumulative.
-        assert!(acc.drain_samples(2).is_empty());
-        assert_eq!(acc.size_hist.total(), 3);
-        assert_eq!(acc.depth_hist.total(), 1);
     }
 }

@@ -434,7 +434,7 @@ pub fn fmt_permille(permille: u64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{CollectionBegin, CollectionEnd, Hist};
+    use crate::{CollectionBegin, CollectionEnd};
 
     fn end_event(collection: u64, gc_cycles: u64, end_cycles: u64) -> Event {
         Event::CollectionEnd(Box::new(CollectionEnd {
@@ -456,8 +456,6 @@ mod tests {
             end_cycles,
             live_bytes_after: 0,
             wall_ns: 0,
-            size_hist: Hist::default(),
-            depth_hist: Hist::default(),
             workers: 1,
             worker_copied_bytes: Vec::new(),
             chunks_owned: 0,

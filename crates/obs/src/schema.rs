@@ -47,18 +47,11 @@ pub fn check_collection_end(e: &CollectionEnd) -> Result<(), String> {
 }
 
 /// Checks the identities one event must satisfy on its own: a
-/// collection's record identities ([`check_collection_end`]), first
-/// survivals within the copies, and census rows that fit their
-/// reservation.
+/// collection's record identities ([`check_collection_end`]) and census
+/// rows that fit their reservation.
 pub fn check_event(event: &Event) -> Result<(), String> {
     match event {
         Event::CollectionEnd(e) => check_collection_end(e)?,
-        Event::SiteSample(s) if s.survived > s.copied_objects => {
-            return Err(format!(
-                "survived {} exceeds copied_objects {}",
-                s.survived, s.copied_objects
-            ));
-        }
         Event::HeapCensus(c) => {
             if c.spaces.is_empty() {
                 return Err("heap-census: spaces array is empty".to_string());
@@ -187,7 +180,6 @@ impl Checker {
                     ));
                 }
             }
-            Event::SiteSample(_) => {}
         }
         Ok(())
     }
@@ -259,10 +251,9 @@ mod tests {
     #[test]
     fn accepts_documented_lines() {
         let lines = [
-            r#"{"type":"meta","schema_version":1,"plan":"semispace","bench":"Life","clock_hz":150000000,"sites":[{"id":0,"name":"unknown"}]}"#,
+            r#"{"type":"meta","schema_version":2,"plan":"semispace","bench":"Life","clock_hz":150000000,"sites":[{"id":0,"name":"unknown"}]}"#,
             r#"{"type":"collection-begin","collection":1,"plan":"semispace","reason":"forced","major":true,"depth":0,"start_cycles":10}"#,
             r#"{"type":"phase","collection":1,"phase":"cheney-copy","cycles":5,"wall_ns":10}"#,
-            r#"{"type":"site-sample","collection":1,"site":2,"allocs":3,"alloc_bytes":48,"copied_objects":1,"copied_bytes":16,"survived":1}"#,
             r#"{"type":"pressure-begin","site":4,"words":18,"space":"nursery","start_cycles":900}"#,
             r#"{"type":"pressure-rung","rung":"retry-major","site":4,"words":18,"outcome":"recovered","cycles":20}"#,
             r#"{"type":"pressure-end","outcome":"recovered","rungs":1,"cycles":20}"#,
@@ -297,10 +288,6 @@ mod tests {
                 r#"{"type":"collection-begin","collection":1,"plan":"semispace","reason":"bored","major":false,"depth":0,"start_cycles":0}"#,
             ),
             (
-                "survived 2 exceeds copied_objects 1",
-                r#"{"type":"site-sample","collection":1,"site":1,"allocs":0,"alloc_bytes":0,"copied_objects":1,"copied_bytes":16,"survived":2}"#,
-            ),
-            (
                 "phase: unknown field \"bogus\"",
                 r#"{"type":"phase","collection":1,"phase":"setup","cycles":1,"wall_ns":0,"bogus":1}"#,
             ),
@@ -322,7 +309,7 @@ mod tests {
             ),
             (
                 "\"site\" is not a 16-bit site id",
-                r#"{"type":"site-sample","collection":1,"site":70000,"allocs":0,"alloc_bytes":0,"copied_objects":0,"copied_bytes":0,"survived":0}"#,
+                r#"{"type":"pressure-begin","site":70000,"words":1,"space":"nursery","start_cycles":0}"#,
             ),
             (
                 "unknown space \"attic\" (expected one of [\"semispace\"",
@@ -350,19 +337,28 @@ mod tests {
             ),
             (
                 "reuse bound violated at collection 1: claimed prefix 2 exceeds oracle prefix 1",
-                r#"{"type":"collection-end","collection":1,"major":false,"depth":3,"claimed_prefix":2,"oracle_prefix":1,"copied_bytes":0,"scanned_words":0,"frames_scanned":1,"frames_reused":2,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":3,"claimed_prefix":2,"oracle_prefix":1,"copied_bytes":0,"scanned_words":0,"frames_scanned":1,"frames_reused":2,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0}"#,
             ),
             (
                 "frame accounting broken at collection 1: 1 scanned + 1 reused != depth 3",
-                r#"{"type":"collection-end","collection":1,"major":false,"depth":3,"claimed_prefix":1,"oracle_prefix":1,"copied_bytes":0,"scanned_words":0,"frames_scanned":1,"frames_reused":1,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":3,"claimed_prefix":1,"oracle_prefix":1,"copied_bytes":0,"scanned_words":0,"frames_scanned":1,"frames_reused":1,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0}"#,
             ),
             (
                 "copy/scan accounting broken at collection 1: 7 words scanned < 64 bytes copied",
-                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":7,"frames_scanned":0,"frames_reused":0,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":7,"frames_scanned":0,"frames_reused":0,"pretenured_scanned_words":0,"roots_found":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0}"#,
             ),
             (
                 "collection-end: unknown field \"workers\"",
-                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":8,"pretenured_scanned_words":0,"roots_found":0,"frames_scanned":0,"frames_reused":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"workers":2,"worker_copied_bytes":[48,16]}"#,
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":64,"scanned_words":8,"pretenured_scanned_words":0,"roots_found":0,"frames_scanned":0,"frames_reused":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"workers":2,"worker_copied_bytes":[48,16]}"#,
+            ),
+            // Schema 1: its meta line, and its end line's two histograms.
+            (
+                "schema_version 1 is not the supported version 2",
+                r#"{"type":"meta","schema_version":1,"plan":"semispace","bench":"Life","clock_hz":1,"sites":[]}"#,
+            ),
+            (
+                "collection-end: unknown field \"size_hist\"",
+                r#"{"type":"collection-end","collection":1,"major":false,"depth":0,"claimed_prefix":0,"oracle_prefix":0,"copied_bytes":0,"scanned_words":0,"pretenured_scanned_words":0,"roots_found":0,"frames_scanned":0,"frames_reused":0,"slots_scanned":0,"barrier_entries":0,"markers_placed":0,"gc_cycles":5,"end_cycles":5,"live_bytes_after":0,"wall_ns":0,"chunks_owned":0,"side_cleared_words":0,"size_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],"depth_hist":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}"#,
             ),
         ];
         for (why, line) in bad {
@@ -377,7 +373,7 @@ mod tests {
 {\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"generational\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n\
 {\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":2,\"wall_ns\":0}\n\
 {\"type\":\"phase\",\"collection\":1,\"phase\":\"cheney-copy\",\"cycles\":3,\"wall_ns\":0}\n\
-{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
+{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0}\n";
         assert_eq!(validate_jsonl(&ok).unwrap(), 5);
         let mismatched = ok.replace("\"gc_cycles\":5", "\"gc_cycles\":6");
         assert!(validate_jsonl(&mismatched)
@@ -394,7 +390,7 @@ mod tests {
         let meta = meta();
         let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"generational\",\"reason\":\"forced\",\"major\":false,\"depth\":0,\"start_cycles\":0}\n";
         let gc_phase = "{\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":5,\"wall_ns\":0}\n";
-        let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
+        let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":false,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0}\n";
         let census = "{\"type\":\"heap-census\",\"collection\":1,\"pretenured_sites\":0,\"spaces\":[{\"space\":\"semispace\",\"used_words\":0,\"reserved_words\":64,\"chunks\":1}]}\n";
         let ok = format!("{meta}{gc_begin}{gc_phase}{gc_end}{census}");
         assert_eq!(validate_jsonl(&ok).unwrap(), 5);
@@ -426,7 +422,7 @@ mod tests {
         // A collection triggered by the ladder nests inside the episode.
         let gc_begin = "{\"type\":\"collection-begin\",\"collection\":1,\"plan\":\"generational\",\"reason\":\"alloc-failure\",\"major\":true,\"depth\":0,\"start_cycles\":0}\n";
         let gc_phase = "{\"type\":\"phase\",\"collection\":1,\"phase\":\"setup\",\"cycles\":5,\"wall_ns\":0}\n";
-        let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":true,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0,\"size_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0],\"depth_hist\":[0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0]}\n";
+        let gc_end = "{\"type\":\"collection-end\",\"collection\":1,\"major\":true,\"depth\":0,\"claimed_prefix\":0,\"oracle_prefix\":0,\"copied_bytes\":0,\"scanned_words\":0,\"pretenured_scanned_words\":0,\"roots_found\":0,\"frames_scanned\":0,\"frames_reused\":0,\"slots_scanned\":0,\"barrier_entries\":0,\"markers_placed\":0,\"gc_cycles\":5,\"end_cycles\":5,\"live_bytes_after\":0,\"wall_ns\":0,\"chunks_owned\":0,\"side_cleared_words\":0}\n";
         let nested = format!("{meta}{begin}{gc_begin}{gc_phase}{gc_end}{rung}{rung2}{end}");
         assert_eq!(validate_jsonl(&nested).unwrap(), 8);
 
@@ -452,14 +448,16 @@ mod tests {
     #[test]
     fn jsonl_document_has_exactly_one_leading_meta() {
         let meta = meta();
-        let sample = "{\"type\":\"site-sample\",\"collection\":1,\"site\":2,\"allocs\":3,\"alloc_bytes\":48,\"copied_objects\":1,\"copied_bytes\":16,\"survived\":1}\n";
-        assert_eq!(validate_jsonl(&format!("{meta}\n{sample}")).unwrap(), 2);
+        // A whole pressure episode: two lines that pass on their own.
+        let episode = "{\"type\":\"pressure-begin\",\"site\":2,\"words\":3,\"space\":\"nursery\",\"start_cycles\":0}\n\
+{\"type\":\"pressure-end\",\"outcome\":\"recovered\",\"rungs\":0,\"cycles\":0}\n";
+        assert_eq!(validate_jsonl(&format!("{meta}\n{episode}")).unwrap(), 3);
 
-        let late_meta = format!("{meta}{sample}{meta}{sample}");
+        let late_meta = format!("{meta}{episode}{meta}{episode}");
         assert!(validate_jsonl(&late_meta)
             .unwrap_err()
-            .contains("line 3: a second meta line"));
-        let blank_then_no_meta = format!("\n{sample}{sample}");
+            .contains("line 4: a second meta line"));
+        let blank_then_no_meta = format!("\n{episode}{episode}");
         assert!(validate_jsonl(&blank_then_no_meta)
             .unwrap_err()
             .contains("line 2: expected meta line"));
@@ -467,10 +465,10 @@ mod tests {
             .unwrap_err()
             .contains("empty document"));
 
-        let future = meta.replace("\"schema_version\":1", "\"schema_version\":2");
-        let err = validate_jsonl(&format!("{future}{sample}")).unwrap_err();
+        let future = meta.replace("\"schema_version\":2", "\"schema_version\":3");
+        let err = validate_jsonl(&format!("{future}{episode}")).unwrap_err();
         assert!(
-            err.contains("schema_version 2") && err.contains("version 1"),
+            err.contains("schema_version 3") && err.contains("version 2"),
             "{err}"
         );
     }

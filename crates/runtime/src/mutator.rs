@@ -30,13 +30,6 @@ struct AllocWindow {
     array_limit_words: usize,
 }
 
-/// One site's allocations since the collector last drained the tally.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-struct SiteTally {
-    allocs: u64,
-    bytes: u64,
-}
-
 /// Everything the mutator owns: stack, registers, write barrier, handler
 /// chain, trace tables, allocation sites and statistics.
 ///
@@ -72,10 +65,6 @@ pub struct MutatorState {
     /// the operands of the most recent allocation stay reachable until
     /// the next one restages.
     pub alloc_buf: Vec<u64>,
-    /// Per-site `(allocs, bytes)` since the collector's last
-    /// [`drain_site_tally`](MutatorState::drain_site_tally), indexed by
-    /// site id and grown to the highest site that allocated.
-    site_tally: Vec<SiteTally>,
     /// Sites whose allocations the collector places itself (pretenured at
     /// birth): they never use the window. The collector flips bits as its
     /// policy changes.
@@ -125,7 +114,6 @@ impl MutatorState {
             last_safepoint_cycles: 0,
             alloc_buf_ptr_mask: 0,
             alloc_buf: Vec::new(),
-            site_tally: Vec::new(),
             routes: SiteRouteTable::new(),
             cost: CostModel::default(),
             stack: Stack::new(),
@@ -212,31 +200,6 @@ impl MutatorState {
         // `end <= limit`, which is an `Addr`.
         w.cursor = Addr::new(end as u32);
         Some(addr)
-    }
-
-    // ----- per-site allocation tally ----------------------------------------
-
-    /// Counts one allocation of `bytes` bytes from `site`.
-    #[inline]
-    pub(crate) fn tally_alloc(&mut self, site: SiteId, bytes: u64) {
-        if site.index() >= self.site_tally.len() {
-            self.site_tally
-                .resize(site.index() + 1, SiteTally::default());
-        }
-        let t = &mut self.site_tally[site.index()];
-        t.allocs += 1;
-        t.bytes += bytes;
-    }
-
-    /// Hands every site's `(site, allocs, bytes)` since the last drain to
-    /// `sink`, in site order, and zeroes the tally.
-    pub fn drain_site_tally(&mut self, mut sink: impl FnMut(SiteId, u64, u64)) {
-        for (i, t) in self.site_tally.iter_mut().enumerate() {
-            if t.allocs > 0 {
-                sink(SiteId::new(i as u16), t.allocs, t.bytes);
-                *t = SiteTally::default();
-            }
-        }
     }
 
     // ----- forced allocation failures -----------------------------------------
@@ -331,17 +294,5 @@ mod tests {
         assert!(!m.consume_forced_failure());
         m.lend_window(Addr::new(100), Addr::new(110), 4);
         assert_eq!(m.bump(SITE, 1, false), Some(Addr::new(100)));
-    }
-
-    #[test]
-    fn the_tally_drains_per_site_sums_in_site_order() {
-        let mut m = MutatorState::new();
-        m.tally_alloc(SiteId::new(5), 16);
-        m.tally_alloc(SiteId::new(2), 8);
-        m.tally_alloc(SiteId::new(5), 24);
-        let mut seen = Vec::new();
-        m.drain_site_tally(|s, n, b| seen.push((s.get(), n, b)));
-        assert_eq!(seen, vec![(2, 1, 8), (5, 2, 40)]);
-        m.drain_site_tally(|_, _, _| panic!("drained twice"));
     }
 }

@@ -78,7 +78,7 @@ pub struct GcStats {
     pub budget_overruns: u64,
 
     // Inert, always 0: `benchmark/src/metrics.rs` reports these four and
-    // `benchmark/src/workload.rs:625` checks the last two. ROADMAP item 1
+    // `benchmark/src/workload.rs:625` checks the last two. ROADMAP item 2(c)
     // deletes those reads and these fields.
     #[doc(hidden)]
     pub sites_promoted: u64,

@@ -471,7 +471,6 @@ impl Vm {
         self.m.charge(cost);
         self.m.stats.alloc_bytes += bytes;
         self.m.stats.alloc_objects += 1;
-        self.m.tally_alloc(shape.site(), bytes);
         let is_array = !matches!(shape, AllocShape::Record { .. });
         let result = match self.m.bump(shape.site(), words, is_array) {
             Some(addr) => {

@@ -18,8 +18,8 @@ use std::path::{Path, PathBuf};
 use tilgc_obs::json::{self, Value};
 use tilgc_obs::jsonl;
 use tilgc_obs::{
-    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, Hist, PhaseSpan, PressureBegin,
-    PressureEnd, PressureRung, SiteSample, SpaceCensus,
+    CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, PhaseSpan, PressureBegin,
+    PressureEnd, PressureRung, SpaceCensus,
 };
 
 const DOCS: [&str; 3] = ["README.md", "DESIGN.md", "EXPERIMENTS.md"];
@@ -373,22 +373,11 @@ fn sample_events() -> Vec<Event> {
             end_cycles: 2,
             live_bytes_after: 0,
             wall_ns: 1,
-            size_hist: Hist::default(),
-            depth_hist: Hist::default(),
             workers: 1,
             worker_copied_bytes: Vec::new(),
             chunks_owned: 1,
             side_cleared_words: 0,
         })),
-        Event::SiteSample(SiteSample {
-            collection: 1,
-            site: 1,
-            allocs: 1,
-            alloc_bytes: 8,
-            copied_objects: 0,
-            copied_bytes: 0,
-            survived: 0,
-        }),
         Event::PressureBegin(PressureBegin {
             site: 1,
             words: 2,
@@ -424,14 +413,13 @@ fn sample_events() -> Vec<Event> {
             Event::CollectionBegin(_) => 0,
             Event::Phase(_) => 1,
             Event::CollectionEnd(_) => 2,
-            Event::SiteSample(_) => 3,
-            Event::PressureBegin(_) => 4,
-            Event::PressureRung(_) => 5,
-            Event::PressureEnd(_) => 6,
-            Event::HeapCensus(_) => 7,
+            Event::PressureBegin(_) => 3,
+            Event::PressureRung(_) => 4,
+            Event::PressureEnd(_) => 5,
+            Event::HeapCensus(_) => 6,
         })
         .collect();
-    assert_eq!(kinds.len(), 8, "one sample per event kind");
+    assert_eq!(kinds.len(), 7, "one sample per event kind");
     samples
 }
 
