@@ -171,14 +171,7 @@ impl GenerationalPlan {
 
     fn minor(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
         let mut cycle = Cycle::begin(&mut self.base, mem, m, "generational", reason, false);
-        // Immediate promotion means frames scanned at an earlier
-        // collection cannot reference the (newer) nursery: only newly
-        // scanned frames, registers and the alloc buffer yield roots.
-        // With a §7.2 tenure threshold, copied-back survivors are young
-        // and movable, so cached frames' roots must be processed too
-        // (their decode cost is still saved).
         let tenure_threshold = self.tenure_threshold;
-        cycle.scan_roots(&mut self.base, m, tenure_threshold > 0);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
@@ -189,6 +182,13 @@ impl GenerationalPlan {
             los: None, // the LOS is old-generation: untouched by minor collections
             survivor: (tenure_threshold > 0)
                 .then(|| (self.nursery.inactive_mut(), tenure_threshold)),
+            // Immediate promotion means frames scanned at an earlier
+            // collection cannot reference the (newer) nursery: only newly
+            // scanned frames, registers and the alloc buffer yield roots.
+            // With a §7.2 tenure threshold, copied-back survivors are
+            // young and movable, so cached frames' roots must be processed
+            // too (their decode cost is still saved).
+            expand_cached: tenure_threshold > 0,
         };
         let mut tr = cycle.trace(&mut self.base, mem, m, spaces);
 
@@ -248,7 +248,7 @@ impl GenerationalPlan {
         self.base.stats.other_cycles += m.cost.barrier_entry * barrier_entries;
         // The per-entry examination charge lands after the drain; fold
         // it into the barrier-filter phase.
-        cycle.mark(GcPhase::BarrierFilter, &self.base.stats);
+        cycle.mark(GcPhase::BarrierFilter, self.base.stats.gc_cycles());
 
         sweep_profile_deaths(
             mem,
@@ -280,11 +280,6 @@ impl GenerationalPlan {
     fn major(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
         let mut cycle = Cycle::begin(&mut self.base, mem, m, "generational", reason, true);
         self.base.stats.major_collections += 1;
-        // A major collection moves tenured objects, so cached frames'
-        // roots must be relocated too — but their decode cost is still
-        // saved (§5: "it is still advantageous to have amortized the cost
-        // of decoding the stack frames").
-        cycle.scan_roots(&mut self.base, m, true);
 
         let nursery_range = self.nursery.active().range();
         let nursery_frontier = self.nursery.active().frontier();
@@ -312,6 +307,11 @@ impl GenerationalPlan {
             nursery: Some(nursery_range),
             los: Some(&mut self.los),
             survivor: None,
+            // A major collection moves tenured objects, so cached frames'
+            // roots must be relocated too — but their decode cost is still
+            // saved (§5: "it is still advantageous to have amortized the
+            // cost of decoding the stack frames").
+            expand_cached: true,
         };
         let mut tr = cycle.trace(&mut self.base, mem, m, spaces);
         // Pending pretenured/oversized objects are ordinary tenured

@@ -70,10 +70,6 @@ impl SemispacePlan {
     fn do_collect(&mut self, mem: &mut Memory, m: &mut MutatorState, reason: &'static str) {
         // Every semispace collection traces the whole heap.
         let mut cycle = Cycle::begin(&mut self.base, mem, m, "semispace", reason, true);
-        // Every collection moves everything, so cached frames' roots must
-        // be processed too — the cache saves only the decode cost.
-        cycle.scan_roots(&mut self.base, m, true);
-
         let from_range = self.heap.active().range();
         let from_frontier = self.heap.active().frontier();
         let to_space = self.heap.inactive_mut();
@@ -84,6 +80,9 @@ impl SemispacePlan {
             nursery: None,
             los: None,
             survivor: None,
+            // Every collection moves everything, so cached frames' roots
+            // must be processed too — the cache saves only the decode cost.
+            expand_cached: true,
         };
         cycle.trace(&mut self.base, mem, m, spaces).drain();
 

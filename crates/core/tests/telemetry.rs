@@ -10,7 +10,7 @@ use tilgc_core::{
 use tilgc_mem::{Addr, SiteId};
 use tilgc_obs::{jsonl, schema, CollectionEnd, Event, GcPhase, NullRecorder, RingRecorder};
 use tilgc_programs::Benchmark;
-use tilgc_runtime::{DescId, FrameDesc, GcStats, Trace, Value, Vm};
+use tilgc_runtime::{DescId, FrameDesc, GcStats, Trace, Value, Vm, NUM_REGS};
 
 /// The site the pretenuring configuration tenures at birth. Site ids are
 /// assigned in registration order starting at 1; the workload registers
@@ -657,4 +657,93 @@ fn ttsp_is_observational() {
             "trace must surface ttsp_cycles"
         );
     });
+}
+
+/// Stack frames of one record each, pushed and popped around minor and
+/// major collections: every copy a collection makes is of a record one
+/// stack root alone references, and the records hold no pointer.
+fn rooted_records(vm: &mut Vm) {
+    let cell = vm.site("split::cell");
+    let d = vm.register_frame(
+        FrameDesc::new("split")
+            .slots(2, Trace::Pointer)
+            .slot(Trace::NonPointer),
+    );
+    for round in 0..6 {
+        for i in 0..30 {
+            vm.push_frame(d);
+            let c = vm
+                .alloc_record(cell, &[Value::Int(i), Value::Int(round)])
+                .unwrap();
+            vm.set_slot(0, Value::Ptr(c));
+            vm.set_slot(2, Value::Int(7));
+        }
+        if round % 3 == 2 {
+            vm.gc_major();
+        } else {
+            vm.gc_now();
+        }
+        for _ in 0..20 {
+            vm.pop_frame();
+        }
+    }
+}
+
+/// The stack is decoded and its roots forwarded in one pass, but the
+/// phases still split the work as the paper does: on every plan, and
+/// through either decode path (slot lists, or slot by slot under shadow
+/// checks), each collection's stack-decode span is the decode's own
+/// charge, and the copies the pass makes of the roots' referents — one
+/// per relocated root here — are charged to root-scan with the roots
+/// themselves.
+#[test]
+fn stack_decode_is_the_decode_and_root_copies_land_in_root_scan() {
+    // A record of two fields: its header and the fields.
+    const RECORD_WORDS: u64 = 3;
+    for (kind, check_shadows) in CollectorKind::ALL
+        .into_iter()
+        .flat_map(|kind| [(kind, false), (kind, true)])
+    {
+        let label = format!("{}, shadow checks {check_shadows}", kind.label());
+        let recorder = Box::new(RingRecorder::with_capacity(1 << 16));
+        let mut vm = build_vm_with_recorder(kind, &config_for(kind), recorder);
+        vm.mutator_mut().check_shadows = check_shadows;
+        rooted_records(&mut vm);
+        let cost = vm.mutator().cost;
+        let events = RingRecorder::drain_events_from(vm.recorder_mut()).expect("ring");
+        let span = |collection, phase| -> u64 {
+            let spans = events.iter().filter_map(|e| match e {
+                Event::Phase(p) if p.collection == collection && p.phase == phase => Some(p.cycles),
+                _ => None,
+            });
+            spans.sum()
+        };
+        let mut copies = 0;
+        for e in &events {
+            let Event::CollectionEnd(c) = e else {
+                continue;
+            };
+            let span = |phase| span(c.collection, phase);
+            let at = format!("{label}, collection {}", c.collection);
+            assert_eq!(
+                span(GcPhase::StackDecode),
+                cost.frame_reuse * c.frames_reused
+                    + cost.frame_decode * c.frames_scanned
+                    + cost.slot_trace * (c.slots_scanned + NUM_REGS as u64)
+                    + cost.marker_place * c.markers_placed,
+                "{at}: stack-decode"
+            );
+            let words = c.copied_bytes / 8;
+            assert_eq!(words % RECORD_WORDS, 0, "{at}: only records copied");
+            let moved = words / RECORD_WORDS;
+            assert_eq!(
+                span(GcPhase::RootScan),
+                cost.root_check * c.roots_found
+                    + (cost.root_process + cost.copy_per_word * RECORD_WORDS) * moved,
+                "{at}: root-scan"
+            );
+            copies += moved;
+        }
+        assert!(copies > 0, "{label}: no root's referent was copied");
+    }
 }

@@ -177,8 +177,9 @@ proptest! {
     }
 
     /// The reuse bound holds under *real* collections: when scan epochs
-    /// come from the plan layer's root driver (`scan_stack` feeding
-    /// `Evacuator::forward_roots`) rather than simulated marker placement
+    /// come from the plan layer's root driver (`scan_stack`, forwarding
+    /// each root as it decodes it, then `Evacuator::forward_roots`) rather
+    /// than simulated marker placement
     /// — allocation-triggered minors, forced majors, exception unwinds in
     /// between — the cached prefix stays a lower bound on the oracle at
     /// every step. Run once with stack collection alone and once with
