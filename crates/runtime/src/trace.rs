@@ -397,9 +397,10 @@ impl TraceTable {
     ///
     /// # Panics
     ///
-    /// Panics on descriptors whose `Compute` traces reference slots out of
-    /// range, or with more slots than a 16-bit slot index can name — the
-    /// moral equivalent of a compiler bug.
+    /// Panics on descriptors whose `Compute` traces read a slot out of
+    /// range or one not traced `NonPointer` (the stack scan may relocate a
+    /// pointer slot before it reads the type), or with more slots than a
+    /// 16-bit slot index can name — the moral equivalent of a compiler bug.
     pub fn register(&mut self, desc: FrameDesc) -> DescId {
         assert!(
             desc.slots.len() <= 1 << 16,
@@ -412,6 +413,12 @@ impl TraceTable {
                 assert!(
                     (*s as usize) < desc.slots.len(),
                     "compute trace of slot {i} in {:?} references missing slot {s}",
+                    desc.name
+                );
+                assert_eq!(
+                    desc.slots[*s as usize],
+                    Trace::NonPointer,
+                    "compute trace of slot {i} in {:?} reads its type from slot {s}, not NonPointer",
                     desc.name
                 );
             }
@@ -522,6 +529,18 @@ mod tests {
     fn bad_compute_reference_panics() {
         let mut t = TraceTable::new();
         t.register(FrameDesc::new("bad").slot(Trace::Compute(TypeLoc::Slot(5))));
+    }
+
+    /// A type word in a slot the stack scan may relocate is refused.
+    #[test]
+    #[should_panic(expected = "reads its type from slot 0, not NonPointer")]
+    fn compute_type_in_a_pointer_slot_panics() {
+        let mut t = TraceTable::new();
+        t.register(
+            FrameDesc::new("bad")
+                .slot(Trace::Pointer)
+                .slot(Trace::Compute(TypeLoc::Slot(0))),
+        );
     }
 
     #[test]
