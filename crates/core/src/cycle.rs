@@ -64,6 +64,14 @@ impl PlanBase {
         }
     }
 
+    /// The profile, finished: a taken profile is a whole-run profile, its
+    /// live objects charged at the final clock.
+    pub fn take_profile(&mut self) -> Option<HeapProfile> {
+        let mut profile = self.profile.take()?;
+        profile.finish();
+        Some(profile)
+    }
+
     /// Exit from the collector: lends `space`'s frontier to the mutator,
     /// which may bump records, and arrays under `array_limit_words`,
     /// through it until the next entry. `hold` is the plan's own reason

@@ -352,8 +352,11 @@ impl<'a> Evacuator<'a> {
         self.stats.copied_bytes += bytes as u64;
         self.stats.copy_cycles += self.cost.copy_per_word * words as u64;
         if let Some(p) = self.profile.as_deref_mut() {
+            // The header age is 0 until an object's first copy and
+            // saturates, so a nursery copy at age 0 is its first survival
+            // (a §7.2 copy-back leaves the survivor at age 1).
             let from_nursery = self.nursery.is_some_and(|n| n.contains(addr));
-            p.on_copy(addr, new, bytes, from_nursery);
+            p.on_copy(site, bytes, from_nursery && h.age() == 0);
         }
         new
     }
@@ -769,7 +772,7 @@ pub(crate) fn sweep_profile_deaths(
     if let Some(p) = profile {
         for entry in object::walk(mem, start, upto) {
             if entry.forwarded.is_none() {
-                p.on_death(entry.addr);
+                p.on_death(entry.header.site());
             }
         }
     }
@@ -1151,12 +1154,15 @@ mod tests {
         assert_eq!(v, vec![Addr::new(40), Addr::new(41), Addr::new(45)]);
     }
 
-    #[test]
-    fn profile_sees_promotions() {
+    /// Copies one 16-byte nursery record of header age `age` under a
+    /// profiler and returns its site's row.
+    fn profile_one_nursery_copy(age: u8) -> tilgc_runtime::SiteProfile {
         let mut r = rig(256);
         let a = object::alloc_record(&mut r.mem, &mut r.from, SiteId::new(4), &[1], 0).unwrap();
+        let h = object::header(&r.mem, a).with_age(age);
+        object::set_header(&mut r.mem, a, h);
         let mut profile = HeapProfile::new();
-        profile.on_alloc(a, SiteId::new(4), 16);
+        profile.on_alloc(SiteId::new(4), 16);
         let from_ranges = [r.from.range()];
         let nursery = Some(r.from.range());
         let mut ev = Evacuator::new(
@@ -1171,9 +1177,20 @@ mod tests {
         );
         ev.forward(a);
         ev.drain();
-        let row = profile.site(SiteId::new(4)).unwrap();
-        assert_eq!(row.survived_first, 1);
-        assert_eq!(row.copied_bytes, 16);
+        profile.site(SiteId::new(4)).unwrap().clone()
+    }
+
+    #[test]
+    fn profile_sees_promotions() {
+        let row = profile_one_nursery_copy(0);
+        assert_eq!((row.survived_first, row.copied_bytes), (1, 16));
+    }
+
+    #[test]
+    fn an_aged_nursery_copy_counts_its_bytes_and_no_first_survival() {
+        // A §7.2 copy-back leaves a survivor in the nursery at age 1.
+        let row = profile_one_nursery_copy(1);
+        assert_eq!((row.survived_first, row.copied_bytes), (0, 16));
     }
 
     /// The scalar kernels the batched ones replaced, kept as the oracles
@@ -1854,7 +1871,7 @@ mod tests {
             let age = if i == 300 { 1 } else { rng(2) as u8 };
             let h = object::header(&mem, a).with_age(age);
             object::set_header(&mut mem, a, h);
-            profile.on_alloc(a, site, object::header(&mem, a).size_bytes());
+            profile.on_alloc(site, object::header(&mem, a).size_bytes());
             objs.push(a);
         }
         let bigs: Vec<Addr> = (0..3)

@@ -338,8 +338,9 @@ impl GenerationalPlan {
         );
         let swept = self.los.sweep(mem);
         if let Some(p) = self.base.profile.as_mut() {
+            // The sweep leaves each freed object's header in place.
             for addr in swept {
-                p.on_death(addr);
+                p.on_death(mem.site_of(addr));
             }
         }
 
@@ -581,7 +582,7 @@ impl GenerationalPlan {
             Arena::Nursery | Arena::Los => {}
         }
         if let Some(prof) = self.base.profile.as_mut() {
-            prof.on_alloc(addr, site, shape.size_bytes());
+            prof.on_alloc(site, shape.size_bytes());
         }
         Ok(addr)
     }
@@ -641,14 +642,11 @@ impl Collector for GenerationalPlan {
 
     fn finish(&mut self, _mem: &mut Memory, m: &mut MutatorState) {
         self.enter(m);
-        if let Some(p) = self.base.profile.as_mut() {
-            p.finish();
-        }
         self.leave(m);
     }
 
     fn take_profile(&mut self) -> Option<HeapProfile> {
-        self.base.profile.take()
+        self.base.take_profile()
     }
 
     fn last_inspection(&self) -> Option<&CollectionEnd> {

@@ -120,7 +120,7 @@ fn checked_index(base: usize, depth: usize, slot: usize) -> u32 {
     u32::try_from(index).unwrap_or_else(|_| refuse(depth, slot, index))
 }
 
-/// What a scan counted for [`Evacuator::forward_roots`] to charge.
+/// What a scan counted for `Evacuator::forward_roots` to charge.
 #[derive(Debug, Default)]
 pub struct ScanOutcome {
     /// The register roots: the pointerness the scan threaded through
@@ -152,7 +152,7 @@ pub struct ScanOutcome {
 /// Scans the mutator state for roots, forwarding through `ev` each root
 /// of the *newly scanned* frames where it decodes it, bottom frame first.
 /// Nothing is charged: the outcome counts the decode and those roots for
-/// [`forward_roots`](Evacuator::forward_roots), which forwards the
+/// `Evacuator::forward_roots`, which forwards the
 /// register roots, the allocation buffer and, if the caller asks, the
 /// cached frames' roots ([`ScanCache::prefix_roots`]) after them. A
 /// `Compute` slot's type word lies in a `NonPointer` slot (registration

@@ -164,7 +164,7 @@ impl Collector for SemispacePlan {
                 Ok(addr) => {
                     shape.write(mem, addr, &m.alloc_buf);
                     if let Some(p) = self.base.profile.as_mut() {
-                        p.on_alloc(addr, shape.site(), shape.size_bytes());
+                        p.on_alloc(shape.site(), shape.size_bytes());
                     }
                     Ok(addr)
                 }
@@ -198,14 +198,11 @@ impl Collector for SemispacePlan {
 
     fn finish(&mut self, _mem: &mut Memory, m: &mut MutatorState) {
         PlanBase::enter(m, self.heap.active_mut());
-        if let Some(p) = self.base.profile.as_mut() {
-            p.finish();
-        }
         self.leave(m);
     }
 
     fn take_profile(&mut self) -> Option<HeapProfile> {
-        self.base.profile.take()
+        self.base.take_profile()
     }
 
     fn last_inspection(&self) -> Option<&CollectionEnd> {

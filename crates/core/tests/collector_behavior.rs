@@ -164,6 +164,30 @@ fn large_arrays_bypass_the_nursery_and_survive_majors() {
     verify_vm(&vm);
 }
 
+/// A large object the major sweep frees dies at the sweep's allocation
+/// clock in the §6 profile, not at the end of the run.
+#[test]
+fn profile_sees_large_objects_die_at_the_sweep() {
+    let mut vm = build_vm(CollectorKind::Generational, &small_config().profiling(true));
+    let big = vm.site("t::big");
+    let junk = vm.site("t::junk");
+    // Past the 16 KB large-object threshold, and unreferenced.
+    let _ = vm.alloc_raw_array(big, 32 << 10).unwrap();
+    vm.gc_major();
+    for _ in 0..4096 {
+        let _ = vm.alloc_record(junk, &[Value::Int(0)]);
+    }
+    vm.finish();
+    let profile = vm.take_profile().expect("profiling enabled");
+    let row = profile.site(big).expect("site seen");
+    assert_eq!(row.dead_objects, 1);
+    assert_eq!(
+        row.avg_age_kb(),
+        0.0,
+        "it died before anything else was allocated"
+    );
+}
+
 #[test]
 fn large_ptr_array_keeps_young_initializer_alive() {
     let config = small_config().large_object_bytes(2 << 10);

@@ -430,12 +430,17 @@ fn ringed_run(kind: CollectorKind, config: &GcConfig) -> (Vm, String) {
 
 /// Neither a recorder nor the heap profiler moves a simulated number:
 /// `gc-log` records with both, so its stream must be the one a bare
-/// recorder sees.
+/// recorder sees. The profile it keeps reconciles with the run's own
+/// counters, §7.2 aging (survivors copied more than once from the
+/// nursery) included.
 #[test]
 fn installed_recorders_leave_gc_stats_byte_identical() {
-    for kind in CollectorKind::ALL {
-        let config = config_for(kind);
-
+    let aging = (
+        CollectorKind::Generational,
+        config_for(CollectorKind::Generational).tenure_threshold(3),
+    );
+    let runs = CollectorKind::ALL.map(|kind| (kind, config_for(kind)));
+    for (kind, config) in runs.into_iter().chain([aging]) {
         let mut bare = build_vm(kind, &config);
         workload(&mut bare);
         bare.finish();
@@ -447,7 +452,7 @@ fn installed_recorders_leave_gc_stats_byte_identical() {
         let (ringed, ring_doc) = ringed_run(kind, &config);
         let (mut profiled, profiled_doc) = ringed_run(kind, &config.clone().profiling(true));
 
-        let label = kind.label();
+        let label = format!("{} (tenure age {})", kind.label(), config.tenure_threshold);
         let base = base_stats(&bare);
         assert_eq!(base, base_stats(&nulled), "{label}: NullRecorder perturbed");
         assert_eq!(base, base_stats(&ringed), "{label}: RingRecorder perturbed");
@@ -457,14 +462,32 @@ fn installed_recorders_leave_gc_stats_byte_identical() {
             ringed.mutator_stats().alloc_bytes,
             "{label}: recording perturbed allocation accounting"
         );
-        assert!(
-            profiled.take_profile().is_some(),
-            "{label}: the profiled run kept no profile"
-        );
         assert_eq!(
             ring_doc, profiled_doc,
             "{label}: profiling perturbed the event stream"
         );
+
+        let profile = profiled
+            .take_profile()
+            .unwrap_or_else(|| panic!("{label}: the profiled run kept no profile"));
+        let rows: Vec<_> = profile.iter().map(|(_, row)| row).collect();
+        let sum =
+            |f: fn(&tilgc_runtime::SiteProfile) -> u64| rows.iter().map(|r| f(r)).sum::<u64>();
+        let m = profiled.mutator_stats();
+        assert_eq!(
+            (sum(|r| r.alloc_objects), sum(|r| r.alloc_bytes)),
+            (m.alloc_objects, m.alloc_bytes),
+            "{label}: the profile's allocations are the mutator's"
+        );
+        assert_eq!(
+            sum(|r| r.copied_bytes),
+            profiled.gc_stats().copied_bytes,
+            "{label}: the profile's copies are the collector's"
+        );
+        for row in &rows {
+            assert_eq!(row.dead_objects, row.alloc_objects, "{label}: {row:?}");
+            assert!(row.survived_first <= row.alloc_objects, "{label}: {row:?}");
+        }
     }
 }
 

@@ -6,7 +6,13 @@
 //!
 //! The recorder and the profiler are host-side only: the run's simulated
 //! cycle counts, `GcStats` and event stream are identical to a bare run
-//! of the same program.
+//! of the same program. Its `wall_ns` are not: they carry the profiler's
+//! work. On Knuth-Bendix under `gen+markers` (five runs each) the
+//! collections' `wall_ns` sum reads a median 27.4 ms profiled against
+//! 15.8 ms with the profiler off. What is left is the death sweep over
+//! each vacated range (outside every phase), `on_edge`'s `BTreeMap` per
+//! traced edge (in `cheney-copy`), and, outside collections, door-only
+//! allocation.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;

@@ -42,14 +42,13 @@ impl Default for PolicyOptions {
 /// ```
 /// use tilgc_profile::{derive_policy, PolicyOptions};
 /// use tilgc_runtime::HeapProfile;
-/// use tilgc_mem::{Addr, SiteId};
+/// use tilgc_mem::SiteId;
 ///
 /// let mut profile = HeapProfile::new();
 /// // Site 1: ten objects, all survive their first collection.
-/// for i in 0..10 {
-///     let a = Addr::new(100 + i);
-///     profile.on_alloc(a, SiteId::new(1), 16);
-///     profile.on_copy(a, Addr::new(200 + i), 16, true);
+/// for _ in 0..10 {
+///     profile.on_alloc(SiteId::new(1), 16);
+///     profile.on_copy(SiteId::new(1), 16, true);
 /// }
 /// let policy = derive_policy(&profile, &PolicyOptions::default());
 /// assert!(policy.should_pretenure(SiteId::new(1)));
@@ -122,40 +121,29 @@ pub fn coverage(profile: &HeapProfile, policy: &PretenurePolicy) -> Coverage {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilgc_mem::Addr;
-
     const LONG: SiteId = SiteId::new(1);
     const SHORT: SiteId = SiteId::new(2);
     const TINY: SiteId = SiteId::new(3);
 
     fn bimodal_profile() -> HeapProfile {
         let mut p = HeapProfile::new();
-        let mut next = 100u32;
         // 20 long-lived objects (100 % old), edges only to LONG.
         for _ in 0..20 {
-            let a = Addr::new(next);
-            next += 10;
-            p.on_alloc(a, LONG, 32);
-            p.on_copy(a, Addr::new(next), 32, true);
-            next += 10;
+            p.on_alloc(LONG, 32);
+            p.on_copy(LONG, 32, true);
         }
         p.on_edge(LONG, LONG);
         // 200 short-lived objects (0 % old), edges to LONG and SHORT.
         for _ in 0..200 {
-            let a = Addr::new(next);
-            next += 10;
-            p.on_alloc(a, SHORT, 16);
-            p.on_death(a);
+            p.on_alloc(SHORT, 16);
+            p.on_death(SHORT);
         }
         p.on_edge(SHORT, LONG);
         p.on_edge(SHORT, SHORT);
         // 2 objects from a tiny site that happen to survive — noise.
         for _ in 0..2 {
-            let a = Addr::new(next);
-            next += 10;
-            p.on_alloc(a, TINY, 16);
-            p.on_copy(a, Addr::new(next), 16, true);
-            next += 10;
+            p.on_alloc(TINY, 16);
+            p.on_copy(TINY, 16, true);
         }
         p
     }

@@ -144,7 +144,6 @@ pub fn render_report(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tilgc_mem::Addr;
 
     fn sample() -> (HeapProfile, SiteRegistry) {
         let mut sites = SiteRegistry::new();
@@ -152,22 +151,16 @@ mod tests {
         let cold = sites.register("kb::rules");
         let noise = sites.register("kb::tiny");
         let mut p = HeapProfile::new();
-        let mut next = 100u32;
         for _ in 0..100 {
-            let a = Addr::new(next);
-            next += 10;
-            p.on_alloc(a, hot, 64);
-            p.on_death(a);
+            p.on_alloc(hot, 64);
+            p.on_death(hot);
         }
         for _ in 0..10 {
-            let a = Addr::new(next);
-            next += 10;
-            p.on_alloc(a, cold, 32);
-            p.on_copy(a, Addr::new(next), 32, true);
-            next += 10;
+            p.on_alloc(cold, 32);
+            p.on_copy(cold, 32, true);
         }
         // One allocation from a site contributing < 1 % either way.
-        p.on_alloc(Addr::new(next), noise, 8);
+        p.on_alloc(noise, 8);
         (p, sites)
     }
 

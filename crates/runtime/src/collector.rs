@@ -225,18 +225,18 @@ pub trait Collector {
     /// Cumulative collection statistics.
     fn gc_stats(&self) -> &GcStats;
 
-    /// End-of-run hook: flush profiling data, run a final sweep, etc.
+    /// End-of-run hook: bring the lent allocation window home, run a
+    /// final sweep, etc.
     ///
-    /// Deliberately *not* defaulted: a defaulted no-op let collectors
-    /// silently skip their final profile flush (the pretenuring plan's
-    /// final-sweep flush is load-bearing for §6 policy derivation), so
-    /// every implementation must state what — if anything — it does.
+    /// Deliberately *not* defaulted: every implementation must state
+    /// what — if anything — it does at the end of a run.
     fn finish(&mut self, mem: &mut Memory, mutator: &mut MutatorState);
 
-    /// Extracts the heap profile gathered during the run, if profiling
-    /// was enabled. Collectors that never profile return `None`
-    /// explicitly; there is no default, for the same reason as
-    /// [`finish`](Collector::finish).
+    /// Extracts the heap profile gathered during the run, finished
+    /// (`HeapProfile::finish`: objects still live are charged at the
+    /// final clock), if profiling was enabled. Collectors that never
+    /// profile return `None` explicitly; there is no default, for the
+    /// same reason as [`finish`](Collector::finish).
     fn take_profile(&mut self) -> Option<HeapProfile>;
 
     /// The record of the most recent collection — the same

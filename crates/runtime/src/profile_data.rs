@@ -5,10 +5,16 @@
 //! Figure-2 report and into pretenuring policies. Keeping the raw data
 //! here (in the runtime substrate) lets the collector crate fill it in
 //! without depending on the analysis crate.
+//!
+//! Every Figure-2 column is a per-site sum, so the profile holds sums and
+//! nothing per object: the site rides in each object's header, the age
+//! column is Σ death clock − Σ birth clock over a site's objects, and a
+//! first survival is a nursery copy of an object whose header age is
+//! still 0. A copy costs two adds.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
-use tilgc_mem::{Addr, SiteId};
+use tilgc_mem::SiteId;
 
 /// Per-allocation-site lifetime statistics — one row of Figure 2.
 #[derive(Clone, Debug, Default)]
@@ -24,8 +30,11 @@ pub struct SiteProfile {
     pub survived_first: u64,
     /// Objects from this site observed dead.
     pub dead_objects: u64,
-    /// Sum of ages at death, in KB of allocation (numerator of "avg age").
-    pub age_sum_kb: f64,
+    /// Sum of the allocation clock, in bytes, at each object's birth
+    /// (just after its own bytes).
+    pub birth_clock_sum: u128,
+    /// Sum of the allocation clock, in bytes, at each dead object's death.
+    pub death_clock_sum: u128,
     /// Observed pointer edges: target site → count. Feeds the §7.2
     /// `P(s) ⊆ S` reachability analysis.
     pub edges_to: BTreeMap<SiteId, u64>,
@@ -41,12 +50,13 @@ impl SiteProfile {
         }
     }
 
-    /// Mean age at death in KB of allocation ("avg age").
+    /// Mean age at death in KB of allocation ("avg age"). Meaningful once
+    /// every object is dead — after [`HeapProfile::finish`].
     pub fn avg_age_kb(&self) -> f64 {
         if self.dead_objects == 0 {
             0.0
         } else {
-            self.age_sum_kb / self.dead_objects as f64
+            (self.death_clock_sum - self.birth_clock_sum) as f64 / 1024.0 / self.dead_objects as f64
         }
     }
 
@@ -61,26 +71,12 @@ impl SiteProfile {
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Birth {
-    site: SiteId,
-    born_at_bytes: u64,
-    survived_first: bool,
-}
-
-/// Heap profile being gathered during a run.
-///
-/// Object identity is tracked by current address: the collector reports
-/// every relocation with [`on_copy`](HeapProfile::on_copy), so the birth
-/// table follows objects around, which is how the profiler attributes a
-/// death discovered in the vacated nursery to the right site and age.
+/// Heap profile being gathered during a run: per-site sums on one
+/// allocation clock.
 #[derive(Clone, Debug, Default)]
 pub struct HeapProfile {
     sites: Vec<SiteProfile>,
-    births: HashMap<u32, Birth>,
     alloc_clock_bytes: u64,
-    /// Objects still live when the run finished.
-    pub live_at_exit: u64,
     /// Sites the heap-pressure governor demoted from pretenured back to
     /// nursery allocation, in demotion order. A site appearing here means
     /// its pretenuring decision was wrong for this heap budget — the next
@@ -116,58 +112,38 @@ impl HeapProfile {
             .map(|(i, p)| (SiteId::new(i as u16), p))
     }
 
-    /// Records an allocation of `bytes` bytes at `addr` from `site`.
-    pub fn on_alloc(&mut self, addr: Addr, site: SiteId, bytes: usize) {
+    /// Records an allocation of `bytes` bytes from `site`; the object is
+    /// born at the clock just after its own bytes.
+    pub fn on_alloc(&mut self, site: SiteId, bytes: usize) {
         self.alloc_clock_bytes += bytes as u64;
+        let clock = self.alloc_clock_bytes;
         let e = self.entry(site);
         e.alloc_bytes += bytes as u64;
         e.alloc_objects += 1;
-        self.births.insert(
-            addr.raw(),
-            Birth {
-                site,
-                born_at_bytes: self.alloc_clock_bytes,
-                survived_first: false,
-            },
-        );
+        e.birth_clock_sum += u128::from(clock);
     }
 
-    /// Records that the object at `old` was copied to `new`.
-    /// `from_nursery` marks a first promotion out of the allocation area,
-    /// which is what "% old" counts.
-    pub fn on_copy(&mut self, old: Addr, new: Addr, bytes: usize, from_nursery: bool) {
-        let Some(mut birth) = self.births.remove(&old.raw()) else {
-            return;
-        };
-        let e = self.entry(birth.site);
+    /// Records a copy of `bytes` bytes of an object from `site`.
+    /// `first_survival` marks a nursery copy of an object never copied
+    /// before, which is what "% old" counts.
+    pub fn on_copy(&mut self, site: SiteId, bytes: usize, first_survival: bool) {
+        let e = self.entry(site);
         e.copied_bytes += bytes as u64;
-        if from_nursery && !birth.survived_first {
-            birth.survived_first = true;
-            e.survived_first += 1;
-        }
-        self.births.insert(new.raw(), birth);
+        e.survived_first += u64::from(first_survival);
     }
 
-    /// Records that the object at `addr` was found dead.
-    pub fn on_death(&mut self, addr: Addr) {
-        let Some(birth) = self.births.remove(&addr.raw()) else {
-            return;
-        };
-        let age_kb = (self.alloc_clock_bytes - birth.born_at_bytes) as f64 / 1024.0;
-        let e = self.entry(birth.site);
+    /// Records that an object from `site` was found dead.
+    pub fn on_death(&mut self, site: SiteId) {
+        let clock = self.alloc_clock_bytes;
+        let e = self.entry(site);
         e.dead_objects += 1;
-        e.age_sum_kb += age_kb;
+        e.death_clock_sum += u128::from(clock);
     }
 
     /// Records a pointer from an object born at `from_site` to one born at
     /// `to_site`.
     pub fn on_edge(&mut self, from_site: SiteId, to_site: SiteId) {
         *self.entry(from_site).edges_to.entry(to_site).or_insert(0) += 1;
-    }
-
-    /// Looks up the birth site of the (live) object at `addr`.
-    pub fn site_of(&self, addr: Addr) -> Option<SiteId> {
-        self.births.get(&addr.raw()).map(|b| b.site)
     }
 
     /// Records that the governor demoted `site` out of the pretenured
@@ -178,15 +154,20 @@ impl HeapProfile {
 
     /// Ends the run: objects still live are counted as dying at the end,
     /// so "avg age" reflects them, mirroring a whole-program profile.
+    /// Idempotent: a second call finds no object live.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a site reports more deaths than allocations.
     pub fn finish(&mut self) {
-        let clock = self.alloc_clock_bytes;
-        self.live_at_exit = self.births.len() as u64;
-        let births: Vec<Birth> = self.births.drain().map(|(_, b)| b).collect();
-        for birth in births {
-            let age_kb = (clock - birth.born_at_bytes) as f64 / 1024.0;
-            let e = self.entry(birth.site);
-            e.dead_objects += 1;
-            e.age_sum_kb += age_kb;
+        let clock = u128::from(self.alloc_clock_bytes);
+        for (i, e) in self.sites.iter_mut().enumerate() {
+            let live = e
+                .alloc_objects
+                .checked_sub(e.dead_objects)
+                .unwrap_or_else(|| panic!("site {i}: more deaths than allocations"));
+            e.dead_objects += live;
+            e.death_clock_sum += clock * u128::from(live);
         }
     }
 }
@@ -201,11 +182,11 @@ mod tests {
     #[test]
     fn alloc_copy_death_lifecycle() {
         let mut p = HeapProfile::new();
-        p.on_alloc(Addr::new(10), S1, 1024);
-        p.on_alloc(Addr::new(20), S2, 2048);
+        p.on_alloc(S1, 1024);
+        p.on_alloc(S2, 2048);
         // S1's object survives a minor collection; S2's dies.
-        p.on_copy(Addr::new(10), Addr::new(100), 1024, true);
-        p.on_death(Addr::new(20));
+        p.on_copy(S1, 1024, true);
+        p.on_death(S2);
 
         let s1 = p.site(S1).unwrap();
         assert_eq!(s1.alloc_objects, 1);
@@ -216,17 +197,16 @@ mod tests {
         let s2 = p.site(S2).unwrap();
         assert_eq!(s2.old_percent(), 0.0);
         assert_eq!(s2.dead_objects, 1);
-        // Died when the clock stood at 3072 bytes, born at 3072 → age 0? No:
-        // born after its own allocation (clock 3072), died at 3072 → age 0 KB.
+        // Born after its own allocation (clock 3072), died at 3072 → age 0 KB.
         assert_eq!(s2.avg_age_kb(), 0.0);
     }
 
     #[test]
     fn repeated_copies_accumulate_but_survival_counts_once() {
         let mut p = HeapProfile::new();
-        p.on_alloc(Addr::new(10), S1, 100);
-        p.on_copy(Addr::new(10), Addr::new(20), 100, true);
-        p.on_copy(Addr::new(20), Addr::new(30), 100, false); // major copy
+        p.on_alloc(S1, 100);
+        p.on_copy(S1, 100, true);
+        p.on_copy(S1, 100, false); // major copy
         let s = p.site(S1).unwrap();
         assert_eq!(s.copied_bytes, 200);
         assert_eq!(s.survived_first, 1);
@@ -236,9 +216,9 @@ mod tests {
     #[test]
     fn age_measured_in_kb_of_allocation() {
         let mut p = HeapProfile::new();
-        p.on_alloc(Addr::new(10), S1, 512);
-        p.on_alloc(Addr::new(20), S2, 4096); // clock advances 4 KB
-        p.on_death(Addr::new(10));
+        p.on_alloc(S1, 512);
+        p.on_alloc(S2, 4096); // clock advances 4 KB
+        p.on_death(S1);
         let s = p.site(S1).unwrap();
         assert!((s.avg_age_kb() - 4.0).abs() < 1e-12);
     }
@@ -246,13 +226,31 @@ mod tests {
     #[test]
     fn finish_accounts_for_survivors() {
         let mut p = HeapProfile::new();
-        p.on_alloc(Addr::new(10), S1, 1024);
-        p.on_alloc(Addr::new(20), S1, 1024);
-        p.on_death(Addr::new(20));
+        p.on_alloc(S1, 1024);
+        p.on_alloc(S1, 1024);
+        p.on_death(S1);
+        p.on_alloc(S2, 2048);
         p.finish();
-        assert_eq!(p.live_at_exit, 1);
         let s = p.site(S1).unwrap();
         assert_eq!(s.dead_objects, 2);
+        // Born at 1 and 2 KB; dead at 2 KB and, at finish, 4 KB.
+        assert!((s.avg_age_kb() - 1.5).abs() < 1e-12);
+        let before = s.clone();
+        p.finish();
+        let s = p.site(S1).unwrap();
+        assert_eq!(
+            (s.dead_objects, s.death_clock_sum),
+            (before.dead_objects, before.death_clock_sum),
+            "finish is idempotent"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "more deaths than allocations")]
+    fn finish_refuses_more_deaths_than_allocations() {
+        let mut p = HeapProfile::new();
+        p.on_death(S1);
+        p.finish();
     }
 
     #[test]
@@ -272,20 +270,15 @@ mod tests {
         // at finish), and survivors-of-first-collection never exceed
         // allocations.
         let mut p = HeapProfile::new();
-        let mut next = 10u32;
         for i in 0..50u32 {
-            let a = Addr::new(next);
-            next += 4;
-            p.on_alloc(a, S1, 16);
+            p.on_alloc(S1, 16);
             if i % 3 == 0 {
-                let moved = Addr::new(next);
-                next += 4;
-                p.on_copy(a, moved, 16, true);
+                p.on_copy(S1, 16, true);
                 if i % 6 == 0 {
-                    p.on_death(moved);
+                    p.on_death(S1);
                 }
             } else if i % 3 == 1 {
-                p.on_death(a);
+                p.on_death(S1);
             }
         }
         p.finish();
@@ -294,12 +287,5 @@ mod tests {
         assert_eq!(s.dead_objects, 50, "finish accounts every survivor");
         assert!(s.survived_first <= s.alloc_objects);
         assert_eq!(s.survived_first, 17); // i % 3 == 0 for 0..50
-    }
-
-    #[test]
-    fn death_of_untracked_address_is_ignored() {
-        let mut p = HeapProfile::new();
-        p.on_death(Addr::new(77)); // e.g. runtime-internal object
-        assert_eq!(p.iter().count(), 0);
     }
 }

@@ -754,12 +754,12 @@ impl Vm {
         self.m.poll_safepoint();
     }
 
-    /// Ends the run: final collector bookkeeping (profile flush, ...).
+    /// Ends the run: final collector bookkeeping.
     pub fn finish(&mut self) {
         self.gc.finish(&mut self.mem, &mut self.m);
     }
 
-    /// Extracts the heap profile, if the collector gathered one.
+    /// Extracts the heap profile, finished, if the collector gathered one.
     pub fn take_profile(&mut self) -> Option<HeapProfile> {
         self.gc.take_profile()
     }
