@@ -18,7 +18,7 @@
 
 use std::time::Instant;
 
-use tilgc_mem::{Addr, Memory, Space, SpaceRange};
+use tilgc_mem::{object, Addr, Memory, Space, SpaceRange, POISON};
 use tilgc_obs::{
     CollectionBegin, CollectionEnd, Event, GcPhase, HeapCensus, PhaseTimer, SpaceCensus,
 };
@@ -229,6 +229,30 @@ impl Cycle {
             cycle: self,
             copy_t0: Instant::now(),
         }
+    }
+
+    /// Vacates `space` after the copy: reports each unforwarded (dead)
+    /// object below its frontier to the profiler, poisons what it used
+    /// in debug builds so stale reads fail loudly, drops the barrier
+    /// dirty bits there in one word sweep (fresh allocations at reused
+    /// addresses must start clean, or the object-marking barrier would
+    /// skip them) and resets its frontier. The host time lands in the
+    /// copy phase; the cycle total is unchanged.
+    pub fn vacate(&mut self, base: &mut PlanBase, mem: &mut Memory, space: &mut Space) {
+        let (range, frontier) = (space.range(), space.frontier());
+        if let Some(p) = base.profile.as_mut() {
+            for entry in object::walk(mem, range.start, frontier) {
+                if entry.forwarded.is_none() {
+                    p.on_death(entry.header.site());
+                }
+            }
+        }
+        if cfg!(debug_assertions) && frontier > range.start {
+            mem.fill(range.start, frontier - range.start, POISON);
+        }
+        mem.bulk_clear_dirty(range, frontier);
+        space.reset();
+        self.mark(GcPhase::CheneyCopy, base.stats.gc_cycles());
     }
 
     /// Epilogue, after the plan released its spaces: the last call on a

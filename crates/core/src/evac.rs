@@ -31,9 +31,7 @@
 
 use std::collections::VecDeque;
 
-use tilgc_mem::{
-    object, Addr, Header, Memory, ObjectKind, SideBitmap, SiteId, Space, SpaceRange, POISON,
-};
+use tilgc_mem::{object, Addr, Header, Memory, ObjectKind, SideBitmap, SiteId, Space, SpaceRange};
 use tilgc_runtime::{CostModel, GcStats, HeapProfile, MutatorState, Reg};
 
 use crate::los::LargeObjectSpace;
@@ -757,34 +755,6 @@ fn sort_dedup_addrs(scratch: &mut SideBitmap, locs: &mut Vec<Addr>) {
     } else {
         locs.sort_unstable();
         locs.dedup();
-    }
-}
-
-/// Reports every unforwarded (dead) object in `[start, upto)` to the
-/// profiler — the death sweep each plan runs over a vacated range before
-/// poisoning and resetting it. A no-op without a profiler.
-pub(crate) fn sweep_profile_deaths(
-    mem: &Memory,
-    profile: Option<&mut HeapProfile>,
-    start: Addr,
-    upto: Addr,
-) {
-    if let Some(p) = profile {
-        for entry in object::walk(mem, start, upto) {
-            if entry.forwarded.is_none() {
-                p.on_death(entry.header.site());
-            }
-        }
-    }
-}
-
-/// Poisons a vacated range in debug builds so stale reads fail loudly.
-pub fn poison_range(mem: &mut Memory, range: SpaceRange, upto: Addr) {
-    if cfg!(debug_assertions) {
-        let end = upto.min(range.end);
-        if end > range.start {
-            mem.fill(range.start, end - range.start, POISON);
-        }
     }
 }
 

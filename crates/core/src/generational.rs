@@ -33,7 +33,6 @@ use tilgc_runtime::{
 
 use crate::config::GcConfig;
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
-use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{self, Governed, Ladder, PressureRung, PressureSession, Recovery};
 use crate::space::{CopySpace, PretenuredRegion};
 use crate::LargeObjectSpace;
@@ -174,7 +173,6 @@ impl GenerationalPlan {
         let tenure_threshold = self.tenure_threshold;
 
         let nursery_range = self.nursery.active().range();
-        let nursery_frontier = self.nursery.active().frontier();
         let spaces = TraceSpaces {
             from: &[nursery_range],
             to: self.tenured.active_mut(),
@@ -250,18 +248,7 @@ impl GenerationalPlan {
         // it into the barrier-filter phase.
         cycle.mark(GcPhase::BarrierFilter, self.base.stats.gc_cycles());
 
-        sweep_profile_deaths(
-            mem,
-            self.base.profile.as_mut(),
-            nursery_range.start,
-            nursery_frontier,
-        );
-        poison_range(mem, nursery_range, nursery_frontier);
-        // Vacating the nursery invalidates every side dirty bit in it in
-        // one word sweep — fresh allocations at reused addresses must
-        // start clean or the object-marking barrier would skip them.
-        mem.bulk_clear_dirty(nursery_range, nursery_frontier);
-        self.nursery.active_mut().reset();
+        cycle.vacate(&mut self.base, mem, self.nursery.active_mut());
         if tenure_threshold > 0 {
             // Flip: allocation continues in the space now holding the
             // copied-back survivors.
@@ -282,7 +269,6 @@ impl GenerationalPlan {
         self.base.stats.major_collections += 1;
 
         let nursery_range = self.nursery.active().range();
-        let nursery_frontier = self.nursery.active().frontier();
         debug_assert_eq!(
             self.nursery.inactive().used_words(),
             0,
@@ -324,18 +310,6 @@ impl GenerationalPlan {
         tr.mark(GcPhase::BarrierFilter);
         tr.drain();
 
-        sweep_profile_deaths(
-            mem,
-            self.base.profile.as_mut(),
-            nursery_range.start,
-            nursery_frontier,
-        );
-        sweep_profile_deaths(
-            mem,
-            self.base.profile.as_mut(),
-            tenured_from.start,
-            tenured_from.end,
-        );
         let swept = self.los.sweep(mem);
         if let Some(p) = self.base.profile.as_mut() {
             // The sweep leaves each freed object's header in place.
@@ -343,17 +317,11 @@ impl GenerationalPlan {
                 p.on_death(mem.site_of(addr));
             }
         }
-
-        poison_range(mem, nursery_range, nursery_frontier);
-        mem.bulk_clear_dirty(nursery_range, nursery_frontier);
-        self.nursery.active_mut().reset();
-        let tenured_full = self.tenured.active().range();
-        poison_range(mem, tenured_from, tenured_from.end);
+        cycle.vacate(&mut self.base, mem, self.nursery.active_mut());
         // The vacated tenured semispace sheds its barrier dirty bits in
         // one sweep of what it used, not of its (budget-sized)
         // reservation; the next major's copies land on clean metadata.
-        mem.bulk_clear_dirty(tenured_full, tenured_from.end);
-        self.tenured.active_mut().reset();
+        cycle.vacate(&mut self.base, mem, self.tenured.active_mut());
         self.tenured.flip();
 
         let live_words = self.tenured.active().used_words() + self.los.used_words();

@@ -18,7 +18,6 @@ use tilgc_runtime::{
 
 use crate::config::GcConfig;
 use crate::cycle::{Cycle, PlanBase, Release, TraceSpaces};
-use crate::evac::{poison_range, sweep_profile_deaths};
 use crate::governor::{self, Governed, Ladder, Recovery};
 use crate::space::CopySpace;
 
@@ -71,7 +70,6 @@ impl SemispacePlan {
         // Every semispace collection traces the whole heap.
         let mut cycle = Cycle::begin(&mut self.base, mem, m, "semispace", reason, true);
         let from_range = self.heap.active().range();
-        let from_frontier = self.heap.active().frontier();
         let to_space = self.heap.inactive_mut();
         to_space.set_limit_words(to_space.max_capacity_words());
         let spaces = TraceSpaces {
@@ -90,17 +88,9 @@ impl SemispacePlan {
         // embedder recorded anyway.
         m.barrier.drain(|_| {});
 
-        sweep_profile_deaths(
-            mem,
-            self.base.profile.as_mut(),
-            from_range.start,
-            from_frontier,
-        );
-        poison_range(mem, from_range, from_frontier);
-        // The vacated half drops any barrier dirty bits an embedder set
-        // in one word sweep (the plan itself records none).
-        mem.bulk_clear_dirty(from_range, from_frontier);
-        self.heap.active_mut().reset();
+        // The vacated half also drops any barrier dirty bits an embedder
+        // set (the plan itself records none).
+        cycle.vacate(&mut self.base, mem, self.heap.active_mut());
         self.heap.flip();
         let live_words = self.heap.active().used_words();
 

@@ -10,14 +10,13 @@
 //! work. On Knuth-Bendix under `gen+markers` (five runs each) the
 //! collections' `wall_ns` sum reads a median 27.4 ms profiled against
 //! 15.8 ms with the profiler off. What is left is the death sweep over
-//! each vacated range (outside every phase), `on_edge`'s `BTreeMap` per
-//! traced edge (in `cheney-copy`), and, outside collections, door-only
-//! allocation.
+//! each vacated range and `on_edge`'s `BTreeMap` per traced edge (both
+//! in `cheney-copy`), and, outside collections, door-only allocation.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
 
-use tilgc_obs::metrics::PauseMetrics;
+use tilgc_obs::metrics::{percentile, PauseMetrics};
 use tilgc_obs::{jsonl, schema, Event, GcPhase};
 use tilgc_profile::{render_report, ReportOptions};
 use tilgc_runtime::CostModel;
@@ -140,26 +139,26 @@ fn group_collections(events: &[Event]) -> BTreeMap<u64, CollectionRow> {
     rows
 }
 
-/// Prints the latency footer: pause percentiles from the streaming
-/// histogram, the MMU at millisecond-equivalent windows, and the
-/// recorder's event/drop accounting.
+/// Prints the latency footer: exact pause percentiles, the MMU at
+/// millisecond-equivalent windows, and the recorder's event/drop
+/// accounting.
 fn print_pause_summary(events: &[Event], event_count: usize, dropped: u64, clock_hz: u64) {
     let metrics = PauseMetrics::from_events(events);
-    let h = metrics.histogram();
+    let pauses = metrics.pauses();
     println!();
-    if h.count() > 0 {
+    if !pauses.is_empty() {
         let model = CostModel {
             clock_hz,
             ..CostModel::default()
         };
         println!(
             "pauses (gc cycles): n={} p50={} p90={} p99={} p99.9={} max={}",
-            h.count(),
-            h.percentile(500),
-            h.percentile(900),
-            h.percentile(990),
-            h.percentile(999),
-            h.max()
+            pauses.len(),
+            percentile(&pauses, 500),
+            percentile(&pauses, 900),
+            percentile(&pauses, 990),
+            percentile(&pauses, 999),
+            percentile(&pauses, 1000)
         );
         let mmu: Vec<String> = [1u64, 10, 100]
             .iter()

@@ -23,7 +23,7 @@
 //! it against the documented schema.
 //! `slo-report` evaluates pause-time service-level objectives: it reads
 //! an event stream (a `gc-log` JSONL via `--input`, or a live run of
-//! `--bench` under `--plan` — the gc-log rig), prints the pause
+//! `--bench` under `--plan` — the gc-log rig), prints the exact pause
 //! percentile table, the MMU curve, the last heap census, and the
 //! recorder's drop accounting, then checks each configured bound —
 //! `--max-p50/--max-p90/--max-p99/--max-p999 CYCLES` upper-bound pause

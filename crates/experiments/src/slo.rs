@@ -6,12 +6,13 @@
 //! default live mode runs one benchmark under one collector with the
 //! recorder attached — the same rig as `gc-log` — and evaluates the
 //! stream it just captured. Either way the report is computed entirely
-//! in the deterministic cycle domain: the percentile table comes from
-//! the streaming [`PauseHistogram`](tilgc_obs::metrics::PauseHistogram),
-//! the MMU curve from the exact sliding-window minimum, and the verdict
-//! from an [`SloSpec`] assembled out of `--max-p*`/`--min-mmu` bounds.
-//! Any violated bound makes the process exit nonzero, which is what lets
-//! CI gate on it.
+//! in the deterministic cycle domain, from one [`PauseMetrics`] ledger:
+//! exact percentiles of the pause lengths ([`percentile`], the rank
+//! rule of the benchmark's `sim_pause_p99_kcycles`), the MMU curve from
+//! the exact sliding-window minimum, and one verdict row per bound of an
+//! [`SloSpec`] assembled out of `--max-p*`/`--min-mmu` flags. Any
+//! violated bound makes the process exit nonzero, which is what lets CI
+//! gate on it.
 //!
 //! Time-to-safepoint is surfaced alongside the pauses whenever the
 //! stream carries it: every recorded collection observes it, and
@@ -36,7 +37,7 @@ use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use tilgc_obs::jsonl::{self, Meta};
-use tilgc_obs::metrics::{fmt_permille, PauseMetrics, SloSpec, TtspMetrics};
+use tilgc_obs::metrics::{percentile, PauseMetrics, SloSpec};
 use tilgc_obs::{schema, Event, HeapCensus};
 use tilgc_runtime::CostModel;
 
@@ -70,12 +71,11 @@ struct StreamSummary {
     source: String,
     /// Plan, benchmark and clock rate: the stream's `meta` line.
     meta: Meta,
+    /// Pauses and time-to-safepoint. TTSP reads all-zero when the
+    /// stream was recorded without TTSP tracking (the JSONL sink omits
+    /// the field for zero), so its report section is gated on a nonzero
+    /// maximum.
     metrics: PauseMetrics,
-    /// Time-to-safepoint observations, one per collection. All-zero
-    /// when the stream was recorded without TTSP tracking (the JSONL
-    /// sink omits the field for zero), so the report section is gated
-    /// on a nonzero maximum.
-    ttsp: TtspMetrics,
     /// The last heap census in the stream, for the report footer.
     census: Option<HeapCensus>,
     event_count: usize,
@@ -90,7 +90,6 @@ impl StreamSummary {
             source,
             meta,
             metrics: PauseMetrics::from_events(events),
-            ttsp: TtspMetrics::from_events(events),
             census: events.iter().rev().find_map(|e| match e {
                 Event::HeapCensus(c) => Some(c.clone()),
                 _ => None,
@@ -196,7 +195,7 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
         clock_hz: summary.meta.clock_hz,
         ..CostModel::default()
     };
-    let h = summary.metrics.histogram();
+    let pauses = summary.metrics.pauses();
     let _ = writeln!(out, "slo-report: {}", summary.source);
     let _ = writeln!(
         out,
@@ -210,49 +209,26 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     let _ = writeln!(
         out,
         "pause percentiles ({} collections, {} gc cycles total):",
-        h.count(),
-        h.sum()
+        pauses.len(),
+        pauses.iter().sum::<u64>()
     );
-    let _ = writeln!(out, "  {:>6} {:>14} {:>12}", "pctl", "cycles", "ms");
-    for (name, value) in [
-        ("p50", h.percentile(500)),
-        ("p90", h.percentile(900)),
-        ("p99", h.percentile(990)),
-        ("p99.9", h.percentile(999)),
-        ("max", h.max()),
-    ] {
-        let _ = writeln!(
-            out,
-            "  {name:>6} {value:>14} {:>12.3}",
-            model.secs(value) * 1000.0
-        );
-    }
+    let rows = [("p50", 500), ("p90", 900), ("p99", 990), ("p99.9", 999)];
+    write_percentiles(&mut out, &model, &pauses, &rows);
 
     // Time-to-safepoint: only rendered when the stream actually carries
     // nonzero observations (a pre-TTSP trace reads as all zeros and
     // keeps the report byte-identical to what it printed before the
     // section existed).
-    let t = summary.ttsp.histogram();
-    if t.max() > 0 {
+    let ttsp = summary.metrics.ttsp();
+    if ttsp.iter().any(|&t| t > 0) {
         let _ = writeln!(out);
         let _ = writeln!(
             out,
             "time-to-safepoint ({} collections, client cycles since last poll):",
-            t.count()
+            ttsp.len()
         );
-        let _ = writeln!(out, "  {:>6} {:>14} {:>12}", "pctl", "cycles", "ms");
-        for (name, value) in [
-            ("p50", t.percentile(500)),
-            ("p90", t.percentile(900)),
-            ("p99", t.percentile(990)),
-            ("max", t.max()),
-        ] {
-            let _ = writeln!(
-                out,
-                "  {name:>6} {value:>14} {:>12.3}",
-                model.secs(value) * 1000.0
-            );
-        }
+        let rows = [("p50", 500), ("p90", 900), ("p99", 990)];
+        write_percentiles(&mut out, &model, ttsp, &rows);
     }
 
     // The curve rows: the standard millisecond ladder plus every window
@@ -301,68 +277,64 @@ fn render_report(summary: &StreamSummary, spec: &SloSpec) -> (String, usize) {
     );
 
     let _ = writeln!(out);
-    if spec.is_empty() {
+    let rows = spec.evaluate(&summary.metrics);
+    if rows.is_empty() {
         let _ = writeln!(out, "slo: no bounds configured (report only)");
         return (out, 0);
     }
-    let violations = spec.evaluate(&summary.metrics);
-    for &(permille, bound) in &spec.max_pause {
-        let actual = h.percentile(permille);
-        let verdict = if actual > bound { "VIOLATED" } else { "ok" };
-        let _ = writeln!(
-            out,
-            "slo: pause p{} <= {bound} cycles: actual {actual}  {verdict}",
-            fmt_permille(permille)
-        );
+    for row in &rows {
+        let _ = writeln!(out, "slo: {row}");
     }
-    for &(window, floor) in &spec.min_mmu {
-        let actual = summary.metrics.mmu(window);
-        let verdict = if actual < floor { "VIOLATED" } else { "ok" };
-        let _ = writeln!(
-            out,
-            "slo: MMU@{window} >= {floor}‰: actual {actual}‰  {verdict}"
-        );
-    }
-    let _ = if violations.is_empty() {
+    let violations = rows.iter().filter(|r| !r.ok()).count();
+    let _ = if violations == 0 {
         writeln!(out, "slo-report: ok")
     } else {
-        writeln!(
-            out,
-            "slo-report: FAILED ({} violation(s))",
-            violations.len()
-        )
+        writeln!(out, "slo-report: FAILED ({violations} violation(s))")
     };
-    (out, violations.len())
+    (out, violations)
+}
+
+/// Writes a percentile table of `samples`: one row per `(name,
+/// permille)`, then the maximum, each in cycles and milliseconds.
+fn write_percentiles(out: &mut String, model: &CostModel, samples: &[u64], rows: &[(&str, u64)]) {
+    let _ = writeln!(out, "  {:>6} {:>14} {:>12}", "pctl", "cycles", "ms");
+    for &(name, permille) in rows.iter().chain(&[("max", 1000)]) {
+        let value = percentile(samples, permille);
+        let _ = writeln!(
+            out,
+            "  {name:>6} {value:>14} {:>12.3}",
+            model.secs(value) * 1000.0
+        );
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use tilgc_core::CollectorKind;
-    use tilgc_obs::metrics::PauseHistogram;
     use tilgc_obs::{CollectionBegin, CollectionEnd, GcPhase, PhaseSpan, SpaceCensus};
     use tilgc_programs::Benchmark;
 
     /// The deterministic latency lanes: per plan, over Color,
     /// Knuth-Bendix, Nqueen and PIA at k = 4.0 with TTSP tracking on —
-    /// merged pause p50 / p99 / p99.9 (gc cycles), the worst
-    /// per-benchmark MMU at a 10 ms window (permille), and merged
-    /// time-to-safepoint p50 / p99 (client cycles). Simulated cycles
-    /// only, so any movement is a collector, cost-model or read-point
-    /// change and must come with a re-cut table.
+    /// pause p50 / p99 / p99.9 over the four runs' pauses together (gc
+    /// cycles), the worst per-benchmark MMU at a 10 ms window
+    /// (permille), and time-to-safepoint p50 / p99 over the four runs'
+    /// collections (client cycles). Simulated cycles only, so any
+    /// movement is a collector, cost-model or read-point change and
+    /// must come with a re-cut table.
     #[test]
     fn latency_lanes_are_pinned_exactly() {
         const PINNED: [[u64; 6]; 4] = [
-            [45055, 720378, 720378, 424, 71, 1190],
-            [21503, 155647, 491519, 270, 47, 895],
-            [18431, 139263, 491519, 274, 47, 895],
-            [14335, 131071, 475135, 552, 63, 895],
+            [44100, 691506, 720378, 424, 69, 1190],
+            [20625, 151347, 483381, 270, 47, 885],
+            [17432, 134244, 483506, 274, 47, 885],
+            [14302, 127002, 472597, 552, 63, 885],
         ];
         let window = CostModel::default().cycles_per_ms(10);
         let mut cal = Calibration::new(1);
         for (kind, pinned) in CollectorKind::ALL.into_iter().zip(PINNED) {
-            let mut pauses = PauseHistogram::new();
-            let mut ttsp = TtspMetrics::new();
+            let (mut pauses, mut ttsp) = (Vec::new(), Vec::new());
             let mut mmu = 1000;
             for bench in [
                 Benchmark::Color,
@@ -374,17 +346,17 @@ mod tests {
                 assert_eq!(run.dropped, 0);
                 let mut metrics = PauseMetrics::from_events(&run.events);
                 metrics.set_horizon(run.horizon_cycles);
-                pauses.merge(metrics.histogram());
-                ttsp.merge(TtspMetrics::from_events(&run.events).histogram());
+                pauses.extend(metrics.pauses());
+                ttsp.extend_from_slice(metrics.ttsp());
                 mmu = mmu.min(metrics.mmu(window));
             }
             let lanes = [
-                pauses.percentile(500),
-                pauses.percentile(990),
-                pauses.percentile(999),
+                percentile(&pauses, 500),
+                percentile(&pauses, 990),
+                percentile(&pauses, 999),
                 mmu,
-                ttsp.histogram().percentile(500),
-                ttsp.histogram().percentile(990),
+                percentile(&ttsp, 500),
+                percentile(&ttsp, 990),
             ];
             assert_eq!(lanes, pinned, "{}", kind.label());
         }
@@ -477,8 +449,7 @@ mod tests {
         let s = summary_of(&sample_doc());
         assert_eq!(s.meta.plan, "gen+markers");
         assert_eq!(s.meta.clock_hz, 100_000);
-        assert_eq!(s.metrics.pause_count(), 2);
-        assert_eq!(s.metrics.histogram().sum(), 700);
+        assert_eq!(s.metrics.pauses(), [500, 200]);
         // The second end had no begin: its start is end - gc_cycles.
         assert_eq!(s.metrics.horizon(), 4000);
         let census = s.census.as_ref().expect("census captured");
@@ -533,8 +504,7 @@ mod tests {
         );
         // A tracked stream carries `ttsp_cycles` on collection-begin.
         let s = summary_of(&sample_doc_with_ttsp(40));
-        assert_eq!(s.ttsp.histogram().count(), 1);
-        assert_eq!(s.ttsp.histogram().max(), 40);
+        assert_eq!(s.metrics.ttsp(), [40]);
         let (text, _) = render_report(&s, &SloSpec::default());
         assert!(
             text.contains("time-to-safepoint (1 collections"),
@@ -555,7 +525,7 @@ mod tests {
         let live = StreamSummary::from_events(source, meta, &run.events, 0);
         let spec = SloSpec::default();
         assert_eq!(render_report(&replayed, &spec), render_report(&live, &spec));
-        assert!(replayed.metrics.pause_count() > 0 && replayed.census.is_some());
+        assert!(!replayed.metrics.pauses().is_empty() && replayed.census.is_some());
     }
 
     /// `--input` refuses what it cannot decode, naming file and line,

@@ -49,12 +49,6 @@ impl Addr {
         self.0 == 0
     }
 
-    /// Byte offset of this address from the start of memory.
-    #[inline]
-    pub const fn byte_offset(self) -> usize {
-        self.0 as usize * crate::WORD_BYTES
-    }
-
     /// The address `words` words past `self`, checking for overflow.
     ///
     /// # Panics
@@ -138,11 +132,6 @@ mod tests {
         let mut b = a;
         b += 1;
         assert_eq!(b.index(), 101);
-    }
-
-    #[test]
-    fn byte_offset_matches_word_size() {
-        assert_eq!(Addr::new(3).byte_offset(), 24);
     }
 
     #[test]

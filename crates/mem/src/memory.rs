@@ -73,14 +73,6 @@ impl Memory {
         }
     }
 
-    /// Creates an address space sized in bytes, rounded **up** to whole
-    /// words: a non-word-multiple request still yields enough memory to
-    /// hold `capacity` bytes. (It used to round down, silently shrinking
-    /// the heap below the requested budget.)
-    pub fn with_capacity_bytes(capacity: usize) -> Memory {
-        Memory::with_capacity_words(crate::bytes_to_words(capacity))
-    }
-
     /// Total capacity in words.
     #[inline]
     pub fn capacity_words(&self) -> usize {
@@ -313,19 +305,6 @@ impl Memory {
         self.words[addr.index().saturating_add(offset)] = value;
     }
 
-    /// Reads the word at `addr` as an IEEE-754 double (TIL stores unboxed
-    /// floats directly in raw arrays).
-    #[inline]
-    pub fn f64_at(&self, addr: Addr) -> f64 {
-        f64::from_bits(self.word(addr))
-    }
-
-    /// Writes an IEEE-754 double into the word at `addr`.
-    #[inline]
-    pub fn set_f64(&mut self, addr: Addr, value: f64) {
-        self.set_word(addr, value.to_bits());
-    }
-
     /// Borrows `len` consecutive words starting at `addr` as a slice.
     ///
     /// This is the batched read path of the copy/scan kernels: one bounds
@@ -429,16 +408,6 @@ mod tests {
                 available: 0
             })
         );
-    }
-
-    #[test]
-    fn capacity_bytes_rounds_up_to_whole_words() {
-        // Regression: a non-word-multiple byte capacity used to round
-        // *down*, silently shrinking the heap below the requested budget.
-        assert_eq!(Memory::with_capacity_bytes(17).capacity_words(), 3);
-        assert_eq!(Memory::with_capacity_bytes(24).capacity_words(), 3);
-        assert_eq!(Memory::with_capacity_bytes(25).capacity_words(), 4);
-        assert_eq!(Memory::with_capacity_bytes(1).capacity_words(), 1);
     }
 
     #[test]
@@ -557,13 +526,6 @@ mod tests {
         assert_eq!(mem.try_word(Addr::new(3)), Some(u64::MAX));
         assert_eq!(mem.try_word(Addr::new(99)), None);
         assert_eq!(mem.try_word(Addr::NULL), None);
-    }
-
-    #[test]
-    fn f64_round_trip() {
-        let mut mem = Memory::with_capacity_words(8);
-        mem.set_f64(Addr::new(1), -1.5e300);
-        assert_eq!(mem.f64_at(Addr::new(1)), -1.5e300);
     }
 
     #[test]

@@ -22,7 +22,7 @@
 //!   directions (over the crate's own minimal [`json`] parser);
 //! * [`schema`]: the identities a stream must satisfy, checked over
 //!   decoded `Event`s — replayed from a file or live, never rendered;
-//! * [`metrics`]: pause histograms, MMU and SLO evaluation over the
+//! * [`metrics`]: exact pause percentiles, MMU and SLO evaluation over the
 //!   same `Event`s.
 //!
 //! This crate sits *below* `tilgc-runtime` in the dependency order

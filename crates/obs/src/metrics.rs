@@ -1,8 +1,8 @@
-//! Streaming pause-time metrics computed deterministically in the cycle
-//! domain from the [`Event`] stream: an HDR-style
-//! [`PauseHistogram`] with exact percentile extraction, an MMU (minimum
-//! mutator utilization) curve over sliding cycle windows, and an
-//! [`SloSpec`] that turns both into a pass/fail verdict.
+//! Pause-time metrics computed deterministically in the cycle domain
+//! from the [`Event`] stream: exact pause and time-to-safepoint
+//! [`percentile`]s, an MMU (minimum mutator utilization) curve over
+//! sliding cycle windows, and an [`SloSpec`] that turns both into one
+//! verdict row per bound.
 //!
 //! Everything here is integer arithmetic over simulated cycles — no
 //! floats, no wall clock — so the same event stream always produces the
@@ -11,209 +11,69 @@
 
 use crate::Event;
 
-/// Sub-bucket precision bits of the [`PauseHistogram`]: each power-of-two
-/// octave is split into `2^SUB_BITS` equal sub-buckets, bounding the
-/// relative quantization error at `2^-SUB_BITS` (6.25%).
-pub const SUB_BITS: u32 = 4;
-
-/// Sub-buckets per octave (`2^SUB_BITS`).
-pub const SUB_BUCKETS: usize = 1 << SUB_BITS;
-
-/// Total buckets in a [`PauseHistogram`]. Values below `SUB_BUCKETS` get
-/// exact unit-width buckets; each of the remaining 60 octaves of the u64
-/// range contributes `SUB_BUCKETS` log-spaced buckets.
-pub const PAUSE_BUCKETS: usize = SUB_BUCKETS + (64 - SUB_BITS as usize) * SUB_BUCKETS;
-
-/// A log-bucketed pause histogram in the style of HDR histograms, with a
-/// fixed bucket layout so serialized output is byte-stable across runs.
-///
-/// Layout: values `0..16` land in exact unit buckets `0..16`; a value
-/// with leading bit `e >= 4` lands in octave `g = e - 3`, sub-bucket
-/// `(v >> (e - 4)) & 15`, i.e. index `g * 16 + sub`. Bucket widths double
-/// every octave, so the relative quantization error never exceeds
-/// 1/16 = 6.25%. Alongside the buckets the histogram tracks the *exact*
-/// count, sum, min and max, which reconcile against `GcStats`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct PauseHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
+/// The value at `permille`/1000 of `samples`: the one at rank
+/// `max(1, ⌈n · permille / 1000⌉)` in sorted order, 0 when there are
+/// none. Exact, so `percentile(s, 0)` is the minimum and
+/// `percentile(s, 1000)` the maximum — the rank rule of the benchmark's
+/// `sim_pause_p99_kcycles`.
+pub fn percentile(samples: &[u64], permille: u64) -> u64 {
+    if samples.is_empty() {
+        return 0;
+    }
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    let n = sorted.len() as u64;
+    let rank = (n * permille).div_ceil(1000).clamp(1, n);
+    sorted[rank as usize - 1]
 }
 
-impl Default for PauseHistogram {
-    fn default() -> PauseHistogram {
-        PauseHistogram::new()
-    }
-}
-
-impl PauseHistogram {
-    /// An empty histogram.
-    pub fn new() -> PauseHistogram {
-        PauseHistogram {
-            buckets: vec![0; PAUSE_BUCKETS],
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-        }
-    }
-
-    /// Bucket index for `value` (fixed layout, see the type docs).
-    pub fn bucket_index(value: u64) -> usize {
-        if value < SUB_BUCKETS as u64 {
-            return value as usize;
-        }
-        let exp = 63 - value.leading_zeros();
-        let octave = (exp - (SUB_BITS - 1)) as usize;
-        let sub = ((value >> (exp - SUB_BITS)) & (SUB_BUCKETS as u64 - 1)) as usize;
-        octave * SUB_BUCKETS + sub
-    }
-
-    /// Inclusive `[low, high]` value range covered by bucket `index`.
-    pub fn bucket_range(index: usize) -> (u64, u64) {
-        if index < SUB_BUCKETS {
-            return (index as u64, index as u64);
-        }
-        let octave = (index / SUB_BUCKETS) as u32;
-        let sub = (index % SUB_BUCKETS) as u64;
-        let width = 1u64 << (octave - 1);
-        let low = (SUB_BUCKETS as u64 + sub) << (octave - 1);
-        // `low + width` overflows u64 in the very last bucket; adding
-        // `width - 1` stays in range (the top bucket ends at u64::MAX).
-        (low, low + (width - 1))
-    }
-
-    /// Records one observation.
-    pub fn record(&mut self, value: u64) {
-        self.buckets[PauseHistogram::bucket_index(value)] += 1;
-        self.count += 1;
-        self.sum += value;
-        self.min = self.min.min(value);
-        self.max = self.max.max(value);
-    }
-
-    /// Exact number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Exact sum of all observations.
-    pub fn sum(&self) -> u64 {
-        self.sum
-    }
-
-    /// Exact minimum observation (0 when empty).
-    pub fn min(&self) -> u64 {
-        if self.count == 0 {
-            0
-        } else {
-            self.min
-        }
-    }
-
-    /// Exact maximum observation.
-    pub fn max(&self) -> u64 {
-        self.max
-    }
-
-    /// The value at or below which `permille`/1000 of the observations
-    /// fall, reported as the upper edge of the containing bucket (clamped
-    /// to the exact max, so `percentile(1000) == max()`). Returns 0 on an
-    /// empty histogram. Pure integer arithmetic: byte-stable.
-    pub fn percentile(&self, permille: u64) -> u64 {
-        if self.count == 0 {
-            return 0;
-        }
-        // Rank of the target observation, 1-based, rounding up so p100.0
-        // covers the last observation and p0.x at least the first.
-        let rank = ((self.count * permille).div_ceil(1000)).max(1);
-        let mut seen = 0u64;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= rank {
-                let (_, high) = PauseHistogram::bucket_range(i);
-                return high.min(self.max);
-            }
-        }
-        self.max
-    }
-
-    /// Merges another histogram's observations into this one.
-    pub fn merge(&mut self, other: &PauseHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(other.buckets.iter()) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
-    /// Iterates the non-empty buckets as `(low, high, count)`.
-    pub fn nonzero_buckets(&self) -> impl Iterator<Item = (u64, u64, u64)> + '_ {
-        self.buckets
-            .iter()
-            .enumerate()
-            .filter(|(_, &b)| b > 0)
-            .map(|(i, &b)| {
-                let (low, high) = PauseHistogram::bucket_range(i);
-                (low, high, b)
-            })
-    }
-}
-
-/// Streaming pause accumulator: feed it the event stream and it maintains
-/// the pause histogram, the pause interval list for MMU, and the timeline
-/// horizon.
+/// The pause ledger of one event stream: each collection's bracket on
+/// the timeline (for the pause lengths and MMU), each collection's
+/// time-to-safepoint, and the timeline horizon.
 ///
 /// A "pause" is one collection's `[start_cycles, end_cycles]` bracket on
 /// the unified simulated timeline (client + GC cycles; client cycles do
 /// not advance during a collection, so `end - start` equals the
-/// collection's `gc_cycles`). Governor pressure rungs charge cycles
-/// *outside* any collection bracket and are deliberately not pauses;
-/// reconciliation against `GcStats::gc_cycles()` must add rung cycles
-/// back (the same identity the telemetry tests check).
+/// collection's `gc_cycles`, an identity `schema::Checker` enforces).
+/// The bracket is read off the `collection-end` line alone, as
+/// `(end_cycles - gc_cycles, end_cycles)`. Governor pressure rungs charge
+/// cycles *outside* any collection bracket and are deliberately not
+/// pauses; reconciliation against `GcStats::gc_cycles()` must add rung
+/// cycles back (the same identity the telemetry tests check).
+///
+/// TTSP is observational: how far (in client cycles) each collection
+/// landed from the mutator's last safepoint poll. A zero is a real
+/// observation (the collection hit exactly at a poll), even though the
+/// JSONL sink omits the field for zero.
 #[derive(Clone, Debug, Default)]
 pub struct PauseMetrics {
-    hist: PauseHistogram,
-    /// Closed pause intervals `(start, end)` in timeline order.
+    /// Pause brackets `(start, end)` in timeline order.
     pauses: Vec<(u64, u64)>,
-    open: Option<u64>,
+    /// `ttsp_cycles` of each `collection-begin`, in stream order.
+    ttsp: Vec<u64>,
     horizon: u64,
 }
 
 impl PauseMetrics {
-    /// An empty accumulator.
+    /// An empty ledger.
     pub fn new() -> PauseMetrics {
         PauseMetrics::default()
     }
 
-    /// Feeds one event. Only collection begin/end brackets matter; all
-    /// other kinds are ignored.
+    /// Feeds one event. Only collection begin (TTSP) and end (the
+    /// bracket) lines matter; all other kinds are ignored.
     pub fn observe(&mut self, event: &Event) {
         match event {
-            Event::CollectionBegin(b) => {
-                self.open = Some(b.start_cycles);
-                self.horizon = self.horizon.max(b.start_cycles);
-            }
+            Event::CollectionBegin(b) => self.ttsp.push(b.ttsp_cycles),
             Event::CollectionEnd(e) => {
-                self.hist.record(e.gc_cycles);
-                // If the begin bracket was dropped (ring overflow),
-                // reconstruct the start from the end-side fields.
-                let start = self
-                    .open
-                    .take()
-                    .unwrap_or_else(|| e.end_cycles.saturating_sub(e.gc_cycles));
-                self.pauses.push((start, e.end_cycles));
-                self.horizon = self.horizon.max(e.end_cycles);
+                let start = e.end_cycles.saturating_sub(e.gc_cycles);
+                self.push_pause(start, e.end_cycles, e.end_cycles - start);
             }
             _ => {}
         }
     }
 
-    /// Builds metrics from a complete event slice.
+    /// Builds the ledger from a complete event slice.
     pub fn from_events(events: &[Event]) -> PauseMetrics {
         let mut m = PauseMetrics::new();
         for e in events {
@@ -222,10 +82,14 @@ impl PauseMetrics {
         m
     }
 
-    /// Records a pause bracket directly (used by JSONL readers that parse
-    /// lines without reconstructing `Event` values).
+    /// Records a pause bracket directly, for a timeline built without
+    /// events; `gc_cycles` must be the bracket's width.
     pub fn push_pause(&mut self, start_cycles: u64, end_cycles: u64, gc_cycles: u64) {
-        self.hist.record(gc_cycles);
+        debug_assert_eq!(
+            end_cycles - start_cycles,
+            gc_cycles,
+            "a pause is its bracket"
+        );
         self.pauses.push((start_cycles, end_cycles));
         self.horizon = self.horizon.max(end_cycles);
     }
@@ -237,19 +101,20 @@ impl PauseMetrics {
         self.horizon = self.horizon.max(cycles);
     }
 
-    /// The pause histogram.
-    pub fn histogram(&self) -> &PauseHistogram {
-        &self.hist
-    }
-
     /// The timeline horizon (largest cycle position seen).
     pub fn horizon(&self) -> u64 {
         self.horizon
     }
 
-    /// Number of recorded pauses.
-    pub fn pause_count(&self) -> usize {
-        self.pauses.len()
+    /// Each pause's length in gc cycles, in timeline order: the samples
+    /// for [`percentile`].
+    pub fn pauses(&self) -> Vec<u64> {
+        self.pauses.iter().map(|&(s, e)| e - s).collect()
+    }
+
+    /// Each collection's time-to-safepoint, in stream order.
+    pub fn ttsp(&self) -> &[u64] {
+        &self.ttsp
     }
 
     /// Minimum mutator utilization over every sliding window of `window`
@@ -298,79 +163,40 @@ impl PauseMetrics {
     }
 }
 
-/// Streaming time-to-safepoint accumulator: a [`PauseHistogram`] over
-/// the `ttsp_cycles` field of `collection-begin` events.
-///
-/// TTSP is observational — it measures how far (in client cycles) each
-/// collection landed from the mutator's last safepoint poll, and charges
-/// nothing. Consumers construct this only when TTSP tracking was on for
-/// the run; a zero observation is legitimate (the collection hit exactly
-/// at a poll) and is recorded, even though the JSONL sink omits the
-/// field for zero.
-#[derive(Clone, Debug, Default)]
-pub struct TtspMetrics {
-    hist: PauseHistogram,
-}
-
-impl TtspMetrics {
-    /// An empty accumulator.
-    pub fn new() -> TtspMetrics {
-        TtspMetrics::default()
-    }
-
-    /// Feeds one event. Only `collection-begin` matters.
-    pub fn observe(&mut self, event: &Event) {
-        if let Event::CollectionBegin(b) = event {
-            self.hist.record(b.ttsp_cycles);
-        }
-    }
-
-    /// Builds metrics from a complete event slice.
-    pub fn from_events(events: &[Event]) -> TtspMetrics {
-        let mut m = TtspMetrics::new();
-        for e in events {
-            m.observe(e);
-        }
-        m
-    }
-
-    /// Records one TTSP observation directly (used by JSONL readers; an
-    /// omitted `ttsp_cycles` field reads as 0).
-    pub fn push(&mut self, ttsp_cycles: u64) {
-        self.hist.record(ttsp_cycles);
-    }
-
-    /// Folds another run's TTSP histogram into this one (multi-benchmark
-    /// aggregation, mirroring [`PauseHistogram::merge`]).
-    pub fn merge(&mut self, other: &PauseHistogram) {
-        self.hist.merge(other);
-    }
-
-    /// The TTSP histogram.
-    pub fn histogram(&self) -> &PauseHistogram {
-        &self.hist
-    }
-}
-
-/// One violated SLO bound.
+/// One configured SLO bound with its measured value: a row of the
+/// report's verdict.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SloViolation {
-    /// Human-readable name of the violated bound, e.g. `"pause p99"` or
-    /// `"MMU@1500000"`.
+pub struct SloRow {
+    /// What is bounded, e.g. `"pause p99"` or `"MMU@1500000"`.
     pub metric: String,
     /// The observed value (cycles for pauses, permille for MMU).
     pub actual: u64,
-    /// The configured bound it crossed.
+    /// The configured bound.
     pub bound: u64,
+    /// Whether `bound` is a floor (MMU) rather than a ceiling (pause).
+    pub floor: bool,
 }
 
-impl std::fmt::Display for SloViolation {
+impl SloRow {
+    /// Whether the measured value keeps to the bound.
+    pub fn ok(&self) -> bool {
+        if self.floor {
+            self.actual >= self.bound
+        } else {
+            self.actual <= self.bound
+        }
+    }
+}
+
+impl std::fmt::Display for SloRow {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "{}: actual {} violates bound {}",
-            self.metric, self.actual, self.bound
-        )
+        let verdict = if self.ok() { "ok" } else { "VIOLATED" };
+        let (metric, bound, actual) = (&self.metric, self.bound, self.actual);
+        if self.floor {
+            write!(f, "{metric} >= {bound}‰: actual {actual}‰  {verdict}")
+        } else {
+            write!(f, "{metric} <= {bound} cycles: actual {actual}  {verdict}")
+        }
     }
 }
 
@@ -388,42 +214,29 @@ pub struct SloSpec {
 }
 
 impl SloSpec {
-    /// Whether any bound is configured at all.
-    pub fn is_empty(&self) -> bool {
-        self.max_pause.is_empty() && self.min_mmu.is_empty()
-    }
-
-    /// Evaluates the spec against measured metrics, returning every
-    /// violated bound (empty = pass).
-    pub fn evaluate(&self, metrics: &PauseMetrics) -> Vec<SloViolation> {
-        let mut out = Vec::new();
-        for &(permille, bound) in &self.max_pause {
-            let actual = metrics.histogram().percentile(permille);
-            if actual > bound {
-                out.push(SloViolation {
-                    metric: format!("pause p{}", fmt_permille(permille)),
-                    actual,
-                    bound,
-                });
-            }
-        }
-        for &(window, floor) in &self.min_mmu {
-            let actual = metrics.mmu(window);
-            if actual < floor {
-                out.push(SloViolation {
-                    metric: format!("MMU@{window}"),
-                    actual,
-                    bound: floor,
-                });
-            }
-        }
-        out
+    /// Evaluates the spec against measured metrics: one row per
+    /// configured bound, pause bounds first (none = report only).
+    pub fn evaluate(&self, metrics: &PauseMetrics) -> Vec<SloRow> {
+        let pauses = metrics.pauses();
+        let pause_rows = self.max_pause.iter().map(|&(permille, bound)| SloRow {
+            metric: format!("pause p{}", fmt_permille(permille)),
+            actual: percentile(&pauses, permille),
+            bound,
+            floor: false,
+        });
+        let mmu_rows = self.min_mmu.iter().map(|&(window, bound)| SloRow {
+            metric: format!("MMU@{window}"),
+            actual: metrics.mmu(window),
+            bound,
+            floor: true,
+        });
+        pause_rows.chain(mmu_rows).collect()
     }
 }
 
 /// Formats a permille percentile the conventional way: `500` → `"50"`,
 /// `999` → `"99.9"`.
-pub fn fmt_permille(permille: u64) -> String {
+fn fmt_permille(permille: u64) -> String {
     if permille % 10 == 0 {
         format!("{}", permille / 10)
     } else {
@@ -475,87 +288,78 @@ mod tests {
         })
     }
 
+    /// The reference the rank rule is checked against: sort, then take
+    /// the smallest value with at least `permille`/1000 of the samples at
+    /// or below it (and at least one).
+    fn brute_force(samples: &[u64], permille: u64) -> u64 {
+        let mut sorted = samples.to_vec();
+        sorted.sort();
+        let n = sorted.len();
+        for (i, &v) in sorted.iter().enumerate() {
+            if (i + 1) * 1000 >= n * permille as usize {
+                return v;
+            }
+        }
+        sorted.last().copied().unwrap_or(0)
+    }
+
     #[test]
-    fn bucket_layout_is_exact_below_16_and_log_above() {
-        for v in 0..16u64 {
-            assert_eq!(PauseHistogram::bucket_index(v), v as usize);
-            assert_eq!(PauseHistogram::bucket_range(v as usize), (v, v));
-        }
-        // [16, 32) is still exact: one value per sub-bucket.
-        for v in 16..32u64 {
-            let i = PauseHistogram::bucket_index(v);
-            assert_eq!(PauseHistogram::bucket_range(i), (v, v));
-        }
-        // Octave boundaries.
-        assert_eq!(PauseHistogram::bucket_index(32), 32);
-        assert_eq!(PauseHistogram::bucket_range(32), (32, 33));
-        assert_eq!(PauseHistogram::bucket_index(33), 32);
-        assert_eq!(PauseHistogram::bucket_index(u64::MAX), PAUSE_BUCKETS - 1);
-        // Every bucket's range round-trips through bucket_index.
-        for i in 0..PAUSE_BUCKETS {
-            let (low, high) = PauseHistogram::bucket_range(i);
-            assert_eq!(PauseHistogram::bucket_index(low), i, "low of {i}");
-            assert_eq!(PauseHistogram::bucket_index(high), i, "high of {i}");
-        }
-        // Relative error bound: bucket width <= low / 16.
-        for i in SUB_BUCKETS..PAUSE_BUCKETS {
-            let (low, high) = PauseHistogram::bucket_range(i);
-            assert!((high - low) <= low / 16, "bucket {i} too wide");
+    fn percentile_matches_a_sorted_rank_reference() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = |bound: u64| {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state % bound
+        };
+        for case in 0..300 {
+            let n = match case {
+                0 => 0,
+                1 => 1,
+                _ => next(60),
+            };
+            // Narrow ranges repeat values, wide ones do not.
+            let spread = if case % 2 == 0 { 8 } else { 1 << 40 };
+            let samples: Vec<u64> = (0..n).map(|_| next(spread)).collect();
+            for permille in [0, 1, 10, 500, 900, 990, 999, 1000, next(1001)] {
+                assert_eq!(
+                    percentile(&samples, permille),
+                    brute_force(&samples, permille),
+                    "p{permille} of {samples:?}"
+                );
+            }
+            assert_eq!(
+                percentile(&samples, 0),
+                samples.iter().copied().min().unwrap_or(0)
+            );
+            assert_eq!(
+                percentile(&samples, 1000),
+                samples.iter().copied().max().unwrap_or(0)
+            );
         }
     }
 
     #[test]
     fn percentiles_are_exact_ranks() {
-        let mut h = PauseHistogram::new();
-        for v in 1..=100u64 {
-            h.record(v);
-        }
-        assert_eq!(h.count(), 100);
-        assert_eq!(h.sum(), 5050);
-        assert_eq!(h.min(), 1);
-        assert_eq!(h.max(), 100);
-        // p50 covers rank 50 → value 50; bucket [48,51] upper edge is 51.
-        let p50 = h.percentile(500);
-        assert!((50..=51).contains(&p50), "p50 = {p50}");
-        assert_eq!(h.percentile(1000), 100, "p100 is the exact max");
-        assert_eq!(h.percentile(10), 1, "p1 is the exact min");
-        // Quantization error within the documented 6.25% bound.
-        let p90 = h.percentile(900);
-        assert!((90..=95).contains(&p90), "p90 = {p90}");
+        let samples: Vec<u64> = (1..=100).rev().collect();
+        assert_eq!(percentile(&samples, 500), 50);
+        assert_eq!(percentile(&samples, 900), 90);
+        assert_eq!(percentile(&samples, 995), 100, "rank 99.5 rounds up");
+        assert_eq!(percentile(&samples, 1000), 100, "p100 is the exact max");
+        assert_eq!(percentile(&samples, 10), 1, "p1 is the exact min");
+        assert_eq!(percentile(&[], 500), 0);
     }
 
+    /// Runs' samples are concatenated for the latency lanes: the order
+    /// they are joined in cannot move a percentile.
     #[test]
     fn percentile_is_byte_stable_under_merge_order() {
-        let mut a = PauseHistogram::new();
-        let mut b = PauseHistogram::new();
-        let mut whole = PauseHistogram::new();
-        for v in [3u64, 17, 17, 400, 9000, 123_456, 3] {
-            whole.record(v);
-            if v % 2 == 0 {
-                a.record(v);
-            } else {
-                b.record(v);
-            }
-        }
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b;
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab, whole);
+        let (a, b) = ([400u64, 17, 9000], [3u64, 123_456, 17, 3]);
+        let ab: Vec<u64> = a.iter().chain(&b).copied().collect();
+        let ba: Vec<u64> = b.iter().chain(&a).copied().collect();
         for p in [0, 10, 500, 900, 990, 999, 1000] {
-            assert_eq!(ab.percentile(p), whole.percentile(p));
+            assert_eq!(percentile(&ab, p), percentile(&ba, p));
         }
-    }
-
-    #[test]
-    fn empty_histogram_is_all_zeros() {
-        let h = PauseHistogram::new();
-        assert_eq!(h.count(), 0);
-        assert_eq!(h.min(), 0);
-        assert_eq!(h.max(), 0);
-        assert_eq!(h.percentile(500), 0);
-        assert_eq!(h.nonzero_buckets().count(), 0);
     }
 
     #[test]
@@ -567,9 +371,7 @@ mod tests {
             end_event(2, 100, 400),
         ];
         let m = PauseMetrics::from_events(&events);
-        assert_eq!(m.pause_count(), 2);
-        assert_eq!(m.histogram().count(), 2);
-        assert_eq!(m.histogram().sum(), 150);
+        assert_eq!(m.pauses(), vec![50, 100]);
         assert_eq!(m.horizon(), 400);
         // Whole-run utilization: 150 pause cycles of 400 → 625 permille.
         assert_eq!(m.mmu(400), 625);
@@ -578,10 +380,12 @@ mod tests {
 
     #[test]
     fn pause_metrics_reconstructs_dropped_begin() {
-        // End event with no preceding begin (ring dropped it).
+        // End event with no preceding begin (ring dropped it): the
+        // bracket comes from the end line alone.
         let m = PauseMetrics::from_events(&[end_event(5, 70, 1000)]);
-        assert_eq!(m.pause_count(), 1);
+        assert_eq!(m.pauses(), [70]);
         assert_eq!(m.mmu(1000), 930);
+        assert!(m.ttsp().is_empty());
     }
 
     #[test]
@@ -626,21 +430,18 @@ mod tests {
             start_cycles: 100,
             ttsp_cycles: 40,
         });
-        let mut m = TtspMetrics::new();
+        let mut m = PauseMetrics::new();
         m.observe(&ttsp);
         if let Event::CollectionBegin(b) = &mut ttsp {
             b.collection = 2;
             b.ttsp_cycles = 0;
         }
         m.observe(&ttsp);
-        m.push(10);
-        assert_eq!(m.histogram().count(), 3);
-        assert_eq!(m.histogram().sum(), 50);
-        assert_eq!(m.histogram().max(), 40);
-        assert_eq!(m.histogram().min(), 0, "zero TTSP is a real observation");
-        // Non-begin events are ignored.
+        assert_eq!(m.ttsp(), [40, 0], "zero TTSP is a real observation");
+        assert_eq!(percentile(m.ttsp(), 0), 0);
+        // End lines add a pause, not a TTSP sample.
         m.observe(&end_event(2, 5, 200));
-        assert_eq!(m.histogram().count(), 3);
+        assert_eq!((m.ttsp().len(), m.pauses().len()), (2, 1));
     }
 
     #[test]
@@ -652,22 +453,25 @@ mod tests {
             max_pause: vec![(500, 200), (999, 50)],
             min_mmu: vec![(200, 900), (1000, 500)],
         };
-        let violations = spec.evaluate(&m);
-        assert_eq!(violations.len(), 2);
-        assert_eq!(violations[0].metric, "pause p99.9");
-        assert!(violations[0].actual > 50);
-        assert_eq!(violations[1].metric, "MMU@200");
-        assert_eq!(violations[1].bound, 900);
-        assert!(SloSpec::default().evaluate(&m).is_empty());
-        assert!(SloSpec::default().is_empty());
-        assert_eq!(fmt_permille(500), "50");
-        assert_eq!(fmt_permille(999), "99.9");
+        let rows = spec.evaluate(&m);
+        let verdicts: Vec<(&str, u64, bool)> = rows
+            .iter()
+            .map(|r| (r.metric.as_str(), r.actual, r.ok()))
+            .collect();
         assert_eq!(
-            violations[1].to_string(),
-            format!(
-                "MMU@200: actual {} violates bound 900",
-                violations[1].actual
-            )
+            verdicts,
+            [
+                ("pause p50", 100, true),
+                ("pause p99.9", 100, false),
+                ("MMU@200", 500, false),
+                ("MMU@1000", 900, true),
+            ]
         );
+        assert!(SloSpec::default().evaluate(&m).is_empty());
+        assert_eq!(
+            rows[1].to_string(),
+            "pause p99.9 <= 50 cycles: actual 100  VIOLATED"
+        );
+        assert_eq!(rows[3].to_string(), "MMU@1000 >= 500‰: actual 900‰  ok");
     }
 }

@@ -78,8 +78,10 @@ struct Episode {
 /// The stream-level state machine, fed one [`Event`] at a time.
 ///
 /// Collections are properly bracketed (begin before end, strictly
-/// increasing, never nested) and per-collection phase cycles sum exactly
-/// to the reported `gc_cycles`.
+/// increasing, never nested), per-collection phase cycles sum exactly
+/// to the reported `gc_cycles`, and so does the bracket: an end's
+/// `end_cycles` minus its begin's `start_cycles` is its `gc_cycles`
+/// (client cycles do not advance during a collection).
 ///
 /// Pressure episodes are bracketed too: a `pressure-begin` opens an
 /// episode on the allocation path (so it cannot appear inside a
@@ -92,7 +94,8 @@ struct Episode {
 /// collection that just ended.
 #[derive(Debug, Default)]
 pub struct Checker {
-    open: Option<u64>,
+    /// The open collection and its begin's `start_cycles`.
+    open: Option<(u64, u64)>,
     last_ended: u64,
     phase_sum: u64,
     pressure: Option<Episode>,
@@ -113,23 +116,29 @@ impl Checker {
                 if c <= self.last_ended {
                     return Err(format!("collection {c} out of order"));
                 }
-                self.open = Some(c);
+                self.open = Some((c, b.start_cycles));
                 self.phase_sum = 0;
             }
             Event::Phase(p) => {
-                if self.open != Some(p.collection) {
+                if self.open.map(|(c, _)| c) != Some(p.collection) {
                     return Err(format!("phase outside collection {}", p.collection));
                 }
                 self.phase_sum += p.cycles;
             }
             Event::CollectionEnd(e) => {
-                if self.open != Some(e.collection) {
+                let Some((c, start)) = self.open.filter(|&(c, _)| c == e.collection) else {
                     return Err(format!("end without begin for {}", e.collection));
-                }
+                };
                 if self.phase_sum != e.gc_cycles {
                     return Err(format!(
                         "phase cycles {} != gc_cycles {}",
                         self.phase_sum, e.gc_cycles
+                    ));
+                }
+                if e.end_cycles.checked_sub(start) != Some(e.gc_cycles) {
+                    return Err(format!(
+                        "collection {c} brackets {start}..{} but gc_cycles is {}",
+                        e.end_cycles, e.gc_cycles
                     ));
                 }
                 self.open = None;
@@ -196,7 +205,7 @@ impl Checker {
 
     /// Checks that the stream ended with nothing left open.
     pub fn finish(&self) -> Result<(), String> {
-        if let Some(c) = self.open {
+        if let Some((c, _)) = self.open {
             return Err(format!("collection {c} never ended"));
         }
         if self.pressure.is_some() {
@@ -379,6 +388,10 @@ mod tests {
         assert!(validate_jsonl(&mismatched)
             .unwrap_err()
             .contains("phase cycles"));
+        let wide_bracket = ok.replace("\"end_cycles\":5", "\"end_cycles\":7");
+        assert!(validate_jsonl(&wide_bracket)
+            .unwrap_err()
+            .contains("collection 1 brackets 0..7 but gc_cycles is 5"));
         let unclosed = ok.lines().take(3).collect::<Vec<_>>().join("\n");
         assert!(validate_jsonl(&unclosed)
             .unwrap_err()

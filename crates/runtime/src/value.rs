@@ -20,10 +20,10 @@ use tilgc_mem::Addr;
 ///
 /// let v = Value::Ptr(Addr::new(64));
 /// assert!(v.is_pointer());
-/// assert_eq!(Value::from_ptr_word(v.to_word()), v);
+/// assert_eq!(v.to_word(), 64);
 ///
 /// let n = Value::Int(-3);
-/// assert_eq!(Value::from_int_word(n.to_word()), n);
+/// assert_eq!(n.to_word() as i64, -3);
 /// ```
 #[derive(Clone, Copy, PartialEq, Debug, Default)]
 pub enum Value {
@@ -56,31 +56,6 @@ impl Value {
             Value::Real(r) => r.to_bits(),
             Value::Ptr(a) => u64::from(a.raw()),
             Value::Uninit => 0,
-        }
-    }
-
-    /// Decodes a word known (from traces) to be a pointer.
-    #[inline]
-    pub fn from_ptr_word(word: u64) -> Value {
-        Value::Ptr(Addr::new(word as u32))
-    }
-
-    /// Decodes a word known (from traces) to be an integer.
-    #[inline]
-    pub fn from_int_word(word: u64) -> Value {
-        Value::Int(word as i64)
-    }
-
-    /// The pointer payload.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the value is not a pointer.
-    #[inline]
-    pub fn as_ptr(self) -> Addr {
-        match self {
-            Value::Ptr(a) => a,
-            other => panic!("expected pointer, found {other:?}"),
         }
     }
 }
@@ -149,12 +124,8 @@ mod tests {
 
     #[test]
     fn word_round_trips() {
-        assert_eq!(
-            Value::from_int_word(Value::Int(-77).to_word()),
-            Value::Int(-77)
-        );
-        let p = Value::Ptr(Addr::new(123));
-        assert_eq!(Value::from_ptr_word(p.to_word()), p);
+        assert_eq!(Value::Int(-77).to_word() as i64, -77);
+        assert_eq!(Value::Ptr(Addr::new(123)).to_word(), 123);
         assert_eq!(f64::from_bits(Value::Real(6.5).to_word()), 6.5);
     }
 
@@ -165,12 +136,6 @@ mod tests {
         assert!(!Value::Uninit.is_pointer());
         assert_eq!(ShadowTag::of(Value::Ptr(Addr::new(1))), ShadowTag::Ptr);
         assert_eq!(ShadowTag::of(Value::Real(0.0)), ShadowTag::NonPtr);
-    }
-
-    #[test]
-    #[should_panic(expected = "expected pointer")]
-    fn as_ptr_on_int_panics() {
-        let _ = Value::Int(3).as_ptr();
     }
 
     #[test]
